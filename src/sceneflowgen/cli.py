@@ -42,6 +42,14 @@ def _parse_size(text):
         raise ContractError(f"--size expects WxH, got {text!r}") from None
 
 
+def _parse_range(text):
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+        return lo, hi
+    except ValueError:
+        raise ContractError(f"--n-objects expects LO..HI, got {text!r}") from None
+
+
 def _write_config_log(out_dir, config):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -53,9 +61,9 @@ def _write_config_log(out_dir, config):
 def cmd_generate(args):
     w, h = _parse_size(args.size)
     if args.preset == "flyingthings":
-        lo, hi = (int(x) for x in args.n_objects.split(".."))
         params = FlyingThingsParams(
-            n_objects_range=(lo, hi), n_background=args.n_background,
+            n_objects_range=_parse_range(args.n_objects),
+            n_background=args.n_background,
             frames=args.frames, width=w, height=h,
             focal_mm=args.focal_mm, baseline=args.baseline,
             static=args.static,

@@ -18,6 +18,7 @@ from .errors import ParseError
 
 MANIFEST_VERSION = "sceneflowgen-manifest-1"
 FLO_MAGIC = 202021.25
+_MAX_PIXELS = 2**28  # w * h cap for every reader
 
 __all__ = [
     "write_pfm", "read_pfm", "write_flo", "read_flo",
@@ -59,6 +60,32 @@ def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
+def _check_dimensions(kind, w, h):
+    if w <= 0 or h <= 0 or w * h > _MAX_PIXELS:
+        raise ParseError(f"bad {kind} dimensions {w}x{h}")
+
+
+def _read_pnm_header(buf: bytes, magic: bytes, maxval: int) -> tuple[int, int, int]:
+    """Parse a binary PNM header `magic w h maxval` -> (w, h, payload offset)."""
+    tok, pos = _read_pnm_token(buf, 0)
+    if tok != magic:
+        raise ParseError(f"bad {magic.decode()} magic {tok!r} at byte 0")
+    values = []
+    for _ in range(3):
+        tok, pos = _read_pnm_token(buf, pos)
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(
+                f"non-integer header token {tok[:16]!r} at byte {pos - len(tok)}"
+            ) from None
+    w, h, found = values
+    if found != maxval:
+        raise ParseError(f"{magic.decode()} maxval {found}, expected {maxval}")
+    _check_dimensions(magic.decode(), w, h)
+    return w, h, pos + 1  # single whitespace byte after maxval
+
+
 def read_pfm(buf: bytes) -> np.ndarray:
     magic, pos = _read_pnm_token(buf, 0)
     if magic == b"Pf":
@@ -74,8 +101,7 @@ def read_pfm(buf: bytes) -> np.ndarray:
         w, h, scale = int(wtok), int(htok), float(stok)
     except ValueError as e:
         raise ParseError(f"bad PFM header near byte {pos}: {e}") from None
-    if w <= 0 or h <= 0 or w * h > 2**28:
-        raise ParseError(f"bad PFM dimensions {w}x{h}")
+    _check_dimensions("PFM", w, h)
     pos += 1  # single whitespace byte after the scale line
     n = w * h * channels
     payload = buf[pos:pos + 4 * n]
@@ -108,6 +134,7 @@ def read_flo(buf: bytes) -> np.ndarray:
     magic, w, h = struct.unpack_from("<fii", buf, 0)
     if magic != FLO_MAGIC:
         raise ParseError(f"bad .flo magic {magic!r}, expected {FLO_MAGIC}")
+    _check_dimensions(".flo", w, h)
     n = w * h * 2
     payload = buf[12:12 + 4 * n]
     if len(payload) != 4 * n:
@@ -127,16 +154,7 @@ def write_ppm(rgb) -> bytes:
 
 
 def read_ppm(buf: bytes) -> np.ndarray:
-    magic, pos = _read_pnm_token(buf, 0)
-    if magic != b"P6":
-        raise ParseError(f"bad PPM magic {magic!r}")
-    wtok, pos = _read_pnm_token(buf, pos)
-    htok, pos = _read_pnm_token(buf, pos)
-    mtok, pos = _read_pnm_token(buf, pos)
-    w, h, maxval = int(wtok), int(htok), int(mtok)
-    if maxval != 255:
-        raise ParseError(f"unsupported PPM maxval {maxval}")
-    pos += 1
+    w, h, pos = _read_pnm_header(buf, b"P6", 255)
     n = w * h * 3
     payload = buf[pos:pos + n]
     if len(payload) != n:
@@ -156,16 +174,7 @@ def write_pgm16(mask) -> bytes:
 
 
 def read_pgm16(buf: bytes) -> np.ndarray:
-    magic, pos = _read_pnm_token(buf, 0)
-    if magic != b"P5":
-        raise ParseError(f"bad PGM magic {magic!r}")
-    wtok, pos = _read_pnm_token(buf, pos)
-    htok, pos = _read_pnm_token(buf, pos)
-    mtok, pos = _read_pnm_token(buf, pos)
-    w, h, maxval = int(wtok), int(htok), int(mtok)
-    if maxval != 65535:
-        raise ParseError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
-    pos += 1
+    w, h, pos = _read_pnm_header(buf, b"P5", 65535)
     n = w * h * 2
     payload = buf[pos:pos + n]
     if len(payload) != n:
@@ -183,16 +192,7 @@ def write_pgm8(mask) -> bytes:
 
 
 def read_pgm8(buf: bytes) -> np.ndarray:
-    magic, pos = _read_pnm_token(buf, 0)
-    if magic != b"P5":
-        raise ParseError(f"bad PGM magic {magic!r}")
-    wtok, pos = _read_pnm_token(buf, pos)
-    htok, pos = _read_pnm_token(buf, pos)
-    mtok, pos = _read_pnm_token(buf, pos)
-    w, h, maxval = int(wtok), int(htok), int(mtok)
-    if maxval != 255:
-        raise ParseError(f"expected 8-bit PGM (maxval 255), got {maxval}")
-    pos += 1
+    w, h, pos = _read_pnm_header(buf, b"P5", 255)
     n = w * h
     payload = buf[pos:pos + n]
     if len(payload) != n:

@@ -1,6 +1,13 @@
 """Classical disparity estimation via horizontal 1D correlation: patch
-features, a one-sided cost volume (displacements to the left only),
-winner-take-all with parabola sub-pixel refinement."""
+features, one-sided correlation (displacements to the left only),
+winner-take-all with parabola sub-pixel refinement.
+
+`estimate_disparity` streams over disparities and keeps only (H, W)
+state, so its memory is O(H*W*C) whatever the disparity range.
+`correlate_1d`, `wta_disparity` and `subpixel_refine` build and consume
+the full (H, W, D) cost volume; they are the reference the streaming
+matcher is bit-identical to.
+"""
 
 from __future__ import annotations
 
@@ -96,11 +103,20 @@ def subpixel_refine(cv: np.ndarray, disp: np.ndarray) -> np.ndarray:
     boundary (or next to an invalid entry) are returned unrefined.
     """
     n_d = cv.shape[-1]
-    interior = (disp >= 1) & (disp <= n_d - 2)
+    if n_d < 3:  # no winner has two neighbours
+        return disp.astype(np.float64)
     di = np.clip(disp, 1, n_d - 2)
     c0 = np.take_along_axis(cv, (di - 1)[..., None], axis=-1)[..., 0]
     c1 = np.take_along_axis(cv, di[..., None], axis=-1)[..., 0]
     c2 = np.take_along_axis(cv, (di + 1)[..., None], axis=-1)[..., 0]
+    return _parabola_refine(disp, c0, c1, c2, n_d)
+
+
+def _parabola_refine(disp, c0, c1, c2, n_d):
+    """disp + the clamped parabola vertex offset through (c0, c1, c2), the
+    costs at disp - 1, disp and disp + 1; values off the interior are
+    ignored."""
+    interior = (disp >= 1) & (disp <= n_d - 2)
     denom = c0 - 2 * c1 + c2
     with np.errstate(invalid="ignore", divide="ignore"):
         offset = (c0 - c2) / (2 * denom)
@@ -109,11 +125,55 @@ def subpixel_refine(cv: np.ndarray, disp: np.ndarray) -> np.ndarray:
     return disp.astype(np.float64) + offset
 
 
+def _channels_first(feats):
+    return np.ascontiguousarray(np.moveaxis(feats, -1, 0))
+
+
 def estimate_disparity(left_image, right_image,
                        max_disp=DEFAULT_MAX_DISPARITY, patch=3):
-    """Full matcher pipeline on a rectified pair -> (disparity, confidence)."""
-    a = extract_features(left_image, patch)
-    b = extract_features(right_image, patch)
-    cv = correlate_1d(a, b, max_disp)
-    disp, confidence = wta_disparity(cv)
-    return subpixel_refine(cv, disp), confidence
+    """Full matcher pipeline on a rectified pair -> (disparity, confidence).
+
+    Equal, bit for bit, to ``subpixel_refine(cv, disp)`` and the confidence
+    of ``disp, confidence = wta_disparity(cv)`` with
+    ``cv = correlate_1d(features(left), features(right), max_disp)``, but
+    the cost volume is never built: one loop over d fills an (H, W) cost
+    slice and folds it into the running winner, the second-best cost and
+    the winner's two parabola neighbours.
+    """
+    # one (H, W, C) temporary at a time; channel planes are contiguous
+    a = _channels_first(extract_features(left_image, patch))
+    b = _channels_first(extract_features(right_image, patch))
+    if a.shape != b.shape:
+        raise ContractError(f"image sizes differ: {a.shape[1:]} vs {b.shape[1:]}")
+    n_c, h, w = a.shape
+    if not 1 <= max_disp <= w:
+        raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
+
+    best = np.zeros((h, w), dtype=np.int64)
+    top = np.full((h, w), -np.inf)       # cost at best
+    second = np.full((h, w), -np.inf)    # best cost at any other d
+    below = np.full((h, w), np.nan)      # cost at best - 1
+    above = np.full((h, w), np.nan)      # cost at best + 1
+    cost = np.full((h, w), np.nan)       # cost at d; NaN where x < d
+    prev = np.full((h, w), np.nan)       # cost at d - 1
+    tmp = np.empty((h, w))
+    for d in range(max_disp):
+        prev, cost = cost, prev
+        cost[:, :d] = np.nan
+        c, t, p = cost[:, d:], tmp[:, d:], prev[:, d:]
+        # channel-sequential accumulation, as in correlate_1d
+        c.fill(0.0)
+        for ch in range(n_c):
+            np.multiply(a[ch, :, d:], b[ch, :, :w - d], out=t)
+            c += t
+        np.copyto(above, cost, where=best == d - 1)
+        top_d, second_d = top[:, d:], second[:, d:]
+        # a new best pushes the old best to second; a cost equal to the
+        # best becomes the second best, so a tie gives a margin of 0
+        np.maximum(second_d, np.minimum(c, top_d, out=t), out=second_d)
+        won = c > top_d  # strict: ties keep the smaller d
+        np.copyto(top_d, c, where=won)
+        np.copyto(best[:, d:], d, where=won)
+        np.copyto(below[:, d:], p, where=won)
+    confidence = np.where(np.isfinite(second), top - second, 0.0)
+    return _parabola_refine(best, below, top, above, max_disp), confidence

@@ -63,6 +63,13 @@ class TestGenerate:
                 continue
             assert trees["1"][rel] == trees["8"][rel], rel
 
+    @pytest.mark.parametrize("n_objects", ["abc", "5", "1..2..3"])
+    def test_bad_n_objects_exit_code(self, tmp_path, capsys, n_objects):
+        args = GEN_ARGS + ["--out", str(tmp_path / "ds")]
+        args[args.index("--n-objects") + 1] = n_objects
+        assert main(args) == 1
+        assert "error [ContractError]" in capsys.readouterr().err
+
     def test_driving_preset(self, tmp_path):
         out = tmp_path / "drv"
         code = main(["generate", "--preset", "driving", "--seed", "1",
@@ -121,6 +128,26 @@ class TestEstimate:
         code = main(["estimate", str(a), str(b), "--out", str(tmp_path / "o.pfm")])
         assert code == 1
         assert "error [ContractError]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("max_disp", ["0", "7"])  # outside [1, W]
+    def test_max_disp_out_of_range_exit_code(self, tmp_path, capsys, max_disp):
+        img = tmp_path / "a.ppm"
+        img.write_bytes(formats.write_ppm(np.zeros((4, 6, 3), dtype=np.uint8)))
+        code = main(["estimate", str(img), str(img), "--max-disp", max_disp,
+                     "--out", str(tmp_path / "o.pfm")])
+        assert code == 1
+        assert "error [ContractError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"P6\nabc 2\n255\n",
+                                        b"P6\n-1 -3\n255\n"])
+    def test_malformed_ppm_exit_code(self, tmp_path, capsys, header):
+        img = tmp_path / "a.ppm"
+        img.write_bytes(header + bytes(9))
+        code = main(["estimate", str(img), str(img), "--out",
+                     str(tmp_path / "o.pfm")])
+        assert code == 1
+        assert "error [ParseError]" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -127,6 +127,60 @@ class TestPpmPgm:
             formats.read_ppm(good[:-1])
 
 
+class TestHeaderContract:
+    @pytest.mark.parametrize("reader,data", [
+        (formats.read_ppm, b"P6\nabc 2\n255\n"),
+        (formats.read_ppm, b"P6\n-1 -3\n255\n" + bytes(9)),
+        (formats.read_ppm, b"P6\n0 4\n255\n"),
+        (formats.read_pgm8, b"P5\n2 2\n2.5\n" + bytes(4)),
+        (formats.read_pgm16, b"P5\n65536 65536\n65535\n"),
+        (formats.read_flo, struct.pack("<fii", formats.FLO_MAGIC, -1, -2)
+         + bytes(16)),
+        (formats.read_flo, struct.pack("<fii", formats.FLO_MAGIC, 0, 3)),
+    ])
+    def test_bad_header_is_parse_error(self, reader, data):
+        with pytest.raises(ParseError):
+            reader(data)
+
+    def test_non_integer_token_names_offset(self):
+        with pytest.raises(ParseError, match="byte 3"):
+            formats.read_ppm(b"P6\nabc 2\n255\n")
+
+
+header_tokens = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["255", "65535", "-1.0", "1.5", "abc", "0x10", "9" * 5000]),
+    st.text(max_size=3),
+)
+pnm_like = st.builds(
+    lambda magic, tokens, sep, tail: sep.join([magic, *tokens]).encode() + tail,
+    st.sampled_from(["P5", "P6", "Pf", "PF", "P7"]),
+    st.lists(header_tokens, max_size=4),
+    st.sampled_from([" ", "\n", "\t"]),
+    st.binary(max_size=96),
+)
+flo_like = st.builds(
+    lambda magic, w, h, tail: struct.pack("<fii", magic, w, h) + tail,
+    st.sampled_from([formats.FLO_MAGIC, 1.0]),
+    st.integers(-4, 6), st.integers(-4, 6),
+    st.binary(max_size=96),
+)
+
+
+@pytest.mark.parametrize("reader", [
+    formats.read_pfm, formats.read_flo, formats.read_ppm,
+    formats.read_pgm8, formats.read_pgm16,
+], ids=lambda reader: reader.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), pnm_like, flo_like))
+def test_any_bytes_give_array_or_parse_error(reader, data):
+    try:
+        out = reader(data)
+    except ParseError:
+        return
+    assert isinstance(out, np.ndarray)
+
+
 def minimal_manifest():
     return {
         "dataset": "x",

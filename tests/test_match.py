@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,72 @@ class TestRenderedSanity:
 
     def test_default_hypothesis_count(self):
         assert match.DEFAULT_MAX_DISPARITY == 160
+
+
+def volume_oracle(left, right, max_disp, patch=3):
+    """The cost-volume matcher that estimate_disparity streams."""
+    cv = match.correlate_1d(match.extract_features(left, patch),
+                            match.extract_features(right, patch), max_disp)
+    disp, confidence = match.wta_disparity(cv)
+    return match.subpixel_refine(cv, disp), confidence
+
+
+def assert_matches_volume(left, right, max_disp, patch=3):
+    est, conf = match.estimate_disparity(left, right, max_disp=max_disp,
+                                         patch=patch)
+    ref, ref_conf = volume_oracle(left, right, max_disp, patch)
+    assert np.array_equal(est, ref)
+    assert np.array_equal(conf, ref_conf)
+    return est, conf
+
+
+class TestStreamingMatchesVolume:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(6, 24), rng.integers(20, 60)
+        left = textured_image(h, w, seed)
+        shifted = np.roll(left, -int(rng.integers(1, 8)), axis=1)
+        noisy = shifted + rng.normal(0.0, 20.0, shifted.shape)
+        for right in (shifted, noisy, textured_image(h, w, seed + 100)):
+            assert_matches_volume(left, right, max_disp=int(rng.integers(4, w)))
+
+    def test_flat_images_all_ties(self):
+        flat = np.full((7, 15), 42.0)
+        est, conf = assert_matches_volume(flat, flat, max_disp=9)
+        assert np.array_equal(est, np.zeros_like(est))
+        assert np.array_equal(conf, np.zeros_like(conf))
+
+    @pytest.mark.parametrize("patch", [3, 9])
+    @pytest.mark.parametrize("max_disp", [1, 2, 3, "W"])
+    def test_disparity_range_and_patch(self, max_disp, patch):
+        left = textured_image(10, 24, seed=11)
+        right = np.roll(left, -2, axis=1)
+        assert_matches_volume(left, right, 24 if max_disp == "W" else max_disp,
+                              patch)
+
+    def test_rendered_box_scene(self):
+        spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5), 1)])
+        left = rasterize_frame(spec, 1, "left")
+        right = rasterize_frame(spec, 1, "right")
+        assert_matches_volume(left.rgb, right.rgb, max_disp=32, patch=9)
+
+
+class TestMatcherMemory:
+    H, W = 64, 256
+
+    def traced_peak(self, max_disp):
+        left = textured_image(self.H, self.W, seed=1)
+        right = textured_image(self.H, self.W, seed=2)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            match.estimate_disparity(left, right, max_disp=max_disp)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_independent_of_disparity_range(self):
+        small, large = self.traced_peak(16), self.traced_peak(128)
+        assert large <= 1.1 * small
+        # half of one float64 (H, W, 128) cost volume
+        assert large < self.H * self.W * 128 * 8 / 2
