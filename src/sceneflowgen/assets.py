@@ -3,6 +3,7 @@ deterministic train/test asset split."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -98,7 +99,7 @@ class Texture:
             t = np.clip(u if axis == "u" else v, 0.0, 1.0)
             return c0 + (c1 - c0) * t[..., None]
         if self.kind == "noise":
-            lattice = self._noise_lattice()
+            lattice = self._noise_lattice
             freq = self.params.get("frequency", 4.0)
             x = (u * freq) % _NOISE_LATTICE
             y = (v * freq) % _NOISE_LATTICE
@@ -117,10 +118,14 @@ class Texture:
         yi = np.clip((v % 1.0) * h, 0, h - 1).astype(int)
         return self.pixels[yi, xi].astype(np.float64) / 255.0
 
+    @functools.cached_property
     def _noise_lattice(self):
+        """Value-noise lattice, built on first use and kept read-only."""
         seed = int(self.params.get("seed", 0))
         rng = np.random.Generator(np.random.Philox(key=seed))
-        return rng.random((_NOISE_LATTICE, _NOISE_LATTICE, 3))
+        lattice = rng.random((_NOISE_LATTICE, _NOISE_LATTICE, 3))
+        lattice.flags.writeable = False
+        return lattice
 
 
 def split_assets(asset_ids, split_ratio):

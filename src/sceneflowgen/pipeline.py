@@ -10,7 +10,7 @@ import numpy as np
 
 from . import formats, groundtruth
 from .errors import SceneFlowError
-from .render import rasterize_frame
+from .render import render_sequence
 from .scene import SceneSpec
 
 __all__ = ["generate_dataset", "load_frame_passes"]
@@ -61,14 +61,8 @@ def generate_dataset(spec: SceneSpec, out_root, max_workers=1) -> dict:
 
 
 def _render_all(spec, max_workers):
-    jobs = [(t, v) for t in range(1, spec.frames + 1) for v in ("left", "right")]
-    if max_workers <= 1:
-        return {(t, v): rasterize_frame(spec, t, v) for t, v in jobs}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = {key: pool.submit(rasterize_frame, spec, *key) for key in jobs}
-        return {key: fut.result() for key, fut in futs.items()}
+    return {(fp.frame_time, fp.view): fp
+            for fp in render_sequence(spec, max_workers=max_workers)}
 
 
 def _write_frame(scene_dir, scene_name, t, view, fp, gt):

@@ -47,6 +47,10 @@ class ObjectInstance:
     scale: np.ndarray  # (3,)
     trajectory: Trajectory
     object_index: int
+    # float(t) -> read-only (R, t); every view of a frame asks for the
+    # same few times
+    _poses: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.object_index < 1:
@@ -65,9 +69,20 @@ class ObjectInstance:
             raise ConfigurationError(f"no texture for material(s) {sorted(missing)}")
 
     def pose_at(self, t):
-        """Object-to-world transform at frame time t -> (R (3,3), t (3,))."""
-        pos, rot = self.trajectory.evaluate(t)
-        return rot.as_matrix(), pos
+        """Object-to-world transform at frame time t -> (R (3,3), t (3,)).
+
+        Memoised per float(t); the arrays are read-only because every
+        caller shares them.
+        """
+        key = float(t)
+        pose = self._poses.get(key)
+        if pose is None:
+            pos, rot = self.trajectory.evaluate(key)
+            pose = (rot.as_matrix(), pos)
+            for a in pose:
+                a.flags.writeable = False
+            self._poses[key] = pose
+        return pose
 
     def to_dict(self):
         return {
@@ -130,10 +145,6 @@ class SceneSpec:
             t_r = pose.translation - np.array([self.rig.baseline, 0.0, 0.0])
             return CameraPose(pose.rotation, t_r)
         raise ConfigurationError(f"unknown view {view!r}")
-
-    def rig_at(self, t) -> StereoRig:
-        return StereoRig(self.camera_pose(t, "left"), self.rig.baseline,
-                         self.rig.intrinsics)
 
     def to_dict(self):
         return {

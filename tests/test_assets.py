@@ -180,3 +180,30 @@ class TestTextures:
         path.write_bytes(write_ppm(img)[:-2])
         with pytest.raises(ParseError):
             load_texture_image(path)
+
+
+class TestNoiseLatticeCache:
+    def test_lattice_built_once_and_samples_repeat(self, monkeypatch):
+        calls = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            calls.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        tex = Texture("noise", {"seed": 9, "frequency": 6.0})
+        uv = np.random.default_rng(1).random((500, 2)) * 3 - 1
+        first = tex.sample(uv)
+        second = tex.sample(uv)
+        assert first.tobytes() == second.tobytes()
+        assert len(calls) == 1
+        # a fresh texture with the same parameters builds the same lattice
+        assert Texture("noise", {"seed": 9, "frequency": 6.0}).sample(uv).tobytes() \
+            == first.tobytes()
+
+    def test_lattice_is_read_only(self):
+        tex = Texture("noise", {"seed": 2})
+        tex.sample(np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            tex._noise_lattice[0, 0, 0] = 1.0

@@ -134,3 +134,26 @@ class TestDrivingPreset:
         a = generate_driving_preset(8).to_dict()
         b = generate_driving_preset(8).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestPoseCache:
+    def test_cached_pose_is_bit_equal_to_fresh(self):
+        spec = generate_flyingthings_scene(3, small_params())
+        for obj in spec.objects[:3] + [spec.ground_plane]:
+            for t in (1, 1.5, 2, 3):
+                pos, rot = obj.trajectory.evaluate(t)
+                for _ in range(2):
+                    r, p = obj.pose_at(t)
+                    assert r.tobytes() == rot.as_matrix().tobytes()
+                    assert p.tobytes() == np.asarray(pos, np.float64).tobytes()
+            assert obj.pose_at(2) is obj.pose_at(2.0)
+
+    def test_returned_arrays_are_read_only(self):
+        obj = generate_flyingthings_scene(3, small_params()).objects[0]
+        r, p = obj.pose_at(2)
+        with pytest.raises(ValueError):
+            r[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            p += 1.0
+        r2, p2 = obj.pose_at(2)
+        assert r2.tobytes() == r.tobytes() and p2.tobytes() == p.tobytes()
