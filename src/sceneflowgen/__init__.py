@@ -9,7 +9,7 @@ from .scene import (
     DrivingParams, FlyingThingsParams, SceneSpec,
     generate_driving_preset, generate_flyingthings_scene,
 )
-from .render import FramePasses, rasterize_frame, render_sequence
+from .render import FramePasses, rasterize_frame
 from .groundtruth import (
     GroundTruthFrame, compute_occlusion_mask, derive_disparity,
     derive_disparity_change, derive_flow, derive_frame,
@@ -20,6 +20,6 @@ from .match import (
     wta_disparity,
 )
 from .metrics import MetricReport, aggregate, d1_all, epe_map, render_table
-from .pipeline import generate_dataset
+from .pipeline import derive_dataset, generate_dataset
 
 __version__ = "0.1.0"

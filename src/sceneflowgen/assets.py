@@ -15,6 +15,7 @@ from .formats import read_ppm
 __all__ = [
     "Mesh", "Texture", "split_assets", "load_obj_mesh", "load_texture_image",
     "make_cuboid", "make_cylinder", "make_sphere", "make_torus", "PRIMITIVES",
+    "primitive_mesh",
 ]
 
 _DEGENERATE_AREA = 1e-12
@@ -256,6 +257,17 @@ PRIMITIVES = {
     "sphere": make_sphere,
     "torus": make_torus,
 }
+
+
+@functools.cache
+def primitive_mesh(name) -> Mesh:
+    """The one shared mesh of a built-in primitive, with read-only arrays."""
+    if name not in PRIMITIVES:
+        raise ConfigurationError(f"unknown primitive {name!r}")
+    mesh = PRIMITIVES[name]()
+    for a in (mesh.vertices, mesh.triangles, mesh.uv):
+        a.flags.writeable = False
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,13 @@
 visualize | inspect.
 
 Every run writes its fully resolved configuration (defaults included)
-next to its outputs. SFGEN_THREADS caps render workers and only affects
-speed, never output bytes.
+next to its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,20 +16,12 @@ import numpy as np
 
 from . import formats, groundtruth, metrics, pipeline, viz
 from .errors import ContractError, SceneFlowError
-from .geometry import StereoRig
 from .match import DEFAULT_MAX_DISPARITY, estimate_disparity
 from .scene import (
     DEFAULT_BASELINE, DEFAULT_FOCAL_MM, DEFAULT_HEIGHT, DEFAULT_SENSOR_MM,
     DEFAULT_WIDTH, DrivingParams, FlyingThingsParams,
     generate_driving_preset, generate_flyingthings_scene,
 )
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("SFGEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_size(text):
@@ -96,32 +86,18 @@ def cmd_generate(args):
         "out": str(args.out),
     }
     _write_config_log(args.out, config)
-    pipeline.generate_dataset(spec, args.out, max_workers=_threads())
+    pipeline.generate_dataset(spec, args.out)
     print(f"wrote dataset {spec.name} to {args.out}")
 
 
 def cmd_derive(args):
     """Recompute ground truth from the stored render passes of a dataset."""
     root = Path(args.dataset)
-    manifest = formats.read_manifest((root / "manifest.json").read_text())
-    rig = StereoRig.from_dict({
-        "left_pose": manifest["frames"][0]["cameras"]["left"],
-        "baseline": manifest["rig"]["baseline"],
-        "intrinsics": manifest["rig"]["intrinsics"],
-    })
     out = Path(args.out or root)
-    times = sorted(f["time"] for f in manifest["frames"])
-    scene = manifest["dataset"]
-    for t in times:
-        for view in ("left", "right"):
-            fp = pipeline.load_frame_passes(root, manifest, t, view)
-            fp_next = (pipeline.load_frame_passes(root, manifest, t + 1, view)
-                       if t + 1 in times else None)
-            gt = groundtruth.derive_frame(fp, rig, fp_next)
-            pipeline._write_frame(out / scene, scene, t, view, fp, gt)
+    n_frames = pipeline.derive_dataset(root, out)
     _write_config_log(out, {"subcommand": "derive", "dataset": str(root),
                             "out": str(out)})
-    print(f"derived ground truth for {len(times)} frame(s)")
+    print(f"derived ground truth for {n_frames} frame(s)")
 
 
 def _load_image(path):

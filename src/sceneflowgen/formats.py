@@ -222,6 +222,8 @@ def read_manifest(text: str) -> dict:
         m = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(m, dict):
+        raise ParseError("manifest is not a JSON object")
     if m.get("version") != MANIFEST_VERSION:
         raise ParseError(
             f"incompatible manifest version {m.get('version')!r}, "
@@ -238,17 +240,30 @@ def _validate_manifest(m: dict):
     missing = _MANIFEST_KEYS - set(m)
     if missing:
         raise ParseError(f"manifest missing key(s): {sorted(missing)}")
+    if not isinstance(m["frames"], list):
+        raise ParseError("manifest frames must be a list")
     for i, fr in enumerate(m["frames"]):
+        if not isinstance(fr, dict):
+            raise ParseError(f"frame {i}: not a JSON object")
         unknown = set(fr) - _FRAME_KEYS
         if unknown:
             raise ParseError(f"frame {i}: unknown key(s) {sorted(unknown)}")
         if "cameras" not in fr:
             raise ParseError(f"frame {i}: missing camera block")
-        for path in _iter_frame_paths(fr):
+        for path in _iter_frame_paths(i, fr):
             if Path(path).is_absolute():
                 raise ParseError(f"frame {i}: absolute path {path!r} in manifest")
+            if ".." in Path(path).parts:
+                raise ParseError(f"frame {i}: path {path!r} leaves the dataset")
 
 
-def _iter_frame_paths(frame_entry):
-    for view_files in frame_entry.get("files", {}).values():
-        yield from view_files.values()
+def _iter_frame_paths(i, frame_entry):
+    files = frame_entry.get("files", {})
+    if not (isinstance(files, dict)
+            and all(isinstance(v, dict) for v in files.values())):
+        raise ParseError(f"frame {i}: files must map view -> pass -> path")
+    for view_files in files.values():
+        for path in view_files.values():
+            if not isinstance(path, str):
+                raise ParseError(f"frame {i}: path {path!r} is not a string")
+            yield path

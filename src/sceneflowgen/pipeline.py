@@ -1,50 +1,71 @@
-"""Dataset production: render every frame and view of a scene, derive the
-ground-truth maps, and write everything plus the manifest through the
-on-disk formats."""
+"""Dataset production: render (or read back) every frame and view of a
+scene, derive the ground-truth maps, and write everything plus the manifest
+through the on-disk formats.
+
+`generate_dataset` and `derive_dataset` share one loop. It goes view by
+view and slides a window of frames t and t+1 over the frames, so at most
+two views are held at once, whatever the frame count. Each file is written
+under a temporary name and renamed into place, so an interrupted run
+leaves whole files and a manifest marked incomplete."""
 
 from __future__ import annotations
 
+import functools
+import os
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, groundtruth
-from .errors import SceneFlowError
-from .render import render_sequence
+from .errors import ParseError
+from .geometry import CameraIntrinsics, CameraPose, StereoRig
+from .render import FramePasses, rasterize_frame
 from .scene import SceneSpec
 
-__all__ = ["generate_dataset", "load_frame_passes"]
+__all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
+           "write_frame"]
 
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
+# pos3d_prev / pos3d_next exist only where the neighbouring frame does
+_REQUIRED_PASSES = ("rgb", "depth", "pos3d_t", "object_index", "material_index")
 
 
 def _frame_name(t, view, ext):
     return f"{t:04d}_{_VIEW_SUFFIX[view]}.{ext}"
 
 
-def generate_dataset(spec: SceneSpec, out_root, max_workers=1) -> dict:
+def _frames(passes_at, times, rig, out_root, scene):
+    """Derive and write each (t, view), all left views first; calls
+    passes_at(t, view) once for each and yields (t, view, pose, files)."""
+    for view in _VIEW_SUFFIX:
+        fp_next = None
+        for t in times:
+            fp = fp_next if fp_next is not None else passes_at(t, view)
+            fp_next = passes_at(t + 1, view) if t + 1 in times else None
+            gt = groundtruth.derive_frame(fp, rig, fp_next)
+            files = write_frame(out_root / scene, scene, t, view, fp, gt)
+            pose = fp.camera_pose
+            del fp, gt  # only frame t+1 stays held while t+2 is produced
+            yield t, view, pose, files
+
+
+def generate_dataset(spec: SceneSpec, out_root) -> dict:
     """Render and derive the full dataset for one scene.
 
     Layout: {out_root}/{scene}/{pass}/{frame:04}_{L|R}.{ext} with the
     manifest at {out_root}/manifest.json. Output bytes are a pure function
-    of the scene spec, independent of max_workers. Returns the manifest.
+    of the scene spec. Returns the manifest.
     """
     out_root = Path(out_root)
-    scene_dir = out_root / spec.name
-    frame_entries = []
+    entries = {}
     complete = False
     try:
-        passes = _render_all(spec, max_workers)
-        for t in range(1, spec.frames + 1):
-            entry = {"time": t, "cameras": {}, "files": {}}
-            for view in ("left", "right"):
-                fp = passes[(t, view)]
-                entry["cameras"][view] = fp.camera_pose.to_dict()
-                fp_next = passes.get((t + 1, view))
-                gt = groundtruth.derive_frame(fp, spec.rig, fp_next)
-                files = _write_frame(scene_dir, spec.name, t, view, fp, gt)
-                entry["files"][view] = files
-            frame_entries.append(entry)
+        for t, view, pose, files in _frames(
+                functools.partial(rasterize_frame, spec),
+                range(1, spec.frames + 1), spec.rig, out_root, spec.name):
+            entry = entries.setdefault(t, {"time": t, "cameras": {}, "files": {}})
+            entry["cameras"][view] = pose.to_dict()
+            entry["files"][view] = files
         complete = True
     finally:
         manifest = {
@@ -52,20 +73,57 @@ def generate_dataset(spec: SceneSpec, out_root, max_workers=1) -> dict:
             "seed": spec.seed,
             "params": spec.to_dict(),
             "rig": spec.rig.to_dict(),
-            "frames": frame_entries,
+            "frames": [entries[t] for t in sorted(entries)],
             "complete": complete,  # False marks a partial run
         }
         out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "manifest.json").write_text(formats.write_manifest(manifest))
+        _write_atomic(out_root / "manifest.json",
+                      formats.write_manifest(manifest).encode())
     return manifest
 
 
-def _render_all(spec, max_workers):
-    return {(fp.frame_time, fp.view): fp
-            for fp in render_sequence(spec, max_workers=max_workers)}
+def derive_dataset(dataset_root, out_root) -> int:
+    """Re-derive ground truth from a dataset's stored render passes and
+    rewrite every file of each (frame, view) under {out_root}/{scene}/; no
+    manifest is written. Returns the number of frames."""
+    root = Path(dataset_root)
+    manifest = formats.read_manifest((root / "manifest.json").read_text())
+    times, rig = _derivable(manifest)
+    for _ in _frames(functools.partial(load_frame_passes, root, manifest),
+                     times, rig, Path(out_root), manifest["dataset"]):
+        pass
+    return len(times)
 
 
-def _write_frame(scene_dir, scene_name, t, view, fp, gt):
+def _derivable(manifest):
+    """Sorted frame times and the rig of a manifest, or ParseError unless
+    every frame has a distinct integer time, both cameras and all passes."""
+    frames = manifest["frames"]
+    times = sorted(f.get("time") for f in frames
+                   if type(f.get("time")) is int)
+    if not frames or len(set(times)) != len(frames):
+        raise ParseError(f"manifest needs frames with distinct integer "
+                         f"times, got {[f.get('time') for f in frames]}")
+    try:
+        for entry in frames:
+            where = f"frame {entry['time']}"
+            for view in _VIEW_SUFFIX:
+                CameraPose.from_dict(entry["cameras"][view])
+                missing = set(_REQUIRED_PASSES) - set(entry["files"][view])
+                if missing:
+                    raise ParseError(f"{where} {view}: no {sorted(missing)}")
+        where = "rig"
+        rig = StereoRig.from_dict({
+            "left_pose": frames[0]["cameras"]["left"],
+            "baseline": manifest["rig"]["baseline"],
+            "intrinsics": manifest["rig"]["intrinsics"],
+        })
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"manifest {where}: missing or malformed {e}") from None
+    return times, rig
+
+
+def write_frame(scene_dir, scene_name, t, view, fp, gt):
     """Write all passes of one (frame, view); returns pass -> relative path."""
     files = {}
 
@@ -73,7 +131,7 @@ def _write_frame(scene_dir, scene_name, t, view, fp, gt):
         rel = f"{scene_name}/{pass_name}/{_frame_name(t, view, ext)}"
         path = scene_dir / pass_name / _frame_name(t, view, ext)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        _write_atomic(path, payload)
         files[pass_name] = rel
 
     put("rgb", "ppm", formats.write_ppm(fp.rgb))
@@ -101,27 +159,39 @@ def _write_frame(scene_dir, scene_name, t, view, fp, gt):
     return files
 
 
+def _write_atomic(path, payload: bytes):
+    """path holds either its old content or all of payload, never part."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_frame_passes(dataset_root, manifest, t, view):
     """Rebuild a renderer-style pass bundle from files on disk.
 
     Returns a lightweight object with the arrays and camera poses needed
     by the ground-truth derivations.
     """
-    from .geometry import CameraIntrinsics, CameraPose
-    from .render import FramePasses
-
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
     if entry is None:
-        raise SceneFlowError(f"frame {t} not present in manifest")
+        raise ParseError(f"frame {t} not present in manifest")
     files = entry["files"][view]
+    intr = CameraIntrinsics.from_dict(manifest["rig"]["intrinsics"])
 
-    def get_pfm(name):
+    def read(name, reader=formats.read_pfm):
         if name not in files:
             return None
-        return np.float64(formats.read_pfm((root / files[name]).read_bytes()))
+        a = reader((root / files[name]).read_bytes())
+        if a.shape[:2] != (intr.height, intr.width):
+            raise ParseError(f"{files[name]}: {a.shape[1]}x{a.shape[0]}, "
+                             f"the rig is {intr.width}x{intr.height}")
+        return np.float64(a) if reader is formats.read_pfm else a
 
-    intr = CameraIntrinsics.from_dict(manifest["rig"]["intrinsics"])
     frames = manifest["frames"]
 
     def pose_at(time):
@@ -129,13 +199,13 @@ def load_frame_passes(dataset_root, manifest, t, view):
         return CameraPose.from_dict(e["cameras"][view]) if e else None
 
     return FramePasses(
-        rgb=formats.read_ppm((root / files["rgb"]).read_bytes()),
-        depth=get_pfm("depth"),
-        pos3d_t=get_pfm("pos3d_t"),
-        pos3d_prev=get_pfm("pos3d_prev"),
-        pos3d_next=get_pfm("pos3d_next"),
-        object_index=formats.read_pgm16((root / files["object_index"]).read_bytes()),
-        material_index=formats.read_pgm16((root / files["material_index"]).read_bytes()),
+        rgb=read("rgb", formats.read_ppm),
+        depth=read("depth"),
+        pos3d_t=read("pos3d_t"),
+        pos3d_prev=read("pos3d_prev"),
+        pos3d_next=read("pos3d_next"),
+        object_index=read("object_index", formats.read_pgm16),
+        material_index=read("material_index", formats.read_pgm16),
         view=view,
         frame_time=t,
         camera_pose=CameraPose.from_dict(entry["cameras"][view]),

@@ -38,7 +38,7 @@ from .errors import ContractError
 from .geometry import CameraIntrinsics, CameraPose
 from .scene import SceneSpec
 
-__all__ = ["FramePasses", "rasterize_frame", "render_sequence"]
+__all__ = ["FramePasses", "rasterize_frame"]
 
 NEAR_PLANE = 0.1
 _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
@@ -415,22 +415,3 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
         camera_pose_next=pose_next,
         intrinsics=intr,
     )
-
-
-def render_sequence(spec: SceneSpec, frames=None, views=("left", "right"),
-                    max_workers=1):
-    """Render all (frame, view) combinations, yielding FramePasses in a
-    fixed (frame-major, left-before-right) order regardless of worker count.
-    """
-    times = list(frames) if frames is not None else list(range(1, spec.frames + 1))
-    jobs = [(t, v) for t in times for v in views]
-    if max_workers <= 1:
-        for t, v in jobs:
-            yield rasterize_frame(spec, t, v)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(rasterize_frame, spec, t, v) for t, v in jobs]
-        for fut in futures:
-            yield fut.result()

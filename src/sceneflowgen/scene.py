@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .assets import Mesh, Texture, make_cuboid, make_cylinder, make_sphere, make_torus
+from .assets import Mesh, Texture, primitive_mesh
 from .errors import ConfigurationError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
 from .trajectory import Trajectory
@@ -198,18 +198,6 @@ _GROUND_Y = 4.0  # ground level (camera looks +Z, +Y is down)
 _MESH_POOL = ("cuboid", "cylinder", "sphere", "torus")
 
 
-def _make_mesh(name) -> Mesh:
-    if name == "cuboid":
-        return make_cuboid()
-    if name == "cylinder":
-        return make_cylinder()
-    if name == "sphere":
-        return make_sphere()
-    if name == "torus":
-        return make_torus()
-    raise ConfigurationError(f"unknown primitive {name!r}")
-
-
 def _random_texture(rng, tag):
     kind = ["checker", "noise", "gradient"][int(rng.integers(3))]
     if kind == "checker":
@@ -247,7 +235,7 @@ def _default_intrinsics(p) -> CameraIntrinsics:
 
 
 def _ground_object(rng, frames, object_index, half_extent=80.0):
-    mesh = make_cuboid()
+    mesh = primitive_mesh("cuboid")
     tex = _random_texture(rng, f"ground:{object_index}")
     mats, tri_mats = _single_material(mesh, tex)
     traj = Trajectory.static((0.0, _GROUND_Y + 0.25, 40.0), t0=1.0, t1=float(frames))
@@ -260,7 +248,7 @@ def _ground_object(rng, frames, object_index, half_extent=80.0):
 
 def _shell_object(rng, frames, object_index, radius=220.0):
     """Giant enclosing box so that void (no-geometry) pixels are rare."""
-    mesh = make_cuboid()
+    mesh = primitive_mesh("cuboid")
     tex = _random_texture(rng, f"shell:{object_index}")
     mats, tri_mats = _single_material(mesh, tex)
     traj = Trajectory.static((0.0, 0.0, 0.0), t0=1.0, t1=float(frames))
@@ -315,7 +303,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
     for i in range(p.n_background):
         rng = stream_rng(seed, "background", i)
         name = _MESH_POOL[int(rng.integers(2))]  # cuboids and cylinders only
-        mesh = _make_mesh(name)
+        mesh = primitive_mesh(name)
         scale = rng.uniform(0.8, 4.0, 3)
         x = rng.uniform(-45.0, 45.0)
         z = rng.uniform(4.0, 75.0)
@@ -336,7 +324,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
     for i in range(n_objects):
         rng = stream_rng(seed, "object", i)
         name = _MESH_POOL[int(rng.integers(len(_MESH_POOL)))]
-        mesh = _make_mesh(name)
+        mesh = primitive_mesh(name)
         scale = rng.uniform(0.6, 1.8, 3)
         if p.static:
             traj = Trajectory.static(
@@ -472,7 +460,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     next_index += 1
     for i in range(p.n_parked):
         rng = stream_rng(seed, "parked", i)
-        mesh = make_cuboid()
+        mesh = primitive_mesh("cuboid")
         scale = np.array([2.0, 1.5, 4.0]) * rng.uniform(0.9, 1.1)
         side = -1.0 if i % 2 == 0 else 1.0
         x = side * rng.uniform(4.0, 7.0)
@@ -489,7 +477,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     objects = []
     for i in range(p.n_oncoming):
         rng = stream_rng(seed, "oncoming", i)
-        mesh = make_cuboid()
+        mesh = primitive_mesh("cuboid")
         scale = np.array([2.0, 1.5, 4.0]) * rng.uniform(0.9, 1.1)
         x = rng.uniform(2.5, 4.5)  # opposite lane
         z0 = rng.uniform(15.0, 30.0 + 4.0 * p.frames)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,72 @@ class TestDerive:
                 assert np.allclose(a, b, atol=1e-3, equal_nan=True), rel
             else:
                 assert after[rel] == payload, rel
+
+
+def _no_frames(m, ds):
+    m["frames"] = []
+
+
+def _drop(*keys):
+    def mutate(m, ds):
+        node = m
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+    return mutate
+
+
+def _string_time(m, ds):
+    m["frames"][0]["time"] = "1"
+
+
+def _duplicate_time(m, ds):
+    m["frames"][1]["time"] = 1
+
+
+def _resized_pass(m, ds):
+    rel = m["frames"][1]["files"]["left"]["depth"]
+    (ds / rel).write_bytes(formats.write_pfm(np.ones((24, 32), dtype=np.float32)))
+
+
+def _path_outside(m, ds):
+    # a whole, readable file, so only the path itself is at fault
+    rel = m["frames"][0]["files"]["left"]["rgb"]
+    shutil.copy(ds / rel, ds.parent / "outside.ppm")
+    m["frames"][0]["files"]["left"]["rgb"] = "../outside.ppm"
+
+
+MALFORMED = {
+    "no frames": _no_frames,
+    "view missing from files": _drop("frames", 0, "files", "right"),
+    "view missing from cameras": _drop("frames", 1, "cameras", "left"),
+    "pass missing": _drop("frames", 0, "files", "left", "object_index"),
+    "rig without intrinsics": _drop("rig", "intrinsics"),
+    "non-integer time": _string_time,
+    "duplicate time": _duplicate_time,
+    "pass of another size": _resized_pass,
+    "path with ..": _path_outside,
+}
+
+
+class TestDeriveMalformed:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gen") / "ds"
+        assert main(GEN_ARGS + ["--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_code(self, dataset, tmp_path, capsys, case):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        MALFORMED[case](manifest, ds)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error \[\w+Error\]: ", err), err
 
 
 class TestEstimate:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -229,3 +230,18 @@ class TestManifest:
         m["frames"][0]["files"]["left"]["rgb"] = "/abs/path.ppm"
         with pytest.raises(ParseError, match="absolute"):
             formats.write_manifest(m)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: [m],
+        lambda m: {**m, "frames": 5},
+        lambda m: {**m, "frames": [1]},
+        lambda m: {**m, "frames": [{**m["frames"][0], "files": ["x"]}]},
+        lambda m: {**m, "frames": [{**m["frames"][0], "files": {"left": {"rgb": 7}}}]},
+        lambda m: {**m, "frames": [{**m["frames"][0],
+                                    "files": {"left": {"rgb": "x/../../etc.ppm"}}}]},
+    ], ids=["not-object", "frames-not-list", "frame-not-object",
+            "files-not-mapping", "path-not-string", "dotdot-path"])
+    def test_malformed_structure_is_parse_error(self, mutate):
+        m = dict(minimal_manifest(), version=formats.MANIFEST_VERSION)
+        with pytest.raises(ParseError):
+            formats.read_manifest(json.dumps(mutate(m)))

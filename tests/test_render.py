@@ -5,7 +5,7 @@ import sceneflowgen as sf
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.errors import ContractError
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
-from sceneflowgen.render import FramePasses, rasterize_frame, render_sequence
+from sceneflowgen.render import FramePasses, rasterize_frame
 from sceneflowgen.scene import ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import Trajectory
 
@@ -144,23 +144,8 @@ class TestDeterminism:
                      "object_index", "material_index"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    def test_threaded_matches_serial(self):
-        spec = sf.generate_flyingthings_scene(4, small_params(frames=2))
-        serial = list(render_sequence(spec, max_workers=1))
-        threaded = list(render_sequence(spec, max_workers=4))
-        assert len(serial) == len(threaded) == 4
-        for a, b in zip(serial, threaded):
-            assert (a.frame_time, a.view) == (b.frame_time, b.view)
-            assert a.rgb.tobytes() == b.rgb.tobytes()
-            assert a.depth.tobytes() == b.depth.tobytes()
-
 
 class TestContracts:
-    def test_sequence_order(self):
-        spec = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5), 1)])
-        out = [(fp.frame_time, fp.view) for fp in render_sequence(spec)]
-        assert out == [(1, "left"), (1, "right"), (2, "left"), (2, "right")]
-
     def test_time_out_of_range(self):
         spec = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5), 1)])
         with pytest.raises(ContractError):

@@ -157,3 +157,18 @@ class TestPoseCache:
             p += 1.0
         r2, p2 = obj.pose_at(2)
         assert r2.tobytes() == r.tobytes() and p2.tobytes() == p.tobytes()
+
+
+class TestSharedMeshes:
+    def test_one_read_only_mesh_per_primitive(self):
+        spec = generate_flyingthings_scene(42, small_params())
+        meshes = {}
+        for obj in spec.all_objects():
+            meshes.setdefault(obj.mesh.asset_id, []).append(obj.mesh)
+        assert max(len(m) for m in meshes.values()) > 1
+        for same in meshes.values():
+            assert all(m is same[0] for m in same)
+        mesh = meshes["primitive:cuboid"][0]
+        for array in (mesh.vertices, mesh.triangles, mesh.uv):
+            with pytest.raises(ValueError):
+                array[0] = 0
