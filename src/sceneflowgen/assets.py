@@ -1,28 +1,21 @@
-"""Mesh and texture assets: built-in primitives, OBJ/PPM ingestion and the
-deterministic train/test asset split."""
+"""Mesh and texture assets: the built-in primitive meshes and the
+procedural checker, noise and gradient textures."""
 
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
-from .formats import read_ppm
+from .errors import ConfigurationError
 
 __all__ = [
-    "Mesh", "Texture", "split_assets", "load_obj_mesh", "load_texture_image",
-    "make_cuboid", "make_cylinder", "make_sphere", "make_torus", "PRIMITIVES",
-    "primitive_mesh",
+    "Mesh", "Texture", "make_cuboid", "make_cylinder", "make_sphere",
+    "make_torus", "PRIMITIVES", "primitive_mesh",
 ]
 
 _DEGENERATE_AREA = 1e-12
-
-# documented train fraction of the 35,927-model reference pool
-# (32,872 train / 3,055 test)
-REFERENCE_SPLIT_RATIO = 32872 / 35927
 
 
 def _triangle_areas(vertices, triangles):
@@ -62,7 +55,7 @@ class Mesh:
             )
 
 
-_TEXTURE_KINDS = ("checker", "noise", "gradient", "image")
+_TEXTURE_KINDS = ("checker", "noise", "gradient")
 _NOISE_LATTICE = 32
 
 
@@ -70,17 +63,11 @@ _NOISE_LATTICE = 32
 class Texture:
     kind: str
     params: dict = field(default_factory=dict)
-    pixels: np.ndarray | None = None  # (H, W, 3) uint8 for the image kind
     asset_id: str = ""
 
     def __post_init__(self):
         if self.kind not in _TEXTURE_KINDS:
             raise ConfigurationError(f"unknown texture kind {self.kind!r}")
-        if self.kind == "image":
-            if self.pixels is None or self.pixels.size == 0:
-                raise ConfigurationError("image texture needs a non-empty raster")
-        elif self.pixels is not None:
-            raise ConfigurationError(f"{self.kind} texture must not carry a raster")
 
     def sample(self, uv):
         """Evaluate the texture at uv coordinates (..., 2) -> RGB in [0, 1]."""
@@ -99,25 +86,20 @@ class Texture:
             axis = self.params.get("axis", "u")
             t = np.clip(u if axis == "u" else v, 0.0, 1.0)
             return c0 + (c1 - c0) * t[..., None]
-        if self.kind == "noise":
-            lattice = self._noise_lattice
-            freq = self.params.get("frequency", 4.0)
-            x = (u * freq) % _NOISE_LATTICE
-            y = (v * freq) % _NOISE_LATTICE
-            x0 = np.floor(x).astype(int) % _NOISE_LATTICE
-            y0 = np.floor(y).astype(int) % _NOISE_LATTICE
-            x1 = (x0 + 1) % _NOISE_LATTICE
-            y1 = (y0 + 1) % _NOISE_LATTICE
-            fx = (x - np.floor(x))[..., None]
-            fy = (y - np.floor(y))[..., None]
-            top = lattice[y0, x0] * (1 - fx) + lattice[y0, x1] * fx
-            bot = lattice[y1, x0] * (1 - fx) + lattice[y1, x1] * fx
-            return top * (1 - fy) + bot * fy
-        # image kind, nearest lookup with wraparound
-        h, w = self.pixels.shape[:2]
-        xi = np.clip((u % 1.0) * w, 0, w - 1).astype(int)
-        yi = np.clip((v % 1.0) * h, 0, h - 1).astype(int)
-        return self.pixels[yi, xi].astype(np.float64) / 255.0
+        # noise kind
+        lattice = self._noise_lattice
+        freq = self.params.get("frequency", 4.0)
+        x = (u * freq) % _NOISE_LATTICE
+        y = (v * freq) % _NOISE_LATTICE
+        x0 = np.floor(x).astype(int) % _NOISE_LATTICE
+        y0 = np.floor(y).astype(int) % _NOISE_LATTICE
+        x1 = (x0 + 1) % _NOISE_LATTICE
+        y1 = (y0 + 1) % _NOISE_LATTICE
+        fx = (x - np.floor(x))[..., None]
+        fy = (y - np.floor(y))[..., None]
+        top = lattice[y0, x0] * (1 - fx) + lattice[y0, x1] * fx
+        bot = lattice[y1, x0] * (1 - fx) + lattice[y1, x1] * fx
+        return top * (1 - fy) + bot * fy
 
     @functools.cached_property
     def _noise_lattice(self):
@@ -127,25 +109,6 @@ class Texture:
         lattice = rng.random((_NOISE_LATTICE, _NOISE_LATTICE, 3))
         lattice.flags.writeable = False
         return lattice
-
-
-def split_assets(asset_ids, split_ratio):
-    """Partition asset ids into (train, test) by a stable hash of each id.
-
-    The side an id lands on depends only on the id and the ratio, never on
-    the order or contents of the input list.
-    """
-    ids = list(asset_ids)
-    if not ids:
-        raise ConfigurationError("cannot split an empty asset pool")
-    if not 0.0 < split_ratio < 1.0:
-        raise ConfigurationError(f"split ratio must be in (0, 1), got {split_ratio}")
-    train, test = [], []
-    for asset_id in ids:
-        digest = hashlib.sha256(asset_id.encode("utf-8")).digest()
-        frac = int.from_bytes(digest[:8], "big") / 2**64
-        (train if frac < split_ratio else test).append(asset_id)
-    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -268,106 +231,3 @@ def primitive_mesh(name) -> Mesh:
     for a in (mesh.vertices, mesh.triangles, mesh.uv):
         a.flags.writeable = False
     return mesh
-
-
-# ---------------------------------------------------------------------------
-# OBJ ingestion
-
-def load_obj_mesh(path) -> Mesh:
-    """Load a v/vt/f subset of Wavefront OBJ, fan-triangulating polygons.
-
-    OBJ indexes positions and uvs independently; vertices are split per
-    (position, uv) pair. Files without vt records get a planar-projection
-    uv along the object-space axis of largest extent.
-    """
-    positions, texcoords, faces = [], [], []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            try:
-                if tag == "v":
-                    positions.append([float(x) for x in parts[1:4]])
-                    if len(parts) < 4:
-                        raise ValueError("vertex needs 3 coordinates")
-                elif tag == "vt":
-                    if len(parts) < 3:
-                        raise ValueError("texcoord needs 2 coordinates")
-                    texcoords.append([float(parts[1]), float(parts[2])])
-                elif tag == "f":
-                    if len(parts) < 4:
-                        raise ValueError("face needs at least 3 vertices")
-                    corners = []
-                    for spec_part in parts[1:]:
-                        fields = spec_part.split("/")
-                        vi = int(fields[0])
-                        ti = None
-                        if len(fields) > 1 and fields[1]:
-                            ti = int(fields[1])
-                        corners.append((vi, ti))
-                    faces.append(corners)
-                # vn, o, g, s, usemtl, mtllib: ignored
-            except (ValueError, IndexError) as e:
-                raise ParseError(f"{path}:{lineno}: malformed {tag!r} record: {e}") from None
-    if not positions or not faces:
-        raise ParseError(f"{path}: no geometry found")
-    positions = np.asarray(positions, dtype=np.float64)
-
-    def resolve(idx, n, lineno_hint="face"):
-        # OBJ indices are 1-based; negatives count from the end
-        j = idx - 1 if idx > 0 else n + idx
-        if not 0 <= j < n:
-            raise ParseError(f"{path}: {lineno_hint} index {idx} out of range")
-        return j
-
-    vertex_map = {}
-    verts, uvs, tris = [], [], []
-
-    def vertex_key(vi, ti):
-        key = (vi, ti)
-        if key not in vertex_map:
-            vertex_map[key] = len(verts)
-            verts.append(positions[vi])
-            uvs.append(texcoords[ti] if ti is not None else (0.0, 0.0))
-        return vertex_map[key]
-
-    for corners in faces:
-        resolved = [
-            vertex_key(
-                resolve(vi, len(positions)),
-                resolve(ti, len(texcoords), "texcoord") if ti is not None else None,
-            )
-            for vi, ti in corners
-        ]
-        for i in range(1, len(resolved) - 1):
-            tris.append((resolved[0], resolved[i], resolved[i + 1]))
-
-    verts = np.asarray(verts)
-    uvs = np.asarray(uvs, dtype=np.float64)
-    if not texcoords:
-        uvs = _planar_uv(verts)
-    tris = np.asarray(tris, dtype=np.int64)
-    areas = _triangle_areas(verts, tris)
-    tris = tris[areas > _DEGENERATE_AREA]
-    if len(tris) == 0:
-        raise ParseError(f"{path}: all faces are degenerate")
-    return Mesh(verts, tris, uvs, asset_id=f"obj:{path}")
-
-
-def _planar_uv(verts):
-    extent = verts.max(axis=0) - verts.min(axis=0)
-    drop = int(np.argmax(extent))
-    keep = [i for i in range(3) if i != drop]
-    uv = verts[:, keep] - verts[:, keep].min(axis=0)
-    span = np.maximum(uv.max(axis=0), 1e-12)
-    return uv / span
-
-
-def load_texture_image(path) -> Texture:
-    """Load a PPM P6 file as an image-kind texture."""
-    with open(path, "rb") as fh:
-        pixels = read_ppm(fh.read())
-    return Texture(kind="image", pixels=pixels, asset_id=f"ppm:{path}")

@@ -120,10 +120,10 @@ def cmd_estimate(args):
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(formats.write_pfm(np.float32(disp)))
+    out.write_bytes(formats.write_pfm(disp))
     if args.confidence_out:
         Path(args.confidence_out).write_bytes(
-            formats.write_pfm(np.float32(confidence)))
+            formats.write_pfm(confidence))
     _write_config_log(out.parent, {
         "subcommand": "estimate", "left": str(args.left),
         "right": str(args.right), "max_disp": args.max_disp,
@@ -164,7 +164,9 @@ def cmd_evaluate(args):
             report = metrics.MetricReport()
             if args.metric in ("epe", "both"):
                 _, report = metrics.epe_map(pred, gt, mask)
-            if args.metric in ("d1all", "both") and pred.ndim == 2:
+            # D1-all is a disparity measure: asked for alone, flow maps are
+            # an error; with "both" they get EPE only
+            if args.metric == "d1all" or (args.metric == "both" and pred.ndim == 2):
                 frac, d1rep = metrics.d1_all(pred, gt, mask)
                 report.d1_all = frac
                 if report.mean_epe is None:

@@ -45,8 +45,7 @@ def write_pfm(data) -> bytes:
         raise ParseError(f"PFM supports HxW or HxWx3 data, got shape {a.shape}")
     h, w = a.shape[0], a.shape[1]
     header = magic + b"\n" + f"{w} {h}\n".encode() + b"-1.0\n"
-    payload = np.ascontiguousarray(a[::-1]).astype("<f4").tobytes()
-    return header + payload
+    return header + a[::-1].astype("<f4", copy=False).tobytes()
 
 
 def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -125,7 +124,7 @@ def write_flo(flow) -> bytes:
         raise ParseError(f".flo needs HxWx2 data, got shape {a.shape}")
     h, w = a.shape[:2]
     header = struct.pack("<fii", FLO_MAGIC, w, h)
-    return header + np.ascontiguousarray(a).astype("<f4").tobytes()
+    return header + a.astype("<f4", copy=False).tobytes()
 
 
 def read_flo(buf: bytes) -> np.ndarray:

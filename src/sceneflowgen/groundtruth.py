@@ -139,6 +139,26 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray,
     return marked
 
 
+def _lerp_footprint(g, u, v):
+    """Bilinear lerp of an (H, W[, C]) grid over the 2x2 footprint at
+    finite pixel coordinates u, v (half-integer pixel centers).
+
+    The footprint is clamped into the grid, so every sample gets a lookup;
+    returns (values, x0i, y0i) with the footprint's top-left corner.
+    """
+    h, w = g.shape[:2]
+    x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
+    y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
+    fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
+    fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
+    if g.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    top = g[y0i, x0i] * (1 - fx) + g[y0i, x0i + 1] * fx
+    bot = g[y0i + 1, x0i] * (1 - fx) + g[y0i + 1, x0i + 1] * fx
+    return top * (1 - fy) + bot * fy, x0i, y0i
+
+
 def bilinear_sample(grid: np.ndarray, coords: np.ndarray,
                     fill=np.nan) -> np.ndarray:
     """Bilinear lookup of an (H, W[, C]) grid at continuous pixel
@@ -154,13 +174,8 @@ def bilinear_sample(grid: np.ndarray, coords: np.ndarray,
         x0 = np.floor(x)
         y0 = np.floor(y)
         inside = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= w - 1) & (y0 + 1 <= h - 1)
-    x0i = np.clip(np.nan_to_num(x0), 0, w - 2).astype(int)
-    y0i = np.clip(np.nan_to_num(y0), 0, h - 2).astype(int)
-    fx = np.clip(np.nan_to_num(x - x0), 0, 1)[..., None]
-    fy = np.clip(np.nan_to_num(y - y0), 0, 1)[..., None]
-    top = g[y0i, x0i] * (1 - fx) + g[y0i, x0i + 1] * fx
-    bot = g[y0i + 1, x0i] * (1 - fx) + g[y0i + 1, x0i + 1] * fx
-    out = top * (1 - fy) + bot * fy
+    out, _, _ = _lerp_footprint(g, np.nan_to_num(coords[..., 0]),
+                                np.nan_to_num(coords[..., 1]))
     out[~inside] = fill
     return out[..., 0] if scalar else out
 
@@ -192,14 +207,8 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         u = np.nan_to_num(proj[..., 0], nan=-1.0)
         v = np.nan_to_num(proj[..., 1], nan=-1.0)
         inside = (u >= 0) & (u <= w) & (v >= 0) & (v <= h) & np.isfinite(proj[..., 0])
-        # clamped 2x2 footprint so border projections still get a lookup
-        x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
-        y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
-        fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
-        fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
-        top = depth_other[y0i, x0i] * (1 - fx) + depth_other[y0i, x0i + 1] * fx
-        bot = depth_other[y0i + 1, x0i] * (1 - fx) + depth_other[y0i + 1, x0i + 1] * fx
-        sampled = top * (1 - fy) + bot * fy
+        # clamped footprint, so border projections still get a lookup
+        sampled, x0i, y0i = _lerp_footprint(depth_other, u, v)
         hidden = sampled < z_point - eps
         # silhouette-adjacent samples: the 2x2 footprint touches another
         # object, so the point's surface is not cleanly visible there

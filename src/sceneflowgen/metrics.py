@@ -41,6 +41,9 @@ def _eval_mask(pred, gt, mask):
     if finite.ndim == 3:
         finite = finite.all(axis=-1)
     valid = finite
+    if mask is not None and np.shape(mask) != valid.shape:
+        raise ContractError(
+            f"mask shape {np.shape(mask)} does not match maps {valid.shape}")
     evaluated = valid if mask is None else (valid & np.asarray(mask, dtype=bool))
     if not evaluated.any():
         raise ContractError("no pixels to evaluate under the given mask")

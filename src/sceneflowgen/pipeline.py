@@ -135,24 +135,24 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt):
         files[pass_name] = rel
 
     put("rgb", "ppm", formats.write_ppm(fp.rgb))
-    put("depth", "pfm", formats.write_pfm(np.float32(fp.depth)))
-    put("pos3d_t", "pfm", formats.write_pfm(np.float32(fp.pos3d_t)))
+    put("depth", "pfm", formats.write_pfm(fp.depth))
+    put("pos3d_t", "pfm", formats.write_pfm(fp.pos3d_t))
     if fp.pos3d_prev is not None:
-        put("pos3d_prev", "pfm", formats.write_pfm(np.float32(fp.pos3d_prev)))
+        put("pos3d_prev", "pfm", formats.write_pfm(fp.pos3d_prev))
     if fp.pos3d_next is not None:
-        put("pos3d_next", "pfm", formats.write_pfm(np.float32(fp.pos3d_next)))
+        put("pos3d_next", "pfm", formats.write_pfm(fp.pos3d_next))
     put("object_index", "pgm", formats.write_pgm16(fp.object_index))
     put("material_index", "pgm", formats.write_pgm16(fp.material_index))
 
-    put("disparity", "pfm", formats.write_pfm(np.float32(gt.disparity)))
+    put("disparity", "pfm", formats.write_pfm(gt.disparity))
     if gt.flow_fwd is not None:
-        put("flow_fwd", "flo", formats.write_flo(np.float32(gt.flow_fwd)))
-        put("dispchange_fwd", "pfm", formats.write_pfm(np.float32(gt.dispchange_fwd)))
+        put("flow_fwd", "flo", formats.write_flo(gt.flow_fwd))
+        put("dispchange_fwd", "pfm", formats.write_pfm(gt.dispchange_fwd))
         put("motion_boundaries", "pgm",
             formats.write_pgm8(gt.motion_boundaries.astype(np.uint8) * 255))
     if gt.flow_bwd is not None:
-        put("flow_bwd", "flo", formats.write_flo(np.float32(gt.flow_bwd)))
-        put("dispchange_bwd", "pfm", formats.write_pfm(np.float32(gt.dispchange_bwd)))
+        put("flow_bwd", "flo", formats.write_flo(gt.flow_bwd))
+        put("dispchange_bwd", "pfm", formats.write_pfm(gt.dispchange_bwd))
     if gt.occlusion_fwd is not None:
         put("occlusion_fwd", "pgm",
             formats.write_pgm8(gt.occlusion_fwd.astype(np.uint8) * 255))

@@ -225,8 +225,14 @@ def _random_rotation(rng) -> Rotation:
     return Rotation.from_quat(q / np.linalg.norm(q))
 
 
-def _single_material(mesh, texture):
-    return {1: texture}, np.ones(len(mesh.triangles), dtype=np.int64)
+def _textured_object(rng, tag, mesh, scale, trajectory, object_index):
+    """An object with one random texture on every triangle. The texture is
+    drawn from rng after every draw that built the arguments."""
+    return ObjectInstance(
+        mesh=mesh, materials={1: _random_texture(rng, tag)},
+        triangle_materials=np.ones(len(mesh.triangles), dtype=np.int64),
+        scale=scale, trajectory=trajectory, object_index=object_index,
+    )
 
 
 def _default_intrinsics(p) -> CameraIntrinsics:
@@ -235,27 +241,19 @@ def _default_intrinsics(p) -> CameraIntrinsics:
 
 
 def _ground_object(rng, frames, object_index, half_extent=80.0):
-    mesh = primitive_mesh("cuboid")
-    tex = _random_texture(rng, f"ground:{object_index}")
-    mats, tri_mats = _single_material(mesh, tex)
     traj = Trajectory.static((0.0, _GROUND_Y + 0.25, 40.0), t0=1.0, t1=float(frames))
-    return ObjectInstance(
-        mesh=mesh, materials=mats, triangle_materials=tri_mats,
-        scale=np.array([2 * half_extent, 0.5, 2 * half_extent]),
-        trajectory=traj, object_index=object_index,
+    return _textured_object(
+        rng, f"ground:{object_index}", primitive_mesh("cuboid"),
+        np.array([2 * half_extent, 0.5, 2 * half_extent]), traj, object_index,
     )
 
 
 def _shell_object(rng, frames, object_index, radius=220.0):
     """Giant enclosing box so that void (no-geometry) pixels are rare."""
-    mesh = primitive_mesh("cuboid")
-    tex = _random_texture(rng, f"shell:{object_index}")
-    mats, tri_mats = _single_material(mesh, tex)
     traj = Trajectory.static((0.0, 0.0, 0.0), t0=1.0, t1=float(frames))
-    return ObjectInstance(
-        mesh=mesh, materials=mats, triangle_materials=tri_mats,
-        scale=np.array([2 * radius, 2 * radius, 2 * radius]),
-        trajectory=traj, object_index=object_index,
+    return _textured_object(
+        rng, f"shell:{object_index}", primitive_mesh("cuboid"),
+        np.array([2 * radius, 2 * radius, 2 * radius]), traj, object_index,
     )
 
 
@@ -310,12 +308,8 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         y = _GROUND_Y - scale[1] / 2.0
         rot = Rotation.from_euler("y", rng.uniform(0, 2 * np.pi))
         traj = Trajectory.static((x, y, z), rot, t0=1.0, t1=float(p.frames))
-        tex = _random_texture(rng, f"bg:{seed}:{i}")
-        mats, tri_mats = _single_material(mesh, tex)
-        background.append(ObjectInstance(
-            mesh=mesh, materials=mats, triangle_materials=tri_mats,
-            scale=scale, trajectory=traj, object_index=next_index,
-        ))
+        background.append(_textured_object(
+            rng, f"bg:{seed}:{i}", mesh, scale, traj, next_index))
         next_index += 1
 
     n_objects = int(stream_rng(seed, "count").integers(lo, hi + 1))
@@ -333,12 +327,8 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
             )
         else:
             traj = _foreground_trajectory(rng, rig_traj, intr, p.frames)
-        tex = _random_texture(rng, f"fg:{seed}:{i}")
-        mats, tri_mats = _single_material(mesh, tex)
-        objects.append(ObjectInstance(
-            mesh=mesh, materials=mats, triangle_materials=tri_mats,
-            scale=scale, trajectory=traj, object_index=next_index,
-        ))
+        objects.append(_textured_object(
+            rng, f"fg:{seed}:{i}", mesh, scale, traj, next_index))
         next_index += 1
 
     rig = StereoRig(CameraPose(), p.baseline, intr)
@@ -460,24 +450,19 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     next_index += 1
     for i in range(p.n_parked):
         rng = stream_rng(seed, "parked", i)
-        mesh = primitive_mesh("cuboid")
         scale = np.array([2.0, 1.5, 4.0]) * rng.uniform(0.9, 1.1)
         side = -1.0 if i % 2 == 0 else 1.0
         x = side * rng.uniform(4.0, 7.0)
         z = rng.uniform(8.0, 20.0 + 4.0 * p.frames)
         y = _GROUND_Y - scale[1] / 2.0
         traj = Trajectory.static((x, y, z), t0=1.0, t1=float(p.frames))
-        tex = _random_texture(rng, f"parked:{seed}:{i}")
-        mats, tri_mats = _single_material(mesh, tex)
-        background.append(ObjectInstance(
-            mesh=mesh, materials=mats, triangle_materials=tri_mats,
-            scale=scale, trajectory=traj, object_index=next_index,
-        ))
+        background.append(_textured_object(
+            rng, f"parked:{seed}:{i}", primitive_mesh("cuboid"), scale, traj,
+            next_index))
         next_index += 1
     objects = []
     for i in range(p.n_oncoming):
         rng = stream_rng(seed, "oncoming", i)
-        mesh = primitive_mesh("cuboid")
         scale = np.array([2.0, 1.5, 4.0]) * rng.uniform(0.9, 1.1)
         x = rng.uniform(2.5, 4.5)  # opposite lane
         z0 = rng.uniform(15.0, 30.0 + 4.0 * p.frames)
@@ -487,12 +472,9 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
             [x, y, z0], [x, y, z0 - speed * (p.frames - 1)],
         ])
         traj = Trajectory(times.copy(), positions, np.array([q, q]))
-        tex = _random_texture(rng, f"car:{seed}:{i}")
-        mats, tri_mats = _single_material(mesh, tex)
-        objects.append(ObjectInstance(
-            mesh=mesh, materials=mats, triangle_materials=tri_mats,
-            scale=scale, trajectory=traj, object_index=next_index,
-        ))
+        objects.append(_textured_object(
+            rng, f"car:{seed}:{i}", primitive_mesh("cuboid"), scale, traj,
+            next_index))
         next_index += 1
 
     rig = StereoRig(CameraPose(), p.baseline, intr)

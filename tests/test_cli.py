@@ -296,3 +296,91 @@ class TestInspect:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.pfm")]) == 1
         assert "error [io]" in capsys.readouterr().err
+
+
+def _pfm_file(path, shape=(4, 6)):
+    path.write_bytes(formats.write_pfm(np.full(shape, 9.0, dtype=np.float32)))
+    return str(path)
+
+
+def _truncated_pfm(path):
+    path.write_bytes(formats.write_pfm(np.ones((4, 6), dtype=np.float32))[:-5])
+    return str(path)
+
+
+def _evaluate_truncated_pfm(tmp):
+    return ["evaluate", "--pred", _truncated_pfm(tmp / "p.pfm"),
+            "--gt", _pfm_file(tmp / "g.pfm")]
+
+
+def _evaluate_mask_of_other_size(tmp):
+    mask = tmp / "occ.pgm"
+    mask.write_bytes(formats.write_pgm8(np.zeros((3, 3), dtype=np.uint8)))
+    gt = _pfm_file(tmp / "g.pfm")
+    return ["evaluate", "--pred", gt, "--gt", gt, "--occlusion", str(mask)]
+
+
+def _evaluate_unknown_suffix(tmp):
+    other = tmp / "p.txt"
+    other.write_text("1 2 3\n")
+    return ["evaluate", "--pred", str(other),
+            "--gt", _pfm_file(tmp / "g.pfm")]
+
+
+def _evaluate_d1all_on_flow(tmp):
+    flo = tmp / "f.flo"
+    flo.write_bytes(formats.write_flo(np.zeros((4, 6, 2), dtype=np.float32)))
+    return ["evaluate", "--pred", str(flo), "--gt", str(flo),
+            "--metric", "d1all"]
+
+
+def _visualize_truncated_pfm(tmp):
+    return ["visualize", _truncated_pfm(tmp / "d.pfm"),
+            "--out", str(tmp / "d.ppm")]
+
+
+def _visualize_unknown_suffix(tmp):
+    other = tmp / "d.npy"
+    other.write_bytes(b"\x93NUMPY")
+    return ["visualize", str(other), "--out", str(tmp / "d.ppm")]
+
+
+def _visualize_three_channel_pfm(tmp):
+    return ["visualize", _pfm_file(tmp / "rgb.pfm", (4, 6, 3)),
+            "--out", str(tmp / "rgb.ppm")]
+
+
+def _inspect_truncated_pfm(tmp):
+    return ["inspect", _truncated_pfm(tmp / "d.pfm")]
+
+
+def _inspect_unknown_suffix(tmp):
+    other = tmp / "d.exr"
+    other.write_bytes(b"v/1\x01")
+    return ["inspect", str(other)]
+
+
+BAD_INPUT = {
+    "evaluate truncated pfm": (_evaluate_truncated_pfm, "ParseError"),
+    "evaluate mask of other size": (_evaluate_mask_of_other_size, "ContractError"),
+    "evaluate unknown suffix": (_evaluate_unknown_suffix, "ContractError"),
+    "evaluate d1all on flow": (_evaluate_d1all_on_flow, "ContractError"),
+    "visualize truncated pfm": (_visualize_truncated_pfm, "ParseError"),
+    "visualize unknown suffix": (_visualize_unknown_suffix, "ContractError"),
+    "visualize three-channel pfm": (_visualize_three_channel_pfm, "ContractError"),
+    "inspect truncated pfm": (_inspect_truncated_pfm, "ParseError"),
+    "inspect unknown suffix": (_inspect_unknown_suffix, "ContractError"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_exit_code(self, tmp_path, capsys, case):
+        build, error = BAD_INPUT[case]
+        argv = build(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [{error}]: "), captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
