@@ -8,6 +8,7 @@ next to its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, groundtruth, metrics, pipeline, viz
-from .errors import ContractError, SceneFlowError
+from .errors import ContractError, ParseError, SceneFlowError
 from .match import DEFAULT_MAX_DISPARITY, estimate_disparity
 from .scene import (
     DEFAULT_BASELINE, DEFAULT_FOCAL_MM, DEFAULT_HEIGHT, DEFAULT_SENSOR_MM,
@@ -142,6 +143,20 @@ def _load_map(path):
     raise ContractError(f"unsupported map format: {path}")
 
 
+_COLUMNS = {"all": "all", "non_occluded": "non-occluded"}
+
+
+def _merge(measures):
+    """One report from {"epe": report, "d1": report}: the EPE report with
+    D1-all added, or the D1-all report alone."""
+    if "epe" not in measures:
+        return measures["d1"]
+    report = dataclasses.replace(measures["epe"])
+    if "d1" in measures:
+        report.d1_all = measures["d1"].d1_all
+    return report
+
+
 def cmd_evaluate(args):
     if len(args.pred) != len(args.gt):
         raise ContractError(
@@ -151,47 +166,60 @@ def cmd_evaluate(args):
     if len(occlusions) != len(args.pred):
         raise ContractError("need one occlusion mask per prediction")
 
-    rows = []
+    frames = []  # per frame: paths, and {"epe": report, "d1": report} per mask
     for pred_path, gt_path, occ_path in zip(args.pred, args.gt, occlusions):
         pred = _load_map(pred_path)
         gt = _load_map(gt_path)
-        frame = {"pred": str(pred_path), "gt": str(gt_path)}
         masks = {"all": None}
         if occ_path:
             occ = formats.read_pgm8(Path(occ_path).read_bytes()) > 0
             masks["non_occluded"] = ~occ
+        frame = {"pred": str(pred_path), "gt": str(gt_path)}
         for mask_name, mask in masks.items():
-            report = metrics.MetricReport()
+            measures = frame[mask_name] = {}
             if args.metric in ("epe", "both"):
-                _, report = metrics.epe_map(pred, gt, mask)
+                measures["epe"] = metrics.epe_map(pred, gt, mask)[1]
             # D1-all is a disparity measure: asked for alone, flow maps are
             # an error; with "both" they get EPE only
             if args.metric == "d1all" or (args.metric == "both" and pred.ndim == 2):
-                frac, d1rep = metrics.d1_all(pred, gt, mask)
-                report.d1_all = frac
-                if report.mean_epe is None:
-                    report = d1rep
-            frame[mask_name] = report
-        rows.append(frame)
+                measures["d1"] = metrics.d1_all(pred, gt, mask)[1]
+        frames.append(frame)
 
-    agg_pp = metrics.aggregate([r["all"] for r in rows], "per-pixel")
-    agg_pf = metrics.aggregate([r["all"] for r in rows], "per-frame")
-    cells = {(f"frame{i}", "all"): r["all"] for i, r in enumerate(rows)}
-    for i, r in enumerate(rows):
-        if "non_occluded" in r:
-            cells[(f"frame{i}", "non-occluded")] = r["non_occluded"]
-    cells[("aggregate/per-pixel", "all")] = agg_pp
-    cells[("aggregate/per-frame", "all")] = agg_pf
-    table = metrics.render_table(cells)
-    print(table)
+    def aggregate(mask_name, weighting):
+        reports = [f[mask_name] for f in frames if mask_name in f]
+        # each measure aggregates its own reports, so D1-all is weighted by
+        # the pixels D1-all evaluated, not by those EPE evaluated
+        return _merge({
+            m: metrics.aggregate([r[m] for r in reports if m in r], weighting)
+            for m in ("epe", "d1") if any(m in r for r in reports)
+        })
+
+    cells = {}
+    aggregate_json = {}  # the all-pixel aggregate at the top level
+    for mask_name, column in _COLUMNS.items():
+        if not any(mask_name in f for f in frames):
+            continue
+        for i, f in enumerate(frames):
+            if mask_name in f:
+                cells[(f"frame{i}", column)] = _merge(f[mask_name])
+        agg = {}
+        for weighting in ("per-pixel", "per-frame"):
+            report = aggregate(mask_name, weighting)
+            cells[(f"aggregate/{weighting}", column)] = report
+            agg[weighting.replace("-", "_")] = report.to_dict()
+        if mask_name == "all":
+            aggregate_json.update(agg)
+        else:
+            aggregate_json[mask_name] = agg
+    print(metrics.render_table(cells))
 
     report_json = {
         "frames": [
-            {k: (v.to_dict() if isinstance(v, metrics.MetricReport) else v)
-             for k, v in r.items()}
-            for r in rows
+            {k: (v if isinstance(v, str) else _merge(v).to_dict())
+             for k, v in f.items()}
+            for f in frames
         ],
-        "aggregate": {"per_pixel": agg_pp.to_dict(), "per_frame": agg_pf.to_dict()},
+        "aggregate": aggregate_json,
     }
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -221,16 +249,23 @@ def cmd_inspect(args):
     path = Path(args.input)
     if path.name == "manifest.json" or path.is_dir():
         mpath = path / "manifest.json" if path.is_dir() else path
-        m = formats.read_manifest(mpath.read_text())
-        n_files = sum(len(v) for f in m["frames"] for v in f["files"].values())
-        print(f"dataset: {m['dataset']}")
-        print(f"seed: {m['seed']}")
-        print(f"frames: {len(m['frames'])}")
-        print(f"complete: {m['complete']}")
-        print(f"files: {n_files}")
-        intr = m["rig"]["intrinsics"]
-        print(f"resolution: {intr['width']}x{intr['height']}")
-        print(f"baseline: {m['rig']['baseline']}")
+        m = formats.read_manifest(mpath.read_bytes())
+        try:
+            n_files = sum(len(v) for f in m["frames"]
+                          for v in f["files"].values())
+            intr = m["rig"]["intrinsics"]
+            summary = [
+                f"dataset: {m['dataset']}",
+                f"seed: {m['seed']}",
+                f"frames: {len(m['frames'])}",
+                f"complete: {m['complete']}",
+                f"files: {n_files}",
+                f"resolution: {intr['width']}x{intr['height']}",
+                f"baseline: {m['rig']['baseline']}",
+            ]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"manifest: missing or malformed {e}") from None
+        print("\n".join(summary))
         return
     if path.suffix in (".pfm", ".flo"):
         data = _load_map(path)

@@ -216,10 +216,12 @@ def write_manifest(manifest: dict) -> str:
     return json.dumps(m, sort_keys=True, indent=2) + "\n"
 
 
-def read_manifest(text: str) -> dict:
+def read_manifest(data: str | bytes) -> dict:
     try:
-        m = json.loads(text)
-    except json.JSONDecodeError as e:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        m = json.loads(data)
+    except (ValueError, RecursionError) as e:  # bad UTF-8, JSON or nesting
         raise ParseError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(m, dict):
         raise ParseError("manifest is not a JSON object")

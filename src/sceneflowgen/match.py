@@ -2,14 +2,21 @@
 features, one-sided correlation (displacements to the left only),
 winner-take-all with parabola sub-pixel refinement.
 
-`estimate_disparity` streams over disparities and keeps only (H, W)
-state, so its memory is O(H*W*C) whatever the disparity range.
-`correlate_1d`, `wta_disparity` and `subpixel_refine` build and consume
-the full (H, W, D) cost volume; they are the reference the streaming
-matcher is bit-identical to.
+`estimate_disparity` streams over disparities and keeps only per-pixel
+state, so its memory is O(H*W*C) whatever the disparity range. It runs
+the stream on bands of rows, one thread per usable CPU: rows are
+independent and every step is an element-wise numpy ufunc that releases
+the GIL, so a band's state stays in cache and the bands scale across
+cores without changing a bit of the result. `correlate_1d`,
+`wta_disparity` and `subpixel_refine` build and consume the full
+(H, W, D) cost volume; they are the reference the banded matcher is
+bit-identical to.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DISPARITY = 160  # hypotheses at full resolution for 960-wide input
+_BAND_ROWS = 32  # rows per band: (band, W) state stays in cache
 
 
 def _to_gray(image):
@@ -129,6 +137,14 @@ def _channels_first(feats):
     return np.ascontiguousarray(np.moveaxis(feats, -1, 0))
 
 
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def estimate_disparity(left_image, right_image,
                        max_disp=DEFAULT_MAX_DISPARITY, patch=3):
     """Full matcher pipeline on a rectified pair -> (disparity, confidence).
@@ -136,19 +152,43 @@ def estimate_disparity(left_image, right_image,
     Equal, bit for bit, to ``subpixel_refine(cv, disp)`` and the confidence
     of ``disp, confidence = wta_disparity(cv)`` with
     ``cv = correlate_1d(features(left), features(right), max_disp)``, but
-    the cost volume is never built: one loop over d fills an (H, W) cost
+    the cost volume is never built. The rows are cut into bands of
+    ``_BAND_ROWS``; in each band one loop over d fills a (band, W) cost
     slice and folds it into the running winner, the second-best cost and
-    the winner's two parabola neighbours.
+    the winner's two parabola neighbours. Rows never mix and every step
+    is element-wise, so the bands are independent and the result does not
+    depend on the band height or on how many bands run at once. Bands run
+    on one thread per usable CPU; numpy releases the GIL in each step.
     """
     # one (H, W, C) temporary at a time; channel planes are contiguous
     a = _channels_first(extract_features(left_image, patch))
     b = _channels_first(extract_features(right_image, patch))
     if a.shape != b.shape:
         raise ContractError(f"image sizes differ: {a.shape[1:]} vs {b.shape[1:]}")
-    n_c, h, w = a.shape
+    _, h, w = a.shape
     if not 1 <= max_disp <= w:
         raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
 
+    disparity = np.empty((h, w))
+    confidence = np.empty((h, w))
+
+    def run(y):
+        rows = slice(y, y + _BAND_ROWS)
+        _match_band(a[:, rows], b[:, rows], max_disp,
+                    disparity[rows], confidence[rows])
+
+    bands = range(0, h, _BAND_ROWS)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(bands))) as pool:
+        for _ in pool.map(run, bands):  # re-raises a band's exception
+            pass
+    return disparity, confidence
+
+
+def _match_band(a, b, max_disp, disparity, confidence):
+    """Fold all max_disp hypotheses into one band of rows: a and b are its
+    (C, rows, W) features; disparity and confidence are its rows of the
+    output maps, written once the loop is done."""
+    n_c, h, w = a.shape
     best = np.zeros((h, w), dtype=np.int64)
     top = np.full((h, w), -np.inf)       # cost at best
     second = np.full((h, w), -np.inf)    # best cost at any other d
@@ -175,5 +215,5 @@ def estimate_disparity(left_image, right_image,
         np.copyto(top_d, c, where=won)
         np.copyto(best[:, d:], d, where=won)
         np.copyto(below[:, d:], p, where=won)
-    confidence = np.where(np.isfinite(second), top - second, 0.0)
-    return _parabola_refine(best, below, top, above, max_disp), confidence
+    confidence[...] = np.where(np.isfinite(second), top - second, 0.0)
+    disparity[...] = _parabola_refine(best, below, top, above, max_disp)

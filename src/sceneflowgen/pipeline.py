@@ -87,7 +87,7 @@ def derive_dataset(dataset_root, out_root) -> int:
     rewrite every file of each (frame, view) under {out_root}/{scene}/; no
     manifest is written. Returns the number of frames."""
     root = Path(dataset_root)
-    manifest = formats.read_manifest((root / "manifest.json").read_text())
+    manifest = formats.read_manifest((root / "manifest.json").read_bytes())
     times, rig = _derivable(manifest)
     for _ in _frames(functools.partial(load_frame_passes, root, manifest),
                      times, rig, Path(out_root), manifest["dataset"]):

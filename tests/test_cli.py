@@ -1,14 +1,21 @@
+import io
 import json
 import os
 import re
 import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneflowgen import formats
 from sceneflowgen.cli import main
+
+from test_formats import minimal_manifest
 
 
 GEN_ARGS = [
@@ -247,6 +254,54 @@ class TestEvaluate:
                      "--metric", "epe"]) == 0
         assert "5.00" in capsys.readouterr().out
 
+    def test_occlusion_aggregates_non_occluded(self, tmp_path, capsys):
+        gt = np.full((4, 6), 10.0, dtype=np.float32)
+        pred = gt.copy()
+        pred[:, :2] = 20.0  # wrong only where occluded
+        occ = np.zeros((4, 6), dtype=np.uint8)
+        occ[:, :2] = 255
+        g, p, o = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "o.pgm"
+        g.write_bytes(formats.write_pfm(gt))
+        p.write_bytes(formats.write_pfm(pred))
+        o.write_bytes(formats.write_pgm8(occ))
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--pred", str(p), str(p), "--gt", str(g),
+                     str(g), "--occlusion", str(o), str(o),
+                     "--out", str(report)]) == 0
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            assert "---" not in line, line
+        agg = json.loads(report.read_text())["aggregate"]
+        assert agg["per_pixel"]["mean_epe"] == pytest.approx(10.0 / 3)
+        assert agg["per_pixel"]["d1_all"] == pytest.approx(1.0 / 3)
+        for weighting in ("per_pixel", "per_frame"):
+            non_occluded = agg["non_occluded"][weighting]
+            assert non_occluded["mean_epe"] == 0.0
+            assert non_occluded["d1_all"] == 0.0
+            assert non_occluded["evaluated_pixels"] == 2 * 16
+
+    def test_d1_aggregate_weighted_by_its_own_pixels(self, tmp_path, capsys):
+        # frame 0: 16 px, none bad; frame 1: ground truth 0 (no D1-all
+        # verdict) in three columns, and all 4 px of the fourth are bad
+        gt0 = np.full((4, 4), 10.0, dtype=np.float32)
+        gt1 = gt0.copy()
+        gt1[:, 1:] = 0.0
+        pred1 = gt1.copy()
+        pred1[:, 0] = 20.0
+        paths = []
+        for name, data in (("g0", gt0), ("p0", gt0), ("g1", gt1), ("p1", pred1)):
+            paths.append(tmp_path / f"{name}.pfm")
+            paths[-1].write_bytes(formats.write_pfm(data))
+        g0, p0, g1, p1 = map(str, paths)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--pred", p0, p1, "--gt", g0, g1,
+                     "--out", str(report)]) == 0
+        assert "20.00%" in capsys.readouterr().out
+        agg = json.loads(report.read_text())["aggregate"]
+        assert agg["per_pixel"]["d1_all"] == pytest.approx(4 / 20)
+        assert agg["per_frame"]["d1_all"] == pytest.approx(0.5)
+        assert agg["per_pixel"]["mean_epe"] == pytest.approx(40 / 32)
+        assert agg["per_pixel"]["evaluated_pixels"] == 32
+
     def test_count_mismatch(self, tmp_path, capsys):
         g = tmp_path / "g.pfm"
         g.write_bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32)))
@@ -360,7 +415,30 @@ def _inspect_unknown_suffix(tmp):
     return ["inspect", str(other)]
 
 
+def _manifest_dir(tmp, payload):
+    (tmp / "ds").mkdir()
+    (tmp / "ds" / "manifest.json").write_bytes(payload)
+    return str(tmp / "ds")
+
+
+def _inspect_non_utf8_manifest(tmp):
+    return ["inspect", _manifest_dir(tmp, b'{"dataset": "\xff"}')]
+
+
+def _inspect_manifest_without_resolution(tmp):
+    m = minimal_manifest()  # valid, but its intrinsics are empty
+    return ["inspect", _manifest_dir(tmp, formats.write_manifest(m).encode())]
+
+
+def _derive_non_utf8_manifest(tmp):
+    return ["derive", _manifest_dir(tmp, b"\xfe\xff")]
+
+
 BAD_INPUT = {
+    "inspect non-UTF-8 manifest": (_inspect_non_utf8_manifest, "ParseError"),
+    "inspect manifest without resolution": (
+        _inspect_manifest_without_resolution, "ParseError"),
+    "derive non-UTF-8 manifest": (_derive_non_utf8_manifest, "ParseError"),
     "evaluate truncated pfm": (_evaluate_truncated_pfm, "ParseError"),
     "evaluate mask of other size": (_evaluate_mask_of_other_size, "ContractError"),
     "evaluate unknown suffix": (_evaluate_unknown_suffix, "ContractError"),
@@ -384,3 +462,80 @@ class TestMalformedInput:
         assert captured.err.startswith(f"error [{error}]: "), captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def _valid_input(suffix):
+    """A small well-formed file of each kind the commands read."""
+    if suffix == ".ppm":
+        return formats.write_ppm(np.arange(72, dtype=np.uint8).reshape(4, 6, 3))
+    if suffix == ".pgm":
+        return formats.write_pgm8(np.arange(24, dtype=np.uint8).reshape(4, 6))
+    if suffix == ".pfm":
+        return formats.write_pfm(np.linspace(1, 9, 24, dtype=np.float32)
+                                 .reshape(4, 6))
+    if suffix == ".flo":
+        return formats.write_flo(np.ones((4, 6, 2), dtype=np.float32))
+    m = minimal_manifest()
+    m["rig"]["intrinsics"] = {"width": 6, "height": 4}
+    return formats.write_manifest(m).encode()
+
+
+def _fuzz_argv(command, files, out):
+    if command == "estimate":
+        return ["estimate", files["left"], files["right"], "--max-disp", "1",
+                "--out", str(out / "d.pfm")]
+    if command == "evaluate":
+        return ["evaluate", "--pred", files["pred"], "--gt", files["gt"],
+                "--occlusion", files["occlusion"], "--out", str(out / "r.json")]
+    if command == "visualize":
+        return ["visualize", files["input"], "--out", str(out / "v.ppm")]
+    return ["inspect", files["input"]]
+
+
+# every input file of every command that reads one, under each name or
+# suffix the command accepts for it
+FUZZ_INPUTS = {
+    "estimate": {"left": (".ppm", ".pgm"), "right": (".ppm", ".pgm")},
+    "evaluate": {"pred": (".pfm", ".flo"), "gt": (".pfm", ".flo"),
+                 "occlusion": (".pgm",)},
+    "visualize": {"input": (".pfm", ".flo")},
+    "inspect": {"input": (".pfm", ".flo", ".ppm", ".pgm", "manifest.json")},
+}
+FUZZ_CASES = [
+    (command, slot, suffix)
+    for command, slots in FUZZ_INPUTS.items()
+    for slot, suffixes in slots.items() for suffix in suffixes
+]
+
+
+def _corrupted(suffix):
+    valid = _valid_input(suffix)
+    return st.one_of(
+        st.binary(max_size=128),
+        st.builds(lambda cut, tail: valid[:cut] + tail,
+                  st.integers(0, len(valid)), st.binary(max_size=32)),
+    )
+
+
+@pytest.mark.parametrize("command, slot, suffix", FUZZ_CASES,
+                         ids=["-".join(c) for c in FUZZ_CASES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_input_bytes_exit_cleanly(command, slot, suffix, data):
+    payload = data.draw(_corrupted(suffix), label="payload")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {}
+        for other, suffixes in FUZZ_INPUTS[command].items():
+            kind = suffix if other == slot else suffixes[0]
+            path = tmp / other / ("manifest.json" if kind == "manifest.json"
+                                  else f"in{kind}")
+            path.parent.mkdir()
+            path.write_bytes(payload if other == slot else _valid_input(kind))
+            files[other] = str(path)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(_fuzz_argv(command, files, tmp / "out"))
+    assert code in (0, 1)
+    if code == 1:
+        assert stderr.getvalue().startswith("error ["), stderr.getvalue()

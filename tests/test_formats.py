@@ -202,6 +202,16 @@ class TestManifest:
         m["version"] = formats.MANIFEST_VERSION
         assert out == m
 
+    def test_reads_utf8_bytes(self):
+        text = formats.write_manifest(minimal_manifest())
+        assert formats.read_manifest(text.encode()) == formats.read_manifest(text)
+
+    @pytest.mark.parametrize("payload", [b'{"dataset": "\xff"}', b"[" * 100_000],
+                             ids=["not UTF-8", "nested too deep"])
+    def test_undecodable_is_parse_error(self, payload):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            formats.read_manifest(payload)
+
     def test_deterministic_bytes(self):
         a = formats.write_manifest(minimal_manifest())
         b = formats.write_manifest(minimal_manifest())

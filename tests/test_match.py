@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -199,12 +202,25 @@ def volume_oracle(left, right, max_disp, patch=3):
     return match.subpixel_refine(cv, disp), confidence
 
 
+def set_cpus(mp, n):
+    """Make the matcher see n usable CPUs."""
+    mp.setattr(match.os, "sched_getaffinity", lambda pid: set(range(n)),
+               raising=False)
+
+
 def assert_matches_volume(left, right, max_disp, patch=3):
-    est, conf = match.estimate_disparity(left, right, max_disp=max_disp,
-                                         patch=patch)
-    ref, ref_conf = volume_oracle(left, right, max_disp, patch)
-    assert np.array_equal(est, ref)
-    assert np.array_equal(conf, ref_conf)
+    """estimate_disparity equals the volume oracle byte for byte for band
+    heights of 1 row, 7 rows, H - 1, H and H + 5 rows, on 1 and 2 CPUs."""
+    ref = [x.tobytes() for x in volume_oracle(left, right, max_disp, patch)]
+    h = np.shape(left)[0]
+    for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(match, "_BAND_ROWS", rows)
+                set_cpus(mp, cpus)
+                est, conf = match.estimate_disparity(
+                    left, right, max_disp=max_disp, patch=patch)
+            assert [est.tobytes(), conf.tobytes()] == ref, (rows, cpus)
     return est, conf
 
 
@@ -238,6 +254,67 @@ class TestStreamingMatchesVolume:
         left = rasterize_frame(spec, 1, "left")
         right = rasterize_frame(spec, 1, "right")
         assert_matches_volume(left.rgb, right.rgb, max_disp=32, patch=9)
+
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_images_shorter_than_one_band(self, h):
+        assert h < match._BAND_ROWS
+        left = textured_image(h, 30, seed=h)
+        assert_matches_volume(left, np.roll(left, -3, axis=1), max_disp=12)
+
+
+class TestBandThreads:
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 3)])
+    def test_one_worker_per_cpu_capped_at_bands(self, monkeypatch, cpus,
+                                                workers):
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(match, "ThreadPoolExecutor", Pool)
+        set_cpus(monkeypatch, cpus)
+        img = textured_image(3 * match._BAND_ROWS - 1, 20)  # last band short
+        match.estimate_disparity(img, img, max_disp=4)
+        assert sizes == [workers]
+
+    def test_two_cpus_run_two_bands_at_once(self, monkeypatch):
+        monkeypatch.setattr(match, "_BAND_ROWS", 4)
+        set_cpus(monkeypatch, 2)
+        # every band waits until a second band has started alongside it
+        barrier = threading.Barrier(2, timeout=30)
+        threads = []
+        band = match._match_band
+
+        def paired_band(*args):
+            threads.append(threading.get_ident())
+            barrier.wait()
+            band(*args)
+
+        monkeypatch.setattr(match, "_match_band", paired_band)
+        img = textured_image(16, 20)  # four bands
+        match.estimate_disparity(img, img, max_disp=4)
+        assert len(threads) == 4
+        assert len(set(threads)) == 2
+        assert threading.get_ident() not in threads
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # one-row bands on 8 threads, switching as often as possible: a
+        # band that wrote outside its rows would show in the output bytes
+        monkeypatch.setattr(match, "_BAND_ROWS", 1)
+        set_cpus(monkeypatch, 8)
+        left = textured_image(24, 40, seed=9)
+        right = np.roll(left, -5, axis=1)
+        ref = [x.tobytes() for x in volume_oracle(left, right, 12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                out = match.estimate_disparity(left, right, max_disp=12)
+                assert [x.tobytes() for x in out] == ref
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMatcherMemory:
