@@ -2,7 +2,9 @@
 visualize | inspect.
 
 Every run writes its fully resolved configuration (defaults included)
-next to its outputs.
+next to its outputs. Every file is written under a temporary name and
+renamed into place (`pipeline.write_atomic`), so an interrupted run
+leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ def _parse_range(text):
 def _write_config_log(out_dir, config):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(config, sort_keys=True, indent=2) + "\n"
-    )
+    pipeline.write_atomic(
+        out_dir / "config.json",
+        (json.dumps(config, sort_keys=True, indent=2) + "\n").encode())
 
 
 def cmd_generate(args):
@@ -86,8 +88,10 @@ def cmd_generate(args):
         "motion_boundary_min_area_px": groundtruth.MIN_BOUNDARY_AREA_PX,
         "out": str(args.out),
     }
-    _write_config_log(args.out, config)
+    # like every command, logged once its outputs are whole; a partial
+    # dataset is marked by its manifest
     pipeline.generate_dataset(spec, args.out)
+    _write_config_log(args.out, config)
     print(f"wrote dataset {spec.name} to {args.out}")
 
 
@@ -121,10 +125,10 @@ def cmd_estimate(args):
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(formats.write_pfm(disp))
+    pipeline.write_atomic(out, formats.write_pfm(disp))
     if args.confidence_out:
-        Path(args.confidence_out).write_bytes(
-            formats.write_pfm(confidence))
+        pipeline.write_atomic(args.confidence_out,
+                              formats.write_pfm(confidence))
     _write_config_log(out.parent, {
         "subcommand": "estimate", "left": str(args.left),
         "right": str(args.right), "max_disp": args.max_disp,
@@ -223,7 +227,8 @@ def cmd_evaluate(args):
     }
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(report_json, sort_keys=True, indent=2))
+        pipeline.write_atomic(
+            args.out, json.dumps(report_json, sort_keys=True, indent=2).encode())
         _write_config_log(Path(args.out).parent, {
             "subcommand": "evaluate", "metric": args.metric,
             "pred": [str(p) for p in args.pred], "gt": [str(g) for g in args.gt],
@@ -241,7 +246,7 @@ def cmd_visualize(args):
         raise ContractError(f"cannot visualize map of shape {data.shape}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(formats.write_ppm(rgb))
+    pipeline.write_atomic(out, formats.write_ppm(rgb))
     print(f"wrote {out}")
 
 

@@ -1,14 +1,17 @@
 """Dense scene-flow ground truth derived from rendered frame passes:
 bidirectional optical flow, disparity, disparity change, motion
 boundaries, occlusion masks, and 3D scene-flow reconstruction from the
-(flow, disparity, disparity change) components."""
+(flow, disparity, disparity change) components.
+
+Everything here is numpy alone; the small-component filter of the
+motion boundaries is a union-find over the marked pixels, not an image
+labelling library."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, DataCorruptionError, GeometryError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
@@ -118,7 +121,8 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray,
     A 4-adjacent pixel pair is a candidate when the two pixels belong to
     different objects and their flow vectors differ by at least the motion
     threshold; both pixels of the pair are marked. 8-connected components
-    smaller than min_area pixels are removed.
+    smaller than min_area pixels are removed (`_drop_small_components`,
+    which gives the mask of `scipy.ndimage.label` with a 3x3 structure).
     """
     obj = passes.object_index
     marked = np.zeros(obj.shape, dtype=bool)
@@ -131,12 +135,59 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray,
             hit = diff_obj & (dflow >= motion_threshold)
             marked[a] |= hit
             marked[b] |= hit
-    labels, n = ndimage.label(marked, structure=np.ones((3, 3), dtype=int))
-    if n:
-        sizes = ndimage.sum_labels(marked, labels, index=np.arange(1, n + 1))
-        small = np.nonzero(sizes < min_area)[0] + 1
-        marked[np.isin(labels, small)] = False
-    return marked
+    return _drop_small_components(marked, min_area)
+
+
+# (dy, dx) of the 4 forward 8-neighbours; with the 4 backward ones they
+# are the same undirected edges
+_FORWARD_NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
+    """mask with its 8-connected components of fewer than min_area pixels
+    cleared, in place.
+
+    A union-find over the marked pixels only: each round hooks the larger
+    root of every edge that still joins two roots onto the smaller
+    (`np.minimum.at`), then pointer-jumps until every pixel points at its
+    root. Parents only ever decrease, so no cycle can form, and each round
+    leaves fewer roots. Boundaries are thin, so there are few rounds; a
+    dense or serpentine mask takes more.
+    """
+    h, w = mask.shape
+    pixels = np.flatnonzero(mask)  # sorted, so searchsorted maps pixel -> node
+    if min_area <= 1 or not len(pixels):
+        return mask
+    src, dst = [], []
+    for dy, dx in _FORWARD_NEIGHBOURS:
+        # edge from (y, x) to (y + dy, x + dx), both marked
+        ys = slice(0, h - dy)
+        xs = slice(max(0, -dx), w - max(0, dx))
+        ye = slice(dy, h)
+        xe = slice(max(0, dx), w + min(0, dx))
+        both = np.zeros_like(mask)
+        both[ys, xs] = mask[ys, xs] & mask[ye, xe]
+        start = np.flatnonzero(both)
+        src.append(start)
+        dst.append(start + (dy * w + dx))
+    a = np.searchsorted(pixels, np.concatenate(src))
+    b = np.searchsorted(pixels, np.concatenate(dst))
+    parent = np.arange(len(pixels))
+    while True:
+        ra, rb = parent[a], parent[b]
+        open_ = ra != rb  # a joined edge stays joined, so drop it
+        if not open_.any():
+            break
+        a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    sizes = np.bincount(parent, minlength=len(pixels))
+    mask.flat[pixels[sizes[parent] < min_area]] = False
+    return mask
 
 
 def _lerp_footprint(g, u, v):

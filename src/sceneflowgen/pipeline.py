@@ -23,27 +23,31 @@ from .render import FramePasses, rasterize_frame
 from .scene import SceneSpec
 
 __all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
-           "write_frame"]
+           "write_frame", "write_atomic"]
 
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
 # pos3d_prev / pos3d_next exist only where the neighbouring frame does
 _REQUIRED_PASSES = ("rgb", "depth", "pos3d_t", "object_index", "material_index")
+_RENDER_PASSES = _REQUIRED_PASSES + ("pos3d_prev", "pos3d_next")
 
 
 def _frame_name(t, view, ext):
     return f"{t:04d}_{_VIEW_SUFFIX[view]}.{ext}"
 
 
-def _frames(passes_at, times, rig, out_root, scene):
+def _frames(passes_at, times, rig, out_root, scene, read_from=None):
     """Derive and write each (t, view), all left views first; calls
-    passes_at(t, view) once for each and yields (t, view, pose, files)."""
+    passes_at(t, view) once for each and yields (t, view, pose, files).
+    read_from(t, view), if given, names the files the passes came from
+    (see `write_frame`)."""
     for view in _VIEW_SUFFIX:
         fp_next = None
         for t in times:
             fp = fp_next if fp_next is not None else passes_at(t, view)
             fp_next = passes_at(t + 1, view) if t + 1 in times else None
             gt = groundtruth.derive_frame(fp, rig, fp_next)
-            files = write_frame(out_root / scene, scene, t, view, fp, gt)
+            files = write_frame(out_root / scene, scene, t, view, fp, gt,
+                                read_from(t, view) if read_from else None)
             pose = fp.camera_pose
             del fp, gt  # only frame t+1 stays held while t+2 is produced
             yield t, view, pose, files
@@ -77,20 +81,29 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
             "complete": complete,  # False marks a partial run
         }
         out_root.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_root / "manifest.json",
-                      formats.write_manifest(manifest).encode())
+        write_atomic(out_root / "manifest.json",
+                     formats.write_manifest(manifest).encode())
     return manifest
 
 
 def derive_dataset(dataset_root, out_root) -> int:
     """Re-derive ground truth from a dataset's stored render passes and
-    rewrite every file of each (frame, view) under {out_root}/{scene}/; no
-    manifest is written. Returns the number of frames."""
+    write every file of each (frame, view) under {out_root}/{scene}/; no
+    manifest is written. In place, the render passes already hold their
+    bytes and only the ground-truth maps are rewritten. Returns the number
+    of frames."""
     root = Path(dataset_root)
     manifest = formats.read_manifest((root / "manifest.json").read_bytes())
     times, rig = _derivable(manifest)
+
+    def read_from(t, view):
+        files = next(f for f in manifest["frames"] if f["time"] == t)["files"][view]
+        return {name: (root / files[name]).resolve()
+                for name in _RENDER_PASSES if name in files}
+
     for _ in _frames(functools.partial(load_frame_passes, root, manifest),
-                     times, rig, Path(out_root), manifest["dataset"]):
+                     times, rig, Path(out_root), manifest["dataset"],
+                     read_from):
         pass
     return len(times)
 
@@ -123,44 +136,56 @@ def _derivable(manifest):
     return times, rig
 
 
-def write_frame(scene_dir, scene_name, t, view, fp, gt):
-    """Write all passes of one (frame, view); returns pass -> relative path."""
+def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
+    """Write all passes of one (frame, view); returns pass -> relative path.
+
+    read_from maps a render pass to the resolved path it was read from. A
+    pass whose output path resolves to that file already holds its bytes,
+    so it is neither encoded nor written.
+    """
     files = {}
+    read_from = read_from or {}
 
-    def put(pass_name, ext, payload):
-        rel = f"{scene_name}/{pass_name}/{_frame_name(t, view, ext)}"
-        path = scene_dir / pass_name / _frame_name(t, view, ext)
+    def put(pass_name, ext, encode, array):
+        name = _frame_name(t, view, ext)
+        path = scene_dir / pass_name / name
+        files[pass_name] = f"{scene_name}/{pass_name}/{name}"
+        if pass_name in read_from and path.resolve() == read_from[pass_name]:
+            return
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, payload)
-        files[pass_name] = rel
+        write_atomic(path, encode(array))
 
-    put("rgb", "ppm", formats.write_ppm(fp.rgb))
-    put("depth", "pfm", formats.write_pfm(fp.depth))
-    put("pos3d_t", "pfm", formats.write_pfm(fp.pos3d_t))
+    def mask(a):
+        return formats.write_pgm8(a.astype(np.uint8) * 255)
+
+    put("rgb", "ppm", formats.write_ppm, fp.rgb)
+    put("depth", "pfm", formats.write_pfm, fp.depth)
+    put("pos3d_t", "pfm", formats.write_pfm, fp.pos3d_t)
     if fp.pos3d_prev is not None:
-        put("pos3d_prev", "pfm", formats.write_pfm(fp.pos3d_prev))
+        put("pos3d_prev", "pfm", formats.write_pfm, fp.pos3d_prev)
     if fp.pos3d_next is not None:
-        put("pos3d_next", "pfm", formats.write_pfm(fp.pos3d_next))
-    put("object_index", "pgm", formats.write_pgm16(fp.object_index))
-    put("material_index", "pgm", formats.write_pgm16(fp.material_index))
+        put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
+    put("object_index", "pgm", formats.write_pgm16, fp.object_index)
+    put("material_index", "pgm", formats.write_pgm16, fp.material_index)
 
-    put("disparity", "pfm", formats.write_pfm(gt.disparity))
+    put("disparity", "pfm", formats.write_pfm, gt.disparity)
     if gt.flow_fwd is not None:
-        put("flow_fwd", "flo", formats.write_flo(gt.flow_fwd))
-        put("dispchange_fwd", "pfm", formats.write_pfm(gt.dispchange_fwd))
-        put("motion_boundaries", "pgm",
-            formats.write_pgm8(gt.motion_boundaries.astype(np.uint8) * 255))
+        put("flow_fwd", "flo", formats.write_flo, gt.flow_fwd)
+        put("dispchange_fwd", "pfm", formats.write_pfm, gt.dispchange_fwd)
+        put("motion_boundaries", "pgm", mask, gt.motion_boundaries)
     if gt.flow_bwd is not None:
-        put("flow_bwd", "flo", formats.write_flo(gt.flow_bwd))
-        put("dispchange_bwd", "pfm", formats.write_pfm(gt.dispchange_bwd))
+        put("flow_bwd", "flo", formats.write_flo, gt.flow_bwd)
+        put("dispchange_bwd", "pfm", formats.write_pfm, gt.dispchange_bwd)
     if gt.occlusion_fwd is not None:
-        put("occlusion_fwd", "pgm",
-            formats.write_pgm8(gt.occlusion_fwd.astype(np.uint8) * 255))
+        put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
     return files
 
 
-def _write_atomic(path, payload: bytes):
-    """path holds either its old content or all of payload, never part."""
+def write_atomic(path, payload: bytes):
+    """path holds either its old content or all of payload, never part:
+    payload goes to a hidden temporary name beside it, then is renamed
+    over it."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_bytes(payload)

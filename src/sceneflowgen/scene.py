@@ -1,18 +1,25 @@
 """Seeded procedural scene construction: randomized flying-object scenes
-and a street-driving preset, with deterministic per-object RNG streams."""
+and a street-driving preset, with deterministic per-object RNG streams.
+
+Rotations come from scipy.spatial.transform, which the functions that
+make scenes import when they run: reading a dataset or matching images
+never loads it."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .assets import Mesh, Texture, primitive_mesh
 from .errors import ConfigurationError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
-from .trajectory import Trajectory
+from .trajectory import IDENTITY_QUAT, Trajectory
+
+if TYPE_CHECKING:
+    from scipy.spatial.transform import Rotation
 
 __all__ = [
     "ObjectInstance", "SceneSpec", "FlyingThingsParams", "DrivingParams",
@@ -221,6 +228,8 @@ def _random_texture(rng, tag):
 
 
 def _random_rotation(rng) -> Rotation:
+    from scipy.spatial.transform import Rotation
+
     q = rng.normal(size=4)
     return Rotation.from_quat(q / np.linalg.norm(q))
 
@@ -258,6 +267,8 @@ def _shell_object(rng, frames, object_index, radius=220.0):
 
 
 def _camera_trajectory(rng, frames, motion_scale) -> Trajectory:
+    from scipy.spatial.transform import Rotation
+
     n_key = 4 if frames > 2 else 2
     times = np.linspace(1.0, float(frames), n_key)
     positions = []
@@ -272,7 +283,7 @@ def _camera_trajectory(rng, frames, motion_scale) -> Trajectory:
         quats.append(Rotation.from_euler("yx", [yaw, pitch]).as_quat())
     if motion_scale == 0.0:
         positions = [positions[0]] * n_key
-        quats = [Rotation.identity().as_quat()] * n_key
+        quats = [IDENTITY_QUAT] * n_key
     return Trajectory(times, np.array(positions), np.array(quats))
 
 
@@ -280,12 +291,17 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
     """Randomized scene of textured primitives flying through the view of a
     slowly moving stereo rig, on a textured ground plane with static
     background clutter."""
+    from scipy.spatial.transform import Rotation
+
     p = params or FlyingThingsParams()
     lo, hi = p.n_objects_range
     if not (1 <= lo <= hi <= 100):
         raise ConfigurationError(f"object count range {p.n_objects_range} outside [1, 100]")
     if p.frames < 2:
         raise ConfigurationError("frames must be >= 2")
+    if p.n_background < 0:
+        raise ConfigurationError(
+            f"n_background must be >= 0, got {p.n_background}")
     if not _MESH_POOL:
         raise ConfigurationError("empty asset pool")
     intr = _default_intrinsics(p)
@@ -349,6 +365,8 @@ def _foreground_trajectory(rng, rig_traj, intr, frames) -> Trajectory:
     depth range; rotation accumulates in small random increments. These
     magnitudes are generator defaults, recorded in the manifest.
     """
+    from scipy.spatial.transform import Rotation
+
     n_key = int(rng.integers(3, 7))
     times = np.linspace(1.0, float(frames), n_key)
     depth_span = _DEPTH_RANGE[1] - _DEPTH_RANGE[0] + 15.0
@@ -437,7 +455,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     # straight forward motion at street level
     times = np.array([1.0, float(p.frames)])
     positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, p.speed * (p.frames - 1)]])
-    q = Rotation.identity().as_quat()
+    q = IDENTITY_QUAT
     rig_traj = Trajectory(times, positions, np.array([q, q]))
 
     next_index = 1

@@ -1,14 +1,24 @@
 """Keyframed rigid-motion trajectories: Catmull-Rom positions, slerp
-rotations, evaluated at fractional frame times."""
+rotations, evaluated at fractional frame times.
+
+Rotations are scipy `Rotation`s. scipy.spatial is imported on first use,
+not with this module, so commands that build no scene never load it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from scipy.spatial.transform import Rotation
+
+# the identity rotation as a quaternion in scipy (x, y, z, w) order
+IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
+IDENTITY_QUAT.flags.writeable = False
 
 __all__ = ["Trajectory"]
 
@@ -43,17 +53,17 @@ class Trajectory:
     @classmethod
     def static(cls, position, rotation=None, t0=1.0, t1=2.0):
         """Constant pose spanning [t0, t1] (a single repeated keyframe)."""
-        if rotation is None:
-            rotation = Rotation.identity()
-        q = rotation.as_quat()
+        q = IDENTITY_QUAT if rotation is None else rotation.as_quat()
         return cls(
             times=np.array([t0, t1]),
             positions=np.array([position, position], dtype=np.float64),
             quaternions=np.array([q, q]),
         )
 
-    def evaluate(self, t):
+    def evaluate(self, t) -> tuple[np.ndarray, Rotation]:
         """Pose at frame time t -> (position (3,), Rotation)."""
+        from scipy.spatial.transform import Rotation, Slerp
+
         t = float(t)
         times = self.times
         if t < times[0] or t > times[-1]:

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sceneflowgen
 from sceneflowgen import formats
 from sceneflowgen.cli import main
 
@@ -88,6 +91,10 @@ class TestGenerate:
         assert manifest["dataset"].startswith("driving")
 
 
+RENDER_PASSES = {"rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next",
+                 "object_index", "material_index"}
+
+
 class TestDerive:
     def test_rederive_matches_pipeline(self, tmp_path):
         out = tmp_path / "ds"
@@ -111,6 +118,38 @@ class TestDerive:
                 assert np.allclose(a, b, atol=1e-3, equal_nan=True), rel
             else:
                 assert after[rel] == payload, rel
+
+    def test_in_place_writes_only_derived_maps(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(GEN_ARGS + ["--out", str(out)]) == 0
+        # the first derive turns the float64 maps of generate into the ones
+        # the float32 passes give; from then on derive is a fixed point
+        assert main(["derive", str(out)]) == 0
+        manifest = formats.read_manifest((out / "manifest.json").read_text())
+        render = {rel for f in manifest["frames"]
+                  for view in f["files"].values()
+                  for name, rel in view.items() if name in RENDER_PASSES}
+        before = tree_bytes(out)
+        stats = {rel: (out / rel).stat() for rel in before}
+        assert main(["derive", str(out)]) == 0
+        assert tree_bytes(out) == before
+        for rel, st_before in stats.items():
+            st_after = (out / rel).stat()
+            if rel in render:
+                assert st_after.st_ino == st_before.st_ino, rel
+                assert st_after.st_mtime_ns == st_before.st_mtime_ns, rel
+            elif rel != "manifest.json":  # derive writes no manifest
+                assert st_after.st_ino != st_before.st_ino, rel
+
+    def test_out_of_place_writes_every_listed_file(self, tmp_path):
+        src = tmp_path / "ds"
+        assert main(GEN_ARGS + ["--out", str(src)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["derive", str(src), "--out", str(fresh)]) == 0
+        manifest = formats.read_manifest((src / "manifest.json").read_text())
+        listed = {rel for f in manifest["frames"]
+                  for view in f["files"].values() for rel in view.values()}
+        assert set(tree_bytes(fresh)) == listed | {"config.json"}
 
 
 def _no_frames(m, ds):
@@ -434,11 +473,19 @@ def _derive_non_utf8_manifest(tmp):
     return ["derive", _manifest_dir(tmp, b"\xfe\xff")]
 
 
+def _generate_negative_n_background(tmp):
+    args = GEN_ARGS + ["--out", str(tmp / "ds")]
+    args[args.index("--n-background") + 1] = "-3"
+    return args
+
+
 BAD_INPUT = {
     "inspect non-UTF-8 manifest": (_inspect_non_utf8_manifest, "ParseError"),
     "inspect manifest without resolution": (
         _inspect_manifest_without_resolution, "ParseError"),
     "derive non-UTF-8 manifest": (_derive_non_utf8_manifest, "ParseError"),
+    "generate negative n-background": (
+        _generate_negative_n_background, "ConfigurationError"),
     "evaluate truncated pfm": (_evaluate_truncated_pfm, "ParseError"),
     "evaluate mask of other size": (_evaluate_mask_of_other_size, "ContractError"),
     "evaluate unknown suffix": (_evaluate_unknown_suffix, "ContractError"),
@@ -539,3 +586,108 @@ def test_any_input_bytes_exit_cleanly(command, slot, suffix, data):
     assert code in (0, 1)
     if code == 1:
         assert stderr.getvalue().startswith("error ["), stderr.getvalue()
+
+
+def _estimate_output(tmp):
+    img = tmp / "a.ppm"
+    img.write_bytes(_valid_input(".ppm"))
+    out = tmp / "d.pfm"
+    return ["estimate", str(img), str(img), "--max-disp", "1",
+            "--out", str(out)], out
+
+
+def _evaluate_output(tmp):
+    pfm = tmp / "g.pfm"
+    pfm.write_bytes(_valid_input(".pfm"))
+    out = tmp / "r.json"
+    return ["evaluate", "--pred", str(pfm), "--gt", str(pfm),
+            "--out", str(out)], out
+
+
+def _visualize_output(tmp):
+    pfm = tmp / "g.pfm"
+    pfm.write_bytes(_valid_input(".pfm"))
+    out = tmp / "v.ppm"
+    return ["visualize", str(pfm), "--out", str(out)], out
+
+
+def _config_output(tmp):
+    argv, out = _estimate_output(tmp)
+    return argv, out.parent / "config.json"
+
+
+@pytest.mark.parametrize("build", [_estimate_output, _evaluate_output,
+                                   _visualize_output, _config_output],
+                         ids=["estimate", "evaluate", "visualize", "config"])
+def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch, build):
+    argv, out = build(tmp_path)
+    assert main(argv) == 0
+    old = out.read_bytes()
+    out.write_bytes(b"old content")
+    real_replace = os.replace
+
+    def fail_on(target):
+        def replace(src, dst):
+            if Path(dst) == target:
+                raise OSError("disk full")
+            real_replace(src, dst)
+        return replace
+
+    monkeypatch.setattr(os, "replace", fail_on(out))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "error [io]" in capsys.readouterr().err
+    assert out.read_bytes() == b"old content"
+    assert not list(tmp_path.rglob("*.tmp"))
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert main(argv) == 0
+    assert out.read_bytes() == old
+
+
+_IMPORT_GUARD = """
+import json, sys
+import sceneflowgen
+from sceneflowgen.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+argvs, generate = json.loads(sys.argv[1])
+for argv in argvs:
+    assert main(argv) == 0, argv
+print("scipy modules:", json.dumps(scipy_modules()))
+assert main(generate) == 0, generate
+print("scipy modules:", json.dumps(scipy_modules()))
+"""
+
+
+def test_only_generate_imports_scipy(tmp_path):
+    ds, out = tmp_path / "ds", tmp_path / "est"
+    assert main(GEN_ARGS + ["--out", str(ds)]) == 0
+    scene = ds / "flyingthings-5"
+    argvs = [
+        ["estimate", str(scene / "rgb/0001_L.ppm"),
+         str(scene / "rgb/0001_R.ppm"), "--max-disp", "16",
+         "--out", str(out / "disparity.pfm")],
+        ["evaluate", "--pred", str(out / "disparity.pfm"),
+         "--gt", str(scene / "disparity/0001_L.pfm"),
+         "--occlusion", str(scene / "occlusion_fwd/0001_L.pgm"),
+         "--out", str(out / "evaluation.json")],
+        ["derive", str(ds)],
+        ["inspect", str(ds)],
+        ["visualize", str(out / "disparity.pfm"),
+         "--out", str(out / "disparity.ppm")],
+    ]
+    generate = GEN_ARGS + ["--out", str(tmp_path / "gen")]
+    src = str(Path(sceneflowgen.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps([argvs, generate])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    without_scene, with_scene = (
+        json.loads(line.split(":", 1)[1]) for line in run.stdout.splitlines()
+        if line.startswith("scipy modules:"))
+    assert without_scene == []
+    assert "scipy.spatial.transform" in with_scene
+    assert not any(m.startswith("scipy.ndimage") for m in with_scene)

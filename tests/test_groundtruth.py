@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 import sceneflowgen as sf
 from sceneflowgen import groundtruth as gt
@@ -158,6 +161,70 @@ class TestMotionBoundaries:
         mb = gt.derive_motion_boundaries(passes, flow)
         assert int(mb.sum()) == 10
         assert mb[:5, 7:9].all()
+
+
+def drop_small_components_reference(mask, min_area):
+    """The scipy.ndimage filter the numpy union-find replaced."""
+    mask = mask.copy()
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    if n:
+        sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, n + 1))
+        mask[np.isin(labels, np.nonzero(sizes < min_area)[0] + 1)] = False
+    return mask
+
+
+@st.composite
+def boolean_masks(draw):
+    shape = draw(st.sampled_from([
+        (1, draw(st.integers(1, 40))), (draw(st.integers(1, 40)), 1),
+        (draw(st.integers(1, 24)), draw(st.integers(1, 24))),
+    ]))
+    fill = draw(st.sampled_from(["random", "all", "none"]))
+    if fill == "all":
+        return np.ones(shape, dtype=bool)
+    if fill == "none":
+        return np.zeros(shape, dtype=bool)
+    bits = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                         max_size=shape[0] * shape[1]))
+    return np.array(bits, dtype=bool).reshape(shape)
+
+
+def serpentine(h, w):
+    """One 8-connected path that zigzags over every other row."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for y in range(1, h, 2):
+        mask[y, w - 1 if y % 4 == 1 else 0] = True
+    return mask
+
+
+class TestSmallComponentFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(mask=boolean_masks(), min_area=st.integers(1, 15))
+    def test_matches_ndimage_label(self, mask, min_area):
+        want = drop_small_components_reference(mask, min_area)
+        got = gt._drop_small_components(mask.copy(), min_area)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mask", [
+        np.random.default_rng(3).random((135, 240)) < 0.5,
+        serpentine(135, 240),
+        serpentine(240, 7),
+        np.eye(60, dtype=bool) | np.eye(60, dtype=bool)[::-1],
+    ], ids=["dense", "serpentine", "narrow serpentine", "crossed diagonals"])
+    @pytest.mark.parametrize("min_area", [2, 10, 500])
+    def test_fixed_masks(self, mask, min_area):
+        want = drop_small_components_reference(mask, min_area)
+        assert np.array_equal(gt._drop_small_components(mask.copy(), min_area),
+                              want)
+
+    def test_serpentine_is_one_component(self):
+        mask = serpentine(135, 240)
+        kept = gt._drop_small_components(mask.copy(), int(mask.sum()))
+        assert np.array_equal(kept, mask)
+        assert not gt._drop_small_components(mask.copy(),
+                                             int(mask.sum()) + 1).any()
 
 
 class TestBilinearSample:
