@@ -3,18 +3,25 @@ bidirectional optical flow, disparity, disparity change, motion
 boundaries, occlusion masks, and 3D scene-flow reconstruction from the
 (flow, disparity, disparity change) components.
 
+`derive_frame` runs the per-pixel maps on bands of rows through
+`match._map_ordered`, the one ordered map the rasterizer and the matcher
+use too, so they run on every usable CPU with band-sized temporaries and
+the same bytes for every worker count.
+
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
 labelling library."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataCorruptionError, GeometryError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
+from .match import _map_ordered
 from .render import FramePasses
 
 __all__ = [
@@ -27,6 +34,7 @@ __all__ = [
 
 MOTION_DIFF_THRESHOLD_PX = 1.5
 MIN_BOUNDARY_AREA_PX = 10
+_BAND_ROWS = 32  # rows per band of `derive_frame`
 
 
 @dataclass
@@ -124,18 +132,32 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray,
     smaller than min_area pixels are removed (`_drop_small_components`,
     which gives the mask of `scipy.ndimage.label` with a 3x3 structure).
     """
-    obj = passes.object_index
+    marked = _mark_motion_pairs(passes.object_index, flow, motion_threshold)
+    return _drop_small_components(marked, min_area)
+
+
+def _mark_motion_pairs(obj, flow, motion_threshold):
+    """Both pixels of every 4-adjacent pair of different objects whose
+    flow vectors differ by at least motion_threshold. A function of its
+    own, so its temporaries are freed before the component filter runs."""
     marked = np.zeros(obj.shape, dtype=bool)
     with np.errstate(invalid="ignore"):
         for axis in (0, 1):
             a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
             b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
-            diff_obj = obj[a] != obj[b]
-            dflow = np.linalg.norm(flow[a] - flow[b], axis=-1)
-            hit = diff_obj & (dflow >= motion_threshold)
+            # |flow[a] - flow[b]| as np.linalg.norm sums it, one plane at
+            # a time and in place: no (H, W, 2) temporary
+            dflow = flow[a][..., 0] - flow[b][..., 0]
+            dv = flow[a][..., 1] - flow[b][..., 1]
+            dflow *= dflow
+            dv *= dv
+            dflow += dv
+            del dv
+            np.sqrt(dflow, out=dflow)
+            hit = (obj[a] != obj[b]) & (dflow >= motion_threshold)
             marked[a] |= hit
             marked[b] |= hit
-    return _drop_small_components(marked, min_area)
+    return marked
 
 
 # (dy, dx) of the 4 forward 8-neighbours; with the 4 backward ones they
@@ -190,24 +212,24 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     return mask
 
 
-def _lerp_footprint(g, u, v):
-    """Bilinear lerp of an (H, W[, C]) grid over the 2x2 footprint at
-    finite pixel coordinates u, v (half-integer pixel centers).
-
-    The footprint is clamped into the grid, so every sample gets a lookup;
-    returns (values, x0i, y0i) with the footprint's top-left corner.
-    """
-    h, w = g.shape[:2]
+def _footprint(h, w, u, v):
+    """The 2x2 bilinear footprint in an (H, W) grid at finite pixel
+    coordinates u, v (half-integer pixel centers), clamped into the grid
+    so every sample gets a lookup: its top-left corner (x0i, y0i) and the
+    lerp weights (fx, fy)."""
     x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
     y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
     fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
     fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
-    if g.ndim == 3:
-        fx = fx[..., None]
-        fy = fy[..., None]
-    top = g[y0i, x0i] * (1 - fx) + g[y0i, x0i + 1] * fx
-    bot = g[y0i + 1, x0i] * (1 - fx) + g[y0i + 1, x0i + 1] * fx
-    return top * (1 - fy) + bot * fy, x0i, y0i
+    return x0i, y0i, fx, fy
+
+
+def _lerp(g00, g01, g10, g11, fx, fy):
+    """Bilinear lerp of the values at the footprint's corners, row y0i
+    first: g01 is at (y0i, x0i + 1), g10 at (y0i + 1, x0i)."""
+    top = g00 * (1 - fx) + g01 * fx
+    bot = g10 * (1 - fx) + g11 * fx
+    return top * (1 - fy) + bot * fy
 
 
 def bilinear_sample(grid: np.ndarray, coords: np.ndarray,
@@ -225,8 +247,10 @@ def bilinear_sample(grid: np.ndarray, coords: np.ndarray,
         x0 = np.floor(x)
         y0 = np.floor(y)
         inside = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= w - 1) & (y0 + 1 <= h - 1)
-    out, _, _ = _lerp_footprint(g, np.nan_to_num(coords[..., 0]),
-                                np.nan_to_num(coords[..., 1]))
+    x0i, y0i, fx, fy = _footprint(h, w, np.nan_to_num(coords[..., 0]),
+                                  np.nan_to_num(coords[..., 1]))
+    out = _lerp(g[y0i, x0i], g[y0i, x0i + 1], g[y0i + 1, x0i],
+                g[y0i + 1, x0i + 1], fx[..., None], fy[..., None])
     out[~inside] = fill
     return out[..., 0] if scalar else out
 
@@ -237,9 +261,11 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
     """Pixels of frame t whose surface point is hidden or out of frame at
     the time of `passes_other` (the t+1 or t-1 frame of the same view).
 
-    A pixel is occluded when the other frame's z-buffer, bilinearly
-    sampled at the point's projected location, is nearer than the point
-    itself by more than eps, or when the projection leaves the image.
+    A pixel is occluded when the other frame's z-buffer (its depth, inf
+    at void), bilinearly sampled at the point's projected location, is
+    nearer than the point itself by more than eps, or when the projection
+    leaves the other frame's image. passes_t may be a band of rows of
+    frame t (see `derive_frame`); eps defaults to 1e-3 of its median depth.
     """
     direction = "fwd" if passes_other.frame_time > passes_t.frame_time else "bwd"
     other = _other_pass(passes_t, direction)
@@ -247,30 +273,35 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         raise ContractError("occlusion needs the corresponding 3D-position pass")
     k = k or passes_t.intrinsics
     if eps is None:
-        scale = float(np.nanmedian(passes_t.depth))
-        eps = 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
+        eps = _occlusion_eps(passes_t.depth)
     proj = _project_pass(other, k)
     z_point = other[..., 2]
-    h, w = passes_t.depth.shape
-    depth_other = np.where(passes_other.valid, passes_other.depth, np.inf)
+    h, w = passes_other.depth.shape
 
     with np.errstate(invalid="ignore"):
         u = np.nan_to_num(proj[..., 0], nan=-1.0)
         v = np.nan_to_num(proj[..., 1], nan=-1.0)
         inside = (u >= 0) & (u <= w) & (v >= 0) & (v <= h) & np.isfinite(proj[..., 0])
         # clamped footprint, so border projections still get a lookup
-        sampled, x0i, y0i = _lerp_footprint(depth_other, u, v)
+        x0i, y0i, fx, fy = _footprint(h, w, u, v)
+        corners = ((y0i, x0i), (y0i, x0i + 1), (y0i + 1, x0i), (y0i + 1, x0i + 1))
+        oi = [passes_other.object_index[c] for c in corners]
+        # the other frame's z-buffer at the corners alone: depth, inf at void
+        sampled = _lerp(*(np.where(o > 0, passes_other.depth[c], np.inf)
+                          for o, c in zip(oi, corners)), fx, fy)
         hidden = sampled < z_point - eps
         # silhouette-adjacent samples: the 2x2 footprint touches another
         # object, so the point's surface is not cleanly visible there
-        oi = passes_other.object_index
         own = passes_t.object_index
-        mixed = (
-            (oi[y0i, x0i] != own) | (oi[y0i, x0i + 1] != own)
-            | (oi[y0i + 1, x0i] != own) | (oi[y0i + 1, x0i + 1] != own)
-        )
+        mixed = (oi[0] != own) | (oi[1] != own) | (oi[2] != own) | (oi[3] != own)
     occluded = (~inside | hidden | mixed) & passes_t.valid
     return occluded
+
+
+def _occlusion_eps(depth):
+    """The occlusion test's depth tolerance: 1e-3 of the median depth."""
+    scale = float(np.nanmedian(depth))
+    return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
 def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
@@ -309,18 +340,56 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
 
 def derive_frame(passes: FramePasses, rig: StereoRig,
                  passes_next: FramePasses | None = None) -> GroundTruthFrame:
-    """All per-view ground-truth maps for one rendered frame."""
-    flow_fwd = derive_flow(passes, "fwd")
+    """All per-view ground-truth maps for one rendered frame.
+
+    Flow, disparity, disparity change and occlusion are per pixel, so they
+    run on bands of `_BAND_ROWS` rows through `match._map_ordered`, the one
+    ordered map the matcher and the rasterizer use too; each band writes
+    its rows of the full maps, and temporaries are the size of a band.
+    What a band cannot see is taken over the whole view: the occlusion
+    eps comes from the median depth of the frame, and the occlusion test
+    samples the whole next frame. Motion boundaries pair pixels across
+    band edges and drop small components of the whole mask, so they run
+    on the whole forward flow once the bands are done. The maps do not
+    depend on the band height or the number of workers.
+    """
+    h, w = passes.depth.shape
+    fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
     frame = GroundTruthFrame(
-        flow_fwd=flow_fwd,
-        flow_bwd=derive_flow(passes, "bwd"),
-        disparity=derive_disparity(passes, rig),
-        dispchange_fwd=derive_disparity_change(passes, rig, "fwd"),
-        dispchange_bwd=derive_disparity_change(passes, rig, "bwd"),
-        motion_boundaries=(derive_motion_boundaries(passes, flow_fwd)
-                           if flow_fwd is not None else None),
-        occlusion_fwd=(compute_occlusion_mask(passes, passes_next)
-                       if passes_next is not None else None),
-        valid=passes.valid.copy(),
+        flow_fwd=np.empty((h, w, 2)) if fwd else None,
+        flow_bwd=np.empty((h, w, 2)) if bwd else None,
+        disparity=np.empty((h, w)),
+        dispchange_fwd=np.empty((h, w)) if fwd else None,
+        dispchange_bwd=np.empty((h, w)) if bwd else None,
+        motion_boundaries=None,
+        occlusion_fwd=(np.empty((h, w), dtype=bool) if passes_next is not None
+                       else None),
+        valid=passes.valid,
     )
+    eps = _occlusion_eps(passes.depth) if passes_next is not None else None
+
+    def band(y):
+        rows = slice(y, y + _BAND_ROWS)
+        part = _band(passes, rows)
+        frame.disparity[rows] = derive_disparity(part, rig)
+        for direction, flow, dispchange in (
+                ("fwd", frame.flow_fwd, frame.dispchange_fwd),
+                ("bwd", frame.flow_bwd, frame.dispchange_bwd)):
+            if flow is not None:
+                flow[rows] = derive_flow(part, direction)
+                dispchange[rows] = derive_disparity_change(part, rig, direction)
+        if passes_next is not None:
+            frame.occlusion_fwd[rows] = compute_occlusion_mask(
+                part, passes_next, eps=eps)
+
+    _map_ordered(band, range(0, h, _BAND_ROWS))
+    if fwd:
+        frame.motion_boundaries = derive_motion_boundaries(passes, frame.flow_fwd)
     return frame
+
+
+def _band(passes: FramePasses, rows: slice) -> FramePasses:
+    """The passes of one band of rows: views, no copies."""
+    return dataclasses.replace(passes, **{
+        f.name: a[rows] for f in dataclasses.fields(passes)
+        if isinstance(a := getattr(passes, f.name), np.ndarray)})

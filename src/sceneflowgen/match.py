@@ -4,10 +4,12 @@ winner-take-all with parabola sub-pixel refinement.
 
 `estimate_disparity` streams over disparities and keeps only per-pixel
 state, so its memory is O(H*W*C) whatever the disparity range. It runs
-the stream on bands of rows, one thread per usable CPU: rows are
-independent and every step is an element-wise numpy ufunc that releases
-the GIL, so a band's state stays in cache and the bands scale across
-cores without changing a bit of the result. `correlate_1d`,
+the stream on bands of rows through `_map_ordered`, the one ordered map
+over independent units that the rasterizer and the ground-truth
+derivation use too: rows are independent and every step is an
+element-wise numpy ufunc that releases the GIL, so a band's state stays
+in cache and the bands scale across cores without changing a bit of the
+result, whatever the worker count. `correlate_1d`,
 `wta_disparity` and `subpixel_refine` build and consume the full
 (H, W, D) cost volume; they are the reference the banded matcher is
 bit-identical to.
@@ -145,6 +147,24 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _map_ordered(fn, items):
+    """[fn(item) for item in items] on min(usable CPUs, len(items)) threads.
+
+    Results come back in item order; if items raise, the exception of the
+    first of them in item order is re-raised and items not yet started are
+    dropped. With one usable CPU this is the same map on one thread.
+    Callers give it independent units (row bands, batches) whose results do
+    not depend on which thread ran them, so output bytes do not depend on
+    the worker count. It lives with the matcher, its first user; `render`
+    and `groundtruth` call it too.
+    """
+    items = list(items)
+    if not items:
+        return []
+    with ThreadPoolExecutor(min(_usable_cpus(), len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def estimate_disparity(left_image, right_image,
                        max_disp=DEFAULT_MAX_DISPARITY, patch=3):
     """Full matcher pipeline on a rectified pair -> (disparity, confidence).
@@ -157,8 +177,9 @@ def estimate_disparity(left_image, right_image,
     slice and folds it into the running winner, the second-best cost and
     the winner's two parabola neighbours. Rows never mix and every step
     is element-wise, so the bands are independent and the result does not
-    depend on the band height or on how many bands run at once. Bands run
-    on one thread per usable CPU; numpy releases the GIL in each step.
+    depend on the band height or on how many bands run at once. Bands go
+    through `_map_ordered`, one thread per usable CPU; numpy releases the
+    GIL in each step.
     """
     # one (H, W, C) temporary at a time; channel planes are contiguous
     a = _channels_first(extract_features(left_image, patch))
@@ -177,10 +198,7 @@ def estimate_disparity(left_image, right_image,
         _match_band(a[:, rows], b[:, rows], max_disp,
                     disparity[rows], confidence[rows])
 
-    bands = range(0, h, _BAND_ROWS)
-    with ThreadPoolExecutor(min(_usable_cpus(), len(bands))) as pool:
-        for _ in pool.map(run, bands):  # re-raises a band's exception
-            pass
+    _map_ordered(run, range(0, h, _BAND_ROWS))
     return disparity, confidence
 
 

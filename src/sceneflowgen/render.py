@@ -23,9 +23,14 @@ Rasterization is batched array work rather than a loop over triangles:
 5. Interpolate attributes and sample textures once per covered pixel, for
    its winner only, in fixed-size batches grouped by material.
 
+Steps 4 and 5 run on every usable CPU through `match._map_ordered`, the
+one ordered map the matcher and the ground truth use too: the fragment
+batches are dealt to one z-buffer per worker and the z-buffers fold by the
+same minimum, and each shading batch writes its own pixels.
+
 The per-pixel arithmetic is the same float64 expression sequence a
 per-triangle loop would evaluate, so the passes do not depend on batch
-sizes or bucketing.
+sizes, bucketing or the number of workers.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import CameraIntrinsics, CameraPose
+from .match import _map_ordered, _usable_cpus
 from .scene import SceneSpec
 
 __all__ = ["FramePasses", "rasterize_frame"]
@@ -281,10 +287,30 @@ def _fragment_jobs(scr: _Screen):
 
 
 def _resolve_depth(scr: _Screen, w, h):
-    """Per-pixel z-buffer and the screen row of each pixel's winner."""
+    """Per-pixel z-buffer and the screen row of each pixel's winner.
+
+    The fragment batches are dealt round-robin into one share per worker
+    (`_map_ordered`); each share folds into its own pair, and the pairs
+    fold together by the same lexicographic minimum of (depth, draw
+    order), so the result does not depend on how the batches were dealt.
+    """
+    jobs = list(_fragment_jobs(scr))
+    n = max(1, min(_usable_cpus(), len(jobs)))
+    pairs = _map_ordered(lambda share: _fold_fragments(scr, share, w, h),
+                         [jobs[k::n] for k in range(n)])
+    zbuf, owner = pairs[0]
+    for z, o in pairs[1:]:
+        np.minimum(owner, o, out=owner, where=z == zbuf)
+        np.copyto(owner, o, where=z < zbuf)
+        np.minimum(zbuf, z, out=zbuf)
+    return zbuf, owner
+
+
+def _fold_fragments(scr: _Screen, jobs, w, h):
+    """Z-buffer and owner of the fragments of the given batches alone."""
     zbuf = np.full(h * w, np.inf)
     owner = np.full(h * w, _NO_OWNER, dtype=np.int64)
-    for tri, x0, bw, y0, bh in _fragment_jobs(scr):
+    for tri, x0, bw, y0, bh in jobs:
         gw, gh = int(bw.max()), int(bh.max())
         ox = np.arange(gw)
         oy = np.arange(gh)
@@ -327,7 +353,8 @@ def _resolve_depth(scr: _Screen, w, h):
 
 
 def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
-    """Interpolate attributes and sample textures for each pixel's winner.
+    """Interpolate attributes and sample textures for each pixel's winner,
+    in batches of one material that run through `_map_ordered`.
 
     `passes` holds the flattened rgb (P, 3), object and material index
     (P,) and position (P, 3) outputs, position slots None where absent.
@@ -342,32 +369,43 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     starts = np.flatnonzero(np.diff(material, prepend=-1))
     ends = np.append(starts[1:], len(material))
     aoz = scr.attr_over_z
+    batches = []
     for s, e in zip(starts, ends):
         texture = tris.textures[int(material[s])]
-        for c in range(s, e, _SHADE_BATCH):
-            p = pix[c:min(c + _SHADE_BATCH, e)]
-            r = row[c:min(c + _SHADE_BATCH, e)]
-            y, x = np.divmod(p, w)
-            px = (x + 0.5)[:, None]
-            py = (y + 0.5)[:, None]
-            lam = (scr.ex[r] * (py - scr.ay[r]) - scr.ey[r] * (px - scr.ax[r])) \
-                / scr.area[r, None]
-            depth = zbuf[p]
-            # perspective-correct attribute interpolation (attr/z affine in screen)
-            interp = aoz[0][r] * lam[:, 0, None]
-            interp += aoz[1][r] * lam[:, 1, None]
-            interp += aoz[2][r] * lam[:, 2, None]
-            interp *= depth[:, None]
-            interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
+        # on no points: a noise texture builds its lattice here, once,
+        # not in two workers at the same time
+        texture.sample(np.zeros((0, 2)))
+        batches += [(texture, material[s], slice(c, min(c + _SHADE_BATCH, e)))
+                    for c in range(s, e, _SHADE_BATCH)]
 
-            tri = scr.draw[r]
-            obj_idx[p] = tris.object_index[tri]
-            mat_idx[p] = material[s]
-            for k, dst in enumerate(positions):
-                if dst is not None:
-                    dst[p] = interp[:, 3 * k:3 * k + 3]
-            color = texture.sample(interp[:, 9:11]) * tris.shade[tri, None]
-            rgb[p] = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
+    def shade(batch):
+        texture, mat, sel = batch
+        p, r = pix[sel], row[sel]
+        y, x = np.divmod(p, w)
+        px = (x + 0.5)[:, None]
+        py = (y + 0.5)[:, None]
+        lam = (scr.ex[r] * (py - scr.ay[r]) - scr.ey[r] * (px - scr.ax[r])) \
+            / scr.area[r, None]
+        depth = zbuf[p]
+        # perspective-correct attribute interpolation (attr/z affine in screen)
+        interp = aoz[0][r] * lam[:, 0, None]
+        interp += aoz[1][r] * lam[:, 1, None]
+        interp += aoz[2][r] * lam[:, 2, None]
+        interp *= depth[:, None]
+        interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
+
+        tri = scr.draw[r]
+        obj_idx[p] = tris.object_index[tri]
+        mat_idx[p] = mat
+        for k, dst in enumerate(positions):
+            if dst is not None:
+                dst[p] = interp[:, 3 * k:3 * k + 3]
+        color = texture.sample(interp[:, 9:11]) * tris.shade[tri, None]
+        rgb[p] = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
+
+    # each covered pixel is in exactly one batch, so the batches write
+    # disjoint elements of the outputs
+    _map_ordered(shade, batches)
 
 
 def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:

@@ -14,7 +14,7 @@ from sceneflowgen.render import rasterize_frame
 
 from conftest import baseline_shift_scene, small_params
 from test_cli import tree_bytes
-from test_match import noise_box
+from test_match import noise_box, set_cpus
 from test_render import box_scene
 
 
@@ -216,18 +216,18 @@ def test_09_determinism(tmp_path, monkeypatch):
     args = ["generate", "--seed", "5", "--frames", "2", "--size", "64x48",
             "--n-objects", "2..3", "--n-background", "4", "--out", "ds"]
     trees = {}
-    for threads in ("1", "8"):
-        workdir = tmp_path / f"run-{threads}"
+    for cpus in (1, 2):
+        workdir = tmp_path / f"run-{cpus}"
         workdir.mkdir()
         monkeypatch.chdir(workdir)
-        monkeypatch.setenv("SFGEN_THREADS", threads)
+        set_cpus(monkeypatch, cpus)  # one worker per usable CPU
         assert main(args) == 0
-        trees[threads] = tree_bytes(workdir / "ds")
-    identical = trees["1"].keys() == trees["8"].keys() and all(
-        trees["1"][rel] == trees["8"][rel] for rel in trees["1"]
+        trees[cpus] = tree_bytes(workdir / "ds")
+    identical = trees[1].keys() == trees[2].keys() and all(
+        trees[1][rel] == trees[2][rel] for rel in trees[1]
     )
-    _report(9, "determinism across SFGEN_THREADS", identical,
-            f"{len(trees['1'])} files compared")
+    _report(9, "determinism across 1 and 2 usable CPUs", identical,
+            f"{len(trees[1])} files compared")
 
 
 def test_10_format_bijections():

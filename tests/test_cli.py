@@ -19,6 +19,7 @@ from sceneflowgen import formats
 from sceneflowgen.cli import main
 
 from test_formats import minimal_manifest
+from test_match import set_cpus
 
 
 GEN_ARGS = [
@@ -64,16 +65,18 @@ class TestGenerate:
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         trees = {}
-        for threads in ("1", "8"):
-            out = tmp_path / f"ds-{threads}"
-            monkeypatch.setenv("SFGEN_THREADS", threads)
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"ds-{cpus}"
+            # one render and ground-truth worker per usable CPU
+            set_cpus(monkeypatch, cpus)
             assert main(GEN_ARGS + ["--out", str(out)]) == 0
-            trees[threads] = tree_bytes(out)
-        assert trees["1"].keys() == trees["8"].keys()
-        for rel in trees["1"]:
-            if rel == "config.json":  # records the differing --out path
-                continue
-            assert trees["1"][rel] == trees["8"][rel], rel
+            trees[cpus] = tree_bytes(out)
+        for cpus in (2, 3):
+            assert trees[1].keys() == trees[cpus].keys()
+            for rel in trees[1]:
+                if rel == "config.json":  # records the differing --out path
+                    continue
+                assert trees[1][rel] == trees[cpus][rel], (cpus, rel)
 
     @pytest.mark.parametrize("n_objects", ["abc", "5", "1..2..3"])
     def test_bad_n_objects_exit_code(self, tmp_path, capsys, n_objects):
@@ -691,3 +694,19 @@ def test_only_generate_imports_scipy(tmp_path):
     assert without_scene == []
     assert "scipy.spatial.transform" in with_scene
     assert not any(m.startswith("scipy.ndimage") for m in with_scene)
+
+
+def test_generate_without_scipy_is_a_typed_error(tmp_path):
+    # every other command runs without scipy; generate builds rotations
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from sceneflowgen.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(sceneflowgen.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code, *GEN_ARGS, "--out", str(tmp_path / "ds")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith(
+        "error [ConfigurationError]: generate needs scipy for scene rotations")
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "ds").exists()

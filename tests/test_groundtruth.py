@@ -1,10 +1,14 @@
 import dataclasses
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
 from sceneflowgen import groundtruth as gt
@@ -12,6 +16,8 @@ from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryErro
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
 from conftest import make_passes
+from test_match import set_cpus
+from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
 RIG = StereoRig(CameraPose(), 1.0, INTR)
@@ -388,3 +394,149 @@ class TestDeriveFrame:
         last = gt.derive_frame(passes[(3, "left")], spec.rig)
         assert first.flow_bwd is None and first.dispchange_bwd is None
         assert last.flow_fwd is None and last.motion_boundaries is None
+
+
+GT_FIELDS = ("flow_fwd", "flow_bwd", "disparity", "dispchange_fwd",
+             "dispchange_bwd", "motion_boundaries", "occlusion_fwd", "valid")
+
+
+def whole_frame(passes, rig, passes_next):
+    """derive_frame's maps from the public functions on the whole frame."""
+    flow_fwd = gt.derive_flow(passes, "fwd")
+    return gt.GroundTruthFrame(
+        flow_fwd=flow_fwd,
+        flow_bwd=gt.derive_flow(passes, "bwd"),
+        disparity=gt.derive_disparity(passes, rig),
+        dispchange_fwd=gt.derive_disparity_change(passes, rig, "fwd"),
+        dispchange_bwd=gt.derive_disparity_change(passes, rig, "bwd"),
+        motion_boundaries=(gt.derive_motion_boundaries(passes, flow_fwd)
+                           if flow_fwd is not None else None),
+        occlusion_fwd=(gt.compute_occlusion_mask(passes, passes_next)
+                       if passes_next is not None else None),
+        valid=passes.valid,
+    )
+
+
+def assert_bands_match_whole_frame(passes, rig, passes_next):
+    """derive_frame equals the whole-frame maps byte for byte for band
+    heights of 1 row, 7 rows, H - 1, H and H + 5 rows, on 1 and 2 CPUs."""
+    ref = whole_frame(passes, rig, passes_next)
+    h = passes.depth.shape[0]
+    for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gt, "_BAND_ROWS", rows)
+                set_cpus(mp, cpus)
+                frame = gt.derive_frame(passes, rig, passes_next)
+            for name in GT_FIELDS:
+                a, b = getattr(frame, name), getattr(ref, name)
+                if b is None:
+                    assert a is None, (name, rows, cpus)
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), (name, rows, cpus)
+
+
+class TestBandedDeriveFrame:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_rendered_scene(self, rendered_scene, t):
+        spec, passes = rendered_scene
+        for view in ("left", "right"):
+            assert_bands_match_whole_frame(passes[(t, view)], spec.rig,
+                                           passes.get((t + 1, view)))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_void_and_moving_boxes(self, t):
+        # moving boxes in front of nothing, seen by a moving camera: NaN
+        # void around them, points leaving the image, occluders that move
+        spec = scene([
+            box((0, 0, 12.25), (3, 2, 0.5), 1, frames=3, end=(1.5, 0.5, 11)),
+            box((-1, 0.5, 8), (1, 1, 1), 2, frames=3, end=(2, 0, 7)),
+            box((2.5, -1, 9), (2, 0.3, 1), 3, frames=3,
+                rotation=Rotation.from_euler("z", 0.4)),
+        ], frames=3, camera_end=(0.6, -0.2, 0.4))
+        fp = sf.rasterize_frame(spec, t, "left")
+        fp_next = sf.rasterize_frame(spec, t + 1, "left") if t < 3 else None
+        assert np.isnan(fp.depth).any() and fp.valid.any()
+        assert_bands_match_whole_frame(fp, spec.rig, fp_next)
+
+    def test_hand_built_passes(self):
+        # rows of void and a single-row image
+        depth = np.full((5, 9), 10.0)
+        depth[1:3, 2:6] = np.nan
+        nxt = make_passes(np.full((5, 9), 12.0), INTR, t=2)
+        fp = make_passes(depth, INTR, pos3d_next=nxt.pos3d_t)
+        assert_bands_match_whole_frame(fp, RIG, nxt)
+        row = make_passes(np.array([[5.0, np.nan, 7.0]]), INTR)
+        assert_bands_match_whole_frame(row, RIG, None)
+
+    def test_bad_depth_in_any_band_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(gt, "_BAND_ROWS", 2)
+        set_cpus(monkeypatch, 2)
+        fp = make_passes(np.full((6, 4), 10.0), INTR)
+        fp.depth[5, 3] = -1.0
+        with pytest.raises(DataCorruptionError):
+            gt.derive_frame(fp, RIG)
+
+    def test_two_cpus_run_two_bands_at_once(self, rendered_scene, monkeypatch):
+        spec, passes = rendered_scene
+        monkeypatch.setattr(gt, "_BAND_ROWS", 8)
+        set_cpus(monkeypatch, 2)
+        # the first two bands each wait until the other has started
+        barrier = threading.Barrier(2, timeout=30)
+        threads = []
+        derive = gt.derive_disparity
+
+        def paired(*args):
+            if len(threads) < 2:
+                threads.append(threading.get_ident())
+                barrier.wait()
+            return derive(*args)
+
+        monkeypatch.setattr(gt, "derive_disparity", paired)
+        gt.derive_frame(passes[(2, "left")], spec.rig, passes[(3, "left")])
+        assert len(threads) == 2 and len(set(threads)) == 2
+        assert threading.get_ident() not in threads
+
+
+    def test_more_workers_than_cores(self, rendered_scene, monkeypatch):
+        # one-row bands on eight threads, switching as often as possible: a
+        # band that wrote outside its rows would show in the bytes
+        spec, passes = rendered_scene
+        fp, fp_next = passes[(2, "left")], passes[(3, "left")]
+        ref = whole_frame(fp, spec.rig, fp_next)
+        monkeypatch.setattr(gt, "_BAND_ROWS", 1)
+        set_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                frame = gt.derive_frame(fp, spec.rig, fp_next)
+                for name in GT_FIELDS:
+                    assert (getattr(frame, name).tobytes()
+                            == getattr(ref, name).tobytes()), name
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestDeriveFrameMemory:
+    def test_temporaries_are_band_sized(self, monkeypatch):
+        # bands of 8 rows at 240x135: the share of the frame that the
+        # default 32-row bands are at 960x540. Temporaries held above the
+        # inputs and the maps returned stay below one (H, W, 3) float64
+        # map; over the whole frame at once they took some 3.6 MB.
+        spec = sf.generate_flyingthings_scene(
+            42, sf.FlyingThingsParams(frames=3, width=240, height=135))
+        fp, fp_next = (sf.rasterize_frame(spec, t, "left") for t in (2, 3))
+        monkeypatch.setattr(gt, "_BAND_ROWS", 8, raising=False)
+        bound = 135 * 240 * 3 * 8
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                frame = gt.derive_frame(fp, spec.rig, fp_next)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = sum(getattr(frame, name).nbytes for name in GT_FIELDS)
+            assert peak - outputs < bound, (cpus, peak - outputs, bound)

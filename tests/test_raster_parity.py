@@ -3,6 +3,8 @@ plus pinned dataset digests and a memory bound."""
 
 import hashlib
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
+from sceneflowgen import render
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.cli import main
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
@@ -19,6 +22,7 @@ from sceneflowgen.trajectory import Trajectory
 
 from conftest import small_params
 from raster_oracle import oracle_rasterize_frame
+from test_match import set_cpus
 
 PASSES = ("rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next",
           "object_index", "material_index")
@@ -186,6 +190,111 @@ def test_tiny_images(size):
     intr = CameraIntrinsics.from_sensor(35, 32, w, h)
     assert_matches_oracle(scene([box((0, 0, 10.25), (4, 4, 0.5), 1),
                                  box((0.1, 0, 6.25), (0.5, 0.5, 0.5), 2)], intr))
+
+
+# The scenes of the tests above whose bytes hinge on how fragments and
+# pixels are split up: depth ties within a batch (identical boxes) and
+# across batches (coplanar faces of different sizes), near-plane clip
+# fans, and 1x1 and 4x4 images.
+WORKER_SCENES = {
+    "ties": lambda: scene([box((0, 0, 10.25), (4, 4, 0.5), 1),
+                           box((0, 0, 10.25), (4, 4, 0.5), 2),
+                           box((0.3, 0.2, 10.25), (1, 1, 0.5), 3)]),
+    "near-plane": lambda: scene([
+        box((0, 0, 30.25), (60, 60, 0.5), 1),
+        box((0.3, 0.2, 0.3), (1.0, 0.8, 1.0), 2, end=(0.1, 0.0, 0.6)),
+        box((-0.8, 0.5, 0.5), (0.6, 0.6, 2.0), 3,
+            rotation=Rotation.from_euler("xyz", [0.3, -0.4, 0.2])),
+    ]),
+    "1x1": lambda: sf.generate_flyingthings_scene(
+        5, small_params(width=1, height=1)),
+    "4x4": lambda: scene([box((0, 0, 10.25), (4, 4, 0.5), 1),
+                          box((0.1, 0, 6.25), (0.5, 0.5, 0.5), 2)],
+                         CameraIntrinsics.from_sensor(35, 32, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(WORKER_SCENES))
+def test_worker_count_does_not_change_bytes(monkeypatch, name, workers):
+    # small batches, so every worker gets several fragment batches and
+    # several shading batches
+    monkeypatch.setattr(render, "_FRAGMENT_BATCH", 256)
+    monkeypatch.setattr(render, "_SHADE_BATCH", 64)
+    set_cpus(monkeypatch, workers)
+    shares = []
+    fold = render._fold_fragments
+
+    def counted(scr, jobs, w, h):
+        shares.append(len(jobs))
+        return fold(scr, jobs, w, h)
+
+    monkeypatch.setattr(render, "_fold_fragments", counted)
+    spec = WORKER_SCENES[name]()
+    assert_matches_oracle(spec, times=[1])
+    if min(spec.rig.intrinsics.image_size) > 1:
+        # one share per worker for each view, none of them empty
+        assert len(shares) == 2 * workers and min(shares) > 0, shares
+
+
+def test_more_workers_than_cores(monkeypatch):
+    # eight workers on the tie scene, switching as often as possible: a
+    # lost z-buffer fold or a shading batch that wrote outside its pixels
+    # would show in the bytes
+    monkeypatch.setattr(render, "_FRAGMENT_BATCH", 64)
+    monkeypatch.setattr(render, "_SHADE_BATCH", 16)
+    set_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_matches_oracle(WORKER_SCENES["ties"](), times=[1],
+                                  views=("left",))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class PairedTexture(Texture):
+    """A texture whose first two samples of pixels wait for each other."""
+
+    def __init__(self, *args, barrier, threads, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_paired", (barrier, threads))
+
+    def sample(self, uv):
+        barrier, threads = self._paired
+        if len(uv) and len(threads) < 2:
+            threads.append(threading.get_ident())
+            barrier.wait()
+        return super().sample(uv)
+
+
+def test_two_cpus_render_two_units_at_once(monkeypatch):
+    # each of the two z-buffer shares, and the first two shading batches,
+    # wait until another one has started alongside it
+    monkeypatch.setattr(render, "_FRAGMENT_BATCH", 256)
+    monkeypatch.setattr(render, "_SHADE_BATCH", 64)
+    set_cpus(monkeypatch, 2)
+    fold_barrier, shade_barrier = (threading.Barrier(2, timeout=30)
+                                   for _ in range(2))
+    fold_threads, shade_threads = [], []
+    fold = render._fold_fragments
+
+    def paired_fold(*args):
+        fold_threads.append(threading.get_ident())
+        fold_barrier.wait()
+        return fold(*args)
+
+    monkeypatch.setattr(render, "_fold_fragments", paired_fold)
+    obj = box((0, 0, 10.25), (4, 4, 0.5), 1)
+    texture = PairedTexture("checker", {"scale": 4.0}, barrier=shade_barrier,
+                            threads=shade_threads)
+    obj.materials[1] = texture
+    fp = rasterize_frame(scene([obj]), 1, "left")
+    assert fp.valid.sum() > 2 * render._SHADE_BATCH
+    for threads in (fold_threads, shade_threads):
+        assert len(threads) == 2 and len(set(threads)) == 2
+        assert threading.get_ident() not in threads
 
 
 # SHA-256 over manifest.json and every file it lists, in manifest order,
