@@ -48,6 +48,23 @@ class TestExtractFeatures:
         with pytest.raises(ContractError):
             match.extract_features(np.zeros((2, 2, 2, 2)))
 
+    @pytest.mark.parametrize("patch", [1, 2, 3, 4, 5, 9, 13])
+    def test_equals_channels_last_reductions(self, patch):
+        # the features as numpy's mean and norm over a channels-last stack,
+        # to the bit, zero signs included; patch 13 has 169 > 128 channels
+        img = textured_image(12, 17, seed=patch)
+        img[:, :6] = 7.0  # textureless patches
+        r = patch // 2
+        padded = np.pad(img, r, mode="edge")
+        ref = np.stack([padded[dy:dy + 12, dx:dx + 17]
+                        for dy in range(patch) for dx in range(patch)], axis=-1)
+        ref -= ref.mean(axis=-1, keepdims=True)
+        norm = np.linalg.norm(ref, axis=-1, keepdims=True)
+        ref /= np.where(norm > 0, norm, 1.0)
+        feats = match.extract_features(img, patch)
+        assert feats.shape == ref.shape
+        assert np.ascontiguousarray(feats).tobytes() == ref.tobytes()
+
 
 class TestCorrelate1d:
     def test_dot_product_example(self):
@@ -255,6 +272,43 @@ class TestStreamingMatchesVolume:
         right = rasterize_frame(spec, 1, "right")
         assert_matches_volume(left.rgb, right.rgb, max_disp=32, patch=9)
 
+    # A band is one flat run of rows * W pixels, so the cost at d of a pixel
+    # with x < d would read the right image's previous row; these pairs make
+    # such a wrapped product win wherever it is not masked.
+    @pytest.mark.parametrize("h, w", [(9, 5), (12, 16), (20, 3)])
+    def test_max_disp_equal_to_width(self, h, w):
+        left = textured_image(h, w, seed=w)
+        assert_matches_volume(left, textured_image(h, w, seed=w + 1), w)
+        assert_matches_volume(left, np.roll(left, -1, axis=1), w)
+
+    def test_texture_across_the_row_seam(self):
+        # the right image's last columns hold the left image's first
+        # columns one row up: a wrapped cost at d = k matches them exactly,
+        # while every valid cost there meets a flat right image
+        h, w, k = 12, 40, 8
+        left = np.full((h, w), 90.0)
+        left[:, :k] = textured_image(h, k, seed=4)
+        right = np.full((h, w), 90.0)
+        right[:-1, w - k:] = left[1:, :k]
+        est, _ = assert_matches_volume(left, right, max_disp=k + 4)
+        assert (est[:, :k] < k - 0.5).all()
+
+    def test_one_pixel_wide(self):
+        left = textured_image(11, 1, seed=5)
+        assert_matches_volume(left, textured_image(11, 1, seed=6), 1)
+        assert_matches_volume(left, left, 1)
+
+    def test_textureless_rows_between_textured_rows(self):
+        # stripes of four rows: the flat stripes' costs are all 0, so any
+        # wrapped cost from the textured stripe above would win there
+        left = textured_image(24, 30, seed=7)
+        for y in range(0, 24, 8):
+            left[y:y + 4] = 50.0
+        right = np.roll(left, -3, axis=1)
+        est, conf = assert_matches_volume(left, right, max_disp=12)
+        flat = [y for y in range(24) if y % 8 in (1, 2)]
+        assert (est[flat] == 0).all() and (conf[flat] == 0).all()
+
     @pytest.mark.parametrize("h", [1, 2, 5])
     def test_images_shorter_than_one_band(self, h):
         assert h < match._BAND_ROWS
@@ -329,6 +383,14 @@ class TestMatcherMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_below_one_feature_map(self, monkeypatch, cpus):
+        # bands of 8 of 64 rows: each band builds the features of its own
+        # rows, so the bands in flight never hold one image's features
+        monkeypatch.setattr(match, "_BAND_ROWS", 8)
+        set_cpus(monkeypatch, cpus)
+        assert self.traced_peak(16) < self.H * self.W * 9 * 8
 
     def test_peak_independent_of_disparity_range(self):
         small, large = self.traced_peak(16), self.traced_peak(128)
