@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, groundtruth, metrics, pipeline, viz
-from .errors import ConfigurationError, ContractError, ParseError, SceneFlowError
+from .errors import ContractError, ParseError, SceneFlowError
 from .match import DEFAULT_MAX_DISPARITY, estimate_disparity
 from .scene import (
     DEFAULT_BASELINE, DEFAULT_FOCAL_MM, DEFAULT_HEIGHT, DEFAULT_SENSOR_MM,
@@ -51,18 +51,7 @@ def _write_config_log(out_dir, config):
         (json.dumps(config, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _require_scipy():
-    """Scenes are built with scipy's rotations, the one dependency only
-    `generate` has: without it, a typed error rather than a traceback."""
-    try:
-        import scipy.spatial.transform  # noqa: F401
-    except ImportError as e:
-        raise ConfigurationError(
-            f"generate needs scipy for scene rotations: {e}") from None
-
-
 def cmd_generate(args):
-    _require_scipy()
     w, h = _parse_size(args.size)
     if args.preset == "flyingthings":
         params = FlyingThingsParams(

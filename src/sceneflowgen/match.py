@@ -39,13 +39,23 @@ DEFAULT_MAX_DISPARITY = 160  # hypotheses at full resolution for 960-wide input
 _BAND_ROWS = 32
 
 
+_LUMA = np.array([0.299, 0.587, 0.114])
+
+
 def _to_gray(image):
-    a = np.asarray(image, dtype=np.float64)
-    if a.ndim == 3:
-        a = a @ np.array([0.299, 0.587, 0.114])
-    if a.ndim != 2:
+    """float64 (H, W) luminance. RGB converts one band of rows at a time,
+    so no float64 copy of the whole (H, W, 3) image exists; each row is
+    the same matrix-vector product as on the whole image."""
+    a = np.asarray(image)
+    if a.ndim == 2:
+        return a.astype(np.float64, copy=False)
+    if a.ndim != 3 or a.shape[2] != 3:
         raise ContractError(f"expected HxW or HxWx3 image, got shape {a.shape}")
-    return a
+    gray = np.empty(a.shape[:2])
+    for y in range(0, len(a), _BAND_ROWS):
+        np.matmul(a[y:y + _BAND_ROWS].astype(np.float64), _LUMA,
+                  out=gray[y:y + _BAND_ROWS])
+    return gray
 
 
 def extract_features(image, patch=3) -> np.ndarray:

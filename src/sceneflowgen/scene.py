@@ -1,25 +1,23 @@
 """Seeded procedural scene construction: randomized flying-object scenes
 and a street-driving preset, with deterministic per-object RNG streams.
 
-Rotations come from scipy.spatial.transform, which the functions that
-make scenes import when they run: reading a dataset or matching images
-never loads it."""
+Rotations are (x, y, z, w) unit quaternions built with the numpy
+helpers of `trajectory`."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assets import Mesh, Texture, primitive_mesh
 from .errors import ConfigurationError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
-from .trajectory import IDENTITY_QUAT, Trajectory
-
-if TYPE_CHECKING:
-    from scipy.spatial.transform import Rotation
+from .trajectory import (
+    IDENTITY_QUAT, Trajectory, quat_compose, quat_from_euler, quat_from_rotvec,
+    quat_normalize,
+)
 
 __all__ = [
     "ObjectInstance", "SceneSpec", "FlyingThingsParams", "DrivingParams",
@@ -84,8 +82,8 @@ class ObjectInstance:
         key = float(t)
         pose = self._poses.get(key)
         if pose is None:
-            pos, rot = self.trajectory.evaluate(key)
-            pose = (rot.as_matrix(), pos)
+            pos, r = self.trajectory.evaluate(key)
+            pose = (r, pos)
             for a in pose:
                 a.flags.writeable = False
             self._poses[key] = pose
@@ -143,8 +141,8 @@ class SceneSpec:
 
     def camera_pose(self, t, view="left") -> CameraPose:
         """World -> camera pose of one rig view at frame time t."""
-        center, rot = self.rig_trajectory.evaluate(t)
-        r_wc = rot.as_matrix().T
+        center, r_cw = self.rig_trajectory.evaluate(t)
+        r_wc = r_cw.T
         pose = CameraPose(r_wc, -r_wc @ center)
         if view == "left":
             return pose
@@ -227,11 +225,9 @@ def _random_texture(rng, tag):
     return Texture(kind=kind, params=params, asset_id=f"tex:{tag}")
 
 
-def _random_rotation(rng) -> Rotation:
-    from scipy.spatial.transform import Rotation
-
+def _random_quaternion(rng) -> np.ndarray:
     q = rng.normal(size=4)
-    return Rotation.from_quat(q / np.linalg.norm(q))
+    return quat_normalize(q / np.linalg.norm(q))
 
 
 def _textured_object(rng, tag, mesh, scale, trajectory, object_index):
@@ -267,8 +263,6 @@ def _shell_object(rng, frames, object_index, radius=220.0):
 
 
 def _camera_trajectory(rng, frames, motion_scale) -> Trajectory:
-    from scipy.spatial.transform import Rotation
-
     n_key = 4 if frames > 2 else 2
     times = np.linspace(1.0, float(frames), n_key)
     positions = []
@@ -280,7 +274,7 @@ def _camera_trajectory(rng, frames, motion_scale) -> Trajectory:
         pos = pos + step
         yaw = rng.uniform(-0.03, 0.03) * motion_scale
         pitch = rng.uniform(-0.02, 0.02) * motion_scale
-        quats.append(Rotation.from_euler("yx", [yaw, pitch]).as_quat())
+        quats.append(quat_from_euler("yx", [yaw, pitch]))
     if motion_scale == 0.0:
         positions = [positions[0]] * n_key
         quats = [IDENTITY_QUAT] * n_key
@@ -291,8 +285,6 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
     """Randomized scene of textured primitives flying through the view of a
     slowly moving stereo rig, on a textured ground plane with static
     background clutter."""
-    from scipy.spatial.transform import Rotation
-
     p = params or FlyingThingsParams()
     lo, hi = p.n_objects_range
     if not (1 <= lo <= hi <= 100):
@@ -322,8 +314,8 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         x = rng.uniform(-45.0, 45.0)
         z = rng.uniform(4.0, 75.0)
         y = _GROUND_Y - scale[1] / 2.0
-        rot = Rotation.from_euler("y", rng.uniform(0, 2 * np.pi))
-        traj = Trajectory.static((x, y, z), rot, t0=1.0, t1=float(p.frames))
+        q = quat_from_euler("y", rng.uniform(0, 2 * np.pi))
+        traj = Trajectory.static((x, y, z), q, t0=1.0, t1=float(p.frames))
         background.append(_textured_object(
             rng, f"bg:{seed}:{i}", mesh, scale, traj, next_index))
         next_index += 1
@@ -339,7 +331,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         if p.static:
             traj = Trajectory.static(
                 _frustum_point(rng, rig_traj, intr, 1.0),
-                _random_rotation(rng), t0=1.0, t1=float(p.frames),
+                _random_quaternion(rng), t0=1.0, t1=float(p.frames),
             )
         else:
             traj = _foreground_trajectory(rng, rig_traj, intr, p.frames)
@@ -365,8 +357,6 @@ def _foreground_trajectory(rng, rig_traj, intr, frames) -> Trajectory:
     depth range; rotation accumulates in small random increments. These
     magnitudes are generator defaults, recorded in the manifest.
     """
-    from scipy.spatial.transform import Rotation
-
     n_key = int(rng.integers(3, 7))
     times = np.linspace(1.0, float(frames), n_key)
     depth_span = _DEPTH_RANGE[1] - _DEPTH_RANGE[0] + 15.0
@@ -384,21 +374,19 @@ def _foreground_trajectory(rng, rig_traj, intr, frames) -> Trajectory:
                 break
         positions.append(point if point is not None
                          else _frustum_point(rng, rig_traj, intr, times[i]))
-    rot = _random_rotation(rng)
-    quats = [rot.as_quat()]
+    quats = [_random_quaternion(rng)]
     for i in range(1, n_key):
         dt = times[i] - times[i - 1]
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, 0.12) * dt
-        rot = Rotation.from_rotvec(axis * angle) * rot
-        quats.append(rot.as_quat())
+        quats.append(quat_compose(quat_from_rotvec(axis * angle), quats[-1]))
     return Trajectory(times, np.array(positions), np.array(quats))
 
 
 def _in_frustum(point, rig_traj, intr, t, margin=0.1):
-    center, rot = rig_traj.evaluate(t)
-    p_cam = rot.as_matrix().T @ (np.asarray(point) - center)
+    center, r_cw = rig_traj.evaluate(t)
+    p_cam = r_cw.T @ (np.asarray(point) - center)
     if p_cam[2] < 2.0:
         return False
     w, h = intr.image_size
@@ -415,8 +403,8 @@ def _frustum_point(rng, rig_traj, intr, t):
     v = rng.uniform(margin_v, h - margin_v)
     z = rng.uniform(*_DEPTH_RANGE)
     p_cam = unproject(np.array([u, v]), z, intr)
-    center, rot = rig_traj.evaluate(t)
-    return rot.as_matrix() @ p_cam + center
+    center, r_cw = rig_traj.evaluate(t)
+    return r_cw @ p_cam + center
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -655,20 +656,19 @@ from sceneflowgen.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-argvs, generate = json.loads(sys.argv[1])
-for argv in argvs:
+loaded = {"import sceneflowgen": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print("scipy modules:", json.dumps(scipy_modules()))
-assert main(generate) == 0, generate
-print("scipy modules:", json.dumps(scipy_modules()))
+    loaded[argv[0]] = scipy_modules()
+print("scipy modules:", json.dumps(loaded))
 """
 
 
-def test_only_generate_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     ds, out = tmp_path / "ds", tmp_path / "est"
-    assert main(GEN_ARGS + ["--out", str(ds)]) == 0
     scene = ds / "flyingthings-5"
     argvs = [
+        GEN_ARGS + ["--out", str(ds)],
         ["estimate", str(scene / "rgb/0001_L.ppm"),
          str(scene / "rgb/0001_R.ppm"), "--max-disp", "16",
          "--out", str(out / "disparity.pfm")],
@@ -681,32 +681,43 @@ def test_only_generate_imports_scipy(tmp_path):
         ["visualize", str(out / "disparity.pfm"),
          "--out", str(out / "disparity.ppm")],
     ]
-    generate = GEN_ARGS + ["--out", str(tmp_path / "gen")]
     src = str(Path(sceneflowgen.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, json.dumps([argvs, generate])],
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    without_scene, with_scene = (
-        json.loads(line.split(":", 1)[1]) for line in run.stdout.splitlines()
-        if line.startswith("scipy modules:"))
-    assert without_scene == []
-    assert "scipy.spatial.transform" in with_scene
-    assert not any(m.startswith("scipy.ndimage") for m in with_scene)
+    loaded, = (json.loads(line.split(":", 1)[1]) for line in run.stdout.splitlines()
+               if line.startswith("scipy modules:"))
+    assert loaded == dict.fromkeys(
+        ["import sceneflowgen", "generate", "estimate", "evaluate", "derive",
+         "inspect", "visualize"], [])
 
 
-def test_generate_without_scipy_is_a_typed_error(tmp_path):
-    # every other command runs without scipy; generate builds rotations
+def test_generate_without_scipy_writes_the_same_bytes(tmp_path):
+    from test_pipeline import GENERATE_64X48_DIGEST  # imports this module
+
+    # sys.modules['scipy'] = None makes any scipy import fail
     code = ("import sys; sys.modules['scipy'] = None; "
             "from sceneflowgen.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["generate", "--seed", "1", "--frames", "3", "--size", "64x48"]
     src = str(Path(sceneflowgen.__file__).parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", code, *GEN_ARGS, "--out", str(tmp_path / "ds")],
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "noscipy")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120)
-    assert run.returncode == 1, run.stderr
-    assert run.stderr.startswith(
-        "error [ConfigurationError]: generate needs scipy for scene rotations")
-    assert "Traceback" not in run.stderr
-    assert not (tmp_path / "ds").exists()
+    assert run.returncode == 0, run.stderr
+    assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
+    files = {p.relative_to(tmp_path / "ds") for p in (tmp_path / "ds").rglob("*")
+             if p.is_file() and p.name != "config.json"}
+    assert files == {p.relative_to(tmp_path / "noscipy")
+                     for p in (tmp_path / "noscipy").rglob("*")
+                     if p.is_file() and p.name != "config.json"}
+    assert len(files) == 69  # 68 maps of 3 frames and 2 views, the manifest
+    for rel in sorted(files):
+        assert (tmp_path / "noscipy" / rel).read_bytes() == \
+            (tmp_path / "ds" / rel).read_bytes(), rel
+    digest = hashlib.sha256()
+    for rel in sorted(files):
+        digest.update(str(rel).encode() + b"\0" + (tmp_path / "noscipy" / rel).read_bytes())
+    assert digest.hexdigest() == GENERATE_64X48_DIGEST

@@ -47,6 +47,23 @@ class TestExtractFeatures:
     def test_bad_shape(self):
         with pytest.raises(ContractError):
             match.extract_features(np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ContractError):
+            match.extract_features(np.zeros((4, 4, 4), dtype=np.uint8))
+
+    def test_rgb_gray_bytes_and_peak(self):
+        # luminance band by band: the bytes of the whole-image product, and
+        # a peak below one float64 copy of the RGB image
+        h, w = 540, 96
+        rgb = np.random.default_rng(3).integers(0, 256, (h, w, 3), dtype=np.uint8)
+        ref = rgb.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+        tracemalloc.start()
+        try:
+            gray = match._to_gray(rgb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gray.tobytes() == ref.tobytes()
+        assert peak < h * w * 3 * 8
 
     @pytest.mark.parametrize("patch", [1, 2, 3, 4, 5, 9, 13])
     def test_equals_channels_last_reductions(self, patch):

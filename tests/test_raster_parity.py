@@ -18,7 +18,7 @@ from sceneflowgen.cli import main
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 from sceneflowgen.render import NEAR_PLANE, _clip_near, rasterize_frame
 from sceneflowgen.scene import DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec
-from sceneflowgen.trajectory import Trajectory
+from sceneflowgen.trajectory import IDENTITY_QUAT, Trajectory
 
 from conftest import small_params
 from raster_oracle import oracle_rasterize_frame
@@ -40,11 +40,10 @@ def box(center, scale, index, frames=2, end=None, rotation=None, materials=1):
     """Cuboid object; `end` moves it linearly to another center by the
     last frame, `materials` > 1 alternates textures over its triangles."""
     mesh = make_cuboid()
-    rot = rotation or Rotation.identity()
+    q = IDENTITY_QUAT if rotation is None else rotation.as_quat()
     if end is None:
-        traj = Trajectory.static(center, rot, t0=1.0, t1=float(frames))
+        traj = Trajectory.static(center, q, t0=1.0, t1=float(frames))
     else:
-        q = rot.as_quat()
         traj = Trajectory(np.array([1.0, float(frames)]),
                           np.array([center, end], dtype=np.float64),
                           np.array([q, q]))
