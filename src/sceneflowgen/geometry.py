@@ -41,6 +41,10 @@ class CameraIntrinsics:
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise GeometryError(f"image size must be positive, got {w}x{h}")
+        if not all(map(math.isfinite, (self.focal_px, self.focal_mm,
+                                       self.sensor_width_mm,
+                                       *self.principal_point))):
+            raise GeometryError(f"camera values must be finite, got {self}")
         if self.focal_px <= 0:
             raise GeometryError(f"focal_px must be positive, got {self.focal_px}")
         expected = self.focal_mm / self.sensor_width_mm * w
@@ -150,8 +154,9 @@ class StereoRig:
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
-        if self.baseline <= 0:
-            raise GeometryError(f"baseline must be positive, got {self.baseline}")
+        if not (math.isfinite(self.baseline) and self.baseline > 0):
+            raise GeometryError(
+                f"baseline must be finite and positive, got {self.baseline}")
 
     @property
     def right(self):
@@ -159,13 +164,6 @@ class StereoRig:
         # p_right = R p_world + t - (b, 0, 0)
         t = self.left.translation - np.array([self.baseline, 0.0, 0.0])
         return CameraPose(self.left.rotation, t)
-
-    def pose(self, view):
-        if view == "left":
-            return self.left
-        if view == "right":
-            return self.right
-        raise GeometryError(f"unknown view {view!r}")
 
     def to_dict(self):
         return {

@@ -3,10 +3,8 @@ bidirectional optical flow, disparity, disparity change, motion
 boundaries, occlusion masks, and 3D scene-flow reconstruction from the
 (flow, disparity, disparity change) components.
 
-`derive_frame` runs the per-pixel maps on bands of rows through
-`match._map_ordered`, the one ordered map the rasterizer and the matcher
-use too, so they run on every usable CPU with band-sized temporaries and
-the same bytes for every worker count.
+`derive_frame` runs the per-pixel maps on the row bands of `_parallel`,
+through its thread map, with band-sized temporaries.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -19,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import bands, map_ordered
 from .errors import ContractError, DataCorruptionError, GeometryError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
-from .match import _map_ordered
 from .render import FramePasses
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
 
 MOTION_DIFF_THRESHOLD_PX = 1.5
 MIN_BOUNDARY_AREA_PX = 10
-_BAND_ROWS = 32  # rows per band of `derive_frame`
 
 
 @dataclass
@@ -343,9 +340,8 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     """All per-view ground-truth maps for one rendered frame.
 
     Flow, disparity, disparity change and occlusion are per pixel, so they
-    run on bands of `_BAND_ROWS` rows through `match._map_ordered`, the one
-    ordered map the matcher and the rasterizer use too; each band writes
-    its rows of the full maps, and temporaries are the size of a band.
+    run on the bands of `_parallel.bands`; each band writes its rows of
+    the full maps, and temporaries are the size of a band.
     What a band cannot see is taken over the whole view: the occlusion
     eps comes from the median depth of the frame, and the occlusion test
     samples the whole next frame. Motion boundaries pair pixels across
@@ -368,8 +364,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     )
     eps = _occlusion_eps(passes.depth) if passes_next is not None else None
 
-    def band(y):
-        rows = slice(y, y + _BAND_ROWS)
+    def band(rows):
         part = _band(passes, rows)
         frame.disparity[rows] = derive_disparity(part, rig)
         for direction, flow, dispchange in (
@@ -382,7 +377,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             frame.occlusion_fwd[rows] = compute_occlusion_mask(
                 part, passes_next, eps=eps)
 
-    _map_ordered(band, range(0, h, _BAND_ROWS))
+    map_ordered(band, bands(h))
     if fwd:
         frame.motion_boundaries = derive_motion_boundaries(passes, frame.flow_fwd)
     return frame

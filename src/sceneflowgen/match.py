@@ -4,28 +4,22 @@ winner-take-all with parabola sub-pixel refinement.
 
 `estimate_disparity` streams over disparities and keeps only per-pixel
 state, so its memory does not grow with the disparity range. It runs the
-stream on bands of rows through `_map_ordered`, the one ordered map over
-independent units that the rasterizer and the ground-truth derivation
-use too. Each band builds the features of its own rows of both images
-(`_features`, the one feature path, which `extract_features` runs on all
-rows), so the features of a whole image never exist, and matches them as
-one flat run of rows * W pixels: every step for a disparity d is a numpy
-ufunc on contiguous 1-D slices, with the costs that wrap into the row
-above masked before they are read. Rows are independent and every step
-is element-wise and releases the GIL, so a band's state stays in cache
-and the bands scale across cores without changing a bit of the result,
-whatever the worker count. `correlate_1d`, `wta_disparity` and
+stream on the row bands of `_parallel`, through its thread map. Each
+band builds the features of its own rows of both images (`_features`,
+the one feature path, which `extract_features` runs on all rows), so the
+features of a whole image never exist, and matches them as one flat run
+of rows * W pixels: every step for a disparity d is a numpy ufunc on
+contiguous 1-D slices, with the costs that wrap into the row above
+masked before they are read. `correlate_1d`, `wta_disparity` and
 `subpixel_refine` build and consume the full (H, W, D) cost volume; they
 are the reference the banded matcher is bit-identical to.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+from ._parallel import bands, map_ordered
 from .errors import ContractError
 
 __all__ = [
@@ -34,9 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DISPARITY = 160  # hypotheses at full resolution for 960-wide input
-# rows per band: a band's features and (band * W) state stay in cache, and
-# the bands in flight hold far less than one frame's features
-_BAND_ROWS = 32
 
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -52,9 +43,8 @@ def _to_gray(image):
     if a.ndim != 3 or a.shape[2] != 3:
         raise ContractError(f"expected HxW or HxWx3 image, got shape {a.shape}")
     gray = np.empty(a.shape[:2])
-    for y in range(0, len(a), _BAND_ROWS):
-        np.matmul(a[y:y + _BAND_ROWS].astype(np.float64), _LUMA,
-                  out=gray[y:y + _BAND_ROWS])
+    for rows in bands(len(a)):
+        np.matmul(a[rows].astype(np.float64), _LUMA, out=gray[rows])
     return gray
 
 
@@ -205,32 +195,6 @@ def _parabola_refine(disp, c0, c1, c2, n_d):
     return disp.astype(np.float64) + offset
 
 
-def _usable_cpus():
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_ordered(fn, items):
-    """[fn(item) for item in items] on min(usable CPUs, len(items)) threads.
-
-    Results come back in item order; if items raise, the exception of the
-    first of them in item order is re-raised and items not yet started are
-    dropped. With one usable CPU this is the same map on one thread.
-    Callers give it independent units (row bands, batches) whose results do
-    not depend on which thread ran them, so output bytes do not depend on
-    the worker count. It lives with the matcher, its first user; `render`
-    and `groundtruth` call it too.
-    """
-    items = list(items)
-    if not items:
-        return []
-    with ThreadPoolExecutor(min(_usable_cpus(), len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def estimate_disparity(left_image, right_image,
                        max_disp=DEFAULT_MAX_DISPARITY, patch=3):
     """Full matcher pipeline on a rectified pair -> (disparity, confidence).
@@ -239,15 +203,14 @@ def estimate_disparity(left_image, right_image,
     of ``disp, confidence = wta_disparity(cv)`` with
     ``cv = correlate_1d(features(left), features(right), max_disp)``, but
     neither the cost volume nor the features of a whole image are ever
-    built. The rows are cut into bands of ``_BAND_ROWS``; each band builds
-    the features of its rows of both images, then one loop over d fills a
-    (band, W) cost slice and folds it into the running winner, the
-    second-best cost and the winner's two parabola neighbours. Rows never
-    mix and every step is element-wise, so the bands are independent and
-    the result does not depend on the band height or on how many bands run
-    at once. Bands go through `_map_ordered`, one thread per usable CPU;
-    numpy releases the GIL in each step. Memory is the two gray images,
-    the two output maps and, per running band, its features and state.
+    built. Each band of `_parallel.bands` builds the features of its rows
+    of both images, then one loop over d fills a (band, W) cost slice and
+    folds it into the running winner, the second-best cost and the
+    winner's two parabola neighbours. Rows never mix and every step is
+    element-wise, so the bands are independent and the result does not
+    depend on the band height or on how many bands run at once (see
+    `_parallel`). Memory is the two gray images, the two output maps and,
+    per running band, its features and state.
     """
     left, right = _to_gray(left_image), _to_gray(right_image)
     if left.shape != right.shape:
@@ -259,12 +222,11 @@ def estimate_disparity(left_image, right_image,
     disparity = np.empty((h, w))
     confidence = np.empty((h, w))
 
-    def run(y):
-        rows = slice(y, y + _BAND_ROWS)
-        _match_band(left, right, y, patch, max_disp,
+    def run(rows):
+        _match_band(left, right, rows.start, patch, max_disp,
                     disparity[rows], confidence[rows])
 
-    _map_ordered(run, range(0, h, _BAND_ROWS))
+    map_ordered(run, bands(h))
     return disparity, confidence
 
 

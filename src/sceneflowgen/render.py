@@ -23,10 +23,9 @@ Rasterization is batched array work rather than a loop over triangles:
 5. Interpolate attributes and sample textures once per covered pixel, for
    its winner only, in fixed-size batches grouped by material.
 
-Steps 4 and 5 run on every usable CPU through `match._map_ordered`, the
-one ordered map the matcher and the ground truth use too: the fragment
-batches are dealt to one z-buffer per worker and the z-buffers fold by the
-same minimum, and each shading batch writes its own pixels.
+Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
+are dealt to one z-buffer per worker and the z-buffers fold by the same
+minimum, and each shading batch writes its own pixels.
 
 The per-pixel arithmetic is the same float64 expression sequence a
 per-triangle loop would evaluate, so the passes do not depend on batch
@@ -39,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_ordered, map_shares
 from .errors import ContractError
 from .geometry import CameraIntrinsics, CameraPose
-from .match import _map_ordered, _usable_cpus
 from .scene import SceneSpec
 
 __all__ = ["FramePasses", "rasterize_frame"]
@@ -290,14 +289,12 @@ def _resolve_depth(scr: _Screen, w, h):
     """Per-pixel z-buffer and the screen row of each pixel's winner.
 
     The fragment batches are dealt round-robin into one share per worker
-    (`_map_ordered`); each share folds into its own pair, and the pairs
+    (`map_shares`); each share folds into its own pair, and the pairs
     fold together by the same lexicographic minimum of (depth, draw
     order), so the result does not depend on how the batches were dealt.
     """
-    jobs = list(_fragment_jobs(scr))
-    n = max(1, min(_usable_cpus(), len(jobs)))
-    pairs = _map_ordered(lambda share: _fold_fragments(scr, share, w, h),
-                         [jobs[k::n] for k in range(n)])
+    pairs = map_shares(lambda share: _fold_fragments(scr, share, w, h),
+                       _fragment_jobs(scr))
     zbuf, owner = pairs[0]
     for z, o in pairs[1:]:
         np.minimum(owner, o, out=owner, where=z == zbuf)
@@ -354,7 +351,7 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
 
 def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
-    in batches of one material that run through `_map_ordered`.
+    in batches of one material that run through `map_ordered`.
 
     `passes` holds the flattened rgb (P, 3), object and material index
     (P,) and position (P, 3) outputs, position slots None where absent.
@@ -405,7 +402,7 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
 
     # each covered pixel is in exactly one batch, so the batches write
     # disjoint elements of the outputs
-    _map_ordered(shade, batches)
+    map_ordered(shade, batches)
 
 
 def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:

@@ -6,6 +6,7 @@ helpers of `trajectory`."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
@@ -185,18 +186,9 @@ class FlyingThingsParams:
     static: bool = False  # freeze all trajectories (debug scenes)
 
     def to_dict(self):
-        return {
-            "n_objects_range": list(self.n_objects_range),
-            "n_background": self.n_background,
-            "frames": self.frames,
-            "width": self.width,
-            "height": self.height,
-            "focal_mm": self.focal_mm,
-            "sensor_width_mm": self.sensor_width_mm,
-            "baseline": self.baseline,
-            "camera_motion": self.camera_motion,
-            "static": self.static,
-        }
+        # a list, not a tuple: `_jsonable` turns tuples into floats
+        return {**dataclasses.asdict(self),
+                "n_objects_range": list(self.n_objects_range)}
 
 
 _GROUND_Y = 4.0  # ground level (camera looks +Z, +Y is down)
@@ -423,13 +415,7 @@ class DrivingParams:
     speed: float = 1.2  # camera forward units per frame
 
     def to_dict(self):
-        return {
-            "focal_mm": self.focal_mm, "frames": self.frames,
-            "width": self.width, "height": self.height,
-            "sensor_width_mm": self.sensor_width_mm,
-            "baseline": self.baseline, "n_oncoming": self.n_oncoming,
-            "n_parked": self.n_parked, "speed": self.speed,
-        }
+        return dataclasses.asdict(self)
 
 
 def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneSpec:

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
+from sceneflowgen import _parallel
 from sceneflowgen.render import FramePasses
 from sceneflowgen.scene import FlyingThingsParams
 from sceneflowgen.trajectory import Trajectory
@@ -17,6 +18,12 @@ SMALL = FlyingThingsParams(
 
 def small_params(**overrides):
     return dataclasses.replace(SMALL, **overrides)
+
+
+def set_cpus(mp, n):
+    """Make the thread map see n usable CPUs."""
+    mp.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(n)),
+               raising=False)
 
 
 def make_passes(depth, intrinsics, pos3d_next=None, object_index=None,

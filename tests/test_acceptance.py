@@ -12,9 +12,9 @@ from sceneflowgen import formats, groundtruth as gt, match, metrics
 from sceneflowgen.cli import main
 from sceneflowgen.render import rasterize_frame
 
-from conftest import baseline_shift_scene, small_params
+from conftest import baseline_shift_scene, set_cpus, small_params
 from test_cli import tree_bytes
-from test_match import noise_box, set_cpus
+from test_match import noise_box
 from test_render import box_scene
 
 

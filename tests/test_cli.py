@@ -19,8 +19,8 @@ import sceneflowgen
 from sceneflowgen import formats
 from sceneflowgen.cli import main
 
+from conftest import set_cpus
 from test_formats import minimal_manifest
-from test_match import set_cpus
 
 
 GEN_ARGS = [
@@ -85,6 +85,14 @@ class TestGenerate:
         args[args.index("--n-objects") + 1] = n_objects
         assert main(args) == 1
         assert "error [ContractError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--baseline", "nan"),
+                                               ("--baseline", "inf"),
+                                               ("--focal-mm", "inf")])
+    def test_non_finite_rig_exit_code(self, tmp_path, capsys, option, value):
+        args = GEN_ARGS + [option, value, "--out", str(tmp_path / "ds")]
+        assert main(args) == 1
+        assert "error [GeometryError]" in capsys.readouterr().err
 
     def test_driving_preset(self, tmp_path):
         out = tmp_path / "drv"
@@ -182,6 +190,10 @@ def _resized_pass(m, ds):
     (ds / rel).write_bytes(formats.write_pfm(np.ones((24, 32), dtype=np.float32)))
 
 
+def _nan_baseline(m, ds):
+    m["rig"]["baseline"] = float("nan")  # json writes NaN, and reads it back
+
+
 def _path_outside(m, ds):
     # a whole, readable file, so only the path itself is at fault
     rel = m["frames"][0]["files"]["left"]["rgb"]
@@ -199,6 +211,7 @@ MALFORMED = {
     "duplicate time": _duplicate_time,
     "pass of another size": _resized_pass,
     "path with ..": _path_outside,
+    "rig baseline NaN": _nan_baseline,
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ def simple_k(focal_px=100.0, cx=50.0, cy=50.0, width=100, height=100):
 
 
 DATASET_K = CameraIntrinsics.from_sensor(35, 32, 960, 540)
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestIntrinsics:
@@ -39,6 +42,16 @@ class TestIntrinsics:
     def test_bad_size_rejected(self):
         with pytest.raises(GeometryError):
             CameraIntrinsics.from_sensor(35, 32, 0, 540)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["focal_px", "focal_mm",
+                                       "sensor_width_mm", "cx", "cy"])
+    def test_non_finite_rejected(self, field, value):
+        cx, cy = DATASET_K.principal_point
+        changes = {"cx": {"principal_point": (value, cy)},
+                   "cy": {"principal_point": (cx, value)}}
+        with pytest.raises(GeometryError):
+            dataclasses.replace(DATASET_K, **changes.get(field, {field: value}))
 
 
 class TestProject:
@@ -110,6 +123,11 @@ class TestDisparity:
             disparity_to_depth(-1.0, self.RIG)
         with pytest.raises(GeometryError):
             StereoRig(CameraPose(), 0.0, DATASET_K)
+
+    @pytest.mark.parametrize("baseline", NON_FINITE)
+    def test_non_finite_baseline_rejected(self, baseline):
+        with pytest.raises(GeometryError):
+            StereoRig(CameraPose(), baseline, DATASET_K)
 
 
 def random_pose(rng):

@@ -11,12 +11,11 @@ from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
-from sceneflowgen import groundtruth as gt
+from sceneflowgen import _parallel, groundtruth as gt
 from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryError
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
-from conftest import make_passes
-from test_match import set_cpus
+from conftest import make_passes, set_cpus
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
@@ -425,7 +424,7 @@ def assert_bands_match_whole_frame(passes, rig, passes_next):
     for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
         for cpus in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gt, "_BAND_ROWS", rows)
+                mp.setattr(_parallel, "BAND_ROWS", rows)
                 set_cpus(mp, cpus)
                 frame = gt.derive_frame(passes, rig, passes_next)
             for name in GT_FIELDS:
@@ -471,7 +470,7 @@ class TestBandedDeriveFrame:
         assert_bands_match_whole_frame(row, RIG, None)
 
     def test_bad_depth_in_any_band_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(gt, "_BAND_ROWS", 2)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 2)
         set_cpus(monkeypatch, 2)
         fp = make_passes(np.full((6, 4), 10.0), INTR)
         fp.depth[5, 3] = -1.0
@@ -480,7 +479,7 @@ class TestBandedDeriveFrame:
 
     def test_two_cpus_run_two_bands_at_once(self, rendered_scene, monkeypatch):
         spec, passes = rendered_scene
-        monkeypatch.setattr(gt, "_BAND_ROWS", 8)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
         set_cpus(monkeypatch, 2)
         # the first two bands each wait until the other has started
         barrier = threading.Barrier(2, timeout=30)
@@ -505,7 +504,7 @@ class TestBandedDeriveFrame:
         spec, passes = rendered_scene
         fp, fp_next = passes[(2, "left")], passes[(3, "left")]
         ref = whole_frame(fp, spec.rig, fp_next)
-        monkeypatch.setattr(gt, "_BAND_ROWS", 1)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 1)
         set_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -528,7 +527,7 @@ class TestDeriveFrameMemory:
         spec = sf.generate_flyingthings_scene(
             42, sf.FlyingThingsParams(frames=3, width=240, height=135))
         fp, fp_next = (sf.rasterize_frame(spec, t, "left") for t in (2, 3))
-        monkeypatch.setattr(gt, "_BAND_ROWS", 8, raising=False)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
         bound = 135 * 240 * 3 * 8
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)

@@ -6,13 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from sceneflowgen import match
+from sceneflowgen import _parallel, match
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.errors import ContractError
 from sceneflowgen.render import rasterize_frame
 from sceneflowgen.scene import ObjectInstance
 from sceneflowgen.trajectory import Trajectory
 
+from conftest import set_cpus
 from test_render import box_scene
 
 
@@ -236,12 +237,6 @@ def volume_oracle(left, right, max_disp, patch=3):
     return match.subpixel_refine(cv, disp), confidence
 
 
-def set_cpus(mp, n):
-    """Make the matcher see n usable CPUs."""
-    mp.setattr(match.os, "sched_getaffinity", lambda pid: set(range(n)),
-               raising=False)
-
-
 def assert_matches_volume(left, right, max_disp, patch=3):
     """estimate_disparity equals the volume oracle byte for byte for band
     heights of 1 row, 7 rows, H - 1, H and H + 5 rows, on 1 and 2 CPUs."""
@@ -250,7 +245,7 @@ def assert_matches_volume(left, right, max_disp, patch=3):
     for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
         for cpus in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(match, "_BAND_ROWS", rows)
+                mp.setattr(_parallel, "BAND_ROWS", rows)
                 set_cpus(mp, cpus)
                 est, conf = match.estimate_disparity(
                     left, right, max_disp=max_disp, patch=patch)
@@ -328,7 +323,7 @@ class TestStreamingMatchesVolume:
 
     @pytest.mark.parametrize("h", [1, 2, 5])
     def test_images_shorter_than_one_band(self, h):
-        assert h < match._BAND_ROWS
+        assert h < _parallel.BAND_ROWS
         left = textured_image(h, 30, seed=h)
         assert_matches_volume(left, np.roll(left, -3, axis=1), max_disp=12)
 
@@ -344,14 +339,14 @@ class TestBandThreads:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(match, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Pool)
         set_cpus(monkeypatch, cpus)
-        img = textured_image(3 * match._BAND_ROWS - 1, 20)  # last band short
+        img = textured_image(3 * _parallel.BAND_ROWS - 1, 20)  # last band short
         match.estimate_disparity(img, img, max_disp=4)
         assert sizes == [workers]
 
     def test_two_cpus_run_two_bands_at_once(self, monkeypatch):
-        monkeypatch.setattr(match, "_BAND_ROWS", 4)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 4)
         set_cpus(monkeypatch, 2)
         # every band waits until a second band has started alongside it
         barrier = threading.Barrier(2, timeout=30)
@@ -373,7 +368,7 @@ class TestBandThreads:
     def test_more_workers_than_cores(self, monkeypatch):
         # one-row bands on 8 threads, switching as often as possible: a
         # band that wrote outside its rows would show in the output bytes
-        monkeypatch.setattr(match, "_BAND_ROWS", 1)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 1)
         set_cpus(monkeypatch, 8)
         left = textured_image(24, 40, seed=9)
         right = np.roll(left, -5, axis=1)
@@ -405,7 +400,7 @@ class TestMatcherMemory:
     def test_peak_below_one_feature_map(self, monkeypatch, cpus):
         # bands of 8 of 64 rows: each band builds the features of its own
         # rows, so the bands in flight never hold one image's features
-        monkeypatch.setattr(match, "_BAND_ROWS", 8)
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
         set_cpus(monkeypatch, cpus)
         assert self.traced_peak(16) < self.H * self.W * 9 * 8
 

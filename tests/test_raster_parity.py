@@ -20,9 +20,8 @@ from sceneflowgen.render import NEAR_PLANE, _clip_near, rasterize_frame
 from sceneflowgen.scene import DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import IDENTITY_QUAT, Trajectory
 
-from conftest import small_params
+from conftest import set_cpus, small_params
 from raster_oracle import oracle_rasterize_frame
-from test_match import set_cpus
 
 PASSES = ("rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next",
           "object_index", "material_index")
