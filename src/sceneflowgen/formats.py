@@ -9,6 +9,7 @@ payloads in the float formats.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -64,6 +65,20 @@ def _check_dimensions(kind, w, h):
         raise ParseError(f"bad {kind} dimensions {w}x{h}")
 
 
+def _payload(buf: bytes, pos: int, dtype, shape, kind) -> np.ndarray:
+    """Read-only view of the shape-sized payload of buf at byte pos, or
+    ParseError naming the byte where a short payload ends."""
+    dtype = np.dtype(dtype)
+    n = math.prod(shape)
+    have = max(len(buf) - pos, 0)
+    if have < n * dtype.itemsize:
+        raise ParseError(
+            f"truncated {kind} payload at byte {pos + have}: "
+            f"need {n * dtype.itemsize} bytes, have {have}"
+        )
+    return np.frombuffer(buf, dtype, count=n, offset=pos).reshape(shape)
+
+
 def _read_pnm_header(buf: bytes, magic: bytes, maxval: int) -> tuple[int, int, int]:
     """Parse a binary PNM header `magic w h maxval` -> (w, h, payload offset)."""
     tok, pos = _read_pnm_token(buf, 0)
@@ -102,17 +117,9 @@ def read_pfm(buf: bytes) -> np.ndarray:
         raise ParseError(f"bad PFM header near byte {pos}: {e}") from None
     _check_dimensions("PFM", w, h)
     pos += 1  # single whitespace byte after the scale line
-    n = w * h * channels
-    payload = buf[pos:pos + 4 * n]
-    if len(payload) != 4 * n:
-        raise ParseError(
-            f"truncated PFM payload at byte {pos + len(payload)}: "
-            f"need {4 * n} bytes, have {len(payload)}"
-        )
-    dtype = "<f4" if scale < 0 else ">f4"
-    a = np.frombuffer(payload, dtype=dtype).astype(np.float32)
     shape = (h, w) if channels == 1 else (h, w, 3)
-    return a.reshape(shape)[::-1].copy()
+    a = _payload(buf, pos, "<f4" if scale < 0 else ">f4", shape, "PFM")
+    return a[::-1].astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +141,7 @@ def read_flo(buf: bytes) -> np.ndarray:
     if magic != FLO_MAGIC:
         raise ParseError(f"bad .flo magic {magic!r}, expected {FLO_MAGIC}")
     _check_dimensions(".flo", w, h)
-    n = w * h * 2
-    payload = buf[12:12 + 4 * n]
-    if len(payload) != 4 * n:
-        raise ParseError("truncated .flo payload")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(h, w, 2)
+    return _payload(buf, 12, "<f4", (h, w, 2), ".flo").astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +157,7 @@ def write_ppm(rgb) -> bytes:
 
 def read_ppm(buf: bytes) -> np.ndarray:
     w, h, pos = _read_pnm_header(buf, b"P6", 255)
-    n = w * h * 3
-    payload = buf[pos:pos + n]
-    if len(payload) != n:
-        raise ParseError(f"truncated PPM payload at byte {pos + len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _payload(buf, pos, np.uint8, (h, w, 3), "PPM").copy()
 
 
 def write_pgm16(mask) -> bytes:
@@ -174,11 +173,7 @@ def write_pgm16(mask) -> bytes:
 
 def read_pgm16(buf: bytes) -> np.ndarray:
     w, h, pos = _read_pnm_header(buf, b"P5", 65535)
-    n = w * h * 2
-    payload = buf[pos:pos + n]
-    if len(payload) != n:
-        raise ParseError(f"truncated PGM payload at byte {pos + len(payload)}")
-    return np.frombuffer(payload, dtype=">u2").astype(np.uint16).reshape(h, w)
+    return _payload(buf, pos, ">u2", (h, w), "PGM").astype(np.uint16)
 
 
 def write_pgm8(mask) -> bytes:
@@ -192,11 +187,7 @@ def write_pgm8(mask) -> bytes:
 
 def read_pgm8(buf: bytes) -> np.ndarray:
     w, h, pos = _read_pnm_header(buf, b"P5", 255)
-    n = w * h
-    payload = buf[pos:pos + n]
-    if len(payload) != n:
-        raise ParseError("truncated PGM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+    return _payload(buf, pos, np.uint8, (h, w), "PGM").copy()
 
 
 # ---------------------------------------------------------------------------

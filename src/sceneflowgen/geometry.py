@@ -47,6 +47,7 @@ class CameraIntrinsics:
             raise GeometryError(f"camera values must be finite, got {self}")
         if self.focal_px <= 0:
             raise GeometryError(f"focal_px must be positive, got {self.focal_px}")
+        _check_sensor_width(self.sensor_width_mm)
         expected = self.focal_mm / self.sensor_width_mm * w
         if not math.isclose(self.focal_px, expected, rel_tol=1e-12):
             raise GeometryError(
@@ -61,6 +62,7 @@ class CameraIntrinsics:
 
         The principal point defaults to the image center.
         """
+        _check_sensor_width(sensor_width_mm)
         focal_px = focal_mm / sensor_width_mm * width
         if principal_point is None:
             principal_point = (width / 2.0, height / 2.0)
@@ -96,6 +98,13 @@ class CameraIntrinsics:
             d["focal_mm"], d["sensor_width_mm"], d["width"], d["height"],
             principal_point=(d["cx"], d["cy"]),
         )
+
+
+def _check_sensor_width(sensor_width_mm):
+    # focal_px is focal_mm / sensor_width_mm * width
+    if not (math.isfinite(sensor_width_mm) and sensor_width_mm > 0):
+        raise GeometryError(
+            f"sensor_width_mm must be finite and positive, got {sensor_width_mm}")
 
 
 def _as_matrix(rotation):

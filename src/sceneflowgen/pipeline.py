@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,10 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
 def derive_dataset(dataset_root, out_root) -> int:
     """Re-derive ground truth from a dataset's stored render passes and
     write every file of each (frame, view) under {out_root}/{scene}/; no
-    manifest is written. In place, the render passes already hold their
-    bytes and only the ground-truth maps are rewritten. Returns the number
-    of frames."""
+    manifest is written. Every pass is decoded and checked, but a render
+    pass is written as the bytes of the file it was read from: left as it
+    is in place, copied elsewhere. Only the ground-truth maps are encoded.
+    Returns the number of frames."""
     root = Path(dataset_root)
     manifest = formats.read_manifest((root / "manifest.json").read_bytes())
     times, rig = _derivable(manifest)
@@ -139,9 +141,10 @@ def _derivable(manifest):
 def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     """Write all passes of one (frame, view); returns pass -> relative path.
 
-    read_from maps a render pass to the resolved path it was read from. A
-    pass whose output path resolves to that file already holds its bytes,
-    so it is neither encoded nor written.
+    read_from maps a render pass to the resolved path it was read from.
+    Such a pass is never encoded: its output is that file's bytes, so it
+    is not written when its output path resolves to that file, and copied
+    there otherwise.
     """
     files = {}
     read_from = read_from or {}
@@ -150,10 +153,11 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         name = _frame_name(t, view, ext)
         path = scene_dir / pass_name / name
         files[pass_name] = f"{scene_name}/{pass_name}/{name}"
-        if pass_name in read_from and path.resolve() == read_from[pass_name]:
+        source = read_from.get(pass_name)
+        if source is not None and path.resolve() == source:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, encode(array))
+        write_atomic(path, encode(array) if source is None else source)
 
     def mask(a):
         return formats.write_pgm8(a.astype(np.uint8) * 255)
@@ -181,14 +185,18 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     return files
 
 
-def write_atomic(path, payload: bytes):
+def write_atomic(path, payload: bytes | Path):
     """path holds either its old content or all of payload, never part:
-    payload goes to a hidden temporary name beside it, then is renamed
-    over it."""
+    payload, bytes or the file at a Path (copied, not linked, so path
+    shares no inode with it), goes to a hidden temporary name beside path,
+    then is renamed over it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(payload)
+        if isinstance(payload, Path):
+            shutil.copyfile(payload, tmp)
+        else:
+            tmp.write_bytes(payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -194,6 +194,10 @@ def _nan_baseline(m, ds):
     m["rig"]["baseline"] = float("nan")  # json writes NaN, and reads it back
 
 
+def _zero_sensor_width(m, ds):
+    m["rig"]["intrinsics"]["sensor_width_mm"] = 0
+
+
 def _path_outside(m, ds):
     # a whole, readable file, so only the path itself is at fault
     rel = m["frames"][0]["files"]["left"]["rgb"]
@@ -212,6 +216,7 @@ MALFORMED = {
     "pass of another size": _resized_pass,
     "path with ..": _path_outside,
     "rig baseline NaN": _nan_baseline,
+    "sensor width 0": _zero_sensor_width,
 }
 
 

@@ -182,6 +182,78 @@ def test_any_bytes_give_array_or_parse_error(reader, data):
     assert isinstance(out, np.ndarray)
 
 
+# Reference decoders: slice the payload out of the buffer, then convert and
+# copy it. The readers must give the same bytes.
+def _pfm_reference(channels, dtype):
+    def decode(payload, w, h):
+        shape = (h, w) if channels == 1 else (h, w, 3)
+        a = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+        return a.reshape(shape)[::-1].copy()
+    return decode
+
+
+# name -> (reader, header(w, h), payload bytes per pixel, reference decode)
+ENCODINGS = {
+    "pfm-1ch-little": (formats.read_pfm, lambda w, h: f"Pf\n{w} {h}\n-1.0\n".encode(),
+                       4, _pfm_reference(1, "<f4")),
+    "pfm-1ch-big": (formats.read_pfm, lambda w, h: f"Pf\n{w} {h}\n1.0\n".encode(),
+                    4, _pfm_reference(1, ">f4")),
+    "pfm-3ch-little": (formats.read_pfm, lambda w, h: f"PF\n{w} {h}\n-1.0\n".encode(),
+                       12, _pfm_reference(3, "<f4")),
+    "pfm-3ch-big": (formats.read_pfm, lambda w, h: f"PF\n{w} {h}\n1.0\n".encode(),
+                    12, _pfm_reference(3, ">f4")),
+    "flo": (formats.read_flo, lambda w, h: struct.pack("<fii", formats.FLO_MAGIC, w, h),
+            8, lambda p, w, h: np.frombuffer(p, dtype="<f4").astype(np.float32)
+            .reshape(h, w, 2)),
+    "ppm": (formats.read_ppm, lambda w, h: f"P6\n{w} {h}\n255\n".encode(),
+            3, lambda p, w, h: np.frombuffer(p, dtype=np.uint8).reshape(h, w, 3).copy()),
+    "pgm16": (formats.read_pgm16, lambda w, h: f"P5\n{w} {h}\n65535\n".encode(),
+              2, lambda p, w, h: np.frombuffer(p, dtype=">u2").astype(np.uint16)
+              .reshape(h, w)),
+    "pgm8": (formats.read_pgm8, lambda w, h: f"P5\n{w} {h}\n255\n".encode(),
+             1, lambda p, w, h: np.frombuffer(p, dtype=np.uint8).reshape(h, w).copy()),
+}
+# quiet and signalling NaNs with payload bits, and negative NaNs, in both
+# byte orders; the float readers must keep every bit
+_NANS = [struct.pack(order + "I", bits) for order in "<>"
+         for bits in (0x7FC00001, 0x7F800001, 0xFFFFFFFF, 0x7FBFFFFF)]
+
+
+@st.composite
+def encoded_files(draw):
+    name = draw(st.sampled_from(sorted(ENCODINGS)))
+    reader, header, pixel_bytes, reference = ENCODINGS[name]
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if name.startswith(("pfm", "flo")):
+        samples = st.one_of(st.binary(min_size=4, max_size=4), st.sampled_from(_NANS))
+        payload = b"".join(draw(st.lists(samples, min_size=w * h * pixel_bytes // 4,
+                                         max_size=w * h * pixel_bytes // 4)))
+    else:
+        payload = draw(st.binary(min_size=w * h * pixel_bytes,
+                                 max_size=w * h * pixel_bytes))
+    return reader, header(w, h), payload, reference(payload, w, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(encoded_files(), st.binary(max_size=8))
+def test_readers_return_new_arrays_equal_to_reference(encoded, trailing):
+    reader, header, payload, expected = encoded
+    out = reader(header + payload + trailing)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.writeable and out.flags.c_contiguous
+
+
+@settings(max_examples=50, deadline=None)
+@given(encoded_files())
+def test_every_truncation_is_parse_error(encoded):
+    reader, header, payload, _ = encoded
+    data = header + payload
+    for cut in range(len(data)):
+        with pytest.raises(ParseError):
+            reader(data[:cut])
+
+
 def minimal_manifest():
     return {
         "dataset": "x",

@@ -43,6 +43,14 @@ class TestIntrinsics:
         with pytest.raises(GeometryError):
             CameraIntrinsics.from_sensor(35, 32, 0, 540)
 
+    @pytest.mark.parametrize("width", [0, 0.0, -32.0])
+    def test_non_positive_sensor_width_rejected(self, width):
+        # both divide by the sensor width: neither may reach the division
+        with pytest.raises(GeometryError, match="sensor_width_mm"):
+            CameraIntrinsics.from_sensor(35, width, 960, 540)
+        with pytest.raises(GeometryError, match="sensor_width_mm"):
+            dataclasses.replace(DATASET_K, sensor_width_mm=width)
+
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("field", ["focal_px", "focal_mm",
                                        "sensor_width_mm", "cx", "cy"])

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from sceneflowgen import formats, pipeline
 from sceneflowgen.cli import main
 
 from conftest import small_params
-from test_cli import GEN_ARGS
+from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
 
 
 class LiveViews:
@@ -116,3 +117,101 @@ def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
               for p in v.values()}
     assert listed <= left
     assert main(["inspect", str(out)]) == 0
+
+
+def listed_passes(root):
+    """pass name -> relative paths of that pass, from root's manifest."""
+    manifest = formats.read_manifest((root / "manifest.json").read_text())
+    by_pass = {}
+    for f in manifest["frames"]:
+        for view in f["files"].values():
+            for name, rel in view.items():
+                by_pass.setdefault(name, []).append(rel)
+    return by_pass
+
+
+def test_derive_out_copies_render_passes(tmp_path, monkeypatch):
+    src = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(src)]) == 0
+    encoded = {}
+
+    def spy(name):
+        real = getattr(formats, name)
+
+        def encode(a):
+            payload = real(a)
+            encoded.setdefault(name, []).append(payload)
+            return payload
+        monkeypatch.setattr(formats, name, encode)
+
+    for name in ("write_pfm", "write_ppm", "write_pgm16"):
+        spy(name)
+    fresh = tmp_path / "fresh"
+    assert main(["derive", str(src), "--out", str(fresh)]) == 0
+
+    by_pass = listed_passes(src)
+    for rel in (rel for name in RENDER_PASSES for rel in by_pass.get(name, ())):
+        assert (fresh / rel).read_bytes() == (src / rel).read_bytes(), rel
+        assert (fresh / rel).stat().st_ino != (src / rel).stat().st_ino, rel
+    assert "write_ppm" not in encoded and "write_pgm16" not in encoded
+    computed = [(fresh / rel).read_bytes() for name in by_pass
+                if name.startswith(("disparity", "dispchange"))
+                for rel in by_pass[name]]
+    assert sorted(encoded["write_pfm"]) == sorted(computed)
+
+
+def as_big_endian_pfm(payload):
+    a = formats.read_pfm(payload)
+    h, w = a.shape
+    return f"Pf\n{w} {h}\n1.0\n".encode() + a[::-1].astype(">f4").tobytes()
+
+
+def test_derive_out_copies_a_big_endian_pass_verbatim(tmp_path):
+    canonical = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(canonical)]) == 0
+    big = tmp_path / "big"
+    shutil.copytree(canonical, big)
+    depth = listed_passes(big)["depth"][0]
+    (big / depth).write_bytes(as_big_endian_pfm((big / depth).read_bytes()))
+    assert (big / depth).read_bytes() != (canonical / depth).read_bytes()
+
+    for root in (canonical, big):
+        assert main(["derive", str(root), "--out", str(tmp_path / f"{root.name}-re")]) == 0
+    from_canonical = tree_bytes(tmp_path / "ds-re")
+    from_big = tree_bytes(tmp_path / "big-re")
+    assert from_big[depth] == (big / depth).read_bytes()
+    for tree in (from_canonical, from_big):
+        del tree["config.json"], tree[depth]
+    assert from_big == from_canonical
+
+
+# A 2-frame derive copies 6 render passes per (frame, view): fail on the
+# first copy, and on one of the right view.
+@pytest.mark.parametrize("fail_at", [1, 17])
+def test_interrupted_copy_leaves_whole_files(tmp_path, monkeypatch, fail_at):
+    src = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(src)]) == 0
+    clean = tmp_path / "clean"
+    assert main(["derive", str(src), "--out", str(clean)]) == 0
+
+    calls = []
+
+    def half_then_raise(source, dest):
+        calls.append(dest)
+        payload = Path(source).read_bytes()
+        if len(calls) == fail_at:
+            Path(dest).write_bytes(payload[:len(payload) // 2])
+            raise OSError("no space left on device")
+        Path(dest).write_bytes(payload)
+
+    monkeypatch.setattr(pipeline.shutil, "copyfile", half_then_raise)
+    out = tmp_path / "re"
+    assert main(["derive", str(src), "--out", str(out)]) == 1
+    monkeypatch.undo()
+
+    assert len(calls) == fail_at
+    left = tree_bytes(out)
+    assert not [rel for rel in left if rel.endswith(".tmp")]
+    clean_bytes = tree_bytes(clean)
+    for rel, payload in left.items():
+        assert payload == clean_bytes[rel], rel
