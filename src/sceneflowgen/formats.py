@@ -31,13 +31,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # PFM
 
-def write_pfm(data) -> bytes:
+def write_pfm(data) -> bytearray:
     """Serialize an H x W or H x W x 3 float32 map as PFM (little-endian).
 
     Rows are stored bottom-to-top per the format; internal rasters are
     top-to-bottom, so the writer flips.
     """
-    a = np.asarray(data, dtype=np.float32)
+    a = np.asarray(data)
     if a.ndim == 2:
         magic = b"Pf"
     elif a.ndim == 3 and a.shape[2] == 3:
@@ -46,7 +46,17 @@ def write_pfm(data) -> bytes:
         raise ParseError(f"PFM supports HxW or HxWx3 data, got shape {a.shape}")
     h, w = a.shape[0], a.shape[1]
     header = magic + b"\n" + f"{w} {h}\n".encode() + b"-1.0\n"
-    return header + a[::-1].astype("<f4", copy=False).tobytes()
+    return _float32_file(header, a[::-1])
+
+
+def _float32_file(header, a):
+    """header followed by a as little-endian float32, cast straight into
+    the one buffer the file is written from."""
+    buf = bytearray(len(header) + 4 * a.size)
+    buf[:len(header)] = header
+    payload = np.frombuffer(buf, "<f4", offset=len(header)).reshape(a.shape)
+    np.copyto(payload, a, casting="unsafe")
+    return buf
 
 
 def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -125,13 +135,12 @@ def read_pfm(buf: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # .flo
 
-def write_flo(flow) -> bytes:
-    a = np.asarray(flow, dtype=np.float32)
+def write_flo(flow) -> bytearray:
+    a = np.asarray(flow)
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f".flo needs HxWx2 data, got shape {a.shape}")
     h, w = a.shape[:2]
-    header = struct.pack("<fii", FLO_MAGIC, w, h)
-    return header + a.astype("<f4", copy=False).tobytes()
+    return _float32_file(struct.pack("<fii", FLO_MAGIC, w, h), a)
 
 
 def read_flo(buf: bytes) -> np.ndarray:

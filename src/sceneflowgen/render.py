@@ -14,8 +14,10 @@ Rasterization is batched array work rather than a loop over triangles:
    then clip-fan index. Only triangles that straddle Z = near are clipped.
 2. Project all triangles at once, reverse those of negative screen area,
    and compute bounding boxes and top-left fill flags.
-3. Bucket triangles by bounding-box size and evaluate Pineda edge
-   functions and depth for each bucket in fixed-size fragment batches.
+3. Cut each triangle's bounding box into row spans, the part of each row
+   where its edge functions can all be non-negative, and evaluate Pineda
+   edge functions and depth on spans of similar length in fixed-size
+   fragment batches.
 4. Keep a per-pixel z-buffer and the draw order of its owner across
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
@@ -28,8 +30,9 @@ are dealt to one z-buffer per worker and the z-buffers fold by the same
 minimum, and each shading batch writes its own pixels.
 
 The per-pixel arithmetic is the same float64 expression sequence a
-per-triangle loop would evaluate, so the passes do not depend on batch
-sizes, bucketing or the number of workers.
+per-triangle loop would evaluate on the whole bounding box, and a span
+holds every pixel that arithmetic covers, so the passes do not depend on
+spans, batch sizes or the number of workers.
 """
 
 from __future__ import annotations
@@ -48,10 +51,14 @@ __all__ = ["FramePasses", "rasterize_frame"]
 NEAR_PLANE = 0.1
 _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
 _AMBIENT = 0.35
-# Fragments (triangles x bounding-box pixels) evaluated per batch, and
-# covered pixels shaded per batch. Both bound the working set of a view.
+# Fragments (span cells) evaluated per batch, and covered pixels shaded
+# per batch. Both bound the working set of a view.
 _FRAGMENT_BATCH = 1 << 16
 _SHADE_BATCH = 1 << 15
+# Relative widening of a span bound: far above the few ulps by which the
+# crossing and the fold's edge expression can round.
+_SPAN_SLACK = 2.0 ** -40
+_BELOW_ZERO = -np.nextafter(0.0, 1.0)
 _NO_OWNER = np.iinfo(np.int64).max
 
 
@@ -124,7 +131,9 @@ def _clip_near(tri_cam, attrs, near=NEAR_PLANE):
 @dataclass
 class _Triangles:
     """Camera-space triangles of one view, in draw order."""
-    attrs: np.ndarray  # (N, 3, 11) per vertex: pos_t(3) pos_prev(3) pos_next(3) uv(2)
+    # (N, 3, A) per vertex: pos_t(3), pos_prev(3) where t > 1, pos_next(3)
+    # where t < frames, uv(2)
+    attrs: np.ndarray
     object_index: np.ndarray  # (N,) uint16
     material: np.ndarray  # (N,) uint16 scene-global material index
     shade: np.ndarray  # (N,) flat shading factor
@@ -132,10 +141,7 @@ class _Triangles:
 
 
 def _camera_vertices(obj, base, pose, t):
-    """Object vertices in the camera frame of `pose` at time t; zeros
-    where the frame does not exist."""
-    if pose is None:
-        return np.zeros_like(base)
+    """Object vertices in the camera frame of `pose` at time t."""
     r, p = obj.pose_at(t)
     return pose.world_to_camera(base @ r.T + p)
 
@@ -154,14 +160,18 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
         tris = obj.mesh.triangles
         tri_attrs = np.concatenate([
             cam_t,
-            _camera_vertices(obj, base, pose_prev, t - 1),
-            _camera_vertices(obj, base, pose_next, t + 1),
+            *(_camera_vertices(obj, base, pose, s)
+              for pose, s in ((pose_prev, t - 1), (pose_next, t + 1))
+              if pose is not None),
             obj.mesh.uv,
         ], axis=1)[tris]
 
-        # flat shading: per-triangle world normal at t
+        # flat shading: per-triangle world normal at t, the cross product
+        # (vb - va) x (vc - va) in np.cross's order of operations
         va, vb, vc = (world_t[tris[:, i]] for i in range(3))
-        normals = np.cross(vb - va, vc - va)
+        (a0, a1, a2), (b0, b1, b2) = (vb - va).T, (vc - va).T
+        normals = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                            a0 * b1 - a1 * b0], axis=1)
         nlen = np.linalg.norm(normals, axis=1)
         nlen[nlen == 0] = 1.0
         shade = _AMBIENT + (1 - _AMBIENT) * np.abs(
@@ -196,7 +206,8 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
         textures.update((g, obj.materials[m]) for m, g in zip(local_ids, global_ids))
 
     if not attrs:
-        return _Triangles(np.zeros((0, 3, 11)), np.zeros(0, dtype=np.uint16),
+        width = 5 + 3 * ((pose_prev is not None) + (pose_next is not None))
+        return _Triangles(np.zeros((0, 3, width)), np.zeros(0, dtype=np.uint16),
                           np.zeros(0, dtype=np.uint16), np.zeros(0), {})
     return _Triangles(np.concatenate(attrs), np.concatenate(obj_ids),
                       np.concatenate(mats), np.concatenate(shades), textures)
@@ -255,34 +266,84 @@ def _screen_setup(tris: _Triangles, f, cx, cy, w, h) -> _Screen:
 
 
 def _fragment_jobs(scr: _Screen):
-    """Split bounding boxes into row bands of at most _FRAGMENT_BATCH
-    pixels and yield batches of equal-size-class bands:
-    (triangle, x0, width, y0, height) arrays per batch."""
-    bw = scr.x1 - scr.x0
-    bh = scr.y1 - scr.y0
-    rows = np.maximum(_FRAGMENT_BATCH // bw, 1)
-    bands = -(-bh // rows)
-    tri = np.repeat(np.arange(len(bw)), bands)
-    first = np.repeat(np.cumsum(bands) - bands, bands)
-    band_y0 = scr.y0[tri] + (np.arange(len(tri)) - first) * rows[tri]
-    band_h = np.minimum(scr.y1[tri] - band_y0, rows[tri])
-    band_w = bw[tri]
+    """Row spans of the triangles, in batches of at most _FRAGMENT_BATCH
+    cells: int32 (triangle, y, x0, length) arrays per batch.
 
-    # size class (kx, ky): the band fits a 2**kx x 2**ky grid. Sorting
-    # by exact size within a class keeps each batch's grid tight.
-    kx = np.frexp(band_w - 1)[1]
-    ky = np.frexp(band_h - 1)[1]
-    order = np.lexsort((band_w, band_h, ky, kx))
-    key = (kx * 64 + ky)[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    ends = np.append(starts[1:], len(key))
-    for s, e in zip(starts, ends):
-        first_band = order[s]
-        per_batch = max(_FRAGMENT_BATCH >> int(kx[first_band] + ky[first_band]), 1)
-        for c in range(s, e, per_batch):
-            sel = order[c:min(c + per_batch, e)]
-            yield (tri[sel], scr.x0[tri[sel]], band_w[sel], band_y0[sel],
-                   band_h[sel])
+    A span is the part of one bounding-box row where the triangle can
+    cover. Along a row each edge function is linear in x, so an edge with
+    ey < 0 bounds x from below at its zero crossing and one with ey > 0
+    from above; a horizontal edge does not bound x. Each bound is widened
+    by one pixel plus a relative margin far above the rounding error of
+    the crossing and of the fold's edge expression, so every cell the
+    fold would cover lies in a span; a bound too large to compute is
+    dropped. Spans are sorted by length and batched by length class: a
+    class-k batch holds up to max(_FRAGMENT_BATCH >> max(k, 4), 1) spans
+    of 2**(k-1) + 1 .. 2**k pixels. The batches are views of one table
+    of 16 bytes per span, built _FRAGMENT_BATCH rows at a time so the
+    float temporaries stay small.
+    """
+    rows = scr.y1 - scr.y0
+    ends = np.cumsum(rows)
+    total = int(ends[-1]) if len(ends) else 0
+    if not total:
+        return
+    # the crossing of an edge with the row through the pixel centres py,
+    # less 0.5 for the pixel index, is base + py * slope, where py < y1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = scr.ex / scr.ey
+        base = scr.ax - scr.ay * slope - 0.5
+        margin = 1.0 + _SPAN_SLACK * (
+            np.abs(scr.ax) + (np.abs(scr.ay) + scr.y1[:, None]) * np.abs(slope))
+        # a finite margin means a finite slope, base and bound
+        lower = (scr.ey < 0) & np.isfinite(margin)
+        upper = (scr.ey > 0) & np.isfinite(margin)
+        lo_base = np.where(lower, base - margin, -np.inf)
+        lo_slope = np.where(lower, slope, 0.0)
+        hi_base = np.where(upper, base + margin, np.inf)
+        hi_slope = np.where(upper, slope, 0.0)
+
+    # chunks of whole triangles, each holding about _FRAGMENT_BATCH rows
+    cuts = np.unique(np.concatenate([
+        [0], np.searchsorted(ends, np.arange(_FRAGMENT_BATCH, total, _FRAGMENT_BATCH)),
+        [len(rows)]])).tolist()
+    cols = [[], [], [], []]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        tri = np.repeat(np.arange(t0, t1), rows[t0:t1])
+        # row r of all the rows is row y1 - (ends - r) of its triangle
+        y = scr.y1[tri] - ends[tri] + np.arange(ends[t0] - rows[t0], ends[t1 - 1])
+        py = y + 0.5
+        lo = scr.x0[tri].astype(np.float64)
+        hi = scr.x1[tri].astype(np.float64)
+        for i in range(3):
+            np.maximum(lo, np.floor(lo_base[tri, i] + py * lo_slope[tri, i]), out=lo)
+            np.minimum(hi, np.floor(hi_base[tri, i] + py * hi_slope[tri, i]) + 1, out=hi)
+        length = hi - lo
+        keep = length > 0
+        for col, a in zip(cols, (tri, y, lo, length)):
+            col.append(a[keep].astype(np.int32))
+    cols = [np.concatenate(c) for c in cols]
+    length = cols[3]
+    if not len(length):
+        return
+    # sorted one column at a time, so at most one column is held twice;
+    # numpy radix-sorts keys of 16 bits or less
+    order = np.argsort(length.astype(np.min_scalar_type(int(length.max()))),
+                       kind="stable")
+    for i, c in enumerate(cols):
+        cols[i] = c[order]
+    del order, c
+    tri, y, x0, length = cols
+    # class k: lengths 2**(k-1) + 1 .. 2**k (class 0: length 1)
+    classes = int(length[-1] - 1).bit_length() + 1
+    start = 0
+    for k, end in enumerate(np.searchsorted(length, (1 << np.arange(classes)) + 1).tolist()):
+        # short spans: at most _FRAGMENT_BATCH >> 4 per batch, so their
+        # per-span arrays stay a small part of the batch
+        per_batch = max(_FRAGMENT_BATCH >> max(k, 4), 1)
+        for s in range(start, end, per_batch):
+            e = min(s + per_batch, end)
+            yield tri[s:e], y[s:e], x0[s:e], length[s:e]
+        start = end
 
 
 def _resolve_depth(scr: _Screen, w, h):
@@ -307,40 +368,50 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
     """Z-buffer and owner of the fragments of the given batches alone."""
     zbuf = np.full(h * w, np.inf)
     owner = np.full(h * w, _NO_OWNER, dtype=np.int64)
-    for tri, x0, bw, y0, bh in jobs:
-        gw, gh = int(bw.max()), int(bh.max())
+    for job in jobs:
+        # int64 before anything is indexed: int32 indices are slower
+        tri, y, x0, length = (a.astype(np.int64) for a in job)
+        gw = int(length.max())
         ox = np.arange(gw)
-        oy = np.arange(gh)
-        px = ((x0[:, None] + ox) + 0.5)[:, None, :]
-        py = ((y0[:, None] + oy) + 0.5)[:, :, None]
-        covered = (ox < bw[:, None])[:, None, :] & (oy < bh[:, None])[:, :, None]
-        ws = []
-        for i in range(3):
-            ax = scr.ax[tri, i, None, None]
-            ay = scr.ay[tri, i, None, None]
-            ex = scr.ex[tri, i, None, None]
-            ey = scr.ey[tri, i, None, None]
-            wv = ex * (py - ay) - ey * (px - ax)
-            covered &= (wv > 0) | ((wv == 0) & scr.top_left[tri, i, None, None])
-            ws.append(wv)
-        area = scr.area[tri, None, None]
+        # x + 0.5 is exact in float64, whatever the order of the sums
+        px = (x0 + 0.5)[:, None] + ox
+        py = (y + 0.5)[:, None]
+        covered = ox < length[:, None]
+        area = scr.area[tri, None]
         z = scr.z[tri]
+        for i in range(3):
+            # w = ex * (py - ay) - ey * (px - ax), in place
+            wv = px - scr.ax[tri, i, None]
+            wv *= scr.ey[tri, i, None]
+            np.subtract(scr.ex[tri, i, None] * (py - scr.ay[tri, i, None]), wv, out=wv)
+            # w > -0 (the smallest subnormal below zero) is w >= 0:
+            # (w > 0) | ((w == 0) & top_left) for every float, NaN included
+            covered &= wv > np.where(scr.top_left[tri, i, None], _BELOW_ZERO, 0.0)
+            # 1 / depth = w0 / area / z0 + w1 / area / z1 + w2 / area / z2
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                wv /= area
+                wv /= z[:, i, None]
+                if i == 0:
+                    inv_z = wv
+                else:
+                    inv_z += wv
+        del px, wv  # freed before the fragments are gathered: a lower peak
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv_z = (ws[0] / area / z[:, 0, None, None]
-                     + ws[1] / area / z[:, 1, None, None]
-                     + ws[2] / area / z[:, 2, None, None])
-            depth = 1.0 / inv_z
+            depth = np.divide(1.0, inv_z, out=inv_z)
         # NaN and inf never win: only finite depths compete
         covered &= depth < np.inf
-        pix = (y0[:, None] + oy)[:, :, None] * w + (x0[:, None] + ox)[:, None, :]
-        d = depth[covered]
-        p = pix[covered]
+        # a fragment behind the stored depth can no longer win; padding
+        # cells past a span's end may index past the image, so clip
+        pix = (y * w + x0)[:, None] + ox
+        old = zbuf.take(pix, mode="clip")
+        covered &= depth <= old
+        cell = np.flatnonzero(covered)
+        d = depth.reshape(-1)[cell]
+        p = pix.reshape(-1)[cell]
+        old = old.reshape(-1)[cell]
         # screen rows are in draw order, so the row stands for it
-        o = np.broadcast_to(tri[:, None, None], covered.shape)[covered]
-        # a fragment behind the stored depth can no longer win
-        old = zbuf[p]
-        keep = d <= old
-        d, p, o, old = d[keep], p[keep], o[keep], old[keep]
+        o = tri[cell // gw]
+        del covered, depth, pix, cell
         np.minimum.at(zbuf, p, d)
         new = zbuf[p]
         owner[p[new < old]] = _NO_OWNER
@@ -354,7 +425,8 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     in batches of one material that run through `map_ordered`.
 
     `passes` holds the flattened rgb (P, 3), object and material index
-    (P,) and position (P, 3) outputs, position slots None where absent.
+    (P,) and position (P, 3) outputs, the positions of the passes the
+    view has in the order of the attribute columns.
     """
     rgb, obj_idx, mat_idx, *positions = passes
     pix = np.flatnonzero(owner != _NO_OWNER)
@@ -381,13 +453,21 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         y, x = np.divmod(p, w)
         px = (x + 0.5)[:, None]
         py = (y + 0.5)[:, None]
-        lam = (scr.ex[r] * (py - scr.ay[r]) - scr.ey[r] * (px - scr.ax[r])) \
-            / scr.area[r, None]
+        # lam = (ex * (py - ay) - ey * (px - ax)) / area, in place
+        lam = py - scr.ay[r]
+        lam *= scr.ex[r]
+        term = px - scr.ax[r]
+        term *= scr.ey[r]
+        lam -= term
+        lam /= scr.area[r, None]
         depth = zbuf[p]
         # perspective-correct attribute interpolation (attr/z affine in screen)
-        interp = aoz[0][r] * lam[:, 0, None]
-        interp += aoz[1][r] * lam[:, 1, None]
-        interp += aoz[2][r] * lam[:, 2, None]
+        interp = aoz[0][r]
+        interp *= lam[:, 0, None]
+        for k in (1, 2):
+            term = aoz[k][r]
+            term *= lam[:, k, None]
+            interp += term
         interp *= depth[:, None]
         interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
 
@@ -395,10 +475,11 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         obj_idx[p] = tris.object_index[tri]
         mat_idx[p] = mat
         for k, dst in enumerate(positions):
-            if dst is not None:
-                dst[p] = interp[:, 3 * k:3 * k + 3]
-        color = texture.sample(interp[:, 9:11]) * tris.shade[tri, None]
-        rgb[p] = np.clip(np.rint(color * 255.0), 0, 255).astype(np.uint8)
+            dst[p] = interp[:, 3 * k:3 * k + 3]
+        color = texture.sample(interp[:, -2:])  # a new array
+        color *= tris.shade[tri, None]
+        color *= 255.0
+        rgb[p] = np.clip(np.rint(color, out=color), 0, 255, out=color).astype(np.uint8)
 
     # each covered pixel is in exactly one batch, so the batches write
     # disjoint elements of the outputs
@@ -431,8 +512,7 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     zbuf, owner = _resolve_depth(scr, w, h)
     _shade(tris, scr, zbuf, owner, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1), mat_idx.reshape(-1),
-        *(p.reshape(-1, 3) if p is not None else None
-          for p in (pos_t, pos_prev, pos_next)),
+        *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),
     ])
 
     return FramePasses(

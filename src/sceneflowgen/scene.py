@@ -30,6 +30,8 @@ DEFAULT_FOCAL_MM = 35.0
 DEFAULT_WIDTH = 960
 DEFAULT_HEIGHT = 540
 DEFAULT_BASELINE = 1.0
+# object and scene-global material indices are stored as uint16 passes
+_MAX_INDEX = int(np.iinfo(np.uint16).max)
 
 
 def stream_rng(seed: int, *tags) -> np.random.Generator:
@@ -61,6 +63,9 @@ class ObjectInstance:
     def __post_init__(self):
         if self.object_index < 1:
             raise ConfigurationError("object_index 0 is reserved for void")
+        if self.object_index > _MAX_INDEX:
+            raise ConfigurationError(
+                f"object_index {self.object_index} above {_MAX_INDEX}")
         tm = np.asarray(self.triangle_materials, dtype=np.int64)
         object.__setattr__(self, "triangle_materials", tm)
         object.__setattr__(
@@ -136,6 +141,10 @@ class SceneSpec:
             raise ConfigurationError("object indices must be unique and >= 1")
         if self.frames < 2:
             raise ConfigurationError("a scene needs at least 2 frames")
+        materials = sum(len(o.materials) for o in self.all_objects())
+        if materials > _MAX_INDEX:
+            raise ConfigurationError(
+                f"{materials} materials in the scene, above {_MAX_INDEX}")
 
     def all_objects(self):
         return [self.ground_plane, *self.background_objects, *self.objects]
@@ -283,9 +292,11 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         raise ConfigurationError(f"object count range {p.n_objects_range} outside [1, 100]")
     if p.frames < 2:
         raise ConfigurationError("frames must be >= 2")
-    if p.n_background < 0:
+    # ground, shell, background and foreground objects, one material each
+    most_background = _MAX_INDEX - 2 - hi
+    if not 0 <= p.n_background <= most_background:
         raise ConfigurationError(
-            f"n_background must be >= 0, got {p.n_background}")
+            f"n_background must be in [0, {most_background}], got {p.n_background}")
     if not _MESH_POOL:
         raise ConfigurationError("empty asset pool")
     intr = _default_intrinsics(p)

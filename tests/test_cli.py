@@ -495,10 +495,12 @@ def _derive_non_utf8_manifest(tmp):
     return ["derive", _manifest_dir(tmp, b"\xfe\xff")]
 
 
-def _generate_negative_n_background(tmp):
-    args = GEN_ARGS + ["--out", str(tmp / "ds")]
-    args[args.index("--n-background") + 1] = "-3"
-    return args
+def _generate_n_background(value):
+    def build(tmp):
+        args = GEN_ARGS + ["--out", str(tmp / "ds")]
+        args[args.index("--n-background") + 1] = value
+        return args
+    return build
 
 
 BAD_INPUT = {
@@ -507,7 +509,12 @@ BAD_INPUT = {
         _inspect_manifest_without_resolution, "ParseError"),
     "derive non-UTF-8 manifest": (_derive_non_utf8_manifest, "ParseError"),
     "generate negative n-background": (
-        _generate_negative_n_background, "ConfigurationError"),
+        _generate_n_background("-3"), "ConfigurationError"),
+    # object and material indices are uint16
+    "generate n-background above 16-bit indices": (
+        _generate_n_background("100000"), "ConfigurationError"),
+    "generate n-background far above 16-bit indices": (
+        _generate_n_background("100000000000"), "ConfigurationError"),
     "evaluate truncated pfm": (_evaluate_truncated_pfm, "ParseError"),
     "evaluate mask of other size": (_evaluate_mask_of_other_size, "ContractError"),
     "evaluate unknown suffix": (_evaluate_unknown_suffix, "ContractError"),

@@ -216,8 +216,8 @@ WORKER_SCENES = {
 @pytest.mark.parametrize("name", sorted(WORKER_SCENES))
 def test_worker_count_does_not_change_bytes(monkeypatch, name, workers):
     # small batches, so every worker gets several fragment batches and
-    # several shading batches
-    monkeypatch.setattr(render, "_FRAGMENT_BATCH", 256)
+    # several shading batches; the 4x4 scene has only a few short spans
+    monkeypatch.setattr(render, "_FRAGMENT_BATCH", 16)
     monkeypatch.setattr(render, "_SHADE_BATCH", 64)
     set_cpus(monkeypatch, workers)
     shares = []

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sceneflowgen as sf
+from sceneflowgen import render
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.errors import ContractError
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
-from sceneflowgen.render import FramePasses, rasterize_frame
+from sceneflowgen.render import NEAR_PLANE, FramePasses, _clip_near, rasterize_frame
 from sceneflowgen.scene import ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import Trajectory
 
@@ -152,3 +155,123 @@ class TestContracts:
             rasterize_frame(spec, 0, "left")
         with pytest.raises(ContractError):
             rasterize_frame(spec, 3, "left")
+
+
+# ---------------------------------------------------------------------------
+# Row spans: the fold evaluates only span cells, so they must hold every
+# cell of a triangle's bounding-box grid that its edge test covers.
+
+def _screen(triangles, f, c, w, h):
+    """Screen set-up of camera-space (3, 3) triangles: focal length f,
+    principal point (c, c), image w x h."""
+    attrs = np.zeros((len(triangles), 3, 5))
+    attrs[:, :, :3] = triangles
+    n = len(triangles)
+    tris = render._Triangles(attrs, np.ones(n, dtype=np.uint16),
+                             np.ones(n, dtype=np.uint16), np.ones(n), {})
+    return render._screen_setup(tris, f, c, c, w, h)
+
+
+def _bounding_box_cells(scr):
+    """(triangle, y, x) of every bounding-box cell the fold's edge test
+    covers: its expression and top-left rule on the whole grid."""
+    cells = set()
+    for t in range(len(scr.draw)):
+        x = np.arange(scr.x0[t], scr.x1[t])
+        y = np.arange(scr.y0[t], scr.y1[t])
+        px = (x + 0.5)[None, :]
+        py = (y + 0.5)[:, None]
+        covered = np.ones((len(y), len(x)), dtype=bool)
+        for i in range(3):
+            wv = scr.ex[t, i] * (py - scr.ay[t, i]) - scr.ey[t, i] * (px - scr.ax[t, i])
+            covered &= (wv > 0) | ((wv == 0) & scr.top_left[t, i])
+        ys, xs = np.nonzero(covered)
+        cells.update((t, int(y[j]), int(x[i])) for j, i in zip(ys, xs))
+    return cells
+
+
+def _span_cells(scr, batch):
+    """(triangle, y, x) of every span cell, checking each batch's size and
+    that spans stay in their bounding box, one per (triangle, row)."""
+    cells, rows = set(), set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_FRAGMENT_BATCH", batch)
+        jobs = list(render._fragment_jobs(scr))
+    for tri, y, x0, length in jobs:
+        assert len(tri) == 1 or len(tri) * int(length.max()) <= batch
+        for t, yy, xx, n in zip(*(a.tolist() for a in (tri, y, x0, length))):
+            assert n > 0 and (t, yy) not in rows
+            assert scr.y0[t] <= yy < scr.y1[t]
+            assert scr.x0[t] <= xx and xx + n <= scr.x1[t]
+            rows.add((t, yy))
+            cells.update((t, yy, x) for x in range(xx, xx + n))
+    return cells
+
+
+# screen coordinates: pixel centres and pixel corners (exact ties on edges
+# and vertices; repeats make horizontal and vertical edges), any float
+# near the image, and far outside it
+_coordinate = st.one_of(
+    st.integers(-8, 90).map(lambda k: k / 2),
+    st.floats(-60, 60, allow_nan=False),
+    st.floats(1e3, 1e12).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+_point = st.tuples(_coordinate, _coordinate)
+
+
+@st.composite
+def _screen_triangle(draw):
+    """Three screen-space vertices, at Z = 1 so that f = 1 and a principal
+    point at 0 leave them exact."""
+    kind = draw(st.sampled_from(["any", "sliver", "through a centre"]))
+    if kind == "through a centre":
+        # a and b on either side of a pixel centre along one direction:
+        # the edge passes the centre by a rounding error either way
+        centre = np.array([draw(st.integers(-2, 42)), draw(st.integers(-2, 32))]) + 0.5
+        d = np.array([draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))]) / 1000
+        a = centre + draw(st.integers(10, 3000)) / 100 * d
+        b = centre - draw(st.integers(10, 3000)) / 100 * d
+        c = draw(_point)
+    else:
+        a, b = np.array(draw(_point)), np.array(draw(_point))
+        if kind == "sliver":
+            # the third vertex a hair off the line through a and b
+            s = draw(st.floats(-2, 3))
+            off = draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-3]))
+            c = a + s * (b - a) + np.array([off, -off])
+        else:
+            c = draw(_point)
+    return np.array([[*a, 1.0], [*b, 1.0], [*c, 1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tris=st.lists(_screen_triangle(), min_size=1, max_size=6),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+       batch=st.sampled_from([1, 8, 1 << 16]))
+# an edge through four pixel centres that the fold covers: spans without
+# their one-pixel widening miss them, by rounding
+@example(tris=[np.array([[12.06788, 23.93212, 1.0], [15.71904, 20.28096, 1.0],
+                         [0.0, 8.9, 1.0]])], size=(40, 30), batch=1 << 16)
+def test_spans_hold_every_covered_cell(tris, size, batch):
+    scr = _screen(np.array(tris), 1.0, 0.0, *size)
+    assert _bounding_box_cells(scr) <= _span_cells(scr, batch)
+
+
+_camera_vertex = st.tuples(
+    st.floats(-3, 3), st.floats(-3, 3),
+    st.one_of(st.floats(-1, 2 * NEAR_PLANE),
+              st.sampled_from([NEAR_PLANE, NEAR_PLANE * (1 + 1e-12)])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tri=st.tuples(_camera_vertex, _camera_vertex, _camera_vertex),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+       batch=st.sampled_from([1, 8, 1 << 16]))
+def test_spans_hold_every_covered_cell_near_plane(tri, size, batch):
+    # triangles cut at Z = near project to huge screen coordinates
+    w, h = size
+    fan = [p for p, _ in _clip_near(np.array(tri), np.zeros((3, 5)))]
+    if not fan:
+        return
+    scr = _screen(np.array(fan), 500.0, w / 2, w, h)
+    assert _bounding_box_cells(scr) <= _span_cells(scr, batch)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import sceneflowgen as sf
+from sceneflowgen import scene
+from sceneflowgen.assets import Texture, primitive_mesh
 from sceneflowgen.errors import ConfigurationError
+from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 from sceneflowgen.scene import (
-    DrivingParams, FlyingThingsParams, generate_driving_preset,
-    generate_flyingthings_scene, stream_rng,
+    DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec,
+    generate_driving_preset, generate_flyingthings_scene, stream_rng,
 )
+from sceneflowgen.trajectory import Trajectory
 
 from conftest import SMALL, small_params
 
@@ -172,3 +176,47 @@ class TestSharedMeshes:
         for array in (mesh.vertices, mesh.triangles, mesh.uv):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def cuboid(index, materials=1):
+    mesh = primitive_mesh("cuboid")
+    texture = Texture("checker", {"scale": 4.0})
+    return ObjectInstance(
+        mesh=mesh, materials={m + 1: texture for m in range(materials)},
+        triangle_materials=np.ones(len(mesh.triangles), dtype=np.int64),
+        scale=np.ones(3), trajectory=Trajectory.static([0.0, 0.0, 10.0]),
+        object_index=index,
+    )
+
+
+class TestIndexLimits:
+    """Object and material indices are uint16 passes: a scene that needs
+    more is a ConfigurationError before anything is rendered."""
+
+    def test_object_index_fits_uint16(self):
+        assert cuboid(65535).object_index == 65535
+        with pytest.raises(ConfigurationError, match="65535"):
+            cuboid(65536)
+
+    def test_scene_materials_fit_uint16(self):
+        def spec(materials):
+            return SceneSpec(
+                seed=0, frames=2, rig_trajectory=Trajectory.static([0.0, 0.0, 0.0]),
+                objects=[], ground_plane=cuboid(1, materials),
+                background_objects=[cuboid(2)],
+                rig=StereoRig(CameraPose(), 1.0,
+                              CameraIntrinsics.from_sensor(35, 32, 8, 6)),
+            )
+        assert len(spec(65534).ground_plane.materials) == 65534
+        with pytest.raises(ConfigurationError, match="65536 materials"):
+            spec(65535)
+
+    @pytest.mark.parametrize("n_background", [65535 - 2 - 6 + 1, 10**11])
+    def test_too_many_background_objects(self, monkeypatch, n_background):
+        # ground, shell, background and up to 6 foreground objects
+        def built(*args):
+            raise AssertionError("an object was built")
+
+        monkeypatch.setattr(scene, "_textured_object", built)
+        with pytest.raises(ConfigurationError, match="65527"):
+            generate_flyingthings_scene(0, small_params(n_background=n_background))
