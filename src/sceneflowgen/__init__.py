@@ -15,10 +15,7 @@ from .groundtruth import (
     derive_disparity_change, derive_flow, derive_frame,
     derive_motion_boundaries, reconstruct_scene_flow,
 )
-from .match import (
-    correlate_1d, estimate_disparity, extract_features, subpixel_refine,
-    wta_disparity,
-)
+from .match import estimate_disparity
 from .metrics import MetricReport, aggregate, d1_all, epe_map, render_table
 from .pipeline import derive_dataset, generate_dataset
 

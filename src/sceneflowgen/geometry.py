@@ -126,6 +126,8 @@ class CameraPose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise GeometryError("rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
             raise GeometryError("rotation must be orthonormal with det +1")
 

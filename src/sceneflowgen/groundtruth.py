@@ -26,7 +26,7 @@ __all__ = [
     "GroundTruthFrame", "derive_disparity", "derive_flow",
     "derive_disparity_change", "derive_motion_boundaries",
     "compute_occlusion_mask", "reconstruct_scene_flow", "derive_frame",
-    "bilinear_sample", "pixel_centers",
+    "pixel_centers",
     "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
 ]
 
@@ -209,49 +209,6 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     return mask
 
 
-def _footprint(h, w, u, v):
-    """The 2x2 bilinear footprint in an (H, W) grid at finite pixel
-    coordinates u, v (half-integer pixel centers), clamped into the grid
-    so every sample gets a lookup: its top-left corner (x0i, y0i) and the
-    lerp weights (fx, fy)."""
-    x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
-    y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
-    fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
-    fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
-    return x0i, y0i, fx, fy
-
-
-def _lerp(g00, g01, g10, g11, fx, fy):
-    """Bilinear lerp of the values at the footprint's corners, row y0i
-    first: g01 is at (y0i, x0i + 1), g10 at (y0i + 1, x0i)."""
-    top = g00 * (1 - fx) + g01 * fx
-    bot = g10 * (1 - fx) + g11 * fx
-    return top * (1 - fy) + bot * fy
-
-
-def bilinear_sample(grid: np.ndarray, coords: np.ndarray,
-                    fill=np.nan) -> np.ndarray:
-    """Bilinear lookup of an (H, W[, C]) grid at continuous pixel
-    coordinates (..., 2); samples whose 2x2 footprint leaves the image get
-    `fill`. Coordinates follow the half-integer pixel-center convention.
-    """
-    scalar = grid.ndim == 2
-    g = grid[..., None] if scalar else grid
-    h, w = g.shape[:2]
-    x = coords[..., 0] - 0.5
-    y = coords[..., 1] - 0.5
-    with np.errstate(invalid="ignore"):
-        x0 = np.floor(x)
-        y0 = np.floor(y)
-        inside = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= w - 1) & (y0 + 1 <= h - 1)
-    x0i, y0i, fx, fy = _footprint(h, w, np.nan_to_num(coords[..., 0]),
-                                  np.nan_to_num(coords[..., 1]))
-    out = _lerp(g[y0i, x0i], g[y0i, x0i + 1], g[y0i + 1, x0i],
-                g[y0i + 1, x0i + 1], fx[..., None], fy[..., None])
-    out[~inside] = fill
-    return out[..., 0] if scalar else out
-
-
 def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
                            k: CameraIntrinsics | None = None,
                            eps=None) -> np.ndarray:
@@ -279,13 +236,20 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         u = np.nan_to_num(proj[..., 0], nan=-1.0)
         v = np.nan_to_num(proj[..., 1], nan=-1.0)
         inside = (u >= 0) & (u <= w) & (v >= 0) & (v <= h) & np.isfinite(proj[..., 0])
-        # clamped footprint, so border projections still get a lookup
-        x0i, y0i, fx, fy = _footprint(h, w, u, v)
+        # the 2x2 footprint, clamped into the image so border projections
+        # still get a lookup: top-left corner (x0i, y0i), weights (fx, fy)
+        x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
+        y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
+        fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
+        fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
         corners = ((y0i, x0i), (y0i, x0i + 1), (y0i + 1, x0i), (y0i + 1, x0i + 1))
         oi = [passes_other.object_index[c] for c in corners]
         # the other frame's z-buffer at the corners alone: depth, inf at void
-        sampled = _lerp(*(np.where(o > 0, passes_other.depth[c], np.inf)
-                          for o, c in zip(oi, corners)), fx, fy)
+        g00, g01, g10, g11 = (np.where(o > 0, passes_other.depth[c], np.inf)
+                              for o, c in zip(oi, corners))
+        top = g00 * (1 - fx) + g01 * fx
+        bot = g10 * (1 - fx) + g11 * fx
+        sampled = top * (1 - fy) + bot * fy
         hidden = sampled < z_point - eps
         # silhouette-adjacent samples: the 2x2 footprint touches another
         # object, so the point's surface is not cleanly visible there

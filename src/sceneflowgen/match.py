@@ -5,14 +5,12 @@ winner-take-all with parabola sub-pixel refinement.
 `estimate_disparity` streams over disparities and keeps only per-pixel
 state, so its memory does not grow with the disparity range. It runs the
 stream on the row bands of `_parallel`, through its thread map. Each
-band builds the features of its own rows of both images (`_features`,
-the one feature path, which `extract_features` runs on all rows), so the
-features of a whole image never exist, and matches them as one flat run
-of rows * W pixels: every step for a disparity d is a numpy ufunc on
-contiguous 1-D slices, with the costs that wrap into the row above
-masked before they are read. `correlate_1d`, `wta_disparity` and
-`subpixel_refine` build and consume the full (H, W, D) cost volume; they
-are the reference the banded matcher is bit-identical to.
+band builds the features of its own rows of both images (`_features`),
+so the features of a whole image never exist, and matches them as one
+flat run of rows * W pixels: every step for a disparity d is a numpy
+ufunc on contiguous 1-D slices, with the costs that wrap into the row
+above masked before they are read. The whole (H, W, D) cost volume it
+stands for is built only by the test oracle, `tests/match_oracle.py`.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import numpy as np
 from ._parallel import bands, map_ordered
 from .errors import ContractError
 
-__all__ = [
-    "extract_features", "correlate_1d", "wta_disparity", "subpixel_refine",
-    "estimate_disparity", "DEFAULT_MAX_DISPARITY",
-]
+__all__ = ["estimate_disparity", "DEFAULT_MAX_DISPARITY"]
 
 DEFAULT_MAX_DISPARITY = 160  # hypotheses at full resolution for 960-wide input
 
@@ -46,20 +41,6 @@ def _to_gray(image):
     for rows in bands(len(a)):
         np.matmul(a[rows].astype(np.float64), _LUMA, out=gray[rows])
     return gray
-
-
-def extract_features(image, patch=3) -> np.ndarray:
-    """Per-pixel grayscale patch vector (H, W, patch**2), mean-subtracted
-    and L2-normalized, so the correlation of two patches is their cosine
-    similarity and self-correlation is the strict maximum.
-
-    Border pixels sample with edge clamping; textureless patches stay
-    all-zero. This is `_features` on all rows; the channel axis is last,
-    as a view of its channels-first result.
-    """
-    gray = _to_gray(image)
-    h, w = gray.shape
-    return np.moveaxis(_features(gray, 0, h, patch).reshape(-1, h, w), 0, -1)
 
 
 def _features(gray, y, rows, patch):
@@ -126,62 +107,6 @@ def _lane_tree(plane, lo, whole, j, m):
     return total
 
 
-def correlate_1d(a: np.ndarray, b: np.ndarray, max_disp: int) -> np.ndarray:
-    """Cost volume (H, W, D): cost[y, x, d] = <a[y, x], b[y, x - d]>.
-
-    Entries with x - d < 0 are NaN (explicitly invalid), never zero.
-    """
-    if a.shape != b.shape:
-        raise ContractError(f"feature shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 3:
-        raise ContractError(f"expected HxWxC features, got shape {a.shape}")
-    h, w, _ = a.shape
-    if not 1 <= max_disp <= w:
-        raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
-    cv = np.full((h, w, max_disp), np.nan, dtype=np.float64)
-    for d in range(max_disp):
-        # channel-sequential accumulation: bit-identical to a scalar loop
-        acc = np.zeros((h, w - d), dtype=np.float64)
-        for c in range(a.shape[-1]):
-            acc += a[:, d:, c] * b[:, :w - d, c]
-        cv[:, d:, d] = acc
-    return cv
-
-
-def wta_disparity(cv: np.ndarray):
-    """Per-pixel argmax over valid disparity hypotheses.
-
-    Ties break toward the smaller disparity. Returns (disparity int map,
-    confidence), where confidence is the margin between the best and
-    second-best valid cost (0 where only one hypothesis is valid).
-    """
-    masked = np.nan_to_num(cv, nan=-np.inf)
-    best = np.argmax(masked, axis=-1)  # np.argmax takes the first maximum
-    h, w, n_d = cv.shape
-    top = np.take_along_axis(masked, best[..., None], axis=-1)[..., 0]
-    second = np.where(
-        np.arange(n_d) == best[..., None], -np.inf, masked
-    ).max(axis=-1)
-    confidence = np.where(np.isfinite(second), top - second, 0.0)
-    return best.astype(np.int64), confidence
-
-
-def subpixel_refine(cv: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """Parabola fit through the three costs around each winner.
-
-    The offset is clamped to (-0.5, 0.5); winners at the hypothesis range
-    boundary (or next to an invalid entry) are returned unrefined.
-    """
-    n_d = cv.shape[-1]
-    if n_d < 3:  # no winner has two neighbours
-        return disp.astype(np.float64)
-    di = np.clip(disp, 1, n_d - 2)
-    c0 = np.take_along_axis(cv, (di - 1)[..., None], axis=-1)[..., 0]
-    c1 = np.take_along_axis(cv, di[..., None], axis=-1)[..., 0]
-    c2 = np.take_along_axis(cv, (di + 1)[..., None], axis=-1)[..., 0]
-    return _parabola_refine(disp, c0, c1, c2, n_d)
-
-
 def _parabola_refine(disp, c0, c1, c2, n_d):
     """disp + the clamped parabola vertex offset through (c0, c1, c2), the
     costs at disp - 1, disp and disp + 1; values off the interior are
@@ -199,14 +124,15 @@ def estimate_disparity(left_image, right_image,
                        max_disp=DEFAULT_MAX_DISPARITY, patch=3):
     """Full matcher pipeline on a rectified pair -> (disparity, confidence).
 
-    Equal, bit for bit, to ``subpixel_refine(cv, disp)`` and the confidence
-    of ``disp, confidence = wta_disparity(cv)`` with
-    ``cv = correlate_1d(features(left), features(right), max_disp)``, but
-    neither the cost volume nor the features of a whole image are ever
-    built. Each band of `_parallel.bands` builds the features of its rows
-    of both images, then one loop over d fills a (band, W) cost slice and
-    folds it into the running winner, the second-best cost and the
-    winner's two parabola neighbours. Rows never mix and every step is
+    Equal, bit for bit, to the whole-volume matcher of
+    `tests/match_oracle.py`: winner-take-all over the cost volume
+    ``cost[y, x, d] = <features(left)[y, x], features(right)[y, x - d]>``
+    with the parabola refinement, but neither the cost volume nor the
+    features of a whole image are ever built. Each band of
+    `_parallel.bands` builds the features of its rows of both images,
+    then one loop over d fills a (band, W) cost slice and folds it into
+    the running winner, the second-best cost and the winner's two
+    parabola neighbours. Rows never mix and every step is
     element-wise, so the bands are independent and the result does not
     depend on the band height or on how many bands run at once (see
     `_parallel`). Memory is the two gray images, the two output maps and,
@@ -259,7 +185,7 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     for d in range(max_disp):
         prev, cost = cost, prev
         c, t = cost[d:], tmp[d:]
-        # channel-sequential accumulation from +0.0, as in correlate_1d
+        # channel-sequential accumulation from +0.0, as in the oracle
         c.fill(0.0)
         for ch in range(len(a)):
             np.multiply(a[ch, d:], b[ch, :n - d], out=t)

@@ -58,21 +58,15 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
     """Render and derive the full dataset for one scene.
 
     Layout: {out_root}/{scene}/{pass}/{frame:04}_{L|R}.{ext} with the
-    manifest at {out_root}/manifest.json. Output bytes are a pure function
-    of the scene spec. Returns the manifest.
+    manifest at {out_root}/manifest.json. The manifest says
+    ``"complete": false`` from before the first file is written until the
+    last one is in place. Output bytes are a pure function of the scene
+    spec. Returns the manifest.
     """
     out_root = Path(out_root)
     entries = {}
-    complete = False
-    try:
-        for t, view, pose, files in _frames(
-                functools.partial(rasterize_frame, spec),
-                range(1, spec.frames + 1), spec.rig, out_root, spec.name):
-            entry = entries.setdefault(t, {"time": t, "cameras": {}, "files": {}})
-            entry["cameras"][view] = pose.to_dict()
-            entry["files"][view] = files
-        complete = True
-    finally:
+
+    def save_manifest(complete):
         manifest = {
             "dataset": spec.name,
             "seed": spec.seed,
@@ -81,10 +75,25 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
             "frames": [entries[t] for t in sorted(entries)],
             "complete": complete,  # False marks a partial run
         }
-        out_root.mkdir(parents=True, exist_ok=True)
         write_atomic(out_root / "manifest.json",
                      formats.write_manifest(manifest).encode())
-    return manifest
+        return manifest
+
+    # first: a killed run (SIGKILL and SIGTERM run no clean-up) must not
+    # leave an older dataset's complete manifest over its files
+    out_root.mkdir(parents=True, exist_ok=True)
+    save_manifest(False)
+    try:
+        for t, view, pose, files in _frames(
+                functools.partial(rasterize_frame, spec),
+                range(1, spec.frames + 1), spec.rig, out_root, spec.name):
+            entry = entries.setdefault(t, {"time": t, "cameras": {}, "files": {}})
+            entry["cameras"][view] = pose.to_dict()
+            entry["files"][view] = files
+    except BaseException:
+        save_manifest(False)  # lists the files written so far
+        raise
+    return save_manifest(True)
 
 
 def derive_dataset(dataset_root, out_root) -> int:
@@ -112,7 +121,11 @@ def derive_dataset(dataset_root, out_root) -> int:
 
 def _derivable(manifest):
     """Sorted frame times and the rig of a manifest, or ParseError unless
-    every frame has a distinct integer time, both cameras and all passes."""
+    it is complete and every frame has a distinct integer time, both
+    cameras and all passes."""
+    if manifest["complete"] is not True:
+        raise ParseError("manifest is incomplete: its generate run did not "
+                         "finish, so its files may be missing or stale")
     frames = manifest["frames"]
     times = sorted(f.get("time") for f in frames
                    if type(f.get("time")) is int)

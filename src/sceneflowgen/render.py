@@ -517,7 +517,7 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
 
     return FramePasses(
         rgb=rgb,
-        depth=np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan).astype(np.float64),
+        depth=np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan),
         pos3d_t=pos_t,
         pos3d_prev=pos_prev,
         pos3d_next=pos_next,

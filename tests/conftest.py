@@ -26,6 +26,29 @@ def set_cpus(mp, n):
                raising=False)
 
 
+def bilinear_sample(grid, coords, fill=np.nan):
+    """Bilinear lookup of an (H, W[, C]) grid at continuous pixel
+    coordinates (..., 2), pixel centers at half-integers; samples whose
+    2x2 footprint leaves the grid get `fill`."""
+    g = grid[..., None] if grid.ndim == 2 else grid
+    h, w = g.shape[:2]
+    x = coords[..., 0] - 0.5
+    y = coords[..., 1] - 0.5
+    x0, y0 = np.floor(x), np.floor(y)
+    inside = (x0 >= 0) & (y0 >= 0) & (x0 <= w - 2) & (y0 <= h - 2)
+    x0i = np.where(inside, x0, 0).astype(int)
+    y0i = np.where(inside, y0, 0).astype(int)
+    x1i, y1i = np.minimum(x0i + 1, w - 1), np.minimum(y0i + 1, h - 1)
+    fx = np.where(inside, x - x0i, 0.0)[..., None]
+    fy = np.where(inside, y - y0i, 0.0)[..., None]
+    with np.errstate(invalid="ignore"):  # an inf corner of weight 0
+        top = g[y0i, x0i] * (1 - fx) + g[y0i, x1i] * fx
+        bot = g[y1i, x0i] * (1 - fx) + g[y1i, x1i] * fx
+        out = top * (1 - fy) + bot * fy
+    out[~inside] = fill
+    return out[..., 0] if grid.ndim == 2 else out
+
+
 def make_passes(depth, intrinsics, pos3d_next=None, object_index=None,
                 pose=None, pose_next=None, t=1):
     """Hand-built pass bundle for unit tests that don't need the renderer."""

@@ -194,6 +194,11 @@ def _nan_baseline(m, ds):
     m["rig"]["baseline"] = float("nan")  # json writes NaN, and reads it back
 
 
+def _nan_right_rotation(m, ds):
+    # orthonormality compares NaN to a tolerance, which is false
+    m["frames"][1]["cameras"]["right"]["rotation"] = [[float("nan")] * 3] * 3
+
+
 def _zero_sensor_width(m, ds):
     m["rig"]["intrinsics"]["sensor_width_mm"] = 0
 
@@ -217,6 +222,7 @@ MALFORMED = {
     "path with ..": _path_outside,
     "rig baseline NaN": _nan_baseline,
     "sensor width 0": _zero_sensor_width,
+    "frame 2 right rotation NaN": _nan_right_rotation,
 }
 
 
@@ -238,6 +244,18 @@ class TestDeriveMalformed:
         assert main(["derive", str(ds)]) == 1
         err = capsys.readouterr().err
         assert re.match(r"error \[\w+Error\]: ", err), err
+
+    def test_incomplete_manifest_is_a_parse_error(self, dataset, tmp_path,
+                                                  capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["complete"] = False
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: manifest is incomplete"), err
 
 
 class TestEstimate:

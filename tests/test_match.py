@@ -14,6 +14,8 @@ from sceneflowgen.scene import ObjectInstance
 from sceneflowgen.trajectory import Trajectory
 
 from conftest import set_cpus
+import match_oracle
+from match_oracle import oracle_estimate_disparity
 from test_render import box_scene
 
 
@@ -22,16 +24,26 @@ def textured_image(h, w, seed=0):
     return rng.integers(0, 256, (h, w), dtype=np.uint8).astype(np.float64)
 
 
+def features(image, patch=3, y=0, rows=None):
+    """The matcher's features of rows y .. y + rows - 1 (all rows by
+    default), channels last as the oracle lays them out."""
+    gray = match._to_gray(image)
+    h, w = gray.shape
+    rows = h - y if rows is None else rows
+    flat = match._features(gray, y, rows, patch)
+    return np.ascontiguousarray(np.moveaxis(flat.reshape(-1, rows, w), 0, -1))
+
+
 class TestExtractFeatures:
     def test_constant_image_zero_features(self):
-        feats = match.extract_features(np.full((5, 8), 3.0))
+        feats = features(np.full((5, 8), 3.0))
         assert np.allclose(feats, 0.0)
         assert feats.shape == (5, 8, 9)
 
     def test_isolated_bright_pixel(self):
         img = np.zeros((7, 7))
         img[3, 3] = 9.0
-        feats = match.extract_features(img)
+        feats = features(img)
         center = feats[3, 3]
         others = np.delete(center, 4)
         assert center[4] > 0
@@ -42,14 +54,14 @@ class TestExtractFeatures:
     def test_rgb_converted_to_gray(self):
         rgb = np.zeros((4, 4, 3), dtype=np.uint8)
         rgb[..., 1] = 100
-        feats = match.extract_features(rgb)
+        feats = features(rgb)
         assert np.allclose(feats, 0.0)  # constant luminance
 
     def test_bad_shape(self):
         with pytest.raises(ContractError):
-            match.extract_features(np.zeros((2, 2, 2, 2)))
+            match._to_gray(np.zeros((2, 2, 2, 2)))
         with pytest.raises(ContractError):
-            match.extract_features(np.zeros((4, 4, 4), dtype=np.uint8))
+            match._to_gray(np.zeros((4, 4, 4), dtype=np.uint8))
 
     def test_rgb_gray_bytes_and_peak(self):
         # luminance band by band: the bytes of the whole-image product, and
@@ -64,36 +76,36 @@ class TestExtractFeatures:
         finally:
             tracemalloc.stop()
         assert gray.tobytes() == ref.tobytes()
+        assert gray.tobytes() == match_oracle.to_gray(rgb).tobytes()
         assert peak < h * w * 3 * 8
 
     @pytest.mark.parametrize("patch", [1, 2, 3, 4, 5, 9, 13])
     def test_equals_channels_last_reductions(self, patch):
-        # the features as numpy's mean and norm over a channels-last stack,
-        # to the bit, zero signs included; patch 13 has 169 > 128 channels
-        img = textured_image(12, 17, seed=patch)
+        # the features as numpy's mean and norm over a channels-last stack
+        # (the oracle's), to the bit, zero signs included, on the whole
+        # image and on bands of it; patch 13 has 169 > 128 channels
+        img = textured_image(12, 17, seed=patch) / 7.0  # sums that round
         img[:, :6] = 7.0  # textureless patches
-        r = patch // 2
-        padded = np.pad(img, r, mode="edge")
-        ref = np.stack([padded[dy:dy + 12, dx:dx + 17]
-                        for dy in range(patch) for dx in range(patch)], axis=-1)
-        ref -= ref.mean(axis=-1, keepdims=True)
-        norm = np.linalg.norm(ref, axis=-1, keepdims=True)
-        ref /= np.where(norm > 0, norm, 1.0)
-        feats = match.extract_features(img, patch)
+        img[4:7] = np.round(img[4:7] / 8) * 8  # quantized rows
+        ref = match_oracle.extract_features(img, patch)
+        feats = features(img, patch)
         assert feats.shape == ref.shape
-        assert np.ascontiguousarray(feats).tobytes() == ref.tobytes()
+        assert feats.tobytes() == ref.tobytes()
+        for y, rows in [(0, 5), (5, 5), (10, 2), (3, 1)]:
+            band = features(img, patch, y, rows)
+            assert band.tobytes() == ref[y:y + rows].tobytes(), (y, rows)
 
 
 class TestCorrelate1d:
     def test_dot_product_example(self):
         a = np.tile([1.0, 2.0], (3, 3, 1))
         b = np.tile([3.0, 4.0], (3, 3, 1))
-        cv = match.correlate_1d(a, b, 2)
+        cv = match_oracle.correlate_1d(a, b, 2)
         assert np.allclose(cv[..., 0], 11.0)
 
     def test_invalid_entries_are_nan(self):
         a = np.ones((2, 5, 3))
-        cv = match.correlate_1d(a, a, 4)
+        cv = match_oracle.correlate_1d(a, a, 4)
         for d in range(4):
             assert np.isnan(cv[:, :d, d]).all()
             assert np.isfinite(cv[:, d:, d]).all()
@@ -103,7 +115,7 @@ class TestCorrelate1d:
         a = rng.normal(size=(16, 16, 4))
         b = rng.normal(size=(16, 16, 4))
         max_disp = 6
-        cv = match.correlate_1d(a, b, max_disp)
+        cv = match_oracle.correlate_1d(a, b, max_disp)
         for y in range(16):
             for x in range(16):
                 for d in range(max_disp):
@@ -116,19 +128,19 @@ class TestCorrelate1d:
                         assert cv[y, x, d] == expected
 
     def test_self_correlation_is_row_maximum(self):
-        a = match.extract_features(textured_image(12, 20))
-        cv = match.correlate_1d(a, a, 8)
-        disp, _ = match.wta_disparity(cv)
+        a = match_oracle.extract_features(textured_image(12, 20))
+        cv = match_oracle.correlate_1d(a, a, 8)
+        disp, _ = match_oracle.wta_disparity(cv)
         assert np.array_equal(disp, np.zeros_like(disp))
 
     def test_contracts(self):
-        a = np.ones((4, 4, 2))
+        a = np.ones((4, 4))
         with pytest.raises(ContractError):
-            match.correlate_1d(a, np.ones((4, 5, 2)), 2)
+            match.estimate_disparity(a, np.ones((4, 5)), 2)
         with pytest.raises(ContractError):
-            match.correlate_1d(a, a, 0)
+            match.estimate_disparity(a, a, 0)
         with pytest.raises(ContractError):
-            match.correlate_1d(a, a, 5)
+            match.estimate_disparity(a, a, 5)
 
 
 class TestWta:
@@ -136,10 +148,10 @@ class TestWta:
     def test_shift_recovery(self, shift):
         img = textured_image(24, 160, seed=shift)
         right = np.roll(img, -shift, axis=1)  # content moves left, like disparity
-        a = match.extract_features(img)
-        b = match.extract_features(right)
-        cv = match.correlate_1d(a, b, max_disp=shift + 10)
-        disp, _ = match.wta_disparity(cv)
+        a = match_oracle.extract_features(img)
+        b = match_oracle.extract_features(right)
+        cv = match_oracle.correlate_1d(a, b, max_disp=shift + 10)
+        disp, _ = match_oracle.wta_disparity(cv)
         interior = disp[2:-2, shift + 2:-shift - 2]
         assert (interior == shift).mean() >= 0.99
 
@@ -147,13 +159,13 @@ class TestWta:
         cv = np.zeros((1, 8, 6))
         cv[0, 7, 3] = 5.0
         cv[0, 7, 5] = 5.0
-        disp, _ = match.wta_disparity(cv)
+        disp, _ = match_oracle.wta_disparity(cv)
         assert disp[0, 7] == 3
 
     def test_confidence_margin(self):
         cv = np.zeros((1, 4, 3))
         cv[0, 3] = [1.0, 7.0, 4.0]
-        disp, conf = match.wta_disparity(cv)
+        disp, conf = match_oracle.wta_disparity(cv)
         assert disp[0, 3] == 1
         assert conf[0, 3] == pytest.approx(3.0)
 
@@ -161,10 +173,10 @@ class TestWta:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(10, 30, 9))
         b = rng.normal(size=(10, 30, 9))
-        cv1 = match.correlate_1d(a, b, 8)
-        cv2 = match.correlate_1d(a * 3.7, b * 0.2, 8)
-        d1, _ = match.wta_disparity(cv1)
-        d2, _ = match.wta_disparity(cv2)
+        cv1 = match_oracle.correlate_1d(a, b, 8)
+        cv2 = match_oracle.correlate_1d(a * 3.7, b * 0.2, 8)
+        d1, _ = match_oracle.wta_disparity(cv1)
+        d2, _ = match_oracle.wta_disparity(cv2)
         assert np.array_equal(d1, d2)
 
 
@@ -176,26 +188,26 @@ class TestSubpixel:
 
     def test_symmetric_offset_zero(self):
         cv, disp = self.volume([1.0, 5.0, 1.0])
-        refined = match.subpixel_refine(cv, disp)
+        refined = match_oracle.subpixel_refine(cv, disp)
         assert refined[0, 5] == pytest.approx(2.0)
 
     def test_parabola_vertex_example(self):
         # costs (1, 3, 2): offset = (1-2)/(2*(1-6+2)) = 1/6
         cv, disp = self.volume([1.0, 3.0, 2.0])
-        refined = match.subpixel_refine(cv, disp)
+        refined = match_oracle.subpixel_refine(cv, disp)
         assert refined[0, 5] == pytest.approx(2.0 + 1.0 / 6.0)
 
     def test_offset_clamped_below_half(self):
         cv, disp = self.volume([1.0, 3.0, 2.999999999])
-        refined = match.subpixel_refine(cv, disp)
+        refined = match_oracle.subpixel_refine(cv, disp)
         assert abs(refined[0, 5] - 2.0) < 0.5
 
     def test_boundary_winner_unrefined(self):
         cv = np.zeros((1, 4, 3))
         disp = np.zeros((1, 4), dtype=np.int64)
-        assert np.array_equal(match.subpixel_refine(cv, disp), disp)
+        assert np.array_equal(match_oracle.subpixel_refine(cv, disp), disp)
         disp2 = np.full((1, 4), 2, dtype=np.int64)
-        assert np.array_equal(match.subpixel_refine(cv, disp2), disp2)
+        assert np.array_equal(match_oracle.subpixel_refine(cv, disp2), disp2)
 
 
 def noise_box(center, scale, index, frames=2, seed=0, frequency=1.0):
@@ -229,18 +241,11 @@ class TestRenderedSanity:
         assert match.DEFAULT_MAX_DISPARITY == 160
 
 
-def volume_oracle(left, right, max_disp, patch=3):
-    """The cost-volume matcher that estimate_disparity streams."""
-    cv = match.correlate_1d(match.extract_features(left, patch),
-                            match.extract_features(right, patch), max_disp)
-    disp, confidence = match.wta_disparity(cv)
-    return match.subpixel_refine(cv, disp), confidence
-
-
 def assert_matches_volume(left, right, max_disp, patch=3):
     """estimate_disparity equals the volume oracle byte for byte for band
     heights of 1 row, 7 rows, H - 1, H and H + 5 rows, on 1 and 2 CPUs."""
-    ref = [x.tobytes() for x in volume_oracle(left, right, max_disp, patch)]
+    ref = [x.tobytes()
+           for x in oracle_estimate_disparity(left, right, max_disp, patch)]
     h = np.shape(left)[0]
     for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
         for cpus in (1, 2):
@@ -372,7 +377,7 @@ class TestBandThreads:
         set_cpus(monkeypatch, 8)
         left = textured_image(24, 40, seed=9)
         right = np.roll(left, -5, axis=1)
-        ref = [x.tobytes() for x in volume_oracle(left, right, 12)]
+        ref = [x.tobytes() for x in oracle_estimate_disparity(left, right, 12)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -1,5 +1,10 @@
 import hashlib
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -83,8 +88,9 @@ def test_small_generate_bytes_unchanged(tmp_path):
     assert digest.hexdigest() == GENERATE_64X48_DIGEST
 
 
-# A 2-frame run writes 20 files per view, then the manifest: fail on the
-# first file, mid left view, and mid right view.
+# A 2-frame run writes the manifest marked partial, 20 files per view, then
+# the final manifest: fail on the first map, mid left view, and mid right
+# view (the manifest writes are not counted).
 @pytest.mark.parametrize("fail_at", [1, 15, 30])
 def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     clean = tmp_path / "clean"
@@ -94,6 +100,8 @@ def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     calls = []
 
     def half_then_raise(self, data):
+        if self.name == ".manifest.json.tmp":
+            return real_write_bytes(self, data)
         calls.append(self)
         if len(calls) == fail_at:
             with open(self, "wb") as f:
@@ -117,6 +125,44 @@ def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
               for p in v.values()}
     assert listed <= left
     assert main(["inspect", str(out)]) == 0
+
+
+def _files(root):
+    """(path, inode) of every file under root but the manifest and the
+    hidden temporaries; a file replaced by rename gets a new inode."""
+    return {(p, p.stat().st_ino) for p in root.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+            and not p.name.startswith(".")}
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_killed_generate_leaves_manifest_incomplete(tmp_path, sig):
+    # neither signal runs the run's own clean-up, so the manifest says
+    # partial only if the run marked it so before touching any file
+    out = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(out)]) == 0  # 64x48, complete
+    before = _files(out)
+    src = str(Path(sf.__file__).parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-m", "sceneflowgen.cli", "generate", "--seed", "5",
+         "--frames", "8", "--size", "320x240", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not _files(out) - before:
+            assert run.poll() is None, "generate ended before a file was new"
+            assert time.monotonic() < deadline, "no new file within 120 s"
+            time.sleep(0.005)
+        run.send_signal(sig)
+        assert run.wait(timeout=60) == -sig
+    finally:
+        run.kill()
+        run.wait(timeout=60)
+    manifest = formats.read_manifest((out / "manifest.json").read_bytes())
+    assert manifest["complete"] is False
+    assert main(["derive", str(out)]) == 1
 
 
 def listed_passes(root):

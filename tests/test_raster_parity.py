@@ -339,10 +339,13 @@ def _peak_bytes(n_small):
         tracemalloc.stop()
 
 
-def test_view_memory_does_not_grow_with_fragment_count():
+def test_view_memory_does_not_grow_with_fragment_count(monkeypatch):
     # 4800 more triangles add about 1.4M fragments: held at once they
     # would take some 50 MB more. The per-triangle tables may grow by
     # under 1 kB per triangle; the fragment batches have a fixed size.
+    # One worker, so the peaks do not move with how the batches of two
+    # workers happen to overlap.
+    set_cpus(monkeypatch, 1)
     base = _peak_bytes(400)
     doubled = _peak_bytes(800)
     assert doubled - base < 400 * 12 * 1024, (base, doubled)
