@@ -43,7 +43,6 @@ class GroundTruthFrame:
     dispchange_bwd: np.ndarray | None
     motion_boundaries: np.ndarray | None  # (H, W) bool
     occlusion_fwd: np.ndarray | None  # (H, W) bool
-    valid: np.ndarray  # (H, W) bool, non-void
 
 
 def pixel_centers(h, w):
@@ -324,7 +323,6 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         motion_boundaries=None,
         occlusion_fwd=(np.empty((h, w), dtype=bool) if passes_next is not None
                        else None),
-        valid=passes.valid,
     )
     eps = _occlusion_eps(passes.depth) if passes_next is not None else None
 

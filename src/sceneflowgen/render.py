@@ -23,7 +23,7 @@ Rasterization is batched array work rather than a loop over triangles:
    order) over fragments with finite depth: a strictly nearer fragment
    wins, and of two at equal depth the earlier draw wins.
 5. Interpolate attributes and sample textures once per covered pixel, for
-   its winner only, in fixed-size batches grouped by material.
+   its winner only, in fixed-size batches grouped by object.
 
 Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
@@ -65,12 +65,15 @@ _NO_OWNER = np.iinfo(np.int64).max
 @dataclass
 class FramePasses:
     rgb: np.ndarray  # (H, W, 3) uint8
-    depth: np.ndarray  # (H, W) float32, NaN at void
-    pos3d_t: np.ndarray  # (H, W, 3) float32, camera frame at t
+    # depth and positions: float64 in memory, float32 on disk
+    depth: np.ndarray  # (H, W), NaN at void
+    pos3d_t: np.ndarray  # (H, W, 3), camera frame at t
     pos3d_prev: np.ndarray | None  # camera frame at t-1; None at t = 1
     pos3d_next: np.ndarray | None  # camera frame at t+1; None at t = frames
     object_index: np.ndarray  # (H, W) uint16, 0 = void
-    material_index: np.ndarray  # (H, W) uint16, 0 = void
+    # (H, W) uint16, 0 = void: the 1-based place of the pixel's object in
+    # `SceneSpec.all_objects()`, each object having one texture
+    material_index: np.ndarray
     view: str
     frame_time: int
     camera_pose: CameraPose  # world -> camera at t
@@ -83,49 +86,30 @@ class FramePasses:
         return self.object_index > 0
 
 
-def _material_offsets(spec: SceneSpec):
-    """Scene-global material index for each (object, local material)."""
-    offsets = {}
-    next_mat = 1
-    for obj in spec.all_objects():
-        locals_ = sorted(obj.materials)
-        offsets[obj.object_index] = {m: next_mat + i for i, m in enumerate(locals_)}
-        next_mat += len(locals_)
-    return offsets
-
-
-def _clip_near(tri_cam, attrs, near=NEAR_PLANE):
+def _clip_near(attrs, near=NEAR_PLANE):
     """Sutherland-Hodgman clip of one triangle against Z = near.
 
-    Attributes are linear over the 3D triangle, so plain linear
-    interpolation along clipped edges is exact. Returns a fan of
-    (3, 3) position / (3, A) attribute triangles.
+    `attrs` is (3, A) per vertex, the camera-space position in its first
+    three columns. Attributes are linear over the 3D triangle, so plain
+    linear interpolation along clipped edges is exact. Returns a fan of
+    (3, A) triangles.
     """
-    z = tri_cam[:, 2]
-    inside = z > near
+    inside = attrs[:, 2] > near
     if inside.all():
-        return [(tri_cam, attrs)]
+        return [attrs]
     if not inside.any():
         return []
-    poly_p, poly_a = [], []
+    poly = []
     for i in range(3):
         j = (i + 1) % 3
-        pi, pj = tri_cam[i], tri_cam[j]
         ai, aj = attrs[i], attrs[j]
         if inside[i]:
-            poly_p.append(pi)
-            poly_a.append(ai)
+            poly.append(ai)
         if inside[i] != inside[j]:
-            s = (near - pi[2]) / (pj[2] - pi[2])
-            poly_p.append(pi + s * (pj - pi))
-            poly_a.append(ai + s * (aj - ai))
-    out = []
-    for i in range(1, len(poly_p) - 1):
-        out.append((
-            np.stack([poly_p[0], poly_p[i], poly_p[i + 1]]),
-            np.stack([poly_a[0], poly_a[i], poly_a[i + 1]]),
-        ))
-    return out
+            s = (near - ai[2]) / (aj[2] - ai[2])
+            poly.append(ai + s * (aj - ai))
+    return [np.stack([poly[0], poly[i], poly[i + 1]])
+            for i in range(1, len(poly) - 1)]
 
 
 @dataclass
@@ -134,10 +118,9 @@ class _Triangles:
     # (N, 3, A) per vertex: pos_t(3), pos_prev(3) where t > 1, pos_next(3)
     # where t < frames, uv(2)
     attrs: np.ndarray
-    object_index: np.ndarray  # (N,) uint16
-    material: np.ndarray  # (N,) uint16 scene-global material index
+    material: np.ndarray  # (N,) uint16: 1-based place of the object in `objects`
     shade: np.ndarray  # (N,) flat shading factor
-    textures: dict  # scene-global material index -> Texture
+    objects: list  # `SceneSpec.all_objects()`
 
 
 def _camera_vertices(obj, base, pose, t):
@@ -147,9 +130,9 @@ def _camera_vertices(obj, base, pose, t):
 
 
 def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
-    offsets = _material_offsets(spec)
-    attrs, obj_ids, mats, shades, textures = [], [], [], [], {}
-    for obj in spec.all_objects():
+    objects = spec.all_objects()
+    attrs, mats, shades = [], [], []
+    for material, obj in enumerate(objects, 1):
         base = obj.mesh.vertices * obj.scale
         r_t, t_t = obj.pose_at(t)
         world_t = base @ r_t.T + t_t
@@ -188,29 +171,24 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
         if len(straddle):
             keys, pieces = [2 * tri_ids], [block]
             for ti in straddle:
-                fan = _clip_near(tri_attrs[ti, :, :3], tri_attrs[ti])
+                fan = _clip_near(tri_attrs[ti])
                 keys.append(2 * ti + np.arange(len(fan)))
-                pieces.append(np.stack([cattrs for _, cattrs in fan]))
+                pieces.append(np.stack(fan))
             keys = np.concatenate(keys)
             order = np.argsort(keys, kind="stable")
             tri_ids = keys[order] // 2
             block = np.concatenate(pieces)[order]
 
-        local_ids = sorted(obj.materials)
-        global_ids = [offsets[obj.object_index][m] for m in local_ids]
-        tri_mats = np.searchsorted(local_ids, obj.triangle_materials[tri_ids])
         attrs.append(block)
-        obj_ids.append(np.full(len(tri_ids), obj.object_index, dtype=np.uint16))
-        mats.append(np.array(global_ids, dtype=np.uint16)[tri_mats])
+        mats.append(np.full(len(tri_ids), material, dtype=np.uint16))
         shades.append(shade[tri_ids])
-        textures.update((g, obj.materials[m]) for m, g in zip(local_ids, global_ids))
 
     if not attrs:
         width = 5 + 3 * ((pose_prev is not None) + (pose_next is not None))
         return _Triangles(np.zeros((0, 3, width)), np.zeros(0, dtype=np.uint16),
-                          np.zeros(0, dtype=np.uint16), np.zeros(0), {})
-    return _Triangles(np.concatenate(attrs), np.concatenate(obj_ids),
-                      np.concatenate(mats), np.concatenate(shades), textures)
+                          np.zeros(0), objects)
+    return _Triangles(np.concatenate(attrs), np.concatenate(mats),
+                      np.concatenate(shades), objects)
 
 
 @dataclass
@@ -422,7 +400,7 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
 
 def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
-    in batches of one material that run through `map_ordered`.
+    in batches of one object that run through `map_ordered`.
 
     `passes` holds the flattened rgb (P, 3), object and material index
     (P,) and position (P, 3) outputs, the positions of the passes the
@@ -432,7 +410,7 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     pix = np.flatnonzero(owner != _NO_OWNER)
     row = owner[pix]
     material = tris.material[scr.draw[row]]
-    # uint16 keys: a stable radix sort groups the winners by texture
+    # uint16 keys: a stable radix sort groups the winners by object
     order = np.argsort(material, kind="stable")
     pix, row, material = pix[order], row[order], material[order]
     starts = np.flatnonzero(np.diff(material, prepend=-1))
@@ -440,15 +418,15 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     aoz = scr.attr_over_z
     batches = []
     for s, e in zip(starts, ends):
-        texture = tris.textures[int(material[s])]
+        obj = tris.objects[int(material[s]) - 1]
         # on no points: a noise texture builds its lattice here, once,
         # not in two workers at the same time
-        texture.sample(np.zeros((0, 2)))
-        batches += [(texture, material[s], slice(c, min(c + _SHADE_BATCH, e)))
+        obj.texture.sample(np.zeros((0, 2)))
+        batches += [(obj, material[s], slice(c, min(c + _SHADE_BATCH, e)))
                     for c in range(s, e, _SHADE_BATCH)]
 
     def shade(batch):
-        texture, mat, sel = batch
+        obj, mat, sel = batch
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
         px = (x + 0.5)[:, None]
@@ -471,13 +449,12 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         interp *= depth[:, None]
         interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
 
-        tri = scr.draw[r]
-        obj_idx[p] = tris.object_index[tri]
+        obj_idx[p] = obj.object_index
         mat_idx[p] = mat
         for k, dst in enumerate(positions):
             dst[p] = interp[:, 3 * k:3 * k + 3]
-        color = texture.sample(interp[:, -2:])  # a new array
-        color *= tris.shade[tri, None]
+        color = obj.texture.sample(interp[:, -2:])  # a new array
+        color *= tris.shade[scr.draw[r], None]
         color *= 255.0
         rgb[p] = np.clip(np.rint(color, out=color), 0, 255, out=color).astype(np.uint8)
 

@@ -30,7 +30,8 @@ DEFAULT_FOCAL_MM = 35.0
 DEFAULT_WIDTH = 960
 DEFAULT_HEIGHT = 540
 DEFAULT_BASELINE = 1.0
-# object and scene-global material indices are stored as uint16 passes
+# object and material indices are stored as uint16 passes; object indices
+# are unique, so a scene has at most this many objects and materials
 _MAX_INDEX = int(np.iinfo(np.uint16).max)
 
 
@@ -50,8 +51,7 @@ def stream_rng(seed: int, *tags) -> np.random.Generator:
 @dataclass(frozen=True)
 class ObjectInstance:
     mesh: Mesh
-    materials: dict  # material_index -> Texture
-    triangle_materials: np.ndarray  # (M,) material index per triangle
+    texture: Texture  # on every triangle
     scale: np.ndarray  # (3,)
     trajectory: Trajectory
     object_index: int
@@ -66,18 +66,9 @@ class ObjectInstance:
         if self.object_index > _MAX_INDEX:
             raise ConfigurationError(
                 f"object_index {self.object_index} above {_MAX_INDEX}")
-        tm = np.asarray(self.triangle_materials, dtype=np.int64)
-        object.__setattr__(self, "triangle_materials", tm)
         object.__setattr__(
             self, "scale", np.asarray(self.scale, dtype=np.float64).reshape(3)
         )
-        if len(tm) != len(self.mesh.triangles):
-            raise ConfigurationError("one material index per triangle required")
-        if np.any(tm < 1):
-            raise ConfigurationError("material indices must be >= 1")
-        missing = set(np.unique(tm).tolist()) - set(self.materials)
-        if missing:
-            raise ConfigurationError(f"no texture for material(s) {sorted(missing)}")
 
     def pose_at(self, t):
         """Object-to-world transform at frame time t -> (R (3,3), t (3,)).
@@ -98,11 +89,9 @@ class ObjectInstance:
     def to_dict(self):
         return {
             "mesh": self.mesh.asset_id,
-            "materials": {
-                str(k): {"kind": v.kind, "asset_id": v.asset_id,
-                         "params": _jsonable(v.params)}
-                for k, v in sorted(self.materials.items())
-            },
+            "materials": {"1": {"kind": self.texture.kind,
+                                "asset_id": self.texture.asset_id,
+                                "params": _jsonable(self.texture.params)}},
             "scale": self.scale.tolist(),
             "trajectory": self.trajectory.to_dict(),
             "object_index": self.object_index,
@@ -141,10 +130,6 @@ class SceneSpec:
             raise ConfigurationError("object indices must be unique and >= 1")
         if self.frames < 2:
             raise ConfigurationError("a scene needs at least 2 frames")
-        materials = sum(len(o.materials) for o in self.all_objects())
-        if materials > _MAX_INDEX:
-            raise ConfigurationError(
-                f"{materials} materials in the scene, above {_MAX_INDEX}")
 
     def all_objects(self):
         return [self.ground_plane, *self.background_objects, *self.objects]
@@ -235,9 +220,8 @@ def _textured_object(rng, tag, mesh, scale, trajectory, object_index):
     """An object with one random texture on every triangle. The texture is
     drawn from rng after every draw that built the arguments."""
     return ObjectInstance(
-        mesh=mesh, materials={1: _random_texture(rng, tag)},
-        triangle_materials=np.ones(len(mesh.triangles), dtype=np.int64),
-        scale=scale, trajectory=trajectory, object_index=object_index,
+        mesh=mesh, texture=_random_texture(rng, tag), scale=scale,
+        trajectory=trajectory, object_index=object_index,
     )
 
 
@@ -292,13 +276,11 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         raise ConfigurationError(f"object count range {p.n_objects_range} outside [1, 100]")
     if p.frames < 2:
         raise ConfigurationError("frames must be >= 2")
-    # ground, shell, background and foreground objects, one material each
+    # ground, shell, background and foreground objects, one index each
     most_background = _MAX_INDEX - 2 - hi
     if not 0 <= p.n_background <= most_background:
         raise ConfigurationError(
             f"n_background must be in [0, {most_background}], got {p.n_background}")
-    if not _MESH_POOL:
-        raise ConfigurationError("empty asset pool")
     intr = _default_intrinsics(p)
     motion = 0.0 if p.static else p.camera_motion
     rig_traj = _camera_trajectory(stream_rng(seed, "camera"), p.frames, motion)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ContractError
 
 __all__ = ["flow_to_rgb", "scalar_to_rgb", "color_wheel"]
 
@@ -33,9 +37,16 @@ def color_wheel() -> np.ndarray:
     return wheel
 
 
+def _check_scale(name, value):
+    """A given scale must be finite and positive; None picks one."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ContractError(f"{name} must be finite and > 0, got {value}")
+
+
 def flow_to_rgb(flow: np.ndarray, max_flow=None) -> np.ndarray:
     """Flow map -> uint8 RGB: hue encodes direction, saturation encodes
     magnitude relative to max_flow. NaN pixels render black."""
+    _check_scale("max_flow", max_flow)
     u = flow[..., 0]
     v = flow[..., 1]
     nan = ~np.isfinite(u) | ~np.isfinite(v)
@@ -65,6 +76,7 @@ def scalar_to_rgb(values: np.ndarray, max_value=None) -> np.ndarray:
     Monotone luminance ramp: larger values (nearer surfaces) are brighter,
     with a mild warm tint; NaN pixels render black.
     """
+    _check_scale("max_value", max_value)
     nan = ~np.isfinite(values)
     vals = np.where(nan, 0.0, values)
     if max_value is None:

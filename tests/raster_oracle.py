@@ -10,7 +10,7 @@ import numpy as np
 
 from sceneflowgen.errors import ContractError
 from sceneflowgen.render import (
-    _AMBIENT, _LIGHT_DIR, NEAR_PLANE, FramePasses, _clip_near, _material_offsets,
+    _AMBIENT, _LIGHT_DIR, NEAR_PLANE, FramePasses, _clip_near,
 )
 
 
@@ -41,12 +41,12 @@ def oracle_rasterize_frame(spec, t, view):
     pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
 
-    mat_offsets = _material_offsets(spec)
     # pixel center grids, reused per triangle bbox
     xs_all = np.arange(w) + 0.5
     ys_all = np.arange(h) + 0.5
 
-    for obj in spec.all_objects():
+    # an object's material index is its 1-based place in draw order
+    for material, obj in enumerate(spec.all_objects(), 1):
         base = obj.mesh.vertices * obj.scale
         r_t, t_t = obj.pose_at(t)
         world_t = base @ r_t.T + t_t
@@ -91,14 +91,11 @@ def oracle_rasterize_frame(spec, t, view):
             blocks.append(uv[idx])
             attrs = np.concatenate(blocks, axis=1)
 
-            material = obj.triangle_materials[ti]
-            texture = obj.materials[material]
-            global_mat = mat_offsets[obj.object_index][material]
-            for ctri, cattrs in _clip_near(tri_cam, attrs):
+            for cattrs in _clip_near(attrs):
                 _raster_triangle(
-                    ctri, cattrs, f, cx, cy, w, h, xs_all, ys_all,
+                    cattrs[:, :3], cattrs, f, cx, cy, w, h, xs_all, ys_all,
                     zbuf, rgb, obj_idx, mat_idx, pos_t, pos_prev, pos_next,
-                    obj.object_index, global_mat, texture, shade[ti],
+                    obj.object_index, material, obj.texture, shade[ti],
                 )
 
     return FramePasses(

@@ -154,6 +154,7 @@ def test_06_correlation_oracle():
                         expected += a[y, x, c] * b[y, x - d, c]
                     ok &= cv[y, x, d] == expected
 
+    # shift recovery, by the oracle and by the shipped matcher
     for shift in (1, 7, 39):
         img = rng.integers(0, 256, (24, 160)).astype(np.float64)
         right = np.roll(img, -shift, axis=1)
@@ -163,11 +164,19 @@ def test_06_correlation_oracle():
         disp, _ = match_oracle.wta_disparity(cvs)
         interior = disp[2:-2, shift + 2:-shift - 2]
         ok &= (interior == shift).mean() >= 0.99
+        est, _ = match.estimate_disparity(img, right, max_disp=shift + 10)
+        interior = np.rint(est[2:-2, shift + 2:-shift - 2])
+        ok &= (interior == shift).mean() >= 0.99
 
+    # gain invariance, by the oracle and by the shipped matcher
     d1, _ = match_oracle.wta_disparity(match_oracle.correlate_1d(a, b, 6))
     d2, _ = match_oracle.wta_disparity(
         match_oracle.correlate_1d(a * 5.5, b * 0.3, 6))
     ok &= np.array_equal(d1, d2)
+    left, right = rng.integers(0, 256, (2, 24, 96)).astype(np.float64)
+    est = match.estimate_disparity(left, right, max_disp=16)
+    scaled = match.estimate_disparity(left * 4.0, right * 0.25, max_disp=16)
+    ok &= all(e.tobytes() == s.tobytes() for e, s in zip(est, scaled))
     _report(6, "correlation oracle", ok)
 
 

@@ -484,6 +484,14 @@ def _visualize_three_channel_pfm(tmp):
             "--out", str(tmp / "rgb.ppm")]
 
 
+def _visualize_scale(suffix, option, value):
+    def build(tmp):
+        src = tmp / f"map{suffix}"
+        src.write_bytes(_valid_input(suffix))
+        return ["visualize", str(src), option, value, "--out", str(tmp / "v.ppm")]
+    return build
+
+
 def _inspect_truncated_pfm(tmp):
     return ["inspect", _truncated_pfm(tmp / "d.pfm")]
 
@@ -540,6 +548,17 @@ BAD_INPUT = {
     "visualize truncated pfm": (_visualize_truncated_pfm, "ParseError"),
     "visualize unknown suffix": (_visualize_unknown_suffix, "ContractError"),
     "visualize three-channel pfm": (_visualize_three_channel_pfm, "ContractError"),
+    # a scale must be finite and > 0: -3 drew all white, 0 divided by zero
+    "visualize negative max-flow": (
+        _visualize_scale(".flo", "--max-flow", "-3"), "ContractError"),
+    "visualize zero max-flow": (
+        _visualize_scale(".flo", "--max-flow", "0"), "ContractError"),
+    "visualize NaN max-flow": (
+        _visualize_scale(".flo", "--max-flow", "nan"), "ContractError"),
+    "visualize zero max-disp": (
+        _visualize_scale(".pfm", "--max-disp", "0"), "ContractError"),
+    "visualize infinite max-disp": (
+        _visualize_scale(".pfm", "--max-disp", "inf"), "ContractError"),
     "inspect truncated pfm": (_inspect_truncated_pfm, "ParseError"),
     "inspect unknown suffix": (_inspect_unknown_suffix, "ContractError"),
 }

@@ -396,7 +396,7 @@ class TestDeriveFrame:
 
 
 GT_FIELDS = ("flow_fwd", "flow_bwd", "disparity", "dispchange_fwd",
-             "dispchange_bwd", "motion_boundaries", "occlusion_fwd", "valid")
+             "dispchange_bwd", "motion_boundaries", "occlusion_fwd")
 
 
 def whole_frame(passes, rig, passes_next):
@@ -412,7 +412,6 @@ def whole_frame(passes, rig, passes_next):
                            if flow_fwd is not None else None),
         occlusion_fwd=(gt.compute_occlusion_mask(passes, passes_next)
                        if passes_next is not None else None),
-        valid=passes.valid,
     )
 
 

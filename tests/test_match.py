@@ -214,8 +214,7 @@ def noise_box(center, scale, index, frames=2, seed=0, frequency=1.0):
     mesh = make_cuboid()
     tex = Texture("noise", {"seed": seed, "frequency": frequency})
     return ObjectInstance(
-        mesh=mesh, materials={1: tex},
-        triangle_materials=np.ones(len(mesh.triangles), dtype=np.int64),
+        mesh=mesh, texture=tex,
         scale=np.asarray(scale, dtype=np.float64),
         trajectory=Trajectory.static(center, t0=1.0, t1=float(frames)),
         object_index=index,

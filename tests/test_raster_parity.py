@@ -35,9 +35,9 @@ TEXTURES = (
 )
 
 
-def box(center, scale, index, frames=2, end=None, rotation=None, materials=1):
+def box(center, scale, index, frames=2, end=None, rotation=None, texture=None):
     """Cuboid object; `end` moves it linearly to another center by the
-    last frame, `materials` > 1 alternates textures over its triangles."""
+    last frame. The texture defaults to one of TEXTURES by index."""
     mesh = make_cuboid()
     q = IDENTITY_QUAT if rotation is None else rotation.as_quat()
     if end is None:
@@ -48,9 +48,7 @@ def box(center, scale, index, frames=2, end=None, rotation=None, materials=1):
                           np.array([q, q]))
     return ObjectInstance(
         mesh=mesh,
-        materials={m + 1: TEXTURES[(index + m) % len(TEXTURES)]
-                   for m in range(materials)},
-        triangle_materials=np.arange(len(mesh.triangles)) % materials + 1,
+        texture=TEXTURES[index % len(TEXTURES)] if texture is None else texture,
         scale=np.asarray(scale, dtype=np.float64),
         trajectory=traj, object_index=index,
     )
@@ -121,7 +119,7 @@ def test_quads_crossing_near_plane():
             for tri in obj.mesh.triangles:
                 z = cam[tri, 2]
                 if (z > NEAR_PLANE).any() and not (z > NEAR_PLANE).all():
-                    pieces = _clip_near(cam[tri], np.zeros((3, 11)))
+                    pieces = _clip_near(cam[tri])
                     fans[len(pieces)] += 1
     assert fans[1] > 0 and fans[2] > 0
     assert_matches_oracle(spec)
@@ -148,14 +146,13 @@ def test_shared_edges_follow_top_left_rule():
     # Z = 14 and f = 140: X = -2.75 projects to x = 36.5 exactly, so the
     # outer edges and the shared boundary at X = 0.25 (x = 66.5) run
     # through pixel centers, as does each face's diagonal
-    left = box((-1.25, 0, 14.25), (3, 5.5, 0.5), 1, materials=2)
-    right = box((1.5, 0, 14.25), (2.5, 5.5, 0.5), 2, materials=2)
+    left = box((-1.25, 0, 14.25), (3, 5.5, 0.5), 1)
+    right = box((1.5, 0, 14.25), (2.5, 5.5, 0.5), 2)
     fp = assert_matches_oracle(scene([left, right]), times=[1])[(1, "left")]
     # each pixel center on a shared edge belongs to exactly one side, and
     # of two opposite outer edges exactly one owns its centers
     assert int(fp.valid.sum()) == 55 * 55
     assert set(np.unique(fp.object_index)) == {0, 1, 2}
-    assert len(set(np.unique(fp.material_index)) - {0}) == 4
 
 
 def test_offscreen_sliver_and_edge_on_triangles():
@@ -284,10 +281,9 @@ def test_two_cpus_render_two_units_at_once(monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(render, "_fold_fragments", paired_fold)
-    obj = box((0, 0, 10.25), (4, 4, 0.5), 1)
     texture = PairedTexture("checker", {"scale": 4.0}, barrier=shade_barrier,
                             threads=shade_threads)
-    obj.materials[1] = texture
+    obj = box((0, 0, 10.25), (4, 4, 0.5), 1, texture=texture)
     fp = rasterize_frame(scene([obj]), 1, "left")
     assert fp.valid.sum() > 2 * render._SHADE_BATCH
     for threads in (fold_threads, shade_threads):

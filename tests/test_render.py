@@ -23,8 +23,7 @@ def box_object(center, scale, index, frames=2):
     tex = Texture("checker", {"scale": 4.0, "color_a": (1, 1, 1),
                               "color_b": (0.2, 0.2, 0.2)})
     return ObjectInstance(
-        mesh=mesh, materials={1: tex},
-        triangle_materials=np.ones(len(mesh.triangles), dtype=np.int64),
+        mesh=mesh, texture=tex,
         scale=np.asarray(scale, dtype=np.float64),
         trajectory=Trajectory.static(center, t0=1.0, t1=float(frames)),
         object_index=index,
@@ -167,8 +166,7 @@ def _screen(triangles, f, c, w, h):
     attrs = np.zeros((len(triangles), 3, 5))
     attrs[:, :, :3] = triangles
     n = len(triangles)
-    tris = render._Triangles(attrs, np.ones(n, dtype=np.uint16),
-                             np.ones(n, dtype=np.uint16), np.ones(n), {})
+    tris = render._Triangles(attrs, np.ones(n, dtype=np.uint16), np.ones(n), [])
     return render._screen_setup(tris, f, c, c, w, h)
 
 
@@ -270,7 +268,7 @@ _camera_vertex = st.tuples(
 def test_spans_hold_every_covered_cell_near_plane(tri, size, batch):
     # triangles cut at Z = near project to huge screen coordinates
     w, h = size
-    fan = [p for p, _ in _clip_near(np.array(tri), np.zeros((3, 5)))]
+    fan = _clip_near(np.array(tri))
     if not fan:
         return
     scr = _screen(np.array(fan), 500.0, w / 2, w, h)
