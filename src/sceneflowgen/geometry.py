@@ -139,11 +139,6 @@ class CameraPose:
         p = np.asarray(points, dtype=np.float64)
         return (p - self.translation) @ self.rotation
 
-    @property
-    def center(self):
-        """Camera center in world coordinates."""
-        return -self.rotation.T @ self.translation
-
     def to_dict(self):
         return {
             "rotation": [[float(v) for v in row] for row in self.rotation],

@@ -76,8 +76,7 @@ def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
     return d
 
 
-def derive_flow(passes: FramePasses, direction: str,
-                k: CameraIntrinsics | None = None) -> np.ndarray | None:
+def derive_flow(passes: FramePasses, direction: str) -> np.ndarray | None:
     """Optical flow as the difference of projected pixel positions.
 
     Forward: project(pos3d_next) - project(pos3d_t); backward uses
@@ -88,7 +87,7 @@ def derive_flow(passes: FramePasses, direction: str,
     other = _other_pass(passes, direction)
     if other is None:
         return None
-    k = k or passes.intrinsics
+    k = passes.intrinsics
     flow = _project_pass(other, k) - _project_pass(passes.pos3d_t, k)
     flow[~passes.valid] = np.nan
     return flow
@@ -117,25 +116,25 @@ def _other_pass(passes: FramePasses, direction: str):
     raise ContractError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
 
-def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray,
-                             motion_threshold=MOTION_DIFF_THRESHOLD_PX,
-                             min_area=MIN_BOUNDARY_AREA_PX) -> np.ndarray:
+def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarray:
     """Boundary pixels between differently moving objects.
 
     A 4-adjacent pixel pair is a candidate when the two pixels belong to
-    different objects and their flow vectors differ by at least the motion
-    threshold; both pixels of the pair are marked. 8-connected components
-    smaller than min_area pixels are removed (`_drop_small_components`,
-    which gives the mask of `scipy.ndimage.label` with a 3x3 structure).
+    different objects and their flow vectors differ by at least
+    MOTION_DIFF_THRESHOLD_PX; both pixels of the pair are marked.
+    8-connected components smaller than MIN_BOUNDARY_AREA_PX pixels are
+    removed (`_drop_small_components`, which gives the mask of
+    `scipy.ndimage.label` with a 3x3 structure).
     """
-    marked = _mark_motion_pairs(passes.object_index, flow, motion_threshold)
-    return _drop_small_components(marked, min_area)
+    marked = _mark_motion_pairs(passes.object_index, flow)
+    return _drop_small_components(marked, MIN_BOUNDARY_AREA_PX)
 
 
-def _mark_motion_pairs(obj, flow, motion_threshold):
+def _mark_motion_pairs(obj, flow):
     """Both pixels of every 4-adjacent pair of different objects whose
-    flow vectors differ by at least motion_threshold. A function of its
-    own, so its temporaries are freed before the component filter runs."""
+    flow vectors differ by at least MOTION_DIFF_THRESHOLD_PX. A function
+    of its own, so its temporaries are freed before the component filter
+    runs."""
     marked = np.zeros(obj.shape, dtype=bool)
     with np.errstate(invalid="ignore"):
         for axis in (0, 1):
@@ -150,7 +149,7 @@ def _mark_motion_pairs(obj, flow, motion_threshold):
             dflow += dv
             del dv
             np.sqrt(dflow, out=dflow)
-            hit = (obj[a] != obj[b]) & (dflow >= motion_threshold)
+            hit = (obj[a] != obj[b]) & (dflow >= MOTION_DIFF_THRESHOLD_PX)
             marked[a] |= hit
             marked[b] |= hit
     return marked
@@ -209,7 +208,6 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
 
 
 def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
-                           k: CameraIntrinsics | None = None,
                            eps=None) -> np.ndarray:
     """Pixels of frame t whose surface point is hidden or out of frame at
     the time of `passes_other` (the t+1 or t-1 frame of the same view).
@@ -224,10 +222,9 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
     other = _other_pass(passes_t, direction)
     if other is None:
         raise ContractError("occlusion needs the corresponding 3D-position pass")
-    k = k or passes_t.intrinsics
     if eps is None:
         eps = _occlusion_eps(passes_t.depth)
-    proj = _project_pass(other, k)
+    proj = _project_pass(other, passes_t.intrinsics)
     z_point = other[..., 2]
     h, w = passes_other.depth.shape
 

@@ -183,7 +183,9 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     if fp.pos3d_next is not None:
         put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
     put("object_index", "pgm", formats.write_pgm16, fp.object_index)
-    put("material_index", "pgm", formats.write_pgm16, fp.material_index)
+    # each object has one texture, so its material index is its object
+    # index; the pass is kept for the dataset layout
+    put("material_index", "pgm", formats.write_pgm16, fp.object_index)
 
     put("disparity", "pfm", formats.write_pfm, gt.disparity)
     if gt.flow_fwd is not None:
@@ -217,10 +219,10 @@ def write_atomic(path, payload: bytes | Path):
 
 
 def load_frame_passes(dataset_root, manifest, t, view):
-    """Rebuild a renderer-style pass bundle from files on disk.
+    """The `FramePasses` of one (frame, view), read from files on disk.
 
-    Returns a lightweight object with the arrays and camera poses needed
-    by the ground-truth derivations.
+    Every pass listed for the view is decoded and its size checked; the
+    material pass, a copy of the object pass, is then dropped.
     """
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
@@ -244,14 +246,11 @@ def load_frame_passes(dataset_root, manifest, t, view):
         e = next((f for f in frames if f["time"] == time), None)
         return CameraPose.from_dict(e["cameras"][view]) if e else None
 
-    return FramePasses(
-        rgb=read("rgb", formats.read_ppm),
-        depth=read("depth"),
-        pos3d_t=read("pos3d_t"),
-        pos3d_prev=read("pos3d_prev"),
-        pos3d_next=read("pos3d_next"),
-        object_index=read("object_index", formats.read_pgm16),
-        material_index=read("material_index", formats.read_pgm16),
+    read("material_index", formats.read_pgm16)  # checked, then dropped
+    return FramePasses(  # the passes in field order
+        read("rgb", formats.read_ppm), read("depth"), read("pos3d_t"),
+        read("pos3d_prev"), read("pos3d_next"),
+        read("object_index", formats.read_pgm16),
         view=view,
         frame_time=t,
         camera_pose=CameraPose.from_dict(entry["cameras"][view]),

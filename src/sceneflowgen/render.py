@@ -1,7 +1,7 @@
 """Deterministic z-buffer rasterizer.
 
-Produces, per frame and per stereo view, the RGB image, depth, object and
-material index masks, and three 3D-position passes: the surface point's
+Produces, per frame and per stereo view, the RGB image, depth, the object
+index mask, and three 3D-position passes: the surface point's
 position at time t (camera frame of t), and the same surface point's
 position at t-1 / t+1 expressed in the camera frame of that time. All
 passes are rasterized with time-t geometry, so corresponding pixels of the
@@ -70,10 +70,9 @@ class FramePasses:
     pos3d_t: np.ndarray  # (H, W, 3), camera frame at t
     pos3d_prev: np.ndarray | None  # camera frame at t-1; None at t = 1
     pos3d_next: np.ndarray | None  # camera frame at t+1; None at t = frames
-    object_index: np.ndarray  # (H, W) uint16, 0 = void
     # (H, W) uint16, 0 = void: the 1-based place of the pixel's object in
-    # `SceneSpec.all_objects()`, each object having one texture
-    material_index: np.ndarray
+    # `SceneSpec.all_objects()`
+    object_index: np.ndarray
     view: str
     frame_time: int
     camera_pose: CameraPose  # world -> camera at t
@@ -118,7 +117,7 @@ class _Triangles:
     # (N, 3, A) per vertex: pos_t(3), pos_prev(3) where t > 1, pos_next(3)
     # where t < frames, uv(2)
     attrs: np.ndarray
-    material: np.ndarray  # (N,) uint16: 1-based place of the object in `objects`
+    index: np.ndarray  # (N,) uint16: 1-based place of the object in `objects`
     shade: np.ndarray  # (N,) flat shading factor
     objects: list  # `SceneSpec.all_objects()`
 
@@ -131,8 +130,8 @@ def _camera_vertices(obj, base, pose, t):
 
 def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
     objects = spec.all_objects()
-    attrs, mats, shades = [], [], []
-    for material, obj in enumerate(objects, 1):
+    attrs, indices, shades = [], [], []
+    for index, obj in enumerate(objects, 1):
         base = obj.mesh.vertices * obj.scale
         r_t, t_t = obj.pose_at(t)
         world_t = base @ r_t.T + t_t
@@ -180,14 +179,14 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
             block = np.concatenate(pieces)[order]
 
         attrs.append(block)
-        mats.append(np.full(len(tri_ids), material, dtype=np.uint16))
+        indices.append(np.full(len(tri_ids), index, dtype=np.uint16))
         shades.append(shade[tri_ids])
 
     if not attrs:
         width = 5 + 3 * ((pose_prev is not None) + (pose_next is not None))
         return _Triangles(np.zeros((0, 3, width)), np.zeros(0, dtype=np.uint16),
                           np.zeros(0), objects)
-    return _Triangles(np.concatenate(attrs), np.concatenate(mats),
+    return _Triangles(np.concatenate(attrs), np.concatenate(indices),
                       np.concatenate(shades), objects)
 
 
@@ -402,31 +401,31 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
     in batches of one object that run through `map_ordered`.
 
-    `passes` holds the flattened rgb (P, 3), object and material index
-    (P,) and position (P, 3) outputs, the positions of the passes the
-    view has in the order of the attribute columns.
+    `passes` holds the flattened rgb (P, 3), object index (P,) and
+    position (P, 3) outputs, the positions of the passes the view has in
+    the order of the attribute columns.
     """
-    rgb, obj_idx, mat_idx, *positions = passes
+    rgb, obj_idx, *positions = passes
     pix = np.flatnonzero(owner != _NO_OWNER)
     row = owner[pix]
-    material = tris.material[scr.draw[row]]
+    index = tris.index[scr.draw[row]]
     # uint16 keys: a stable radix sort groups the winners by object
-    order = np.argsort(material, kind="stable")
-    pix, row, material = pix[order], row[order], material[order]
-    starts = np.flatnonzero(np.diff(material, prepend=-1))
-    ends = np.append(starts[1:], len(material))
+    order = np.argsort(index, kind="stable")
+    pix, row, index = pix[order], row[order], index[order]
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    ends = np.append(starts[1:], len(index))
     aoz = scr.attr_over_z
     batches = []
     for s, e in zip(starts, ends):
-        obj = tris.objects[int(material[s]) - 1]
+        obj = tris.objects[int(index[s]) - 1]
         # on no points: a noise texture builds its lattice here, once,
         # not in two workers at the same time
         obj.texture.sample(np.zeros((0, 2)))
-        batches += [(obj, material[s], slice(c, min(c + _SHADE_BATCH, e)))
+        batches += [(obj, index[s], slice(c, min(c + _SHADE_BATCH, e)))
                     for c in range(s, e, _SHADE_BATCH)]
 
     def shade(batch):
-        obj, mat, sel = batch
+        obj, idx, sel = batch
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
         px = (x + 0.5)[:, None]
@@ -449,8 +448,7 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         interp *= depth[:, None]
         interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
 
-        obj_idx[p] = obj.object_index
-        mat_idx[p] = mat
+        obj_idx[p] = idx
         for k, dst in enumerate(positions):
             dst[p] = interp[:, 3 * k:3 * k + 3]
         color = obj.texture.sample(interp[:, -2:])  # a new array
@@ -479,7 +477,6 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
 
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
     obj_idx = np.zeros((h, w), dtype=np.uint16)
-    mat_idx = np.zeros((h, w), dtype=np.uint16)
     pos_t = np.full((h, w, 3), np.nan, dtype=np.float64)
     pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
@@ -488,22 +485,14 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     scr = _screen_setup(tris, intr.focal_px, cx, cy, w, h)
     zbuf, owner = _resolve_depth(scr, w, h)
     _shade(tris, scr, zbuf, owner, w, [
-        rgb.reshape(-1, 3), obj_idx.reshape(-1), mat_idx.reshape(-1),
+        rgb.reshape(-1, 3), obj_idx.reshape(-1),
         *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),
     ])
 
-    return FramePasses(
-        rgb=rgb,
-        depth=np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan),
-        pos3d_t=pos_t,
-        pos3d_prev=pos_prev,
-        pos3d_next=pos_next,
-        object_index=obj_idx,
-        material_index=mat_idx,
-        view=view,
-        frame_time=t,
-        camera_pose=pose_t,
-        camera_pose_prev=pose_prev,
-        camera_pose_next=pose_next,
+    depth = np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan)
+    return FramePasses(  # the passes in field order
+        rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
+        view=view, frame_time=t, camera_pose=pose_t,
+        camera_pose_prev=pose_prev, camera_pose_next=pose_next,
         intrinsics=intr,
     )

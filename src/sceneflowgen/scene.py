@@ -30,8 +30,8 @@ DEFAULT_FOCAL_MM = 35.0
 DEFAULT_WIDTH = 960
 DEFAULT_HEIGHT = 540
 DEFAULT_BASELINE = 1.0
-# object and material indices are stored as uint16 passes; object indices
-# are unique, so a scene has at most this many objects and materials
+# an object's index is its 1-based place in `SceneSpec.all_objects()`,
+# stored in uint16 passes, so a scene has at most this many objects
 _MAX_INDEX = int(np.iinfo(np.uint16).max)
 
 
@@ -54,18 +54,12 @@ class ObjectInstance:
     texture: Texture  # on every triangle
     scale: np.ndarray  # (3,)
     trajectory: Trajectory
-    object_index: int
     # float(t) -> read-only (R, t); every view of a frame asks for the
     # same few times
     _poses: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        if self.object_index < 1:
-            raise ConfigurationError("object_index 0 is reserved for void")
-        if self.object_index > _MAX_INDEX:
-            raise ConfigurationError(
-                f"object_index {self.object_index} above {_MAX_INDEX}")
         object.__setattr__(
             self, "scale", np.asarray(self.scale, dtype=np.float64).reshape(3)
         )
@@ -86,7 +80,9 @@ class ObjectInstance:
             self._poses[key] = pose
         return pose
 
-    def to_dict(self):
+    def to_dict(self, index):
+        """The manifest entry of the object at 1-based place `index` in
+        draw order."""
         return {
             "mesh": self.mesh.asset_id,
             "materials": {"1": {"kind": self.texture.kind,
@@ -94,7 +90,7 @@ class ObjectInstance:
                                 "params": _jsonable(self.texture.params)}},
             "scale": self.scale.tolist(),
             "trajectory": self.trajectory.to_dict(),
-            "object_index": self.object_index,
+            "object_index": index,
         }
 
 
@@ -125,13 +121,16 @@ class SceneSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        indices = [o.object_index for o in self.all_objects()]
-        if len(set(indices)) != len(indices) or min(indices) < 1:
-            raise ConfigurationError("object indices must be unique and >= 1")
+        n = len(self.all_objects())
+        if n > _MAX_INDEX:
+            raise ConfigurationError(
+                f"{n} objects, but object indices stop at {_MAX_INDEX}")
         if self.frames < 2:
             raise ConfigurationError("a scene needs at least 2 frames")
 
     def all_objects(self):
+        """The objects in draw order; an object's index is its 1-based
+        place here, 0 being void."""
         return [self.ground_plane, *self.background_objects, *self.objects]
 
     def camera_pose(self, t, view="left") -> CameraPose:
@@ -147,6 +146,8 @@ class SceneSpec:
         raise ConfigurationError(f"unknown view {view!r}")
 
     def to_dict(self):
+        entries = [o.to_dict(i) for i, o in enumerate(self.all_objects(), 1)]
+        split = 1 + len(self.background_objects)
         return {
             "name": self.name,
             "seed": self.seed,
@@ -157,9 +158,9 @@ class SceneSpec:
                 "intrinsics": self.rig.intrinsics.to_dict(),
             },
             "rig_trajectory": self.rig_trajectory.to_dict(),
-            "ground_plane": self.ground_plane.to_dict(),
-            "background_objects": [o.to_dict() for o in self.background_objects],
-            "objects": [o.to_dict() for o in self.objects],
+            "ground_plane": entries[0],
+            "background_objects": entries[1:split],
+            "objects": entries[split:],
         }
 
 
@@ -216,13 +217,11 @@ def _random_quaternion(rng) -> np.ndarray:
     return quat_normalize(q / np.linalg.norm(q))
 
 
-def _textured_object(rng, tag, mesh, scale, trajectory, object_index):
+def _textured_object(rng, tag, mesh, scale, trajectory):
     """An object with one random texture on every triangle. The texture is
     drawn from rng after every draw that built the arguments."""
-    return ObjectInstance(
-        mesh=mesh, texture=_random_texture(rng, tag), scale=scale,
-        trajectory=trajectory, object_index=object_index,
-    )
+    return ObjectInstance(mesh=mesh, texture=_random_texture(rng, tag),
+                          scale=scale, trajectory=trajectory)
 
 
 def _default_intrinsics(p) -> CameraIntrinsics:
@@ -230,20 +229,22 @@ def _default_intrinsics(p) -> CameraIntrinsics:
                                         p.width, p.height)
 
 
-def _ground_object(rng, frames, object_index, half_extent=80.0):
+def _ground_object(rng, frames, half_extent=80.0):
+    # the ground and the shell are drawn first and second, and their
+    # texture tags name those places
     traj = Trajectory.static((0.0, _GROUND_Y + 0.25, 40.0), t0=1.0, t1=float(frames))
     return _textured_object(
-        rng, f"ground:{object_index}", primitive_mesh("cuboid"),
-        np.array([2 * half_extent, 0.5, 2 * half_extent]), traj, object_index,
+        rng, "ground:1", primitive_mesh("cuboid"),
+        np.array([2 * half_extent, 0.5, 2 * half_extent]), traj,
     )
 
 
-def _shell_object(rng, frames, object_index, radius=220.0):
+def _shell_object(rng, frames, radius=220.0):
     """Giant enclosing box so that void (no-geometry) pixels are rare."""
     traj = Trajectory.static((0.0, 0.0, 0.0), t0=1.0, t1=float(frames))
     return _textured_object(
-        rng, f"shell:{object_index}", primitive_mesh("cuboid"),
-        np.array([2 * radius, 2 * radius, 2 * radius]), traj, object_index,
+        rng, "shell:2", primitive_mesh("cuboid"),
+        np.array([2 * radius, 2 * radius, 2 * radius]), traj,
     )
 
 
@@ -285,12 +286,8 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
     motion = 0.0 if p.static else p.camera_motion
     rig_traj = _camera_trajectory(stream_rng(seed, "camera"), p.frames, motion)
 
-    next_index = 1
-    ground = _ground_object(stream_rng(seed, "ground"), p.frames, next_index)
-    next_index += 1
-
-    background = [_shell_object(stream_rng(seed, "shell"), p.frames, next_index)]
-    next_index += 1
+    ground = _ground_object(stream_rng(seed, "ground"), p.frames)
+    background = [_shell_object(stream_rng(seed, "shell"), p.frames)]
     for i in range(p.n_background):
         rng = stream_rng(seed, "background", i)
         name = _MESH_POOL[int(rng.integers(2))]  # cuboids and cylinders only
@@ -301,9 +298,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
         y = _GROUND_Y - scale[1] / 2.0
         q = quat_from_euler("y", rng.uniform(0, 2 * np.pi))
         traj = Trajectory.static((x, y, z), q, t0=1.0, t1=float(p.frames))
-        background.append(_textured_object(
-            rng, f"bg:{seed}:{i}", mesh, scale, traj, next_index))
-        next_index += 1
+        background.append(_textured_object(rng, f"bg:{seed}:{i}", mesh, scale, traj))
 
     n_objects = int(stream_rng(seed, "count").integers(lo, hi + 1))
     objects = []
@@ -320,9 +315,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
             )
         else:
             traj = _foreground_trajectory(rng, rig_traj, intr, p.frames)
-        objects.append(_textured_object(
-            rng, f"fg:{seed}:{i}", mesh, scale, traj, next_index))
-        next_index += 1
+        objects.append(_textured_object(rng, f"fg:{seed}:{i}", mesh, scale, traj))
 
     rig = StereoRig(CameraPose(), p.baseline, intr)
     return SceneSpec(
@@ -425,14 +418,8 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     q = IDENTITY_QUAT
     rig_traj = Trajectory(times, positions, np.array([q, q]))
 
-    next_index = 1
-    ground = _ground_object(stream_rng(seed, "ground"), p.frames, next_index,
-                            half_extent=250.0)
-    next_index += 1
-
-    background = [_shell_object(stream_rng(seed, "shell"), p.frames, next_index,
-                                radius=400.0)]
-    next_index += 1
+    ground = _ground_object(stream_rng(seed, "ground"), p.frames, half_extent=250.0)
+    background = [_shell_object(stream_rng(seed, "shell"), p.frames, radius=400.0)]
     for i in range(p.n_parked):
         rng = stream_rng(seed, "parked", i)
         scale = np.array([2.0, 1.5, 4.0]) * rng.uniform(0.9, 1.1)
@@ -442,9 +429,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
         y = _GROUND_Y - scale[1] / 2.0
         traj = Trajectory.static((x, y, z), t0=1.0, t1=float(p.frames))
         background.append(_textured_object(
-            rng, f"parked:{seed}:{i}", primitive_mesh("cuboid"), scale, traj,
-            next_index))
-        next_index += 1
+            rng, f"parked:{seed}:{i}", primitive_mesh("cuboid"), scale, traj))
     objects = []
     for i in range(p.n_oncoming):
         rng = stream_rng(seed, "oncoming", i)
@@ -458,9 +443,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
         ])
         traj = Trajectory(times.copy(), positions, np.array([q, q]))
         objects.append(_textured_object(
-            rng, f"car:{seed}:{i}", primitive_mesh("cuboid"), scale, traj,
-            next_index))
-        next_index += 1
+            rng, f"car:{seed}:{i}", primitive_mesh("cuboid"), scale, traj))
 
     rig = StereoRig(CameraPose(), p.baseline, intr)
     return SceneSpec(

@@ -49,9 +49,11 @@ def bilinear_sample(grid, coords, fill=np.nan):
     return out[..., 0] if grid.ndim == 2 else out
 
 
-def make_passes(depth, intrinsics, pos3d_next=None, object_index=None,
+def make_passes(depth, intrinsics, pos3d_next=None, index=None,
                 pose=None, pose_next=None, t=1):
-    """Hand-built pass bundle for unit tests that don't need the renderer."""
+    """Hand-built pass bundle for unit tests that don't need the renderer;
+    `index` is the object index pass, 1 wherever depth is finite by
+    default."""
     depth = np.asarray(depth, dtype=np.float64)
     h, w = depth.shape
     u, v = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
@@ -59,16 +61,11 @@ def make_passes(depth, intrinsics, pos3d_next=None, object_index=None,
     safe = np.where(valid, depth, 1.0)
     pos_t = sf.unproject(np.stack([u, v], axis=-1), safe, intrinsics)
     pos_t[~valid] = np.nan
-    if object_index is None:
-        object_index = valid.astype(np.uint16)
-    return FramePasses(
-        rgb=np.zeros((h, w, 3), dtype=np.uint8),
-        depth=np.where(valid, depth, np.nan),
-        pos3d_t=pos_t,
-        pos3d_prev=None,
-        pos3d_next=pos3d_next,
-        object_index=np.asarray(object_index, dtype=np.uint16),
-        material_index=np.asarray(object_index, dtype=np.uint16),
+    if index is None:
+        index = valid
+    return FramePasses(  # the passes in field order
+        np.zeros((h, w, 3), dtype=np.uint8), np.where(valid, depth, np.nan),
+        pos_t, None, pos3d_next, np.asarray(index, dtype=np.uint16),
         view="left",
         frame_time=t,
         camera_pose=pose or sf.CameraPose(),

@@ -36,7 +36,6 @@ def oracle_rasterize_frame(spec, t, view):
     zbuf = np.full((h, w), np.inf, dtype=np.float64)
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
     obj_idx = np.zeros((h, w), dtype=np.uint16)
-    mat_idx = np.zeros((h, w), dtype=np.uint16)
     pos_t = np.full((h, w, 3), np.nan, dtype=np.float64)
     pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
@@ -45,8 +44,8 @@ def oracle_rasterize_frame(spec, t, view):
     xs_all = np.arange(w) + 0.5
     ys_all = np.arange(h) + 0.5
 
-    # an object's material index is its 1-based place in draw order
-    for material, obj in enumerate(spec.all_objects(), 1):
+    # an object's index is its 1-based place in draw order
+    for index, obj in enumerate(spec.all_objects(), 1):
         base = obj.mesh.vertices * obj.scale
         r_t, t_t = obj.pose_at(t)
         world_t = base @ r_t.T + t_t
@@ -94,30 +93,22 @@ def oracle_rasterize_frame(spec, t, view):
             for cattrs in _clip_near(attrs):
                 _raster_triangle(
                     cattrs[:, :3], cattrs, f, cx, cy, w, h, xs_all, ys_all,
-                    zbuf, rgb, obj_idx, mat_idx, pos_t, pos_prev, pos_next,
-                    obj.object_index, material, obj.texture, shade[ti],
+                    zbuf, rgb, obj_idx, pos_t, pos_prev, pos_next,
+                    index, obj.texture, shade[ti],
                 )
 
-    return FramePasses(
-        rgb=rgb,
-        depth=np.where(obj_idx > 0, zbuf, np.nan).astype(np.float64),
-        pos3d_t=pos_t,
-        pos3d_prev=pos_prev,
-        pos3d_next=pos_next,
-        object_index=obj_idx,
-        material_index=mat_idx,
-        view=view,
-        frame_time=t,
-        camera_pose=pose_t,
-        camera_pose_prev=pose_prev,
-        camera_pose_next=pose_next,
+    depth = np.where(obj_idx > 0, zbuf, np.nan).astype(np.float64)
+    return FramePasses(  # the passes in field order
+        rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
+        view=view, frame_time=t, camera_pose=pose_t,
+        camera_pose_prev=pose_prev, camera_pose_next=pose_next,
         intrinsics=intr,
     )
 
 
 def _raster_triangle(tri_cam, attrs, f, cx, cy, w, h, xs_all, ys_all,
-                     zbuf, rgb, obj_idx, mat_idx, pos_t, pos_prev, pos_next,
-                     object_index, material_index, texture, shade):
+                     zbuf, rgb, obj_idx, pos_t, pos_prev, pos_next,
+                     index, texture, shade):
     z = tri_cam[:, 2]
     sx = f * tri_cam[:, 0] / z + cx
     sy = f * tri_cam[:, 1] / z + cy
@@ -177,8 +168,7 @@ def _raster_triangle(tri_cam, attrs, f, cx, cy, w, h, xs_all, ys_all,
     interp[:, 2] = depth[win]  # keep pos3d_t.Z identical to the depth pass
 
     tile_z[win] = depth[win]
-    obj_idx[y0:y1, x0:x1][win] = object_index
-    mat_idx[y0:y1, x0:x1][win] = material_index
+    obj_idx[y0:y1, x0:x1][win] = index
     pos_t[y0:y1, x0:x1][win] = interp[:, 0:3]
     if pos_prev is not None:
         pos_prev[y0:y1, x0:x1][win] = interp[:, 3:6]

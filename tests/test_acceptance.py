@@ -181,7 +181,7 @@ def test_06_correlation_oracle():
 
 
 def test_07_matcher_rendered_sanity():
-    spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5), 1)])
+    spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5))])
     left = rasterize_frame(spec, 1, "left")
     right = rasterize_frame(spec, 1, "right")
     est, _ = match.estimate_disparity(left.rgb, right.rgb, max_disp=32, patch=9)
@@ -199,7 +199,7 @@ def test_08_motion_boundary_thresholds():
     def two_objects(obj2_mask, flow2, shape=(16, 16)):
         obj = np.ones(shape, dtype=np.uint16)
         obj[obj2_mask] = 2
-        passes = make_passes(np.full(shape, 10.0), INTR, object_index=obj)
+        passes = make_passes(np.full(shape, 10.0), INTR, index=obj)
         flow = np.zeros(shape + (2,))
         flow[obj2_mask] = flow2
         return passes, flow

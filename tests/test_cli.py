@@ -185,9 +185,11 @@ def _duplicate_time(m, ds):
     m["frames"][1]["time"] = 1
 
 
-def _resized_pass(m, ds):
-    rel = m["frames"][1]["files"]["left"]["depth"]
-    (ds / rel).write_bytes(formats.write_pfm(np.ones((24, 32), dtype=np.float32)))
+def _resized(name, encode, dtype):
+    def mutate(m, ds):
+        rel = m["frames"][1]["files"]["left"][name]
+        (ds / rel).write_bytes(encode(np.ones((24, 32), dtype=dtype)))
+    return mutate
 
 
 def _nan_baseline(m, ds):
@@ -218,7 +220,10 @@ MALFORMED = {
     "rig without intrinsics": _drop("rig", "intrinsics"),
     "non-integer time": _string_time,
     "duplicate time": _duplicate_time,
-    "pass of another size": _resized_pass,
+    "pass of another size": _resized("depth", formats.write_pfm, np.float32),
+    # derive never uses the material pass, but still checks it
+    "material pass of another size": _resized(
+        "material_index", formats.write_pgm16, np.uint16),
     "path with ..": _path_outside,
     "rig baseline NaN": _nan_baseline,
     "sensor width 0": _zero_sensor_width,
@@ -536,7 +541,7 @@ BAD_INPUT = {
     "derive non-UTF-8 manifest": (_derive_non_utf8_manifest, "ParseError"),
     "generate negative n-background": (
         _generate_n_background("-3"), "ConfigurationError"),
-    # object and material indices are uint16
+    # object indices are uint16
     "generate n-background above 16-bit indices": (
         _generate_n_background("100000"), "ConfigurationError"),
     "generate n-background far above 16-bit indices": (

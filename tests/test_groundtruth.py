@@ -122,7 +122,7 @@ class TestMotionBoundaries:
         depth = np.full(shape, 10.0)
         obj = np.ones(shape, dtype=np.uint16)
         obj[obj2_mask] = 2
-        passes = make_passes(depth, INTR, object_index=obj)
+        passes = make_passes(depth, INTR, index=obj)
         flow = np.zeros(shape + (2,))
         flow[obj2_mask] = flow2
         return passes, flow
@@ -260,9 +260,9 @@ class TestBilinearSample:
 
 class TestOcclusion:
     def static_pair(self, depth_t, depth_next, obj_t=None, obj_next=None):
-        p_t = make_passes(depth_t, INTR, object_index=obj_t, t=1)
+        p_t = make_passes(depth_t, INTR, index=obj_t, t=1)
         p_t.pos3d_next = p_t.pos3d_t.copy()
-        p_next = make_passes(depth_next, INTR, object_index=obj_next, t=2)
+        p_next = make_passes(depth_next, INTR, index=obj_next, t=2)
         return p_t, p_next
 
     def test_static_scene_nothing_occluded(self):

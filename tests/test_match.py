@@ -210,21 +210,20 @@ class TestSubpixel:
         assert np.array_equal(match_oracle.subpixel_refine(cv, disp2), disp2)
 
 
-def noise_box(center, scale, index, frames=2, seed=0, frequency=1.0):
+def noise_box(center, scale, frames=2, seed=0, frequency=1.0):
     mesh = make_cuboid()
     tex = Texture("noise", {"seed": seed, "frequency": frequency})
     return ObjectInstance(
         mesh=mesh, texture=tex,
         scale=np.asarray(scale, dtype=np.float64),
         trajectory=Trajectory.static(center, t0=1.0, t1=float(frames)),
-        object_index=index,
     )
 
 
 class TestRenderedSanity:
     def test_frontoparallel_plane_epe(self):
         # noise-textured plane at Z=14: integer GT disparity of 10 px
-        spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5), 1)])
+        spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5))])
         left = rasterize_frame(spec, 1, "left")
         right = rasterize_frame(spec, 1, "right")
         # 9x9 patches smooth out parabola pixel-locking on the smooth texture
@@ -283,7 +282,7 @@ class TestStreamingMatchesVolume:
                               patch)
 
     def test_rendered_box_scene(self):
-        spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5), 1)])
+        spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5))])
         left = rasterize_frame(spec, 1, "left")
         right = rasterize_frame(spec, 1, "right")
         assert_matches_volume(left.rgb, right.rgb, max_disp=32, patch=9)

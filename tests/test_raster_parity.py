@@ -23,8 +23,7 @@ from sceneflowgen.trajectory import IDENTITY_QUAT, Trajectory
 from conftest import set_cpus, small_params
 from raster_oracle import oracle_rasterize_frame
 
-PASSES = ("rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next",
-          "object_index", "material_index")
+PASSES = ("rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next", "object_index")
 # 128 px / 32 mm sensor: focal_px = 4 * focal_mm, so 35 mm -> 140 px
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)
 TEXTURES = (
@@ -37,7 +36,8 @@ TEXTURES = (
 
 def box(center, scale, index, frames=2, end=None, rotation=None, texture=None):
     """Cuboid object; `end` moves it linearly to another center by the
-    last frame. The texture defaults to one of TEXTURES by index."""
+    last frame. The texture defaults to one of TEXTURES by index; the
+    object's own index is its place in the scene's draw order."""
     mesh = make_cuboid()
     q = IDENTITY_QUAT if rotation is None else rotation.as_quat()
     if end is None:
@@ -50,7 +50,7 @@ def box(center, scale, index, frames=2, end=None, rotation=None, texture=None):
         mesh=mesh,
         texture=TEXTURES[index % len(TEXTURES)] if texture is None else texture,
         scale=np.asarray(scale, dtype=np.float64),
-        trajectory=traj, object_index=index,
+        trajectory=traj,
     )
 
 
@@ -130,9 +130,10 @@ def test_exact_depth_tie_goes_to_earlier_draw():
     a = box((0, 0, 10.25), (4, 4, 0.5), 1)
     b = box((0, 0, 10.25), (4, 4, 0.5), 2)
     for first, second in ((a, b), (b, a)):
+        # the oracle's bytes tell the two textures apart
         out = assert_matches_oracle(scene([first, second]), times=[1])
         idx = out[(1, "left")].object_index
-        assert set(np.unique(idx)) == {0, first.object_index}
+        assert set(np.unique(idx)) == {0, 1}
     # coplanar faces of different sizes tie at some pixels; the earlier
     # draw's larger triangles are evaluated in a later fragment batch
     big = box((0, 0, 10.25), (4, 4, 0.5), 1)

@@ -18,7 +18,7 @@ from conftest import small_params
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)
 
 
-def box_object(center, scale, index, frames=2):
+def box_object(center, scale, frames=2):
     mesh = make_cuboid()
     tex = Texture("checker", {"scale": 4.0, "color_a": (1, 1, 1),
                               "color_b": (0.2, 0.2, 0.2)})
@@ -26,7 +26,6 @@ def box_object(center, scale, index, frames=2):
         mesh=mesh, texture=tex,
         scale=np.asarray(scale, dtype=np.float64),
         trajectory=Trajectory.static(center, t0=1.0, t1=float(frames)),
-        object_index=index,
     )
 
 
@@ -43,7 +42,7 @@ def box_scene(boxes, frames=2, baseline=1.0):
 
 class TestFrontoParallelQuad:
     # front face of the box sits exactly at Z = 10
-    SPEC = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5), 1)])
+    SPEC = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5))])
 
     def test_depth_is_exact(self):
         fp = rasterize_frame(self.SPEC, 1, "left")
@@ -73,21 +72,22 @@ class TestZOrder:
     def test_nearer_surface_wins(self):
         # both boxes project onto the same 56 x 56 square; the near one
         # (front face Z=5, half-extent 1) must own every covered pixel
-        back = box_object((0, 0, 10.25), (4, 4, 0.5), 1)
-        front = box_object((0, 0, 5.25), (2, 2, 0.5), 2)
-        for order in ([back, front], [front, back]):
+        back = box_object((0, 0, 10.25), (4, 4, 0.5))
+        front = box_object((0, 0, 5.25), (2, 2, 0.5))
+        # an object's index is its 1-based place in draw order
+        for order, place in (([back, front], 2), ([front, back], 1)):
             fp = rasterize_frame(box_scene(order), 1, "left")
-            covered = fp.object_index == 2
+            covered = fp.object_index == place
             assert covered.sum() == 56 * 56
             assert np.allclose(fp.depth[covered], 5.0, atol=1e-9)
-            assert not np.any(fp.object_index == 1)
+            assert set(np.unique(fp.object_index)) == {0, place}
 
 
 class TestStereo:
     def test_integer_disparity_plane(self):
         # Z=14, b=1, f=140 -> disparity exactly 10 px, so the right view is
         # the left view shifted 10 whole pixels
-        spec = box_scene([box_object((0, 0, 14.25), (4, 4, 0.5), 1)])
+        spec = box_scene([box_object((0, 0, 14.25), (4, 4, 0.5))])
         left = rasterize_frame(spec, 1, "left")
         right = rasterize_frame(spec, 1, "right")
         d = 10
@@ -143,13 +143,13 @@ class TestDeterminism:
         a = rasterize_frame(spec, 2, "left")
         b = rasterize_frame(spec, 2, "left")
         for name in ("rgb", "depth", "pos3d_t", "pos3d_prev", "pos3d_next",
-                     "object_index", "material_index"):
+                     "object_index"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestContracts:
     def test_time_out_of_range(self):
-        spec = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5), 1)])
+        spec = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5))])
         with pytest.raises(ContractError):
             rasterize_frame(spec, 0, "left")
         with pytest.raises(ContractError):

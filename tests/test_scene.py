@@ -8,12 +8,14 @@ from sceneflowgen import scene
 from sceneflowgen.assets import Texture, primitive_mesh
 from sceneflowgen.errors import ConfigurationError
 from sceneflowgen.scene import (
-    DrivingParams, FlyingThingsParams, ObjectInstance, generate_driving_preset,
-    generate_flyingthings_scene, stream_rng,
+    DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec,
+    generate_driving_preset, generate_flyingthings_scene, stream_rng,
 )
 from sceneflowgen.trajectory import Trajectory
 
 from conftest import SMALL, small_params
+
+SMALL_INTR = sf.CameraIntrinsics.from_sensor(35, 32, 128, 96)
 
 
 class TestStreamRng:
@@ -48,11 +50,15 @@ class TestFlyingThings:
             assert lo <= len(spec.objects) <= hi
             assert len(spec.background_objects) == SMALL.n_background + 1
 
-    def test_indices_unique_and_positive(self):
+    def test_manifest_indices_are_draw_order(self):
+        # the manifest gives each object its 1-based place in draw order
         spec = generate_flyingthings_scene(5, SMALL)
-        indices = [o.object_index for o in spec.all_objects()]
-        assert len(set(indices)) == len(indices)
-        assert min(indices) >= 1
+        d = spec.to_dict()
+        entries = [d["ground_plane"], *d["background_objects"], *d["objects"]]
+        objects = spec.all_objects()
+        assert [e["object_index"] for e in entries] == list(range(1, len(objects) + 1))
+        assert [e["materials"]["1"]["asset_id"] for e in entries] == [
+            o.texture.asset_id for o in objects]
 
     def test_defaults(self):
         p = FlyingThingsParams()
@@ -177,22 +183,28 @@ class TestSharedMeshes:
                 array[0] = 0
 
 
-def cuboid(index):
-    return ObjectInstance(
+def scene_of(n_objects):
+    """A scene of one cuboid drawn n_objects times."""
+    obj = ObjectInstance(
         mesh=primitive_mesh("cuboid"), texture=Texture("checker", {"scale": 4.0}),
         scale=np.ones(3), trajectory=Trajectory.static([0.0, 0.0, 10.0]),
-        object_index=index,
+    )
+    return SceneSpec(
+        seed=0, frames=2, rig_trajectory=Trajectory.static([0.0, 0.0, 0.0]),
+        objects=[], ground_plane=obj, background_objects=[obj] * (n_objects - 1),
+        rig=sf.StereoRig(sf.CameraPose(), 1.0, SMALL_INTR),
     )
 
 
 class TestIndexLimits:
-    """Object and material indices are uint16 passes: a scene that needs
-    more is a ConfigurationError before anything is rendered."""
+    """An object's index is its place in draw order, stored in uint16
+    passes: a scene of more objects is a ConfigurationError before
+    anything is rendered."""
 
     def test_object_index_fits_uint16(self):
-        assert cuboid(65535).object_index == 65535
+        assert len(scene_of(65535).all_objects()) == 65535
         with pytest.raises(ConfigurationError, match="65535"):
-            cuboid(65536)
+            scene_of(65536)
 
     @pytest.mark.parametrize("n_background", [65535 - 2 - 6 + 1, 10**11])
     def test_too_many_background_objects(self, monkeypatch, n_background):
