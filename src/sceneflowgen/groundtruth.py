@@ -3,8 +3,16 @@ bidirectional optical flow, disparity, disparity change, motion
 boundaries, occlusion masks, and 3D scene-flow reconstruction from the
 (flow, disparity, disparity change) components.
 
+All arithmetic is float64. Passes may come in as float32 (as read from
+files) or float64 (from the renderer): each map function widens what it
+reads, and `derive_frame` widens each band of the passes inside its band,
+so only band-sized float64 copies exist and either input gives the same
+bytes.
+
 `derive_frame` runs the per-pixel maps on the row bands of `_parallel`,
-through its thread map, with band-sized temporaries.
+through its thread map, with band-sized temporaries. A band projects
+each 3D-position pass once and shares the projection between the maps
+that read it.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -51,8 +59,16 @@ def pixel_centers(h, w):
     return np.stack([u, v], axis=-1)
 
 
+def _wide(a):
+    """a as float64: itself if it is already, else a widened copy. NEP 50
+    keeps `float * float32-array` in float32, so every map widens the
+    passes it reads before any arithmetic."""
+    return a.astype(np.float64, copy=False)
+
+
 def _project_pass(pos, k: CameraIntrinsics):
     """Project a 3D-position pass; pixels with Z <= 0 (or NaN) come back NaN."""
+    pos = _wide(pos)
     z = pos[..., 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = z > 0
@@ -66,7 +82,7 @@ def _project_pass(pos, k: CameraIntrinsics):
 
 def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
     """d = baseline * focal_px / depth at valid pixels, NaN at void."""
-    depth = passes.depth
+    depth = _wide(passes.depth)
     valid = passes.valid
     if np.any(valid & ~(depth > 0)):
         raise DataCorruptionError("non-positive depth at a covered pixel")
@@ -88,8 +104,15 @@ def derive_flow(passes: FramePasses, direction: str) -> np.ndarray | None:
     if other is None:
         return None
     k = passes.intrinsics
-    flow = _project_pass(other, k) - _project_pass(passes.pos3d_t, k)
-    flow[~passes.valid] = np.nan
+    return _flow(_project_pass(other, k), _project_pass(passes.pos3d_t, k),
+                 passes.valid)
+
+
+def _flow(proj_other, proj_t, valid, out=None):
+    """The flow between two projections of the same points, NaN off
+    valid; written to out if given."""
+    flow = np.subtract(proj_other, proj_t, out=out)
+    flow[~valid] = np.nan
     return flow
 
 
@@ -100,11 +123,23 @@ def derive_disparity_change(passes: FramePasses, rig: StereoRig,
     if other is None:
         return None
     bf = rig.baseline * rig.intrinsics.focal_px
-    z_t = passes.pos3d_t[..., 2]
-    z_o = other[..., 2]
+    return _disparity_change(bf, _bf_over_z(bf, passes.pos3d_t),
+                             _wide(other[..., 2]), passes.valid)
+
+
+def _bf_over_z(bf, pos):
+    """b*f/Z of a 3D-position pass: the disparity of each point."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        dd = np.where(z_o > 0, bf / z_o, np.nan) - bf / z_t
-    dd[~passes.valid] = np.nan
+        return bf / _wide(pos[..., 2])
+
+
+def _disparity_change(bf, bf_over_z_t, z_other, valid, out=None):
+    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and off valid;
+    written to out if given."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dd = np.subtract(np.where(z_other > 0, bf / z_other, np.nan),
+                         bf_over_z_t, out=out)
+    dd[~valid] = np.nan
     return dd
 
 
@@ -224,10 +259,15 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         raise ContractError("occlusion needs the corresponding 3D-position pass")
     if eps is None:
         eps = _occlusion_eps(passes_t.depth)
-    proj = _project_pass(other, passes_t.intrinsics)
-    z_point = other[..., 2]
-    h, w = passes_other.depth.shape
+    return _occluded(_project_pass(other, passes_t.intrinsics),
+                     _wide(other[..., 2]), passes_t, passes_other, eps)
 
+
+def _occluded(proj, z_point, passes_t, passes_other, eps, out=None):
+    """`compute_occlusion_mask` of the points of passes_t whose projection
+    into passes_other is proj and whose depth there is z_point; written
+    to out if given."""
+    h, w = passes_other.depth.shape
     with np.errstate(invalid="ignore"):
         u = np.nan_to_num(proj[..., 0], nan=-1.0)
         v = np.nan_to_num(proj[..., 1], nan=-1.0)
@@ -238,11 +278,25 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
         fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
         fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
-        corners = ((y0i, x0i), (y0i, x0i + 1), (y0i + 1, x0i), (y0i + 1, x0i + 1))
-        oi = [passes_other.object_index[c] for c in corners]
-        # the other frame's z-buffer at the corners alone: depth, inf at void
-        g00, g01, g10, g11 = (np.where(o > 0, passes_other.depth[c], np.inf)
+        # temporaries go as soon as they are used: a worker's heap keeps
+        # its band peak, so that peak counts once per worker in the RSS
+        del u, v
+        # the corners as flat indices: top-left k, then + dx and + dy. An
+        # image one pixel wide (high) clamps x0i (y0i) to -1 and reads its
+        # one column (row) at both corners, so dx (dy) is 0 there
+        dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+        k = y0i * w + x0i
+        del x0i, y0i
+        k += (1 - dx) + (w - dy)
+        corners = (k, k + dx, k + dy, k + (dy + dx))
+        index = passes_other.object_index.ravel()
+        depth = passes_other.depth.ravel()
+        oi = [index.take(c) for c in corners]
+        # the other frame's z-buffer at the corners alone: depth, inf at
+        # void, widened to float64 here
+        g00, g01, g10, g11 = (np.where(o > 0, _wide(depth.take(c)), np.inf)
                               for o, c in zip(oi, corners))
+        del k, corners
         top = g00 * (1 - fx) + g01 * fx
         bot = g10 * (1 - fx) + g11 * fx
         sampled = top * (1 - fy) + bot * fy
@@ -251,13 +305,13 @@ def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
         # object, so the point's surface is not cleanly visible there
         own = passes_t.object_index
         mixed = (oi[0] != own) | (oi[1] != own) | (oi[2] != own) | (oi[3] != own)
-    occluded = (~inside | hidden | mixed) & passes_t.valid
-    return occluded
+    return np.logical_and(~inside | hidden | mixed, passes_t.valid, out=out)
 
 
 def _occlusion_eps(depth):
     """The occlusion test's depth tolerance: 1e-3 of the median depth."""
-    scale = float(np.nanmedian(depth))
+    # widened first: a float32 median of an even count rounds the midpoint
+    scale = float(np.nanmedian(_wide(depth)))
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
@@ -300,8 +354,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     """All per-view ground-truth maps for one rendered frame.
 
     Flow, disparity, disparity change and occlusion are per pixel, so they
-    run on the bands of `_parallel.bands`; each band writes its rows of
-    the full maps, and temporaries are the size of a band.
+    run on the bands of `_parallel.bands`; each band widens its rows of
+    the floating passes to float64, projects each 3D-position pass once,
+    writes its rows of the full maps, and holds temporaries the size of a
+    band. passes_next, if given, is the next frame of the same view.
     What a band cannot see is taken over the whole view: the occlusion
     eps comes from the median depth of the frame, and the occlusion test
     samples the whole next frame. Motion boundaries pair pixels across
@@ -321,20 +377,39 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         occlusion_fwd=(np.empty((h, w), dtype=bool) if passes_next is not None
                        else None),
     )
-    eps = _occlusion_eps(passes.depth) if passes_next is not None else None
+    eps = None
+    if passes_next is not None:
+        if not fwd or passes_next.frame_time <= passes.frame_time:
+            raise ContractError("forward occlusion needs pos3d_next and a "
+                                "later frame as passes_next")
+        eps = _occlusion_eps(passes.depth)
+    k = passes.intrinsics
+    bf = rig.baseline * rig.intrinsics.focal_px
 
     def band(rows):
         part = _band(passes, rows)
+        valid = part.valid
         frame.disparity[rows] = derive_disparity(part, rig)
-        for direction, flow, dispchange in (
-                ("fwd", frame.flow_fwd, frame.dispchange_fwd),
-                ("bwd", frame.flow_bwd, frame.dispchange_bwd)):
-            if flow is not None:
-                flow[rows] = derive_flow(part, direction)
-                dispchange[rows] = derive_disparity_change(part, rig, direction)
+        # each position pass is projected once, and each projection is
+        # dropped after its last use
+        proj_t = _project_pass(part.pos3d_t, k)
+        if bwd:
+            _flow(_project_pass(part.pos3d_prev, k), proj_t, valid,
+                  out=frame.flow_bwd[rows])
+        proj_next = _project_pass(part.pos3d_next, k) if fwd else None
+        if fwd:
+            _flow(proj_next, proj_t, valid, out=frame.flow_fwd[rows])
+        del proj_t
         if passes_next is not None:
-            frame.occlusion_fwd[rows] = compute_occlusion_mask(
-                part, passes_next, eps=eps)
+            _occluded(proj_next, part.pos3d_next[..., 2], part, passes_next,
+                      eps, out=frame.occlusion_fwd[rows])
+        del proj_next
+        bf_over_z_t = _bf_over_z(bf, part.pos3d_t)
+        for other, dispchange in ((part.pos3d_next, frame.dispchange_fwd),
+                                  (part.pos3d_prev, frame.dispchange_bwd)):
+            if other is not None:
+                _disparity_change(bf, bf_over_z_t, other[..., 2], valid,
+                                  out=dispchange[rows])
 
     map_ordered(band, bands(h))
     if fwd:
@@ -343,7 +418,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
 
 
 def _band(passes: FramePasses, rows: slice) -> FramePasses:
-    """The passes of one band of rows: views, no copies."""
+    """The passes of one band of rows, floating passes widened to float64:
+    band-sized copies of float32 passes, views of float64 ones and of the
+    integer passes."""
     return dataclasses.replace(passes, **{
-        f.name: a[rows] for f in dataclasses.fields(passes)
+        f.name: _wide(a[rows]) if a.dtype.kind == "f" else a[rows]
+        for f in dataclasses.fields(passes)
         if isinstance(a := getattr(passes, f.name), np.ndarray)})

@@ -221,8 +221,11 @@ def write_atomic(path, payload: bytes | Path):
 def load_frame_passes(dataset_root, manifest, t, view):
     """The `FramePasses` of one (frame, view), read from files on disk.
 
-    Every pass listed for the view is decoded and its size checked; the
-    material pass, a copy of the object pass, is then dropped.
+    Every pass listed for the view is decoded and its shape checked: (H, W)
+    for depth and the index passes, (H, W, 3) for RGB and positions. The
+    material pass, a copy of the object pass, is then dropped. Depth and
+    positions stay float32, as stored, one copy of the file bytes;
+    `groundtruth` widens them band by band.
     """
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
@@ -231,14 +234,15 @@ def load_frame_passes(dataset_root, manifest, t, view):
     files = entry["files"][view]
     intr = CameraIntrinsics.from_dict(manifest["rig"]["intrinsics"])
 
-    def read(name, reader=formats.read_pfm):
+    def read(name, reader=formats.read_pfm, channels=()):
         if name not in files:
             return None
         a = reader((root / files[name]).read_bytes())
-        if a.shape[:2] != (intr.height, intr.width):
-            raise ParseError(f"{files[name]}: {a.shape[1]}x{a.shape[0]}, "
-                             f"the rig is {intr.width}x{intr.height}")
-        return np.float64(a) if reader is formats.read_pfm else a
+        shape = (intr.height, intr.width) + channels
+        if a.shape != shape:
+            raise ParseError(f"{files[name]}: shape {a.shape}, the "
+                             f"{intr.width}x{intr.height} rig needs {shape}")
+        return a
 
     frames = manifest["frames"]
 
@@ -248,8 +252,9 @@ def load_frame_passes(dataset_root, manifest, t, view):
 
     read("material_index", formats.read_pgm16)  # checked, then dropped
     return FramePasses(  # the passes in field order
-        read("rgb", formats.read_ppm), read("depth"), read("pos3d_t"),
-        read("pos3d_prev"), read("pos3d_next"),
+        read("rgb", formats.read_ppm, (3,)), read("depth"),
+        read("pos3d_t", channels=(3,)), read("pos3d_prev", channels=(3,)),
+        read("pos3d_next", channels=(3,)),
         read("object_index", formats.read_pgm16),
         view=view,
         frame_time=t,

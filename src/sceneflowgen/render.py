@@ -65,7 +65,8 @@ _NO_OWNER = np.iinfo(np.int64).max
 @dataclass
 class FramePasses:
     rgb: np.ndarray  # (H, W, 3) uint8
-    # depth and positions: float64 in memory, float32 on disk
+    # depth and positions: float64 from the renderer, float32 when read
+    # from files (`pipeline.load_frame_passes`); `groundtruth` widens them
     depth: np.ndarray  # (H, W), NaN at void
     pos3d_t: np.ndarray  # (H, W, 3), camera frame at t
     pos3d_prev: np.ndarray | None  # camera frame at t-1; None at t = 1

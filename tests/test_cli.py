@@ -192,6 +192,14 @@ def _resized(name, encode, dtype):
     return mutate
 
 
+def _channels(name, shape):
+    # right size, wrong channel count, in frame 1, which has every pass
+    def mutate(m, ds):
+        rel = m["frames"][0]["files"]["left"][name]
+        (ds / rel).write_bytes(formats.write_pfm(np.ones(shape, dtype=np.float32)))
+    return mutate
+
+
 def _nan_baseline(m, ds):
     m["rig"]["baseline"] = float("nan")  # json writes NaN, and reads it back
 
@@ -224,6 +232,9 @@ MALFORMED = {
     # derive never uses the material pass, but still checks it
     "material pass of another size": _resized(
         "material_index", formats.write_pgm16, np.uint16),
+    "3-channel depth": _channels("depth", (48, 64, 3)),
+    "1-channel pos3d_t": _channels("pos3d_t", (48, 64)),
+    "1-channel pos3d_next": _channels("pos3d_next", (48, 64)),
     "path with ..": _path_outside,
     "rig baseline NaN": _nan_baseline,
     "sensor width 0": _zero_sensor_width,

@@ -15,7 +15,7 @@ from sceneflowgen import _parallel, groundtruth as gt
 from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryError
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
-from conftest import bilinear_sample, make_passes, set_cpus
+from conftest import SMALL, bilinear_sample, make_passes, set_cpus
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
@@ -289,6 +289,26 @@ class TestOcclusion:
         p_t.pos3d_next = nxt
         assert gt.compute_occlusion_mask(p_t, p_next).all()
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["wide", "high"])
+    def test_one_pixel_wide_or_high_view(self, transpose):
+        # a 5x1 column (or 1x5 row) of points at depth 10 that move 0.2 px
+        # across it; at t+1 its first two pixels are nearer. The footprint
+        # reads the one column (row) at both corners, so exactly those
+        # two pixels are occluded.
+        depth_next = np.array([[5.0], [5.0], [10.0], [10.0], [10.0]])
+        depth = np.full(depth_next.shape, 10.0)
+        if transpose:
+            depth, depth_next = depth.T, depth_next.T
+        h, w = depth.shape
+        intr = CameraIntrinsics.from_sensor(35, 32, w, h)
+        p_t = make_passes(depth, intr, t=1)
+        p_next = make_passes(depth_next, intr, t=2)
+        nxt = p_t.pos3d_t.copy()
+        nxt[..., 1 if transpose else 0] -= 0.2 * 10.0 / intr.focal_px
+        p_t.pos3d_next = nxt
+        occ = gt.compute_occlusion_mask(p_t, p_next)
+        assert occ.ravel().tolist() == [True, True, False, False, False]
+
     def test_missing_pass_rejected(self):
         p_t = make_passes(np.full((4, 4), 10.0), INTR, t=1)
         p_next = make_passes(np.full((4, 4), 10.0), INTR, t=2)
@@ -386,6 +406,13 @@ class TestDeriveFrame:
         assert frame.disparity.shape == (h, w)
         assert frame.motion_boundaries.dtype == bool
         assert frame.occlusion_fwd.dtype == bool
+
+    def test_occlusion_needs_a_later_frame(self, rendered_scene):
+        spec, passes = rendered_scene
+        with pytest.raises(ContractError):  # no pos3d_next at the last frame
+            gt.derive_frame(passes[(3, "left")], spec.rig, passes[(2, "left")])
+        with pytest.raises(ContractError):
+            gt.derive_frame(passes[(2, "left")], spec.rig, passes[(1, "left")])
 
     def test_sequence_boundaries(self, rendered_scene):
         spec, passes = rendered_scene
@@ -538,3 +565,73 @@ class TestDeriveFrameMemory:
                 tracemalloc.stop()
             outputs = sum(getattr(frame, name).nbytes for name in GT_FIELDS)
             assert peak - outputs < bound, (cpus, peak - outputs, bound)
+
+
+def with_positions(passes, dtype):
+    """passes with depth and every position pass cast to dtype."""
+    return dataclasses.replace(passes, **{
+        name: getattr(passes, name).astype(dtype)
+        for name in ("depth", "pos3d_t", "pos3d_prev", "pos3d_next")
+        if getattr(passes, name) is not None})
+
+
+class TestFloat32Passes:
+    """Passes read from files are float32; every map widens them to float64,
+    so they give the bytes of the same passes widened up front."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        # a rendered 96x64 scene as the files store it, and the same
+        # passes widened back to float64
+        spec = sf.generate_flyingthings_scene(
+            11, dataclasses.replace(SMALL, width=96, height=64))
+        narrow = {(t, v): with_positions(sf.rasterize_frame(spec, t, v),
+                                         np.float32)
+                  for t in (1, 2, 3) for v in ("left", "right")}
+        wide = {key: with_positions(fp, np.float64)
+                for key, fp in narrow.items()}
+        return spec.rig, narrow, wide
+
+    def assert_same_maps(self, a, b, where):
+        for name in GT_FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            if y is None:
+                assert x is None, (name, where)
+                continue
+            assert x.dtype == y.dtype and x.shape == y.shape, (name, where)
+            assert x.tobytes() == y.tobytes(), (name, where)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_public_maps(self, stored, t):
+        rig, narrow, wide = stored
+        for view in ("left", "right"):
+            fp, fp_next = narrow[(t, view)], narrow.get((t + 1, view))
+            assert fp.depth.dtype == np.float32
+            a = whole_frame(fp, rig, fp_next)
+            b = whole_frame(wide[(t, view)], rig, wide.get((t + 1, view)))
+            assert a.disparity.dtype == np.float64
+            self.assert_same_maps(a, b, view)
+            if fp_next is not None:  # the backward test, from frame t + 1
+                assert (gt.compute_occlusion_mask(fp_next, fp).tobytes()
+                        == gt.compute_occlusion_mask(
+                            wide[(t + 1, view)], wide[(t, view)]).tobytes())
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_derive_frame(self, stored, t):
+        rig, narrow, wide = stored
+        for view in ("left", "right"):
+            key, nxt = (t, view), (t + 1, view)
+            ref = gt.derive_frame(wide[key], rig, wide.get(nxt))
+            for rows in (7, _parallel.BAND_ROWS):
+                for cpus in (1, 2):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(_parallel, "BAND_ROWS", rows)
+                        set_cpus(mp, cpus)
+                        frame = gt.derive_frame(narrow[key], rig,
+                                                narrow.get(nxt))
+                    self.assert_same_maps(frame, ref, (view, rows, cpus))
+
+    def test_occlusion_eps_median_is_float64(self):
+        # an even count: the float32 midpoint of 1 and 1 + 2^-23 rounds
+        depth = np.array([[1.0, 1.0 + 2.0 ** -23]], dtype=np.float32)
+        assert gt._occlusion_eps(depth) == 1e-3 * (1.0 + 2.0 ** -24)

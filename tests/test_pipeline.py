@@ -5,16 +5,18 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sceneflowgen as sf
-from sceneflowgen import formats, pipeline
+from sceneflowgen import _parallel, formats, pipeline
 from sceneflowgen.cli import main
 
-from conftest import small_params
+from conftest import set_cpus, small_params
 from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
 
 
@@ -70,6 +72,43 @@ def test_derive_loads_each_view_once(tmp_path, monkeypatch):
     assert counter.calls == view_major(3)
     assert counter.peak <= 2
     assert not (tmp_path / "re" / "manifest.json").exists()
+
+
+def test_loaded_passes_are_the_decoded_files(tmp_path):
+    pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
+    manifest = formats.read_manifest((tmp_path / "ds" / "manifest.json").read_text())
+    for t, view in view_major(3):
+        fp = pipeline.load_frame_passes(tmp_path / "ds", manifest, t, view)
+        files = manifest["frames"][t - 1]["files"][view]
+        for name in ("depth", "pos3d_t", "pos3d_prev", "pos3d_next"):
+            a = getattr(fp, name)
+            if name not in files:
+                assert a is None, (t, view, name)
+                continue
+            stored = formats.read_pfm((tmp_path / "ds" / files[name]).read_bytes())
+            assert a.dtype == np.float32 and a.shape == stored.shape
+            assert a.tobytes() == stored.tobytes(), (t, view, name)
+
+
+def test_derive_holds_float32_passes(tmp_path, monkeypatch):
+    # 8-row bands at 240x135 are the share of a view that the default
+    # 32-row bands are at 960x540. Widening every depth and position pass
+    # to float64 on load peaked at 7.36 MB here; widened band by band, the
+    # peak is more than one (H, W, 3) float64 map lower.
+    spec = sf.generate_driving_preset(42, sf.DrivingParams(
+        focal_mm=15, frames=3, width=240, height=135))
+    pipeline.generate_dataset(spec, tmp_path / "ds")
+    monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
+    bound = 7_360_000 - 135 * 240 * 3 * 8
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            pipeline.derive_dataset(tmp_path / "ds", tmp_path / f"re-{cpus}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (cpus, peak, bound)
 
 
 # SHA-256 over (relative path, bytes) of every file but config.json, in
