@@ -11,9 +11,8 @@ from .scene import (
 )
 from .render import FramePasses, rasterize_frame
 from .groundtruth import (
-    GroundTruthFrame, compute_occlusion_mask, derive_disparity,
-    derive_disparity_change, derive_flow, derive_frame,
-    derive_motion_boundaries, reconstruct_scene_flow,
+    GroundTruthFrame, derive_disparity, derive_frame, derive_motion_boundaries,
+    reconstruct_scene_flow,
 )
 from .match import estimate_disparity
 from .metrics import MetricReport, aggregate, d1_all, epe_map, render_table

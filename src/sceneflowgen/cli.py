@@ -161,6 +161,17 @@ def _merge(measures):
     return report
 
 
+def _report_dict(measures):
+    """`_merge(measures)` as JSON. The pixel counts are EPE's where EPE was
+    measured, so with both measures D1-all's own counts come too, and the
+    report alone can weight D1-all by the pixels D1-all evaluated."""
+    out = _merge(measures).to_dict()
+    if "epe" in measures and "d1" in measures:
+        out["d1_valid_pixels"] = measures["d1"].valid_pixels
+        out["d1_evaluated_pixels"] = measures["d1"].evaluated_pixels
+    return out
+
+
 def cmd_evaluate(args):
     if len(args.pred) != len(args.gt):
         raise ContractError(
@@ -193,10 +204,10 @@ def cmd_evaluate(args):
         reports = [f[mask_name] for f in frames if mask_name in f]
         # each measure aggregates its own reports, so D1-all is weighted by
         # the pixels D1-all evaluated, not by those EPE evaluated
-        return _merge({
+        return {
             m: metrics.aggregate([r[m] for r in reports if m in r], weighting)
             for m in ("epe", "d1") if any(m in r for r in reports)
-        })
+        }
 
     cells = {}
     aggregate_json = {}  # the all-pixel aggregate at the top level
@@ -208,9 +219,9 @@ def cmd_evaluate(args):
                 cells[(f"frame{i}", column)] = _merge(f[mask_name])
         agg = {}
         for weighting in ("per-pixel", "per-frame"):
-            report = aggregate(mask_name, weighting)
-            cells[(f"aggregate/{weighting}", column)] = report
-            agg[weighting.replace("-", "_")] = report.to_dict()
+            measures = aggregate(mask_name, weighting)
+            cells[(f"aggregate/{weighting}", column)] = _merge(measures)
+            agg[weighting.replace("-", "_")] = _report_dict(measures)
         if mask_name == "all":
             aggregate_json.update(agg)
         else:
@@ -219,7 +230,7 @@ def cmd_evaluate(args):
 
     report_json = {
         "frames": [
-            {k: (v if isinstance(v, str) else _merge(v).to_dict())
+            {k: (v if isinstance(v, str) else _report_dict(v))
              for k, v in f.items()}
             for f in frames
         ],

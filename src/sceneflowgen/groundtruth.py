@@ -1,18 +1,21 @@
 """Dense scene-flow ground truth derived from rendered frame passes:
 bidirectional optical flow, disparity, disparity change, motion
-boundaries, occlusion masks, and 3D scene-flow reconstruction from the
-(flow, disparity, disparity change) components.
+boundaries, the forward occlusion mask, and 3D scene-flow reconstruction
+from the (flow, disparity, disparity change) components.
+
+`derive_frame` is the one path to flow, disparity change and occlusion:
+`generate` and `derive` both call it, and `tests/groundtruth_oracle.py` is
+the whole-frame reference it is tested against. It runs the per-pixel
+maps on the row bands of `_parallel`, through its thread map, with
+band-sized temporaries. A band projects each 3D-position pass once and
+shares the projection between the maps that read it.
 
 All arithmetic is float64. Passes may come in as float32 (as read from
-files) or float64 (from the renderer): each map function widens what it
-reads, and `derive_frame` widens each band of the passes inside its band,
-so only band-sized float64 copies exist and either input gives the same
-bytes.
-
-`derive_frame` runs the per-pixel maps on the row bands of `_parallel`,
-through its thread map, with band-sized temporaries. A band projects
-each 3D-position pass once and shares the projection between the maps
-that read it.
+files) or float64 (from the renderer). Each band widens its rows of the
+passes, so only band-sized float64 copies exist and either input gives
+the same bytes; `derive_disparity` widens the depth it is given. On the
+whole frame only the occlusion eps (a median depth) and the next frame's
+z-buffer lookup widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -31,10 +34,8 @@ from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
 from .render import FramePasses
 
 __all__ = [
-    "GroundTruthFrame", "derive_disparity", "derive_flow",
-    "derive_disparity_change", "derive_motion_boundaries",
-    "compute_occlusion_mask", "reconstruct_scene_flow", "derive_frame",
-    "pixel_centers",
+    "GroundTruthFrame", "derive_disparity", "derive_motion_boundaries",
+    "reconstruct_scene_flow", "derive_frame", "pixel_centers",
     "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
 ]
 
@@ -61,14 +62,13 @@ def pixel_centers(h, w):
 
 def _wide(a):
     """a as float64: itself if it is already, else a widened copy. NEP 50
-    keeps `float * float32-array` in float32, so every map widens the
-    passes it reads before any arithmetic."""
+    keeps `float * float32-array` in float32, so passes are widened before
+    any arithmetic."""
     return a.astype(np.float64, copy=False)
 
 
 def _project_pass(pos, k: CameraIntrinsics):
-    """Project a 3D-position pass; pixels with Z <= 0 (or NaN) come back NaN."""
-    pos = _wide(pos)
+    """Project a float64 3D-position pass; Z <= 0 (or NaN) comes back NaN."""
     z = pos[..., 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = z > 0
@@ -92,63 +92,20 @@ def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
     return d
 
 
-def derive_flow(passes: FramePasses, direction: str) -> np.ndarray | None:
-    """Optical flow as the difference of projected pixel positions.
-
-    Forward: project(pos3d_next) - project(pos3d_t); backward uses
-    pos3d_prev. Defined at every valid pixel, also where the point is
-    occluded in the other frame. Returns None at a sequence boundary
-    where the required pass is absent.
-    """
-    other = _other_pass(passes, direction)
-    if other is None:
-        return None
-    k = passes.intrinsics
-    return _flow(_project_pass(other, k), _project_pass(passes.pos3d_t, k),
-                 passes.valid)
-
-
-def _flow(proj_other, proj_t, valid, out=None):
+def _flow(proj_other, proj_t, valid, out):
     """The flow between two projections of the same points, NaN off
-    valid; written to out if given."""
-    flow = np.subtract(proj_other, proj_t, out=out)
-    flow[~valid] = np.nan
-    return flow
+    valid, written to out."""
+    np.subtract(proj_other, proj_t, out=out)
+    out[~valid] = np.nan
 
 
-def derive_disparity_change(passes: FramePasses, rig: StereoRig,
-                            direction: str) -> np.ndarray | None:
-    """Delta-d = b*f/Z_other - b*f/Z_t; positive for approaching surfaces."""
-    other = _other_pass(passes, direction)
-    if other is None:
-        return None
-    bf = rig.baseline * rig.intrinsics.focal_px
-    return _disparity_change(bf, _bf_over_z(bf, passes.pos3d_t),
-                             _wide(other[..., 2]), passes.valid)
-
-
-def _bf_over_z(bf, pos):
-    """b*f/Z of a 3D-position pass: the disparity of each point."""
+def _disparity_change(bf, bf_over_z_t, z_other, valid, out):
+    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and off valid,
+    written to out; positive for approaching surfaces."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return bf / _wide(pos[..., 2])
-
-
-def _disparity_change(bf, bf_over_z_t, z_other, valid, out=None):
-    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and off valid;
-    written to out if given."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dd = np.subtract(np.where(z_other > 0, bf / z_other, np.nan),
-                         bf_over_z_t, out=out)
-    dd[~valid] = np.nan
-    return dd
-
-
-def _other_pass(passes: FramePasses, direction: str):
-    if direction == "fwd":
-        return passes.pos3d_next
-    if direction == "bwd":
-        return passes.pos3d_prev
-    raise ContractError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
+        np.subtract(np.where(z_other > 0, bf / z_other, np.nan), bf_over_z_t,
+                    out=out)
+    out[~valid] = np.nan
 
 
 def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarray:
@@ -242,32 +199,13 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     return mask
 
 
-def compute_occlusion_mask(passes_t: FramePasses, passes_other: FramePasses,
-                           eps=None) -> np.ndarray:
-    """Pixels of frame t whose surface point is hidden or out of frame at
-    the time of `passes_other` (the t+1 or t-1 frame of the same view).
-
-    A pixel is occluded when the other frame's z-buffer (its depth, inf
-    at void), bilinearly sampled at the point's projected location, is
-    nearer than the point itself by more than eps, or when the projection
-    leaves the other frame's image. passes_t may be a band of rows of
-    frame t (see `derive_frame`); eps defaults to 1e-3 of its median depth.
-    """
-    direction = "fwd" if passes_other.frame_time > passes_t.frame_time else "bwd"
-    other = _other_pass(passes_t, direction)
-    if other is None:
-        raise ContractError("occlusion needs the corresponding 3D-position pass")
-    if eps is None:
-        eps = _occlusion_eps(passes_t.depth)
-    return _occluded(_project_pass(other, passes_t.intrinsics),
-                     _wide(other[..., 2]), passes_t, passes_other, eps)
-
-
-def _occluded(proj, z_point, passes_t, passes_other, eps, out=None):
-    """`compute_occlusion_mask` of the points of passes_t whose projection
-    into passes_other is proj and whose depth there is z_point; written
-    to out if given."""
-    h, w = passes_other.depth.shape
+def _occluded(proj, z_point, passes_t, passes_next, eps, out):
+    """Forward occlusion of the points of passes_t (a band of frame t) that
+    project to proj in passes_next (the whole frame t + 1) at depth z_point,
+    written to out. A valid pixel is occluded when its projection leaves
+    the image, its 2x2 footprint touches another object, or the bilinear
+    z-buffer there (depth, inf at void) is nearer by more than eps."""
+    h, w = passes_next.depth.shape
     with np.errstate(invalid="ignore"):
         u = np.nan_to_num(proj[..., 0], nan=-1.0)
         v = np.nan_to_num(proj[..., 1], nan=-1.0)
@@ -289,10 +227,10 @@ def _occluded(proj, z_point, passes_t, passes_other, eps, out=None):
         del x0i, y0i
         k += (1 - dx) + (w - dy)
         corners = (k, k + dx, k + dy, k + (dy + dx))
-        index = passes_other.object_index.ravel()
-        depth = passes_other.depth.ravel()
+        index = passes_next.object_index.ravel()
+        depth = passes_next.depth.ravel()
         oi = [index.take(c) for c in corners]
-        # the other frame's z-buffer at the corners alone: depth, inf at
+        # the next frame's z-buffer at the corners alone: depth, inf at
         # void, widened to float64 here
         g00, g01, g10, g11 = (np.where(o > 0, _wide(depth.take(c)), np.inf)
                               for o, c in zip(oi, corners))
@@ -309,9 +247,11 @@ def _occluded(proj, z_point, passes_t, passes_other, eps, out=None):
 
 
 def _occlusion_eps(depth):
-    """The occlusion test's depth tolerance: 1e-3 of the median depth."""
+    """The occlusion test's depth tolerance: 1e-3 of the median depth, or
+    1e-3 at a view with no depth (which np.nanmedian would warn about)."""
     # widened first: a float32 median of an even count rounds the midpoint
-    scale = float(np.nanmedian(_wide(depth)))
+    depth = _wide(depth[~np.isnan(depth)])
+    scale = float(np.median(depth, overwrite_input=True)) if depth.size else 1.0
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
@@ -353,17 +293,22 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                  passes_next: FramePasses | None = None) -> GroundTruthFrame:
     """All per-view ground-truth maps for one rendered frame.
 
+    Flow is the difference of the projected 3D positions, defined also
+    where the point is occluded in the other frame; disparity change is
+    b*f/Z_other - b*f/Z_t, positive for approaching surfaces; both are NaN
+    at void. passes_next, if given, is the next frame of the same view,
+    and `occlusion_fwd` marks the points it hides (see `_occluded`).
+
     Flow, disparity, disparity change and occlusion are per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
     the floating passes to float64, projects each 3D-position pass once,
     writes its rows of the full maps, and holds temporaries the size of a
-    band. passes_next, if given, is the next frame of the same view.
-    What a band cannot see is taken over the whole view: the occlusion
-    eps comes from the median depth of the frame, and the occlusion test
-    samples the whole next frame. Motion boundaries pair pixels across
-    band edges and drop small components of the whole mask, so they run
-    on the whole forward flow once the bands are done. The maps do not
-    depend on the band height or the number of workers.
+    band. What a band cannot see is taken over the whole view: the
+    occlusion eps comes from the median depth of the frame, and the
+    occlusion test samples the whole next frame. Motion boundaries pair
+    pixels across band edges and drop small components of the whole mask,
+    so they run on the whole forward flow once the bands are done. The
+    maps do not depend on the band height or the number of workers.
     """
     h, w = passes.depth.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
@@ -404,7 +349,8 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             _occluded(proj_next, part.pos3d_next[..., 2], part, passes_next,
                       eps, out=frame.occlusion_fwd[rows])
         del proj_next
-        bf_over_z_t = _bf_over_z(bf, part.pos3d_t)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bf_over_z_t = bf / part.pos3d_t[..., 2]  # each point's disparity
         for other, dispchange in ((part.pos3d_next, frame.dispchange_fwd),
                                   (part.pos3d_prev, frame.dispchange_bwd)):
             if other is not None:

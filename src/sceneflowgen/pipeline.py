@@ -244,12 +244,6 @@ def load_frame_passes(dataset_root, manifest, t, view):
                              f"{intr.width}x{intr.height} rig needs {shape}")
         return a
 
-    frames = manifest["frames"]
-
-    def pose_at(time):
-        e = next((f for f in frames if f["time"] == time), None)
-        return CameraPose.from_dict(e["cameras"][view]) if e else None
-
     read("material_index", formats.read_pgm16)  # checked, then dropped
     return FramePasses(  # the passes in field order
         read("rgb", formats.read_ppm, (3,)), read("depth"),
@@ -259,7 +253,5 @@ def load_frame_passes(dataset_root, manifest, t, view):
         view=view,
         frame_time=t,
         camera_pose=CameraPose.from_dict(entry["cameras"][view]),
-        camera_pose_prev=pose_at(t - 1),
-        camera_pose_next=pose_at(t + 1),
         intrinsics=intr,
     )

@@ -77,8 +77,6 @@ class FramePasses:
     view: str
     frame_time: int
     camera_pose: CameraPose  # world -> camera at t
-    camera_pose_prev: CameraPose | None
-    camera_pose_next: CameraPose | None
     intrinsics: CameraIntrinsics
 
     @property
@@ -493,7 +491,5 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     depth = np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan)
     return FramePasses(  # the passes in field order
         rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
-        view=view, frame_time=t, camera_pose=pose_t,
-        camera_pose_prev=pose_prev, camera_pose_next=pose_next,
-        intrinsics=intr,
+        view=view, frame_time=t, camera_pose=pose_t, intrinsics=intr,
     )

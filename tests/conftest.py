@@ -49,8 +49,7 @@ def bilinear_sample(grid, coords, fill=np.nan):
     return out[..., 0] if grid.ndim == 2 else out
 
 
-def make_passes(depth, intrinsics, pos3d_next=None, index=None,
-                pose=None, pose_next=None, t=1):
+def make_passes(depth, intrinsics, pos3d_next=None, index=None, t=1):
     """Hand-built pass bundle for unit tests that don't need the renderer;
     `index` is the object index pass, 1 wherever depth is finite by
     default."""
@@ -68,9 +67,7 @@ def make_passes(depth, intrinsics, pos3d_next=None, index=None,
         pos_t, None, pos3d_next, np.asarray(index, dtype=np.uint16),
         view="left",
         frame_time=t,
-        camera_pose=pose or sf.CameraPose(),
-        camera_pose_prev=None,
-        camera_pose_next=pose_next,
+        camera_pose=sf.CameraPose(),
         intrinsics=intrinsics,
     )
 

@@ -100,9 +100,7 @@ def oracle_rasterize_frame(spec, t, view):
     depth = np.where(obj_idx > 0, zbuf, np.nan).astype(np.float64)
     return FramePasses(  # the passes in field order
         rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
-        view=view, frame_time=t, camera_pose=pose_t,
-        camera_pose_prev=pose_prev, camera_pose_next=pose_next,
-        intrinsics=intr,
+        view=view, frame_time=t, camera_pose=pose_t, intrinsics=intr,
     )
 
 

@@ -49,8 +49,8 @@ def test_02_stereo_flow_equivalence():
         spec = baseline_shift_scene(seed)
         for t in range(1, spec.frames):
             fp = rasterize_frame(spec, t, "left")
-            flow = gt.derive_flow(fp, "fwd")
-            d = gt.derive_disparity(fp, spec.rig)
+            frame = gt.derive_frame(fp, spec.rig)
+            flow, d = frame.flow_fwd, frame.disparity
             v = fp.valid & np.isfinite(flow).all(axis=-1)
             err_u = np.abs(flow[..., 0] + d)[v]
             err_v = np.abs(flow[..., 1])[v]
@@ -63,13 +63,13 @@ def test_03_scene_flow_round_trip():
     for seed in range(10):
         spec = sf.generate_flyingthings_scene(seed, small_params(frames=2))
         fp = rasterize_frame(spec, 1, "left")
-        flow = gt.derive_flow(fp, "fwd")
-        d = gt.derive_disparity(fp, spec.rig)
-        dd = gt.derive_disparity_change(fp, spec.rig, "fwd")
+        frame = gt.derive_frame(fp, spec.rig)
+        pose_next = spec.camera_pose(2, "left")
         pos, motion = gt.reconstruct_scene_flow(
-            flow, d, dd, spec.rig, fp.camera_pose, fp.camera_pose_next)
+            frame.flow_fwd, frame.disparity, frame.dispchange_fwd, spec.rig,
+            fp.camera_pose, pose_next)
         truth_pos = fp.camera_pose.camera_to_world(fp.pos3d_t)
-        truth_motion = fp.camera_pose_next.camera_to_world(fp.pos3d_next) - truth_pos
+        truth_motion = pose_next.camera_to_world(fp.pos3d_next) - truth_pos
         valid = np.isfinite(motion).all(axis=-1)
         assert valid.sum() > 0.9 * fp.valid.sum()
         worst = max(worst,
@@ -87,9 +87,9 @@ def test_04_forward_backward_consistency():
                       for t in range(1, spec.frames + 1)}
             for t in range(1, spec.frames):
                 fp, fp_next = passes[t], passes[t + 1]
-                flow_fwd = gt.derive_flow(fp, "fwd")
-                flow_bwd = gt.derive_flow(fp_next, "bwd")
-                occ = gt.compute_occlusion_mask(fp, fp_next)
+                frame = gt.derive_frame(fp, spec.rig, fp_next)
+                flow_fwd, occ = frame.flow_fwd, frame.occlusion_fwd
+                flow_bwd = gt.derive_frame(fp_next, spec.rig).flow_bwd
                 target = gt.pixel_centers(*fp.depth.shape) + flow_fwd
                 back = bilinear_sample(np.nan_to_num(flow_bwd), target)
                 resid = np.linalg.norm(flow_fwd + back, axis=-1)

@@ -374,9 +374,11 @@ class TestEvaluate:
             assert non_occluded["d1_all"] == 0.0
             assert non_occluded["evaluated_pixels"] == 2 * 16
 
-    def test_d1_aggregate_weighted_by_its_own_pixels(self, tmp_path, capsys):
-        # frame 0: 16 px, none bad; frame 1: ground truth 0 (no D1-all
-        # verdict) in three columns, and all 4 px of the fourth are bad
+    @staticmethod
+    def two_frame_report(tmp_path):
+        """evaluate --metric both of two 4x4 frames. Frame 0: 16 px, none
+        bad; frame 1: ground truth 0 (no D1-all verdict) in three columns,
+        and all 4 px of the fourth are bad."""
         gt0 = np.full((4, 4), 10.0, dtype=np.float32)
         gt1 = gt0.copy()
         gt1[:, 1:] = 0.0
@@ -389,13 +391,43 @@ class TestEvaluate:
         g0, p0, g1, p1 = map(str, paths)
         report = tmp_path / "report.json"
         assert main(["evaluate", "--pred", p0, p1, "--gt", g0, g1,
-                     "--out", str(report)]) == 0
+                     "--metric", "both", "--out", str(report)]) == 0
+        return json.loads(report.read_text())
+
+    def test_d1_aggregate_weighted_by_its_own_pixels(self, tmp_path, capsys):
+        agg = self.two_frame_report(tmp_path)["aggregate"]
         assert "20.00%" in capsys.readouterr().out
-        agg = json.loads(report.read_text())["aggregate"]
         assert agg["per_pixel"]["d1_all"] == pytest.approx(4 / 20)
         assert agg["per_frame"]["d1_all"] == pytest.approx(0.5)
         assert agg["per_pixel"]["mean_epe"] == pytest.approx(40 / 32)
         assert agg["per_pixel"]["evaluated_pixels"] == 32
+
+    def test_report_holds_d1_pixel_counts(self, tmp_path):
+        # each report with both measures also gives D1-all's own pixels,
+        # so the per-frame reports re-aggregate to the per-pixel D1-all
+        data = self.two_frame_report(tmp_path)
+        frames = [f["all"] for f in data["frames"]]
+        assert [f["evaluated_pixels"] for f in frames] == [16, 16]
+        assert [f["d1_evaluated_pixels"] for f in frames] == [16, 4]
+        assert [f["d1_valid_pixels"] for f in frames] == [16, 4]
+        assert [f["d1_all"] for f in frames] == [0.0, 1.0]
+        agg = data["aggregate"]["per_pixel"]
+        assert agg["d1_evaluated_pixels"] == 20
+        assert agg["evaluated_pixels"] == 32
+        assert agg["d1_all"] == pytest.approx(
+            sum(f["d1_all"] * f["d1_evaluated_pixels"] for f in frames)
+            / sum(f["d1_evaluated_pixels"] for f in frames))
+
+    def test_single_measure_reports_have_no_d1_counts(self, tmp_path):
+        g = tmp_path / "g.pfm"
+        g.write_bytes(formats.write_pfm(np.full((2, 2), 4.0, dtype=np.float32)))
+        for metric in ("epe", "d1all"):
+            report = tmp_path / f"{metric}.json"
+            assert main(["evaluate", "--pred", str(g), "--gt", str(g),
+                         "--metric", metric, "--out", str(report)]) == 0
+            data = json.loads(report.read_text())
+            for r in (data["frames"][0]["all"], data["aggregate"]["per_pixel"]):
+                assert "d1_evaluated_pixels" not in r, metric
 
     def test_count_mismatch(self, tmp_path, capsys):
         g = tmp_path / "g.pfm"
