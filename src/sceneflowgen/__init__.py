@@ -1,10 +1,7 @@
 """Procedural stereo scene generation with dense scene-flow ground truth,
 a 1D-correlation block matcher, and evaluation metrics."""
 
-from .geometry import (
-    CameraIntrinsics, CameraPose, StereoRig,
-    depth_to_disparity, disparity_to_depth, project, transform_point, unproject,
-)
+from .geometry import CameraIntrinsics, CameraPose, StereoRig, project, unproject
 from .scene import (
     DrivingParams, FlyingThingsParams, SceneSpec,
     generate_driving_preset, generate_flyingthings_scene,

@@ -141,10 +141,14 @@ def _load_map(path):
     path = Path(path)
     data = path.read_bytes()
     if path.suffix == ".flo":
-        return formats.read_flo(data).astype(np.float64)
-    if path.suffix == ".pfm":
-        return formats.read_pfm(data).astype(np.float64)
-    raise ContractError(f"unsupported map format: {path}")
+        a = formats.read_flo(data)
+    elif path.suffix == ".pfm":
+        a = formats.read_pfm(data)
+    else:
+        raise ContractError(f"unsupported map format: {path}")
+    # a signalling NaN in the file widens to a quiet NaN, which is no error
+    with np.errstate(invalid="ignore"):
+        return a.astype(np.float64)
 
 
 _COLUMNS = {"all": "all", "non_occluded": "non-occluded"}

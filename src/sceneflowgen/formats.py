@@ -1,9 +1,11 @@
 """Bit-exact readers and writers for all on-disk formats.
 
 Formats: PFM (float maps), Middlebury .flo (flow), PPM P6 (8-bit RGB),
-PGM P5 with maxval 65535 (16-bit index masks), and the JSON dataset
-manifest. Every writer/reader pair round-trips losslessly, including NaN
-payloads in the float formats.
+PGM P5 with maxval 65535 (16-bit index masks), PGM P5 with maxval 255
+(8-bit masks and gray images), and the JSON dataset manifest. Every
+writer/reader pair round-trips losslessly, including NaN payloads in the
+float formats. Readers refuse images of more than `geometry.MAX_PIXELS`
+pixels, the largest camera a scene can have.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
+from .geometry import MAX_PIXELS
 
 MANIFEST_VERSION = "sceneflowgen-manifest-1"
 FLO_MAGIC = 202021.25
-_MAX_PIXELS = 2**28  # w * h cap for every reader
 
 __all__ = [
     "write_pfm", "read_pfm", "write_flo", "read_flo",
     "write_ppm", "read_ppm", "write_pgm16", "read_pgm16",
+    "write_pgm8", "read_pgm8",
     "write_manifest", "read_manifest", "MANIFEST_VERSION",
 ]
 
@@ -71,7 +74,7 @@ def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _check_dimensions(kind, w, h):
-    if w <= 0 or h <= 0 or w * h > _MAX_PIXELS:
+    if w <= 0 or h <= 0 or w * h > MAX_PIXELS:
         raise ParseError(f"bad {kind} dimensions {w}x{h}")
 
 

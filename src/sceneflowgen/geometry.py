@@ -1,11 +1,20 @@
-"""Pinhole camera model, stereo rig and depth/disparity conversions.
+"""The camera model: one rectified stereo pinhole rig.
 
-Conventions used throughout the toolkit:
+This module is the only one that knows the projection f*X/Z + c, the
+stereo relation d = b*f/Z and the intrinsics they read. Conventions used
+throughout the toolkit:
 
 * camera frame: +Z forward, +X right, +Y down
 * pixel origin at the top-left image corner, pixel (i, j) has its center
   at the half-integer coordinate (i + 0.5, j + 0.5)
 * world -> camera mapping: ``p_cam = R @ p_world + t``
+* `project` gives NaN pixel coordinates for points with Z <= 0 (or NaN
+  Z), so whole passes project without a mask
+* the right camera is the left one shifted by the baseline along its +X
+  axis (`SceneSpec.camera_pose` builds both); the manifest's
+  ``rig.left_pose`` is always the identity and is never read
+* an image holds at most `MAX_PIXELS` pixels, the size every reader of
+  `formats` accepts
 """
 
 from __future__ import annotations
@@ -18,42 +27,37 @@ import numpy as np
 from .errors import GeometryError
 
 __all__ = [
-    "CameraIntrinsics",
-    "CameraPose",
-    "StereoRig",
-    "project",
-    "unproject",
-    "depth_to_disparity",
-    "disparity_to_depth",
-    "transform_point",
+    "CameraIntrinsics", "CameraPose", "StereoRig", "project", "unproject",
+    "MAX_PIXELS",
 ]
+
+MAX_PIXELS = 2**28  # w * h cap of every image, written or read
 
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    focal_px: float
-    principal_point: tuple[float, float]
-    image_size: tuple[int, int]  # (width, height)
-    sensor_width_mm: float
     focal_mm: float
+    sensor_width_mm: float
+    image_size: tuple[int, int]  # (width, height)
+    principal_point: tuple[float, float]
 
     def __post_init__(self):
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise GeometryError(f"image size must be positive, got {w}x{h}")
-        if not all(map(math.isfinite, (self.focal_px, self.focal_mm,
-                                       self.sensor_width_mm,
+        if w * h > MAX_PIXELS:
+            raise GeometryError(
+                f"image size {w}x{h} exceeds {MAX_PIXELS} pixels")
+        if not all(map(math.isfinite, (self.focal_mm, self.sensor_width_mm,
                                        *self.principal_point))):
             raise GeometryError(f"camera values must be finite, got {self}")
-        if self.focal_px <= 0:
-            raise GeometryError(f"focal_px must be positive, got {self.focal_px}")
-        _check_sensor_width(self.sensor_width_mm)
-        expected = self.focal_mm / self.sensor_width_mm * w
-        if not math.isclose(self.focal_px, expected, rel_tol=1e-12):
+        if not self.sensor_width_mm > 0:
             raise GeometryError(
-                f"focal_px={self.focal_px} inconsistent with "
-                f"focal_mm/sensor_width*width={expected}"
-            )
+                f"sensor_width_mm must be positive, got {self.sensor_width_mm}")
+        focal_px = self.focal_px
+        if not (math.isfinite(focal_px) and focal_px > 0):
+            raise GeometryError(
+                f"focal_px must be finite and positive, got {focal_px}")
 
     @classmethod
     def from_sensor(cls, focal_mm, sensor_width_mm, width, height,
@@ -62,17 +66,18 @@ class CameraIntrinsics:
 
         The principal point defaults to the image center.
         """
-        _check_sensor_width(sensor_width_mm)
-        focal_px = focal_mm / sensor_width_mm * width
         if principal_point is None:
             principal_point = (width / 2.0, height / 2.0)
         return cls(
-            focal_px=focal_px,
-            principal_point=(float(principal_point[0]), float(principal_point[1])),
-            image_size=(int(width), int(height)),
-            sensor_width_mm=float(sensor_width_mm),
             focal_mm=float(focal_mm),
+            sensor_width_mm=float(sensor_width_mm),
+            image_size=(int(width), int(height)),
+            principal_point=(float(principal_point[0]), float(principal_point[1])),
         )
+
+    @property
+    def focal_px(self):
+        return self.focal_mm / self.sensor_width_mm * self.width
 
     @property
     def width(self):
@@ -98,13 +103,6 @@ class CameraIntrinsics:
             d["focal_mm"], d["sensor_width_mm"], d["width"], d["height"],
             principal_point=(d["cx"], d["cy"]),
         )
-
-
-def _check_sensor_width(sensor_width_mm):
-    # focal_px is focal_mm / sensor_width_mm * width
-    if not (math.isfinite(sensor_width_mm) and sensor_width_mm > 0):
-        raise GeometryError(
-            f"sensor_width_mm must be finite and positive, got {sensor_width_mm}")
 
 
 def _as_matrix(rotation):
@@ -152,10 +150,10 @@ class CameraPose:
 
 @dataclass(frozen=True)
 class StereoRig:
-    """Rectified stereo pair: right camera offset by `baseline` along the
-    left camera's +X axis; both views share the intrinsics."""
+    """Rectified stereo pair: the right camera is the left one shifted by
+    `baseline` along its +X axis, and both views share the intrinsics. The
+    pose of the left camera changes per frame and is the scene's."""
 
-    left: CameraPose
     baseline: float
     intrinsics: CameraIntrinsics
 
@@ -165,41 +163,42 @@ class StereoRig:
                 f"baseline must be finite and positive, got {self.baseline}")
 
     @property
-    def right(self):
-        # same orientation, camera center shifted by b along left +X:
-        # p_right = R p_world + t - (b, 0, 0)
-        t = self.left.translation - np.array([self.baseline, 0.0, 0.0])
-        return CameraPose(self.left.rotation, t)
+    def bf(self):
+        """b * f: a point at depth Z has disparity bf / Z."""
+        return self.baseline * self.intrinsics.focal_px
 
     def to_dict(self):
         return {
-            "left_pose": self.left.to_dict(),
+            # the manifest format holds a left pose; the rig's own frame is
+            # the left camera, so it is the identity, and nothing reads it
+            "left_pose": CameraPose().to_dict(),
             "baseline": self.baseline,
             "intrinsics": self.intrinsics.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            left=CameraPose.from_dict(d["left_pose"]),
-            baseline=d["baseline"],
-            intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-        )
+        return cls(baseline=d["baseline"],
+                   intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]))
 
 
 def project(p, k: CameraIntrinsics):
     """Project camera-frame 3D points to continuous pixel coordinates.
 
-    Accepts a single (3,) point or an (..., 3) array; raises for Z <= 0.
+    Accepts a single (3,) point or an (..., 3) array. Points with Z <= 0,
+    or a NaN Z, project to NaN.
     """
     p = np.asarray(p, dtype=np.float64)
     z = p[..., 2]
-    if np.any(z <= 0):
-        raise GeometryError("cannot project point(s) with Z <= 0")
     cx, cy = k.principal_point
-    u = k.focal_px * p[..., 0] / z + cx
-    v = k.focal_px * p[..., 1] / z + cy
-    return np.stack([u, v], axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        front = z > 0
+        safe_z = np.where(front, z, 1.0)
+        u = k.focal_px * p[..., 0] / safe_z + cx
+        v = k.focal_px * p[..., 1] / safe_z + cy
+    uv = np.stack([u, v], axis=-1)
+    uv[~front] = np.nan
+    return uv
 
 
 def unproject(px, z, k: CameraIntrinsics):
@@ -212,24 +211,3 @@ def unproject(px, z, k: CameraIntrinsics):
     x = (px[..., 0] - cx) * z / k.focal_px
     y = (px[..., 1] - cy) * z / k.focal_px
     return np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
-
-
-def depth_to_disparity(z, rig: StereoRig):
-    """d = baseline * focal_px / Z for a rectified rig."""
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise GeometryError("depth must be positive")
-    return rig.baseline * rig.intrinsics.focal_px / z
-
-
-def disparity_to_depth(d, rig: StereoRig):
-    """Exact inverse of :func:`depth_to_disparity`."""
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d <= 0):
-        raise GeometryError("disparity must be positive")
-    return rig.baseline * rig.intrinsics.focal_px / d
-
-
-def transform_point(p, frame_a: CameraPose, frame_b: CameraPose):
-    """Re-express camera-frame-A point(s) in camera frame B."""
-    return frame_b.world_to_camera(frame_a.camera_to_world(p))

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._parallel import bands, map_ordered
 from .errors import ContractError, DataCorruptionError, GeometryError
-from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
+from .geometry import CameraPose, StereoRig, project, unproject
 from .render import FramePasses
 
 __all__ = [
@@ -67,27 +67,14 @@ def _wide(a):
     return a.astype(np.float64, copy=False)
 
 
-def _project_pass(pos, k: CameraIntrinsics):
-    """Project a float64 3D-position pass; Z <= 0 (or NaN) comes back NaN."""
-    z = pos[..., 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ok = z > 0
-        safe_z = np.where(ok, z, 1.0)
-        u = k.focal_px * pos[..., 0] / safe_z + k.principal_point[0]
-        v = k.focal_px * pos[..., 1] / safe_z + k.principal_point[1]
-    out = np.stack([u, v], axis=-1)
-    out[~ok] = np.nan
-    return out
-
-
 def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
-    """d = baseline * focal_px / depth at valid pixels, NaN at void."""
+    """d = b*f / depth at valid pixels, NaN at void."""
     depth = _wide(passes.depth)
     valid = passes.valid
     if np.any(valid & ~(depth > 0)):
         raise DataCorruptionError("non-positive depth at a covered pixel")
     with np.errstate(invalid="ignore"):
-        d = rig.baseline * rig.intrinsics.focal_px / depth
+        d = rig.bf / depth
     d = np.where(valid, d, np.nan)
     return d
 
@@ -265,7 +252,6 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
     disparities (d or d + delta-d) are rejected.
     """
     h, w = disparity.shape
-    bf = rig.baseline * rig.intrinsics.focal_px
     valid = np.isfinite(disparity) & np.isfinite(dispchange) \
         & np.isfinite(flow).all(axis=-1)
     if np.any(valid & (disparity <= 0)):
@@ -279,8 +265,8 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
     safe_dn = np.where(valid, d_next, 1.0)
     safe_flow = np.where(valid[..., None], flow, 0.0)
 
-    p_cam = unproject(px, bf / safe_d, rig.intrinsics)
-    p_next_cam = unproject(px + safe_flow, bf / safe_dn, rig.intrinsics)
+    p_cam = unproject(px, rig.bf / safe_d, rig.intrinsics)
+    p_next_cam = unproject(px + safe_flow, rig.bf / safe_dn, rig.intrinsics)
     p_world = pose_t.camera_to_world(p_cam)
     p_next_world = pose_next.camera_to_world(p_next_cam)
     motion = p_next_world - p_world
@@ -329,7 +315,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                                 "later frame as passes_next")
         eps = _occlusion_eps(passes.depth)
     k = passes.intrinsics
-    bf = rig.baseline * rig.intrinsics.focal_px
+    bf = rig.bf
 
     def band(rows):
         part = _band(passes, rows)
@@ -337,11 +323,11 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         frame.disparity[rows] = derive_disparity(part, rig)
         # each position pass is projected once, and each projection is
         # dropped after its last use
-        proj_t = _project_pass(part.pos3d_t, k)
+        proj_t = project(part.pos3d_t, k)
         if bwd:
-            _flow(_project_pass(part.pos3d_prev, k), proj_t, valid,
+            _flow(project(part.pos3d_prev, k), proj_t, valid,
                   out=frame.flow_bwd[rows])
-        proj_next = _project_pass(part.pos3d_next, k) if fwd else None
+        proj_next = project(part.pos3d_next, k) if fwd else None
         if fwd:
             _flow(proj_next, proj_t, valid, out=frame.flow_fwd[rows])
         del proj_t

@@ -141,11 +141,7 @@ def _derivable(manifest):
                 if missing:
                     raise ParseError(f"{where} {view}: no {sorted(missing)}")
         where = "rig"
-        rig = StereoRig.from_dict({
-            "left_pose": frames[0]["cameras"]["left"],
-            "baseline": manifest["rig"]["baseline"],
-            "intrinsics": manifest["rig"]["intrinsics"],
-        })
+        rig = StereoRig.from_dict(manifest["rig"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"manifest {where}: missing or malformed {e}") from None
     return times, rig

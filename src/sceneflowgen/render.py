@@ -43,7 +43,7 @@ import numpy as np
 
 from ._parallel import map_ordered, map_shares
 from .errors import ContractError
-from .geometry import CameraIntrinsics, CameraPose
+from .geometry import CameraIntrinsics, CameraPose, project
 from .scene import SceneSpec
 
 __all__ = ["FramePasses", "rasterize_frame"]
@@ -207,10 +207,11 @@ class _Screen:
     y1: np.ndarray
 
 
-def _screen_setup(tris: _Triangles, f, cx, cy, w, h) -> _Screen:
+def _screen_setup(tris: _Triangles, k: CameraIntrinsics, w, h) -> _Screen:
     attrs = tris.attrs
-    sx = f * attrs[:, :, 0] / attrs[:, :, 2] + cx
-    sy = f * attrs[:, :, 1] / attrs[:, :, 2] + cy
+    # every vertex is in front of the near plane, so none projects to NaN
+    uv = project(attrs[:, :, :3], k)
+    sx, sy = uv[..., 0], uv[..., 1]
     area = ((sx[:, 1] - sx[:, 0]) * (sy[:, 2] - sy[:, 0])
             - (sy[:, 1] - sy[:, 0]) * (sx[:, 2] - sx[:, 0]))
     # negative area: reverse the vertex order, keep the negated area
@@ -466,7 +467,6 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
         raise ContractError(f"frame time {t} outside [1, {spec.frames}]")
     intr = spec.rig.intrinsics
     w, h = intr.image_size
-    cx, cy = intr.principal_point
     has_prev = t > 1
     has_next = t < spec.frames
 
@@ -481,7 +481,7 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
 
     tris = _collect(spec, t, pose_t, pose_prev, pose_next)
-    scr = _screen_setup(tris, intr.focal_px, cx, cy, w, h)
+    scr = _screen_setup(tris, intr, w, h)
     zbuf, owner = _resolve_depth(scr, w, h)
     _shade(tris, scr, zbuf, owner, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1),

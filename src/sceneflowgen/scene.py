@@ -14,7 +14,7 @@ import numpy as np
 
 from .assets import Mesh, Texture, primitive_mesh
 from .errors import ConfigurationError
-from .geometry import CameraIntrinsics, CameraPose, StereoRig, unproject
+from .geometry import CameraIntrinsics, CameraPose, StereoRig, project, unproject
 from .trajectory import (
     IDENTITY_QUAT, Trajectory, quat_compose, quat_from_euler, quat_from_rotvec,
     quat_normalize,
@@ -134,7 +134,9 @@ class SceneSpec:
         return [self.ground_plane, *self.background_objects, *self.objects]
 
     def camera_pose(self, t, view="left") -> CameraPose:
-        """World -> camera pose of one rig view at frame time t."""
+        """World -> camera pose of one rig view at frame time t. The right
+        camera is the left one shifted by the baseline along its own +X
+        axis: p_right = p_left - (b, 0, 0)."""
         center, r_cw = self.rig_trajectory.evaluate(t)
         r_wc = r_cw.T
         pose = CameraPose(r_wc, -r_wc @ center)
@@ -317,7 +319,7 @@ def generate_flyingthings_scene(seed, params: FlyingThingsParams | None = None) 
             traj = _foreground_trajectory(rng, rig_traj, intr, p.frames)
         objects.append(_textured_object(rng, f"fg:{seed}:{i}", mesh, scale, traj))
 
-    rig = StereoRig(CameraPose(), p.baseline, intr)
+    rig = StereoRig(p.baseline, intr)
     return SceneSpec(
         seed=int(seed), frames=p.frames, rig_trajectory=rig_traj,
         objects=objects, ground_plane=ground, background_objects=background,
@@ -368,8 +370,7 @@ def _in_frustum(point, rig_traj, intr, t, margin=0.1):
     if p_cam[2] < 2.0:
         return False
     w, h = intr.image_size
-    u = intr.focal_px * p_cam[0] / p_cam[2] + intr.principal_point[0]
-    v = intr.focal_px * p_cam[1] / p_cam[2] + intr.principal_point[1]
+    u, v = project(p_cam, intr)
     return margin * w <= u <= (1 - margin) * w and margin * h <= v <= (1 - margin) * h
 
 
@@ -445,7 +446,7 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
         objects.append(_textured_object(
             rng, f"car:{seed}:{i}", primitive_mesh("cuboid"), scale, traj))
 
-    rig = StereoRig(CameraPose(), p.baseline, intr)
+    rig = StereoRig(p.baseline, intr)
     return SceneSpec(
         seed=int(seed), frames=p.frames, rig_trajectory=rig_traj,
         objects=objects, ground_plane=ground, background_objects=background,

@@ -94,6 +94,15 @@ class TestGenerate:
         assert main(args) == 1
         assert "error [GeometryError]" in capsys.readouterr().err
 
+    def test_size_above_pixel_cap_exit_code(self, tmp_path, capsys):
+        # one pixel more than formats reads back: nothing is written
+        out = tmp_path / "ds"
+        args = GEN_ARGS + ["--out", str(out)]
+        args[args.index("--size") + 1] = "16385x16384"
+        assert main(args) == 1
+        assert "error [GeometryError]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_driving_preset(self, tmp_path):
         out = tmp_path / "drv"
         code = main(["generate", "--preset", "driving", "--seed", "1",
@@ -474,6 +483,15 @@ class TestInspect:
         assert main(["inspect", str(src)]) == 0
         text = capsys.readouterr().out
         assert "shape (3, 3)" in text
+
+    def test_signalling_nan_reads_as_nan(self, tmp_path, capsys):
+        # float32 0x7f810000 is a signalling NaN: widening it to float64
+        # raises the invalid flag, which numpy would report as a warning
+        src = tmp_path / "d.pfm"
+        a = np.array([[0x7F810000, 0x3F800000]], dtype="<u4").view("<f4")
+        src.write_bytes(formats.write_pfm(a))
+        assert main(["inspect", str(src)]) == 0
+        assert "shape (1, 2)" in capsys.readouterr().out
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.pfm")]) == 1

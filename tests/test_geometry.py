@@ -1,13 +1,22 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sceneflowgen import (
-    CameraIntrinsics, CameraPose, StereoRig,
-    depth_to_disparity, disparity_to_depth, project, transform_point, unproject,
-)
+import sceneflowgen
+from sceneflowgen import CameraIntrinsics, CameraPose, StereoRig, project, unproject
+from sceneflowgen.assets import Texture, primitive_mesh
 from sceneflowgen.errors import GeometryError
+from sceneflowgen.geometry import MAX_PIXELS
+from sceneflowgen.scene import ObjectInstance, SceneSpec
+from sceneflowgen.trajectory import Trajectory
+
+import groundtruth_oracle
 
 
 def simple_k(focal_px=100.0, cx=50.0, cy=50.0, width=100, height=100):
@@ -33,27 +42,34 @@ class TestIntrinsics:
     def test_principal_point_defaults_to_center(self):
         assert DATASET_K.principal_point == (480.0, 270.0)
 
-    def test_inconsistent_focal_rejected(self):
-        with pytest.raises(GeometryError):
-            CameraIntrinsics(focal_px=999.0, principal_point=(480, 270),
-                             image_size=(960, 540), sensor_width_mm=32.0,
-                             focal_mm=35.0)
-
     def test_bad_size_rejected(self):
         with pytest.raises(GeometryError):
             CameraIntrinsics.from_sensor(35, 32, 0, 540)
 
+    def test_size_capped_at_what_formats_reads(self):
+        assert MAX_PIXELS == 16384 * 16384
+        CameraIntrinsics.from_sensor(35, 32, 16384, 16384)
+        for w, h in [(16385, 16384), (16384, 16385), (2**28 + 1, 1)]:
+            with pytest.raises(GeometryError, match="pixels"):
+                CameraIntrinsics.from_sensor(35, 32, w, h)
+
     @pytest.mark.parametrize("width", [0, 0.0, -32.0])
     def test_non_positive_sensor_width_rejected(self, width):
-        # both divide by the sensor width: neither may reach the division
+        # focal_px divides by the sensor width: it may not be built
         with pytest.raises(GeometryError, match="sensor_width_mm"):
             CameraIntrinsics.from_sensor(35, width, 960, 540)
         with pytest.raises(GeometryError, match="sensor_width_mm"):
             dataclasses.replace(DATASET_K, sensor_width_mm=width)
 
+    @pytest.mark.parametrize("focal_mm, sensor_width_mm",
+                             [(0.0, 32.0), (-35.0, 32.0), (1e300, 1e-300)])
+    def test_focal_px_finite_and_positive(self, focal_mm, sensor_width_mm):
+        # the last overflows: every stored value is finite, focal_px is not
+        with pytest.raises(GeometryError, match="focal_px"):
+            CameraIntrinsics.from_sensor(focal_mm, sensor_width_mm, 960, 540)
+
     @pytest.mark.parametrize("value", NON_FINITE)
-    @pytest.mark.parametrize("field", ["focal_px", "focal_mm",
-                                       "sensor_width_mm", "cx", "cy"])
+    @pytest.mark.parametrize("field", ["focal_mm", "sensor_width_mm", "cx", "cy"])
     def test_non_finite_rejected(self, field, value):
         cx, cy = DATASET_K.principal_point
         changes = {"cx": {"principal_point": (value, cy)},
@@ -73,11 +89,13 @@ class TestProject:
         for z in (0.5, 2.0, 100.0):
             assert np.allclose(project(np.array([0.0, 0.0, z]), k), [50.0, 50.0])
 
-    def test_behind_camera_raises(self):
-        with pytest.raises(GeometryError):
-            project(np.array([0.0, 0.0, -1.0]), simple_k())
-        with pytest.raises(GeometryError):
-            project(np.array([1.0, 1.0, 0.0]), simple_k())
+    def test_behind_camera_is_nan(self):
+        k = simple_k()
+        for z in (-1.0, 0.0, -0.0, float("nan"), float("-inf")):
+            assert np.isnan(project(np.array([1.0, 1.0, z]), k)).all()
+        uv = project(np.array([[1.0, 0.0, 2.0], [1.0, 0.0, -2.0]]), k)
+        assert np.array_equal(uv[0], [100.0, 50.0])
+        assert np.isnan(uv[1]).all()
 
     def test_unproject_examples(self):
         k = simple_k()
@@ -96,52 +114,104 @@ class TestProject:
         assert err.max() < 1e-9
 
 
+_intrinsics = st.builds(
+    CameraIntrinsics.from_sensor,
+    focal_mm=st.floats(1.0, 100.0), sensor_width_mm=st.floats(8.0, 64.0),
+    width=st.integers(1, 4096), height=st.integers(1, 4096),
+    principal_point=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+)
+# any float, with Z <= 0, NaN and the infinities drawn often
+_coordinate = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=hnp.arrays(np.float64,
+                         hnp.array_shapes(max_dims=3).map(lambda s: s[:-1] + (3,)),
+                         elements=_coordinate),
+       k=_intrinsics)
+def test_project_matches_oracle_bit_for_bit(points, k):
+    # huge coordinates overflow to +-inf on both sides alike
+    with np.errstate(over="ignore"):
+        got = project(points, k)
+        want = groundtruth_oracle.project(points, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_only_geometry_reads_the_intrinsics():
+    """The camera model is `geometry`'s: no other module reads focal_px or
+    the principal point, but for the value `generate` records in
+    config.json."""
+    reads = []
+    for path in sorted(Path(sceneflowgen.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("focal_px", "principal_point")):
+                reads.append((path.name, ast.unparse(node)))
+    assert reads == [("cli.py", "spec.rig.intrinsics.focal_px")]
+
+
 class TestDisparity:
-    RIG = StereoRig(CameraPose(), 1.0, DATASET_K)
+    """A point at depth Z has disparity b*f/Z, with bf from the rig."""
+
+    RIG = StereoRig(1.0, DATASET_K)
 
     def test_formula(self):
-        assert depth_to_disparity(35.0, self.RIG) == pytest.approx(30.0)
+        assert self.RIG.bf == 1050.0
+        assert self.RIG.bf / 35.0 == pytest.approx(30.0)
 
     def test_far_limit(self):
-        assert depth_to_disparity(1e12, self.RIG) < 1.1e-9
+        assert self.RIG.bf / 1e12 < 1.1e-9
 
     def test_kitti_like(self):
         k = CameraIntrinsics.from_sensor(25, 32, 1280, 720)
         assert k.focal_px == 1000.0
-        rig = StereoRig(CameraPose(), 0.54, k)
-        assert depth_to_disparity(10.0, rig) == pytest.approx(54.0)
+        rig = StereoRig(0.54, k)
+        assert rig.bf / 10.0 == pytest.approx(54.0)
 
     def test_inverse_example(self):
-        assert disparity_to_depth(30.0, self.RIG) == pytest.approx(35.0)
+        assert self.RIG.bf / 30.0 == pytest.approx(35.0)
 
     def test_unit_depth(self):
-        d = self.RIG.intrinsics.focal_px * self.RIG.baseline
-        assert disparity_to_depth(d, self.RIG) == pytest.approx(1.0)
+        # at Z = 1 the disparity is b*f itself
+        rig = StereoRig(2.5, DATASET_K)
+        assert rig.bf == 2.5 * DATASET_K.focal_px
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(1)
         z = rng.uniform(0.1, 1e4, 1000)
-        z2 = disparity_to_depth(depth_to_disparity(z, self.RIG), self.RIG)
+        z2 = self.RIG.bf / (self.RIG.bf / z)
         assert np.max(np.abs(z2 / z - 1.0)) < 1e-12
 
     def test_invalid_inputs(self):
-        with pytest.raises(GeometryError):
-            depth_to_disparity(0.0, self.RIG)
-        with pytest.raises(GeometryError):
-            disparity_to_depth(-1.0, self.RIG)
-        with pytest.raises(GeometryError):
-            StereoRig(CameraPose(), 0.0, DATASET_K)
+        for baseline in (0.0, -1.0):
+            with pytest.raises(GeometryError):
+                StereoRig(baseline, DATASET_K)
 
     @pytest.mark.parametrize("baseline", NON_FINITE)
     def test_non_finite_baseline_rejected(self, baseline):
         with pytest.raises(GeometryError):
-            StereoRig(CameraPose(), baseline, DATASET_K)
+            StereoRig(baseline, DATASET_K)
+
+    def test_manifest_left_pose_is_identity_and_unread(self):
+        d = self.RIG.to_dict()
+        assert d["left_pose"] == CameraPose().to_dict()
+        d["left_pose"] = {"rotation": "not a pose"}
+        assert StereoRig.from_dict(d) == self.RIG
+
+
+def random_quaternion(rng):
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
 
 
 def random_pose(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    x, y, z, w = q
+    x, y, z, w = random_quaternion(rng)
     r = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -150,16 +220,35 @@ def random_pose(rng):
     return CameraPose(r, rng.uniform(-10, 10, 3))
 
 
+def rig_scene(rng, baseline):
+    """A scene whose stereo rig stands still at a random pose."""
+    box = ObjectInstance(
+        mesh=primitive_mesh("cuboid"), texture=Texture("checker", {"scale": 4.0}),
+        scale=np.ones(3), trajectory=Trajectory.static([0.0, 0.0, 10.0]),
+    )
+    return SceneSpec(
+        seed=0, frames=2,
+        rig_trajectory=Trajectory.static(rng.uniform(-10, 10, 3),
+                                         random_quaternion(rng)),
+        objects=[], ground_plane=box, background_objects=[],
+        rig=StereoRig(baseline, DATASET_K),
+    )
+
+
 class TestTransformPoint:
+    """Points carried between camera frames through the world frame."""
+
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
         a = CameraPose()
-        assert np.allclose(transform_point(p, a, a), p)
+        assert np.array_equal(a.world_to_camera(p), p)
+        assert np.array_equal(a.world_to_camera(a.camera_to_world(p)), p)
 
     def test_baseline_translation(self):
-        rig = StereoRig(CameraPose(), 2.5, DATASET_K)
+        spec = rig_scene(np.random.default_rng(4), baseline=2.5)
+        left, right = spec.camera_pose(1, "left"), spec.camera_pose(1, "right")
         p = np.array([4.0, 1.0, 7.0])
-        assert np.allclose(transform_point(p, rig.left, rig.right),
+        assert np.allclose(right.world_to_camera(left.camera_to_world(p)),
                            [4.0 - 2.5, 1.0, 7.0])
 
     def test_compose_inverse_random(self):
@@ -167,7 +256,8 @@ class TestTransformPoint:
         for _ in range(100):
             a, b = random_pose(rng), random_pose(rng)
             p = rng.uniform(-10, 10, 3)
-            back = transform_point(transform_point(p, a, b), b, a)
+            there = b.world_to_camera(a.camera_to_world(p))
+            back = a.world_to_camera(b.camera_to_world(there))
             assert np.max(np.abs(back - p)) < 1e-9
 
     def test_bad_rotation_rejected(self):
@@ -191,15 +281,19 @@ class TestTransformPoint:
 
 class TestRectifiedStereo:
     def test_row_alignment_and_disparity(self):
+        """The views `SceneSpec.camera_pose` builds are a rectified pair: a
+        point lies on the same row in both, b*f/Z further left in the
+        right view."""
         rng = np.random.default_rng(3)
-        rig = StereoRig(random_pose(rng), 1.0, DATASET_K)
+        spec = rig_scene(rng, baseline=1.0)
+        left, right = spec.camera_pose(1, "left"), spec.camera_pose(1, "right")
+        k = spec.rig.intrinsics
         for _ in range(200):
             p_left = np.array([
                 rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(1, 50),
             ])
-            p_right = transform_point(p_left, rig.left, rig.right)
-            ul, vl = project(p_left, rig.intrinsics)
-            ur, vr = project(p_right, rig.intrinsics)
+            p_right = right.world_to_camera(left.camera_to_world(p_left))
+            ul, vl = project(p_left, k)
+            ur, vr = project(p_right, k)
             assert abs(vl - vr) < 1e-9
-            expected = rig.baseline * rig.intrinsics.focal_px / p_left[2]
-            assert abs((ul - ur) - expected) < 1e-9
+            assert abs((ul - ur) - spec.rig.bf / p_left[2]) < 1e-9

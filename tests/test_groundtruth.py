@@ -20,9 +20,8 @@ from conftest import SMALL, bilinear_sample, make_passes, set_cpus
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
-RIG = StereoRig(CameraPose(), 1.0, INTR)
-DATASET_RIG = StereoRig(CameraPose(), 1.0,
-                        CameraIntrinsics.from_sensor(35, 32, 960, 540))
+RIG = StereoRig(1.0, INTR)
+DATASET_RIG = StereoRig(1.0, CameraIntrinsics.from_sensor(35, 32, 960, 540))
 
 
 class TestDisparity:
@@ -256,7 +255,7 @@ class TestBilinearSample:
 
 def occlusion(p_t, p_next):
     """The forward occlusion mask derive_frame gives frame p_t."""
-    rig = StereoRig(CameraPose(), 1.0, p_t.intrinsics)
+    rig = StereoRig(1.0, p_t.intrinsics)
     return gt.derive_frame(p_t, rig, p_next).occlusion_fwd
 
 
@@ -641,7 +640,7 @@ def pass_pairs(draw):
     void_positions = draw(st.sampled_from(["nan", "random"]))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     intr = CameraIntrinsics.from_sensor(35, 32, w, h)
-    rig = StereoRig(CameraPose(), draw(st.sampled_from([0.54, 1.0])), intr)
+    rig = StereoRig(draw(st.sampled_from([0.54, 1.0])), intr)
 
     def frame(t):
         covered = rng.random((h, w)) >= void

@@ -15,7 +15,7 @@ import sceneflowgen as sf
 from sceneflowgen import render
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.cli import main
-from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
+from sceneflowgen.geometry import CameraIntrinsics, StereoRig
 from sceneflowgen.render import NEAR_PLANE, _clip_near, rasterize_frame
 from sceneflowgen.scene import DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import IDENTITY_QUAT, Trajectory
@@ -64,7 +64,7 @@ def scene(objects, intr=INTR, frames=2, camera_end=None):
     return SceneSpec(
         seed=0, frames=frames, rig_trajectory=rig_traj, objects=[],
         ground_plane=objects[0], background_objects=list(objects[1:]),
-        rig=StereoRig(CameraPose(), 1.0, intr),
+        rig=StereoRig(1.0, intr),
     )
 
 

@@ -7,7 +7,7 @@ import sceneflowgen as sf
 from sceneflowgen import render
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.errors import ContractError
-from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
+from sceneflowgen.geometry import CameraIntrinsics, StereoRig
 from sceneflowgen.render import NEAR_PLANE, FramePasses, _clip_near, rasterize_frame
 from sceneflowgen.scene import ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import Trajectory
@@ -36,7 +36,7 @@ def box_scene(boxes, frames=2, baseline=1.0):
         seed=0, frames=frames,
         rig_trajectory=Trajectory.static([0.0, 0.0, 0.0], t0=1.0, t1=float(frames)),
         objects=[], ground_plane=boxes[0], background_objects=list(boxes[1:]),
-        rig=StereoRig(CameraPose(), baseline, INTR),
+        rig=StereoRig(baseline, INTR),
     )
 
 
@@ -162,12 +162,15 @@ class TestContracts:
 
 def _screen(triangles, f, c, w, h):
     """Screen set-up of camera-space (3, 3) triangles: focal length f,
-    principal point (c, c), image w x h."""
+    principal point (c, c), image w x h. A 64 px image on a 64 mm sensor
+    makes focal_px exactly f; the set-up clips to w x h, not to that image."""
+    k = CameraIntrinsics(focal_mm=f, sensor_width_mm=64.0, image_size=(64, 64),
+                         principal_point=(c, c))
     attrs = np.zeros((len(triangles), 3, 5))
     attrs[:, :, :3] = triangles
     n = len(triangles)
     tris = render._Triangles(attrs, np.ones(n, dtype=np.uint16), np.ones(n), [])
-    return render._screen_setup(tris, f, c, c, w, h)
+    return render._screen_setup(tris, k, w, h)
 
 
 def _bounding_box_cells(scr):

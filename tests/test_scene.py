@@ -192,7 +192,7 @@ def scene_of(n_objects):
     return SceneSpec(
         seed=0, frames=2, rig_trajectory=Trajectory.static([0.0, 0.0, 0.0]),
         objects=[], ground_plane=obj, background_objects=[obj] * (n_objects - 1),
-        rig=sf.StereoRig(sf.CameraPose(), 1.0, SMALL_INTR),
+        rig=sf.StereoRig(1.0, SMALL_INTR),
     )
 
 
