@@ -1,13 +1,15 @@
 """The package's one thread map and the row bands it runs over.
 
 `render` (z-buffer shares and shading batches), `groundtruth`
-(`derive_frame`'s bands) and `match` (`estimate_disparity`'s bands) cut
-their work into independent units and run them through `map_ordered`:
-one thread per usable CPU, capped at the number of units. numpy releases
-the GIL in each step, so the units run side by side. Each unit writes
-only its own part of the output, and results come back in unit order,
-so output bytes do not depend on the worker count; with one usable CPU
-the map runs the units one after another on one thread.
+(`derive_frame`'s bands and the motion-boundary mark pass over them),
+`match` (`estimate_disparity`'s bands) and `pipeline` (the passes of one
+(frame, view), decoded on load and encoded or copied and written on
+save) cut their work into independent units and run them through
+`map_ordered`: one thread per usable CPU, capped at the number of units.
+numpy and file I/O release the GIL, so the units run side by side. Each
+unit writes only its own part of the output, and results come back in
+unit order, so output bytes do not depend on the worker count; with one
+usable CPU the map runs the units one after another on one thread.
 
 A band is `BAND_ROWS` rows: its temporaries stay in cache, and the bands
 in flight hold far less than one frame's maps.

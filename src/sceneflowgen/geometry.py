@@ -99,6 +99,15 @@ class CameraIntrinsics:
 
     @classmethod
     def from_dict(cls, d):
+        """The intrinsics `to_dict` wrote. TypeError unless every value is
+        a number, and width and height integers; a bool is neither."""
+        for key in ("focal_mm", "sensor_width_mm", "width", "height", "cx", "cy"):
+            size = key in ("width", "height")
+            if isinstance(d[key], bool) or not isinstance(
+                    d[key], int if size else (int, float)):
+                raise TypeError(f"intrinsics {key} must be "
+                                f"{'an integer' if size else 'a number'}, "
+                                f"got {d[key]!r}")
         return cls.from_sensor(
             d["focal_mm"], d["sensor_width_mm"], d["width"], d["height"],
             principal_point=(d["cx"], d["cy"]),

@@ -8,7 +8,10 @@ from the (flow, disparity, disparity change) components.
 the whole-frame reference it is tested against. It runs the per-pixel
 maps on the row bands of `_parallel`, through its thread map, with
 band-sized temporaries. A band projects each 3D-position pass once and
-shares the projection between the maps that read it.
+shares the projection between the maps that read it. The motion
+boundaries' pixel pairs are marked on bands too, once the forward flow
+is done; only their small-component filter and the occlusion eps run on
+the whole frame, on one thread.
 
 All arithmetic is float64. Passes may come in as float32 (as read from
 files) or float64 (from the renderer). Each band widens its rows of the
@@ -63,8 +66,11 @@ def pixel_centers(h, w):
 def _wide(a):
     """a as float64: itself if it is already, else a widened copy. NEP 50
     keeps `float * float32-array` in float32, so passes are widened before
-    any arithmetic."""
-    return a.astype(np.float64, copy=False)
+    any arithmetic. A signalling NaN widens to a quiet one without a
+    warning; numpy's error state is per thread, so it is set here, on the
+    thread that widens."""
+    with np.errstate(invalid="ignore"):
+        return a.astype(np.float64, copy=False)
 
 
 def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
@@ -104,16 +110,30 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarra
     8-connected components smaller than MIN_BOUNDARY_AREA_PX pixels are
     removed (`_drop_small_components`, which gives the mask of
     `scipy.ndimage.label` with a 3x3 structure).
+
+    The pairs are marked on the row bands of `_parallel`: each band reads
+    the rows it marks and one row above and below them, the other pixel
+    of its vertical pairs, and writes only its own rows. Components cross
+    band edges, so the small ones are dropped from the whole mask.
     """
-    marked = _mark_motion_pairs(passes.object_index, flow)
+    obj = passes.object_index
+    h = obj.shape[0]
+    marked = np.empty(obj.shape, dtype=bool)
+
+    def band(rows):
+        top = max(rows.start - 1, 0)
+        halo = slice(top, min(rows.stop + 1, h))
+        marked[rows] = _mark_motion_pairs(obj[halo], flow[halo])[
+            rows.start - top:rows.stop - top]
+
+    map_ordered(band, bands(h))
     return _drop_small_components(marked, MIN_BOUNDARY_AREA_PX)
 
 
 def _mark_motion_pairs(obj, flow):
     """Both pixels of every 4-adjacent pair of different objects whose
-    flow vectors differ by at least MOTION_DIFF_THRESHOLD_PX. A function
-    of its own, so its temporaries are freed before the component filter
-    runs."""
+    flow vectors differ by at least MOTION_DIFF_THRESHOLD_PX, in a block
+    of rows obj (H, W) and flow (H, W, 2)."""
     marked = np.zeros(obj.shape, dtype=bool)
     with np.errstate(invalid="ignore"):
         for axis in (0, 1):
@@ -292,9 +312,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     band. What a band cannot see is taken over the whole view: the
     occlusion eps comes from the median depth of the frame, and the
     occlusion test samples the whole next frame. Motion boundaries pair
-    pixels across band edges and drop small components of the whole mask,
-    so they run on the whole forward flow once the bands are done. The
-    maps do not depend on the band height or the number of workers.
+    pixels across band edges, so they are marked once the forward flow
+    is done, on bands again, each reading one row beyond its edges
+    (`derive_motion_boundaries`). The maps do not depend on the band
+    height or the number of workers.
     """
     h, w = passes.depth.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None

@@ -4,9 +4,13 @@ through the on-disk formats.
 
 `generate_dataset` and `derive_dataset` share one loop. It goes view by
 view and slides a window of frames t and t+1 over the frames, so at most
-two views are held at once, whatever the frame count. Each file is written
-under a temporary name and renamed into place, so an interrupted run
-leaves whole files and a manifest marked incomplete."""
+two views are held at once, whatever the frame count. Within one (frame,
+view) the passes are decoded, the ground truth derived and the files
+written on the thread map of `_parallel`, one unit per file or row band;
+only two whole-frame steps of `groundtruth` (see there) run on one
+thread. Each file is written under a temporary name and renamed into
+place, so an interrupted run leaves whole files, none of a later (frame,
+view), and a manifest marked incomplete."""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, groundtruth
+from ._parallel import map_ordered
 from .errors import ParseError
 from .geometry import CameraIntrinsics, CameraPose, StereoRig
 from .render import FramePasses, rasterize_frame
@@ -153,9 +158,12 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     read_from maps a render pass to the resolved path it was read from.
     Such a pass is never encoded: its output is that file's bytes, so it
     is not written when its output path resolves to that file, and copied
-    there otherwise.
+    there otherwise. The files are encoded or copied and written on the
+    thread map, so when one fails, others of the same (frame, view) may
+    already be in place; each is whole.
     """
     files = {}
+    writes = []  # (path, encode or None, array or source path)
     read_from = read_from or {}
 
     def put(pass_name, ext, encode, array):
@@ -166,7 +174,8 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         if source is not None and path.resolve() == source:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, encode(array) if source is None else source)
+        writes.append((path, encode, array) if source is None
+                      else (path, None, source))
 
     def mask(a):
         return formats.write_pgm8(a.astype(np.uint8) * 255)
@@ -193,6 +202,12 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         put("dispchange_bwd", "pfm", formats.write_pfm, gt.dispchange_bwd)
     if gt.occlusion_fwd is not None:
         put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
+
+    def write(job):
+        path, encode, payload = job
+        write_atomic(path, payload if encode is None else encode(payload))
+
+    map_ordered(write, writes)
     return files
 
 
@@ -217,11 +232,13 @@ def write_atomic(path, payload: bytes | Path):
 def load_frame_passes(dataset_root, manifest, t, view):
     """The `FramePasses` of one (frame, view), read from files on disk.
 
-    Every pass listed for the view is decoded and its shape checked: (H, W)
-    for depth and the index passes, (H, W, 3) for RGB and positions. The
-    material pass, a copy of the object pass, is then dropped. Depth and
-    positions stay float32, as stored, one copy of the file bytes;
-    `groundtruth` widens them band by band.
+    Every pass listed for the view is decoded and its shape checked, on
+    the thread map: (H, W) for depth and the index passes, (H, W, 3) for
+    RGB and positions. If several are bad, the error is that of the first
+    in the order `write_frame` writes them. The material pass, a copy of
+    the object pass, is then dropped. Depth and positions stay float32,
+    as stored, one copy of the file bytes; `groundtruth` widens them band
+    by band.
     """
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
@@ -230,7 +247,8 @@ def load_frame_passes(dataset_root, manifest, t, view):
     files = entry["files"][view]
     intr = CameraIntrinsics.from_dict(manifest["rig"]["intrinsics"])
 
-    def read(name, reader=formats.read_pfm, channels=()):
+    def read(spec):
+        name, reader, channels = spec
         if name not in files:
             return None
         a = reader((root / files[name]).read_bytes())
@@ -240,12 +258,16 @@ def load_frame_passes(dataset_root, manifest, t, view):
                              f"{intr.width}x{intr.height} rig needs {shape}")
         return a
 
-    read("material_index", formats.read_pgm16)  # checked, then dropped
-    return FramePasses(  # the passes in field order
-        read("rgb", formats.read_ppm, (3,)), read("depth"),
-        read("pos3d_t", channels=(3,)), read("pos3d_prev", channels=(3,)),
-        read("pos3d_next", channels=(3,)),
-        read("object_index", formats.read_pgm16),
+    *passes, _material = map_ordered(read, [  # the passes in field order
+        ("rgb", formats.read_ppm, (3,)), ("depth", formats.read_pfm, ()),
+        ("pos3d_t", formats.read_pfm, (3,)),
+        ("pos3d_prev", formats.read_pfm, (3,)),
+        ("pos3d_next", formats.read_pfm, (3,)),
+        ("object_index", formats.read_pgm16, ()),
+        ("material_index", formats.read_pgm16, ()),  # checked, then dropped
+    ])
+    return FramePasses(
+        *passes,
         view=view,
         frame_time=t,
         camera_pose=CameraPose.from_dict(entry["cameras"][view]),

@@ -270,6 +270,20 @@ class TestDeriveMalformed:
         err = capsys.readouterr().err
         assert re.match(r"error \[\w+Error\]: ", err), err
 
+    @pytest.mark.parametrize("key", ["focal_mm", "height"])
+    def test_string_intrinsics_are_a_parse_error(self, dataset, tmp_path,
+                                                 capsys, key):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        intrinsics = manifest["rig"]["intrinsics"]
+        intrinsics[key] = str(intrinsics[key])
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: ") and key in err, err
+
     def test_incomplete_manifest_is_a_parse_error(self, dataset, tmp_path,
                                                   capsys):
         ds = tmp_path / "ds"

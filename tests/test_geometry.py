@@ -53,6 +53,17 @@ class TestIntrinsics:
             with pytest.raises(GeometryError, match="pixels"):
                 CameraIntrinsics.from_sensor(35, 32, w, h)
 
+    @pytest.mark.parametrize("key, value", [
+        ("focal_mm", "35"), ("sensor_width_mm", None), ("cx", [480.0]),
+        ("cy", True), ("width", "960"), ("height", "540"), ("width", 960.0),
+        ("height", False)])
+    def test_from_dict_refuses_what_is_not_a_number(self, key, value):
+        d = DATASET_K.to_dict()
+        assert CameraIntrinsics.from_dict(d) == DATASET_K
+        d[key] = value
+        with pytest.raises(TypeError, match=key):
+            CameraIntrinsics.from_dict(d)
+
     @pytest.mark.parametrize("width", [0, 0.0, -32.0])
     def test_non_positive_sensor_width_rejected(self, width):
         # focal_px divides by the sensor width: it may not be built

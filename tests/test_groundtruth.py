@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,48 @@ class TestMotionBoundaries:
         mb = gt.derive_motion_boundaries(passes, flow)
         assert int(mb.sum()) == 10
         assert mb[:5, 7:9].all()
+
+
+class TestBandedMotionBoundaries:
+    """Pairs are marked band by band, each band reading one row beyond its
+    edges; the small-component filter runs on the whole mask."""
+
+    @staticmethod
+    def banded(obj2_mask, cpus, band_rows=4):
+        shape = obj2_mask.shape
+        passes, flow = TestMotionBoundaries().two_object_passes(
+            obj2_mask, shape=shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_parallel, "BAND_ROWS", band_rows)
+            set_cpus(mp, cpus)
+            mb = gt.derive_motion_boundaries(passes, flow)
+        assert mb.tobytes() == oracle.motion_boundaries(
+            passes.object_index, flow).tobytes()
+        return mb
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pair_across_a_band_edge(self, cpus):
+        # rows 3 and 4 are the last and first rows of two bands
+        mask = np.zeros((12, 16), dtype=bool)
+        mask[4:] = True
+        mb = self.banded(mask, cpus)
+        assert mb[3:5].all() and int(mb.sum()) == 32
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_component_small_in_each_band_kept(self, cpus):
+        # 8 marked pixels in each of two bands, 16 in the one component
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[:, 4:] = True
+        mb = self.banded(mask, cpus)
+        assert 2 * 4 < gt.MIN_BOUNDARY_AREA_PX <= int(mb.sum()) == 16
+        assert mb[:, 3:5].all()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_view_lower_than_a_band(self, cpus):
+        mask = np.zeros((3, 16), dtype=bool)
+        mask[1:] = True
+        mb = self.banded(mask, cpus)
+        assert mb[:2].all() and not mb[2].any()
 
 
 def drop_small_components_reference(mask, min_area):
@@ -609,6 +652,40 @@ class TestFloat32Passes:
                         frame = gt.derive_frame(narrow[key], rig,
                                                 narrow.get(nxt))
                     assert_same_maps(frame, vars(ref), (view, rows, cpus))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_signalling_nan_widens_quietly(self, cpus):
+        # every NaN of both frames' float32 passes, and one position at a
+        # covered pixel, as a signalling NaN (0x7f810000) and as the same
+        # NaN quieted (0x7fc10000): the same maps, and no "invalid value
+        # encountered in cast" warning from a worker (an error here)
+        depth = np.full((9, 10), 10.0)
+        depth[:, :3] = np.nan
+        index = np.where(np.isnan(depth), 0, 1 + (np.arange(10) >= 6))
+        fp = make_passes(depth, INTR, index=index, t=1)
+        fp.pos3d_next = fp.pos3d_t + np.where(index == 2, 0.2, 0.0)[..., None]
+        fp_next = make_passes(depth, INTR, index=index, t=2)
+        fp.pos3d_t[4, 7, 0] = np.nan
+
+        def with_nan(bits):
+            nan = np.array([bits], dtype=np.uint32).view(np.float32)[0]
+            narrow = [with_positions(p, np.float32) for p in (fp, fp_next)]
+            for p in narrow:
+                for name in ("depth", "pos3d_t", "pos3d_next"):
+                    a = getattr(p, name)
+                    if a is not None:
+                        a[np.isnan(a)] = nan
+            return narrow
+
+        signalling, quiet = with_nan(0x7f810000), with_nan(0x7fc10000)
+        assert signalling[0].pos3d_t.view(np.uint32)[4, 7, 0] == 0x7f810000
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            set_cpus(mp, cpus)
+            frame = gt.derive_frame(signalling[0], RIG, signalling[1])
+            ref = gt.derive_frame(quiet[0], RIG, quiet[1])
+        assert np.isnan(frame.flow_fwd[4, 7, 0])
+        assert_same_maps(frame, vars(ref), cpus)
 
     def test_occlusion_eps_median_is_float64(self):
         # an even count: the float32 midpoint of 1 and 1 + 2^-23 rounds

@@ -1,9 +1,11 @@
 import hashlib
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -15,6 +17,7 @@ import pytest
 import sceneflowgen as sf
 from sceneflowgen import _parallel, formats, pipeline
 from sceneflowgen.cli import main
+from sceneflowgen.errors import ParseError
 
 from conftest import set_cpus, small_params
 from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
@@ -270,33 +273,75 @@ def test_derive_out_copies_a_big_endian_pass_verbatim(tmp_path):
     assert from_big == from_canonical
 
 
-# A 2-frame derive copies 6 render passes per (frame, view): fail on the
-# first copy, and on one of the right view.
-@pytest.mark.parametrize("fail_at", [1, 17])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_bad_pass_in_pass_order_is_raised(tmp_path, monkeypatch, cpus):
+    root = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(root)]) == 0
+    manifest = formats.read_manifest((root / "manifest.json").read_text())
+    files = manifest["frames"][0]["files"]["left"]
+    (root / files["depth"]).write_bytes(
+        formats.write_pfm(np.ones((24, 32), dtype=np.float32)))
+    (root / files["object_index"]).write_bytes(b"P5\nnot a pgm")
+    read_pfm = formats.read_pfm
+
+    def slow_read_pfm(payload):
+        a = read_pfm(payload)
+        if a.shape == (24, 32):
+            time.sleep(0.2)  # the object index pass, later in order, fails first
+        return a
+
+    monkeypatch.setattr(formats, "read_pfm", slow_read_pfm)
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(ParseError, match=re.escape(files["depth"])):
+        pipeline.load_frame_passes(root, manifest, 1, "left")
+
+
+# A 2-frame derive copies 6 render passes per (frame, view), in the order
+# write_frame lists them: fail on the first copy, and on the right view's
+# one that this order reaches 17th. The copies of one (frame, view) run
+# on the thread map, so the fake fails on a destination, not a count.
+FAIL_ON = {1: ("rgb", "0001_L.ppm"), 17: ("object_index", "0001_R.pgm")}
+
+
+def frame_view(rel):
+    """(view, frame) of a dataset file's path, in the order derive writes
+    them: all left views first."""
+    stem = Path(rel).stem  # e.g. 0001_L
+    return "LR".index(stem[-1]), int(stem[:4])
+
+
+@pytest.mark.parametrize("fail_at", sorted(FAIL_ON))
 def test_interrupted_copy_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     src = tmp_path / "ds"
     assert main(GEN_ARGS + ["--out", str(src)]) == 0
     clean = tmp_path / "clean"
     assert main(["derive", str(src), "--out", str(clean)]) == 0
 
-    calls = []
+    fail_pass, fail_name = FAIL_ON[fail_at]
+    lock = threading.Lock()
+    failed = []
 
     def half_then_raise(source, dest):
-        calls.append(dest)
         payload = Path(source).read_bytes()
-        if len(calls) == fail_at:
-            Path(dest).write_bytes(payload[:len(payload) // 2])
+        dest = Path(dest)
+        if (dest.parent.name, dest.name) == (fail_pass, f".{fail_name}.tmp"):
+            with lock:
+                failed.append(dest)
+            dest.write_bytes(payload[:len(payload) // 2])
             raise OSError("no space left on device")
-        Path(dest).write_bytes(payload)
+        dest.write_bytes(payload)
 
     monkeypatch.setattr(pipeline.shutil, "copyfile", half_then_raise)
     out = tmp_path / "re"
     assert main(["derive", str(src), "--out", str(out)]) == 1
     monkeypatch.undo()
 
-    assert len(calls) == fail_at
+    assert len(failed) == 1
     left = tree_bytes(out)
     assert not [rel for rel in left if rel.endswith(".tmp")]
     clean_bytes = tree_bytes(clean)
     for rel, payload in left.items():
         assert payload == clean_bytes[rel], rel
+    written = [rel for rel in left if rel != "config.json"]
+    assert not [rel for rel in written
+                if frame_view(rel) > frame_view(fail_name)]
