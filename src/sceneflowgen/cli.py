@@ -125,6 +125,8 @@ def cmd_estimate(args):
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    if args.confidence_out:
+        Path(args.confidence_out).parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_atomic(out, formats.write_pfm(disp))
     if args.confidence_out:
         pipeline.write_atomic(args.confidence_out,

@@ -9,8 +9,11 @@ band builds the features of its own rows of both images (`_features`),
 so the features of a whole image never exist, and matches them as one
 flat run of rows * W pixels: every step for a disparity d is a numpy
 ufunc on contiguous 1-D slices, with the costs that wrap into the row
-above masked before they are read. The whole (H, W, D) cost volume it
-stands for is built only by the test oracle, `tests/match_oracle.py`.
+above masked before they are read. The fold over d keeps only the
+winner, its cost and the second-best cost; the costs at the winner's two
+parabola neighbours are computed once per band after it. The whole
+(H, W, D) cost volume it stands for is built only by the test oracle,
+`tests/match_oracle.py`.
 """
 
 from __future__ import annotations
@@ -131,12 +134,18 @@ def estimate_disparity(left_image, right_image,
     features of a whole image are ever built. Each band of
     `_parallel.bands` builds the features of its rows of both images,
     then one loop over d fills a (band, W) cost slice and folds it into
-    the running winner, the second-best cost and the winner's two
-    parabola neighbours. Rows never mix and every step is
+    the running winner, its cost and the second-best cost; the costs at
+    the winner's two parabola neighbours follow once the loop is done.
+    Rows never mix and every step is
     element-wise, so the bands are independent and the result does not
     depend on the band height or on how many bands run at once (see
     `_parallel`). Memory is the two gray images, the two output maps and,
     per running band, its features and state.
+
+    Raises ContractError unless every gray value is finite and at most
+    sqrt(float64 max) / (2 * patch + 1) in magnitude. Within that range a
+    patch's sum of squares cannot overflow, so every feature and every
+    cost is finite and no step warns.
     """
     left, right = _to_gray(left_image), _to_gray(right_image)
     if left.shape != right.shape:
@@ -144,6 +153,15 @@ def estimate_disparity(left_image, right_image,
     h, w = left.shape
     if not 1 <= max_disp <= w:
         raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
+    if patch < 1:
+        raise ContractError(f"patch {patch} is not a positive size")
+    limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
+    for name, gray in (("left", left), ("right", right)):
+        # NaN fails every comparison
+        if gray.size and not -limit <= gray.min() <= gray.max() <= limit:
+            raise ContractError(
+                f"{name} image holds a non-finite value or one beyond "
+                f"{limit:.3g} in magnitude")
 
     disparity = np.empty((h, w))
     confidence = np.empty((h, w))
@@ -167,8 +185,11 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     left features at i with the right features at i - d. Where x < d that
     right pixel lies in the row above, so those costs are set to -inf
     before the fold reads them. -inf never wins and never becomes the
-    second best; as the right neighbour of a winner at x = d - 1 it leaves
-    the winner unrefined, as the NaN of the volume does.
+    second best. The fold keeps only the winner, its cost and the second
+    best; the costs at the winner's two parabola neighbours are computed
+    once after it (`_neighbour_cost`). The cost and product of each d are
+    written to views of scratch buffers that start the slices at d on a
+    64-byte cache line (`_aligned`).
     """
     rows, w = disparity.shape
     n = rows * w
@@ -177,31 +198,69 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     best = np.zeros(n, dtype=np.int32)  # winning d, below W
     top = np.full(n, -np.inf)       # cost at best
     second = np.full(n, -np.inf)    # best cost at any other d
-    below = np.full(n, np.nan)      # cost at best - 1
-    above = np.full(n, np.nan)      # cost at best + 1
-    cost = np.full(n, -np.inf)      # cost at d
-    prev = np.full(n, -np.inf)      # cost at d - 1
-    tmp = np.empty(n)
+    won = np.empty(n, dtype=bool)
+    cost_buf, tmp_buf = np.empty(n + 8), np.empty(n + 8)
     for d in range(max_disp):
-        prev, cost = cost, prev
-        c, t = cost[d:], tmp[d:]
+        cost = _aligned(cost_buf, d, n)  # cost at d from index d on
+        c, t = cost[d:], _aligned(tmp_buf, d, n)[d:]
         # channel-sequential accumulation from +0.0, as in the oracle
-        c.fill(0.0)
-        for ch in range(len(a)):
+        np.multiply(a[0, d:], b[0, :n - d], out=t)
+        np.add(t, 0.0, out=c)
+        for ch in range(1, len(a)):
             np.multiply(a[ch, d:], b[ch, :n - d], out=t)
             c += t
         cost.reshape(rows, w)[:, :d] = -np.inf
-        np.copyto(above, cost, where=best == d - 1)
-        top_d, second_d = top[d:], second[d:]
+        top_d, second_d, won_d = top[d:], second[d:], won[d:]
         # a new best pushes the old best to second; a cost equal to the
         # best becomes the second best, so a tie gives a margin of 0
         np.maximum(second_d, np.minimum(c, top_d, out=t), out=second_d)
-        won = c > top_d  # strict: ties keep the smaller d
-        np.copyto(top_d, c, where=won)
-        np.copyto(best[d:], d, where=won)
-        np.copyto(below[d:], prev[d:], where=won)
-    del a, b  # freed before the refinement's temporaries are made
+        np.greater(c, top_d, out=won_d)  # strict: ties keep the smaller d
+        # the costs are finite or -inf and never -0.0, so the maximum is
+        # the winner's cost to the bit
+        np.maximum(top_d, c, out=top_d)
+        np.copyto(best[d:], d, where=won_d)
     confidence[...] = np.where(np.isfinite(second), top - second,
                                0.0).reshape(rows, w)
+    # second is free now: it holds the gathered right features
+    below = _neighbour_cost(a, b, best, -1, w, cost_buf[:n], second, won)
+    above = _neighbour_cost(a, b, best, 1, w, tmp_buf[:n], second, won)
+    del a, b  # freed before the refinement's temporaries are made
     disparity[...] = _parabola_refine(best, below, top, above,
                                       max_disp).reshape(rows, w)
+
+
+def _aligned(buf, d, n):
+    """The n-element view of buf (n + 8 float64) whose element d starts a
+    64-byte cache line, so that a store to its slice from d on is
+    aligned."""
+    o = -(buf.ctypes.data // 8 + d) % 8
+    return buf[o:o + n]
+
+
+def _neighbour_cost(a, b, best, k, w, out, gathered, mask):
+    """The cost at best + k of every pixel of the band into out: the
+    products of the left features at i and the right features at
+    i - best - k, summed in channel order from +0.0 as the fold sums
+    them, and -inf where best + k is no valid disparity (x < best + k or
+    best + k < 0): as the right neighbour of a winner at x = best it
+    leaves the winner unrefined, as the NaN of the volume does. gathered
+    (float64) and mask (bool) are scratch of the band's length; the gather
+    indices are clipped to the band, and the pixels they clip are among
+    those set to -inf."""
+    n = len(best)
+    index = np.arange(-k, n - k, dtype=np.int32)
+    index -= best
+    for ch in range(len(a)):
+        np.take(b[ch], index, out=gathered, mode="clip")
+        gathered *= a[ch]
+        if ch == 0:
+            np.add(gathered, 0.0, out=out)
+        else:
+            out += gathered
+    # x < best + k, i.e. best > x - k, on every row
+    np.greater(best.reshape(-1, w), np.arange(-k, w - k, dtype=np.int32),
+               out=mask.reshape(-1, w))
+    if k < 0:
+        mask |= best < -k
+    np.copyto(out, -np.inf, where=mask)
+    return out

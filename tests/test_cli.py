@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import sceneflowgen
 from sceneflowgen import formats
 from sceneflowgen.cli import main
+from sceneflowgen.match import estimate_disparity
 
 from conftest import set_cpus
 from test_formats import minimal_manifest
@@ -312,6 +313,23 @@ class TestEstimate:
         disp = formats.read_pfm(out.read_bytes())
         interior = disp[2:-2, 9:-9]
         assert (np.abs(interior - 7.0) < 0.5).mean() > 0.99
+
+    def test_confidence_into_new_directory(self, tmp_path):
+        # both output directories are made before either file is written
+        rng = np.random.default_rng(1)
+        left = rng.integers(0, 256, (12, 40, 3), dtype=np.uint8)
+        lp, rp = tmp_path / "l.ppm", tmp_path / "r.ppm"
+        lp.write_bytes(formats.write_ppm(left))
+        rp.write_bytes(formats.write_ppm(np.roll(left, -3, axis=1)))
+        out = tmp_path / "est" / "disp.pfm"
+        conf = tmp_path / "newdir" / "sub" / "c.pfm"
+        code = main(["estimate", str(lp), str(rp), "--max-disp", "8",
+                     "--out", str(out), "--confidence-out", str(conf)])
+        assert code == 0
+        _, expected = estimate_disparity(formats.read_ppm(lp.read_bytes()),
+                                         formats.read_ppm(rp.read_bytes()), 8)
+        assert conf.read_bytes() == formats.write_pfm(expected)
+        assert out.is_file() and (out.parent / "config.json").is_file()
 
     def test_size_mismatch_exit_code(self, tmp_path, capsys):
         a = tmp_path / "a.ppm"
@@ -794,6 +812,7 @@ _IMPORT_GUARD = """
 import json, sys
 import sceneflowgen
 from sceneflowgen.cli import main
+from sceneflowgen.match import estimate_disparity
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

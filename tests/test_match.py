@@ -1,10 +1,13 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneflowgen import _parallel, match
 from sceneflowgen.assets import Texture, make_cuboid
@@ -141,6 +144,9 @@ class TestCorrelate1d:
             match.estimate_disparity(a, a, 0)
         with pytest.raises(ContractError):
             match.estimate_disparity(a, a, 5)
+        for patch in (0, -1):
+            with pytest.raises(ContractError, match="patch"):
+                match.estimate_disparity(a, a, 2, patch)
 
 
 class TestWta:
@@ -329,6 +335,113 @@ class TestStreamingMatchesVolume:
         assert h < _parallel.BAND_ROWS
         left = textured_image(h, 30, seed=h)
         assert_matches_volume(left, np.roll(left, -3, axis=1), max_disp=12)
+
+
+@st.composite
+def matcher_cases(draw):
+    """A pair of 1-40 by 1-70 images, with flat stripes that make ties,
+    a disparity range, a patch, a band height and a CPU count."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, 256, (h, w)).astype(np.float64)
+    kind = draw(st.sampled_from(["shifted", "noisy", "independent"]))
+    if kind == "independent":
+        right = rng.integers(0, 256, (h, w)).astype(np.float64)
+    else:
+        right = np.roll(left, -draw(st.integers(0, w - 1)), axis=1)
+        if kind == "noisy":
+            right += rng.normal(0.0, 20.0, right.shape)
+    for axis, size in ((0, h), (1, w)):
+        for start in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            stripe = slice(start, start + draw(st.integers(1, 6)))
+            index = (stripe, slice(None)) if axis == 0 else (slice(None), stripe)
+            left[index] = right[index] = draw(st.sampled_from([0.0, 77.0]))
+    return (left, right, draw(st.integers(1, w)),
+            draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, h + 5)),
+            draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=matcher_cases())
+def test_fold_matches_volume(case):
+    # d mod 8 and W mod 8 vary, so the cache-line offset of the scratch
+    # slices does too; the flat stripes give ties and zero margins
+    left, right, max_disp, patch, rows, cpus = case
+    ref = [x.tobytes()
+           for x in oracle_estimate_disparity(left, right, max_disp, patch)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_parallel, "BAND_ROWS", rows)
+        set_cpus(mp, cpus)
+        out = match.estimate_disparity(left, right, max_disp, patch)
+    assert [x.tobytes() for x in out] == ref
+
+
+class TestParabolaNeighbours:
+    """The costs at best - 1 and best + 1, computed after the fold."""
+
+    def test_winner_at_zero(self):
+        left = textured_image(12, 30, seed=21)
+        est, _ = assert_matches_volume(left, left, max_disp=10)
+        assert np.array_equal(est, np.zeros_like(est))
+
+    def test_winner_at_last_disparity(self):
+        # the true shift is the last hypothesis: off the interior, unrefined
+        s = 6
+        left = textured_image(12, 30, seed=22)
+        est, _ = assert_matches_volume(left, np.roll(left, -s, axis=1), s + 1)
+        assert (est[:, s + 1:-1] == s).all()
+
+    def test_winner_at_x_stays_unrefined(self):
+        # column s of the left image matches column 0 of the right one,
+        # edge-clamped patch included, so the winner there is d = x and the
+        # cost at x + 1 would read the row above: it is -inf, and the
+        # winner keeps its integer disparity
+        s, w = 5, 24
+        left = textured_image(12, w, seed=23)
+        left[:, s - 1] = left[:, s]
+        est, _ = assert_matches_volume(left, np.roll(left, -s, axis=1), w)
+        assert (est[:, s] == s).all()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 100])
+    def test_scratch_slices_start_cache_lines(self, n):
+        buf = np.empty(n + 8)
+        for d in range(min(n, 20)):
+            view = match._aligned(buf, d, n)
+            assert len(view) == n and np.shares_memory(view, buf)
+            assert view[d:].ctypes.data % 64 == 0
+
+
+class TestImageValues:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_refused_without_warning(self, value, side):
+        pair = {"left": textured_image(10, 30, seed=1),
+                "right": textured_image(10, 30, seed=2)}
+        pair[side][4, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=side):
+                match.estimate_disparity(pair["left"], pair["right"], 8)
+
+    def test_non_finite_rgb_refused(self):
+        rgb = np.zeros((6, 12, 3))
+        rgb[2, 3, 1] = np.nan
+        with pytest.raises(ContractError):
+            match.estimate_disparity(rgb, np.zeros((6, 12, 3)), 4)
+
+    @pytest.mark.parametrize("patch", [1, 3, 5])
+    def test_largest_values_match_volume(self, patch):
+        # at the limit every feature and cost is finite and nothing warns;
+        # one step beyond it the pair is refused
+        limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
+        rng = np.random.default_rng(patch)
+        left = np.where(rng.random((12, 30)) < 0.5, limit, -limit)
+        left[0] = limit
+        right = np.roll(left, -2, axis=1)
+        assert_matches_volume(left, right, max_disp=9, patch=patch)
+        left[3, 4] = np.nextafter(-limit, -np.inf)
+        with pytest.raises(ContractError, match="left"):
+            match.estimate_disparity(left, right, 9, patch)
 
 
 class TestBandThreads:
