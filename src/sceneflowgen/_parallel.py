@@ -13,16 +13,34 @@ usable CPU the map runs the units one after another on one thread.
 
 A band is `BAND_ROWS` rows: its temporaries stay in cache, and the bands
 in flight hold far less than one frame's maps.
+
+Under the CLI the threads of the map allocate from one heap. glibc would
+give each thread its own malloc arena, each with its own high-water mark,
+and would hand every freed per-view buffer above its mmap threshold back
+to the kernel, only to fault it in again for the next view. `_one_heap`, which
+the CLI calls once before any thread starts, sets one arena, an mmap
+threshold above every per-view array and a trim threshold that keeps the
+freed pages, so a page is faulted in once per process, not once per view.
+Where the C library has no glibc `mallopt` it does nothing; library
+callers keep their process's own policy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["BAND_ROWS", "bands", "map_ordered", "map_shares"]
 
 BAND_ROWS = 32
+
+# glibc mallopt parameters and values: one arena; blocks up to 64 MiB (above
+# the largest per-view array, a 12.4 MB float64 position pass at 960x540)
+# come from the heap; up to 256 MiB free at its top stays mapped
+_HEAP_POLICY = ((-8, 1),  # M_ARENA_MAX
+                (-3, 64 << 20),  # M_MMAP_THRESHOLD
+                (-1, 256 << 20))  # M_TRIM_THRESHOLD
 
 
 def bands(h):
@@ -37,6 +55,19 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _one_heap():
+    """Apply `_HEAP_POLICY` through the C library's `mallopt`, in order,
+    stopping at the first value it refuses. Without a loadable C library
+    or its `mallopt` (not glibc), nothing is set."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    for param, value in _HEAP_POLICY:
+        if not mallopt(param, value):
+            return
 
 
 def map_ordered(fn, items):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, groundtruth, metrics, pipeline, viz
+from . import _parallel, formats, groundtruth, metrics, pipeline, viz
 from .errors import ContractError, ParseError, SceneFlowError
 from .match import DEFAULT_MAX_DISPARITY, estimate_disparity
 from .scene import (
@@ -368,6 +368,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _parallel._one_heap()  # before the command starts any thread
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -1,9 +1,16 @@
+import ctypes
+import json
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from sceneflowgen import _parallel
+import sceneflowgen
+from sceneflowgen import _parallel, cli
 
 from conftest import set_cpus
 
@@ -102,3 +109,112 @@ class TestMapShares:
     def test_no_items_one_empty_share(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         assert _parallel.map_shares(list, iter(())) == [[]]
+
+
+def fake_libc(monkeypatch, returns=1, has_mallopt=True):
+    """Make `ctypes.CDLL(None)` a C library whose mallopt records each
+    (param, value) call and returns `returns`."""
+    calls = []
+
+    class Libc:
+        if has_mallopt:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return returns
+
+    def cdll(name):
+        assert name is None
+        return Libc()
+
+    monkeypatch.setattr(_parallel.ctypes, "CDLL", cdll)
+    return calls
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestOneHeap:
+    def test_sets_one_arena_then_thresholds(self, monkeypatch):
+        calls = fake_libc(monkeypatch)
+        _parallel._one_heap()
+        assert calls == [(-8, 1), (-3, 64 << 20), (-1, 256 << 20)]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        fake_libc(monkeypatch, has_mallopt=False)
+        assert _parallel._one_heap() is None
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_c_library_is_a_no_op(self, monkeypatch, error):
+        def cdll(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(_parallel.ctypes, "CDLL", cdll)
+        assert _parallel._one_heap() is None
+
+    def test_refused_value_stops_the_policy(self, monkeypatch):
+        calls = fake_libc(monkeypatch, returns=0)
+        assert _parallel._one_heap() is None
+        assert calls == [(-8, 1)]
+
+    def test_cli_applies_it_before_the_command(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(_parallel, "_one_heap",
+                            lambda: events.append("heap"))
+        monkeypatch.setattr(cli, "cmd_inspect",
+                            lambda args: events.append("inspect"))
+        assert cli.main(["inspect", "anything"]) == 0
+        assert events == ["heap", "inspect"]
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+    def test_derive_faults_do_not_grow_with_frames(self, tmp_path):
+        # 9 frames at 480x270: with a heap per thread, or one that hands
+        # freed views back to the kernel, each view faults its pages in
+        # again, and 9 frames took 1.4-1.8x the faults of 6
+        ds = tmp_path / "ds"
+        assert cli.main(["generate", "--seed", "3", "--frames", "9",
+                         "--size", "480x270", "--n-background", "40",
+                         "--out", str(ds)]) == 0
+        src = str(Path(sceneflowgen.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        usage = {}
+        for n in (6, 9):
+            # a dataset of the first n frames: its manifest, the same files
+            manifest = json.loads((ds / "manifest.json").read_text())
+            del manifest["frames"][n:]
+            for view in manifest["frames"][-1]["files"].values():
+                view.pop("pos3d_next", None)
+            root = tmp_path / f"first-{n}"
+            root.mkdir()
+            (root / "manifest.json").write_text(json.dumps(manifest))
+            (root / manifest["dataset"]).symlink_to(ds / manifest["dataset"])
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _DERIVE_THEN_PEAK, "derive", str(root),
+                 "--out", str(tmp_path / f"out-{n}")],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            with proc.stderr:
+                err = proc.stderr.read()
+            _, status, faults = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0, err
+            usage[n] = faults.ru_minflt, int(err)
+        assert usage[9][0] <= 1.1 * usage[6][0], usage
+        assert usage[9][1] - usage[6][1] <= 2 * 1024, usage
+
+
+# `sfgen ARGS`, then its own peak RSS in KiB on stderr. A child's ru_maxrss
+# would count the pages of the test process it was forked from; VmHWM counts
+# only those of the program it runs.
+_DERIVE_THEN_PEAK = """
+import sys
+from sceneflowgen.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
