@@ -35,11 +35,13 @@ __all__ = ["BAND_ROWS", "bands", "map_ordered", "map_shares"]
 
 BAND_ROWS = 32
 
-# glibc mallopt parameters and values: one arena; blocks up to 64 MiB (above
-# the largest per-view array, a 12.4 MB float64 position pass at 960x540)
-# come from the heap; up to 256 MiB free at its top stays mapped
+# glibc mallopt parameters and values: one arena; blocks up to 32 MiB (above
+# the largest per-view array, a 12.4 MB float64 position pass at 960x540;
+# mallopt(3) documents 32 MiB as the limit on 64-bit, and some glibc
+# releases refuse more) come from the heap; up to 256 MiB free at its top
+# stays mapped
 _HEAP_POLICY = ((-8, 1),  # M_ARENA_MAX
-                (-3, 64 << 20),  # M_MMAP_THRESHOLD
+                (-3, 32 << 20),  # M_MMAP_THRESHOLD
                 (-1, 256 << 20))  # M_TRIM_THRESHOLD
 
 

@@ -235,12 +235,10 @@ def load_frame_passes(dataset_root, manifest, t, view):
     Every pass listed for the view is decoded and its shape checked, on
     the thread map: (H, W) for depth and the index passes, (H, W, 3) for
     RGB and positions. If several are bad, the error is that of the first
-    in the order `write_frame` writes them. Two passes hold one number
-    each: depth must equal `pos3d_t`'s Z bit for bit and be NaN exactly
-    where the object index is 0, and the material pass must equal the
-    object pass, or a `ParseError` names the file. The material pass is
-    then dropped. Depth and positions stay float32, as stored, one copy
-    of the file bytes; `groundtruth` widens them band by band.
+    in the order `write_frame` writes them. The material pass, a copy of
+    the object pass, is then dropped. Depth and positions stay float32,
+    as stored, one copy of the file bytes; `groundtruth` widens them band
+    by band.
     """
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
@@ -260,7 +258,7 @@ def load_frame_passes(dataset_root, manifest, t, view):
                              f"{intr.width}x{intr.height} rig needs {shape}")
         return a
 
-    *passes, material = map_ordered(read, [  # the passes in field order
+    *passes, _material = map_ordered(read, [  # the passes in field order
         ("rgb", formats.read_ppm, (3,)), ("depth", formats.read_pfm, ()),
         ("pos3d_t", formats.read_pfm, (3,)),
         ("pos3d_prev", formats.read_pfm, (3,)),
@@ -268,18 +266,6 @@ def load_frame_passes(dataset_root, manifest, t, view):
         ("object_index", formats.read_pgm16, ()),
         ("material_index", formats.read_pgm16, ()),  # checked, then dropped
     ])
-    _, depth, pos3d_t, _, _, object_index = passes
-    # bit patterns, so NaNs compare too; views, no copy of either pass
-    if not np.array_equal(depth.view(np.uint32),
-                          pos3d_t[..., 2].view(np.uint32)):
-        raise ParseError(f"{files['depth']}: differs from the Z of "
-                         f"{files['pos3d_t']}")
-    if not np.array_equal(np.isnan(depth), object_index == 0):
-        raise ParseError(f"{files['depth']}: not NaN exactly where "
-                         f"{files['object_index']} is 0")
-    if not np.array_equal(material, object_index):
-        raise ParseError(f"{files['material_index']}: differs from "
-                         f"{files['object_index']}")
     return FramePasses(
         *passes,
         view=view,

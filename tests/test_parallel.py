@@ -141,7 +141,7 @@ class TestOneHeap:
     def test_sets_one_arena_then_thresholds(self, monkeypatch):
         calls = fake_libc(monkeypatch)
         _parallel._one_heap()
-        assert calls == [(-8, 1), (-3, 64 << 20), (-1, 256 << 20)]
+        assert calls == [(-8, 1), (-3, 32 << 20), (-1, 256 << 20)]
 
     def test_no_mallopt_is_a_no_op(self, monkeypatch):
         fake_libc(monkeypatch, has_mallopt=False)
@@ -159,6 +159,21 @@ class TestOneHeap:
         calls = fake_libc(monkeypatch, returns=0)
         assert _parallel._one_heap() is None
         assert calls == [(-8, 1)]
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+    def test_glibc_accepts_every_value(self, monkeypatch):
+        # the real mallopt; a refused value would silently drop the rest
+        libc = ctypes.CDLL(None)
+        returned = []
+
+        class Recording:
+            def mallopt(self, param, value):
+                returned.append((param, value, libc.mallopt(param, value)))
+                return returned[-1][2]
+
+        monkeypatch.setattr(_parallel.ctypes, "CDLL", lambda name: Recording())
+        _parallel._one_heap()
+        assert returned == [(p, v, 1) for p, v in _parallel._HEAP_POLICY]
 
     def test_cli_applies_it_before_the_command(self, monkeypatch):
         events = []
