@@ -49,15 +49,16 @@ def write_pfm(data) -> bytearray:
         raise ParseError(f"PFM supports HxW or HxWx3 data, got shape {a.shape}")
     h, w = a.shape[0], a.shape[1]
     header = magic + b"\n" + f"{w} {h}\n".encode() + b"-1.0\n"
-    return _float32_file(header, a[::-1])
+    return _file(header, a[::-1], "<f4")
 
 
-def _float32_file(header, a):
-    """header followed by a as little-endian float32, cast straight into
-    the one buffer the file is written from."""
-    buf = bytearray(len(header) + 4 * a.size)
+def _file(header, a, dtype):
+    """header followed by a as dtype, cast straight into the one buffer
+    the file is written from: no copy of a is made on the way."""
+    dtype = np.dtype(dtype)
+    buf = bytearray(len(header) + dtype.itemsize * a.size)
     buf[:len(header)] = header
-    payload = np.frombuffer(buf, "<f4", offset=len(header)).reshape(a.shape)
+    payload = np.frombuffer(buf, dtype, offset=len(header)).reshape(a.shape)
     np.copyto(payload, a, casting="unsafe")
     return buf
 
@@ -143,7 +144,7 @@ def write_flo(flow) -> bytearray:
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f".flo needs HxWx2 data, got shape {a.shape}")
     h, w = a.shape[:2]
-    return _float32_file(struct.pack("<fii", FLO_MAGIC, w, h), a)
+    return _file(struct.pack("<fii", FLO_MAGIC, w, h), a, "<f4")
 
 
 def read_flo(buf: bytes) -> np.ndarray:
@@ -159,12 +160,12 @@ def read_flo(buf: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PPM / PGM16
 
-def write_ppm(rgb) -> bytes:
+def write_ppm(rgb) -> bytearray:
     a = np.asarray(rgb, dtype=np.uint8)
     if a.ndim != 3 or a.shape[2] != 3:
         raise ParseError(f"PPM needs HxWx3 uint8, got shape {a.shape}")
     h, w = a.shape[:2]
-    return f"P6\n{w} {h}\n255\n".encode() + np.ascontiguousarray(a).tobytes()
+    return _file(f"P6\n{w} {h}\n255\n".encode(), a, np.uint8)
 
 
 def read_ppm(buf: bytes) -> np.ndarray:
@@ -172,7 +173,7 @@ def read_ppm(buf: bytes) -> np.ndarray:
     return _payload(buf, pos, np.uint8, (h, w, 3), "PPM").copy()
 
 
-def write_pgm16(mask) -> bytes:
+def write_pgm16(mask) -> bytearray:
     """16-bit single-channel P5; samples are big-endian per the PGM spec."""
     a = np.asarray(mask)
     if a.ndim != 2:
@@ -180,7 +181,7 @@ def write_pgm16(mask) -> bytes:
     if a.min() < 0 or a.max() > 65535:
         raise ParseError("PGM16 values must be in [0, 65535]")
     h, w = a.shape
-    return f"P5\n{w} {h}\n65535\n".encode() + a.astype(">u2").tobytes()
+    return _file(f"P5\n{w} {h}\n65535\n".encode(), a, ">u2")
 
 
 def read_pgm16(buf: bytes) -> np.ndarray:
@@ -188,13 +189,14 @@ def read_pgm16(buf: bytes) -> np.ndarray:
     return _payload(buf, pos, ">u2", (h, w), "PGM").astype(np.uint16)
 
 
-def write_pgm8(mask) -> bytes:
-    """8-bit P5 used for binary masks (0/255)."""
+def write_pgm8(mask) -> bytearray:
+    """8-bit P5 used for binary masks (0/255); the samples are a cast to
+    uint8, so a bool mask gives 0/1."""
     a = np.asarray(mask)
     if a.ndim != 2:
         raise ParseError(f"PGM needs HxW data, got shape {a.shape}")
     h, w = a.shape
-    return f"P5\n{w} {h}\n255\n".encode() + a.astype(np.uint8).tobytes()
+    return _file(f"P5\n{w} {h}\n255\n".encode(), a, np.uint8)
 
 
 def read_pgm8(buf: bytes) -> np.ndarray:

@@ -8,17 +8,22 @@ from the (flow, disparity, disparity change) components.
 the whole-frame reference it is tested against. It runs the per-pixel
 maps on the row bands of `_parallel`, through its thread map, with
 band-sized temporaries. A band projects each 3D-position pass once and
-shares the projection between the maps that read it. The motion
-boundaries' pixel pairs are marked on bands too, once the forward flow
-is done; only their small-component filter and the occlusion eps run on
-the whole frame, on one thread.
+shares the projection between the maps that read it. Each band also
+marks the motion boundaries' pixel pairs within its rows from its
+float64 forward flow, and the pairs across band edges are marked from
+the bands' first and last rows; only the boundaries' small-component
+filter and the occlusion eps run on the whole frame, on one thread.
 
-All arithmetic is float64. Passes may come in as float32 (as read from
-files) or float64 (from the renderer). Each band widens its rows of the
-passes, so only band-sized float64 copies exist and either input gives
-the same bytes; `derive_disparity` widens the depth it is given. On the
-whole frame only the occlusion eps (a median depth) and the next frame's
-z-buffer lookup widen what they read.
+All arithmetic is float64, and `derive_frame` holds its flow, disparity
+and disparity-change maps as float32, the precision the files store:
+each band rounds its float64 values once, as it writes its rows. Passes
+may come in as float32 (as read from files) or float64 (from the
+renderer). Each band widens its rows of the passes, so only band-sized
+float64 copies exist and either input gives the same bytes;
+`derive_disparity`, `derive_motion_boundaries` and
+`reconstruct_scene_flow` widen what they are given. On the whole frame
+only the occlusion eps (a median depth, of which only the middle values
+are widened) and the next frame's z-buffer lookup widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -48,11 +53,14 @@ MIN_BOUNDARY_AREA_PX = 10
 
 @dataclass
 class GroundTruthFrame:
+    # flow, disparity and disparity change: float32, computed in float64
+    # and rounded once
     flow_fwd: np.ndarray | None  # (H, W, 2), NaN at void; None at t = frames
     flow_bwd: np.ndarray | None  # None at t = 1
     disparity: np.ndarray  # (H, W), positive at valid pixels
-    dispchange_fwd: np.ndarray | None
+    dispchange_fwd: np.ndarray | None  # (H, W), NaN at void
     dispchange_bwd: np.ndarray | None
+    # marked from the float64 forward flow
     motion_boundaries: np.ndarray | None  # (H, W) bool
     occlusion_fwd: np.ndarray | None  # (H, W) bool
 
@@ -87,14 +95,15 @@ def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
 
 def _flow(proj_other, proj_t, valid, out):
     """The flow between two projections of the same points, NaN off
-    valid, written to out."""
+    valid, written to out: computed in float64, rounded to out's dtype."""
     np.subtract(proj_other, proj_t, out=out)
     out[~valid] = np.nan
 
 
 def _disparity_change(bf, bf_over_z_t, z_other, valid, out):
     """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and off valid,
-    written to out; positive for approaching surfaces."""
+    written to out (computed in float64, rounded to out's dtype); positive
+    for approaching surfaces."""
     with np.errstate(invalid="ignore", divide="ignore"):
         np.subtract(np.where(z_other > 0, bf / z_other, np.nan), bf_over_z_t,
                     out=out)
@@ -109,25 +118,36 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarra
     MOTION_DIFF_THRESHOLD_PX; both pixels of the pair are marked.
     8-connected components smaller than MIN_BOUNDARY_AREA_PX pixels are
     removed (`_drop_small_components`, which gives the mask of
-    `scipy.ndimage.label` with a 3x3 structure).
+    `scipy.ndimage.label` with a 3x3 structure). The flow is widened to
+    float64 band by band.
 
-    The pairs are marked on the row bands of `_parallel`: each band reads
-    the rows it marks and one row above and below them, the other pixel
-    of its vertical pairs, and writes only its own rows. Components cross
-    band edges, so the small ones are dropped from the whole mask.
+    The pairs are marked on the row bands of `_parallel`, each band
+    within its own rows, then the pairs across band edges
+    (`_mark_edge_pairs`), as `derive_frame` marks them from its float64
+    forward flow. Components cross band edges, so the small ones are
+    dropped from the whole mask, on one thread.
     """
     obj = passes.object_index
-    h = obj.shape[0]
     marked = np.empty(obj.shape, dtype=bool)
 
     def band(rows):
-        top = max(rows.start - 1, 0)
-        halo = slice(top, min(rows.stop + 1, h))
-        marked[rows] = _mark_motion_pairs(obj[halo], flow[halo])[
-            rows.start - top:rows.stop - top]
+        part = _wide(flow[rows])
+        marked[rows] = _mark_motion_pairs(obj[rows], part)
+        return part[[0, -1]]
 
-    map_ordered(band, bands(h))
+    cuts = bands(obj.shape[0])
+    _mark_edge_pairs(marked, obj, cuts, map_ordered(band, cuts))
     return _drop_small_components(marked, MIN_BOUNDARY_AREA_PX)
+
+
+def _mark_edge_pairs(marked, obj, cuts, edges):
+    """Mark in marked, which holds the pairs within each band of cuts,
+    the pairs across each band edge, from edges[i]: the float64 flow of
+    the first and last row of band i."""
+    for (_, last), (first, _), rows in zip(edges, edges[1:], cuts[1:]):
+        y = rows.start
+        marked[y - 1:y + 1] |= _mark_motion_pairs(obj[y - 1:y + 1],
+                                                  np.stack([last, first]))
 
 
 def _mark_motion_pairs(obj, flow):
@@ -255,10 +275,23 @@ def _occluded(proj, z_point, passes_t, passes_next, eps, out):
 
 def _occlusion_eps(depth):
     """The occlusion test's depth tolerance: 1e-3 of the median depth, or
-    1e-3 at a view with no depth (which np.nanmedian would warn about)."""
-    # widened first: a float32 median of an even count rounds the midpoint
-    depth = _wide(depth[~np.isnan(depth)])
-    scale = float(np.median(depth, overwrite_input=True)) if depth.size else 1.0
+    1e-3 at a view with no depth (which np.nanmedian would warn about).
+
+    The median is that of the depths widened to float64, as np.median
+    takes it: the middle value, or the mean of the middle two. The
+    values are partitioned in their own dtype, which orders them as
+    their widened copies would be, and only the middle ones are widened:
+    a float32 mean of an even count rounds the midpoint."""
+    values = depth[~np.isnan(depth)]
+    n = values.size
+    if not n:
+        return 1e-3
+    middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    values.partition(middle)
+    # no warning for the mean of -inf and inf or of two values past half
+    # the float64 maximum: either scale falls back to 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = float(np.mean(_wide(values[middle])))
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
@@ -268,9 +301,12 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
     """Rebuild 3D positions and world-frame motion from the components.
 
     Returns (position, motion): (H, W, 3) world-frame point at t and its
-    3D displacement to t+1. NaN components stay NaN; finite non-positive
-    disparities (d or d + delta-d) are rejected.
+    3D displacement to t+1, in float64 whatever the dtype of the maps
+    (`derive_frame`'s are float32), which are widened first. NaN
+    components stay NaN; finite non-positive disparities (d or
+    d + delta-d) are rejected.
     """
+    flow, disparity, dispchange = (_wide(a) for a in (flow, disparity, dispchange))
     h, w = disparity.shape
     valid = np.isfinite(disparity) & np.isfinite(dispchange) \
         & np.isfinite(flow).all(axis=-1)
@@ -308,26 +344,33 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     Flow, disparity, disparity change and occlusion are per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
     the floating passes to float64, projects each 3D-position pass once,
-    writes its rows of the full maps, and holds temporaries the size of a
-    band. What a band cannot see is taken over the whole view: the
-    occlusion eps comes from the median depth of the frame, and the
-    occlusion test samples the whole next frame. Motion boundaries pair
-    pixels across band edges, so they are marked once the forward flow
-    is done, on bands again, each reading one row beyond its edges
-    (`derive_motion_boundaries`). The maps do not depend on the band
-    height or the number of workers.
+    computes in float64 and writes its rows of the full maps, rounding
+    flow, disparity and disparity change to float32 there, and holds
+    temporaries the size of a band. Each band also marks the motion
+    boundaries' pixel pairs within its rows from its float64 forward flow
+    and keeps that flow's first and last rows, from which the pairs
+    across band edges are marked once the bands are done
+    (`_mark_edge_pairs`); no whole-frame float64 map is held. What a band
+    cannot see is taken over the whole view: the occlusion eps comes from
+    the median depth of the frame, the occlusion test samples the whole
+    next frame, and small boundary components are dropped from the whole
+    mask. The maps do not depend on the band height or the number of
+    workers.
     """
     h, w = passes.depth.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
+
+    def new(*shape, dtype=np.float32):
+        return np.empty((h, w) + shape, dtype=dtype)
+
     frame = GroundTruthFrame(
-        flow_fwd=np.empty((h, w, 2)) if fwd else None,
-        flow_bwd=np.empty((h, w, 2)) if bwd else None,
-        disparity=np.empty((h, w)),
-        dispchange_fwd=np.empty((h, w)) if fwd else None,
-        dispchange_bwd=np.empty((h, w)) if bwd else None,
-        motion_boundaries=None,
-        occlusion_fwd=(np.empty((h, w), dtype=bool) if passes_next is not None
-                       else None),
+        flow_fwd=new(2) if fwd else None,
+        flow_bwd=new(2) if bwd else None,
+        disparity=new(),
+        dispchange_fwd=new() if fwd else None,
+        dispchange_bwd=new() if bwd else None,
+        motion_boundaries=new(dtype=bool) if fwd else None,
+        occlusion_fwd=new(dtype=bool) if passes_next is not None else None,
     )
     eps = None
     if passes_next is not None:
@@ -348,14 +391,21 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         if bwd:
             _flow(project(part.pos3d_prev, k), proj_t, valid,
                   out=frame.flow_bwd[rows])
-        proj_next = project(part.pos3d_next, k) if fwd else None
+        edge_rows = None
         if fwd:
-            _flow(proj_next, proj_t, valid, out=frame.flow_fwd[rows])
+            proj_next = project(part.pos3d_next, k)
+            if passes_next is not None:
+                _occluded(proj_next, part.pos3d_next[..., 2], part,
+                          passes_next, eps, out=frame.occlusion_fwd[rows])
+            # the float64 forward flow, in place of the projection
+            flow = proj_next
+            _flow(flow, proj_t, valid, out=flow)
+            frame.flow_fwd[rows] = flow
+            frame.motion_boundaries[rows] = _mark_motion_pairs(
+                part.object_index, flow)
+            edge_rows = flow[[0, -1]]
+            del proj_next, flow
         del proj_t
-        if passes_next is not None:
-            _occluded(proj_next, part.pos3d_next[..., 2], part, passes_next,
-                      eps, out=frame.occlusion_fwd[rows])
-        del proj_next
         with np.errstate(invalid="ignore", divide="ignore"):
             bf_over_z_t = bf / part.pos3d_t[..., 2]  # each point's disparity
         for other, dispchange in ((part.pos3d_next, frame.dispchange_fwd),
@@ -363,10 +413,15 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             if other is not None:
                 _disparity_change(bf, bf_over_z_t, other[..., 2], valid,
                                   out=dispchange[rows])
+        return edge_rows
 
-    map_ordered(band, bands(h))
+    cuts = bands(h)
+    edges = map_ordered(band, cuts)
     if fwd:
-        frame.motion_boundaries = derive_motion_boundaries(passes, frame.flow_fwd)
+        _mark_edge_pairs(frame.motion_boundaries, passes.object_index, cuts,
+                         edges)
+        del edges  # before the filter, which sets the peak
+        _drop_small_components(frame.motion_boundaries, MIN_BOUNDARY_AREA_PX)
     return frame
 
 

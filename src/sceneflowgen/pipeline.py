@@ -178,7 +178,12 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
                       else (path, None, source))
 
     def mask(a):
-        return formats.write_pgm8(a.astype(np.uint8) * 255)
+        # a bool mask as 0 and 255: its 0/1 samples, the file's last
+        # a.size bytes, scaled in the one buffer
+        buf = formats.write_pgm8(a)
+        payload = np.frombuffer(buf, np.uint8, offset=len(buf) - a.size)
+        payload *= 255
+        return buf
 
     put("rgb", "ppm", formats.write_ppm, fp.rgb)
     put("depth", "pfm", formats.write_pfm, fp.depth)

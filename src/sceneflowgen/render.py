@@ -22,8 +22,11 @@ Rasterization is batched array work rather than a loop over triangles:
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
    wins, and of two at equal depth the earlier draw wins.
-5. Interpolate attributes and sample textures once per covered pixel, for
-   its winner only, in fixed-size batches grouped by object.
+5. Write the object index pass from the winners, group the covered
+   pixels by object with one stable sort of it, and interpolate
+   attributes (one column at a time) and sample textures once per
+   covered pixel, for its winner only, in fixed-size batches of one
+   object.
 
 Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
@@ -52,7 +55,8 @@ NEAR_PLANE = 0.1
 _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
 _AMBIENT = 0.35
 # Fragments (span cells) evaluated per batch, and covered pixels shaded
-# per batch. Both bound the working set of a view.
+# per batch. Both bound the working set of a view; a shading batch holds
+# under 256 bytes per pixel, a noise texture's sampling included.
 _FRAGMENT_BATCH = 1 << 16
 _SHADE_BATCH = 1 << 15
 # Relative widening of a span bound: far above the few ulps by which the
@@ -114,8 +118,8 @@ def _clip_near(attrs, near=NEAR_PLANE):
 class _Triangles:
     """Camera-space triangles of one view, in draw order."""
     # (N, 3, A) per vertex: pos_t(3), pos_prev(3) where t > 1, pos_next(3)
-    # where t < frames, uv(2)
-    attrs: np.ndarray
+    # where t < frames, uv(2); None once `_screen_setup` has run
+    attrs: np.ndarray | None
     index: np.ndarray  # (N,) uint16: 1-based place of the object in `objects`
     shade: np.ndarray  # (N,) flat shading factor
     objects: list  # `SceneSpec.all_objects()`
@@ -200,7 +204,7 @@ class _Screen:
     top_left: np.ndarray  # (N, 3) bool: edge i owns its zero set
     area: np.ndarray  # (N,) > 0
     z: np.ndarray  # (N, 3)
-    attr_over_z: np.ndarray  # (3, N, 11) per vertex
+    attr_over_z: np.ndarray  # (3, 11, N): per vertex, per attribute column
     x0: np.ndarray  # (N,) bounding box [x0, x1) x [y0, y1), clamped
     x1: np.ndarray
     y0: np.ndarray
@@ -237,7 +241,7 @@ def _screen_setup(tris: _Triangles, k: CameraIntrinsics, w, h) -> _Screen:
         draw=draw, ax=sx[:, a], ay=sy[:, a], ex=ex, ey=ey,
         top_left=((ey == 0) & (ex > 0)) | (ey < 0),
         area=area[draw], z=z,
-        attr_over_z=np.ascontiguousarray((attrs / z[:, :, None]).transpose(1, 0, 2)),
+        attr_over_z=np.ascontiguousarray((attrs / z[:, :, None]).transpose(1, 2, 0)),
         x0=x0[draw], x1=x1[draw], y0=y0[draw], y1=y1[draw],
     )
 
@@ -404,32 +408,45 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     `passes` holds the flattened rgb (P, 3), object index (P,) and
     position (P, 3) outputs, the positions of the passes the view has in
     the order of the attribute columns.
+
+    The object index output is written first, from the winners; one
+    stable sort of it groups the covered pixels by object, each in pixel
+    order. Above its inputs and outputs, shading then holds the sorted
+    pixels and their winners' screen rows (16 bytes per covered pixel)
+    and each worker's batch: a batch interpolates one attribute column
+    at a time, from the column-major `attr_over_z`, so its temporaries
+    are a few pixel-sized vectors, the texture's sampling aside.
     """
     rgb, obj_idx, *positions = passes
-    pix = np.flatnonzero(owner != _NO_OWNER)
+    if not len(scr.draw):
+        return
+    # the object index pass first: each covered pixel's winner's object
+    np.copyto(obj_idx, tris.index[scr.draw].take(owner, mode="clip"),
+              where=owner != _NO_OWNER)
+    counts = np.bincount(obj_idx)
+    # uint16 keys: a stable radix sort groups the pixels by object, void
+    # (index 0) first, and each object's in pixel order
+    pix = np.argsort(obj_idx, kind="stable")[counts[0]:]
     row = owner[pix]
-    index = tris.index[scr.draw[row]]
-    # uint16 keys: a stable radix sort groups the winners by object
-    order = np.argsort(index, kind="stable")
-    pix, row, index = pix[order], row[order], index[order]
-    starts = np.flatnonzero(np.diff(index, prepend=-1))
-    ends = np.append(starts[1:], len(index))
     aoz = scr.attr_over_z
     batches = []
-    for s, e in zip(starts, ends):
-        obj = tris.objects[int(index[s]) - 1]
+    ends = np.cumsum(counts) - counts[0]
+    for idx in np.flatnonzero(counts[1:]) + 1:
+        s, e = int(ends[idx - 1]), int(ends[idx])
+        obj = tris.objects[idx - 1]
         # on no points: a noise texture builds its lattice here, once,
         # not in two workers at the same time
         obj.texture.sample(np.zeros((0, 2)))
-        batches += [(obj, index[s], slice(c, min(c + _SHADE_BATCH, e)))
+        batches += [(obj, slice(c, min(c + _SHADE_BATCH, e)))
                     for c in range(s, e, _SHADE_BATCH)]
 
     def shade(batch):
-        obj, idx, sel = batch
+        obj, sel = batch
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
         px = (x + 0.5)[:, None]
         py = (y + 0.5)[:, None]
+        del y, x
         # lam = (ex * (py - ay) - ey * (px - ax)) / area, in place
         lam = py - scr.ay[r]
         lam *= scr.ex[r]
@@ -437,21 +454,34 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         term *= scr.ey[r]
         lam -= term
         lam /= scr.area[r, None]
+        del px, py, term
+        lam = lam.T
         depth = zbuf[p]
-        # perspective-correct attribute interpolation (attr/z affine in screen)
-        interp = aoz[0][r]
-        interp *= lam[:, 0, None]
-        for k in (1, 2):
-            term = aoz[k][r]
-            term *= lam[:, k, None]
-            interp += term
-        interp *= depth[:, None]
-        interp[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
 
-        obj_idx[p] = idx
+        def interp(c, out):
+            # perspective-correct interpolation of attribute column c
+            # (attr/z affine in screen), one column at a time
+            np.multiply(aoz[0, c].take(r), lam[0], out=out)
+            for k in (1, 2):
+                term = aoz[k, c].take(r)
+                term *= lam[k]
+                out += term
+            out *= depth
+            return out
+
         for k, dst in enumerate(positions):
-            dst[p] = interp[:, 3 * k:3 * k + 3]
-        color = obj.texture.sample(interp[:, -2:])  # a new array
+            pos = np.empty((len(p), 3))
+            for c in range(3):
+                interp(3 * k + c, pos[:, c])
+            if k == 0:
+                pos[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
+            dst[p] = pos
+        del pos
+        uv = np.empty((len(p), 2))
+        for c in range(2):
+            interp(aoz.shape[1] - 2 + c, uv[:, c])
+        color = obj.texture.sample(uv)  # a new array
+        del uv
         color *= tris.shade[scr.draw[r], None]
         color *= 255.0
         rgb[p] = np.clip(np.rint(color, out=color), 0, 255, out=color).astype(np.uint8)
@@ -482,6 +512,7 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
 
     tris = _collect(spec, t, pose_t, pose_prev, pose_next)
     scr = _screen_setup(tris, intr, w, h)
+    tris.attrs = None  # scr.attr_over_z holds what shading reads of them
     zbuf, owner = _resolve_depth(scr, w, h)
     _shade(tris, scr, zbuf, owner, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1),

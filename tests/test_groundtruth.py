@@ -153,6 +153,19 @@ class TestMotionBoundaries:
         passes, flow = self.two_object_passes(mask)
         assert not gt.derive_motion_boundaries(passes, flow).any()
 
+    def test_float32_flow_is_widened(self):
+        # a flow difference of 1.5 - 2^-25 px across the boundary: below
+        # the threshold, though subtracted in float32 it rounds to 1.5
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[:, 8:] = True
+        passes, flow = self.two_object_passes(mask, flow2=(1.5, 0.0))
+        flow[~mask] = (2.0 ** -25, 0.0)
+        narrow = flow.astype(np.float32)
+        assert narrow.astype(np.float64).tobytes() == flow.tobytes()
+        assert narrow[0, 8, 0] - narrow[0, 7, 0] == 1.5
+        assert not gt.derive_motion_boundaries(passes, narrow).any()
+        assert not gt.derive_motion_boundaries(passes, flow).any()
+
     def test_ten_pixel_component_kept(self):
         # straight boundary, flow difference above threshold on 5 rows only
         mask = np.zeros((16, 16), dtype=bool)
@@ -165,8 +178,9 @@ class TestMotionBoundaries:
 
 
 class TestBandedMotionBoundaries:
-    """Pairs are marked band by band, each band reading one row beyond its
-    edges; the small-component filter runs on the whole mask."""
+    """Pairs are marked band by band, each band within its rows, then the
+    pairs across band edges; the small-component filter runs on the whole
+    mask."""
 
     @staticmethod
     def banded(obj2_mask, cpus, band_rows=4):
@@ -395,6 +409,22 @@ class TestReconstruct:
         assert np.nanmax(np.abs(pos[valid] - truth_pos[valid])) < 1e-3
         assert np.nanmax(np.abs(motion[valid] - truth_motion[valid])) < 1e-3
 
+    def test_float32_maps_are_widened_first(self, rendered_scene):
+        # float32 maps, as derive_frame gives and the files store them,
+        # and their float64 copies: the same positions and motion, byte
+        # for byte
+        spec, passes = rendered_scene
+        fp = passes[(2, "left")]
+        frame = gt.derive_frame(fp, spec.rig)
+        maps = [a.astype(np.float32) for a in (
+            frame.flow_fwd, frame.disparity, frame.dispchange_fwd)]
+        poses = (spec.rig, fp.camera_pose, spec.camera_pose(3, "left"))
+        narrow = gt.reconstruct_scene_flow(*maps, *poses)
+        wide = gt.reconstruct_scene_flow(*(a.astype(np.float64) for a in maps),
+                                         *poses)
+        for a, b in zip(narrow, wide):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
     def test_invalid_disparity_rejected(self):
         flow = np.zeros((2, 2, 2))
         with pytest.raises(GeometryError):
@@ -469,13 +499,18 @@ GT_FIELDS = oracle.FIELDS
 
 
 def assert_same_maps(frame, ref, where):
-    """The GroundTruthFrame frame holds the oracle's maps ref, byte for byte."""
+    """The GroundTruthFrame frame holds the maps ref, byte for byte: its
+    float maps are float32, ref's float maps (the float64 oracle's, or
+    another frame's) cast to float32."""
     assert [f.name for f in dataclasses.fields(frame)] == list(GT_FIELDS)
     for name in GT_FIELDS:
         a, b = getattr(frame, name), ref[name]
         if b is None:
             assert a is None, (name, where)
             continue
+        if b.dtype.kind == "f":
+            assert a.dtype == np.float32, (name, where)
+            b = b.astype(np.float32)
         assert a.dtype == b.dtype and a.shape == b.shape, (name, where)
         assert a.tobytes() == b.tobytes(), (name, where)
 
@@ -697,6 +732,33 @@ class TestFloat32Passes:
         # no depth to take a median of: the unit tolerance, and no
         # "All-NaN slice" warning (a RuntimeWarning fails the test)
         assert gt._occlusion_eps(np.full((3, 4), np.nan, dtype=dtype)) == 1e-3
+
+
+@st.composite
+def depth_maps(draw):
+    """Depth maps of 1 to 60 pixels, float32 or float64: NaN, ties (a few
+    repeated values, -0.0 and 0.0), infinities and any finite value, so
+    the counts of non-NaN values are odd, even and zero."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    value = st.one_of(
+        st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5, 7.0, np.inf, -np.inf]),
+        st.floats(width=32 if dtype is np.float32 else 64))
+    h = draw(st.integers(1, 6))
+    values = draw(st.lists(value, min_size=h, max_size=10 * h))
+    return np.array(values[:len(values) // h * h], dtype=dtype).reshape(h, -1)
+
+
+class TestOcclusionEps:
+    @settings(max_examples=300, deadline=None)
+    @given(depth=depth_maps())
+    def test_is_the_median_of_the_widened_depths(self, depth):
+        wide = depth[~np.isnan(depth)].astype(np.float64)
+        # the mean of -inf and inf, or of two values past half the maximum
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = float(np.median(wide)) if wide.size else 1.0
+        want = 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
+        got = gt._occlusion_eps(depth)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @st.composite

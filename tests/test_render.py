@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from sceneflowgen.render import NEAR_PLANE, FramePasses, _clip_near, rasterize_f
 from sceneflowgen.scene import ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import Trajectory
 
-from conftest import small_params
+from conftest import set_cpus, small_params
 
 # 128 px / 32 mm sensor: focal_px = 4 * focal_mm, so 35 mm -> 140 px
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)
@@ -154,6 +156,37 @@ class TestContracts:
             rasterize_frame(spec, 0, "left")
         with pytest.raises(ContractError):
             rasterize_frame(spec, 3, "left")
+
+
+def test_shading_memory_is_bounded(monkeypatch):
+    # On one worker, what _shade holds above its inputs and outputs is the
+    # covered pixels in object order and their winners' rows (16 bytes per
+    # covered pixel, under 32), plus one batch's working set: under 256
+    # bytes per pixel of a batch, a noise texture's sampling included.
+    # Holding the unsorted and the sorted pixels, rows and object indices
+    # and the sort order at once read 4,186,624 bytes here, against a
+    # bound of 3,506,176.
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(render, "_SHADE_BATCH", 4096)
+    spec = sf.generate_flyingthings_scene(
+        42, sf.FlyingThingsParams(frames=3, width=320, height=240))
+    intr = spec.rig.intrinsics
+    w, h = intr.image_size
+    tris = render._collect(spec, 2, *(spec.camera_pose(t, "left") for t in (2, 1, 3)))
+    scr = render._screen_setup(tris, intr, w, h)
+    zbuf, owner = render._resolve_depth(scr, w, h)
+    covered = int((owner != render._NO_OWNER).sum())
+    passes = [np.zeros((h * w, 3), dtype=np.uint8), np.zeros(h * w, dtype=np.uint16),
+              *(np.full((h * w, 3), np.nan) for _ in range(3))]
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        render._shade(tris, scr, zbuf, owner, w, passes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert covered > 0.9 * h * w
+    bound = 32 * covered + 256 * render._SHADE_BATCH
+    assert peak < bound, (peak, bound)
 
 
 # ---------------------------------------------------------------------------
