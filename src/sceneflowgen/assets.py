@@ -86,29 +86,72 @@ class Texture:
             axis = self.params.get("axis", "u")
             t = np.clip(u if axis == "u" else v, 0.0, 1.0)
             return c0 + (c1 - c0) * t[..., None]
-        # noise kind
-        lattice = self._noise_lattice
+        # noise kind: bilinear in a periodic lattice, each corner's value
+        # gathered per channel with one flat index, products in place
+        channels = self._noise_channels
         freq = self.params.get("frequency", 4.0)
-        x = (u * freq) % _NOISE_LATTICE
-        y = (v * freq) % _NOISE_LATTICE
-        x0 = np.floor(x).astype(int) % _NOISE_LATTICE
-        y0 = np.floor(y).astype(int) % _NOISE_LATTICE
-        x1 = (x0 + 1) % _NOISE_LATTICE
-        y1 = (y0 + 1) % _NOISE_LATTICE
-        fx = (x - np.floor(x))[..., None]
-        fy = (y - np.floor(y))[..., None]
-        top = lattice[y0, x0] * (1 - fx) + lattice[y0, x1] * fx
-        bot = lattice[y1, x0] * (1 - fx) + lattice[y1, x1] * fx
-        return top * (1 - fy) + bot * fy
+        out = np.empty(u.shape + (3,))
+        u, v = u.reshape(-1), v.reshape(-1)
+        fx, x0 = _lattice_cell(u, freq)
+        fy, y0 = _lattice_cell(v, freq)
+        x1 = x0 + 1
+        x1 %= _NOISE_LATTICE
+        y1 = y0 + 1
+        y1 %= _NOISE_LATTICE
+        y0 *= _NOISE_LATTICE
+        y1 *= _NOISE_LATTICE
+        # flat indices of the corners (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+        i10 = y1 + x0
+        i11 = np.add(y1, x1, out=y1)
+        i00 = np.add(y0, x0, out=x0)
+        i01 = np.add(y0, x1, out=x1)
+        del y0, y1
+        gx = 1 - fx
+        gy = 1 - fy
+        top, bot, term = (np.empty(len(u)) for _ in range(3))
+        flat = out.reshape(-1, 3)
+        for ch, lattice in enumerate(channels):
+            # top * (1 - fy) + bot * fy, where top and bot are the rows'
+            # a * (1 - fx) + b * fx. Every index is in range; "clip" keeps
+            # take from buffering its output
+            for row, (a, b) in ((top, (i00, i01)), (bot, (i10, i11))):
+                lattice.take(a, out=row, mode="clip")
+                row *= gx
+                lattice.take(b, out=term, mode="clip")
+                term *= fx
+                row += term
+            top *= gy
+            bot *= fy
+            np.add(top, bot, out=flat[:, ch])
+        return out
 
     @functools.cached_property
-    def _noise_lattice(self):
-        """Value-noise lattice, built on first use and kept read-only."""
+    def _noise_channels(self):
+        """Value-noise lattice, built on first use and kept read-only: one
+        row per channel, (3, L * L), the value at (y, x) at y * L + x."""
         seed = int(self.params.get("seed", 0))
         rng = np.random.Generator(np.random.Philox(key=seed))
         lattice = rng.random((_NOISE_LATTICE, _NOISE_LATTICE, 3))
-        lattice.flags.writeable = False
-        return lattice
+        channels = np.ascontiguousarray(lattice.reshape(-1, 3).T)
+        channels.flags.writeable = False
+        return channels
+
+    @property
+    def _noise_lattice(self):
+        """The lattice as a read-only (L, L, 3) view of its channels."""
+        return self._noise_channels.T.reshape(_NOISE_LATTICE, _NOISE_LATTICE, 3)
+
+
+def _lattice_cell(u, freq):
+    """Fraction within its cell and the cell's lattice column of each
+    coordinate u * freq, wrapped to the lattice."""
+    x = u * freq
+    x %= _NOISE_LATTICE
+    cell = np.floor(x)
+    x -= cell
+    index = cell.astype(int)
+    index %= _NOISE_LATTICE
+    return x, index
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def cmd_evaluate(args):
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         pipeline.write_atomic(
-            args.out, json.dumps(report_json, sort_keys=True, indent=2).encode())
+            args.out,
+            json.dumps(report_json, sort_keys=True, indent=2, allow_nan=False).encode())
         _write_config_log(Path(args.out).parent, {
             "subcommand": "evaluate", "metric": args.metric,
             "pred": [str(p) for p in args.pred], "gt": [str(g) for g in args.gt],

@@ -50,15 +50,30 @@ def _eval_mask(pred, gt, mask):
     return valid, evaluated
 
 
+def _require_finite(pred, evaluated):
+    """A NaN or infinite prediction has no error to score: it is neither
+    an inlier nor an outlier, so it is refused where it is evaluated."""
+    finite = np.isfinite(pred)
+    if finite.ndim == 3:
+        finite = finite.all(axis=-1)
+    finite &= evaluated
+    bad = int(np.count_nonzero(evaluated)) - int(np.count_nonzero(finite))
+    if bad:
+        raise ContractError(
+            f"prediction is NaN or infinite at {bad} evaluated pixel(s)")
+
+
 def epe_map(pred: np.ndarray, gt: np.ndarray, mask=None):
     """Per-pixel endpoint error plus its mean over evaluated pixels.
 
     Works for scalar maps (disparity, disparity change) and HxWx2 flow.
-    NaN ground-truth pixels are excluded. Returns (per_pixel, report).
+    NaN ground-truth pixels are excluded; a NaN or infinite prediction at
+    an evaluated pixel is a ContractError. Returns (per_pixel, report).
     """
     if pred.ndim not in (2, 3) or (pred.ndim == 3 and pred.shape[-1] != 2):
         raise ContractError(f"expected HxW or HxWx2 maps, got shape {pred.shape}")
     valid, evaluated = _eval_mask(pred, gt, mask)
+    _require_finite(pred, evaluated)
     diff = pred - gt
     if diff.ndim == 3:
         with np.errstate(invalid="ignore"):
@@ -78,7 +93,8 @@ def epe_map(pred: np.ndarray, gt: np.ndarray, mask=None):
 def d1_all(pred_disp: np.ndarray, gt_disp: np.ndarray, mask=None):
     """Fraction of evaluated pixels whose disparity error exceeds both
     3 px and 5% of the ground-truth disparity. Non-positive ground truth
-    is excluded as invalid. Returns (fraction, report)."""
+    is excluded as invalid; a NaN or infinite prediction at an evaluated
+    pixel is a ContractError. Returns (fraction, report)."""
     if pred_disp.ndim != 2:
         raise ContractError(f"disparity maps must be HxW, got {pred_disp.shape}")
     valid, evaluated = _eval_mask(pred_disp, gt_disp, mask)
@@ -86,6 +102,7 @@ def d1_all(pred_disp: np.ndarray, gt_disp: np.ndarray, mask=None):
     evaluated = evaluated & valid
     if not evaluated.any():
         raise ContractError("no pixels to evaluate under the given mask")
+    _require_finite(pred_disp, evaluated)
     err = np.abs(pred_disp - gt_disp)
     with np.errstate(invalid="ignore"):
         bad = (err > D1_ABS_THRESHOLD_PX) & (err > D1_REL_THRESHOLD * np.abs(gt_disp))

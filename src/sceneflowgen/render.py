@@ -13,20 +13,26 @@ Rasterization is batched array work rather than a loop over triangles:
    draw order: object in `SceneSpec.all_objects()` order, triangle index,
    then clip-fan index. Only triangles that straddle Z = near are clipped.
 2. Project all triangles at once, reverse those of negative screen area,
-   and compute bounding boxes and top-left fill flags.
+   and compute bounding boxes, top-left fill flags and the per-edge and
+   per-vertex tables, each column-major: one contiguous row per edge or
+   vertex.
 3. Cut each triangle's bounding box into row spans, the part of each row
    where its edge functions can all be non-negative, and evaluate Pineda
    edge functions and depth on spans of similar length in fixed-size
-   fragment batches.
+   fragment batches. A batch gathers each per-span value with a 1-D take
+   of one table row and writes every step in place, into a few buffers
+   that serve all three edges.
 4. Keep a per-pixel z-buffer and the draw order of its owner across
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
    wins, and of two at equal depth the earlier draw wins.
 5. Write the object index pass from the winners, group the covered
    pixels by object with one stable sort of it, and interpolate
-   attributes (one column at a time) and sample textures once per
-   covered pixel, for its winner only, in fixed-size batches of one
-   object.
+   attributes and sample textures once per covered pixel, for its winner
+   only, in fixed-size batches of one object. A batch holds its
+   barycentric weights as one contiguous row per edge and interpolates
+   one attribute column at a time into one reused buffer, which it
+   scatters into the pass; pos3d_t's Z is written from the depth.
 
 Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
@@ -56,7 +62,8 @@ _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
 _AMBIENT = 0.35
 # Fragments (span cells) evaluated per batch, and covered pixels shaded
 # per batch. Both bound the working set of a view; a shading batch holds
-# under 256 bytes per pixel, a noise texture's sampling included.
+# under 160 bytes per pixel, a noise texture's sampling included (about
+# 130 with one, 75 with the others).
 _FRAGMENT_BATCH = 1 << 16
 _SHADE_BATCH = 1 << 15
 # Relative widening of a span bound: far above the few ulps by which the
@@ -196,14 +203,16 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
 @dataclass
 class _Screen:
     """Screen-space set-up of the triangles that touch the image."""
+    # per-edge and per-vertex tables are column-major, (3, N), so a batch
+    # gathers each value with a contiguous 1-D take
     draw: np.ndarray  # (N,) row in _Triangles, i.e. draw order
-    ax: np.ndarray  # (N, 3) edge i runs from vertex (i+1)%3 ...
+    ax: np.ndarray  # (3, N) edge i runs from vertex (i+1)%3 ...
     ay: np.ndarray
-    ex: np.ndarray  # (N, 3) ... to vertex (i+2)%3: b - a
+    ex: np.ndarray  # (3, N) ... to vertex (i+2)%3: b - a
     ey: np.ndarray
-    top_left: np.ndarray  # (N, 3) bool: edge i owns its zero set
+    top_left: np.ndarray  # (3, N) bool: edge i owns its zero set
     area: np.ndarray  # (N,) > 0
-    z: np.ndarray  # (N, 3)
+    z: np.ndarray  # (3, N) vertex depth
     attr_over_z: np.ndarray  # (3, 11, N): per vertex, per attribute column
     x0: np.ndarray  # (N,) bounding box [x0, x1) x [y0, y1), clamped
     x1: np.ndarray
@@ -231,16 +240,16 @@ def _screen_setup(tris: _Triangles, k: CameraIntrinsics, w, h) -> _Screen:
     y1 = np.clip(np.ceil(sy.max(axis=1) - 0.5) + 1, 0, h).astype(np.int64)
     draw = np.flatnonzero((area > 0) & (x0 < x1) & (y0 < y1))
 
-    sx, sy, attrs, flip = sx[draw], sy[draw], attrs[draw], flip[draw]
+    sx, sy, attrs, flip = sx[draw].T, sy[draw].T, attrs[draw], flip[draw]
     attrs[flip] = attrs[flip, ::-1]
     a, b = [1, 2, 0], [2, 0, 1]
-    ex = sx[:, b] - sx[:, a]
-    ey = sy[:, b] - sy[:, a]
+    ex = sx[b] - sx[a]
+    ey = sy[b] - sy[a]
     z = attrs[:, :, 2]
     return _Screen(
-        draw=draw, ax=sx[:, a], ay=sy[:, a], ex=ex, ey=ey,
+        draw=draw, ax=sx[a], ay=sy[a], ex=ex, ey=ey,
         top_left=((ey == 0) & (ex > 0)) | (ey < 0),
-        area=area[draw], z=z,
+        area=area[draw], z=np.ascontiguousarray(z.T),
         attr_over_z=np.ascontiguousarray((attrs / z[:, :, None]).transpose(1, 2, 0)),
         x0=x0[draw], x1=x1[draw], y0=y0[draw], y1=y1[draw],
     )
@@ -274,7 +283,7 @@ def _fragment_jobs(scr: _Screen):
         slope = scr.ex / scr.ey
         base = scr.ax - scr.ay * slope - 0.5
         margin = 1.0 + _SPAN_SLACK * (
-            np.abs(scr.ax) + (np.abs(scr.ay) + scr.y1[:, None]) * np.abs(slope))
+            np.abs(scr.ax) + (np.abs(scr.ay) + scr.y1) * np.abs(slope))
         # a finite margin means a finite slope, base and bound
         lower = (scr.ey < 0) & np.isfinite(margin)
         upper = (scr.ey > 0) & np.isfinite(margin)
@@ -296,8 +305,10 @@ def _fragment_jobs(scr: _Screen):
         lo = scr.x0[tri].astype(np.float64)
         hi = scr.x1[tri].astype(np.float64)
         for i in range(3):
-            np.maximum(lo, np.floor(lo_base[tri, i] + py * lo_slope[tri, i]), out=lo)
-            np.minimum(hi, np.floor(hi_base[tri, i] + py * hi_slope[tri, i]) + 1, out=hi)
+            np.maximum(lo, np.floor(lo_base[i].take(tri) + py * lo_slope[i].take(tri)),
+                       out=lo)
+            np.minimum(hi, np.floor(hi_base[i].take(tri) + py * hi_slope[i].take(tri)) + 1,
+                       out=hi)
         length = hi - lo
         keep = length > 0
         for col, a in zip(cols, (tri, y, lo, length)):
@@ -349,6 +360,9 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
     """Z-buffer and owner of the fragments of the given batches alone."""
     zbuf = np.full(h * w, np.inf)
     owner = np.full(h * w, _NO_OWNER, dtype=np.int64)
+    # w > -0 (the smallest subnormal below zero) is w >= 0:
+    # (w > 0) | ((w == 0) & top_left) for every float, NaN included
+    threshold = np.where(scr.top_left, _BELOW_ZERO, 0.0)
     for job in jobs:
         # int64 before anything is indexed: int32 indices are slower
         tri, y, x0, length = (a.astype(np.int64) for a in job)
@@ -356,43 +370,44 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
         ox = np.arange(gw)
         # x + 0.5 is exact in float64, whatever the order of the sums
         px = (x0 + 0.5)[:, None] + ox
-        py = (y + 0.5)[:, None]
+        py = y + 0.5
         covered = ox < length[:, None]
-        area = scr.area[tri, None]
-        z = scr.z[tri]
-        for i in range(3):
-            # w = ex * (py - ay) - ey * (px - ax), in place
-            wv = px - scr.ax[tri, i, None]
-            wv *= scr.ey[tri, i, None]
-            np.subtract(scr.ex[tri, i, None] * (py - scr.ay[tri, i, None]), wv, out=wv)
-            # w > -0 (the smallest subnormal below zero) is w >= 0:
-            # (w > 0) | ((w == 0) & top_left) for every float, NaN included
-            covered &= wv > np.where(scr.top_left[tri, i, None], _BELOW_ZERO, 0.0)
-            # 1 / depth = w0 / area / z0 + w1 / area / z1 + w2 / area / z2
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                wv /= area
-                wv /= z[:, i, None]
-                if i == 0:
-                    inv_z = wv
-                else:
-                    inv_z += wv
-        del px, wv  # freed before the fragments are gathered: a lower peak
+        area = scr.area.take(tri)[:, None]
+        wv = np.empty(px.shape)
+        inv_z = np.empty(px.shape)
+        ok = np.empty(px.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(3):
+                # w = ex * (py - ay) - ey * (px - ax), in place; the first
+                # edge's w is written where 1 / depth will be summed
+                wi = inv_z if i == 0 else wv
+                np.subtract(px, scr.ax[i].take(tri)[:, None], out=wi)
+                wi *= scr.ey[i].take(tri)[:, None]
+                term = py - scr.ay[i].take(tri)
+                term *= scr.ex[i].take(tri)
+                np.subtract(term[:, None], wi, out=wi)
+                covered &= np.greater(wi, threshold[i].take(tri)[:, None], out=ok)
+                # 1 / depth = w0 / area / z0 + w1 / area / z1 + w2 / area / z2
+                wi /= area
+                wi /= scr.z[i].take(tri)[:, None]
+                if i:
+                    inv_z += wv
+            del px, wv  # freed before the fragments are gathered: a lower peak
             depth = np.divide(1.0, inv_z, out=inv_z)
         # NaN and inf never win: only finite depths compete
-        covered &= depth < np.inf
+        covered &= np.less(depth, np.inf, out=ok)
         # a fragment behind the stored depth can no longer win; padding
         # cells past a span's end may index past the image, so clip
         pix = (y * w + x0)[:, None] + ox
         old = zbuf.take(pix, mode="clip")
-        covered &= depth <= old
+        covered &= np.less_equal(depth, old, out=ok)
         cell = np.flatnonzero(covered)
         d = depth.reshape(-1)[cell]
         p = pix.reshape(-1)[cell]
         old = old.reshape(-1)[cell]
         # screen rows are in draw order, so the row stands for it
         o = tri[cell // gw]
-        del covered, depth, pix, cell
+        del covered, depth, pix, cell, ok
         np.minimum.at(zbuf, p, d)
         new = zbuf[p]
         owner[p[new < old]] = _NO_OWNER
@@ -413,9 +428,11 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     stable sort of it groups the covered pixels by object, each in pixel
     order. Above its inputs and outputs, shading then holds the sorted
     pixels and their winners' screen rows (16 bytes per covered pixel)
-    and each worker's batch: a batch interpolates one attribute column
-    at a time, from the column-major `attr_over_z`, so its temporaries
-    are a few pixel-sized vectors, the texture's sampling aside.
+    and each worker's batch: a batch gathers from the column-major
+    tables with 1-D takes, holds its barycentric weights as (3, B) rows
+    and interpolates one attribute column at a time into one reused
+    buffer, so its temporaries are a few pixel-sized vectors, the
+    texture's sampling aside.
     """
     rgb, obj_idx, *positions = passes
     if not len(scr.draw):
@@ -440,23 +457,28 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         batches += [(obj, slice(c, min(c + _SHADE_BATCH, e)))
                     for c in range(s, e, _SHADE_BATCH)]
 
+    shade_factor = tris.shade[scr.draw]
+
     def shade(batch):
         obj, sel = batch
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
-        px = (x + 0.5)[:, None]
-        py = (y + 0.5)[:, None]
+        px = x + 0.5
+        py = y + 0.5
         del y, x
-        # lam = (ex * (py - ay) - ey * (px - ax)) / area, in place
-        lam = py - scr.ay[r]
-        lam *= scr.ex[r]
-        term = px - scr.ax[r]
-        term *= scr.ey[r]
-        lam -= term
-        lam /= scr.area[r, None]
-        del px, py, term
-        lam = lam.T
-        depth = zbuf[p]
+        # lam = (ex * (py - ay) - ey * (px - ax)) / area, one edge per row
+        area = scr.area.take(r)
+        lam = np.empty((3, len(p)))
+        col = np.empty(len(p))
+        for k in range(3):
+            np.subtract(py, scr.ay[k].take(r), out=lam[k])
+            lam[k] *= scr.ex[k].take(r)
+            np.subtract(px, scr.ax[k].take(r), out=col)
+            col *= scr.ey[k].take(r)
+            lam[k] -= col
+            lam[k] /= area
+        del px, py, area
+        depth = zbuf.take(p)
 
         def interp(c, out):
             # perspective-correct interpolation of attribute column c
@@ -470,19 +492,18 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
             return out
 
         for k, dst in enumerate(positions):
-            pos = np.empty((len(p), 3))
             for c in range(3):
-                interp(3 * k + c, pos[:, c])
-            if k == 0:
-                pos[:, 2] = depth  # keep pos3d_t.Z identical to the depth pass
-            dst[p] = pos
-        del pos
+                if k == 0 and c == 2:
+                    dst[:, 2][p] = depth  # pos3d_t's Z is the depth pass
+                else:
+                    dst[:, c][p] = interp(3 * k + c, col)
         uv = np.empty((len(p), 2))
         for c in range(2):
             interp(aoz.shape[1] - 2 + c, uv[:, c])
+        del lam, depth, col  # freed before the texture is sampled: a lower peak
         color = obj.texture.sample(uv)  # a new array
         del uv
-        color *= tris.shade[scr.draw[r], None]
+        color *= shade_factor.take(r)[:, None]
         color *= 255.0
         rgb[p] = np.clip(np.rint(color, out=color), 0, 255, out=color).astype(np.uint8)
 

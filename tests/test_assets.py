@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sceneflowgen import assets
 from sceneflowgen.assets import (
@@ -76,3 +81,54 @@ class TestNoiseLatticeCache:
         tex.sample(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             tex._noise_lattice[0, 0, 0] = 1.0
+
+
+def noise_oracle(lattice, freq, uv):
+    """The noise texture's bilinear lookup as whole-array expressions:
+    (N, 3) lattice gathers per corner, the reference for `Texture.sample`."""
+    u, v = uv[..., 0], uv[..., 1]
+    n = len(lattice)
+    x = (u * freq) % n
+    y = (v * freq) % n
+    x0 = np.floor(x).astype(int) % n
+    y0 = np.floor(y).astype(int) % n
+    x1 = (x0 + 1) % n
+    y1 = (y0 + 1) % n
+    fx = (x - np.floor(x))[..., None]
+    fy = (y - np.floor(y))[..., None]
+    top = lattice[y0, x0] * (1 - fx) + lattice[y0, x1] * fx
+    bot = lattice[y1, x0] * (1 - fx) + lattice[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+class TestNoiseSampling:
+    @settings(max_examples=200, deadline=None)
+    @given(uv=hnp.arrays(np.float64,
+                         st.tuples(st.integers(0, 64), st.just(2))
+                         | st.sampled_from([(2,), (3, 4, 2)]),
+                         elements=st.one_of(st.floats(-2, 3),
+                                            st.integers(-8, 12).map(lambda k: k / 4))),
+           freq=st.one_of(st.sampled_from([1.0, 3.0, 4.0, 7.5, 32.0]),
+                          st.floats(0.01, 100)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_whole_array_formula(self, uv, freq, seed):
+        tex = Texture("noise", {"seed": seed, "frequency": freq})
+        got = tex.sample(uv)
+        want = noise_oracle(tex._noise_lattice, freq, uv)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_per_point(self):
+        # the output (24 B per point) and what sampling holds on its way:
+        # whole-array gathers and products held about 162 B per point
+        n = 1 << 15
+        tex = Texture("noise", {"seed": 4, "frequency": 4.0})
+        uv = np.random.default_rng(3).random((n, 2)) * 5 - 2
+        tex.sample(uv[:0])  # the lattice is built before tracing
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            tex.sample(uv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * n, peak / n

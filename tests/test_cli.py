@@ -378,6 +378,25 @@ class TestEvaluate:
         assert data["aggregate"]["per_pixel"]["mean_epe"] == 0.0
         assert data["aggregate"]["per_pixel"]["d1_all"] == 0.0
 
+    def test_nan_prediction_where_ground_truth_is_nan(self, tmp_path, capsys):
+        # only where the ground truth is invalid too: the report holds
+        # finite numbers, strict JSON
+        gt = np.full((4, 6), 12.0, dtype=np.float32)
+        gt[:, 0] = np.nan
+        pred = gt + 1.0
+        g, p, out = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "r.json"
+        g.write_bytes(formats.write_pfm(gt))
+        p.write_bytes(formats.write_pfm(pred))
+        assert main(["evaluate", "--pred", str(p), "--gt", str(g),
+                     "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the report")
+
+        data = json.loads(out.read_text(), parse_constant=refuse)
+        assert data["aggregate"]["per_pixel"]["mean_epe"] == 1.0
+        assert data["aggregate"]["per_pixel"]["evaluated_pixels"] == 20
+
     def test_flow_maps_epe_only(self, tmp_path, capsys):
         flow = np.zeros((4, 4, 2), dtype=np.float32)
         pred = flow.copy()
@@ -566,6 +585,13 @@ def _evaluate_d1all_on_flow(tmp):
             "--metric", "d1all"]
 
 
+def _evaluate_nan_prediction(tmp):
+    pred = tmp / "p.pfm"
+    pred.write_bytes(formats.write_pfm(np.full((4, 6), np.nan, dtype=np.float32)))
+    return ["evaluate", "--pred", str(pred), "--gt", _pfm_file(tmp / "g.pfm"),
+            "--out", str(tmp / "r.json")]
+
+
 def _visualize_truncated_pfm(tmp):
     return ["visualize", _truncated_pfm(tmp / "d.pfm"),
             "--out", str(tmp / "d.ppm")]
@@ -643,6 +669,8 @@ BAD_INPUT = {
     "evaluate mask of other size": (_evaluate_mask_of_other_size, "ContractError"),
     "evaluate unknown suffix": (_evaluate_unknown_suffix, "ContractError"),
     "evaluate d1all on flow": (_evaluate_d1all_on_flow, "ContractError"),
+    # scored as D1-all 0.00%, with "mean_epe": NaN in the report
+    "evaluate NaN prediction": (_evaluate_nan_prediction, "ContractError"),
     "visualize truncated pfm": (_visualize_truncated_pfm, "ParseError"),
     "visualize unknown suffix": (_visualize_unknown_suffix, "ContractError"),
     "visualize three-channel pfm": (_visualize_three_channel_pfm, "ContractError"),

@@ -134,6 +134,44 @@ class TestD1All:
         assert clean == dirty
 
 
+class TestNonFinitePrediction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_where_evaluated(self, bad):
+        gt = np.full((4, 4), 10.0)
+        pred = gt.copy()
+        pred[1, 2] = pred[3, 0] = bad
+        for measure in (epe_map, d1_all):
+            with pytest.raises(ContractError, match="at 2 evaluated pixel"):
+                measure(pred, gt)
+        flow = np.zeros((4, 4, 2))
+        pred_flow = flow.copy()
+        pred_flow[0, 0, 1] = bad
+        with pytest.raises(ContractError, match="at 1 evaluated pixel"):
+            epe_map(pred_flow, flow)
+
+    def test_all_nan_is_no_inlier(self):
+        # a NaN error compares false with both thresholds: it scored as
+        # an inlier, D1-all 0%
+        gt = np.full((4, 4), 10.0)
+        with pytest.raises(ContractError, match="at 16 evaluated pixel"):
+            d1_all(np.full((4, 4), np.nan), gt)
+
+    def test_masked_out_nan_passes(self):
+        gt = np.full((4, 4), 10.0)
+        gt[0, 0] = np.nan  # invalid ground truth
+        gt[0, 1] = -1.0  # non-positive: no D1-all pixel
+        pred = gt + 2.0
+        pred[:, :2] = np.nan
+        mask = np.ones((4, 4), dtype=bool)
+        mask[1:, :2] = False
+        assert d1_all(pred, gt, mask)[0] == 0.0
+        # EPE evaluates the non-positive pixel: it must be finite there
+        with pytest.raises(ContractError, match="at 1 evaluated pixel"):
+            epe_map(pred, gt, mask)
+        pred[0, 1] = 1.0
+        assert epe_map(pred, gt, mask)[1].mean_epe == 2.0
+
+
 class TestAggregate:
     def test_single_report_identity(self):
         r = MetricReport(mean_epe=1.25, evaluated_pixels=10, valid_pixels=10)

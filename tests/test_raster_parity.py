@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
@@ -290,6 +292,82 @@ def test_two_cpus_render_two_units_at_once(monkeypatch):
     for threads in (fold_threads, shade_threads):
         assert len(threads) == 2 and len(set(threads)) == 2
         assert threading.get_ident() not in threads
+
+
+def _value(lo, hi):
+    """Quarter steps (exact pixel-centre and corner hits) or any float."""
+    return st.one_of(st.integers(int(4 * lo), int(4 * hi)).map(lambda k: k / 4),
+                     st.floats(lo, hi))
+
+
+@st.composite
+def _random_box(draw, index):
+    """A cuboid in front of the camera or straddling Z = near, maybe
+    tilted, maybe moving between the two frames."""
+    if draw(st.booleans()):
+        center = (draw(_value(-3, 3)), draw(_value(-3, 3)), draw(_value(0.5, 12)))
+    else:
+        # through the near plane: some faces are clipped into fans
+        center = (draw(_value(-1, 1)), draw(_value(-1, 1)), draw(_value(-0.5, 0.6)))
+    scale = tuple(draw(_value(0.05, 4)) for _ in range(3))
+    rotation = None
+    if draw(st.booleans()):
+        rotation = Rotation.from_euler("xyz", [draw(st.floats(-np.pi, np.pi))
+                                               for _ in range(3)])
+    end = None
+    if draw(st.booleans()):
+        end = tuple(c + draw(st.floats(-0.5, 0.5)) for c in center)
+    return dict(center=center, scale=scale, index=index, end=end, rotation=rotation)
+
+
+@st.composite
+def _random_scene(draw):
+    """1-4 boxes on a 1-24 px image; a box may repeat an earlier one's
+    geometry (every fragment ties in depth) or share its front-face depth
+    (coplanar faces of different sizes tie at some pixels)."""
+    boxes = []
+    for i in range(draw(st.integers(1, 4))):
+        b = draw(_random_box(i + 1))
+        tie = draw(st.sampled_from([None, "same", "coplanar"])) if boxes else None
+        if tie == "same":
+            b = dict(draw(st.sampled_from(boxes)), index=i + 1)
+        elif tie == "coplanar":
+            # two unrotated boxes with the same Z extent at frame 1
+            other = draw(st.sampled_from(boxes))
+            other["rotation"] = None
+            b.update(rotation=None, center=(*b["center"][:2], other["center"][2]),
+                     scale=(*b["scale"][:2], other["scale"][2]))
+        boxes.append(b)
+    size = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    # a 32 mm focal length on the 32 mm sensor makes focal_px the width,
+    # so quarter-step coordinates put edges through pixel centres
+    intr = CameraIntrinsics.from_sensor(draw(st.sampled_from([8.0, 32.0, 35.0])), 32,
+                                        *size)
+    return scene([box(**b) for b in boxes], intr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_random_scene(), t=st.sampled_from([1, 2]),
+       workers=st.integers(1, 3),
+       fragment_batch=st.sampled_from([1, 4, 16, 64, 1 << 16]),
+       shade_batch=st.sampled_from([1, 3, 16, 1 << 15]))
+def test_random_scenes_match_oracle(spec, t, workers, fragment_batch, shade_batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_FRAGMENT_BATCH", fragment_batch)
+        mp.setattr(render, "_SHADE_BATCH", shade_batch)
+        set_cpus(mp, workers)
+        for view in ("left", "right"):
+            new = rasterize_frame(spec, t, view)
+            # the oracle evaluates 1 / depth on every bounding-box cell,
+            # where the sum of w / z can be 0 or overflow
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ref = oracle_rasterize_frame(spec, t, view)
+            for name in PASSES:
+                a, b = getattr(new, name), getattr(ref, name)
+                assert (a is None) == (b is None), (view, name)
+                assert b is None or (a.dtype == b.dtype and a.shape == b.shape
+                                     and a.tobytes() == b.tobytes()), \
+                    (view, name)
 
 
 # SHA-256 over manifest.json and every file it lists, in manifest order,

@@ -217,8 +217,8 @@ def _bounding_box_cells(scr):
         py = (y + 0.5)[:, None]
         covered = np.ones((len(y), len(x)), dtype=bool)
         for i in range(3):
-            wv = scr.ex[t, i] * (py - scr.ay[t, i]) - scr.ey[t, i] * (px - scr.ax[t, i])
-            covered &= (wv > 0) | ((wv == 0) & scr.top_left[t, i])
+            wv = scr.ex[i, t] * (py - scr.ay[i, t]) - scr.ey[i, t] * (px - scr.ax[i, t])
+            covered &= (wv > 0) | ((wv == 0) & scr.top_left[i, t])
         ys, xs = np.nonzero(covered)
         cells.update((t, int(y[j]), int(x[i])) for j, i in zip(ys, xs))
     return cells
