@@ -191,23 +191,32 @@ class StereoRig:
                    intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]))
 
 
-def project(p, k: CameraIntrinsics):
+def project(p, k: CameraIntrinsics, out=None):
     """Project camera-frame 3D points to continuous pixel coordinates.
 
-    Accepts a single (3,) point or an (..., 3) array. Points with Z <= 0,
-    or a NaN Z, project to NaN.
+    Accepts a single (3,) point or an (..., 3) array and returns (..., 2)
+    coordinates. Points with Z <= 0, or a NaN Z, project to NaN.
+
+    u and v are computed as two planes, each as f*X (or f*Y), then divided
+    by Z in place and shifted by the principal point in place. With out, a
+    float64 array of shape (2,) + p.shape[:-1], the planes are written to
+    out[0] and out[1] and out is returned; without it, the (..., 2) result
+    is a view of new planes.
     """
     p = np.asarray(p, dtype=np.float64)
+    planes = np.empty((2,) + p.shape[:-1]) if out is None else out
     z = p[..., 2]
-    cx, cy = k.principal_point
     with np.errstate(invalid="ignore", divide="ignore"):
-        front = z > 0
-        safe_z = np.where(front, z, 1.0)
-        u = k.focal_px * p[..., 0] / safe_z + cx
-        v = k.focal_px * p[..., 1] / safe_z + cy
-    uv = np.stack([u, v], axis=-1)
-    uv[~front] = np.nan
-    return uv
+        behind = ~(z > 0)
+        safe_z = np.where(behind, 1.0, z)
+        # [i, ...] keeps a plane of a single point a 0-d view
+        for i, c in enumerate(k.principal_point):
+            plane = planes[i, ...]
+            np.multiply(k.focal_px, p[..., i], out=plane)
+            plane /= safe_z
+            plane += c
+            plane[behind] = np.nan
+    return planes if out is not None else np.moveaxis(planes, 0, -1)
 
 
 def unproject(px, z, k: CameraIntrinsics):

@@ -7,12 +7,18 @@ from the (flow, disparity, disparity change) components.
 `generate` and `derive` both call it, and `tests/groundtruth_oracle.py` is
 the whole-frame reference it is tested against. It runs the per-pixel
 maps on the row bands of `_parallel`, through its thread map, with
-band-sized temporaries. A band projects each 3D-position pass once and
-shares the projection between the maps that read it. Each band also
-marks the motion boundaries' pixel pairs within its rows from its
-float64 forward flow, and the pairs across band edges are marked from
-the bands' first and last rows; only the boundaries' small-component
-filter and the occlusion eps run on the whole frame, on one thread.
+band-sized temporaries. A band projects each 3D-position pass once, as
+two contiguous planes of u and v (`geometry.project` with `out=`), and
+shares the projection between the maps that read it. Its steps write
+into band-sized buffers with `out=` and in-place operations, set NaN
+(and the occlusion test's inf) with masked writes, and difference the
+planes one at a time; every float64 operation on an element is the one
+the whole-frame expressions make, in the same order, so the bytes are
+those of `tests/groundtruth_oracle.py`. Each band also marks the motion
+boundaries' pixel pairs within its rows from its float64 forward flow,
+and the pairs across band edges are marked from the bands' first and
+last rows; only the boundaries' small-component filter and the
+occlusion eps run on the whole frame, on one thread.
 
 All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
@@ -84,30 +90,38 @@ def _wide(a):
 def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
     """d = b*f / depth at valid pixels, NaN at void."""
     depth = _wide(passes.depth)
-    valid = passes.valid
-    if np.any(valid & ~(depth > 0)):
+    void = ~passes.valid
+    ok = depth > 0
+    ok |= void
+    if not ok.all():
         raise DataCorruptionError("non-positive depth at a covered pixel")
     with np.errstate(invalid="ignore"):
-        d = rig.bf / depth
-    d = np.where(valid, d, np.nan)
+        d = np.divide(rig.bf, depth)
+    d[void] = np.nan
     return d
 
 
-def _flow(proj_other, proj_t, valid, out):
-    """The flow between two projections of the same points, NaN off
-    valid, written to out: computed in float64, rounded to out's dtype."""
-    np.subtract(proj_other, proj_t, out=out)
-    out[~valid] = np.nan
+def _flow(proj_other, proj_t, void, out):
+    """The flow between two projections of the same points, given as
+    (2, H, W) planes: computed in float64 in place of proj_other, NaN at
+    void, and written to out (H, W, 2), rounded to out's dtype. Returns
+    the float64 planes."""
+    flow = np.subtract(proj_other, proj_t, out=proj_other)
+    flow[:, void] = np.nan
+    for i, plane in enumerate(flow):
+        out[..., i] = plane
+    return flow
 
 
-def _disparity_change(bf, bf_over_z_t, z_other, valid, out):
-    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and off valid,
+def _disparity_change(bf, bf_over_z_t, z_other, void, out):
+    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and at void,
     written to out (computed in float64, rounded to out's dtype); positive
     for approaching surfaces."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(np.where(z_other > 0, bf / z_other, np.nan), bf_over_z_t,
-                    out=out)
-    out[~valid] = np.nan
+        np.subtract(np.divide(bf, z_other), bf_over_z_t, out=out)
+        gone = ~(z_other > 0)
+    gone |= void
+    out[gone] = np.nan
 
 
 def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarray:
@@ -131,9 +145,9 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarra
     marked = np.empty(obj.shape, dtype=bool)
 
     def band(rows):
-        part = _wide(flow[rows])
+        part = np.moveaxis(_wide(flow[rows]), -1, 0)
         marked[rows] = _mark_motion_pairs(obj[rows], part)
-        return part[[0, -1]]
+        return part[:, [0, -1]]
 
     cuts = bands(obj.shape[0])
     _mark_edge_pairs(marked, obj, cuts, map_ordered(band, cuts))
@@ -143,32 +157,33 @@ def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarra
 def _mark_edge_pairs(marked, obj, cuts, edges):
     """Mark in marked, which holds the pairs within each band of cuts,
     the pairs across each band edge, from edges[i]: the float64 flow of
-    the first and last row of band i."""
-    for (_, last), (first, _), rows in zip(edges, edges[1:], cuts[1:]):
+    the first and last row of band i, as (2, 2, W) planes."""
+    for above, below, rows in zip(edges, edges[1:], cuts[1:]):
         y = rows.start
-        marked[y - 1:y + 1] |= _mark_motion_pairs(obj[y - 1:y + 1],
-                                                  np.stack([last, first]))
+        pair = np.stack([above[:, 1], below[:, 0]], axis=1)
+        marked[y - 1:y + 1] |= _mark_motion_pairs(obj[y - 1:y + 1], pair)
 
 
 def _mark_motion_pairs(obj, flow):
     """Both pixels of every 4-adjacent pair of different objects whose
     flow vectors differ by at least MOTION_DIFF_THRESHOLD_PX, in a block
-    of rows obj (H, W) and flow (H, W, 2)."""
+    of rows obj (H, W) and flow (2, H, W), u and v as planes."""
     marked = np.zeros(obj.shape, dtype=bool)
+    u, v = flow
     with np.errstate(invalid="ignore"):
-        for axis in (0, 1):
-            a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
-            b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+        # vertical pairs, then horizontal ones
+        for a, b in (((slice(-1),), (slice(1, None),)),
+                     ((..., slice(-1)), (..., slice(1, None)))):
             # |flow[a] - flow[b]| as np.linalg.norm sums it, one plane at
-            # a time and in place: no (H, W, 2) temporary
-            dflow = flow[a][..., 0] - flow[b][..., 0]
-            dv = flow[a][..., 1] - flow[b][..., 1]
+            # a time and in place
+            dflow = u[a] - u[b]
+            dv = v[a] - v[b]
             dflow *= dflow
             dv *= dv
             dflow += dv
-            del dv
             np.sqrt(dflow, out=dflow)
-            hit = (obj[a] != obj[b]) & (dflow >= MOTION_DIFF_THRESHOLD_PX)
+            hit = obj[a] != obj[b]
+            hit &= dflow >= MOTION_DIFF_THRESHOLD_PX
             marked[a] |= hit
             marked[b] |= hit
     return marked
@@ -228,49 +243,88 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
 
 def _occluded(proj, z_point, passes_t, passes_next, eps, out):
     """Forward occlusion of the points of passes_t (a band of frame t) that
-    project to proj in passes_next (the whole frame t + 1) at depth z_point,
-    written to out. A valid pixel is occluded when its projection leaves
-    the image, its 2x2 footprint touches another object, or the bilinear
-    z-buffer there (depth, inf at void) is nearer by more than eps."""
+    project to proj, (2, H, W) planes of u and v, in passes_next (the whole
+    frame t + 1) at depth z_point, written to out. A valid pixel is
+    occluded when its projection leaves the image, its 2x2 footprint
+    touches another object, or the bilinear z-buffer there (depth, inf at
+    void) is nearer by more than eps.
+
+    Every step writes into band-sized buffers: the floor and the
+    fraction of each axis, one for the weights, the corner index, four
+    float64 corners and two bools besides inside and out."""
     h, w = passes_next.depth.shape
+    u, v = proj
     with np.errstate(invalid="ignore"):
-        u = np.nan_to_num(proj[..., 0], nan=-1.0)
-        v = np.nan_to_num(proj[..., 1], nan=-1.0)
-        inside = (u >= 0) & (u <= w) & (v >= 0) & (v <= h) & np.isfinite(proj[..., 0])
-        # the 2x2 footprint, clamped into the image so border projections
-        # still get a lookup: top-left corner (x0i, y0i), weights (fx, fy)
-        x0i = np.clip(np.floor(u - 0.5), 0, w - 2).astype(int)
-        y0i = np.clip(np.floor(v - 0.5), 0, h - 2).astype(int)
-        fx = np.clip(u - 0.5 - x0i, 0.0, 1.0)
-        fy = np.clip(v - 0.5 - y0i, 0.0, 1.0)
+        # NaN compares False, and +-inf lies outside: neither is inside
+        inside = u >= 0
+        test = np.less_equal(u, w)
+        inside &= test
+        inside &= np.greater_equal(v, 0, out=test)
+        inside &= np.less_equal(v, h, out=test)
+
+        def footprint(plane, size):
+            """The footprint's first pixel along one axis, clamped into the
+            image so border projections still get a lookup, and the weight
+            of the second: floor(plane - 0.5) in [0, size - 2], the
+            fraction in [0, 1]. fmax maps NaN to 0, so a projection that
+            is not inside still reads a pixel of the image."""
+            frac = np.subtract(plane, 0.5)
+            first = np.floor(frac)
+            np.fmax(first, 0, out=first)
+            np.fmin(first, size - 2, out=first)
+            frac -= first
+            np.clip(frac, 0.0, 1.0, out=frac)
+            return first, frac
+
+        x0, fx = footprint(u, w)
+        y0, fy = footprint(v, h)
+        # the corners as flat indices: top-left k, then + dx and + dy. An
+        # image one pixel wide (high) clamps x0 (y0) to -1 and reads its
+        # one column (row) at both corners, so dx (dy) is 0 there. The
+        # float64 sums are exact integers: an image holds under 2**53
+        # pixels
+        dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+        y0 *= w
+        y0 += x0
+        y0 += (1 - dx) + (w - dy)
+        k = y0.astype(np.intp)
         # temporaries go as soon as they are used: a worker's heap keeps
         # its band peak, so that peak counts once per worker in the RSS
-        del u, v
-        # the corners as flat indices: top-left k, then + dx and + dy. An
-        # image one pixel wide (high) clamps x0i (y0i) to -1 and reads its
-        # one column (row) at both corners, so dx (dy) is 0 there
-        dx, dy = min(w - 1, 1), min(h - 1, 1) * w
-        k = y0i * w + x0i
-        del x0i, y0i
-        k += (1 - dx) + (w - dy)
-        corners = (k, k + dx, k + dy, k + (dy + dx))
+        del x0, y0
         index = passes_next.object_index.ravel()
         depth = passes_next.depth.ravel()
-        oi = [index.take(c) for c in corners]
-        # the next frame's z-buffer at the corners alone: depth, inf at
-        # void, widened to float64 here
-        g00, g01, g10, g11 = (np.where(o > 0, _wide(depth.take(c)), np.inf)
-                              for o, c in zip(oi, corners))
-        del k, corners
-        top = g00 * (1 - fx) + g01 * fx
-        bot = g10 * (1 - fx) + g11 * fx
-        sampled = top * (1 - fy) + bot * fy
-        hidden = sampled < z_point - eps
-        # silhouette-adjacent samples: the 2x2 footprint touches another
-        # object, so the point's surface is not cleanly visible there
         own = passes_t.object_index
-        mixed = (oi[0] != own) | (oi[1] != own) | (oi[2] != own) | (oi[3] != own)
-    return np.logical_and(~inside | hidden | mixed, passes_t.valid, out=out)
+        # the next frame's z-buffer at the corners alone: depth, inf at
+        # void, widened to float64 here. A footprint that touches another
+        # object is silhouette-adjacent: the point's surface is not
+        # cleanly visible there, so it counts as occluded
+        mixed = np.zeros(u.shape, dtype=bool)
+        g = np.empty((4,) + u.shape)
+        corner = np.empty_like(k)
+        for zbuf, step in zip(g, (0, dx, dy, dy + dx)):
+            np.add(k, step, out=corner)
+            o = index.take(corner)
+            mixed |= np.not_equal(o, own, out=test)
+            zbuf[...] = depth.take(corner)
+            zbuf[np.equal(o, 0, out=test)] = np.inf
+        del k, corner, o
+        g00, g01, g10, g11 = g
+        weight = np.subtract(1, fx)
+        g00 *= weight  # the top row, in g00
+        g01 *= fx
+        g00 += g01
+        g10 *= weight  # the bottom row, in g10
+        g11 *= fx
+        g10 += g11
+        np.subtract(1, fy, out=weight)
+        g00 *= weight  # the sample, in g00
+        g10 *= fy
+        g00 += g10
+        np.subtract(z_point, eps, out=weight)
+        mixed |= np.less(g00, weight, out=test)  # hidden
+        np.logical_not(inside, out=inside)
+        mixed |= inside
+    return np.logical_and(mixed, passes_t.valid, out=out)
 
 
 def _occlusion_eps(depth):
@@ -343,14 +397,18 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
 
     Flow, disparity, disparity change and occlusion are per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
-    the floating passes to float64, projects each 3D-position pass once,
-    computes in float64 and writes its rows of the full maps, rounding
-    flow, disparity and disparity change to float32 there, and holds
-    temporaries the size of a band. Each band also marks the motion
-    boundaries' pixel pairs within its rows from its float64 forward flow
-    and keeps that flow's first and last rows, from which the pairs
-    across band edges are marked once the bands are done
-    (`_mark_edge_pairs`); no whole-frame float64 map is held. What a band
+    the floating passes to float64, projects each 3D-position pass once
+    into one of two (2, rows, W) buffers of u and v planes (pos3d_t's,
+    then pos3d_prev's and pos3d_next's in turn), computes in float64 in
+    place in those and a few other band-sized buffers, and writes its
+    rows of the full maps, rounding flow, disparity and disparity change
+    to float32 there. The forward flow is computed in place of
+    pos3d_next's projection once the occlusion test has read it. Each
+    band also marks the motion boundaries' pixel pairs within its rows
+    from its float64 forward flow and keeps that flow's first and last
+    rows, from which the pairs across band edges are marked once the
+    bands are done (`_mark_edge_pairs`); no whole-frame float64 map is
+    held. What a band
     cannot see is taken over the whole view: the occlusion eps comes from
     the median depth of the frame, the occlusion test samples the whole
     next frame, and small boundary components are dropped from the whole
@@ -383,35 +441,35 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
 
     def band(rows):
         part = _band(passes, rows)
-        valid = part.valid
+        void = ~part.valid
         frame.disparity[rows] = derive_disparity(part, rig)
-        # each position pass is projected once, and each projection is
-        # dropped after its last use
-        proj_t = project(part.pos3d_t, k)
+        # each position pass is projected once, as two planes, into one of
+        # two buffers: pos3d_t's, and pos3d_prev's, then pos3d_next's
+        shape = (2,) + void.shape
+        proj_t = project(part.pos3d_t, k, out=np.empty(shape))
+        proj = np.empty(shape)
         if bwd:
-            _flow(project(part.pos3d_prev, k), proj_t, valid,
+            _flow(project(part.pos3d_prev, k, out=proj), proj_t, void,
                   out=frame.flow_bwd[rows])
         edge_rows = None
         if fwd:
-            proj_next = project(part.pos3d_next, k)
+            project(part.pos3d_next, k, out=proj)
             if passes_next is not None:
-                _occluded(proj_next, part.pos3d_next[..., 2], part,
+                _occluded(proj, part.pos3d_next[..., 2], part,
                           passes_next, eps, out=frame.occlusion_fwd[rows])
             # the float64 forward flow, in place of the projection
-            flow = proj_next
-            _flow(flow, proj_t, valid, out=flow)
-            frame.flow_fwd[rows] = flow
+            flow = _flow(proj, proj_t, void, out=frame.flow_fwd[rows])
             frame.motion_boundaries[rows] = _mark_motion_pairs(
                 part.object_index, flow)
-            edge_rows = flow[[0, -1]]
-            del proj_next, flow
-        del proj_t
+            edge_rows = flow[:, [0, -1]]
+            del flow
+        del proj_t, proj
         with np.errstate(invalid="ignore", divide="ignore"):
             bf_over_z_t = bf / part.pos3d_t[..., 2]  # each point's disparity
         for other, dispchange in ((part.pos3d_next, frame.dispchange_fwd),
                                   (part.pos3d_prev, frame.dispchange_bwd)):
             if other is not None:
-                _disparity_change(bf, bf_over_z_t, other[..., 2], valid,
+                _disparity_change(bf, bf_over_z_t, other[..., 2], void,
                                   out=dispchange[rows])
         return edge_rows
 

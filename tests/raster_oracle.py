@@ -147,9 +147,13 @@ def _raster_triangle(tri_cam, attrs, f, cx, cy, w, h, xs_all, ys_all,
     if not covered.any():
         return
 
-    lam = [wv / area for wv in ws]
-    inv_z = lam[0] / z[0] + lam[1] / z[1] + lam[2] / z[2]
-    depth = 1.0 / inv_z
+    # 1 / depth is evaluated on every bounding-box cell, covered or not:
+    # where the sum of w / z is 0 or overflows, it is inf or NaN there,
+    # which only a cell the triangle does not cover can hold
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = [wv / area for wv in ws]
+        inv_z = lam[0] / z[0] + lam[1] / z[1] + lam[2] / z[2]
+        depth = 1.0 / inv_z
 
     tile_z = zbuf[y0:y1, x0:x1]
     win = covered & (depth < tile_z)

@@ -152,6 +152,56 @@ def test_project_matches_oracle_bit_for_bit(points, k):
     assert got.tobytes() == want.tobytes()
 
 
+def whole_array_projection(p, k):
+    """f * x / safe_z + c over the whole array at once, NaN where Z is not
+    > 0: the expression the planar `project` computes in steps."""
+    z = p[..., 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        front = z > 0
+        safe_z = np.where(front, z, 1.0)
+        u = k.focal_px * p[..., 0] / safe_z + k.principal_point[0]
+        v = k.focal_px * p[..., 1] / safe_z + k.principal_point[1]
+    uv = np.stack([u, v], axis=-1)
+    uv[~front] = np.nan
+    return uv
+
+
+_FLOAT_MAX = np.finfo(np.float64).max
+# Z of 0, -0.0, negative, NaN, +-inf and near the float64 maximum, often
+_edge_coordinate = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1.0, -1e-300, 5e-324, float("nan"),
+                     float("inf"), float("-inf"), _FLOAT_MAX, -_FLOAT_MAX,
+                     np.nextafter(_FLOAT_MAX, 0)]),
+)
+# a single point, a list of points, one-row and one-column bands and
+# whole bands of rows
+_point_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_point_shapes.flatmap(
+           lambda s: hnp.arrays(np.float64, s + (3,), elements=_edge_coordinate)),
+       k=_intrinsics)
+def test_planar_project_matches_whole_array_expression(points, k):
+    with np.errstate(over="ignore"):  # f * x can overflow to +-inf
+        want = whole_array_projection(points, k)
+        got = project(points, k)
+        # every element of the caller's planes is written
+        out = np.full((2,) + points.shape[:-1], 12345.0)
+        planes = project(points, k, out=out)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert planes is out
+    assert out.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+
+
 def test_only_geometry_reads_the_intrinsics():
     """The camera model is `geometry`'s: no other module reads focal_px or
     the principal point, but for the value `generate` records in
