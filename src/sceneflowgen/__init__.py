@@ -7,10 +7,7 @@ from .scene import (
     generate_driving_preset, generate_flyingthings_scene,
 )
 from .render import FramePasses, rasterize_frame
-from .groundtruth import (
-    GroundTruthFrame, derive_disparity, derive_frame, derive_motion_boundaries,
-    reconstruct_scene_flow,
-)
+from .groundtruth import GroundTruthFrame, derive_frame, reconstruct_scene_flow
 from .match import estimate_disparity
 from .metrics import MetricReport, aggregate, d1_all, epe_map, render_table
 from .pipeline import derive_dataset, generate_dataset

@@ -136,11 +136,6 @@ class Texture:
         channels.flags.writeable = False
         return channels
 
-    @property
-    def _noise_lattice(self):
-        """The lattice as a read-only (L, L, 3) view of its channels."""
-        return self._noise_channels.T.reshape(_NOISE_LATTICE, _NOISE_LATTICE, 3)
-
 
 def _lattice_cell(u, freq):
     """Fraction within its cell and the cell's lattice column of each

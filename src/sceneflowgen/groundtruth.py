@@ -3,33 +3,33 @@ bidirectional optical flow, disparity, disparity change, motion
 boundaries, the forward occlusion mask, and 3D scene-flow reconstruction
 from the (flow, disparity, disparity change) components.
 
-`derive_frame` is the one path to flow, disparity change and occlusion:
-`generate` and `derive` both call it, and `tests/groundtruth_oracle.py` is
-the whole-frame reference it is tested against. It runs the per-pixel
-maps on the row bands of `_parallel`, through its thread map, with
-band-sized temporaries. A band projects each 3D-position pass once, as
-two contiguous planes of u and v (`geometry.project` with `out=`), and
-shares the projection between the maps that read it. Its steps write
-into band-sized buffers with `out=` and in-place operations, set NaN
-(and the occlusion test's inf) with masked writes, and difference the
-planes one at a time; every float64 operation on an element is the one
-the whole-frame expressions make, in the same order, so the bytes are
-those of `tests/groundtruth_oracle.py`. Each band also marks the motion
-boundaries' pixel pairs within its rows from its float64 forward flow,
-and the pairs across band edges are marked from the bands' first and
-last rows; only the boundaries' small-component filter and the
-occlusion eps run on the whole frame, on one thread.
+`derive_frame` is the one place in the package that computes a
+ground-truth map: `generate` and `derive` both call it, and
+`tests/groundtruth_oracle.py` is the whole-frame reference it is tested
+against. It runs the per-pixel maps on the row bands of `_parallel`,
+through its thread map, with band-sized temporaries. A band projects each
+3D-position pass once, as two contiguous planes of u and v
+(`geometry.project` with `out=`), and shares the projection between the
+maps that read it. Its steps write into band-sized buffers with `out=`
+and in-place operations, set NaN (and the occlusion test's inf) with
+masked writes, and difference the planes one at a time; every float64
+operation on an element is the one the whole-frame expressions make, in
+the same order, so the bytes are those of `tests/groundtruth_oracle.py`.
+Each band also marks the motion boundaries' pixel pairs within its rows
+from its float64 forward flow, and the pairs across band edges are marked
+from the bands' first and last rows; only the boundaries' small-component
+filter and the occlusion eps run on the whole frame, on one thread.
 
 All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
 each band rounds its float64 values once, as it writes its rows. Passes
 may come in as float32 (as read from files) or float64 (from the
-renderer). Each band widens its rows of the passes, so only band-sized
-float64 copies exist and either input gives the same bytes;
-`derive_disparity`, `derive_motion_boundaries` and
-`reconstruct_scene_flow` widen what they are given. On the whole frame
-only the occlusion eps (a median depth, of which only the middle values
-are widened) and the next frame's z-buffer lookup widen what they read.
+renderer). Each band widens its rows of depth and of the position
+passes, so only band-sized float64 copies exist and either input gives
+the same bytes; `reconstruct_scene_flow` widens the maps it is given. On
+the whole frame only the occlusion eps (a median depth, of which only
+the middle values are widened) and the next frame's z-buffer lookup
+widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -37,7 +37,6 @@ labelling library."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,8 @@ from .geometry import CameraPose, StereoRig, project, unproject
 from .render import FramePasses
 
 __all__ = [
-    "GroundTruthFrame", "derive_disparity", "derive_motion_boundaries",
-    "reconstruct_scene_flow", "derive_frame", "pixel_centers",
-    "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
+    "GroundTruthFrame", "reconstruct_scene_flow", "derive_frame",
+    "pixel_centers", "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
 ]
 
 MOTION_DIFF_THRESHOLD_PX = 1.5
@@ -87,20 +85,6 @@ def _wide(a):
         return a.astype(np.float64, copy=False)
 
 
-def derive_disparity(passes: FramePasses, rig: StereoRig) -> np.ndarray:
-    """d = b*f / depth at valid pixels, NaN at void."""
-    depth = _wide(passes.depth)
-    void = ~passes.valid
-    ok = depth > 0
-    ok |= void
-    if not ok.all():
-        raise DataCorruptionError("non-positive depth at a covered pixel")
-    with np.errstate(invalid="ignore"):
-        d = np.divide(rig.bf, depth)
-    d[void] = np.nan
-    return d
-
-
 def _flow(proj_other, proj_t, void, out):
     """The flow between two projections of the same points, given as
     (2, H, W) planes: computed in float64 in place of proj_other, NaN at
@@ -122,36 +106,6 @@ def _disparity_change(bf, bf_over_z_t, z_other, void, out):
         gone = ~(z_other > 0)
     gone |= void
     out[gone] = np.nan
-
-
-def derive_motion_boundaries(passes: FramePasses, flow: np.ndarray) -> np.ndarray:
-    """Boundary pixels between differently moving objects.
-
-    A 4-adjacent pixel pair is a candidate when the two pixels belong to
-    different objects and their flow vectors differ by at least
-    MOTION_DIFF_THRESHOLD_PX; both pixels of the pair are marked.
-    8-connected components smaller than MIN_BOUNDARY_AREA_PX pixels are
-    removed (`_drop_small_components`, which gives the mask of
-    `scipy.ndimage.label` with a 3x3 structure). The flow is widened to
-    float64 band by band.
-
-    The pairs are marked on the row bands of `_parallel`, each band
-    within its own rows, then the pairs across band edges
-    (`_mark_edge_pairs`), as `derive_frame` marks them from its float64
-    forward flow. Components cross band edges, so the small ones are
-    dropped from the whole mask, on one thread.
-    """
-    obj = passes.object_index
-    marked = np.empty(obj.shape, dtype=bool)
-
-    def band(rows):
-        part = np.moveaxis(_wide(flow[rows]), -1, 0)
-        marked[rows] = _mark_motion_pairs(obj[rows], part)
-        return part[:, [0, -1]]
-
-    cuts = bands(obj.shape[0])
-    _mark_edge_pairs(marked, obj, cuts, map_ordered(band, cuts))
-    return _drop_small_components(marked, MIN_BOUNDARY_AREA_PX)
 
 
 def _mark_edge_pairs(marked, obj, cuts, edges):
@@ -241,13 +195,14 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     return mask
 
 
-def _occluded(proj, z_point, passes_t, passes_next, eps, out):
-    """Forward occlusion of the points of passes_t (a band of frame t) that
-    project to proj, (2, H, W) planes of u and v, in passes_next (the whole
-    frame t + 1) at depth z_point, written to out. A valid pixel is
-    occluded when its projection leaves the image, its 2x2 footprint
-    touches another object, or the bilinear z-buffer there (depth, inf at
-    void) is nearer by more than eps.
+def _occluded(proj, z_point, own, valid, passes_next, eps, out):
+    """Forward occlusion of the points of a band of frame t that project
+    to proj, (2, H, W) planes of u and v, in passes_next (the whole frame
+    t + 1) at depth z_point, written to out; own and valid are the band's
+    object indices and valid mask. A valid pixel is occluded when its
+    projection leaves the image, its 2x2 footprint touches another object,
+    or the bilinear z-buffer there (depth, inf at void) is nearer by more
+    than eps.
 
     Every step writes into band-sized buffers: the floor and the
     fraction of each axis, one for the weights, the corner index, four
@@ -293,7 +248,6 @@ def _occluded(proj, z_point, passes_t, passes_next, eps, out):
         del x0, y0
         index = passes_next.object_index.ravel()
         depth = passes_next.depth.ravel()
-        own = passes_t.object_index
         # the next frame's z-buffer at the corners alone: depth, inf at
         # void, widened to float64 here. A footprint that touches another
         # object is silhouette-adjacent: the point's surface is not
@@ -324,7 +278,7 @@ def _occluded(proj, z_point, passes_t, passes_next, eps, out):
         mixed |= np.less(g00, weight, out=test)  # hidden
         np.logical_not(inside, out=inside)
         mixed |= inside
-    return np.logical_and(mixed, passes_t.valid, out=out)
+    return np.logical_and(mixed, valid, out=out)
 
 
 def _occlusion_eps(depth):
@@ -389,26 +343,33 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                  passes_next: FramePasses | None = None) -> GroundTruthFrame:
     """All per-view ground-truth maps for one rendered frame.
 
-    Flow is the difference of the projected 3D positions, defined also
-    where the point is occluded in the other frame; disparity change is
+    Disparity is b*f/depth at valid pixels and NaN at void; a covered
+    pixel of non-positive depth raises DataCorruptionError. Flow is the
+    difference of the projected 3D positions, defined also where the
+    point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces; both are NaN
     at void. passes_next, if given, is the next frame of the same view,
     and `occlusion_fwd` marks the points it hides (see `_occluded`).
+    Motion boundaries mark both pixels of every 4-adjacent pair of
+    different objects whose forward flows differ by at least
+    MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
+    than MIN_BOUNDARY_AREA_PX pixels (`_drop_small_components`, which
+    gives the mask of `scipy.ndimage.label` with a 3x3 structure).
 
-    Flow, disparity, disparity change and occlusion are per pixel, so they
+    Every map but the boundaries' component filter is per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
-    the floating passes to float64, projects each 3D-position pass once
-    into one of two (2, rows, W) buffers of u and v planes (pos3d_t's,
-    then pos3d_prev's and pos3d_next's in turn), computes in float64 in
-    place in those and a few other band-sized buffers, and writes its
-    rows of the full maps, rounding flow, disparity and disparity change
-    to float32 there. The forward flow is computed in place of
-    pos3d_next's projection once the occlusion test has read it. Each
-    band also marks the motion boundaries' pixel pairs within its rows
-    from its float64 forward flow and keeps that flow's first and last
-    rows, from which the pairs across band edges are marked once the
-    bands are done (`_mark_edge_pairs`); no whole-frame float64 map is
-    held. What a band
+    depth and of the position passes to float64, writes its rows of the
+    disparity, projects each 3D-position pass once into one of two
+    (2, rows, W) buffers of u and v planes (pos3d_t's, then pos3d_prev's
+    and pos3d_next's in turn), computes in float64 in place in those and
+    a few other band-sized buffers, and writes its rows of the full maps,
+    rounding flow, disparity and disparity change to float32 there. The
+    forward flow is computed in place of pos3d_next's projection once the
+    occlusion test has read it. Each band also marks the motion
+    boundaries' pixel pairs within its rows from its float64 forward flow
+    and keeps that flow's first and last rows, from which the pairs
+    across band edges are marked once the bands are done
+    (`_mark_edge_pairs`); no whole-frame float64 map is held. What a band
     cannot see is taken over the whole view: the occlusion eps comes from
     the median depth of the frame, the occlusion test samples the whole
     next frame, and small boundary components are dropped from the whole
@@ -440,34 +401,47 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     bf = rig.bf
 
     def band(rows):
-        part = _band(passes, rows)
-        void = ~part.valid
-        frame.disparity[rows] = derive_disparity(part, rig)
+        obj = passes.object_index[rows]
+        valid = obj > 0
+        void = ~valid
+        depth = _wide(passes.depth[rows])
+        ok = depth > 0
+        ok |= void
+        if not ok.all():
+            raise DataCorruptionError("non-positive depth at a covered pixel")
+        # b*f/depth in float64, rounded as it is written to the band's rows
+        disparity = frame.disparity[rows]
+        with np.errstate(invalid="ignore"):
+            np.divide(bf, depth, out=disparity)
+        disparity[void] = np.nan
+        del depth, ok
+        pos_t, pos_prev, pos_next = (
+            None if a is None else _wide(a[rows])
+            for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
         # each position pass is projected once, as two planes, into one of
         # two buffers: pos3d_t's, and pos3d_prev's, then pos3d_next's
         shape = (2,) + void.shape
-        proj_t = project(part.pos3d_t, k, out=np.empty(shape))
+        proj_t = project(pos_t, k, out=np.empty(shape))
         proj = np.empty(shape)
         if bwd:
-            _flow(project(part.pos3d_prev, k, out=proj), proj_t, void,
+            _flow(project(pos_prev, k, out=proj), proj_t, void,
                   out=frame.flow_bwd[rows])
         edge_rows = None
         if fwd:
-            project(part.pos3d_next, k, out=proj)
+            project(pos_next, k, out=proj)
             if passes_next is not None:
-                _occluded(proj, part.pos3d_next[..., 2], part,
-                          passes_next, eps, out=frame.occlusion_fwd[rows])
+                _occluded(proj, pos_next[..., 2], obj, valid, passes_next,
+                          eps, out=frame.occlusion_fwd[rows])
             # the float64 forward flow, in place of the projection
             flow = _flow(proj, proj_t, void, out=frame.flow_fwd[rows])
-            frame.motion_boundaries[rows] = _mark_motion_pairs(
-                part.object_index, flow)
+            frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
             edge_rows = flow[:, [0, -1]]
             del flow
         del proj_t, proj
         with np.errstate(invalid="ignore", divide="ignore"):
-            bf_over_z_t = bf / part.pos3d_t[..., 2]  # each point's disparity
-        for other, dispchange in ((part.pos3d_next, frame.dispchange_fwd),
-                                  (part.pos3d_prev, frame.dispchange_bwd)):
+            bf_over_z_t = bf / pos_t[..., 2]  # each point's disparity
+        for other, dispchange in ((pos_next, frame.dispchange_fwd),
+                                  (pos_prev, frame.dispchange_bwd)):
             if other is not None:
                 _disparity_change(bf, bf_over_z_t, other[..., 2], void,
                                   out=dispchange[rows])
@@ -482,12 +456,3 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         _drop_small_components(frame.motion_boundaries, MIN_BOUNDARY_AREA_PX)
     return frame
 
-
-def _band(passes: FramePasses, rows: slice) -> FramePasses:
-    """The passes of one band of rows, floating passes widened to float64:
-    band-sized copies of float32 passes, views of float64 ones and of the
-    integer passes."""
-    return dataclasses.replace(passes, **{
-        f.name: _wide(a[rows]) if a.dtype.kind == "f" else a[rows]
-        for f in dataclasses.fields(passes)
-        if isinstance(a := getattr(passes, f.name), np.ndarray)})

@@ -163,19 +163,29 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     already be in place; each is whole.
     """
     files = {}
-    writes = []  # (path, encode or None, array or source path)
+    writes = []  # (paths, encode or None, array or source path)
     read_from = read_from or {}
 
-    def put(pass_name, ext, encode, array):
-        name = _frame_name(t, view, ext)
-        path = scene_dir / pass_name / name
-        files[pass_name] = f"{scene_name}/{pass_name}/{name}"
-        source = read_from.get(pass_name)
-        if source is not None and path.resolve() == source:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        writes.append((path, encode, array) if source is None
-                      else (path, None, source))
+    def put(pass_names, ext, encode, array):
+        """List the file of each pass of pass_names, one name or a tuple:
+        one encoding of array, written to each pass not read from a file."""
+        if isinstance(pass_names, str):
+            pass_names = (pass_names,)
+        encoded = []
+        for pass_name in pass_names:
+            name = _frame_name(t, view, ext)
+            path = scene_dir / pass_name / name
+            files[pass_name] = f"{scene_name}/{pass_name}/{name}"
+            source = read_from.get(pass_name)
+            if source is not None and path.resolve() == source:
+                continue
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if source is None:
+                encoded.append(path)
+            else:
+                writes.append(([path], None, source))
+        if encoded:
+            writes.append((encoded, encode, array))
 
     def mask(a):
         # a bool mask as 0 and 255: its 0/1 samples, the file's last
@@ -192,10 +202,11 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         put("pos3d_prev", "pfm", formats.write_pfm, fp.pos3d_prev)
     if fp.pos3d_next is not None:
         put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
-    put("object_index", "pgm", formats.write_pgm16, fp.object_index)
     # each object has one texture, so its material index is its object
-    # index; the pass is kept for the dataset layout
-    put("material_index", "pgm", formats.write_pgm16, fp.object_index)
+    # index: the material pass, kept for the dataset layout, is the object
+    # pass's file
+    put(("object_index", "material_index"), "pgm", formats.write_pgm16,
+        fp.object_index)
 
     put("disparity", "pfm", formats.write_pfm, gt.disparity)
     if gt.flow_fwd is not None:
@@ -209,8 +220,11 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
 
     def write(job):
-        path, encode, payload = job
-        write_atomic(path, payload if encode is None else encode(payload))
+        paths, encode, payload = job
+        if encode is not None:
+            payload = encode(payload)
+        for path in paths:
+            write_atomic(path, payload)
 
     map_ordered(write, writes)
     return files
@@ -240,10 +254,10 @@ def load_frame_passes(dataset_root, manifest, t, view):
     Every pass listed for the view is decoded and its shape checked, on
     the thread map: (H, W) for depth and the index passes, (H, W, 3) for
     RGB and positions. If several are bad, the error is that of the first
-    in the order `write_frame` writes them. The material pass, a copy of
-    the object pass, is then dropped. Depth and positions stay float32,
-    as stored, one copy of the file bytes; `groundtruth` widens them band
-    by band.
+    in the order `write_frame` writes them. The material pass must equal
+    the object pass, or a ParseError names its file; it is then dropped.
+    Depth and positions stay float32, as stored, one copy of the file
+    bytes; `groundtruth` widens them band by band.
     """
     root = Path(dataset_root)
     entry = next((f for f in manifest["frames"] if f["time"] == t), None)
@@ -263,7 +277,7 @@ def load_frame_passes(dataset_root, manifest, t, view):
                              f"{intr.width}x{intr.height} rig needs {shape}")
         return a
 
-    *passes, _material = map_ordered(read, [  # the passes in field order
+    *passes, material = map_ordered(read, [  # the passes in field order
         ("rgb", formats.read_ppm, (3,)), ("depth", formats.read_pfm, ()),
         ("pos3d_t", formats.read_pfm, (3,)),
         ("pos3d_prev", formats.read_pfm, (3,)),
@@ -271,6 +285,9 @@ def load_frame_passes(dataset_root, manifest, t, view):
         ("object_index", formats.read_pgm16, ()),
         ("material_index", formats.read_pgm16, ()),  # checked, then dropped
     ])
+    if material is not None and not np.array_equal(material, passes[-1]):
+        raise ParseError(f"{files['material_index']}: the material pass "
+                         "differs from the object pass")
     return FramePasses(
         *passes,
         view=view,

@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
 from sceneflowgen import _parallel
+from sceneflowgen.groundtruth import pixel_centers
 from sceneflowgen.render import FramePasses
 from sceneflowgen.scene import FlyingThingsParams
 from sceneflowgen.trajectory import Trajectory
@@ -70,6 +71,16 @@ def make_passes(depth, intrinsics, pos3d_next=None, index=None, t=1):
         camera_pose=sf.CameraPose(),
         intrinsics=intrinsics,
     )
+
+
+def with_flow(passes, flow):
+    """passes with pos3d_next set so that derive_frame sees the forward
+    flow (H, W, 2), up to rounding: each point moves at its depth to the
+    pixel center plus its flow."""
+    px = pixel_centers(*passes.depth.shape)
+    passes.pos3d_next = sf.unproject(px + flow, passes.depth,
+                                     passes.intrinsics)
+    return passes
 
 
 def baseline_shift_scene(seed=3, params=None):

@@ -34,7 +34,7 @@ def test_01_disparity_identity():
         for t in range(1, spec.frames + 1):
             for view in ("left", "right"):
                 fp = rasterize_frame(spec, t, view)
-                d = gt.derive_disparity(fp, rig)
+                d = gt.derive_frame(fp, rig).disparity
                 expected = rig.baseline * rig.intrinsics.focal_px / fp.depth
                 err = np.abs(d - expected)[fp.valid]
                 worst = max(worst, float(err.max()))
@@ -193,8 +193,8 @@ def test_07_matcher_rendered_sanity():
 
 
 def test_08_motion_boundary_thresholds():
-    from conftest import make_passes
-    from test_groundtruth import INTR
+    from conftest import make_passes, with_flow
+    from test_groundtruth import INTR, RIG
 
     def two_objects(obj2_mask, flow2, shape=(16, 16)):
         obj = np.ones(shape, dtype=np.uint16)
@@ -204,21 +204,24 @@ def test_08_motion_boundary_thresholds():
         flow[obj2_mask] = flow2
         return passes, flow
 
+    def boundaries(passes, flow):
+        return gt.derive_frame(with_flow(passes, flow), RIG).motion_boundaries
+
     half = np.zeros((16, 16), dtype=bool)
     half[:, 8:] = True
     p14, f14 = two_objects(half, (1.4, 0.0))
     p16, f16 = two_objects(half, (1.6, 0.0))
-    ok = not gt.derive_motion_boundaries(p14, f14).any()
-    ok &= gt.derive_motion_boundaries(p16, f16).any()
+    ok = not boundaries(p14, f14).any()
+    ok &= boundaries(p16, f16).any()
 
     corner = np.zeros((16, 16), dtype=bool)
     corner[13:, 14:] = True  # yields a 9-px marked component
     p9, f9 = two_objects(corner, (2.0, 0.0))
-    ok &= not gt.derive_motion_boundaries(p9, f9).any()
+    ok &= not boundaries(p9, f9).any()
 
     p10, f10 = two_objects(half, (2.0, 0.0))
     f10[5:, :] = 0.0  # 5 rows above threshold -> 10-px component
-    mb = gt.derive_motion_boundaries(p10, f10)
+    mb = boundaries(p10, f10)
     ok &= int(mb.sum()) == 10
     _report(8, "motion-boundary thresholds", ok)
 

@@ -80,14 +80,17 @@ class TestNoiseLatticeCache:
         tex = Texture("noise", {"seed": 2})
         tex.sample(np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            tex._noise_lattice[0, 0, 0] = 1.0
+            tex._noise_channels[0, 0] = 1.0
 
 
-def noise_oracle(lattice, freq, uv):
+def noise_oracle(channels, freq, uv):
     """The noise texture's bilinear lookup as whole-array expressions:
-    (N, 3) lattice gathers per corner, the reference for `Texture.sample`."""
+    (N, 3) lattice gathers per corner, the reference for `Texture.sample`.
+    channels is the texture's (3, L * L) lattice, the value at (y, x) at
+    y * L + x."""
+    n = assets._NOISE_LATTICE
+    lattice = channels.T.reshape(n, n, 3)
     u, v = uv[..., 0], uv[..., 1]
-    n = len(lattice)
     x = (u * freq) % n
     y = (v * freq) % n
     x0 = np.floor(x).astype(int) % n
@@ -114,7 +117,7 @@ class TestNoiseSampling:
     def test_matches_the_whole_array_formula(self, uv, freq, seed):
         tex = Texture("noise", {"seed": seed, "frequency": freq})
         got = tex.sample(uv)
-        want = noise_oracle(tex._noise_lattice, freq, uv)
+        want = noise_oracle(tex._noise_channels, freq, uv)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 

@@ -202,6 +202,14 @@ def _resized(name, encode, dtype):
     return mutate
 
 
+def _material_differs(m, ds):
+    # the right size, one index changed
+    path = ds / m["frames"][0]["files"]["left"]["material_index"]
+    index = formats.read_pgm16(path.read_bytes())
+    index[0, 0] += 1
+    path.write_bytes(formats.write_pgm16(index))
+
+
 def _channels(name, shape):
     # right size, wrong channel count, in frame 1, which has every pass
     def mutate(m, ds):
@@ -242,6 +250,7 @@ MALFORMED = {
     # derive never uses the material pass, but still checks it
     "material pass of another size": _resized(
         "material_index", formats.write_pgm16, np.uint16),
+    "material pass differs from the object pass": _material_differs,
     "3-channel depth": _channels("depth", (48, 64, 3)),
     "1-channel pos3d_t": _channels("pos3d_t", (48, 64)),
     "1-channel pos3d_next": _channels("pos3d_next", (48, 64)),

@@ -17,7 +17,7 @@ from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryErro
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
 import groundtruth_oracle as oracle
-from conftest import SMALL, bilinear_sample, make_passes, set_cpus
+from conftest import SMALL, bilinear_sample, make_passes, set_cpus, with_flow
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
@@ -28,33 +28,36 @@ DATASET_RIG = StereoRig(1.0, CameraIntrinsics.from_sensor(35, 32, 960, 540))
 class TestDisparity:
     def test_dataset_rig_example(self):
         passes = make_passes(np.full((4, 4), 35.0), DATASET_RIG.intrinsics)
-        d = gt.derive_disparity(passes, DATASET_RIG)
+        d = gt.derive_frame(passes, DATASET_RIG).disparity
         assert np.allclose(d, 30.0)
 
     def test_far_limit(self):
         passes = make_passes(np.full((2, 2), 1e6), DATASET_RIG.intrinsics)
-        d = gt.derive_disparity(passes, DATASET_RIG)
+        d = gt.derive_frame(passes, DATASET_RIG).disparity
         assert np.allclose(d, 1.05e-3)
 
     def test_brute_force_oracle(self):
+        # b*f/depth in float64, rounded once to float32
         rng = np.random.default_rng(0)
         depth = rng.uniform(2.0, 50.0, (9, 13))
         depth[rng.random(depth.shape) < 0.2] = np.nan
         passes = make_passes(depth, INTR)
-        d = gt.derive_disparity(passes, RIG)
+        d = gt.derive_frame(passes, RIG).disparity
+        assert d.dtype == np.float32
         for y in range(depth.shape[0]):
             for x in range(depth.shape[1]):
                 if np.isnan(depth[y, x]):
                     assert np.isnan(d[y, x])
                 else:
-                    expected = RIG.baseline * INTR.focal_px / depth[y, x]
-                    assert d[y, x] == pytest.approx(expected, rel=1e-12)
+                    expected = np.float32(RIG.baseline * INTR.focal_px
+                                          / depth[y, x])
+                    assert d[y, x] == expected
 
     def test_corrupt_depth_rejected(self):
         passes = make_passes(np.full((3, 3), 5.0), INTR)
         passes.depth[1, 1] = -1.0
         with pytest.raises(DataCorruptionError):
-            gt.derive_disparity(passes, RIG)
+            gt.derive_frame(passes, RIG)
 
 
 class TestFlow:
@@ -123,18 +126,22 @@ class TestMotionBoundaries:
         flow[obj2_mask] = flow2
         return passes, flow
 
+    @staticmethod
+    def boundaries(passes, flow):
+        return gt.derive_frame(with_flow(passes, flow), RIG).motion_boundaries
+
     def test_below_threshold_no_boundary(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, 8:] = True
         passes, flow = self.two_object_passes(mask, flow2=(1.4, 0.0))
-        mb = gt.derive_motion_boundaries(passes, flow)
+        mb = self.boundaries(passes, flow)
         assert not mb.any()
 
     def test_above_threshold_marks_both_sides(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, 8:] = True
         passes, flow = self.two_object_passes(mask, flow2=(1.6, 0.0))
-        mb = gt.derive_motion_boundaries(passes, flow)
+        mb = self.boundaries(passes, flow)
         assert mb[:, 7].all() and mb[:, 8].all()
         assert not mb[:, :7].any() and not mb[:, 9:].any()
 
@@ -143,7 +150,7 @@ class TestMotionBoundaries:
         passes = make_passes(depth, INTR)
         flow = np.zeros((16, 16, 2))
         flow[:, 8:] = (30.0, 0.0)  # huge flow gradient, one object
-        assert not gt.derive_motion_boundaries(passes, flow).any()
+        assert not self.boundaries(passes, flow).any()
 
     def test_nine_pixel_component_removed(self):
         # corner at (13, 14): 6 px along the vertical edge + 4 along the
@@ -151,20 +158,7 @@ class TestMotionBoundaries:
         mask = np.zeros((16, 16), dtype=bool)
         mask[13:, 14:] = True
         passes, flow = self.two_object_passes(mask)
-        assert not gt.derive_motion_boundaries(passes, flow).any()
-
-    def test_float32_flow_is_widened(self):
-        # a flow difference of 1.5 - 2^-25 px across the boundary: below
-        # the threshold, though subtracted in float32 it rounds to 1.5
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[:, 8:] = True
-        passes, flow = self.two_object_passes(mask, flow2=(1.5, 0.0))
-        flow[~mask] = (2.0 ** -25, 0.0)
-        narrow = flow.astype(np.float32)
-        assert narrow.astype(np.float64).tobytes() == flow.tobytes()
-        assert narrow[0, 8, 0] - narrow[0, 7, 0] == 1.5
-        assert not gt.derive_motion_boundaries(passes, narrow).any()
-        assert not gt.derive_motion_boundaries(passes, flow).any()
+        assert not self.boundaries(passes, flow).any()
 
     def test_ten_pixel_component_kept(self):
         # straight boundary, flow difference above threshold on 5 rows only
@@ -172,7 +166,7 @@ class TestMotionBoundaries:
         mask[:, 8:] = True
         passes, flow = self.two_object_passes(mask)
         flow[5:, :] = 0.0  # below-threshold rows contribute no pairs
-        mb = gt.derive_motion_boundaries(passes, flow)
+        mb = self.boundaries(passes, flow)
         assert int(mb.sum()) == 10
         assert mb[:5, 7:9].all()
 
@@ -185,14 +179,14 @@ class TestBandedMotionBoundaries:
     @staticmethod
     def banded(obj2_mask, cpus, band_rows=4):
         shape = obj2_mask.shape
-        passes, flow = TestMotionBoundaries().two_object_passes(
-            obj2_mask, shape=shape)
+        passes = with_flow(*TestMotionBoundaries().two_object_passes(
+            obj2_mask, shape=shape))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_parallel, "BAND_ROWS", band_rows)
             set_cpus(mp, cpus)
-            mb = gt.derive_motion_boundaries(passes, flow)
-        assert mb.tobytes() == oracle.motion_boundaries(
-            passes.object_index, flow).tobytes()
+            mb = gt.derive_frame(passes, RIG).motion_boundaries
+        assert mb.tobytes() == oracle.derive(
+            passes, RIG)["motion_boundaries"].tobytes()
         return mb
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -458,7 +452,7 @@ class TestConsistency:
         rig = spec.rig
         frame = gt.derive_frame(fp, rig, fp_next)
         dd, occ = frame.dispchange_fwd, frame.occlusion_fwd
-        d_next_map = gt.derive_disparity(fp_next, rig)
+        d_next_map = gt.derive_frame(fp_next, rig).disparity
         target = gt.pixel_centers(*fp.depth.shape) + frame.flow_fwd
         sampled = bilinear_sample(np.where(np.isnan(d_next_map), np.inf,
                                               d_next_map), target)
@@ -577,15 +571,15 @@ class TestBandedDeriveFrame:
         # the first two bands each wait until the other has started
         barrier = threading.Barrier(2, timeout=30)
         threads = []
-        derive = gt.derive_disparity
+        project = gt.project
 
-        def paired(*args):
+        def paired(*args, **kwargs):
             if len(threads) < 2:
                 threads.append(threading.get_ident())
                 barrier.wait()
-            return derive(*args)
+            return project(*args, **kwargs)
 
-        monkeypatch.setattr(gt, "derive_disparity", paired)
+        monkeypatch.setattr(gt, "project", paired)
         gt.derive_frame(passes[(2, "left")], spec.rig, passes[(3, "left")])
         assert len(threads) == 2 and len(set(threads)) == 2
         assert threading.get_ident() not in threads
@@ -659,17 +653,12 @@ class TestFloat32Passes:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_public_maps(self, stored, t):
-        # derive_disparity, which also runs on a whole frame, widens the
-        # depth it is given; derive_frame of the stored passes is the
-        # oracle's, which widens the whole frame up front
+        # derive_frame of the stored passes is the oracle's, which widens
+        # the whole frame up front
         rig, narrow, wide = stored
         for view in ("left", "right"):
             fp, fp_next = narrow[(t, view)], narrow.get((t + 1, view))
             assert fp.depth.dtype == np.float32
-            d = gt.derive_disparity(fp, rig)
-            assert d.dtype == np.float64
-            assert d.tobytes() == gt.derive_disparity(wide[(t, view)],
-                                                      rig).tobytes()
             assert_same_maps(gt.derive_frame(fp, rig, fp_next),
                              oracle.derive(fp, rig, fp_next), view)
 
