@@ -118,10 +118,6 @@ def _load_image(path):
 def cmd_estimate(args):
     left = _load_image(args.left)
     right = _load_image(args.right)
-    if left.shape[:2] != right.shape[:2]:
-        raise ContractError(
-            f"image sizes differ: {left.shape[:2]} vs {right.shape[:2]}"
-        )
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

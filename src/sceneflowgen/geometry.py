@@ -34,6 +34,16 @@ __all__ = [
 MAX_PIXELS = 2**28  # w * h cap of every image, written or read
 
 
+def _read(value, name, kind=(int, float)):
+    """value, read from a manifest: TypeError unless it is of kind, an
+    integer or (by default) a number; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be "
+                        f"{'an integer' if kind is int else 'a number'}, "
+                        f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     focal_mm: float
@@ -102,12 +112,8 @@ class CameraIntrinsics:
         """The intrinsics `to_dict` wrote. TypeError unless every value is
         a number, and width and height integers; a bool is neither."""
         for key in ("focal_mm", "sensor_width_mm", "width", "height", "cx", "cy"):
-            size = key in ("width", "height")
-            if isinstance(d[key], bool) or not isinstance(
-                    d[key], int if size else (int, float)):
-                raise TypeError(f"intrinsics {key} must be "
-                                f"{'an integer' if size else 'a number'}, "
-                                f"got {d[key]!r}")
+            _read(d[key], f"intrinsics {key}",
+                  int if key in ("width", "height") else (int, float))
         return cls.from_sensor(
             d["focal_mm"], d["sensor_width_mm"], d["width"], d["height"],
             principal_point=(d["cx"], d["cy"]),
@@ -154,7 +160,12 @@ class CameraPose:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(np.array(d["rotation"]), np.array(d["translation"]))
+        """The pose `to_dict` wrote. TypeError unless every rotation and
+        translation entry is a number; a bool is none."""
+        return cls(
+            np.array([[_read(v, "rotation entry") for v in row]
+                      for row in d["rotation"]]),
+            np.array([_read(v, "translation entry") for v in d["translation"]]))
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,9 @@ class StereoRig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(baseline=d["baseline"],
+        """The rig `to_dict` wrote. TypeError unless the baseline is a
+        number, as for `CameraIntrinsics.from_dict`."""
+        return cls(baseline=_read(d["baseline"], "baseline"),
                    intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]))
 
 

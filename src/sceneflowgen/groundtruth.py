@@ -341,15 +341,16 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
 
 def derive_frame(passes: FramePasses, rig: StereoRig,
                  passes_next: FramePasses | None = None) -> GroundTruthFrame:
-    """All per-view ground-truth maps for one rendered frame.
-
-    Disparity is b*f/depth at valid pixels and NaN at void; a covered
-    pixel of non-positive depth raises DataCorruptionError. Flow is the
-    difference of the projected 3D positions, defined also where the
-    point is occluded in the other frame; disparity change is
-    b*f/Z_other - b*f/Z_t, positive for approaching surfaces; both are NaN
-    at void. passes_next, if given, is the next frame of the same view,
-    and `occlusion_fwd` marks the points it hides (see `_occluded`).
+    """All per-view ground-truth maps for one rendered frame, seen by
+    the rig's one camera: positions project through `rig.intrinsics`, and
+    b*f is `rig.bf`. Disparity is b*f/depth at valid pixels and NaN at
+    void; a covered pixel of non-positive depth raises
+    DataCorruptionError. Flow is the difference of the projected 3D
+    positions, defined also where the point is occluded in the other
+    frame; disparity change is b*f/Z_other - b*f/Z_t, positive for
+    approaching surfaces; both are NaN at void. passes_next, if given, is
+    the next frame of the same view, and `occlusion_fwd` marks the points
+    it hides (see `_occluded`).
     Motion boundaries mark both pixels of every 4-adjacent pair of
     different objects whose forward flows differ by at least
     MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
@@ -397,8 +398,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             raise ContractError("forward occlusion needs pos3d_next and a "
                                 "later frame as passes_next")
         eps = _occlusion_eps(passes.depth)
-    k = passes.intrinsics
-    bf = rig.bf
+    k, bf = rig.intrinsics, rig.bf
 
     def band(rows):
         obj = passes.object_index[rows]

@@ -10,7 +10,11 @@ written on the thread map of `_parallel`, one unit per file or row band;
 only two whole-frame steps of `groundtruth` (see there) run on one
 thread. Each file is written under a temporary name and renamed into
 place, so an interrupted run leaves whole files, none of a later (frame,
-view), and a manifest marked incomplete."""
+view), and a manifest marked incomplete.
+
+A view's passes are its pixels and its camera is the rig's: `derive`
+reads the manifest once (`_derivable`), for the rig, the poses it checks
+and the render-pass files each view is read from and written against."""
 
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 from . import formats, groundtruth
 from ._parallel import map_ordered
 from .errors import ParseError
-from .geometry import CameraIntrinsics, CameraPose, StereoRig
+from .geometry import CameraPose, StereoRig
 from .render import FramePasses, rasterize_frame
 from .scene import SceneSpec
 
@@ -43,8 +47,8 @@ def _frame_name(t, view, ext):
 
 def _frames(passes_at, times, rig, out_root, scene, read_from=None):
     """Derive and write each (t, view), all left views first; calls
-    passes_at(t, view) once for each and yields (t, view, pose, files).
-    read_from(t, view), if given, names the files the passes came from
+    passes_at(t, view) once for each and yields (t, view, files).
+    read_from[t, view], if given, names the files the passes came from
     (see `write_frame`)."""
     for view in _VIEW_SUFFIX:
         fp_next = None
@@ -53,10 +57,9 @@ def _frames(passes_at, times, rig, out_root, scene, read_from=None):
             fp_next = passes_at(t + 1, view) if t + 1 in times else None
             gt = groundtruth.derive_frame(fp, rig, fp_next)
             files = write_frame(out_root / scene, scene, t, view, fp, gt,
-                                read_from(t, view) if read_from else None)
-            pose = fp.camera_pose
+                                read_from[t, view] if read_from else None)
             del fp, gt  # only frame t+1 stays held while t+2 is produced
-            yield t, view, pose, files
+            yield t, view, files
 
 
 def generate_dataset(spec: SceneSpec, out_root) -> dict:
@@ -89,11 +92,11 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
     out_root.mkdir(parents=True, exist_ok=True)
     save_manifest(False)
     try:
-        for t, view, pose, files in _frames(
+        for t, view, files in _frames(
                 functools.partial(rasterize_frame, spec),
                 range(1, spec.frames + 1), spec.rig, out_root, spec.name):
             entry = entries.setdefault(t, {"time": t, "cameras": {}, "files": {}})
-            entry["cameras"][view] = pose.to_dict()
+            entry["cameras"][view] = spec.camera_pose(t, view).to_dict()
             entry["files"][view] = files
     except BaseException:
         save_manifest(False)  # lists the files written so far
@@ -110,24 +113,19 @@ def derive_dataset(dataset_root, out_root) -> int:
     Returns the number of frames."""
     root = Path(dataset_root)
     manifest = formats.read_manifest((root / "manifest.json").read_bytes())
-    times, rig = _derivable(manifest)
-
-    def read_from(t, view):
-        files = next(f for f in manifest["frames"] if f["time"] == t)["files"][view]
-        return {name: (root / files[name]).resolve()
-                for name in _RENDER_PASSES if name in files}
-
-    for _ in _frames(functools.partial(load_frame_passes, root, manifest),
-                     times, rig, Path(out_root), manifest["dataset"],
-                     read_from):
+    times, rig, paths = _derivable(manifest, root)
+    for _ in _frames(
+            lambda t, view: load_frame_passes(paths[t, view], t, rig.intrinsics),
+            times, rig, Path(out_root), manifest["dataset"], paths):
         pass
     return len(times)
 
 
-def _derivable(manifest):
-    """Sorted frame times and the rig of a manifest, or ParseError unless
-    it is complete and every frame has a distinct integer time, both
-    cameras and all passes."""
+def _derivable(manifest, root):
+    """Sorted frame times, the rig and {(t, view): {render pass: resolved
+    path under root}} of a manifest, or ParseError unless it is complete
+    and every frame has a distinct integer time, both cameras (each pose
+    built once, to check it) and all passes."""
     if manifest["complete"] is not True:
         raise ParseError("manifest is incomplete: its generate run did not "
                          "finish, so its files may be missing or stale")
@@ -137,19 +135,24 @@ def _derivable(manifest):
     if not frames or len(set(times)) != len(frames):
         raise ParseError(f"manifest needs frames with distinct integer "
                          f"times, got {[f.get('time') for f in frames]}")
+    paths = {}
     try:
         for entry in frames:
             where = f"frame {entry['time']}"
             for view in _VIEW_SUFFIX:
                 CameraPose.from_dict(entry["cameras"][view])
-                missing = set(_REQUIRED_PASSES) - set(entry["files"][view])
+                files = entry["files"][view]
+                missing = set(_REQUIRED_PASSES) - set(files)
                 if missing:
                     raise ParseError(f"{where} {view}: no {sorted(missing)}")
+                paths[entry["time"], view] = {
+                    name: (root / files[name]).resolve()
+                    for name in _RENDER_PASSES if name in files}
         where = "rig"
         rig = StereoRig.from_dict(manifest["rig"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"manifest {where}: missing or malformed {e}") from None
-    return times, rig
+    return times, rig, paths
 
 
 def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
@@ -168,7 +171,10 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
 
     def put(pass_names, ext, encode, array):
         """List the file of each pass of pass_names, one name or a tuple:
-        one encoding of array, written to each pass not read from a file."""
+        one encoding of array, written to each pass not read from a file;
+        none if array is None, a pass the view does not have."""
+        if array is None:
+            return
         if isinstance(pass_names, str):
             pass_names = (pass_names,)
         encoded = []
@@ -198,10 +204,8 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     put("rgb", "ppm", formats.write_ppm, fp.rgb)
     put("depth", "pfm", formats.write_pfm, fp.depth)
     put("pos3d_t", "pfm", formats.write_pfm, fp.pos3d_t)
-    if fp.pos3d_prev is not None:
-        put("pos3d_prev", "pfm", formats.write_pfm, fp.pos3d_prev)
-    if fp.pos3d_next is not None:
-        put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
+    put("pos3d_prev", "pfm", formats.write_pfm, fp.pos3d_prev)
+    put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
     # each object has one texture, so its material index is its object
     # index: the material pass, kept for the dataset layout, is the object
     # pass's file
@@ -209,15 +213,12 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
         fp.object_index)
 
     put("disparity", "pfm", formats.write_pfm, gt.disparity)
-    if gt.flow_fwd is not None:
-        put("flow_fwd", "flo", formats.write_flo, gt.flow_fwd)
-        put("dispchange_fwd", "pfm", formats.write_pfm, gt.dispchange_fwd)
-        put("motion_boundaries", "pgm", mask, gt.motion_boundaries)
-    if gt.flow_bwd is not None:
-        put("flow_bwd", "flo", formats.write_flo, gt.flow_bwd)
-        put("dispchange_bwd", "pfm", formats.write_pfm, gt.dispchange_bwd)
-    if gt.occlusion_fwd is not None:
-        put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
+    put("flow_fwd", "flo", formats.write_flo, gt.flow_fwd)
+    put("dispchange_fwd", "pfm", formats.write_pfm, gt.dispchange_fwd)
+    put("motion_boundaries", "pgm", mask, gt.motion_boundaries)
+    put("flow_bwd", "flo", formats.write_flo, gt.flow_bwd)
+    put("dispchange_bwd", "pfm", formats.write_pfm, gt.dispchange_bwd)
+    put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
 
     def write(job):
         paths, encode, payload = job
@@ -248,33 +249,28 @@ def write_atomic(path, payload: bytes | Path):
         raise
 
 
-def load_frame_passes(dataset_root, manifest, t, view):
-    """The `FramePasses` of one (frame, view), read from files on disk.
+def load_frame_passes(files, t, k):
+    """The `FramePasses` of frame t of one view, read from files on disk:
+    files maps each render pass the view has to its path, and k is the
+    rig's intrinsics, which give every pass its size.
 
-    Every pass listed for the view is decoded and its shape checked, on
-    the thread map: (H, W) for depth and the index passes, (H, W, 3) for
-    RGB and positions. If several are bad, the error is that of the first
-    in the order `write_frame` writes them. The material pass must equal
-    the object pass, or a ParseError names its file; it is then dropped.
+    Every pass in files is decoded and its shape checked, on the thread
+    map: (H, W) for depth and the index passes, (H, W, 3) for RGB and
+    positions. If several are bad, the error is that of the first in the
+    order `write_frame` writes them. The material pass must equal the
+    object pass, or a ParseError names its file; it is then dropped.
     Depth and positions stay float32, as stored, one copy of the file
     bytes; `groundtruth` widens them band by band.
     """
-    root = Path(dataset_root)
-    entry = next((f for f in manifest["frames"] if f["time"] == t), None)
-    if entry is None:
-        raise ParseError(f"frame {t} not present in manifest")
-    files = entry["files"][view]
-    intr = CameraIntrinsics.from_dict(manifest["rig"]["intrinsics"])
-
     def read(spec):
         name, reader, channels = spec
         if name not in files:
             return None
-        a = reader((root / files[name]).read_bytes())
-        shape = (intr.height, intr.width) + channels
+        a = reader(files[name].read_bytes())
+        shape = (k.height, k.width) + channels
         if a.shape != shape:
             raise ParseError(f"{files[name]}: shape {a.shape}, the "
-                             f"{intr.width}x{intr.height} rig needs {shape}")
+                             f"{k.width}x{k.height} rig needs {shape}")
         return a
 
     *passes, material = map_ordered(read, [  # the passes in field order
@@ -288,10 +284,4 @@ def load_frame_passes(dataset_root, manifest, t, view):
     if material is not None and not np.array_equal(material, passes[-1]):
         raise ParseError(f"{files['material_index']}: the material pass "
                          "differs from the object pass")
-    return FramePasses(
-        *passes,
-        view=view,
-        frame_time=t,
-        camera_pose=CameraPose.from_dict(entry["cameras"][view]),
-        intrinsics=intr,
-    )
+    return FramePasses(*passes, frame_time=t)

@@ -52,7 +52,7 @@ import numpy as np
 
 from ._parallel import map_ordered, map_shares
 from .errors import ContractError
-from .geometry import CameraIntrinsics, CameraPose, project
+from .geometry import CameraIntrinsics, project
 from .scene import SceneSpec
 
 __all__ = ["FramePasses", "rasterize_frame"]
@@ -75,6 +75,9 @@ _NO_OWNER = np.iinfo(np.int64).max
 
 @dataclass
 class FramePasses:
+    """The pixels of one view at frame_time; its camera is the rig's
+    (`StereoRig.intrinsics`, `SceneSpec.camera_pose(frame_time, view)`)."""
+
     rgb: np.ndarray  # (H, W, 3) uint8
     # depth and positions: float64 from the renderer, float32 when read
     # from files (`pipeline.load_frame_passes`); `groundtruth` widens them
@@ -85,10 +88,7 @@ class FramePasses:
     # (H, W) uint16, 0 = void: the 1-based place of the pixel's object in
     # `SceneSpec.all_objects()`
     object_index: np.ndarray
-    view: str
     frame_time: int
-    camera_pose: CameraPose  # world -> camera at t
-    intrinsics: CameraIntrinsics
 
     @property
     def valid(self):
@@ -542,6 +542,4 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
 
     depth = np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan)
     return FramePasses(  # the passes in field order
-        rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
-        view=view, frame_time=t, camera_pose=pose_t, intrinsics=intr,
-    )
+        rgb, depth, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)

@@ -66,20 +66,15 @@ def make_passes(depth, intrinsics, pos3d_next=None, index=None, t=1):
     return FramePasses(  # the passes in field order
         np.zeros((h, w, 3), dtype=np.uint8), np.where(valid, depth, np.nan),
         pos_t, None, pos3d_next, np.asarray(index, dtype=np.uint16),
-        view="left",
-        frame_time=t,
-        camera_pose=sf.CameraPose(),
-        intrinsics=intrinsics,
-    )
+        frame_time=t)
 
 
-def with_flow(passes, flow):
-    """passes with pos3d_next set so that derive_frame sees the forward
-    flow (H, W, 2), up to rounding: each point moves at its depth to the
-    pixel center plus its flow."""
+def with_flow(passes, flow, intrinsics):
+    """passes, made with intrinsics, with pos3d_next set so that
+    derive_frame sees the forward flow (H, W, 2), up to rounding: each
+    point moves at its depth to the pixel center plus its flow."""
     px = pixel_centers(*passes.depth.shape)
-    passes.pos3d_next = sf.unproject(px + flow, passes.depth,
-                                     passes.intrinsics)
+    passes.pos3d_next = sf.unproject(px + flow, passes.depth, intrinsics)
     return passes
 
 

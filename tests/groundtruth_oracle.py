@@ -124,8 +124,8 @@ def occlusion(pos_next, index_t, valid, passes_next, k, eps):
 
 def derive(passes, rig, passes_next=None):
     """derive_frame's maps, as {field: array or None}, over the whole frame."""
-    k = passes.intrinsics
-    bf = rig.baseline * rig.intrinsics.focal_px
+    k = rig.intrinsics
+    bf = rig.baseline * k.focal_px
     valid = passes.object_index > 0
     depth = _f64(passes.depth)
     pos_t, pos_prev, pos_next = (_f64(passes.pos3d_t), _f64(passes.pos3d_prev),

@@ -99,9 +99,7 @@ def oracle_rasterize_frame(spec, t, view):
 
     depth = np.where(obj_idx > 0, zbuf, np.nan).astype(np.float64)
     return FramePasses(  # the passes in field order
-        rgb, depth, pos_t, pos_prev, pos_next, obj_idx,
-        view=view, frame_time=t, camera_pose=pose_t, intrinsics=intr,
-    )
+        rgb, depth, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)
 
 
 def _raster_triangle(tri_cam, attrs, f, cx, cy, w, h, xs_all, ys_all,

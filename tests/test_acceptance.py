@@ -64,11 +64,11 @@ def test_03_scene_flow_round_trip():
         spec = sf.generate_flyingthings_scene(seed, small_params(frames=2))
         fp = rasterize_frame(spec, 1, "left")
         frame = gt.derive_frame(fp, spec.rig)
-        pose_next = spec.camera_pose(2, "left")
+        pose, pose_next = spec.camera_pose(1, "left"), spec.camera_pose(2, "left")
         pos, motion = gt.reconstruct_scene_flow(
             frame.flow_fwd, frame.disparity, frame.dispchange_fwd, spec.rig,
-            fp.camera_pose, pose_next)
-        truth_pos = fp.camera_pose.camera_to_world(fp.pos3d_t)
+            pose, pose_next)
+        truth_pos = pose.camera_to_world(fp.pos3d_t)
         truth_motion = pose_next.camera_to_world(fp.pos3d_next) - truth_pos
         valid = np.isfinite(motion).all(axis=-1)
         assert valid.sum() > 0.9 * fp.valid.sum()
@@ -205,7 +205,8 @@ def test_08_motion_boundary_thresholds():
         return passes, flow
 
     def boundaries(passes, flow):
-        return gt.derive_frame(with_flow(passes, flow), RIG).motion_boundaries
+        return gt.derive_frame(with_flow(passes, flow, INTR),
+                               RIG).motion_boundaries
 
     half = np.zeros((16, 16), dtype=bool)
     half[:, 8:] = True

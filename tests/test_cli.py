@@ -294,6 +294,30 @@ class TestDeriveMalformed:
         err = capsys.readouterr().err
         assert err.startswith("error [ParseError]: ") and key in err, err
 
+    # each converts to a valid value (True to 1, a numeric string to its
+    # float), so only the type check refuses it
+    @pytest.mark.parametrize("key", ["baseline", "translation", "rotation"])
+    def test_non_number_rig_and_poses_are_a_parse_error(self, dataset,
+                                                         tmp_path, capsys,
+                                                         key):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        camera = manifest["frames"][1]["cameras"]["right"]
+        if key == "baseline":
+            manifest["rig"]["baseline"] = True
+        elif key == "translation":
+            camera["translation"][0] = str(camera["translation"][0])
+        else:
+            camera["rotation"] = [[float(i == j) for j in range(3)]
+                                  for i in range(3)]
+            camera["rotation"][2][2] = True
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: ") and key in err, err
+
     def test_incomplete_manifest_is_a_parse_error(self, dataset, tmp_path,
                                                   capsys):
         ds = tmp_path / "ds"

@@ -217,6 +217,32 @@ def test_only_geometry_reads_the_intrinsics():
     assert reads == [("cli.py", "spec.rig.intrinsics.focal_px")]
 
 
+def test_only_derivable_reads_a_camera_from_a_manifest():
+    """A manifest's rig and poses are read once, in `pipeline._derivable`:
+    no other function outside `geometry` calls a camera's `from_dict`."""
+    cameras = {"CameraIntrinsics", "CameraPose", "StereoRig"}
+    calls = []
+    for path in sorted(Path(sceneflowgen.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> the innermost function it is in
+        for fn in ast.walk(tree):  # breadth first: outer functions first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_dict"
+                    and ast.unparse(node.func.value).split(".")[-1] in cameras):
+                calls.append((path.name, owner.get(node),
+                              ast.unparse(node.func)))
+    assert sorted(calls) == [
+        ("pipeline.py", "_derivable", "CameraPose.from_dict"),
+        ("pipeline.py", "_derivable", "StereoRig.from_dict")]
+
+
 class TestDisparity:
     """A point at depth Z has disparity b*f/Z, with bf from the rig."""
 
@@ -264,6 +290,25 @@ class TestDisparity:
         assert d["left_pose"] == CameraPose().to_dict()
         d["left_pose"] = {"rotation": "not a pose"}
         assert StereoRig.from_dict(d) == self.RIG
+
+    @pytest.mark.parametrize("baseline", [True, "1.0", None])
+    def test_from_dict_refuses_a_baseline_not_a_number(self, baseline):
+        d = self.RIG.to_dict()
+        d["baseline"] = baseline
+        with pytest.raises(TypeError, match="baseline"):
+            StereoRig.from_dict(d)
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("rotation", (0, 0), True), ("rotation", (1, 2), "0"),
+    ("translation", (2,), False), ("translation", (0,), "0.5")])
+def test_pose_from_dict_refuses_what_is_not_a_number(key, index, value):
+    d = CameraPose().to_dict()
+    CameraPose.from_dict(d)
+    *row, i = index
+    (d[key][row[0]] if row else d[key])[i] = value
+    with pytest.raises(TypeError, match=key):
+        CameraPose.from_dict(d)
 
 
 def random_quaternion(rng):

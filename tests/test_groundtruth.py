@@ -128,7 +128,8 @@ class TestMotionBoundaries:
 
     @staticmethod
     def boundaries(passes, flow):
-        return gt.derive_frame(with_flow(passes, flow), RIG).motion_boundaries
+        return gt.derive_frame(with_flow(passes, flow, INTR),
+                               RIG).motion_boundaries
 
     def test_below_threshold_no_boundary(self):
         mask = np.zeros((16, 16), dtype=bool)
@@ -180,7 +181,7 @@ class TestBandedMotionBoundaries:
     def banded(obj2_mask, cpus, band_rows=4):
         shape = obj2_mask.shape
         passes = with_flow(*TestMotionBoundaries().two_object_passes(
-            obj2_mask, shape=shape))
+            obj2_mask, shape=shape), INTR)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_parallel, "BAND_ROWS", band_rows)
             set_cpus(mp, cpus)
@@ -304,10 +305,10 @@ class TestBilinearSample:
         assert np.allclose(out, [1.0, 2.0])
 
 
-def occlusion(p_t, p_next):
-    """The forward occlusion mask derive_frame gives frame p_t."""
-    rig = StereoRig(1.0, p_t.intrinsics)
-    return gt.derive_frame(p_t, rig, p_next).occlusion_fwd
+def occlusion(p_t, p_next, k=INTR):
+    """The forward occlusion mask derive_frame gives frame p_t, seen by
+    the camera k that made the passes."""
+    return gt.derive_frame(p_t, StereoRig(1.0, k), p_next).occlusion_fwd
 
 
 class TestOcclusion:
@@ -358,7 +359,7 @@ class TestOcclusion:
         nxt = p_t.pos3d_t.copy()
         nxt[..., 1 if transpose else 0] -= 0.2 * 10.0 / intr.focal_px
         p_t.pos3d_next = nxt
-        occ = occlusion(p_t, p_next)
+        occ = occlusion(p_t, p_next, intr)
         assert occ.ravel().tolist() == [True, True, False, False, False]
 
     def test_missing_pass_rejected(self):
@@ -391,12 +392,12 @@ class TestReconstruct:
         fp = passes[(2, "left")]
         rig = spec.rig
         frame = gt.derive_frame(fp, rig)
-        pose_next = spec.camera_pose(3, "left")
+        pose, pose_next = spec.camera_pose(2, "left"), spec.camera_pose(3, "left")
         pos, motion = gt.reconstruct_scene_flow(
             frame.flow_fwd, frame.disparity, frame.dispchange_fwd, rig,
-            fp.camera_pose, pose_next)
+            pose, pose_next)
         valid = np.isfinite(motion).all(axis=-1)
-        truth_pos = fp.camera_pose.camera_to_world(fp.pos3d_t)
+        truth_pos = pose.camera_to_world(fp.pos3d_t)
         truth_next = pose_next.camera_to_world(fp.pos3d_next)
         truth_motion = truth_next - truth_pos
         assert valid.mean() > 0.9
@@ -412,7 +413,8 @@ class TestReconstruct:
         frame = gt.derive_frame(fp, spec.rig)
         maps = [a.astype(np.float32) for a in (
             frame.flow_fwd, frame.disparity, frame.dispchange_fwd)]
-        poses = (spec.rig, fp.camera_pose, spec.camera_pose(3, "left"))
+        poses = (spec.rig, spec.camera_pose(2, "left"),
+                 spec.camera_pose(3, "left"))
         narrow = gt.reconstruct_scene_flow(*maps, *poses)
         wide = gt.reconstruct_scene_flow(*(a.astype(np.float64) for a in maps),
                                          *poses)

@@ -25,17 +25,19 @@ from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
 
 class LiveViews:
     """Wraps a pass producer; counts the FramePasses it returned that are
-    still alive, and records the (t, view) of every call."""
+    still alive, and records view_of(*args), the (t, view) of every
+    call."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, view_of):
         self.fn = fn
+        self.view_of = view_of
         self.calls = []
         self.live = 0
         self.peak = 0
 
     def __call__(self, *args):
         passes = self.fn(*args)
-        self.calls.append((passes.frame_time, passes.view))
+        self.calls.append(self.view_of(*args))
         self.live += 1
         self.peak = max(self.peak, self.live)
         weakref.finalize(passes, self._released)
@@ -57,7 +59,7 @@ def small_spec(frames):
 
 @pytest.mark.parametrize("frames", [2, 6])
 def test_generate_holds_at_most_two_views(tmp_path, monkeypatch, frames):
-    counter = LiveViews(pipeline.rasterize_frame)
+    counter = LiveViews(pipeline.rasterize_frame, lambda spec, t, view: (t, view))
     monkeypatch.setattr(pipeline, "rasterize_frame", counter)
     manifest = pipeline.generate_dataset(small_spec(frames), tmp_path / "ds")
     assert counter.calls == view_major(frames)
@@ -69,7 +71,9 @@ def test_generate_holds_at_most_two_views(tmp_path, monkeypatch, frames):
 
 def test_derive_loads_each_view_once(tmp_path, monkeypatch):
     pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
-    counter = LiveViews(pipeline.load_frame_passes)
+    # a view's files are named {t:04d}_{L|R}
+    counter = LiveViews(pipeline.load_frame_passes, lambda files, t, k: (
+        t, {"L": "left", "R": "right"}[files["rgb"].stem[-1]]))
     monkeypatch.setattr(pipeline, "load_frame_passes", counter)
     assert main(["derive", str(tmp_path / "ds"), "--out", str(tmp_path / "re")]) == 0
     assert counter.calls == view_major(3)
@@ -80,8 +84,9 @@ def test_derive_loads_each_view_once(tmp_path, monkeypatch):
 def test_loaded_passes_are_the_decoded_files(tmp_path):
     pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
     manifest = formats.read_manifest((tmp_path / "ds" / "manifest.json").read_text())
+    _, rig, paths = pipeline._derivable(manifest, tmp_path / "ds")
     for t, view in view_major(3):
-        fp = pipeline.load_frame_passes(tmp_path / "ds", manifest, t, view)
+        fp = pipeline.load_frame_passes(paths[t, view], t, rig.intrinsics)
         files = manifest["frames"][t - 1]["files"][view]
         for name in ("depth", "pos3d_t", "pos3d_prev", "pos3d_next"):
             a = getattr(fp, name)
@@ -293,7 +298,8 @@ def test_first_bad_pass_in_pass_order_is_raised(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(formats, "read_pfm", slow_read_pfm)
     set_cpus(monkeypatch, cpus)
     with pytest.raises(ParseError, match=re.escape(files["depth"])):
-        pipeline.load_frame_passes(root, manifest, 1, "left")
+        _, rig, paths = pipeline._derivable(manifest, root)
+        pipeline.load_frame_passes(paths[1, "left"], 1, rig.intrinsics)
 
 
 # A 2-frame derive copies 6 render passes per (frame, view), in the order

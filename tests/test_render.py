@@ -125,10 +125,10 @@ class TestRenderedSceneSanity:
         assert passes[(2, "left")].pos3d_next is not None
 
     def test_pos3d_projection_consistency(self, rendered_scene):
-        _, passes = rendered_scene
+        spec, passes = rendered_scene
         fp = passes[(2, "left")]
         ys, xs = np.nonzero(fp.valid)
-        uv = sf.project(fp.pos3d_t[fp.valid], fp.intrinsics)
+        uv = sf.project(fp.pos3d_t[fp.valid], spec.rig.intrinsics)
         centers = np.stack([xs + 0.5, ys + 0.5], axis=-1)
         assert np.max(np.abs(uv - centers)) < 0.5
 
