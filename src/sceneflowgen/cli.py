@@ -44,10 +44,8 @@ def _parse_range(text):
 
 
 def _write_config_log(out_dir, config):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_atomic(
-        out_dir / "config.json",
+        Path(out_dir) / "config.json",
         (json.dumps(config, sort_keys=True, indent=2) + "\n").encode())
 
 
@@ -120,9 +118,6 @@ def cmd_estimate(args):
     right = _load_image(args.right)
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.confidence_out:
-        Path(args.confidence_out).parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_atomic(out, formats.write_pfm(disp))
     if args.confidence_out:
         pipeline.write_atomic(args.confidence_out,
@@ -239,7 +234,6 @@ def cmd_evaluate(args):
         "aggregate": aggregate_json,
     }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         pipeline.write_atomic(
             args.out,
             json.dumps(report_json, sort_keys=True, indent=2, allow_nan=False).encode())
@@ -259,7 +253,6 @@ def cmd_visualize(args):
     else:
         raise ContractError(f"cannot visualize map of shape {data.shape}")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_atomic(out, formats.write_ppm(rgb))
     print(f"wrote {out}")
 
@@ -269,6 +262,8 @@ def cmd_inspect(args):
     if path.name == "manifest.json" or path.is_dir():
         mpath = path / "manifest.json" if path.is_dir() else path
         m = formats.read_manifest(mpath.read_bytes())
+        if m["complete"] is True:  # checked as derive checks it
+            pipeline._derivable(m, mpath.parent)
         try:
             n_files = sum(len(v) for f in m["frames"]
                           for v in f["files"].values())

@@ -26,7 +26,7 @@ FLO_MAGIC = 202021.25
 __all__ = [
     "write_pfm", "read_pfm", "write_flo", "read_flo",
     "write_ppm", "read_ppm", "write_pgm16", "read_pgm16",
-    "write_pgm8", "read_pgm8",
+    "write_pgm8", "read_pgm8", "write_mask",
     "write_manifest", "read_manifest", "MANIFEST_VERSION",
 ]
 
@@ -190,9 +190,22 @@ def read_pgm16(buf: bytes) -> np.ndarray:
 
 
 def write_pgm8(mask) -> bytearray:
-    """8-bit P5 used for binary masks (0/255); the samples are a cast to
-    uint8, so a bool mask gives 0/1."""
-    a = np.asarray(mask)
+    """8-bit single-channel P5; the samples are a cast to uint8, so a bool
+    mask gives 0/1 (`write_mask` gives 0/255)."""
+    return _pgm8(np.asarray(mask))
+
+
+def write_mask(mask) -> bytearray:
+    """A mask as 8-bit P5: 255 where it is set (nonzero), 0 elsewhere."""
+    a = np.asarray(mask, dtype=bool)
+    buf = _pgm8(a)
+    # its 0/1 samples, the file's last a.size bytes, scaled in the one buffer
+    payload = np.frombuffer(buf, np.uint8, offset=len(buf) - a.size)
+    payload *= 255
+    return buf
+
+
+def _pgm8(a):
     if a.ndim != 2:
         raise ParseError(f"PGM needs HxW data, got shape {a.shape}")
     h, w = a.shape

@@ -14,7 +14,10 @@ view), and a manifest marked incomplete.
 
 A view's passes are its pixels and its camera is the rig's: `derive`
 reads the manifest once (`_derivable`), for the rig, the poses it checks
-and the render-pass files each view is read from and written against."""
+and the render-pass files each view is read from and written against.
+
+`_FILES` lists every file of a view once, in write order: `write_frame`,
+`load_frame_passes` and `_derivable`'s manifest check all read it."""
 
 from __future__ import annotations
 
@@ -36,9 +39,31 @@ __all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
            "write_frame", "write_atomic"]
 
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
-# pos3d_prev / pos3d_next exist only where the neighbouring frame does
-_REQUIRED_PASSES = ("rgb", "depth", "pos3d_t", "object_index", "material_index")
-_RENDER_PASSES = _REQUIRED_PASSES + ("pos3d_prev", "pos3d_next")
+# Every file of a view, in write order: pass (its `FramePasses` or
+# `GroundTruthFrame` field), extension, `formats` codec (write_<codec>, and
+# read_<codec> for a render pass, looked up when called) and, for a render
+# pass, its channels.
+_FILES = (
+    ("rgb", "ppm", "ppm", (3,)),
+    ("depth", "pfm", "pfm", ()),
+    ("pos3d_t", "pfm", "pfm", (3,)),
+    ("pos3d_prev", "pfm", "pfm", (3,)),
+    ("pos3d_next", "pfm", "pfm", (3,)),
+    ("object_index", "pgm", "pgm16", ()),
+    # each object has one texture, so its material index is its object
+    # index: the material pass, kept for the dataset layout, is the object
+    # pass's file, encoded once
+    ("material_index", "pgm", "pgm16", ()),
+    ("disparity", "pfm", "pfm", None),
+    ("flow_fwd", "flo", "flo", None),
+    ("dispchange_fwd", "pfm", "pfm", None),
+    ("motion_boundaries", "pgm", "mask", None),
+    ("flow_bwd", "flo", "flo", None),
+    ("dispchange_bwd", "pfm", "pfm", None),
+    ("occlusion_fwd", "pgm", "mask", None),
+)
+# exist only where the neighbouring frame does
+_OPTIONAL_PASSES = {"pos3d_prev", "pos3d_next"}
 
 
 def _frame_name(t, view, ext):
@@ -89,7 +114,6 @@ def generate_dataset(spec: SceneSpec, out_root) -> dict:
 
     # first: a killed run (SIGKILL and SIGTERM run no clean-up) must not
     # leave an older dataset's complete manifest over its files
-    out_root.mkdir(parents=True, exist_ok=True)
     save_manifest(False)
     try:
         for t, view, files in _frames(
@@ -135,6 +159,7 @@ def _derivable(manifest, root):
     if not frames or len(set(times)) != len(frames):
         raise ParseError(f"manifest needs frames with distinct integer "
                          f"times, got {[f.get('time') for f in frames]}")
+    render = [name for name, *_, channels in _FILES if channels is not None]
     paths = {}
     try:
         for entry in frames:
@@ -142,12 +167,12 @@ def _derivable(manifest, root):
             for view in _VIEW_SUFFIX:
                 CameraPose.from_dict(entry["cameras"][view])
                 files = entry["files"][view]
-                missing = set(_REQUIRED_PASSES) - set(files)
+                missing = set(render) - _OPTIONAL_PASSES - set(files)
                 if missing:
                     raise ParseError(f"{where} {view}: no {sorted(missing)}")
                 paths[entry["time"], view] = {
                     name: (root / files[name]).resolve()
-                    for name in _RENDER_PASSES if name in files}
+                    for name in render if name in files}
         where = "rig"
         rig = StereoRig.from_dict(manifest["rig"])
     except (KeyError, TypeError, ValueError) as e:
@@ -156,7 +181,7 @@ def _derivable(manifest, root):
 
 
 def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
-    """Write all passes of one (frame, view); returns pass -> relative path.
+    """Write the `_FILES` of one (frame, view); returns pass -> relative path.
 
     read_from maps a render pass to the resolved path it was read from.
     Such a pass is never encoded: its output is that file's bytes, so it
@@ -166,64 +191,30 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     already be in place; each is whole.
     """
     files = {}
-    writes = []  # (paths, encode or None, array or source path)
+    writes = []  # (paths, codec or None, array or source path)
+    encodes = {}  # field -> its write: one encoding, however many files
     read_from = read_from or {}
-
-    def put(pass_names, ext, encode, array):
-        """List the file of each pass of pass_names, one name or a tuple:
-        one encoding of array, written to each pass not read from a file;
-        none if array is None, a pass the view does not have."""
+    for name, ext, codec, channels in _FILES:
+        field = "object_index" if name == "material_index" else name
+        array = getattr(gt if channels is None else fp, field)
         if array is None:
-            return
-        if isinstance(pass_names, str):
-            pass_names = (pass_names,)
-        encoded = []
-        for pass_name in pass_names:
-            name = _frame_name(t, view, ext)
-            path = scene_dir / pass_name / name
-            files[pass_name] = f"{scene_name}/{pass_name}/{name}"
-            source = read_from.get(pass_name)
-            if source is not None and path.resolve() == source:
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if source is None:
-                encoded.append(path)
-            else:
-                writes.append(([path], None, source))
-        if encoded:
-            writes.append((encoded, encode, array))
-
-    def mask(a):
-        # a bool mask as 0 and 255: its 0/1 samples, the file's last
-        # a.size bytes, scaled in the one buffer
-        buf = formats.write_pgm8(a)
-        payload = np.frombuffer(buf, np.uint8, offset=len(buf) - a.size)
-        payload *= 255
-        return buf
-
-    put("rgb", "ppm", formats.write_ppm, fp.rgb)
-    put("depth", "pfm", formats.write_pfm, fp.depth)
-    put("pos3d_t", "pfm", formats.write_pfm, fp.pos3d_t)
-    put("pos3d_prev", "pfm", formats.write_pfm, fp.pos3d_prev)
-    put("pos3d_next", "pfm", formats.write_pfm, fp.pos3d_next)
-    # each object has one texture, so its material index is its object
-    # index: the material pass, kept for the dataset layout, is the object
-    # pass's file
-    put(("object_index", "material_index"), "pgm", formats.write_pgm16,
-        fp.object_index)
-
-    put("disparity", "pfm", formats.write_pfm, gt.disparity)
-    put("flow_fwd", "flo", formats.write_flo, gt.flow_fwd)
-    put("dispchange_fwd", "pfm", formats.write_pfm, gt.dispchange_fwd)
-    put("motion_boundaries", "pgm", mask, gt.motion_boundaries)
-    put("flow_bwd", "flo", formats.write_flo, gt.flow_bwd)
-    put("dispchange_bwd", "pfm", formats.write_pfm, gt.dispchange_bwd)
-    put("occlusion_fwd", "pgm", mask, gt.occlusion_fwd)
+            continue
+        rel = f"{name}/{_frame_name(t, view, ext)}"
+        files[name] = f"{scene_name}/{rel}"
+        path = scene_dir / rel
+        source = read_from.get(name)
+        if source is None:
+            if field not in encodes:
+                encodes[field] = ([], codec, array)
+                writes.append(encodes[field])
+            encodes[field][0].append(path)
+        elif path.resolve() != source:
+            writes.append(([path], None, source))
 
     def write(job):
-        paths, encode, payload = job
-        if encode is not None:
-            payload = encode(payload)
+        paths, codec, payload = job
+        if codec is not None:
+            payload = getattr(formats, "write_" + codec)(payload)
         for path in paths:
             write_atomic(path, payload)
 
@@ -235,8 +226,9 @@ def write_atomic(path, payload: bytes | Path):
     """path holds either its old content or all of payload, never part:
     payload, bytes or the file at a Path (copied, not linked, so path
     shares no inode with it), goes to a hidden temporary name beside path,
-    then is renamed over it."""
+    then is renamed over it. path's directory is made if it is missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         if isinstance(payload, Path):
@@ -254,34 +246,31 @@ def load_frame_passes(files, t, k):
     files maps each render pass the view has to its path, and k is the
     rig's intrinsics, which give every pass its size.
 
-    Every pass in files is decoded and its shape checked, on the thread
-    map: (H, W) for depth and the index passes, (H, W, 3) for RGB and
-    positions. If several are bad, the error is that of the first in the
+    Every render pass of `_FILES` in files is decoded and its shape
+    checked, on the thread map: (H, W) plus the pass's channels. If
+    several are bad, the error is that of the first in `_FILES` order, the
     order `write_frame` writes them. The material pass must equal the
     object pass, or a ParseError names its file; it is then dropped.
     Depth and positions stay float32, as stored, one copy of the file
     bytes; `groundtruth` widens them band by band.
     """
-    def read(spec):
-        name, reader, channels = spec
+    render = [row for row in _FILES if row[3] is not None]
+
+    def read(row):
+        name, _, codec, channels = row
         if name not in files:
             return None
-        a = reader(files[name].read_bytes())
+        a = getattr(formats, "read_" + codec)(files[name].read_bytes())
         shape = (k.height, k.width) + channels
         if a.shape != shape:
             raise ParseError(f"{files[name]}: shape {a.shape}, the "
                              f"{k.width}x{k.height} rig needs {shape}")
         return a
 
-    *passes, material = map_ordered(read, [  # the passes in field order
-        ("rgb", formats.read_ppm, (3,)), ("depth", formats.read_pfm, ()),
-        ("pos3d_t", formats.read_pfm, (3,)),
-        ("pos3d_prev", formats.read_pfm, (3,)),
-        ("pos3d_next", formats.read_pfm, (3,)),
-        ("object_index", formats.read_pgm16, ()),
-        ("material_index", formats.read_pgm16, ()),  # checked, then dropped
-    ])
-    if material is not None and not np.array_equal(material, passes[-1]):
+    passes = {row[0]: a for row, a in zip(render, map_ordered(read, render))}
+    material = passes.pop("material_index")  # checked, then dropped
+    if material is not None and not np.array_equal(material,
+                                                   passes["object_index"]):
         raise ParseError(f"{files['material_index']}: the material pass "
                          "differs from the object pass")
-    return FramePasses(*passes, frame_time=t)
+    return FramePasses(**passes, frame_time=t)

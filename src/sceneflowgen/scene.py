@@ -411,6 +411,8 @@ def generate_driving_preset(seed, params: DrivingParams | None = None) -> SceneS
     p = params or DrivingParams()
     if p.focal_mm not in (35.0, 15.0, 35, 15):
         raise ConfigurationError(f"driving preset focal_mm must be 35 or 15, got {p.focal_mm}")
+    if p.frames < 2:  # before the rig's keyframes, which need two times
+        raise ConfigurationError("frames must be >= 2")
     intr = _default_intrinsics(p)
 
     # straight forward motion at street level

@@ -348,7 +348,7 @@ class TestEstimate:
         assert (np.abs(interior - 7.0) < 0.5).mean() > 0.99
 
     def test_confidence_into_new_directory(self, tmp_path):
-        # both output directories are made before either file is written
+        # each output's directory is made when its file is written
         rng = np.random.default_rng(1)
         left = rng.integers(0, 256, (12, 40, 3), dtype=np.uint8)
         lp, rp = tmp_path / "l.ppm", tmp_path / "r.ppm"
@@ -560,6 +560,25 @@ class TestInspect:
         assert "frames: 2" in text
         assert "complete: True" in text
         assert "resolution: 64x48" in text
+
+    # derive refuses both; inspect of a complete dataset checks what
+    # derive checks (an incomplete one is only summarized)
+    @pytest.mark.parametrize("key", ["baseline", "translation"])
+    def test_what_derive_refuses_is_a_parse_error(self, tmp_path, capsys,
+                                                  key):
+        out = tmp_path / "ds"
+        assert main(GEN_ARGS + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        if key == "baseline":
+            manifest["rig"]["baseline"] = True
+        else:
+            camera = manifest["frames"][0]["cameras"]["left"]
+            camera["translation"][0] = str(camera["translation"][0])
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["inspect", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: "), err
 
     def test_single_map(self, tmp_path, capsys):
         src = tmp_path / "d.pfm"

@@ -117,6 +117,13 @@ class TestPpmPgm:
         mask = np.array([[0, 255], [255, 0]], dtype=np.uint8)
         assert np.array_equal(formats.read_pgm8(formats.write_pgm8(mask)), mask)
 
+    def test_mask_is_0_and_255_pgm8(self):
+        mask = np.random.default_rng(4).random((6, 9)) < 0.5
+        data = formats.write_mask(mask)
+        assert data == formats.write_pgm8(mask.astype(np.uint8) * 255)
+        assert np.array_equal(formats.read_pgm8(data) > 0, mask)
+        assert formats.write_mask(mask * np.uint8(7)) == data  # nonzero is set
+
     def test_maxval_mismatch(self):
         data = formats.write_pgm8(np.zeros((1, 1), dtype=np.uint8))
         with pytest.raises(ParseError):

@@ -132,6 +132,11 @@ class TestDrivingPreset:
         with pytest.raises(ConfigurationError):
             generate_driving_preset(0, DrivingParams(focal_mm=50.0))
 
+    def test_one_frame_rejected(self):
+        # refused before the rig's keyframes, which would need two times
+        with pytest.raises(ConfigurationError, match="frames must be >= 2"):
+            generate_driving_preset(0, DrivingParams(frames=1))
+
     def test_camera_moves_forward(self):
         spec = generate_driving_preset(4)
         c1, _ = spec.rig_trajectory.evaluate(1.0)
