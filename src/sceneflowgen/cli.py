@@ -1,8 +1,10 @@
 """Command-line frontend: generate | derive | estimate | evaluate |
 visualize | inspect.
 
-Every run writes its fully resolved configuration (defaults included)
-next to its outputs. Every file is written under a temporary name and
+`generate`, `derive` and `estimate` write their fully resolved
+configuration (defaults included) to `config.json` next to their outputs,
+and `evaluate` does when it writes a report (`--out`); `visualize` and
+`inspect` write none. Every file is written under a temporary name and
 renamed into place (`pipeline.write_atomic`), so an interrupted run
 leaves no half-written file.
 """
@@ -147,96 +149,78 @@ def _load_map(path):
 _COLUMNS = {"all": "all", "non_occluded": "non-occluded"}
 
 
-def _merge(measures):
-    """One report from {"epe": report, "d1": report}: the EPE report with
-    D1-all added, or the D1-all report alone."""
-    if "epe" not in measures:
-        return measures["d1"]
-    report = dataclasses.replace(measures["epe"])
-    if "d1" in measures:
-        report.d1_all = measures["d1"].d1_all
-    return report
-
-
-def _report_dict(measures):
-    """`_merge(measures)` as JSON. The pixel counts are EPE's where EPE was
-    measured, so with both measures D1-all's own counts come too, and the
-    report alone can weight D1-all by the pixels D1-all evaluated."""
-    out = _merge(measures).to_dict()
-    if "epe" in measures and "d1" in measures:
-        out["d1_valid_pixels"] = measures["d1"].valid_pixels
-        out["d1_evaluated_pixels"] = measures["d1"].evaluated_pixels
-    return out
+def _report(measures):
+    """The table cell and the JSON of {"epe": report, "d1": report}: the
+    EPE report with D1-all added, or the D1-all report alone. The pixel
+    counts are EPE's where EPE was measured, so with both measures the
+    JSON gives D1-all's own counts too, and it alone can weight D1-all by
+    the pixels D1-all evaluated."""
+    epe, d1 = measures.get("epe"), measures.get("d1")
+    if epe is None or d1 is None:
+        cell = epe or d1
+        return cell, cell.to_dict()
+    cell = dataclasses.replace(epe, d1_all=d1.d1_all)
+    return cell, {**cell.to_dict(), "d1_valid_pixels": d1.valid_pixels,
+                  "d1_evaluated_pixels": d1.evaluated_pixels}
 
 
 def cmd_evaluate(args):
-    if len(args.pred) != len(args.gt):
+    n = len(args.pred)
+    if n != len(args.gt):
         raise ContractError(
-            f"{len(args.pred)} prediction(s) vs {len(args.gt)} ground-truth map(s)"
-        )
-    occlusions = args.occlusion or [None] * len(args.pred)
-    if len(occlusions) != len(args.pred):
+            f"{n} prediction(s) vs {len(args.gt)} ground-truth map(s)")
+    if args.occlusion and (len(args.occlusion) != n
+                           or not all(args.occlusion)):
         raise ContractError("need one occlusion mask per prediction")
+    masks = _COLUMNS if args.occlusion else {"all": "all"}
+    occlusions = args.occlusion or [None] * n
 
-    frames = []  # per frame: paths, and {"epe": report, "d1": report} per mask
-    for pred_path, gt_path, occ_path in zip(args.pred, args.gt, occlusions):
+    cells = {}
+    frames = []  # per frame: its paths and one report per mask
+    digits = len(str(n - 1))  # so the table's sorted rows are in frame order
+    # per mask and measure: each frame's report
+    scored = {mask_name: {"epe": [], "d1": []} for mask_name in masks}
+    for i, (pred_path, gt_path, occ_path) in enumerate(
+            zip(args.pred, args.gt, occlusions)):
         pred = _load_map(pred_path)
         gt = _load_map(gt_path)
-        masks = {"all": None}
+        mask_of = {"all": None}
         if occ_path:
             occ = formats.read_pgm8(Path(occ_path).read_bytes()) > 0
-            masks["non_occluded"] = ~occ
+            mask_of["non_occluded"] = ~occ
         frame = {"pred": str(pred_path), "gt": str(gt_path)}
-        for mask_name, mask in masks.items():
-            measures = frame[mask_name] = {}
+        row = f"frame{i:0{digits}d}"
+        for mask_name, mask in mask_of.items():
+            measures = {}
             if args.metric in ("epe", "both"):
                 measures["epe"] = metrics.epe_map(pred, gt, mask)[1]
             # D1-all is a disparity measure: asked for alone, flow maps are
             # an error; with "both" they get EPE only
             if args.metric == "d1all" or (args.metric == "both" and pred.ndim == 2):
                 measures["d1"] = metrics.d1_all(pred, gt, mask)[1]
+            for m, report in measures.items():
+                scored[mask_name][m].append(report)
+            cell, frame[mask_name] = _report(measures)
+            cells[(row, masks[mask_name])] = cell
         frames.append(frame)
 
-    def aggregate(mask_name, weighting):
-        reports = [f[mask_name] for f in frames if mask_name in f]
-        # each measure aggregates its own reports, so D1-all is weighted by
-        # the pixels D1-all evaluated, not by those EPE evaluated
-        return {
-            m: metrics.aggregate([r[m] for r in reports if m in r], weighting)
-            for m in ("epe", "d1") if any(m in r for r in reports)
-        }
-
-    cells = {}
     aggregate_json = {}  # the all-pixel aggregate at the top level
-    for mask_name, column in _COLUMNS.items():
-        if not any(mask_name in f for f in frames):
-            continue
-        for i, f in enumerate(frames):
-            if mask_name in f:
-                cells[(f"frame{i}", column)] = _merge(f[mask_name])
-        agg = {}
+    for mask_name, column in masks.items():
+        agg = (aggregate_json if mask_name == "all"
+               else aggregate_json.setdefault(mask_name, {}))
         for weighting in ("per-pixel", "per-frame"):
-            measures = aggregate(mask_name, weighting)
-            cells[(f"aggregate/{weighting}", column)] = _merge(measures)
-            agg[weighting.replace("-", "_")] = _report_dict(measures)
-        if mask_name == "all":
-            aggregate_json.update(agg)
-        else:
-            aggregate_json[mask_name] = agg
+            # each measure aggregates its own reports, so D1-all is weighted
+            # by the pixels D1-all evaluated, not by those EPE evaluated
+            measures = {m: metrics.aggregate(reports, weighting)
+                        for m, reports in scored[mask_name].items() if reports}
+            cell, agg[weighting.replace("-", "_")] = _report(measures)
+            cells[(f"aggregate/{weighting}", column)] = cell
     print(metrics.render_table(cells))
 
-    report_json = {
-        "frames": [
-            {k: (v if isinstance(v, str) else _report_dict(v))
-             for k, v in f.items()}
-            for f in frames
-        ],
-        "aggregate": aggregate_json,
-    }
     if args.out:
-        pipeline.write_atomic(
-            args.out,
-            json.dumps(report_json, sort_keys=True, indent=2, allow_nan=False).encode())
+        pipeline.write_atomic(args.out, json.dumps(
+            {"frames": frames, "aggregate": aggregate_json},
+            sort_keys=True, indent=2, allow_nan=False).encode())
         _write_config_log(Path(args.out).parent, {
             "subcommand": "evaluate", "metric": args.metric,
             "pred": [str(p) for p in args.pred], "gt": [str(g) for g in args.gt],

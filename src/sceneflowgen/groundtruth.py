@@ -348,9 +348,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     DataCorruptionError. Flow is the difference of the projected 3D
     positions, defined also where the point is occluded in the other
     frame; disparity change is b*f/Z_other - b*f/Z_t, positive for
-    approaching surfaces; both are NaN at void. passes_next, if given, is
-    the next frame of the same view, and `occlusion_fwd` marks the points
-    it hides (see `_occluded`).
+    approaching surfaces, with b*f/Z_t the float64 disparity of the depth
+    (the renderer writes pos3d_t's Z from that depth); both are NaN at
+    void. passes_next, if given, is the next frame of the same view, and
+    `occlusion_fwd` marks the points it hides (see `_occluded`).
     Motion boundaries mark both pixels of every 4-adjacent pair of
     different objects whose forward flows differ by at least
     MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
@@ -359,23 +360,23 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
 
     Every map but the boundaries' component filter is per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
-    depth and of the position passes to float64, writes its rows of the
-    disparity, projects each 3D-position pass once into one of two
+    depth and of the position passes to float64, divides b*f by its depth
+    once and writes its rows of the disparity and of both disparity
+    changes from that, projects each 3D-position pass once into one of two
     (2, rows, W) buffers of u and v planes (pos3d_t's, then pos3d_prev's
-    and pos3d_next's in turn), computes in float64 in place in those and
-    a few other band-sized buffers, and writes its rows of the full maps,
+    and pos3d_next's in turn), computes in float64 in place in those and a
+    few other band-sized buffers, and writes its rows of the full maps,
     rounding flow, disparity and disparity change to float32 there. The
     forward flow is computed in place of pos3d_next's projection once the
     occlusion test has read it. Each band also marks the motion
     boundaries' pixel pairs within its rows from its float64 forward flow
-    and keeps that flow's first and last rows, from which the pairs
-    across band edges are marked once the bands are done
-    (`_mark_edge_pairs`); no whole-frame float64 map is held. What a band
-    cannot see is taken over the whole view: the occlusion eps comes from
-    the median depth of the frame, the occlusion test samples the whole
-    next frame, and small boundary components are dropped from the whole
-    mask. The maps do not depend on the band height or the number of
-    workers.
+    and keeps that flow's first and last rows, from which the pairs across
+    band edges are marked once the bands are done (`_mark_edge_pairs`); no
+    whole-frame float64 map is held. What a band cannot see is taken over
+    the whole view: the occlusion eps comes from the median depth of the
+    frame, the occlusion test samples the whole next frame, and small
+    boundary components are dropped from the whole mask. The maps do not
+    depend on the band height or the number of workers.
     """
     h, w = passes.depth.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
@@ -409,15 +410,24 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         ok |= void
         if not ok.all():
             raise DataCorruptionError("non-positive depth at a covered pixel")
-        # b*f/depth in float64, rounded as it is written to the band's rows
-        disparity = frame.disparity[rows]
+        # each point's disparity b*f/Z_t in float64, rounded as it is
+        # written to the band's rows, and subtracted by both disparity
+        # changes before the projections' buffers are made
         with np.errstate(invalid="ignore"):
-            np.divide(bf, depth, out=disparity)
-        disparity[void] = np.nan
+            bf_over_z_t = np.divide(bf, depth)
         del depth, ok
+        disparity = frame.disparity[rows]
+        disparity[...] = bf_over_z_t
+        disparity[void] = np.nan
         pos_t, pos_prev, pos_next = (
             None if a is None else _wide(a[rows])
             for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
+        for other, dispchange in ((pos_next, frame.dispchange_fwd),
+                                  (pos_prev, frame.dispchange_bwd)):
+            if other is not None:
+                _disparity_change(bf, bf_over_z_t, other[..., 2], void,
+                                  out=dispchange[rows])
+        del bf_over_z_t
         # each position pass is projected once, as two planes, into one of
         # two buffers: pos3d_t's, and pos3d_prev's, then pos3d_next's
         shape = (2,) + void.shape
@@ -437,14 +447,6 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
             edge_rows = flow[:, [0, -1]]
             del flow
-        del proj_t, proj
-        with np.errstate(invalid="ignore", divide="ignore"):
-            bf_over_z_t = bf / pos_t[..., 2]  # each point's disparity
-        for other, dispchange in ((pos_next, frame.dispchange_fwd),
-                                  (pos_prev, frame.dispchange_bwd)):
-            if other is not None:
-                _disparity_change(bf, bf_over_z_t, other[..., 2], void,
-                                  out=dispchange[rows])
         return edge_rows
 
     cuts = bands(h)

@@ -522,6 +522,81 @@ class TestEvaluate:
             for r in (data["frames"][0]["all"], data["aggregate"]["per_pixel"]):
                 assert "d1_evaluated_pixels" not in r, metric
 
+    def test_mixed_flow_and_disparity(self, tmp_path, capsys):
+        # --metric both on a flow pair and a disparity pair: D1-all scores
+        # the disparity frame alone, EPE every frame
+        flow = np.zeros((4, 4, 2), dtype=np.float32)
+        pred_flow = flow.copy()
+        pred_flow[..., 0] = 3.0
+        pred_flow[..., 1] = 4.0
+        gt = np.full((4, 4), 10.0, dtype=np.float32)
+        pred = gt.copy()
+        pred[0] = 20.0  # 4 px bad
+        occ = np.zeros((4, 4), dtype=np.uint8)
+        occ[:, 0] = 255
+        files = {}
+        for name, data, write in (
+                ("g.flo", flow, formats.write_flo),
+                ("p.flo", pred_flow, formats.write_flo),
+                ("g.pfm", gt, formats.write_pfm),
+                ("p.pfm", pred, formats.write_pfm),
+                ("o.pgm", occ, formats.write_pgm8)):
+            files[name] = tmp_path / name
+            files[name].write_bytes(write(data))
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--pred", str(files["p.flo"]),
+                     str(files["p.pfm"]), "--gt", str(files["g.flo"]),
+                     str(files["g.pfm"]), "--occlusion", str(files["o.pgm"]),
+                     str(files["o.pgm"]), "--metric", "both",
+                     "--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        for mask, n in (("all", 16), ("non_occluded", 12)):
+            flow_report, disp_report = (f[mask] for f in data["frames"])
+            assert flow_report["d1_all"] is None
+            assert "d1_evaluated_pixels" not in flow_report
+            assert "d1_valid_pixels" not in flow_report
+            assert disp_report["d1_evaluated_pixels"] == n
+            assert disp_report["d1_valid_pixels"] == 16
+            agg = (data["aggregate"] if mask == "all"
+                   else data["aggregate"][mask])
+            for weighting in ("per_pixel", "per_frame"):
+                assert (agg[weighting]["d1_evaluated_pixels"]
+                        == disp_report["d1_evaluated_pixels"])
+                assert agg[weighting]["evaluated_pixels"] == (
+                    flow_report["evaluated_pixels"]
+                    + disp_report["evaluated_pixels"])
+        rows = {line.split()[0]: line.split()[1:]
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["frame0"] == ["5.00", "5.00"]  # EPE alone
+        assert rows["frame1"] == ["2.50", "/", "25.00%"] * 2
+
+    def test_rows_in_frame_order(self, tmp_path, capsys):
+        # twelve frames: frame10 and frame11 print after frame09
+        paths = []
+        for i in range(12):
+            paths.append(tmp_path / f"{i}.pfm")
+            paths[-1].write_bytes(
+                formats.write_pfm(np.full((2, 2), i + 1.0, dtype=np.float32)))
+        assert main(["evaluate", "--pred", *map(str, paths),
+                     "--gt", *map(str, paths)]) == 0
+        rows = [line.split()[0]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == ["aggregate/per-frame", "aggregate/per-pixel",
+                        *(f"frame{i:02d}" for i in range(12))]
+
+    def test_empty_occlusion_entry_refused(self, tmp_path, capsys):
+        g = tmp_path / "g.pfm"
+        g.write_bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32)))
+        o = tmp_path / "o.pgm"
+        o.write_bytes(formats.write_pgm8(np.zeros((2, 2), dtype=np.uint8)))
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--pred", str(g), str(g), "--gt", str(g),
+                     str(g), "--occlusion", str(o), "", "--out", str(report)])
+        assert code == 1
+        assert ("error [ContractError]: need one occlusion mask per "
+                "prediction") in capsys.readouterr().err
+        assert not report.exists()
+
     def test_count_mismatch(self, tmp_path, capsys):
         g = tmp_path / "g.pfm"
         g.write_bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32)))
