@@ -1,10 +1,14 @@
 """Command-line frontend: generate | derive | estimate | evaluate |
 visualize | inspect.
 
-`generate`, `derive` and `estimate` write their fully resolved
-configuration (defaults included) to `config.json` next to their outputs,
-and `evaluate` does when it writes a report (`--out`); `visualize` and
-`inspect` write none. Every file is written under a temporary name and
+`generate`, `derive` and `estimate` write `config.json` next to their
+outputs, and `evaluate` does when it writes a report (`--out`);
+`visualize` and `inspect` write none. It holds the subcommand, every
+argument as parsed, defaults included, and the values the command
+resolved from them: `generate`'s width, height, sensor width, focal
+length in pixels, default disparity range and motion-boundary constants,
+and `derive`'s output directory. A scene's own parameters are in the
+manifest's `params`. Every file is written under a temporary name and
 renamed into place (`pipeline.write_atomic`), so an interrupted run
 leaves no half-written file.
 """
@@ -45,7 +49,12 @@ def _parse_range(text):
         raise ContractError(f"--n-objects expects LO..HI, got {text!r}") from None
 
 
-def _write_config_log(out_dir, config):
+def _write_config_log(out_dir, args, **resolved):
+    """Write config.json: the subcommand, every parsed argument (defaults
+    included) and the values the command resolved, which replace a parsed
+    value of the same name."""
+    config = dict(vars(args), subcommand=args.command, **resolved)
+    del config["command"], config["func"]
     pipeline.write_atomic(
         Path(out_dir) / "config.json",
         (json.dumps(config, sort_keys=True, indent=2) + "\n").encode())
@@ -53,45 +62,23 @@ def _write_config_log(out_dir, config):
 
 def cmd_generate(args):
     w, h = _parse_size(args.size)
+    common = dict(frames=args.frames, width=w, height=h,
+                  focal_mm=args.focal_mm, baseline=args.baseline)
     if args.preset == "flyingthings":
-        params = FlyingThingsParams(
+        spec = generate_flyingthings_scene(args.seed, FlyingThingsParams(
             n_objects_range=_parse_range(args.n_objects),
-            n_background=args.n_background,
-            frames=args.frames, width=w, height=h,
-            focal_mm=args.focal_mm, baseline=args.baseline,
-            static=args.static,
-        )
-        spec = generate_flyingthings_scene(args.seed, params)
+            n_background=args.n_background, static=args.static, **common))
     else:
-        params = DrivingParams(
-            focal_mm=args.focal_mm, frames=args.frames, width=w, height=h,
-            baseline=args.baseline,
-        )
-        spec = generate_driving_preset(args.seed, params)
-
-    config = {
-        "subcommand": "generate",
-        "preset": args.preset,
-        "seed": args.seed,
-        "frames": args.frames,
-        "width": w,
-        "height": h,
-        "focal_mm": args.focal_mm,
-        "sensor_width_mm": DEFAULT_SENSOR_MM,
-        "focal_px": spec.rig.intrinsics.focal_px,
-        "baseline": args.baseline,
-        "n_background": args.n_background,
-        "n_objects": args.n_objects,
-        "static": args.static,
-        "max_disp_default": DEFAULT_MAX_DISPARITY,
-        "motion_boundary_threshold_px": groundtruth.MOTION_DIFF_THRESHOLD_PX,
-        "motion_boundary_min_area_px": groundtruth.MIN_BOUNDARY_AREA_PX,
-        "out": str(args.out),
-    }
+        spec = generate_driving_preset(args.seed, DrivingParams(**common))
     # like every command, logged once its outputs are whole; a partial
     # dataset is marked by its manifest
     pipeline.generate_dataset(spec, args.out)
-    _write_config_log(args.out, config)
+    _write_config_log(
+        args.out, args, width=w, height=h, sensor_width_mm=DEFAULT_SENSOR_MM,
+        focal_px=spec.rig.intrinsics.focal_px,
+        max_disp_default=DEFAULT_MAX_DISPARITY,
+        motion_boundary_threshold_px=groundtruth.MOTION_DIFF_THRESHOLD_PX,
+        motion_boundary_min_area_px=groundtruth.MIN_BOUNDARY_AREA_PX)
     print(f"wrote dataset {spec.name} to {args.out}")
 
 
@@ -100,8 +87,7 @@ def cmd_derive(args):
     root = Path(args.dataset)
     out = Path(args.out or root)
     n_frames = pipeline.derive_dataset(root, out)
-    _write_config_log(out, {"subcommand": "derive", "dataset": str(root),
-                            "out": str(out)})
+    _write_config_log(out, args, out=str(out))
     print(f"derived ground truth for {n_frames} frame(s)")
 
 
@@ -124,11 +110,7 @@ def cmd_estimate(args):
     if args.confidence_out:
         pipeline.write_atomic(args.confidence_out,
                               formats.write_pfm(confidence))
-    _write_config_log(out.parent, {
-        "subcommand": "estimate", "left": str(args.left),
-        "right": str(args.right), "max_disp": args.max_disp,
-        "out": str(out),
-    })
+    _write_config_log(out.parent, args)
     print(f"wrote disparity to {out}")
 
 
@@ -221,10 +203,7 @@ def cmd_evaluate(args):
         pipeline.write_atomic(args.out, json.dumps(
             {"frames": frames, "aggregate": aggregate_json},
             sort_keys=True, indent=2, allow_nan=False).encode())
-        _write_config_log(Path(args.out).parent, {
-            "subcommand": "evaluate", "metric": args.metric,
-            "pred": [str(p) for p in args.pred], "gt": [str(g) for g in args.gt],
-        })
+        _write_config_log(Path(args.out).parent, args)
 
 
 def cmd_visualize(args):
@@ -302,10 +281,14 @@ def build_parser():
     g.add_argument("--size", default=f"{DEFAULT_WIDTH}x{DEFAULT_HEIGHT}")
     g.add_argument("--focal-mm", type=float, default=DEFAULT_FOCAL_MM)
     g.add_argument("--baseline", type=float, default=DEFAULT_BASELINE)
-    g.add_argument("--n-objects", default="5..20", metavar="LO..HI")
-    g.add_argument("--n-background", type=int, default=200)
+    g.add_argument("--n-objects", default="5..20", metavar="LO..HI",
+                   help="range of the foreground object count "
+                        "(flyingthings only)")
+    g.add_argument("--n-background", type=int, default=200,
+                   help="static background objects (flyingthings only)")
     g.add_argument("--static", action="store_true",
-                   help="freeze all trajectories (debug scenes)")
+                   help="freeze all trajectories (debug scenes; "
+                        "flyingthings only)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -62,8 +62,9 @@ _FILES = (
     ("dispchange_bwd", "pfm", "pfm", None),
     ("occlusion_fwd", "pgm", "mask", None),
 )
-# exist only where the neighbouring frame does
-_OPTIONAL_PASSES = {"pos3d_prev", "pos3d_next"}
+# the position pass toward each neighbouring frame, which a view needs
+# where that frame is listed
+_NEIGHBOUR_PASSES = {"pos3d_prev": -1, "pos3d_next": 1}
 
 
 def _frame_name(t, view, ext):
@@ -149,7 +150,8 @@ def _derivable(manifest, root):
     """Sorted frame times, the rig and {(t, view): {render pass: resolved
     path under root}} of a manifest, or ParseError unless it is complete
     and every frame has a distinct integer time, both cameras (each pose
-    built once, to check it) and all passes."""
+    built once, to check it) and all passes: `pos3d_prev` and
+    `pos3d_next` where frame t - 1 and t + 1 are listed."""
     if manifest["complete"] is not True:
         raise ParseError("manifest is incomplete: its generate run did not "
                          "finish, so its files may be missing or stale")
@@ -163,14 +165,18 @@ def _derivable(manifest, root):
     paths = {}
     try:
         for entry in frames:
-            where = f"frame {entry['time']}"
+            t = entry["time"]
+            where = f"frame {t}"
+            # a pass of no neighbour has offset 0: frame t, which is listed
+            needed = {name for name in render
+                      if t + _NEIGHBOUR_PASSES.get(name, 0) in times}
             for view in _VIEW_SUFFIX:
                 CameraPose.from_dict(entry["cameras"][view])
                 files = entry["files"][view]
-                missing = set(render) - _OPTIONAL_PASSES - set(files)
+                missing = needed - set(files)
                 if missing:
                     raise ParseError(f"{where} {view}: no {sorted(missing)}")
-                paths[entry["time"], view] = {
+                paths[t, view] = {
                     name: (root / files[name]).resolve()
                     for name in render if name in files}
         where = "rig"

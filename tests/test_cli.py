@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import sceneflowgen
 from sceneflowgen import formats
-from sceneflowgen.cli import main
+from sceneflowgen.cli import build_parser, main
 from sceneflowgen.match import estimate_disparity
 
 from conftest import set_cpus
@@ -258,6 +258,12 @@ MALFORMED = {
     "rig baseline NaN": _nan_baseline,
     "sensor width 0": _zero_sensor_width,
     "frame 2 right rotation NaN": _nan_right_rotation,
+    # frames 1 and 2 are each other's neighbours, so each needs the
+    # position pass toward the other
+    "frame 1 without pos3d_next": _drop("frames", 0, "files", "left",
+                                        "pos3d_next"),
+    "frame 2 without pos3d_prev": _drop("frames", 1, "files", "left",
+                                        "pos3d_prev"),
 }
 
 
@@ -279,6 +285,26 @@ class TestDeriveMalformed:
         assert main(["derive", str(ds)]) == 1
         err = capsys.readouterr().err
         assert re.match(r"error \[\w+Error\]: ", err), err
+
+    @pytest.mark.parametrize("frame, name", [(1, "pos3d_next"),
+                                             (2, "pos3d_prev")])
+    def test_missing_neighbour_pass_writes_nothing(self, dataset, tmp_path,
+                                                   capsys, frame, name):
+        ds, fresh = tmp_path / "ds", tmp_path / "fresh"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["frames"][frame - 1]["files"]["left"][name]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        before = tree_bytes(ds)
+        for argv in (["derive", str(ds), "--out", str(fresh)],
+                     ["derive", str(ds)], ["inspect", str(ds)]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err == (f"error [ParseError]: frame {frame} left: "
+                           f"no ['{name}']\n"), argv
+        assert tree_bytes(ds) == before
+        assert not fresh.exists()
 
     @pytest.mark.parametrize("key", ["focal_mm", "height"])
     def test_string_intrinsics_are_a_parse_error(self, dataset, tmp_path,
@@ -961,6 +987,60 @@ def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch, build):
     monkeypatch.setattr(os, "replace", real_replace)
     assert main(argv) == 0
     assert out.read_bytes() == old
+
+
+def _generate_config(preset):
+    def build(tmp):
+        out = tmp / "ds"
+        return GEN_ARGS + ["--preset", preset, "--out", str(out)], out
+    return build
+
+
+def _derive_config(to_fresh):
+    def build(tmp):
+        ds, fresh = tmp / "ds", tmp / "fresh"
+        assert main(GEN_ARGS + ["--out", str(ds)]) == 0
+        if to_fresh:
+            return ["derive", str(ds), "--out", str(fresh)], fresh
+        return ["derive", str(ds)], ds
+    return build
+
+
+def _estimate_confidence_config(tmp):
+    argv, out = _estimate_output(tmp)
+    return argv + ["--confidence-out", str(tmp / "c" / "c.pfm")], out.parent
+
+
+def _evaluate_occlusion_config(tmp):
+    pfm = _pfm_file(tmp / "g.pfm")
+    mask = tmp / "o.pgm"
+    mask.write_bytes(_valid_input(".pgm"))
+    return ["evaluate", "--pred", pfm, "--gt", pfm, "--occlusion", str(mask),
+            "--out", str(tmp / "r" / "r.json")], tmp / "r"
+
+
+CONFIG_CASES = {
+    "generate flyingthings": _generate_config("flyingthings"),
+    "generate driving": _generate_config("driving"),
+    "derive in place": _derive_config(False),
+    "derive --out": _derive_config(True),
+    "estimate": lambda tmp: (_estimate_output(tmp)[0], tmp),
+    "estimate --confidence-out": _estimate_confidence_config,
+    "evaluate --occlusion --out": _evaluate_occlusion_config,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_records_every_argument(tmp_path, case):
+    argv, out_dir = CONFIG_CASES[case](tmp_path)
+    assert main(argv) == 0
+    config = json.loads((out_dir / "config.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["command"], parsed["func"]
+    if argv[0] == "derive":  # the directory it wrote to, --out or not
+        parsed["out"] = str(out_dir)
+    assert config["subcommand"] == argv[0]
+    assert {key: config.get(key, "<absent>") for key in parsed} == parsed
 
 
 _IMPORT_GUARD = """
