@@ -29,10 +29,13 @@ Rasterization is batched array work rather than a loop over triangles:
 5. Write the object index pass from the winners, group the covered
    pixels by object with one stable sort of it, and interpolate
    attributes and sample textures once per covered pixel, for its winner
-   only, in fixed-size batches of one object. A batch holds its
-   barycentric weights as one contiguous row per edge and interpolates
-   one attribute column at a time into one reused buffer, which it
-   scatters into the pass; pos3d_t's Z is written from the depth.
+   only, in fixed-size batches of that order which run across object
+   boundaries. A batch holds its barycentric weights as one contiguous
+   row per edge and interpolates one attribute column at a time into one
+   reused buffer, which it scatters into the pass; pos3d_t's Z is
+   written from the depth. It samples each of its objects' textures
+   into that object's rows of one colour buffer, then shades, rounds
+   and scatters all of its pixels at once.
 
 Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
@@ -62,8 +65,8 @@ _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
 _AMBIENT = 0.35
 # Fragments (span cells) evaluated per batch, and covered pixels shaded
 # per batch. Both bound the working set of a view; a shading batch holds
-# under 160 bytes per pixel, a noise texture's sampling included (about
-# 130 with one, 75 with the others).
+# under 160 bytes per pixel, its colour buffer and a noise texture's
+# sampling included (about 150 with one, 75-100 with the others).
 _FRAGMENT_BATCH = 1 << 16
 _SHADE_BATCH = 1 << 15
 # Relative widening of a span bound: far above the few ulps by which the
@@ -418,7 +421,8 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
 
 def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
-    in batches of one object that run through `map_ordered`.
+    in batches of _SHADE_BATCH covered pixels that run through
+    `map_ordered`.
 
     `passes` holds the flattened rgb (P, 3), object index (P,) and
     position (P, 3) outputs, the positions of the passes the view has in
@@ -426,13 +430,17 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
 
     The object index output is written first, from the winners; one
     stable sort of it groups the covered pixels by object, each in pixel
-    order. Above its inputs and outputs, shading then holds the sorted
-    pixels and their winners' screen rows (16 bytes per covered pixel)
-    and each worker's batch: a batch gathers from the column-major
-    tables with 1-D takes, holds its barycentric weights as (3, B) rows
-    and interpolates one attribute column at a time into one reused
-    buffer, so its temporaries are a few pixel-sized vectors, the
-    texture's sampling aside.
+    order. The batches cut that order into fixed-size pieces across
+    object boundaries, and each keeps the (object, start, stop) runs of
+    its pixels. Above its inputs and outputs, shading then holds the
+    sorted pixels and their winners' screen rows (16 bytes per covered
+    pixel) and each worker's batch: a batch gathers from the
+    column-major tables with 1-D takes, holds its barycentric weights as
+    (3, B) rows and interpolates one attribute column at a time into one
+    reused buffer. It samples each run's texture into that run's rows of
+    one colour buffer, then shades, rounds and scatters all its pixels at
+    once, so its temporaries are a few pixel-sized vectors and the
+    colour buffer, the textures' sampling aside.
     """
     rgb, obj_idx, *positions = passes
     if not len(scr.draw):
@@ -446,7 +454,9 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     pix = np.argsort(obj_idx, kind="stable")[counts[0]:]
     row = owner[pix]
     aoz = scr.attr_over_z
-    batches = []
+    # batch b shades sorted pixels b * _SHADE_BATCH up to the next
+    # multiple; runs[b] holds (object, start, stop) of its rows, by object
+    runs = []
     ends = np.cumsum(counts) - counts[0]
     for idx in np.flatnonzero(counts[1:]) + 1:
         s, e = int(ends[idx - 1]), int(ends[idx])
@@ -454,13 +464,19 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         # on no points: a noise texture builds its lattice here, once,
         # not in two workers at the same time
         obj.texture.sample(np.zeros((0, 2)))
-        batches += [(obj, slice(c, min(c + _SHADE_BATCH, e)))
-                    for c in range(s, e, _SHADE_BATCH)]
+        while s < e:
+            b, start = divmod(s, _SHADE_BATCH)
+            n = min(e - s, _SHADE_BATCH - start)
+            if b == len(runs):
+                runs.append([])
+            runs[b].append((obj, start, start + n))
+            s += n
 
     shade_factor = tris.shade[scr.draw]
 
     def shade(batch):
-        obj, sel = batch
+        b, batch_runs = batch
+        sel = slice(b * _SHADE_BATCH, (b + 1) * _SHADE_BATCH)
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
         px = x + 0.5
@@ -500,8 +516,10 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         uv = np.empty((len(p), 2))
         for c in range(2):
             interp(aoz.shape[1] - 2 + c, uv[:, c])
-        del lam, depth, col  # freed before the texture is sampled: a lower peak
-        color = obj.texture.sample(uv)  # a new array
+        del lam, depth, col  # freed before the textures are sampled: a lower peak
+        color = np.empty((len(p), 3))
+        for obj, s, e in batch_runs:
+            color[s:e] = obj.texture.sample(uv[s:e])
         del uv
         color *= shade_factor.take(r)[:, None]
         color *= 255.0
@@ -509,7 +527,7 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
 
     # each covered pixel is in exactly one batch, so the batches write
     # disjoint elements of the outputs
-    map_ordered(shade, batches)
+    map_ordered(shade, enumerate(runs))
 
 
 def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:

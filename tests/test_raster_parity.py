@@ -252,6 +252,45 @@ def test_more_workers_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _mixed_texture_scene():
+    """A checker wall, a gradient speck of one or two pixels and a noise
+    box in front of it. In the right view the wall covers 2867 pixels,
+    the speck one and the box 156, so the 5-pixel batch from sorted
+    pixel 2865 holds the last two of the wall, the speck and the first
+    two of the box."""
+    checker, noise, gradient = TEXTURES
+    return scene([box((0, 0, 10.25), (3.9, 4, 0.5), 1, texture=checker),
+                  box((0.6, -0.5, 6.0), (0.05, 0.05, 0.05), 2, texture=gradient),
+                  box((-0.3, 0.4, 6.25), (0.5, 0.5, 0.5), 3, texture=noise)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [1, 5, 1 << 15])
+def test_shading_batches_cross_objects(monkeypatch, batch, workers):
+    # a shading batch runs across object boundaries: it samples each of
+    # its objects' textures into that object's rows of one colour buffer
+    monkeypatch.setattr(render, "_SHADE_BATCH", batch)
+    set_cpus(monkeypatch, workers)
+    units = []
+    ordered = render.map_ordered
+
+    def recorded(fn, items):
+        items = list(items)
+        units.append(items)
+        return ordered(fn, items)
+
+    monkeypatch.setattr(render, "map_ordered", recorded)
+    out = assert_matches_oracle(_mixed_texture_scene())
+    covered = [int(fp.valid.sum()) for fp in out.values()]
+    assert [len(u) for u in units] == [-(-n // batch) for n in covered]
+    # (object, start, stop) runs per batch: one object per pixel, three
+    # in a batch that spans the speck, all three in the one large batch
+    runs = max(len(r) for view in units for _, r in view)
+    assert runs == (1 if batch == 1 else 3)
+    if batch > max(covered):
+        assert all(len(u) == 1 for u in units)
+
+
 class PairedTexture(Texture):
     """A texture whose first two samples of pixels wait for each other."""
 

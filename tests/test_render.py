@@ -189,6 +189,33 @@ def test_shading_memory_is_bounded(monkeypatch):
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("batch", [100, 1024, 1 << 15])
+@pytest.mark.parametrize("scene", ["one box", "flyingthings"])
+def test_shading_units_follow_pixels_not_objects(monkeypatch, scene, batch):
+    # a view's shading is one map over ceil(covered / _SHADE_BATCH)
+    # units, however many objects cover its pixels
+    monkeypatch.setattr(render, "_SHADE_BATCH", batch)
+    units = []
+    ordered = render.map_ordered
+
+    def counted(fn, items):
+        items = list(items)
+        units.append(len(items))
+        return ordered(fn, items)
+
+    monkeypatch.setattr(render, "map_ordered", counted)
+    if scene == "one box":
+        spec = box_scene([box_object((0, 0, 10.25), (4, 4, 0.5))])
+    else:
+        spec = sf.generate_flyingthings_scene(42, small_params())
+    fp = rasterize_frame(spec, 2, "left")
+    covered = int(fp.valid.sum())
+    assert units == [-(-covered // batch)]
+    # batches of one object each would be more units
+    per_object = sum(-(-n // batch) for n in np.bincount(fp.object_index[fp.valid]))
+    assert (per_object > units[0]) == (scene == "flyingthings"), per_object
+
+
 # ---------------------------------------------------------------------------
 # Row spans: the fold evaluates only span cells, so they must hold every
 # cell of a triangle's bounding-box grid that its edge test covers.
