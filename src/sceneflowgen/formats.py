@@ -129,6 +129,11 @@ def read_pfm(buf: bytes) -> np.ndarray:
         w, h, scale = int(wtok), int(htok), float(stok)
     except ValueError as e:
         raise ParseError(f"bad PFM header near byte {pos}: {e}") from None
+    # the scale's sign gives the byte order: a zero (of either sign) or a
+    # non-finite scale has none
+    if not (math.isfinite(scale) and scale):
+        raise ParseError(f"bad PFM scale {stok[:16]!r} at byte "
+                         f"{pos - len(stok)}: needs a finite, nonzero number")
     _check_dimensions("PFM", w, h)
     pos += 1  # single whitespace byte after the scale line
     shape = (h, w) if channels == 1 else (h, w, 3)

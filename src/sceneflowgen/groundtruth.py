@@ -24,12 +24,14 @@ All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
 each band rounds its float64 values once, as it writes its rows. Passes
 may come in as float32 (as read from files) or float64 (from the
-renderer). Each band widens its rows of depth and of the position
-passes, so only band-sized float64 copies exist and either input gives
-the same bytes; `reconstruct_scene_flow` widens the maps it is given. On
-the whole frame only the occlusion eps (a median depth, of which only
-the middle values are widened) and the next frame's z-buffer lookup
-widen what they read.
+renderer). A view's depth is pos3d_t's Z (`FramePasses.depth`), so one Z
+gives the disparity, the disparity change and the projections. Each band
+widens its rows of the position passes and reads Z_t from pos3d_t's
+widened rows, so only band-sized float64 copies exist and either input
+gives the same bytes; `reconstruct_scene_flow` widens the maps it is
+given. On the whole frame only the occlusion eps (a median depth, of
+which only the middle values are widened) and the next frame's z-buffer
+lookup widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -201,13 +203,14 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
     t + 1) at depth z_point, written to out; own and valid are the band's
     object indices and valid mask. A valid pixel is occluded when its
     projection leaves the image, its 2x2 footprint touches another object,
-    or the bilinear z-buffer there (depth, inf at void) is nearer by more
-    than eps.
+    or the bilinear z-buffer there (pos3d_t's Z, inf at void) is nearer by
+    more than eps. The Z of a corner is read with a flat take into
+    pos3d_t, so no copy of the next frame's Z plane is made.
 
     Every step writes into band-sized buffers: the floor and the
     fraction of each axis, one for the weights, the corner index, four
     float64 corners and two bools besides inside and out."""
-    h, w = passes_next.depth.shape
+    h, w = passes_next.object_index.shape
     u, v = proj
     with np.errstate(invalid="ignore"):
         # NaN compares False, and +-inf lies outside: neither is inside
@@ -247,9 +250,9 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
         # its band peak, so that peak counts once per worker in the RSS
         del x0, y0
         index = passes_next.object_index.ravel()
-        depth = passes_next.depth.ravel()
-        # the next frame's z-buffer at the corners alone: depth, inf at
-        # void, widened to float64 here. A footprint that touches another
+        pos = passes_next.pos3d_t.reshape(-1)
+        # the next frame's z-buffer at the corners alone: pos3d_t's Z, inf
+        # at void, widened to float64 here. A footprint that touches another
         # object is silhouette-adjacent: the point's surface is not
         # cleanly visible there, so it counts as occluded
         mixed = np.zeros(u.shape, dtype=bool)
@@ -259,7 +262,9 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
             np.add(k, step, out=corner)
             o = index.take(corner)
             mixed |= np.not_equal(o, own, out=test)
-            zbuf[...] = depth.take(corner)
+            corner *= 3
+            corner += 2  # the corner's Z in the flat pos3d_t
+            zbuf[...] = pos.take(corner)
             zbuf[np.equal(o, 0, out=test)] = np.inf
         del k, corner, o
         g00, g01, g10, g11 = g
@@ -282,8 +287,9 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
 
 
 def _occlusion_eps(depth):
-    """The occlusion test's depth tolerance: 1e-3 of the median depth, or
-    1e-3 at a view with no depth (which np.nanmedian would warn about).
+    """The occlusion test's depth tolerance: 1e-3 of the median of depth,
+    a view's pos3d_t Z plane, or 1e-3 at a view with no depth (which
+    np.nanmedian would warn about).
 
     The median is that of the depths widened to float64, as np.median
     takes it: the middle value, or the mean of the middle two. The
@@ -343,15 +349,15 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                  passes_next: FramePasses | None = None) -> GroundTruthFrame:
     """All per-view ground-truth maps for one rendered frame, seen by
     the rig's one camera: positions project through `rig.intrinsics`, and
-    b*f is `rig.bf`. Disparity is b*f/depth at valid pixels and NaN at
-    void; a covered pixel of non-positive depth raises
-    DataCorruptionError. Flow is the difference of the projected 3D
-    positions, defined also where the point is occluded in the other
-    frame; disparity change is b*f/Z_other - b*f/Z_t, positive for
-    approaching surfaces, with b*f/Z_t the float64 disparity of the depth
-    (the renderer writes pos3d_t's Z from that depth); both are NaN at
-    void. passes_next, if given, is the next frame of the same view, and
-    `occlusion_fwd` marks the points it hides (see `_occluded`).
+    b*f is `rig.bf`. The depth Z_t is pos3d_t's Z, the one Z every map
+    reads. Disparity is b*f/Z_t at valid pixels and NaN at void; a covered
+    pixel of non-positive Z_t raises DataCorruptionError. Flow is the
+    difference of the projected 3D positions, defined also where the
+    point is occluded in the other frame; disparity change is
+    b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
+    b*f/Z_t the float64 disparity; both are NaN at void. passes_next, if
+    given, is the next frame of the same view, and `occlusion_fwd` marks
+    the points it hides (see `_occluded`).
     Motion boundaries mark both pixels of every 4-adjacent pair of
     different objects whose forward flows differ by at least
     MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
@@ -360,7 +366,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
 
     Every map but the boundaries' component filter is per pixel, so they
     run on the bands of `_parallel.bands`; each band widens its rows of
-    depth and of the position passes to float64, divides b*f by its depth
+    the position passes to float64, divides b*f by pos3d_t's widened Z
     once and writes its rows of the disparity and of both disparity
     changes from that, projects each 3D-position pass once into one of two
     (2, rows, W) buffers of u and v planes (pos3d_t's, then pos3d_prev's
@@ -373,12 +379,12 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     and keeps that flow's first and last rows, from which the pairs across
     band edges are marked once the bands are done (`_mark_edge_pairs`); no
     whole-frame float64 map is held. What a band cannot see is taken over
-    the whole view: the occlusion eps comes from the median depth of the
+    the whole view: the occlusion eps comes from the median Z_t of the
     frame, the occlusion test samples the whole next frame, and small
     boundary components are dropped from the whole mask. The maps do not
     depend on the band height or the number of workers.
     """
-    h, w = passes.depth.shape
+    h, w = passes.object_index.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
 
     def new(*shape, dtype=np.float32):
@@ -405,8 +411,11 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         obj = passes.object_index[rows]
         valid = obj > 0
         void = ~valid
-        depth = _wide(passes.depth[rows])
-        ok = depth > 0
+        pos_t, pos_prev, pos_next = (
+            None if a is None else _wide(a[rows])
+            for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
+        z_t = pos_t[..., 2]
+        ok = z_t > 0
         ok |= void
         if not ok.all():
             raise DataCorruptionError("non-positive depth at a covered pixel")
@@ -414,14 +423,11 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         # written to the band's rows, and subtracted by both disparity
         # changes before the projections' buffers are made
         with np.errstate(invalid="ignore"):
-            bf_over_z_t = np.divide(bf, depth)
-        del depth, ok
+            bf_over_z_t = np.divide(bf, z_t)
+        del ok
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
         disparity[void] = np.nan
-        pos_t, pos_prev, pos_next = (
-            None if a is None else _wide(a[rows])
-            for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
         for other, dispchange in ((pos_next, frame.dispchange_fwd),
                                   (pos_prev, frame.dispchange_bwd)):
             if other is not None:

@@ -40,9 +40,9 @@ __all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
 
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
 # Every file of a view, in write order: pass (its `FramePasses` or
-# `GroundTruthFrame` field), extension, `formats` codec (write_<codec>, and
-# read_<codec> for a render pass, looked up when called) and, for a render
-# pass, its channels.
+# `GroundTruthFrame` field; depth is `FramePasses.depth`, pos3d_t's Z),
+# extension, `formats` codec (write_<codec>, and read_<codec> for a render
+# pass, looked up when called) and, for a render pass, its channels.
 _FILES = (
     ("rgb", "ppm", "ppm", (3,)),
     ("depth", "pfm", "pfm", ()),
@@ -257,8 +257,11 @@ def load_frame_passes(files, t, k):
     several are bad, the error is that of the first in `_FILES` order, the
     order `write_frame` writes them. The material pass must equal the
     object pass, or a ParseError names its file; it is then dropped.
-    Depth and positions stay float32, as stored, one copy of the file
-    bytes; `groundtruth` widens them band by band.
+    The depth file is decoded into pos3d_t's Z plane and then dropped:
+    the view holds one Z, and `derive` takes it from the depth file for
+    every map, whatever the pos3d_t file's Z holds. Nothing yet checks
+    that the two files' Z agree. Positions stay float32, as stored, one
+    copy of the file bytes; `groundtruth` widens them band by band.
     """
     render = [row for row in _FILES if row[3] is not None]
 
@@ -279,4 +282,5 @@ def load_frame_passes(files, t, k):
                                                    passes["object_index"]):
         raise ParseError(f"{files['material_index']}: the material pass "
                          "differs from the object pass")
+    passes["pos3d_t"][..., 2] = passes.pop("depth")
     return FramePasses(**passes, frame_time=t)

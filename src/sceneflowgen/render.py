@@ -1,11 +1,11 @@
 """Deterministic z-buffer rasterizer.
 
-Produces, per frame and per stereo view, the RGB image, depth, the object
-index mask, and three 3D-position passes: the surface point's
-position at time t (camera frame of t), and the same surface point's
-position at t-1 / t+1 expressed in the camera frame of that time. All
-passes are rasterized with time-t geometry, so corresponding pixels of the
-three passes refer to the same surface point.
+Produces, per frame and per stereo view, the RGB image, the object index
+mask, and three 3D-position passes: the surface point's position at time
+t (camera frame of t), and the same surface point's position at t-1 /
+t+1 expressed in the camera frame of that time. The depth pass is the
+first one's Z. All passes are rasterized with time-t geometry, so
+corresponding pixels of the three passes refer to the same surface point.
 
 Rasterization is batched array work rather than a loop over triangles:
 
@@ -33,7 +33,8 @@ Rasterization is batched array work rather than a loop over triangles:
    boundaries. A batch holds its barycentric weights as one contiguous
    row per edge and interpolates one attribute column at a time into one
    reused buffer, which it scatters into the pass; pos3d_t's Z is
-   written from the depth. It samples each of its objects' textures
+   written from the z-buffer, and is the view's one depth pass
+   (`FramePasses.depth`). It samples each of its objects' textures
    into that object's rows of one colour buffer, then shades, rounds
    and scatters all of its pixels at once.
 
@@ -82,16 +83,21 @@ class FramePasses:
     (`StereoRig.intrinsics`, `SceneSpec.camera_pose(frame_time, view)`)."""
 
     rgb: np.ndarray  # (H, W, 3) uint8
-    # depth and positions: float64 from the renderer, float32 when read
-    # from files (`pipeline.load_frame_passes`); `groundtruth` widens them
-    depth: np.ndarray  # (H, W), NaN at void
-    pos3d_t: np.ndarray  # (H, W, 3), camera frame at t
+    # positions: float64 from the renderer, float32 when read from files
+    # (`pipeline.load_frame_passes`); `groundtruth` widens them
+    pos3d_t: np.ndarray  # (H, W, 3), camera frame at t; NaN at void
     pos3d_prev: np.ndarray | None  # camera frame at t-1; None at t = 1
     pos3d_next: np.ndarray | None  # camera frame at t+1; None at t = frames
     # (H, W) uint16, 0 = void: the 1-based place of the pixel's object in
     # `SceneSpec.all_objects()`
     object_index: np.ndarray
     frame_time: int
+
+    @property
+    def depth(self):
+        """The depth pass, (H, W): pos3d_t's Z, a view of pos3d_t, NaN at
+        void. The view holds one Z, so depth and pos3d_t cannot disagree."""
+        return self.pos3d_t[..., 2]
 
     @property
     def valid(self):
@@ -510,7 +516,7 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
         for k, dst in enumerate(positions):
             for c in range(3):
                 if k == 0 and c == 2:
-                    dst[:, 2][p] = depth  # pos3d_t's Z is the depth pass
+                    dst[:, 2][p] = depth  # pos3d_t's Z is the z-buffer
                 else:
                     dst[:, c][p] = interp(3 * k + c, col)
         uv = np.empty((len(p), 2))
@@ -558,6 +564,5 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
         *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),
     ])
 
-    depth = np.where(obj_idx > 0, zbuf.reshape(h, w), np.nan)
     return FramePasses(  # the passes in field order
-        rgb, depth, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)
+        rgb, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)

@@ -64,9 +64,8 @@ def make_passes(depth, intrinsics, pos3d_next=None, index=None, t=1):
     if index is None:
         index = valid
     return FramePasses(  # the passes in field order
-        np.zeros((h, w, 3), dtype=np.uint8), np.where(valid, depth, np.nan),
-        pos_t, None, pos3d_next, np.asarray(index, dtype=np.uint16),
-        frame_time=t)
+        np.zeros((h, w, 3), dtype=np.uint8), pos_t, None, pos3d_next,
+        np.asarray(index, dtype=np.uint16), frame_time=t)
 
 
 def with_flow(passes, flow, intrinsics):

@@ -97,9 +97,8 @@ def oracle_rasterize_frame(spec, t, view):
                     index, obj.texture, shade[ti],
                 )
 
-    depth = np.where(obj_idx > 0, zbuf, np.nan).astype(np.float64)
     return FramePasses(  # the passes in field order
-        rgb, depth, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)
+        rgb, pos_t, pos_prev, pos_next, obj_idx, frame_time=t)
 
 
 def _raster_triangle(tri_cam, attrs, f, cx, cy, w, h, xs_all, ys_all,

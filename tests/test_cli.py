@@ -344,6 +344,18 @@ class TestDeriveMalformed:
         err = capsys.readouterr().err
         assert err.startswith("error [ParseError]: ") and key in err, err
 
+    def test_zero_pfm_scale_is_a_parse_error(self, dataset, tmp_path, capsys):
+        # a scale of 0.0 gives no byte order, so no depth can be read
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        path = ds / manifest["frames"][0]["files"]["left"]["depth"]
+        path.write_bytes(path.read_bytes().replace(b"\n-1.0\n", b"\n0.0\n", 1))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: ") and "b'0.0'" in err, err
+
     def test_incomplete_manifest_is_a_parse_error(self, dataset, tmp_path,
                                                   capsys):
         ds = tmp_path / "ds"

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -67,6 +68,16 @@ class TestPfm:
     def test_big_endian_scale_readable(self):
         data = b"Pf\n1 1\n1.0\n" + struct.pack(">f", 2.5)
         assert formats.read_pfm(data)[0, 0] == 2.5
+
+    @pytest.mark.parametrize("scale", ["0.0", "-0.0", "0", "nan", "-nan",
+                                       "inf", "-inf"])
+    def test_scale_without_byte_order_is_parse_error(self, scale):
+        # the scale's sign is the byte order; these have none, and read as
+        # big-endian they turned a 1.0 into 4.6e-41
+        data = f"Pf\n1 1\n{scale}\n".encode() + struct.pack("<f", 1.0)
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{scale.encode()!r} at byte 7")):
+            formats.read_pfm(data)
 
 
 class TestFlo:

@@ -629,10 +629,10 @@ class TestDeriveFrameMemory:
 
 
 def with_positions(passes, dtype):
-    """passes with depth and every position pass cast to dtype."""
+    """passes with every position pass, depth included, cast to dtype."""
     return dataclasses.replace(passes, **{
         name: getattr(passes, name).astype(dtype)
-        for name in ("depth", "pos3d_t", "pos3d_prev", "pos3d_next")
+        for name in ("pos3d_t", "pos3d_prev", "pos3d_next")
         if getattr(passes, name) is not None})
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -351,3 +352,92 @@ def test_interrupted_copy_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     written = [rel for rel in left if rel != "config.json"]
     assert not [rel for rel in written
                 if frame_view(rel) > frame_view(fail_name)]
+
+
+def test_a_view_holds_one_z(tmp_path):
+    # depth is no field of its own: it is pos3d_t's Z, rendered or loaded
+    assert "depth" not in {f.name for f in dataclasses.fields(sf.FramePasses)}
+    spec = small_spec(2)
+    pipeline.generate_dataset(spec, tmp_path / "ds")
+    manifest = formats.read_manifest((tmp_path / "ds" / "manifest.json").read_text())
+    _, rig, paths = pipeline._derivable(manifest, tmp_path / "ds")
+    for fp in (sf.rasterize_frame(spec, 1, "left"),
+               pipeline.load_frame_passes(paths[1, "left"], 1, rig.intrinsics)):
+        assert np.shares_memory(fp.depth, fp.pos3d_t)
+        assert np.isnan(fp.depth[~fp.valid]).all() and (fp.depth[fp.valid] > 0).all()
+
+
+def _rewrite_pfm(path, change):
+    """Decode the PFM at path, let change edit the array, encode it back."""
+    a = formats.read_pfm(path.read_bytes())
+    change(a)
+    path.write_bytes(formats.write_pfm(a))
+
+
+def _scale_covered(z, factor=np.float32(1.01), count=50):
+    """Scale the first count finite values of the (H, W) view z in place."""
+    ys, xs = np.nonzero(np.isfinite(z))
+    z[ys[:count], xs[:count]] *= factor
+
+
+def test_derive_takes_z_from_the_depth_file_alone(tmp_path):
+    # pos3d_t's Z scaled at covered pixels of every view: derive reads each
+    # view's Z from its depth file, so every map keeps its bytes, and --out
+    # still copies the pos3d_t files as they are
+    clean, bent = tmp_path / "ds", tmp_path / "bent"
+    assert main(GEN_ARGS + ["--out", str(clean)]) == 0
+    shutil.copytree(clean, bent)
+    by_pass = listed_passes(bent)
+    for rel in by_pass["pos3d_t"]:
+        _rewrite_pfm(bent / rel, lambda pos: _scale_covered(pos[..., 2]))
+        assert (bent / rel).read_bytes() != (clean / rel).read_bytes()
+    for root in (clean, bent):
+        assert main(["derive", str(root), "--out", str(tmp_path / f"{root.name}-re")]) == 0
+    from_clean, from_bent = tree_bytes(tmp_path / "ds-re"), tree_bytes(tmp_path / "bent-re")
+    for rel in by_pass["pos3d_t"]:
+        assert from_bent.pop(rel) == (bent / rel).read_bytes(), rel
+        del from_clean[rel]
+    del from_clean["config.json"], from_bent["config.json"]
+    assert from_bent == from_clean
+
+
+def test_a_scaled_depth_file_is_the_z_of_every_map(tmp_path):
+    # frame 1's left depth file scaled at covered pixels: disparity, flow and
+    # the rest come from that one Z, as derive_frame gives them on passes
+    # whose pos3d_t Z is the scaled depth
+    root, fresh = tmp_path / "ds", tmp_path / "fresh"
+    assert main(GEN_ARGS + ["--out", str(root)]) == 0
+    manifest = formats.read_manifest((root / "manifest.json").read_text())
+    files = manifest["frames"][0]["files"]["left"]
+    z_clean = formats.read_pfm((root / files["depth"]).read_bytes())
+    _rewrite_pfm(root / files["depth"], _scale_covered)
+    assert main(["derive", str(root), "--out", str(fresh)]) == 0
+
+    def passes(t, z=None):
+        # decoded here, not by load_frame_passes: pos3d_t's Z is z, or
+        # else the depth file
+        files = manifest["frames"][t - 1]["files"]["left"]
+
+        def read(name, codec="pfm"):
+            if name not in files:
+                return None
+            return getattr(formats, "read_" + codec)((root / files[name]).read_bytes())
+        pos_t = read("pos3d_t")
+        pos_t[..., 2] = read("depth") if z is None else z
+        return sf.FramePasses(read("rgb", "ppm"), pos_t, read("pos3d_prev"),
+                              read("pos3d_next"), read("object_index", "pgm16"),
+                              frame_time=t)
+
+    rig = sf.StereoRig.from_dict(manifest["rig"])
+    frame = sf.derive_frame(passes(1), rig, passes(2))
+    clean = sf.derive_frame(passes(1, z_clean), rig, passes(2))
+    for name in ("disparity", "flow_fwd"):  # the scaled Z moves both
+        assert not np.array_equal(getattr(frame, name), getattr(clean, name),
+                                  equal_nan=True), name
+    codecs = {name: codec for name, _, codec, channels in pipeline._FILES
+              if channels is None}
+    maps = {name: rel for name, rel in files.items() if name in codecs}
+    assert {"disparity", "flow_fwd", "dispchange_fwd", "occlusion_fwd"} <= set(maps)
+    for name, rel in maps.items():
+        want = getattr(formats, "write_" + codecs[name])(getattr(frame, name))
+        assert (fresh / rel).read_bytes() == want, name
