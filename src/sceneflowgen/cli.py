@@ -10,7 +10,10 @@ length in pixels, default disparity range and motion-boundary constants,
 and `derive`'s output directory. A scene's own parameters are in the
 manifest's `params`. Every file is written under a temporary name and
 renamed into place (`pipeline.write_atomic`), so an interrupted run
-leaves no half-written file.
+leaves no half-written file. Every input is read by `formats.read`: a
+command takes any file it decodes, what uses the array refuses a shape
+it cannot take, and a decode error names the file. `estimate` writes
+only .pfm and `visualize` only .ppm, so `--out` must have that suffix.
 """
 
 from __future__ import annotations
@@ -91,19 +94,15 @@ def cmd_derive(args):
     print(f"derived ground truth for {n_frames} frame(s)")
 
 
-def _load_image(path):
-    path = Path(path)
-    data = path.read_bytes()
-    if path.suffix == ".ppm":
-        return formats.read_ppm(data)
-    if path.suffix == ".pgm":
-        return formats.read_pgm8(data)
-    raise ContractError(f"unsupported image format: {path}")
+def _check_suffix(suffix, *outputs):
+    for path in outputs:
+        if path is not None and Path(path).suffix != suffix:
+            raise ContractError(f"{path}: {suffix} data needs a {suffix} name")
 
 
 def cmd_estimate(args):
-    left = _load_image(args.left)
-    right = _load_image(args.right)
+    _check_suffix(".pfm", args.out, args.confidence_out)
+    left, right = formats.read(args.left), formats.read(args.right)
     disp, confidence = estimate_disparity(left, right, max_disp=args.max_disp)
     out = Path(args.out)
     pipeline.write_atomic(out, formats.write_pfm(disp))
@@ -114,15 +113,7 @@ def cmd_estimate(args):
     print(f"wrote disparity to {out}")
 
 
-def _load_map(path):
-    path = Path(path)
-    data = path.read_bytes()
-    if path.suffix == ".flo":
-        a = formats.read_flo(data)
-    elif path.suffix == ".pfm":
-        a = formats.read_pfm(data)
-    else:
-        raise ContractError(f"unsupported map format: {path}")
+def _float64(a):
     # a signalling NaN in the file widens to a quiet NaN, which is no error
     with np.errstate(invalid="ignore"):
         return a.astype(np.float64)
@@ -164,12 +155,10 @@ def cmd_evaluate(args):
     scored = {mask_name: {"epe": [], "d1": []} for mask_name in masks}
     for i, (pred_path, gt_path, occ_path) in enumerate(
             zip(args.pred, args.gt, occlusions)):
-        pred = _load_map(pred_path)
-        gt = _load_map(gt_path)
+        pred, gt = (_float64(formats.read(p)) for p in (pred_path, gt_path))
         mask_of = {"all": None}
         if occ_path:
-            occ = formats.read_pgm8(Path(occ_path).read_bytes()) > 0
-            mask_of["non_occluded"] = ~occ
+            mask_of["non_occluded"] = ~(formats.read(occ_path) > 0)
         frame = {"pred": str(pred_path), "gt": str(gt_path)}
         row = f"frame{i:0{digits}d}"
         for mask_name, mask in mask_of.items():
@@ -207,8 +196,8 @@ def cmd_evaluate(args):
 
 
 def cmd_visualize(args):
-    path = Path(args.input)
-    data = _load_map(path)
+    _check_suffix(".ppm", args.out)
+    data = _float64(formats.read(args.input))
     if data.ndim == 3 and data.shape[2] == 2:
         rgb = viz.flow_to_rgb(data, max_flow=args.max_flow)
     elif data.ndim == 2:
@@ -244,26 +233,19 @@ def cmd_inspect(args):
             raise ParseError(f"manifest: missing or malformed {e}") from None
         print("\n".join(summary))
         return
-    if path.suffix in (".pfm", ".flo"):
-        data = _load_map(path)
-        finite = data[np.isfinite(data)]
-        print(f"{path}: shape {data.shape}")
-        if finite.size:
-            print(f"min {finite.min():.4g}  max {finite.max():.4g}  "
-                  f"mean {finite.mean():.4g}")
-        print(f"nan fraction: {float(np.isnan(data).mean()):.4f}")
-    elif path.suffix == ".ppm":
-        img = formats.read_ppm(path.read_bytes())
-        print(f"{path}: RGB {img.shape[1]}x{img.shape[0]}")
-    elif path.suffix == ".pgm":
-        try:
-            img = formats.read_pgm16(path.read_bytes())
-        except SceneFlowError:
-            img = formats.read_pgm8(path.read_bytes())
-        print(f"{path}: mask {img.shape[1]}x{img.shape[0]}, "
-              f"values {img.min()}..{img.max()}")
-    else:
-        raise ContractError(f"don't know how to inspect {path}")
+    a = formats.read(path)
+    if a.dtype.kind == "u":  # a PPM image or a PGM mask
+        h, w = a.shape[:2]
+        print(f"{path}: RGB {w}x{h}" if a.ndim == 3 else
+              f"{path}: mask {w}x{h}, values {a.min()}..{a.max()}")
+        return
+    data = _float64(a)
+    finite = data[np.isfinite(data)]
+    print(f"{path}: shape {data.shape}")
+    if finite.size:
+        print(f"min {finite.min():.4g}  max {finite.max():.4g}  "
+              f"mean {finite.mean():.4g}")
+    print(f"nan fraction: {float(np.isnan(data).mean()):.4f}")
 
 
 def build_parser():

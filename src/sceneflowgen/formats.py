@@ -1,11 +1,11 @@
 """Bit-exact readers and writers for all on-disk formats.
 
 Formats: PFM (float maps), Middlebury .flo (flow), PPM P6 (8-bit RGB),
-PGM P5 with maxval 65535 (16-bit index masks), PGM P5 with maxval 255
-(8-bit masks and gray images), and the JSON dataset manifest. Every
-writer/reader pair round-trips losslessly, including NaN payloads in the
-float formats. Readers refuse images of more than `geometry.MAX_PIXELS`
-pixels, the largest camera a scene can have.
+PGM P5 with maxval 65535 (16-bit index masks) or 255 (8-bit masks and
+gray images), and the JSON dataset manifest. Every writer/reader pair
+round-trips losslessly, NaN payloads included. Readers refuse images of
+more than `geometry.MAX_PIXELS` pixels, the largest camera a scene has.
+`read` picks a file's reader and names the file in a ParseError.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 from .geometry import MAX_PIXELS
 
 MANIFEST_VERSION = "sceneflowgen-manifest-1"
 FLO_MAGIC = 202021.25
 
 __all__ = [
-    "write_pfm", "read_pfm", "write_flo", "read_flo",
+    "read", "write_pfm", "read_pfm", "write_flo", "read_flo",
     "write_ppm", "read_ppm", "write_pgm16", "read_pgm16",
     "write_pgm8", "read_pgm8", "write_mask",
     "write_manifest", "read_manifest", "MANIFEST_VERSION",
@@ -41,14 +41,10 @@ def write_pfm(data) -> bytearray:
     top-to-bottom, so the writer flips.
     """
     a = np.asarray(data)
-    if a.ndim == 2:
-        magic = b"Pf"
-    elif a.ndim == 3 and a.shape[2] == 3:
-        magic = b"PF"
-    else:
+    if a.ndim != 2 and a.shape[2:] != (3,):
         raise ParseError(f"PFM supports HxW or HxWx3 data, got shape {a.shape}")
     h, w = a.shape[0], a.shape[1]
-    header = magic + b"\n" + f"{w} {h}\n".encode() + b"-1.0\n"
+    header = (b"Pf" if a.ndim == 2 else b"PF") + f"\n{w} {h}\n-1.0\n".encode()
     return _file(header, a[::-1], "<f4")
 
 
@@ -93,8 +89,9 @@ def _payload(buf: bytes, pos: int, dtype, shape, kind) -> np.ndarray:
     return np.frombuffer(buf, dtype, count=n, offset=pos).reshape(shape)
 
 
-def _read_pnm_header(buf: bytes, magic: bytes, maxval: int) -> tuple[int, int, int]:
-    """Parse a binary PNM header `magic w h maxval` -> (w, h, payload offset)."""
+def _read_pnm_header(buf: bytes, magic: bytes, maxvals) -> tuple[int, ...]:
+    """Parse a binary PNM header `magic w h maxval`, maxval in maxvals ->
+    (w, h, maxval, payload offset)."""
     tok, pos = _read_pnm_token(buf, 0)
     if tok != magic:
         raise ParseError(f"bad {magic.decode()} magic {tok!r} at byte 0")
@@ -108,19 +105,16 @@ def _read_pnm_header(buf: bytes, magic: bytes, maxval: int) -> tuple[int, int, i
                 f"non-integer header token {tok[:16]!r} at byte {pos - len(tok)}"
             ) from None
     w, h, found = values
-    if found != maxval:
-        raise ParseError(f"{magic.decode()} maxval {found}, expected {maxval}")
+    if found not in maxvals:
+        raise ParseError(f"{magic.decode()} maxval {found}, expected "
+                         + " or ".join(map(str, maxvals)))
     _check_dimensions(magic.decode(), w, h)
-    return w, h, pos + 1  # single whitespace byte after maxval
+    return w, h, found, pos + 1  # single whitespace byte after maxval
 
 
 def read_pfm(buf: bytes) -> np.ndarray:
     magic, pos = _read_pnm_token(buf, 0)
-    if magic == b"Pf":
-        channels = 1
-    elif magic == b"PF":
-        channels = 3
-    else:
+    if magic not in (b"Pf", b"PF"):
         raise ParseError(f"bad PFM magic {magic!r} at byte 0")
     wtok, pos = _read_pnm_token(buf, pos)
     htok, pos = _read_pnm_token(buf, pos)
@@ -136,7 +130,7 @@ def read_pfm(buf: bytes) -> np.ndarray:
                          f"{pos - len(stok)}: needs a finite, nonzero number")
     _check_dimensions("PFM", w, h)
     pos += 1  # single whitespace byte after the scale line
-    shape = (h, w) if channels == 1 else (h, w, 3)
+    shape = (h, w) if magic == b"Pf" else (h, w, 3)
     a = _payload(buf, pos, "<f4" if scale < 0 else ">f4", shape, "PFM")
     return a[::-1].astype(np.float32)
 
@@ -174,7 +168,7 @@ def write_ppm(rgb) -> bytearray:
 
 
 def read_ppm(buf: bytes) -> np.ndarray:
-    w, h, pos = _read_pnm_header(buf, b"P6", 255)
+    w, h, _, pos = _read_pnm_header(buf, b"P6", (255,))
     return _payload(buf, pos, np.uint8, (h, w, 3), "PPM").copy()
 
 
@@ -190,7 +184,7 @@ def write_pgm16(mask) -> bytearray:
 
 
 def read_pgm16(buf: bytes) -> np.ndarray:
-    w, h, pos = _read_pnm_header(buf, b"P5", 65535)
+    w, h, _, pos = _read_pnm_header(buf, b"P5", (65535,))
     return _payload(buf, pos, ">u2", (h, w), "PGM").astype(np.uint16)
 
 
@@ -218,8 +212,29 @@ def _pgm8(a):
 
 
 def read_pgm8(buf: bytes) -> np.ndarray:
-    w, h, pos = _read_pnm_header(buf, b"P5", 255)
+    w, h, _, pos = _read_pnm_header(buf, b"P5", (255,))
     return _payload(buf, pos, np.uint8, (h, w), "PGM").copy()
+
+
+# ---------------------------------------------------------------------------
+# Any file: its suffix's codec; a .pgm's is that of its header's maxval
+
+_CODECS = {".pfm": "pfm", ".flo": "flo", ".ppm": "ppm", ".pgm": None}
+
+
+def read(path, codec=None) -> np.ndarray:
+    """The array in the file at path, decoded by read_<codec> (looked up
+    when called), by default its suffix's; a ParseError names the file."""
+    path = Path(path)
+    if codec is None and path.suffix not in _CODECS:
+        raise ContractError(f"{path}: not a {'/'.join(_CODECS)} file")
+    buf = path.read_bytes()
+    try:
+        codec = codec or _CODECS[path.suffix] or {255: "pgm8", 65535: "pgm16"}[
+            _read_pnm_header(buf, b"P5", (255, 65535))[2]]
+        return globals()["read_" + codec](buf)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

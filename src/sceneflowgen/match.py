@@ -32,17 +32,18 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 
 
 def _to_gray(image):
-    """float64 (H, W) luminance. RGB converts one band of rows at a time,
-    so no float64 copy of the whole (H, W, 3) image exists; each row is
-    the same matrix-vector product as on the whole image."""
+    """float64 (H, W) luminance, a signalling NaN widened to a quiet one.
+    RGB converts one band of rows at a time, so no float64 copy of the
+    whole (H, W, 3) image exists: each row is the whole image's product."""
     a = np.asarray(image)
-    if a.ndim == 2:
-        return a.astype(np.float64, copy=False)
-    if a.ndim != 3 or a.shape[2] != 3:
+    if a.ndim != 2 and a.shape[2:] != (3,):
         raise ContractError(f"expected HxW or HxWx3 image, got shape {a.shape}")
-    gray = np.empty(a.shape[:2])
-    for rows in bands(len(a)):
-        np.matmul(a[rows].astype(np.float64), _LUMA, out=gray[rows])
+    with np.errstate(invalid="ignore"):
+        if a.ndim == 2:
+            return a.astype(np.float64, copy=False)
+        gray = np.empty(a.shape[:2])
+        for rows in bands(len(a)):
+            np.matmul(a[rows].astype(np.float64), _LUMA, out=gray[rows])
     return gray
 
 

@@ -41,8 +41,8 @@ __all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
 # Every file of a view, in write order: pass (its `FramePasses` or
 # `GroundTruthFrame` field; depth is `FramePasses.depth`, pos3d_t's Z),
-# extension, `formats` codec (write_<codec>, and read_<codec> for a render
-# pass, looked up when called) and, for a render pass, its channels.
+# extension, `formats` codec (write_<codec>, and the one `formats.read`
+# decodes a render pass with) and, for a render pass, its channels.
 _FILES = (
     ("rgb", "ppm", "ppm", (3,)),
     ("depth", "pfm", "pfm", ()),
@@ -252,8 +252,9 @@ def load_frame_passes(files, t, k):
     files maps each render pass the view has to its path, and k is the
     rig's intrinsics, which give every pass its size.
 
-    Every render pass of `_FILES` in files is decoded and its shape
-    checked, on the thread map: (H, W) plus the pass's channels. If
+    Every render pass of `_FILES` in files is decoded by `formats.read`
+    with its `_FILES` codec (an 8-bit index file is a ParseError) and its
+    shape checked, on the thread map: (H, W) plus the pass's channels. If
     several are bad, the error is that of the first in `_FILES` order, the
     order `write_frame` writes them. The material pass must equal the
     object pass, or a ParseError names its file; it is then dropped.
@@ -269,7 +270,7 @@ def load_frame_passes(files, t, k):
         name, _, codec, channels = row
         if name not in files:
             return None
-        a = getattr(formats, "read_" + codec)(files[name].read_bytes())
+        a = formats.read(files[name], codec)
         shape = (k.height, k.width) + channels
         if a.shape != shape:
             raise ParseError(f"{files[name]}: shape {a.shape}, the "

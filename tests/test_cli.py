@@ -355,6 +355,23 @@ class TestDeriveMalformed:
         assert main(["derive", str(ds)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [ParseError]: ") and "b'0.0'" in err, err
+        assert err.startswith(f"error [ParseError]: {path.resolve()}: "), err
+
+    def test_8_bit_object_index_is_a_parse_error_naming_it(self, dataset,
+                                                           tmp_path, capsys):
+        # index passes are 16-bit: a .pgm of the right values but maxval
+        # 255 is refused, not read at the bit depth its header gives
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        path = ds / manifest["frames"][0]["files"]["left"]["object_index"]
+        index = formats.read_pgm16(path.read_bytes())
+        path.write_bytes(formats.write_pgm8(index))
+        capsys.readouterr()
+        assert main(["derive", str(ds)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [ParseError]: {path.resolve()}: "
+            "P5 maxval 255, expected 65535\n")
 
     def test_incomplete_manifest_is_a_parse_error(self, dataset, tmp_path,
                                                   capsys):
@@ -810,6 +827,37 @@ def _derive_non_utf8_manifest(tmp):
     return ["derive", _manifest_dir(tmp, b"\xfe\xff")]
 
 
+def _estimate_outputs(out, confidence=None):
+    def build(tmp):
+        img = tmp / "a.ppm"
+        img.write_bytes(_valid_input(".ppm"))
+        argv = ["estimate", str(img), str(img), "--max-disp", "1",
+                "--out", str(tmp / out)]
+        return argv + (["--confidence-out", str(tmp / confidence)]
+                       if confidence else [])
+    return build
+
+
+def _estimate_signalling_nan_pfm(tmp):
+    # float32 0x7f810000 widens to float64 with the invalid flag raised
+    img = np.full((4, 6), 9.0, dtype=np.float32)
+    img.view("<u4")[0, 0] = 0x7F810000
+    pfm = tmp / "a.pfm"
+    pfm.write_bytes(formats.write_pfm(img))
+    return ["estimate", str(pfm), str(pfm), "--max-disp", "1",
+            "--out", str(tmp / "d.pfm")]
+
+
+def _visualize_out_pgm(tmp):
+    return ["visualize", _pfm_file(tmp / "d.pfm"), "--out", str(tmp / "v.pgm")]
+
+
+def _inspect_10_bit_pgm(tmp):
+    pgm = tmp / "m.pgm"
+    pgm.write_bytes(b"P5\n2 2\n1023\n" + bytes(8))
+    return ["inspect", str(pgm)]
+
+
 def _generate_n_background(value):
     def build(tmp):
         args = GEN_ARGS + ["--out", str(tmp / "ds")]
@@ -851,6 +899,15 @@ BAD_INPUT = {
     "visualize infinite max-disp": (
         _visualize_scale(".pfm", "--max-disp", "inf"), "ContractError"),
     "inspect truncated pfm": (_inspect_truncated_pfm, "ParseError"),
+    # read at the bit depth its maxval gives: 8 or 16 bits, nothing else
+    "inspect 10-bit pgm": (_inspect_10_bit_pgm, "ParseError"),
+    # estimate writes PFM bytes and visualize PPM bytes, whatever the suffix
+    "estimate --out .flo": (_estimate_outputs("d.flo"), "ContractError"),
+    "estimate --confidence-out .ppm": (
+        _estimate_outputs("d.pfm", "c.ppm"), "ContractError"),
+    "visualize --out .pgm": (_visualize_out_pgm, "ContractError"),
+    # a PFM is an image too: a NaN in it has no gray value, and no warning
+    "estimate signalling-NaN pfm": (_estimate_signalling_nan_pfm, "ContractError"),
     "inspect unknown suffix": (_inspect_unknown_suffix, "ContractError"),
 }
 
@@ -866,6 +923,71 @@ class TestMalformedInput:
         assert captured.err.startswith(f"error [{error}]: "), captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "l.ppm", "r.ppm", "--out", "est/d.flo"],
+    ["estimate", "l.ppm", "r.ppm", "--out", "est/d.pfm",
+     "--confidence-out", "est/c.ppm"],
+    ["visualize", "d.pfm", "--out", "v/v.pgm"],
+], ids=["estimate --out", "estimate --confidence-out", "visualize --out"])
+def test_output_suffix_refused_before_any_read_or_write(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    # no input exists, so a read would be an [io] error
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error [ContractError]: ")
+    assert not list(tmp_path.iterdir())
+
+
+def _truncated(path, payload):
+    path.write_bytes(payload[:-1])
+    return path
+
+
+def _bad_estimate_right(tmp):
+    left = tmp / "l.ppm"
+    left.write_bytes(_valid_input(".ppm"))
+    right = _truncated(tmp / "r.ppm", _valid_input(".ppm"))
+    return ["estimate", str(left), str(right), "--max-disp", "1",
+            "--out", str(tmp / "d.pfm")], right
+
+
+def _bad_second_prediction(tmp):
+    good = _pfm_file(tmp / "p1.pfm")
+    bad = _truncated(tmp / "p2.pfm", _valid_input(".pfm"))
+    return ["evaluate", "--pred", good, str(bad), "--gt", good, good], bad
+
+
+def _bad_visualize_input(tmp):
+    bad = _truncated(tmp / "f.flo", _valid_input(".flo"))
+    return ["visualize", str(bad), "--out", str(tmp / "f.ppm")], bad
+
+
+def _bad_inspect_input(tmp):
+    bad = tmp / "m.pgm"
+    bad.write_bytes(b"P5\n2 two\n255\n")
+    return ["inspect", str(bad)], bad
+
+
+@pytest.mark.parametrize("build", [
+    _bad_estimate_right, _bad_second_prediction, _bad_visualize_input,
+    _bad_inspect_input], ids=["estimate", "evaluate", "visualize", "inspect"])
+def test_decode_error_names_the_file(tmp_path, capsys, build):
+    argv, bad = build(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [ParseError]: {bad}: "), err
+
+
+def test_inspect_truncated_16_bit_pgm_reports_the_truncation(tmp_path, capsys):
+    pgm = tmp_path / "m.pgm"
+    pgm.write_bytes(formats.write_pgm16(np.ones((4, 6), np.uint16))[:-1])
+    assert main(["inspect", str(pgm)]) == 1
+    assert capsys.readouterr().err == (
+        f"error [ParseError]: {pgm}: truncated PGM payload at byte 60: "
+        "need 48 bytes, have 47\n")
 
 
 def _valid_input(suffix):
@@ -896,14 +1018,15 @@ def _fuzz_argv(command, files, out):
     return ["inspect", files["input"]]
 
 
-# every input file of every command that reads one, under each name or
-# suffix the command accepts for it
+# every input file of every command that reads one, under each suffix
+# `formats.read` takes (and a manifest's name for inspect); the first is
+# the one the other slots get a valid file of
+MAPS, IMAGES = (".pfm", ".flo", ".ppm", ".pgm"), (".ppm", ".pgm", ".pfm", ".flo")
 FUZZ_INPUTS = {
-    "estimate": {"left": (".ppm", ".pgm"), "right": (".ppm", ".pgm")},
-    "evaluate": {"pred": (".pfm", ".flo"), "gt": (".pfm", ".flo"),
-                 "occlusion": (".pgm",)},
-    "visualize": {"input": (".pfm", ".flo")},
-    "inspect": {"input": (".pfm", ".flo", ".ppm", ".pgm", "manifest.json")},
+    "estimate": {"left": IMAGES, "right": IMAGES},
+    "evaluate": {"pred": MAPS, "gt": MAPS, "occlusion": (".pgm", *MAPS[:3])},
+    "visualize": {"input": MAPS},
+    "inspect": {"input": MAPS + ("manifest.json",)},
 }
 FUZZ_CASES = [
     (command, slot, suffix)
