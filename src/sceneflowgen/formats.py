@@ -26,7 +26,7 @@ FLO_MAGIC = 202021.25
 __all__ = [
     "read", "write_pfm", "read_pfm", "write_flo", "read_flo",
     "write_ppm", "read_ppm", "write_pgm16", "read_pgm16",
-    "write_pgm8", "read_pgm8", "write_mask",
+    "write_pgm8", "read_pgm8", "read_pgm", "write_mask",
     "write_manifest", "read_manifest", "MANIFEST_VERSION",
 ]
 
@@ -184,8 +184,7 @@ def write_pgm16(mask) -> bytearray:
 
 
 def read_pgm16(buf: bytes) -> np.ndarray:
-    w, h, _, pos = _read_pnm_header(buf, b"P5", (65535,))
-    return _payload(buf, pos, ">u2", (h, w), "PGM").astype(np.uint16)
+    return _read_pgm(buf, (65535,))
 
 
 def write_pgm8(mask) -> bytearray:
@@ -212,14 +211,29 @@ def _pgm8(a):
 
 
 def read_pgm8(buf: bytes) -> np.ndarray:
-    w, h, _, pos = _read_pnm_header(buf, b"P5", (255,))
-    return _payload(buf, pos, np.uint8, (h, w), "PGM").copy()
+    return _read_pgm(buf, (255,))
+
+
+def read_pgm(buf: bytes) -> np.ndarray:
+    """A P5 of either bit depth: uint8 if its maxval is 255, uint16 if it
+    is 65535."""
+    return _read_pgm(buf, (255, 65535))
+
+
+def _read_pgm(buf, maxvals):
+    """The P5 in buf at the depth its maxval, one of maxvals, gives. The
+    public readers share it and call no other reader, so a wrapper on
+    each (the benchmark's tracer) sees every file once."""
+    w, h, maxval, pos = _read_pnm_header(buf, b"P5", maxvals)
+    wide = maxval == 65535
+    return _payload(buf, pos, ">u2" if wide else np.uint8, (h, w),
+                    "PGM").astype(np.uint16 if wide else np.uint8)
 
 
 # ---------------------------------------------------------------------------
-# Any file: its suffix's codec; a .pgm's is that of its header's maxval
+# Any file: its suffix's codec; a .pgm's bit depth is its header's maxval
 
-_CODECS = {".pfm": "pfm", ".flo": "flo", ".ppm": "ppm", ".pgm": None}
+_CODECS = {".pfm": "pfm", ".flo": "flo", ".ppm": "ppm", ".pgm": "pgm"}
 
 
 def read(path, codec=None) -> np.ndarray:
@@ -230,9 +244,7 @@ def read(path, codec=None) -> np.ndarray:
         raise ContractError(f"{path}: not a {'/'.join(_CODECS)} file")
     buf = path.read_bytes()
     try:
-        codec = codec or _CODECS[path.suffix] or {255: "pgm8", 65535: "pgm16"}[
-            _read_pnm_header(buf, b"P5", (255, 65535))[2]]
-        return globals()["read_" + codec](buf)
+        return globals()["read_" + (codec or _CODECS[path.suffix])](buf)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 

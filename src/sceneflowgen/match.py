@@ -9,11 +9,13 @@ band builds the features of its own rows of both images (`_features`),
 so the features of a whole image never exist, and matches them as one
 flat run of rows * W pixels: every step for a disparity d is a numpy
 ufunc on contiguous 1-D slices, with the costs that wrap into the row
-above masked before they are read. The fold over d keeps only the
-winner, its cost and the second-best cost; the costs at the winner's two
-parabola neighbours are computed once per band after it. The whole
-(H, W, D) cost volume it stands for is built only by the test oracle,
-`tests/match_oracle.py`.
+above masked before they are read. The disparities go in blocks of
+`_BLOCK`, channel by channel: each channel's rows of the two feature
+maps are read once per block, and the block's cost rows stay in cache.
+The fold over d keeps only the winner, its cost and the second-best
+cost; the costs at the winner's two parabola neighbours are computed
+once per band after it. The whole (H, W, D) cost volume it stands for is
+built only by the test oracle, `tests/match_oracle.py`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from .errors import ContractError
 __all__ = ["estimate_disparity", "DEFAULT_MAX_DISPARITY"]
 
 DEFAULT_MAX_DISPARITY = 160  # hypotheses at full resolution for 960-wide input
+
+# Disparities matched per pass over the channels. A 32-row band at 960
+# wide holds 2 x 2.2 MB of features, more than a 2 MB L2, so a pass per
+# disparity streams all of them in from L3; a block of 4 reads each
+# channel's pair of rows (2 x 245 KB) once while its 4 cost rows stay in
+# L2. 8 gains almost nothing more, and its 4 more cost rows per band lift
+# TestMatcherMemory's two-CPU traced peak past its bound, one image's
+# feature map.
+_BLOCK = 4
 
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -134,14 +145,14 @@ def estimate_disparity(left_image, right_image,
     with the parabola refinement, but neither the cost volume nor the
     features of a whole image are ever built. Each band of
     `_parallel.bands` builds the features of its rows of both images,
-    then one loop over d fills a (band, W) cost slice and folds it into
-    the running winner, its cost and the second-best cost; the costs at
-    the winner's two parabola neighbours follow once the loop is done.
-    Rows never mix and every step is
-    element-wise, so the bands are independent and the result does not
-    depend on the band height or on how many bands run at once (see
-    `_parallel`). Memory is the two gray images, the two output maps and,
-    per running band, its features and state.
+    then one loop over blocks of d fills a (band, W) cost slice per d and
+    folds them, in increasing d, into the running winner, its cost and
+    the second-best cost; the costs at the winner's two parabola
+    neighbours follow once the loop is done. Rows never mix and every
+    step is element-wise, so the bands are independent and the result
+    does not depend on the band height or on how many bands run at once
+    (see `_parallel`). Memory is the two gray images, the two output maps
+    and, per running band, its features and state.
 
     Raises ContractError unless every gray value is finite and at most
     sqrt(float64 max) / (2 * patch + 1) in magnitude. Within that range a
@@ -186,11 +197,21 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     left features at i with the right features at i - d. Where x < d that
     right pixel lies in the row above, so those costs are set to -inf
     before the fold reads them. -inf never wins and never becomes the
-    second best. The fold keeps only the winner, its cost and the second
-    best; the costs at the winner's two parabola neighbours are computed
-    once after it (`_neighbour_cost`). The cost and product of each d are
-    written to views of scratch buffers that start the slices at d on a
-    64-byte cache line (`_aligned`).
+    second best.
+
+    The disparities go in blocks of `_BLOCK`, each d with its own cost
+    row. For each channel in order, the block's rows of that channel's
+    left and right features are multiplied and added into every cost
+    row of the block, so a channel's rows are read once per block, not
+    once per d; each cost still sums its products in channel order from
+    +0.0. Then the block's rows are folded in increasing d, as one d at a
+    time would fold them, so the bytes do not depend on the block size.
+    The fold keeps only the winner, its cost and the second best; the
+    costs at the winner's two parabola neighbours are computed once after
+    it (`_neighbour_cost`), into one kept cost row, the others freed
+    first. The costs and products of each d are written to views of
+    scratch buffers that start the slices at d on a 64-byte cache line
+    (`_aligned`).
     """
     rows, w = disparity.shape
     n = rows * w
@@ -200,26 +221,38 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     top = np.full(n, -np.inf)       # cost at best
     second = np.full(n, -np.inf)    # best cost at any other d
     won = np.empty(n, dtype=bool)
-    cost_buf, tmp_buf = np.empty(n + 8), np.empty(n + 8)
-    for d in range(max_disp):
-        cost = _aligned(cost_buf, d, n)  # cost at d from index d on
-        c, t = cost[d:], _aligned(tmp_buf, d, n)[d:]
-        # channel-sequential accumulation from +0.0, as in the oracle
-        np.multiply(a[0, d:], b[0, :n - d], out=t)
-        np.add(t, 0.0, out=c)
-        for ch in range(1, len(a)):
-            np.multiply(a[ch, d:], b[ch, :n - d], out=t)
-            c += t
-        cost.reshape(rows, w)[:, :d] = -np.inf
-        top_d, second_d, won_d = top[d:], second[d:], won[d:]
-        # a new best pushes the old best to second; a cost equal to the
-        # best becomes the second best, so a tie gives a margin of 0
-        np.maximum(second_d, np.minimum(c, top_d, out=t), out=second_d)
-        np.greater(c, top_d, out=won_d)  # strict: ties keep the smaller d
-        # the costs are finite or -inf and never -0.0, so the maximum is
-        # the winner's cost to the bit
-        np.maximum(top_d, c, out=top_d)
-        np.copyto(best[d:], d, where=won_d)
+    tmp_buf = np.empty(n + 8)
+    cost_bufs = [np.empty(n + 8) for _ in range(min(_BLOCK, max_disp))]
+    for d0 in range(0, max_disp, _BLOCK):
+        # each d of the block: its cost (at d from index d on) and the
+        # scratch for its products, the last block short
+        block = [(d, _aligned(buf, d, n), _aligned(tmp_buf, d, n)[d:])
+                 for d, buf in zip(range(d0, max_disp), cost_bufs)]
+        # channel-major; each cost sums its channels in order from +0.0,
+        # as in the oracle
+        for ch in range(len(a)):
+            for d, cost, t in block:
+                np.multiply(a[ch, d:], b[ch, :n - d], out=t)
+                if ch == 0:
+                    np.add(t, 0.0, out=cost[d:])
+                else:
+                    cost[d:] += t
+        for d, cost, t in block:  # in increasing d
+            c = cost[d:]
+            cost.reshape(rows, w)[:, :d] = -np.inf
+            top_d, second_d, won_d = top[d:], second[d:], won[d:]
+            # a new best pushes the old best to second; a cost equal to
+            # the best becomes the second best, so a tie gives a margin
+            # of 0
+            np.maximum(second_d, np.minimum(c, top_d, out=t), out=second_d)
+            np.greater(c, top_d, out=won_d)  # strict: ties keep the smaller d
+            # the costs are finite or -inf and never -0.0, so the maximum
+            # is the winner's cost to the bit
+            np.maximum(top_d, c, out=top_d)
+            np.copyto(best[d:], d, where=won_d)
+    # one cost row stays as the refinement's scratch, the others are freed
+    cost_buf = cost_bufs[0]
+    del cost_bufs, block, cost, c
     confidence[...] = np.where(np.isfinite(second), top - second,
                                0.0).reshape(rows, w)
     # second is free now: it holds the gathered right features

@@ -339,6 +339,19 @@ class TestRead:
         assert calls == [len(READ_FILES["d.pfm"][0])]
 
 
+@pytest.mark.parametrize("name", ["m8.pgm", "m16.pgm"])
+def test_pgm_header_is_parsed_once(tmp_path, monkeypatch, name):
+    # its maxval picks the bit depth of the same parse that decodes it
+    (tmp_path / name).write_bytes(READ_FILES[name][0])
+    calls = []
+    header = formats._read_pnm_header
+    monkeypatch.setattr(formats, "_read_pnm_header",
+                        lambda *args: calls.append(args[1:]) or header(*args))
+    out = formats.read(tmp_path / name)
+    assert out.tobytes() == READ_FILES[name][1].tobytes()
+    assert calls == [(b"P5", (255, 65535))]
+
+
 DECODERS = {"read_pfm", "read_flo", "read_ppm", "read_pgm8", "read_pgm16"}
 
 

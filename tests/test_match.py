@@ -279,13 +279,17 @@ class TestStreamingMatchesVolume:
         assert np.array_equal(est, np.zeros_like(est))
         assert np.array_equal(conf, np.zeros_like(conf))
 
+    # B is the fold's block of disparities (match._BLOCK): B - 1 is one
+    # short block, B + 1 and 2B + 1 end in a block of one disparity
     @pytest.mark.parametrize("patch", [3, 9])
-    @pytest.mark.parametrize("max_disp", [1, 2, 3, "W"])
+    @pytest.mark.parametrize("max_disp",
+                             [1, 2, 3, "W", "B-1", "B+1", "2B+1"])
     def test_disparity_range_and_patch(self, max_disp, patch):
         left = textured_image(10, 24, seed=11)
         right = np.roll(left, -2, axis=1)
-        assert_matches_volume(left, right, 24 if max_disp == "W" else max_disp,
-                              patch)
+        b = match._BLOCK
+        n_d = {"W": 24, "B-1": b - 1, "B+1": b + 1, "2B+1": 2 * b + 1}
+        assert_matches_volume(left, right, n_d.get(max_disp, max_disp), patch)
 
     def test_rendered_box_scene(self):
         spec = box_scene([noise_box((0, 0, 14.25), (8, 6, 0.5))])
@@ -340,7 +344,8 @@ class TestStreamingMatchesVolume:
 @st.composite
 def matcher_cases(draw):
     """A pair of 1-40 by 1-70 images, with flat stripes that make ties,
-    a disparity range, a patch, a band height and a CPU count."""
+    a disparity range, a patch, a band height, a CPU count and a block
+    size of the disparity fold."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     left = rng.integers(0, 256, (h, w)).astype(np.float64)
@@ -358,19 +363,21 @@ def matcher_cases(draw):
             left[index] = right[index] = draw(st.sampled_from([0.0, 77.0]))
     return (left, right, draw(st.integers(1, w)),
             draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, h + 5)),
-            draw(st.sampled_from([1, 2])))
+            draw(st.sampled_from([1, 2])), draw(st.integers(1, 6)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=matcher_cases())
 def test_fold_matches_volume(case):
     # d mod 8 and W mod 8 vary, so the cache-line offset of the scratch
-    # slices does too; the flat stripes give ties and zero margins
-    left, right, max_disp, patch, rows, cpus = case
+    # slices does too; the flat stripes give ties and zero margins, and
+    # the block size varies where the last block of disparities ends
+    left, right, max_disp, patch, rows, cpus, block = case
     ref = [x.tobytes()
            for x in oracle_estimate_disparity(left, right, max_disp, patch)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_parallel, "BAND_ROWS", rows)
+        mp.setattr(match, "_BLOCK", block)
         set_cpus(mp, cpus)
         out = match.estimate_disparity(left, right, max_disp, patch)
     assert [x.tobytes() for x in out] == ref
