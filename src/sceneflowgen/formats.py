@@ -3,8 +3,9 @@
 Formats: PFM (float maps), Middlebury .flo (flow), PPM P6 (8-bit RGB),
 PGM P5 with maxval 65535 (16-bit index masks) or 255 (8-bit masks and
 gray images), and the JSON dataset manifest. Every writer/reader pair
-round-trips losslessly, NaN payloads included. Readers refuse images of
-more than `geometry.MAX_PIXELS` pixels, the largest camera a scene has.
+round-trips losslessly, NaN payloads included. Readers and writers alike
+refuse images with no pixels or more than `geometry.MAX_PIXELS`, the
+largest camera a scene has, so every file a writer makes its reader reads.
 `read` picks a file's reader and names the file in a ParseError.
 """
 
@@ -44,6 +45,7 @@ def write_pfm(data) -> bytearray:
     if a.ndim != 2 and a.shape[2:] != (3,):
         raise ParseError(f"PFM supports HxW or HxWx3 data, got shape {a.shape}")
     h, w = a.shape[0], a.shape[1]
+    _check_dimensions("PFM", w, h)
     header = (b"Pf" if a.ndim == 2 else b"PF") + f"\n{w} {h}\n-1.0\n".encode()
     return _file(header, a[::-1], "<f4")
 
@@ -71,6 +73,8 @@ def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _check_dimensions(kind, w, h):
+    """The size check of every reader, and of every writer before it
+    builds a buffer or looks at a value."""
     if w <= 0 or h <= 0 or w * h > MAX_PIXELS:
         raise ParseError(f"bad {kind} dimensions {w}x{h}")
 
@@ -143,6 +147,7 @@ def write_flo(flow) -> bytearray:
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f".flo needs HxWx2 data, got shape {a.shape}")
     h, w = a.shape[:2]
+    _check_dimensions(".flo", w, h)
     return _file(struct.pack("<fii", FLO_MAGIC, w, h), a, "<f4")
 
 
@@ -164,6 +169,7 @@ def write_ppm(rgb) -> bytearray:
     if a.ndim != 3 or a.shape[2] != 3:
         raise ParseError(f"PPM needs HxWx3 uint8, got shape {a.shape}")
     h, w = a.shape[:2]
+    _check_dimensions("P6", w, h)
     return _file(f"P6\n{w} {h}\n255\n".encode(), a, np.uint8)
 
 
@@ -177,9 +183,10 @@ def write_pgm16(mask) -> bytearray:
     a = np.asarray(mask)
     if a.ndim != 2:
         raise ParseError(f"PGM needs HxW data, got shape {a.shape}")
+    h, w = a.shape
+    _check_dimensions("P5", w, h)
     if a.min() < 0 or a.max() > 65535:
         raise ParseError("PGM16 values must be in [0, 65535]")
-    h, w = a.shape
     return _file(f"P5\n{w} {h}\n65535\n".encode(), a, ">u2")
 
 
@@ -207,6 +214,7 @@ def _pgm8(a):
     if a.ndim != 2:
         raise ParseError(f"PGM needs HxW data, got shape {a.shape}")
     h, w = a.shape
+    _check_dimensions("P5", w, h)
     return _file(f"P5\n{w} {h}\n255\n".encode(), a, np.uint8)
 
 

@@ -9,13 +9,15 @@ corresponding pixels of the three passes refer to the same surface point.
 
 Rasterization is batched array work rather than a loop over triangles:
 
-1. Collect every object's triangles with their per-vertex attributes, in
-   draw order: object in `SceneSpec.all_objects()` order, triangle index,
-   then clip-fan index. Only triangles that straddle Z = near are clipped.
+1. Collect every object's triangles in draw order (object in
+   `SceneSpec.all_objects()` order, triangle index, then clip-fan index)
+   as three arrays: per-vertex attributes, object index and flat shading
+   factor. Only triangles that straddle Z = near are clipped.
 2. Project all triangles at once, reverse those of negative screen area,
    and compute bounding boxes, top-left fill flags and the per-edge and
    per-vertex tables, each column-major: one contiguous row per edge or
-   vertex.
+   vertex, beside the object index and shading factor of each triangle
+   drawn. The attribute array is freed once the tables hold it.
 3. Cut each triangle's bounding box into row spans, the part of each row
    where its edge functions can all be non-negative, and evaluate Pineda
    edge functions and depth on spans of similar length in fixed-size
@@ -34,9 +36,10 @@ Rasterization is batched array work rather than a loop over triangles:
    row per edge and interpolates one attribute column at a time into one
    reused buffer, which it scatters into the pass; pos3d_t's Z is
    written from the z-buffer, and is the view's one depth pass
-   (`FramePasses.depth`). It samples each of its objects' textures
-   into that object's rows of one colour buffer, then shades, rounds
-   and scatters all of its pixels at once.
+   (`FramePasses.depth`). Its objects' runs start where the object
+   index of its pixels changes; it samples each run's texture into that
+   run's rows of one colour buffer, then shades, rounds and scatters
+   all of its pixels at once.
 
 Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
@@ -130,25 +133,17 @@ def _clip_near(attrs, near=NEAR_PLANE):
             for i in range(1, len(poly) - 1)]
 
 
-@dataclass
-class _Triangles:
-    """Camera-space triangles of one view, in draw order."""
-    # (N, 3, A) per vertex: pos_t(3), pos_prev(3) where t > 1, pos_next(3)
-    # where t < frames, uv(2); None once `_screen_setup` has run
-    attrs: np.ndarray | None
-    index: np.ndarray  # (N,) uint16: 1-based place of the object in `objects`
-    shade: np.ndarray  # (N,) flat shading factor
-    objects: list  # `SceneSpec.all_objects()`
-
-
 def _camera_vertices(obj, base, pose, t):
     """Object vertices in the camera frame of `pose` at time t."""
     r, p = obj.pose_at(t)
     return pose.world_to_camera(base @ r.T + p)
 
 
-def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
-    objects = spec.all_objects()
+def _collect(objects, t, pose_t, pose_prev, pose_next):
+    """Camera-space triangles of one view in draw order: (N, 3, A)
+    per-vertex attributes (pos_t(3), pos_prev(3) where t > 1, pos_next(3)
+    where t < frames, uv(2)), (N,) uint16 1-based place of the object in
+    `objects`, and (N,) flat shading factor."""
     attrs, indices, shades = [], [], []
     for index, obj in enumerate(objects, 1):
         base = obj.mesh.vertices * obj.scale
@@ -203,10 +198,8 @@ def _collect(spec, t, pose_t, pose_prev, pose_next) -> _Triangles:
 
     if not attrs:
         width = 5 + 3 * ((pose_prev is not None) + (pose_next is not None))
-        return _Triangles(np.zeros((0, 3, width)), np.zeros(0, dtype=np.uint16),
-                          np.zeros(0), objects)
-    return _Triangles(np.concatenate(attrs), np.concatenate(indices),
-                      np.concatenate(shades), objects)
+        return np.zeros((0, 3, width)), np.zeros(0, dtype=np.uint16), np.zeros(0)
+    return np.concatenate(attrs), np.concatenate(indices), np.concatenate(shades)
 
 
 @dataclass
@@ -214,7 +207,8 @@ class _Screen:
     """Screen-space set-up of the triangles that touch the image."""
     # per-edge and per-vertex tables are column-major, (3, N), so a batch
     # gathers each value with a contiguous 1-D take
-    draw: np.ndarray  # (N,) row in _Triangles, i.e. draw order
+    index: np.ndarray  # (N,) uint16 object index, in draw order
+    shade: np.ndarray  # (N,) flat shading factor
     ax: np.ndarray  # (3, N) edge i runs from vertex (i+1)%3 ...
     ay: np.ndarray
     ex: np.ndarray  # (3, N) ... to vertex (i+2)%3: b - a
@@ -229,8 +223,7 @@ class _Screen:
     y1: np.ndarray
 
 
-def _screen_setup(tris: _Triangles, k: CameraIntrinsics, w, h) -> _Screen:
-    attrs = tris.attrs
+def _screen_setup(attrs, index, shade, k: CameraIntrinsics, w, h) -> _Screen:
     # every vertex is in front of the near plane, so none projects to NaN
     uv = project(attrs[:, :, :3], k)
     sx, sy = uv[..., 0], uv[..., 1]
@@ -256,7 +249,7 @@ def _screen_setup(tris: _Triangles, k: CameraIntrinsics, w, h) -> _Screen:
     ey = sy[b] - sy[a]
     z = attrs[:, :, 2]
     return _Screen(
-        draw=draw, ax=sx[a], ay=sy[a], ex=ex, ey=ey,
+        index=index[draw], shade=shade[draw], ax=sx[a], ay=sy[a], ex=ex, ey=ey,
         top_left=((ey == 0) & (ex > 0)) | (ey < 0),
         area=area[draw], z=np.ascontiguousarray(z.T),
         attr_over_z=np.ascontiguousarray((attrs / z[:, :, None]).transpose(1, 2, 0)),
@@ -425,34 +418,36 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
     return zbuf, owner
 
 
-def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
+def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
     in batches of _SHADE_BATCH covered pixels that run through
-    `map_ordered`.
+    `map_ordered`; `objects` is `SceneSpec.all_objects()`, whose textures
+    the object index picks.
 
     `passes` holds the flattened rgb (P, 3), object index (P,) and
     position (P, 3) outputs, the positions of the passes the view has in
-    the order of the attribute columns.
+    the order of the attribute columns. They are written in place; it
+    returns nothing.
 
     The object index output is written first, from the winners; one
     stable sort of it groups the covered pixels by object, each in pixel
     order. The batches cut that order into fixed-size pieces across
-    object boundaries, and each keeps the (object, start, stop) runs of
-    its pixels. Above its inputs and outputs, shading then holds the
-    sorted pixels and their winners' screen rows (16 bytes per covered
-    pixel) and each worker's batch: a batch gathers from the
+    object boundaries. Above its inputs and outputs, shading then holds
+    the sorted pixels and their winners' screen rows (16 bytes per
+    covered pixel) and each worker's batch: a batch gathers from the
     column-major tables with 1-D takes, holds its barycentric weights as
     (3, B) rows and interpolates one attribute column at a time into one
-    reused buffer. It samples each run's texture into that run's rows of
+    reused buffer. Its objects' runs start where the object index of its
+    pixels changes; it samples each run's texture into that run's rows of
     one colour buffer, then shades, rounds and scatters all its pixels at
     once, so its temporaries are a few pixel-sized vectors and the
     colour buffer, the textures' sampling aside.
     """
     rgb, obj_idx, *positions = passes
-    if not len(scr.draw):
+    if not len(scr.area):
         return
     # the object index pass first: each covered pixel's winner's object
-    np.copyto(obj_idx, tris.index[scr.draw].take(owner, mode="clip"),
+    np.copyto(obj_idx, scr.index.take(owner, mode="clip"),
               where=owner != _NO_OWNER)
     counts = np.bincount(obj_idx)
     # uint16 keys: a stable radix sort groups the pixels by object, void
@@ -460,29 +455,13 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
     pix = np.argsort(obj_idx, kind="stable")[counts[0]:]
     row = owner[pix]
     aoz = scr.attr_over_z
-    # batch b shades sorted pixels b * _SHADE_BATCH up to the next
-    # multiple; runs[b] holds (object, start, stop) of its rows, by object
-    runs = []
-    ends = np.cumsum(counts) - counts[0]
-    for idx in np.flatnonzero(counts[1:]) + 1:
-        s, e = int(ends[idx - 1]), int(ends[idx])
-        obj = tris.objects[idx - 1]
+    for i in np.flatnonzero(counts[1:]):
         # on no points: a noise texture builds its lattice here, once,
         # not in two workers at the same time
-        obj.texture.sample(np.zeros((0, 2)))
-        while s < e:
-            b, start = divmod(s, _SHADE_BATCH)
-            n = min(e - s, _SHADE_BATCH - start)
-            if b == len(runs):
-                runs.append([])
-            runs[b].append((obj, start, start + n))
-            s += n
+        objects[i].texture.sample(np.zeros((0, 2)))
 
-    shade_factor = tris.shade[scr.draw]
-
-    def shade(batch):
-        b, batch_runs = batch
-        sel = slice(b * _SHADE_BATCH, (b + 1) * _SHADE_BATCH)
+    def shade(start):
+        sel = slice(start, start + _SHADE_BATCH)
         p, r = pix[sel], row[sel]
         y, x = np.divmod(p, w)
         px = x + 0.5
@@ -524,16 +503,18 @@ def _shade(tris: _Triangles, scr: _Screen, zbuf, owner, w, passes):
             interp(aoz.shape[1] - 2 + c, uv[:, c])
         del lam, depth, col  # freed before the textures are sampled: a lower peak
         color = np.empty((len(p), 3))
-        for obj, s, e in batch_runs:
-            color[s:e] = obj.texture.sample(uv[s:e])
+        objs = obj_idx.take(p)
+        bounds = [0, *(np.flatnonzero(objs[1:] != objs[:-1]) + 1).tolist(), len(p)]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            color[s:e] = objects[objs[s] - 1].texture.sample(uv[s:e])
         del uv
-        color *= shade_factor.take(r)[:, None]
+        color *= scr.shade.take(r)[:, None]
         color *= 255.0
         rgb[p] = np.clip(np.rint(color, out=color), 0, 255, out=color).astype(np.uint8)
 
     # each covered pixel is in exactly one batch, so the batches write
     # disjoint elements of the outputs
-    map_ordered(shade, enumerate(runs))
+    map_ordered(shade, range(0, len(pix), _SHADE_BATCH))
 
 
 def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
@@ -555,11 +536,10 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
 
-    tris = _collect(spec, t, pose_t, pose_prev, pose_next)
-    scr = _screen_setup(tris, intr, w, h)
-    tris.attrs = None  # scr.attr_over_z holds what shading reads of them
+    objects = spec.all_objects()
+    scr = _screen_setup(*_collect(objects, t, pose_t, pose_prev, pose_next), intr, w, h)
     zbuf, owner = _resolve_depth(scr, w, h)
-    _shade(tris, scr, zbuf, owner, w, [
+    _shade(scr, objects, zbuf, owner, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1),
         *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),
     ])

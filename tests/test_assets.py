@@ -36,6 +36,18 @@ class TestPrimitives:
         with pytest.raises(ConfigurationError):
             Mesh(np.eye(3), np.array([[0, 1, 5]]), np.zeros((3, 2)), "bad")
 
+    def test_uv_per_vertex_required(self):
+        with pytest.raises(ConfigurationError, match="2 uv entries for 3 vertices"):
+            Mesh(np.eye(3), np.array([[0, 1, 2]]), np.zeros((2, 2)), "bad")
+
+    def test_no_triangles_rejected(self):
+        with pytest.raises(ConfigurationError, match="no triangles"):
+            Mesh(np.eye(3), np.zeros((0, 3), dtype=np.int64), np.zeros((3, 2)), "bad")
+
+    def test_unknown_primitive(self):
+        with pytest.raises(ConfigurationError, match="'cone'"):
+            assets.primitive_mesh("cone")
+
 
 class TestTextures:
     def test_checker_parity(self):

@@ -823,6 +823,12 @@ def _inspect_manifest_without_resolution(tmp):
     return ["inspect", _manifest_dir(tmp, formats.write_manifest(m).encode())]
 
 
+def _inspect_incomplete_manifest_without_width(tmp):
+    m = minimal_manifest()  # its intrinsics are empty
+    m["complete"] = False  # so inspect does not check it as derive would
+    return ["inspect", _manifest_dir(tmp, formats.write_manifest(m).encode())]
+
+
 def _derive_non_utf8_manifest(tmp):
     return ["derive", _manifest_dir(tmp, b"\xfe\xff")]
 
@@ -858,6 +864,14 @@ def _inspect_10_bit_pgm(tmp):
     return ["inspect", str(pgm)]
 
 
+def _generate_size(value):
+    def build(tmp):
+        args = GEN_ARGS + ["--out", str(tmp / "ds")]
+        args[args.index("--size") + 1] = value
+        return args
+    return build
+
+
 def _generate_n_background(value):
     def build(tmp):
         args = GEN_ARGS + ["--out", str(tmp / "ds")]
@@ -870,7 +884,10 @@ BAD_INPUT = {
     "inspect non-UTF-8 manifest": (_inspect_non_utf8_manifest, "ParseError"),
     "inspect manifest without resolution": (
         _inspect_manifest_without_resolution, "ParseError"),
+    "inspect incomplete manifest without width": (
+        _inspect_incomplete_manifest_without_width, "ParseError"),
     "derive non-UTF-8 manifest": (_derive_non_utf8_manifest, "ParseError"),
+    "generate size without x": (_generate_size("64"), "ContractError"),
     "generate negative n-background": (
         _generate_n_background("-3"), "ConfigurationError"),
     # object indices are uint16
@@ -923,6 +940,17 @@ class TestMalformedInput:
         assert captured.err.startswith(f"error [{error}]: "), captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case, line", [
+        ("generate size without x", "error [ContractError]: --size expects WxH, got '64'"),
+        ("inspect incomplete manifest without width",
+         "error [ParseError]: manifest: missing or malformed 'width'"),
+    ])
+    def test_error_line(self, tmp_path, capsys, case, line):
+        argv = BAD_INPUT[case][0](tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,55 @@ class TestPpmPgm:
         good = formats.write_ppm(np.zeros((2, 2, 3), dtype=np.uint8))
         with pytest.raises(ParseError):
             formats.read_ppm(good[:-1])
+
+
+# writer, dtype and trailing shape of the data it encodes
+WRITERS = {
+    "write_pfm": (formats.write_pfm, np.float32, ()),
+    "write_pfm 3-channel": (formats.write_pfm, np.float32, (3,)),
+    "write_flo": (formats.write_flo, np.float32, (2,)),
+    "write_ppm": (formats.write_ppm, np.uint8, (3,)),
+    "write_pgm16": (formats.write_pgm16, np.uint16, ()),
+    "write_pgm8": (formats.write_pgm8, np.uint8, ()),
+    "write_mask": (formats.write_mask, bool, ()),
+}
+
+
+class TestWriterContract:
+    @pytest.mark.parametrize("h, w", [(0, 3), (3, 0)])
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_empty_map_is_refused_as_its_reader_would(self, name, h, w):
+        write, dtype, channels = WRITERS[name]
+        with pytest.raises(ParseError, match=f"dimensions {w}x{h}$"):
+            write(np.zeros((h, w, *channels), dtype))
+
+    def test_size_is_checked_before_any_buffer_is_built(self):
+        # 2**28 + 1 pixels held in one byte: refused before the file's
+        # buffer of that many bytes is built
+        view = np.broadcast_to(np.uint8(0), (1, 2**28 + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"dimensions {2**28 + 1}x1"):
+                formats.write_pgm8(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("write, data, match", [
+        (formats.write_pfm, np.zeros((2, 2, 2), np.float32), "HxW or HxWx3"),
+        (formats.write_flo, np.zeros((2, 2, 3), np.float32), "HxWx2"),
+        (formats.write_ppm, np.zeros((2, 2), np.uint8), "HxWx3"),
+        (formats.write_pgm16, np.zeros((2, 2, 1), np.uint16), "HxW data"),
+        (formats.write_pgm16, np.array([[-1]]), r"\[0, 65535\]"),
+        (formats.write_pgm16, np.array([[65536]]), r"\[0, 65535\]"),
+        (formats.write_pgm8, np.zeros(4, np.uint8), "HxW data"),
+        (formats.write_mask, np.zeros((2, 2, 2), bool), "HxW data"),
+    ], ids=["pfm 2-channel", "flo 3-channel", "ppm 1-channel", "pgm16 3-d",
+            "pgm16 below 0", "pgm16 above 65535", "pgm8 1-d", "mask 3-d"])
+    def test_shape_or_range_is_refused(self, write, data, match):
+        with pytest.raises(ParseError, match=match):
+            write(data)
 
 
 class TestHeaderContract:
@@ -352,7 +402,9 @@ def test_pgm_header_is_parsed_once(tmp_path, monkeypatch, name):
     assert calls == [(b"P5", (255, 65535))]
 
 
-DECODERS = {"read_pfm", "read_flo", "read_ppm", "read_pgm8", "read_pgm16"}
+# every reader but read_manifest, which pipeline and cli may call
+DECODERS = {name for name in formats.__all__
+            if name.startswith("read_") and name != "read_manifest"}
 
 
 def test_only_formats_picks_a_decoder():
@@ -439,8 +491,11 @@ class TestManifest:
         lambda m: {**m, "frames": [{**m["frames"][0], "files": {"left": {"rgb": 7}}}]},
         lambda m: {**m, "frames": [{**m["frames"][0],
                                     "files": {"left": {"rgb": "x/../../etc.ppm"}}}]},
+        lambda m: {k: v for k, v in m.items() if k != "seed"},
+        lambda m: {**m, "frames": [{**m["frames"][0], "camera": {}}]},
     ], ids=["not-object", "frames-not-list", "frame-not-object",
-            "files-not-mapping", "path-not-string", "dotdot-path"])
+            "files-not-mapping", "path-not-string", "dotdot-path",
+            "missing-seed", "frame-unknown-key"])
     def test_malformed_structure_is_parse_error(self, mutate):
         m = dict(minimal_manifest(), version=formats.MANIFEST_VERSION)
         with pytest.raises(ParseError):

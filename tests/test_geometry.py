@@ -113,6 +113,10 @@ class TestProject:
         assert np.allclose(unproject(np.array([50.0, 50.0]), 5.0, k), [0, 0, 5])
         assert np.allclose(unproject(np.array([100.0, 50.0]), 2.0, k), [1, 0, 2])
 
+    def test_unproject_refuses_zero_depth(self):
+        with pytest.raises(GeometryError, match="positive"):
+            unproject(np.array([50.0, 50.0]), 0.0, simple_k())
+
     def test_round_trip_random_points(self):
         rng = np.random.default_rng(0)
         k = DATASET_K
@@ -369,6 +373,10 @@ class TestTransformPoint:
     def test_bad_rotation_rejected(self):
         with pytest.raises(GeometryError):
             CameraPose(np.eye(3) * 2.0, np.zeros(3))
+
+    def test_rotation_of_another_shape_rejected(self):
+        with pytest.raises(GeometryError, match="3x3"):
+            CameraPose(np.eye(3)[:2], np.zeros(3))
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("field", ["rotation entry", "rotation",

@@ -77,6 +77,14 @@ class TestMapOrdered:
         assert sizes == []
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, count, usable):
+    # the CPU count where the OS has no affinity mask, 1 if it is unknown
+    monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: count)
+    assert _parallel._usable_cpus() == usable
+
+
 class TestBands:
     @pytest.mark.parametrize(
         "h", [0, 1, _parallel.BAND_ROWS, _parallel.BAND_ROWS + 1])

@@ -273,20 +273,45 @@ def test_shading_batches_cross_objects(monkeypatch, batch, workers):
     set_cpus(monkeypatch, workers)
     units = []
     ordered = render.map_ordered
+    sample = Texture.sample
+    # the sizes of the texture samples of the batch a thread is shading;
+    # the oracle's samples fall outside every batch and are not recorded
+    shading = threading.local()
 
     def recorded(fn, items):
         items = list(items)
-        units.append(items)
-        return ordered(fn, items)
+        sizes = [[] for _ in items]
+        units.append(sizes)
+
+        def traced(i):
+            shading.sizes = sizes[i]
+            try:
+                return fn(items[i])
+            finally:
+                shading.sizes = None
+
+        return ordered(traced, range(len(items)))
+
+    def traced_sample(self, uv):
+        sizes = getattr(shading, "sizes", None)
+        if sizes is not None and len(uv):
+            sizes.append(len(uv))
+        return sample(self, uv)
 
     monkeypatch.setattr(render, "map_ordered", recorded)
+    monkeypatch.setattr(Texture, "sample", traced_sample)
     out = assert_matches_oracle(_mixed_texture_scene())
     covered = [int(fp.valid.sum()) for fp in out.values()]
     assert [len(u) for u in units] == [-(-n // batch) for n in covered]
-    # (object, start, stop) runs per batch: one object per pixel, three
-    # in a batch that spans the speck, all three in the one large batch
-    runs = max(len(r) for view in units for _, r in view)
-    assert runs == (1 if batch == 1 else 3)
+    # one non-empty sample per object of a batch, of that object's pixels
+    # in it: the runs of the batch's piece of the pixels sorted by object
+    for sizes, fp in zip(units, out.values()):
+        objs = np.sort(fp.object_index[fp.valid], kind="stable")
+        assert sizes == [np.unique(objs[s:s + batch], return_counts=True)[1].tolist()
+                         for s in range(0, len(objs), batch)]
+    # one object per pixel, three in a batch that spans the speck, all
+    # three in the one large batch
+    assert max(len(b) for u in units for b in u) == (1 if batch == 1 else 3)
     if batch > max(covered):
         assert all(len(u) == 1 for u in units)
 

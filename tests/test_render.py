@@ -172,15 +172,17 @@ def test_shading_memory_is_bounded(monkeypatch):
         42, sf.FlyingThingsParams(frames=3, width=320, height=240))
     intr = spec.rig.intrinsics
     w, h = intr.image_size
-    tris = render._collect(spec, 2, *(spec.camera_pose(t, "left") for t in (2, 1, 3)))
-    scr = render._screen_setup(tris, intr, w, h)
+    objects = spec.all_objects()
+    scr = render._screen_setup(
+        *render._collect(objects, 2, *(spec.camera_pose(t, "left") for t in (2, 1, 3))),
+        intr, w, h)
     zbuf, owner = render._resolve_depth(scr, w, h)
     covered = int((owner != render._NO_OWNER).sum())
     passes = [np.zeros((h * w, 3), dtype=np.uint8), np.zeros(h * w, dtype=np.uint16),
               *(np.full((h * w, 3), np.nan) for _ in range(3))]
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        render._shade(tris, scr, zbuf, owner, w, passes)
+        render._shade(scr, objects, zbuf, owner, w, passes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,15 +231,14 @@ def _screen(triangles, f, c, w, h):
     attrs = np.zeros((len(triangles), 3, 5))
     attrs[:, :, :3] = triangles
     n = len(triangles)
-    tris = render._Triangles(attrs, np.ones(n, dtype=np.uint16), np.ones(n), [])
-    return render._screen_setup(tris, k, w, h)
+    return render._screen_setup(attrs, np.ones(n, dtype=np.uint16), np.ones(n), k, w, h)
 
 
 def _bounding_box_cells(scr):
     """(triangle, y, x) of every bounding-box cell the fold's edge test
     covers: its expression and top-left rule on the whole grid."""
     cells = set()
-    for t in range(len(scr.draw)):
+    for t in range(len(scr.area)):
         x = np.arange(scr.x0[t], scr.x1[t])
         y = np.arange(scr.y0[t], scr.y1[t])
         px = (x + 0.5)[None, :]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -199,6 +200,18 @@ def scene_of(n_objects):
         objects=[], ground_plane=obj, background_objects=[obj] * (n_objects - 1),
         rig=sf.StereoRig(1.0, SMALL_INTR),
     )
+
+
+def test_spec_of_one_frame_rejected():
+    with pytest.raises(ConfigurationError, match="at least 2 frames"):
+        dataclasses.replace(scene_of(1), frames=1)
+
+
+def test_numpy_params_are_plain_json_numbers():
+    p = small_params(n_background=np.int64(2), baseline=np.float64(0.5))
+    params = generate_flyingthings_scene(0, p).to_dict()["params"]
+    assert type(params["n_background"]) is int and params["n_background"] == 2
+    assert type(params["baseline"]) is float and params["baseline"] == 0.5
 
 
 class TestIndexLimits:
