@@ -1,16 +1,19 @@
 """Command-line frontend: generate | derive | estimate | evaluate |
 visualize | inspect.
 
-`generate`, `derive` and `estimate` write `config.json` next to their
-outputs, and `evaluate` does when it writes a report (`--out`);
-`visualize` and `inspect` write none. It holds the subcommand, every
-argument as parsed, defaults included, and the values the command
-resolved from them: `generate`'s width, height, sensor width, focal
-length in pixels, default disparity range and motion-boundary constants,
-and `derive`'s output directory. A scene's own parameters are in the
-manifest's `params`. Every file is written under a temporary name and
-renamed into place (`pipeline.write_atomic`), so an interrupted run
-leaves no half-written file. Every input is read by `formats.read`: a
+`generate`, `derive` and `estimate` write a record of their run,
+`config.<subcommand>.json`, next to their outputs, and `evaluate` does
+when it writes a report (`--out`); `visualize` and `inspect` write none.
+Each command's record has its own name, so `derive` in place keeps
+`generate`'s and `evaluate` into `estimate`'s directory keeps
+`estimate`'s. A record holds the subcommand, every argument as parsed,
+defaults included, and the values the command resolved from them:
+`generate`'s width, height, sensor width, focal length in pixels,
+default disparity range and motion-boundary constants, and `derive`'s
+output directory. A scene's own parameters are in the manifest's
+`params`. Every file is written under a temporary name and renamed into
+place (`pipeline.write_atomic`), so an interrupted run leaves no
+half-written file. Every input is read by `formats.read`: a
 command takes any file it decodes, what uses the array refuses a shape
 it cannot take, and a decode error names the file. `estimate` writes
 only .pfm and `visualize` only .ppm, so `--out` must have that suffix.
@@ -53,13 +56,13 @@ def _parse_range(text):
 
 
 def _write_config_log(out_dir, args, **resolved):
-    """Write config.json: the subcommand, every parsed argument (defaults
-    included) and the values the command resolved, which replace a parsed
-    value of the same name."""
+    """Write config.<subcommand>.json: the subcommand, every parsed
+    argument (defaults included) and the values the command resolved,
+    which replace a parsed value of the same name."""
     config = dict(vars(args), subcommand=args.command, **resolved)
     del config["command"], config["func"]
     pipeline.write_atomic(
-        Path(out_dir) / "config.json",
+        Path(out_dir) / f"config.{args.command}.json",
         (json.dumps(config, sort_keys=True, indent=2) + "\n").encode())
 
 

@@ -18,12 +18,13 @@ Rasterization is batched array work rather than a loop over triangles:
    per-vertex tables, each column-major: one contiguous row per edge or
    vertex, beside the object index and shading factor of each triangle
    drawn. The attribute array is freed once the tables hold it.
-3. Cut each triangle's bounding box into row spans, the part of each row
-   where its edge functions can all be non-negative, and evaluate Pineda
-   edge functions and depth on spans of similar length in fixed-size
-   fragment batches. A batch gathers each per-span value with a 1-D take
-   of one table row and writes every step in place, into a few buffers
-   that serve all three edges.
+3. Cut each triangle's bounding box into row spans: the pixels of a row
+   that lie, within a relative rounding margin, on the inner side of
+   every edge's crossing with that row. Evaluate Pineda edge functions
+   and depth on spans of similar length in fixed-size fragment batches.
+   A batch gathers each per-span value with a 1-D take of one table row
+   and writes every step in place, into a few buffers that serve all
+   three edges.
 4. Keep a per-pixel z-buffer and the draw order of its owner across
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
@@ -73,7 +74,7 @@ _AMBIENT = 0.35
 # sampling included (about 150 with one, 75-100 with the others).
 _FRAGMENT_BATCH = 1 << 16
 _SHADE_BATCH = 1 << 15
-# Relative widening of a span bound: far above the few ulps by which the
+# Relative margin of a span bound: far above the few ulps by which the
 # crossing and the fold's edge expression can round.
 _SPAN_SLACK = 2.0 ** -40
 _BELOW_ZERO = -np.nextafter(0.0, 1.0)
@@ -263,16 +264,19 @@ def _fragment_jobs(scr: _Screen):
 
     A span is the part of one bounding-box row where the triangle can
     cover. Along a row each edge function is linear in x, so an edge with
-    ey < 0 bounds x from below at its zero crossing and one with ey > 0
-    from above; a horizontal edge does not bound x. Each bound is widened
-    by one pixel plus a relative margin far above the rounding error of
-    the crossing and of the fold's edge expression, so every cell the
-    fold would cover lies in a span; a bound too large to compute is
-    dropped. Spans are sorted by length and batched by length class: a
-    class-k batch holds up to max(_FRAGMENT_BATCH >> max(k, 4), 1) spans
-    of 2**(k-1) + 1 .. 2**k pixels. The batches are views of one table
-    of 16 bytes per span, built _FRAGMENT_BATCH rows at a time so the
-    float temporaries stay small.
+    ey < 0 bounds x from below at its zero crossing c and one with ey > 0
+    from above; a horizontal edge does not bound x. A span holds the
+    integers x of the bounding box with c - m <= x for each lower edge and
+    x <= c + m for each upper edge: c is in pixel-index coordinates
+    (base + py * slope) and m = _SPAN_SLACK * (|ax| + (|ay| + y1) *
+    |slope|) is far above the rounding error of the crossing and of the
+    fold's edge expression, so every cell the fold would cover lies in a
+    span. An edge whose margin is not finite bounds nothing. Spans are
+    sorted by length and batched by length class: a class-k batch holds
+    up to max(_FRAGMENT_BATCH >> max(k, 4), 1) spans of 2**(k-1) + 1 ..
+    2**k pixels. The batches are views of one table of 16 bytes per span,
+    built _FRAGMENT_BATCH rows at a time so the float temporaries stay
+    small.
     """
     rows = scr.y1 - scr.y0
     ends = np.cumsum(rows)
@@ -284,7 +288,7 @@ def _fragment_jobs(scr: _Screen):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = scr.ex / scr.ey
         base = scr.ax - scr.ay * slope - 0.5
-        margin = 1.0 + _SPAN_SLACK * (
+        margin = _SPAN_SLACK * (
             np.abs(scr.ax) + (np.abs(scr.ay) + scr.y1) * np.abs(slope))
         # a finite margin means a finite slope, base and bound
         lower = (scr.ey < 0) & np.isfinite(margin)
@@ -307,7 +311,7 @@ def _fragment_jobs(scr: _Screen):
         lo = scr.x0[tri].astype(np.float64)
         hi = scr.x1[tri].astype(np.float64)
         for i in range(3):
-            np.maximum(lo, np.floor(lo_base[i].take(tri) + py * lo_slope[i].take(tri)),
+            np.maximum(lo, np.ceil(lo_base[i].take(tri) + py * lo_slope[i].take(tri)),
                        out=lo)
             np.minimum(hi, np.floor(hi_base[i].take(tri) + py * hi_slope[i].take(tri)) + 1,
                        out=hi)

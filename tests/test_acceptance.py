@@ -280,7 +280,7 @@ def test_11_rig_constants(tmp_path):
     out_default = tmp_path / "default"
     assert main(["generate", "--preset", "driving", "--seed", "0",
                  "--frames", "2", "--out", str(out_default)]) == 0
-    config = json.loads((out_default / "config.json").read_text())
+    config = json.loads((out_default / "config.generate.json").read_text())
     ok = config["focal_px"] == 1050.0
     ok &= config["width"] == 960 and config["height"] == 540
     ok &= config["baseline"] == 1.0
@@ -289,6 +289,6 @@ def test_11_rig_constants(tmp_path):
     out_wide = tmp_path / "wide"
     assert main(["generate", "--preset", "driving", "--seed", "0",
                  "--frames", "2", "--focal-mm", "15", "--out", str(out_wide)]) == 0
-    wide = json.loads((out_wide / "config.json").read_text())
+    wide = json.loads((out_wide / "config.generate.json").read_text())
     ok &= wide["focal_px"] == 450.0
     _report(11, "rig constants in resolved config", ok)

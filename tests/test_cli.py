@@ -57,7 +57,7 @@ class TestGenerate:
     def test_config_log_resolved_values(self, tmp_path):
         out = tmp_path / "ds"
         assert main(GEN_ARGS + ["--out", str(out)]) == 0
-        config = json.loads((out / "config.json").read_text())
+        config = json.loads((out / "config.generate.json").read_text())
         assert config["focal_px"] == 35.0 / 32.0 * 64
         assert config["sensor_width_mm"] == 32.0
         assert config["baseline"] == 1.0
@@ -76,7 +76,7 @@ class TestGenerate:
         for cpus in (2, 3):
             assert trees[1].keys() == trees[cpus].keys()
             for rel in trees[1]:
-                if rel == "config.json":  # records the differing --out path
+                if rel == "config.generate.json":  # records the differing --out path
                     continue
                 assert trees[1][rel] == trees[cpus][rel], (cpus, rel)
 
@@ -124,10 +124,8 @@ class TestDerive:
         before = tree_bytes(out)
         assert main(["derive", str(out)]) == 0
         after = tree_bytes(out)
-        assert before.keys() == after.keys()
+        assert after.keys() == before.keys() | {"config.derive.json"}
         for rel, payload in before.items():
-            if rel == "config.json":
-                continue
             pass_name = Path(rel).parts[1] if len(Path(rel).parts) > 1 else ""
             if pass_name in ("disparity", "flow_fwd", "flow_bwd",
                              "dispchange_fwd", "dispchange_bwd"):
@@ -157,7 +155,7 @@ class TestDerive:
         assert tree_bytes(out) == before
         for rel, st_before in stats.items():
             st_after = (out / rel).stat()
-            if rel in render:
+            if rel in render or rel == "config.generate.json":
                 assert st_after.st_ino == st_before.st_ino, rel
                 assert st_after.st_mtime_ns == st_before.st_mtime_ns, rel
             elif rel != "manifest.json":  # derive writes no manifest
@@ -171,7 +169,7 @@ class TestDerive:
         manifest = formats.read_manifest((src / "manifest.json").read_text())
         listed = {rel for f in manifest["frames"]
                   for view in f["files"].values() for rel in view.values()}
-        assert set(tree_bytes(fresh)) == listed | {"config.json"}
+        assert set(tree_bytes(fresh)) == listed | {"config.derive.json"}
 
 
 def _no_frames(m, ds):
@@ -417,7 +415,7 @@ class TestEstimate:
         _, expected = estimate_disparity(formats.read_ppm(lp.read_bytes()),
                                          formats.read_ppm(rp.read_bytes()), 8)
         assert conf.read_bytes() == formats.write_pfm(expected)
-        assert out.is_file() and (out.parent / "config.json").is_file()
+        assert out.is_file() and (out.parent / "config.estimate.json").is_file()
 
     def test_size_mismatch_exit_code(self, tmp_path, capsys):
         a = tmp_path / "a.ppm"
@@ -1121,7 +1119,7 @@ def _visualize_output(tmp):
 
 def _config_output(tmp):
     argv, out = _estimate_output(tmp)
-    return argv, out.parent / "config.json"
+    return argv, out.parent / "config.estimate.json"
 
 
 @pytest.mark.parametrize("build", [_estimate_output, _evaluate_output,
@@ -1197,13 +1195,37 @@ CONFIG_CASES = {
 def test_config_records_every_argument(tmp_path, case):
     argv, out_dir = CONFIG_CASES[case](tmp_path)
     assert main(argv) == 0
-    config = json.loads((out_dir / "config.json").read_text())
+    config = json.loads((out_dir / f"config.{argv[0]}.json").read_text())
     parsed = vars(build_parser().parse_args(argv))
     del parsed["command"], parsed["func"]
     if argv[0] == "derive":  # the directory it wrote to, --out or not
         parsed["out"] = str(out_dir)
     assert config["subcommand"] == argv[0]
     assert {key: config.get(key, "<absent>") for key in parsed} == parsed
+
+
+def _generate_then_derive(tmp):
+    ds = tmp / "ds"
+    return [GEN_ARGS + ["--out", str(ds)], ["derive", str(ds)]], ds
+
+
+def _estimate_then_evaluate(tmp):
+    argv, out = _estimate_output(tmp)
+    return [argv, ["evaluate", "--pred", str(out), "--gt", _pfm_file(tmp / "g.pfm"),
+                   "--out", str(tmp / "r.json")]], tmp
+
+
+@pytest.mark.parametrize("build", [_generate_then_derive, _estimate_then_evaluate],
+                         ids=["derive in place", "evaluate beside estimate"])
+def test_each_command_keeps_its_own_record(tmp_path, build):
+    (first, then), out_dir = build(tmp_path)
+    assert main(first) == 0
+    record = (out_dir / f"config.{first[0]}.json").read_bytes()
+    assert main(then) == 0
+    assert (out_dir / f"config.{first[0]}.json").read_bytes() == record
+    assert sorted(p.name for p in out_dir.glob("config*")) == sorted(
+        f"config.{argv[0]}.json" for argv in (first, then))
+    assert json.loads(record)["subcommand"] == first[0]
 
 
 _IMPORT_GUARD = """
@@ -1268,10 +1290,10 @@ def test_generate_without_scipy_writes_the_same_bytes(tmp_path):
     assert run.returncode == 0, run.stderr
     assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
     files = {p.relative_to(tmp_path / "ds") for p in (tmp_path / "ds").rglob("*")
-             if p.is_file() and p.name != "config.json"}
+             if p.is_file() and p.name != "config.generate.json"}
     assert files == {p.relative_to(tmp_path / "noscipy")
                      for p in (tmp_path / "noscipy").rglob("*")
-                     if p.is_file() and p.name != "config.json"}
+                     if p.is_file() and p.name != "config.generate.json"}
     assert len(files) == 69  # 68 maps of 3 frames and 2 views, the manifest
     for rel in sorted(files):
         assert (tmp_path / "noscipy" / rel).read_bytes() == \

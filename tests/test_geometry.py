@@ -209,7 +209,7 @@ def test_planar_project_matches_whole_array_expression(points, k):
 def test_only_geometry_reads_the_intrinsics():
     """The camera model is `geometry`'s: no other module reads focal_px or
     the principal point, but for the value `generate` records in
-    config.json."""
+    config.generate.json."""
     reads = []
     for path in sorted(Path(sceneflowgen.__file__).parent.glob("*.py")):
         if path.name == "geometry.py":

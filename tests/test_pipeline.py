@@ -120,8 +120,9 @@ def test_derive_holds_float32_passes(tmp_path, monkeypatch):
         assert peak < bound, (cpus, peak, bound)
 
 
-# SHA-256 over (relative path, bytes) of every file but config.json, in
-# sorted path order, recorded before generation streamed view by view.
+# SHA-256 over (relative path, bytes) of every file but
+# config.generate.json, in sorted path order, recorded before generation
+# streamed view by view.
 GENERATE_64X48_DIGEST = "fb615d7b454698f8324bf827142a5354eddc9c2e17a7d36fa067497933509ae1"
 
 
@@ -131,7 +132,7 @@ def test_small_generate_bytes_unchanged(tmp_path):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256()
     for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "config.json":
+        if p.is_file() and p.name != "config.generate.json":
             digest.update(str(p.relative_to(out)).encode() + b"\0" + p.read_bytes())
     assert digest.hexdigest() == GENERATE_64X48_DIGEST
 
@@ -163,7 +164,7 @@ def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     monkeypatch.undo()
 
     left = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
-    for rel in left - {Path("config.json"), Path("manifest.json")}:
+    for rel in left - {Path("config.generate.json"), Path("manifest.json")}:
         # neither truncated nor a temporary name: the clean run's file
         assert (clean / rel).is_file(), rel
         assert (out / rel).read_bytes() == (clean / rel).read_bytes(), rel
@@ -275,7 +276,7 @@ def test_derive_out_copies_a_big_endian_pass_verbatim(tmp_path):
     from_big = tree_bytes(tmp_path / "big-re")
     assert from_big[depth] == (big / depth).read_bytes()
     for tree in (from_canonical, from_big):
-        del tree["config.json"], tree[depth]
+        del tree["config.derive.json"], tree[depth]
     assert from_big == from_canonical
 
 
@@ -349,7 +350,7 @@ def test_interrupted_copy_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     clean_bytes = tree_bytes(clean)
     for rel, payload in left.items():
         assert payload == clean_bytes[rel], rel
-    written = [rel for rel in left if rel != "config.json"]
+    written = [rel for rel in left if rel != "config.derive.json"]
     assert not [rel for rel in written
                 if frame_view(rel) > frame_view(fail_name)]
 
@@ -397,7 +398,7 @@ def test_derive_takes_z_from_the_depth_file_alone(tmp_path):
     for rel in by_pass["pos3d_t"]:
         assert from_bent.pop(rel) == (bent / rel).read_bytes(), rel
         del from_clean[rel]
-    del from_clean["config.json"], from_bent["config.json"]
+    del from_clean["config.derive.json"], from_bent["config.derive.json"]
     assert from_bent == from_clean
 
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sceneflowgen as sf
@@ -311,12 +311,39 @@ def _screen_triangle(draw):
        size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
        batch=st.sampled_from([1, 8, 1 << 16]))
 # an edge through four pixel centres that the fold covers: spans without
-# their one-pixel widening miss them, by rounding
+# their relative margin miss them, by rounding
 @example(tris=[np.array([[12.06788, 23.93212, 1.0], [15.71904, 20.28096, 1.0],
                          [0.0, 8.9, 1.0]])], size=(40, 30), batch=1 << 16)
 def test_spans_hold_every_covered_cell(tris, size, batch):
     scr = _screen(np.array(tris), 1.0, 0.0, *size)
     assert _bounding_box_cells(scr) <= _span_cells(scr, batch)
+
+
+# Far from every integer: the margin of a span bound is at most
+# _SPAN_SLACK * (60 + (60 + 30) * 120 / 1e-3) < 9.9e-6 px for the vertices,
+# edges and images of the test below, and the crossings round by far less.
+_CLEARANCE = 1e-5
+_near_vertex = st.tuples(st.floats(-60, 60), st.floats(-60, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tris=st.lists(st.tuples(_near_vertex, _near_vertex, _near_vertex),
+                     min_size=1, max_size=4),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+       batch=st.sampled_from([1, 8, 1 << 16]))
+def test_spans_hold_only_covered_cells(tris, size, batch):
+    # with no horizontal edge and every crossing clear of the integers, a
+    # span is exactly the covered cells of its row: no spare cell either side
+    scr = _screen(np.array([[[x, y, 1.0] for x, y in tri] for tri in tris]),
+                  1.0, 0.0, *size)
+    assume(np.all(np.abs(scr.ey) >= 1e-3))
+    for t in range(len(scr.area)):
+        py = np.arange(scr.y0[t], scr.y1[t]) + 0.5
+        for i in range(3):
+            # the edge's crossing with each row, in pixel-index coordinates
+            c = scr.ax[i, t] + (py - scr.ay[i, t]) * (scr.ex[i, t] / scr.ey[i, t]) - 0.5
+            assume(np.all(np.abs(c - np.round(c)) >= _CLEARANCE))
+    assert _span_cells(scr, batch) == _bounding_box_cells(scr)
 
 
 _camera_vertex = st.tuples(
