@@ -26,12 +26,13 @@ each band rounds its float64 values once, as it writes its rows. Passes
 may come in as float32 (as read from files) or float64 (from the
 renderer). A view's depth is pos3d_t's Z (`FramePasses.depth`), so one Z
 gives the disparity, the disparity change and the projections. Each band
-widens its rows of the position passes and reads Z_t from pos3d_t's
-widened rows, so only band-sized float64 copies exist and either input
-gives the same bytes; `reconstruct_scene_flow` widens the maps it is
-given. On the whole frame only the occlusion eps (a median depth, of
-which only the middle values are widened) and the next frame's z-buffer
-lookup widen what they read.
+reads its rows of the position passes in place, Z_t from pos3d_t's rows,
+and every float64 step on them names its loop (`dtype=np.float64`),
+since under NEP 50 `float * float32-array` runs in float32; so no
+float64 copy of a pass exists, and either input gives the same bytes.
+`reconstruct_scene_flow` widens the maps it is given. On the whole frame
+only the occlusion eps (a median depth, of which only the middle values
+are widened) and the next frame's z-buffer lookup widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import bands, map_ordered
+from . import _parallel
 from .errors import ContractError, DataCorruptionError, GeometryError
 from .geometry import CameraPose, StereoRig, project, unproject
 from .render import FramePasses
@@ -78,21 +79,20 @@ def pixel_centers(h, w):
 
 
 def _wide(a):
-    """a as float64: itself if it is already, else a widened copy. NEP 50
-    keeps `float * float32-array` in float32, so passes are widened before
-    any arithmetic. A signalling NaN widens to a quiet one without a
-    warning; numpy's error state is per thread, so it is set here, on the
-    thread that widens."""
+    """a as float64: itself if it is already, else a widened copy, for the
+    whole-array steps that read it more than once. A signalling NaN widens
+    to a quiet one without a warning; numpy's error state is per thread,
+    so it is set here, on the thread that widens."""
     with np.errstate(invalid="ignore"):
         return a.astype(np.float64, copy=False)
 
 
-def _flow(proj_other, proj_t, void, out):
+def _flow(proj_other, proj_t, void, out, into):
     """The flow between two projections of the same points, given as
-    (2, H, W) planes: computed in float64 in place of proj_other, NaN at
-    void, and written to out (H, W, 2), rounded to out's dtype. Returns
-    the float64 planes."""
-    flow = np.subtract(proj_other, proj_t, out=proj_other)
+    (2, H, W) planes: computed in float64 in place of into (either of
+    them), NaN at void, and written to out (H, W, 2), rounded to out's
+    dtype. Returns the float64 planes."""
+    flow = np.subtract(proj_other, proj_t, out=into)
     flow[:, void] = np.nan
     for i, plane in enumerate(flow):
         out[..., i] = plane
@@ -104,7 +104,8 @@ def _disparity_change(bf, bf_over_z_t, z_other, void, out):
     written to out (computed in float64, rounded to out's dtype); positive
     for approaching surfaces."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(np.divide(bf, z_other), bf_over_z_t, out=out)
+        np.subtract(np.divide(bf, z_other, dtype=np.float64), bf_over_z_t,
+                    out=out)
         gone = ~(z_other > 0)
     gone |= void
     out[gone] = np.nan
@@ -204,29 +205,34 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
     object indices and valid mask. A valid pixel is occluded when its
     projection leaves the image, its 2x2 footprint touches another object,
     or the bilinear z-buffer there (pos3d_t's Z, inf at void) is nearer by
-    more than eps. The Z of a corner is read with a flat take into
+    more than eps. The Z of a corner is read through a strided view of
     pos3d_t, so no copy of the next frame's Z plane is made.
 
-    Every step writes into band-sized buffers: the floor and the
-    fraction of each axis, one for the weights, the corner index, four
-    float64 corners and two bools besides inside and out."""
+    proj is used up: the footprint's fractions are computed in its planes.
+    Every other step writes into band-sized buffers: the floor of each
+    axis, the corner index k, the weight of the columns (in the first
+    floor's buffer), the two rows of the sample, one corner at a time and
+    two bools besides out."""
     h, w = passes_next.object_index.shape
     u, v = proj
     with np.errstate(invalid="ignore"):
-        # NaN compares False, and +-inf lies outside: neither is inside
+        # NaN compares False, and +-inf lies outside: neither is inside.
+        # A projection outside is occluded: mixed starts with those
         inside = u >= 0
         test = np.less_equal(u, w)
         inside &= test
         inside &= np.greater_equal(v, 0, out=test)
         inside &= np.less_equal(v, h, out=test)
+        mixed = np.logical_not(inside, out=inside)
+        del inside
 
         def footprint(plane, size):
             """The footprint's first pixel along one axis, clamped into the
             image so border projections still get a lookup, and the weight
-            of the second: floor(plane - 0.5) in [0, size - 2], the
-            fraction in [0, 1]. fmax maps NaN to 0, so a projection that
-            is not inside still reads a pixel of the image."""
-            frac = np.subtract(plane, 0.5)
+            of the second, in place of plane: floor(plane - 0.5) in
+            [0, size - 2], the fraction in [0, 1]. fmax maps NaN to 0, so a
+            projection that is not inside still reads a pixel of the image."""
+            frac = np.subtract(plane, 0.5, out=plane)
             first = np.floor(frac)
             np.fmax(first, 0, out=first)
             np.fmin(first, size - 2, out=first)
@@ -246,43 +252,45 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
         y0 += x0
         y0 += (1 - dx) + (w - dy)
         k = y0.astype(np.intp)
-        # temporaries go as soon as they are used: a worker's heap keeps
-        # its band peak, so that peak counts once per worker in the RSS
-        del x0, y0
+        del y0
         index = passes_next.object_index.ravel()
-        pos = passes_next.pos3d_t.reshape(-1)
-        # the next frame's z-buffer at the corners alone: pos3d_t's Z, inf
-        # at void, widened to float64 here. A footprint that touches another
-        # object is silhouette-adjacent: the point's surface is not
-        # cleanly visible there, so it counts as occluded
-        mixed = np.zeros(u.shape, dtype=bool)
-        g = np.empty((4,) + u.shape)
-        corner = np.empty_like(k)
-        for zbuf, step in zip(g, (0, dx, dy, dy + dx)):
-            np.add(k, step, out=corner)
-            o = index.take(corner)
-            mixed |= np.not_equal(o, own, out=test)
-            corner *= 3
-            corner += 2  # the corner's Z in the flat pos3d_t
-            zbuf[...] = pos.take(corner)
-            zbuf[np.equal(o, 0, out=test)] = np.inf
-        del k, corner, o
-        g00, g01, g10, g11 = g
-        weight = np.subtract(1, fx)
-        g00 *= weight  # the top row, in g00
-        g01 *= fx
-        g00 += g01
-        g10 *= weight  # the bottom row, in g10
-        g11 *= fx
-        g10 += g11
-        np.subtract(1, fy, out=weight)
-        g00 *= weight  # the sample, in g00
-        g10 *= fy
-        g00 += g10
-        np.subtract(z_point, eps, out=weight)
-        mixed |= np.less(g00, weight, out=test)  # hidden
-        np.logical_not(inside, out=inside)
-        mixed |= inside
+        z = passes_next.pos3d_t.reshape(-1)[2::3]
+
+        def zbuf(step):
+            """The next frame's z-buffer at the corners k + step, read from
+            views shifted by step: pos3d_t's Z, inf at void, widened to
+            float64 here. A footprint that touches another object is
+            silhouette-adjacent: the point's surface is not cleanly visible
+            there, so it counts as occluded, in mixed."""
+            o = index[step:].take(k)
+            np.logical_or(mixed, np.not_equal(o, own, out=test), out=mixed)
+            corner = z[step:][k].astype(np.float64, copy=False)
+            corner[np.equal(o, 0, out=test)] = np.inf
+            return corner
+
+        # the bilinear sample a row at a time, one corner read at a time: a
+        # worker's heap keeps its band peak, so that peak counts once per
+        # worker in the RSS
+        weight = np.subtract(1, fx, out=x0)
+        top = zbuf(0)
+        top *= weight
+        right = zbuf(dx)
+        right *= fx
+        top += right
+        del right
+        bottom = zbuf(dy)
+        bottom *= weight
+        del weight, x0
+        right = zbuf(dy + dx)
+        right *= fx
+        bottom += right
+        del k, right
+        weight = np.subtract(1, fy)
+        top *= weight  # the sample, in top
+        bottom *= fy
+        top += bottom
+        np.subtract(z_point, eps, out=weight, dtype=np.float64)
+        mixed |= np.less(top, weight, out=test)  # hidden
     return np.logical_and(mixed, valid, out=out)
 
 
@@ -365,16 +373,17 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     gives the mask of `scipy.ndimage.label` with a 3x3 structure).
 
     Every map but the boundaries' component filter is per pixel, so they
-    run on the bands of `_parallel.bands`; each band widens its rows of
-    the position passes to float64, divides b*f by pos3d_t's widened Z
-    once and writes its rows of the disparity and of both disparity
-    changes from that, projects each 3D-position pass once into one of two
-    (2, rows, W) buffers of u and v planes (pos3d_t's, then pos3d_prev's
-    and pos3d_next's in turn), computes in float64 in place in those and a
-    few other band-sized buffers, and writes its rows of the full maps,
-    rounding flow, disparity and disparity change to float32 there. The
-    forward flow is computed in place of pos3d_next's projection once the
-    occlusion test has read it. Each band also marks the motion
+    run on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`;
+    each band reads its rows of the position passes in place, divides b*f
+    by pos3d_t's Z once in float64 and writes its rows of the disparity
+    and of both disparity changes from that, projects each 3D-position
+    pass once into one of two (2, rows, W) buffers of u and v planes
+    (pos3d_t's, and pos3d_prev's, then pos3d_next's in turn), computes in
+    float64 in place in those and a few other band-sized buffers, and
+    writes its rows of the full maps, rounding flow, disparity and
+    disparity change to float32 there. The forward flow is computed in
+    place of pos3d_t's projection, and the occlusion test, last, in place
+    of pos3d_next's. Each band also marks the motion
     boundaries' pixel pairs within its rows from its float64 forward flow
     and keeps that flow's first and last rows, from which the pairs across
     band edges are marked once the bands are done (`_mark_edge_pairs`); no
@@ -411,8 +420,11 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         obj = passes.object_index[rows]
         valid = obj > 0
         void = ~valid
+        # the band's rows of the position passes, read in place: every
+        # float64 step names its loop, since NEP 50 runs `float * float32`
+        # in float32
         pos_t, pos_prev, pos_next = (
-            None if a is None else _wide(a[rows])
+            None if a is None else a[rows]
             for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
         z_t = pos_t[..., 2]
         ok = z_t > 0
@@ -421,9 +433,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
             raise DataCorruptionError("non-positive depth at a covered pixel")
         # each point's disparity b*f/Z_t in float64, rounded as it is
         # written to the band's rows, and subtracted by both disparity
-        # changes before the projections' buffers are made
+        # changes before the projections' buffers are made. Widening a
+        # signalling NaN raises the invalid flag, so it is ignored here
         with np.errstate(invalid="ignore"):
-            bf_over_z_t = np.divide(bf, z_t)
+            bf_over_z_t = np.divide(bf, z_t, dtype=np.float64)
         del ok
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
@@ -434,29 +447,33 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                 _disparity_change(bf, bf_over_z_t, other[..., 2], void,
                                   out=dispchange[rows])
         del bf_over_z_t
-        # each position pass is projected once, as two planes, into one of
-        # two buffers: pos3d_t's, and pos3d_prev's, then pos3d_next's
+        # each position pass is projected once, as two planes: pos3d_t's
+        # into one buffer, pos3d_prev's and then pos3d_next's into another.
+        # The backward flow is computed in place of pos3d_prev's projection
+        # and the forward flow in place of pos3d_t's, the last to read it,
+        # so the occlusion test runs last, on pos3d_next's projection, with
+        # no other projection held, and uses that buffer up
         shape = (2,) + void.shape
         proj_t = project(pos_t, k, out=np.empty(shape))
         proj = np.empty(shape)
         if bwd:
-            _flow(project(pos_prev, k, out=proj), proj_t, void,
-                  out=frame.flow_bwd[rows])
+            project(pos_prev, k, out=proj)
+            _flow(proj, proj_t, void, out=frame.flow_bwd[rows], into=proj)
         edge_rows = None
         if fwd:
             project(pos_next, k, out=proj)
+            flow = _flow(proj, proj_t, void, out=frame.flow_fwd[rows],
+                         into=proj_t)
+            frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
+            edge_rows = flow[:, [0, -1]]
+            del flow, proj_t
             if passes_next is not None:
                 _occluded(proj, pos_next[..., 2], obj, valid, passes_next,
                           eps, out=frame.occlusion_fwd[rows])
-            # the float64 forward flow, in place of the projection
-            flow = _flow(proj, proj_t, void, out=frame.flow_fwd[rows])
-            frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
-            edge_rows = flow[:, [0, -1]]
-            del flow
         return edge_rows
 
-    cuts = bands(h)
-    edges = map_ordered(band, cuts)
+    cuts = _parallel.bands(h, _parallel.GT_BAND_ROWS)
+    edges = _parallel.map_ordered(band, cuts)
     if fwd:
         _mark_edge_pairs(frame.motion_boundaries, passes.object_index, cuts,
                          edges)

@@ -262,7 +262,8 @@ def load_frame_passes(files, t, k):
     the view holds one Z, and `derive` takes it from the depth file for
     every map, whatever the pos3d_t file's Z holds. Nothing yet checks
     that the two files' Z agree. Positions stay float32, as stored, one
-    copy of the file bytes; `groundtruth` widens them band by band.
+    copy of the file bytes; `groundtruth` reads them band by band in
+    place, each float64 step widening what it reads.
     """
     render = [row for row in _FILES if row[3] is not None]
 

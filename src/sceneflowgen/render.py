@@ -88,7 +88,8 @@ class FramePasses:
 
     rgb: np.ndarray  # (H, W, 3) uint8
     # positions: float64 from the renderer, float32 when read from files
-    # (`pipeline.load_frame_passes`); `groundtruth` widens them
+    # (`pipeline.load_frame_passes`); `groundtruth` computes in float64
+    # on either
     pos3d_t: np.ndarray  # (H, W, 3), camera frame at t; NaN at void
     pos3d_prev: np.ndarray | None  # camera frame at t-1; None at t = 1
     pos3d_next: np.ndarray | None  # camera frame at t+1; None at t = frames

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +27,28 @@ def set_cpus(mp, n):
     """Make the thread map see n usable CPUs."""
     mp.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(n)),
                raising=False)
+
+
+def at_once(fn):
+    """fn, recording in `.most` how many of its calls ever ran at once. Each
+    call holds its place for 10 ms, so calls that may overlap do."""
+    lock = threading.Lock()
+    running = 0
+
+    def counted(*args):
+        nonlocal running
+        with lock:
+            running += 1
+            counted.most = max(counted.most, running)
+        try:
+            time.sleep(0.01)
+            return fn(*args)
+        finally:
+            with lock:
+                running -= 1
+
+    counted.most = 0
+    return counted
 
 
 def bilinear_sample(grid, coords, fill=np.nan):

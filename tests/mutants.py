@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 _GT = "src/sceneflowgen/groundtruth.py"
 _MATCH = "src/sceneflowgen/match.py"
+_PARALLEL = "src/sceneflowgen/_parallel.py"
 _METRICS = "src/sceneflowgen/metrics.py"
 _PIPELINE = "src/sceneflowgen/pipeline.py"
 _RENDER = "src/sceneflowgen/render.py"
@@ -95,6 +96,14 @@ MUTANTS = [
     Mutant("depth-tie", _RENDER,
            "np.minimum.at(owner, p[tie], o[tie])", "np.maximum.at(owner, p[tie], o[tie])",
            "of two fragments at equal depth the earlier draw wins"),
+    Mutant("short-band-dropped", _PARALLEL,
+           "return [slice(y, min(y + rows, h)) for y in range(0, h, rows)]",
+           "return [slice(y, y + rows) for y in range(0, h - rows + 1, rows)]",
+           "the bands cover every row, the last band short"),
+    Mutant("edge-pairs-skipped", _GT,
+           "for above, below, rows in zip(edges, edges[1:], cuts[1:]):",
+           "for above, below, rows in zip(edges, edges[1:], cuts[:0]):",
+           "motion-boundary pairs across a band edge are marked"),
 ]
 
 

@@ -183,7 +183,7 @@ class TestBandedMotionBoundaries:
         passes = with_flow(*TestMotionBoundaries().two_object_passes(
             obj2_mask, shape=shape), INTR)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_parallel, "BAND_ROWS", band_rows)
+            mp.setattr(_parallel, "GT_BAND_ROWS", band_rows)
             set_cpus(mp, cpus)
             mb = gt.derive_frame(passes, RIG).motion_boundaries
         assert mb.tobytes() == oracle.derive(
@@ -519,7 +519,7 @@ def assert_bands_match_whole_frame(passes, rig, passes_next):
     for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
         for cpus in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_parallel, "BAND_ROWS", rows)
+                mp.setattr(_parallel, "GT_BAND_ROWS", rows)
                 set_cpus(mp, cpus)
                 frame = gt.derive_frame(passes, rig, passes_next)
             assert_same_maps(frame, ref, (rows, cpus))
@@ -559,7 +559,7 @@ class TestBandedDeriveFrame:
         assert_bands_match_whole_frame(row, RIG, None)
 
     def test_bad_depth_in_any_band_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(_parallel, "BAND_ROWS", 2)
+        monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 2)
         set_cpus(monkeypatch, 2)
         fp = make_passes(np.full((6, 4), 10.0), INTR)
         fp.depth[5, 3] = -1.0
@@ -568,7 +568,7 @@ class TestBandedDeriveFrame:
 
     def test_two_cpus_run_two_bands_at_once(self, rendered_scene, monkeypatch):
         spec, passes = rendered_scene
-        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
+        monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 8)
         set_cpus(monkeypatch, 2)
         # the first two bands each wait until the other has started
         barrier = threading.Barrier(2, timeout=30)
@@ -593,7 +593,7 @@ class TestBandedDeriveFrame:
         spec, passes = rendered_scene
         fp, fp_next = passes[(2, "left")], passes[(3, "left")]
         ref = oracle.derive(fp, spec.rig, fp_next)
-        monkeypatch.setattr(_parallel, "BAND_ROWS", 1)
+        monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 1)
         set_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -607,14 +607,14 @@ class TestBandedDeriveFrame:
 
 class TestDeriveFrameMemory:
     def test_temporaries_are_band_sized(self, monkeypatch):
-        # bands of 8 rows at 240x135: the share of the frame that the
-        # default 32-row bands are at 960x540. Temporaries held above the
+        # bands of 16 rows at 240x135: the share of the frame that the
+        # default 64-row bands are at 960x540. Temporaries held above the
         # inputs and the maps returned stay below one (H, W, 3) float64
         # map; over the whole frame at once they took some 3.6 MB.
         spec = sf.generate_flyingthings_scene(
             42, sf.FlyingThingsParams(frames=3, width=240, height=135))
         fp, fp_next = (sf.rasterize_frame(spec, t, "left") for t in (2, 3))
-        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
+        monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 16)
         bound = 135 * 240 * 3 * 8
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
@@ -670,10 +670,10 @@ class TestFloat32Passes:
         for view in ("left", "right"):
             key, nxt = (t, view), (t + 1, view)
             ref = gt.derive_frame(wide[key], rig, wide.get(nxt))
-            for rows in (7, _parallel.BAND_ROWS):
+            for rows in (7, _parallel.GT_BAND_ROWS):
                 for cpus in (1, 2):
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(_parallel, "BAND_ROWS", rows)
+                        mp.setattr(_parallel, "GT_BAND_ROWS", rows)
                         set_cpus(mp, cpus)
                         frame = gt.derive_frame(narrow[key], rig,
                                                 narrow.get(nxt))
@@ -806,7 +806,7 @@ class TestDeriveFrameEqualsOracle:
     def test_hand_built_passes(self, pair, cpus, rows):
         fp, rig, fp_next = pair
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_parallel, "BAND_ROWS", rows)
+            mp.setattr(_parallel, "GT_BAND_ROWS", rows)
             set_cpus(mp, cpus)
             frame = gt.derive_frame(fp, rig, fp_next)
         assert_same_maps(frame, oracle.derive(fp, rig, fp_next),

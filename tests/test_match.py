@@ -2,7 +2,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from sceneflowgen.render import rasterize_frame
 from sceneflowgen.scene import ObjectInstance
 from sceneflowgen.trajectory import Trajectory
 
-from conftest import set_cpus
+from conftest import at_once, set_cpus
 import match_oracle
 from match_oracle import oracle_estimate_disparity
 from test_render import box_scene
@@ -455,18 +454,14 @@ class TestBandThreads:
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 3)])
     def test_one_worker_per_cpu_capped_at_bands(self, monkeypatch, cpus,
                                                 workers):
-        sizes = []
-
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Pool)
+        # at most one band per usable CPU runs at once, and no more than
+        # there are bands
+        band = at_once(match._match_band)
+        monkeypatch.setattr(match, "_match_band", band)
         set_cpus(monkeypatch, cpus)
         img = textured_image(3 * _parallel.BAND_ROWS - 1, 20)  # last band short
         match.estimate_disparity(img, img, max_disp=4)
-        assert sizes == [workers]
+        assert 1 <= band.most <= workers
 
     def test_two_cpus_run_two_bands_at_once(self, monkeypatch):
         monkeypatch.setattr(_parallel, "BAND_ROWS", 4)

@@ -4,15 +4,16 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import sceneflowgen
-from sceneflowgen import _parallel, cli
+from sceneflowgen import _parallel, cli, pipeline
 
-from conftest import set_cpus
+from conftest import at_once, set_cpus, small_params
 
 
 def record_pools(monkeypatch):
@@ -20,9 +21,9 @@ def record_pools(monkeypatch):
     sizes = []
 
     class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Pool)
     return sizes
@@ -65,16 +66,96 @@ class TestMapOrdered:
                              [(1, 5, 1), (2, 5, 2), (2, 1, 1), (64, 3, 3)])
     def test_one_worker_per_cpu_capped_at_items(self, monkeypatch, cpus,
                                                 n_items, workers):
-        sizes = record_pools(monkeypatch)
+        # at most one item per usable CPU runs at once, and no more than
+        # there are items
+        fn = at_once(str)
         set_cpus(monkeypatch, cpus)
-        assert _parallel.map_ordered(str, range(n_items)) == [
+        assert _parallel.map_ordered(fn, range(n_items)) == [
             str(i) for i in range(n_items)]
-        assert sizes == [workers]
+        assert 1 <= fn.most <= workers
 
     def test_no_items_start_no_pool(self, monkeypatch):
         sizes = record_pools(monkeypatch)
         assert _parallel.map_ordered(str, iter(())) == []
         assert sizes == []
+
+    def test_maps_in_a_row_run_on_the_same_threads(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        # each pair of items waits until both have started: two threads
+        barrier = threading.Barrier(2, timeout=30)
+
+        def thread(i):
+            barrier.wait()
+            # the Thread itself: a thread's ident may be reused by the next
+            return threading.current_thread()
+
+        first = set(_parallel.map_ordered(thread, range(4)))
+        second = set(_parallel.map_ordered(thread, range(4)))
+        assert len(first) == 2 and second == first
+        assert threading.current_thread() not in first
+
+    def test_one_pool_until_the_cpu_count_changes(self, monkeypatch):
+        sizes = record_pools(monkeypatch)
+        monkeypatch.setattr(_parallel, "_pool", None)  # no pool made yet
+        for cpus in (2, 2, 1, 2, 3, 3):
+            set_cpus(monkeypatch, cpus)
+            assert _parallel.map_ordered(str, range(4)) == list("0123")
+        assert sizes == [2, 3]
+
+    def test_failure_waits_for_the_started_items(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        # item 0 fails once item 1 has started; item 1 is still running
+        started, finished = threading.Event(), threading.Event()
+
+        def fn(i):
+            if i == 0:
+                assert started.wait(timeout=30)
+                raise ValueError("item 0")
+            started.set()
+            time.sleep(0.2)
+            finished.set()
+
+        with pytest.raises(ValueError, match="item 0"):
+            _parallel.map_ordered(fn, range(2))
+        assert finished.is_set()
+
+    def test_map_within_an_item_runs_on_its_thread(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        # an item that waited for the pool's threads, all busy with items
+        # that wait for it, would never run
+        barrier = threading.Barrier(2, timeout=30)
+
+        def outer(i):
+            barrier.wait()
+            inner = _parallel.map_ordered(
+                lambda j: threading.get_ident(), range(3))
+            return threading.get_ident(), inner
+
+        results = _parallel.map_ordered(outer, range(2))
+        assert len({thread for thread, _ in results}) == 2
+        for thread, inner in results:
+            assert thread != threading.get_ident()
+            assert inner == [thread] * 3
+
+
+def test_derive_starts_one_thread_per_cpu(monkeypatch, tmp_path):
+    # a 3-frame derive on two CPUs: one pool of two threads for all its
+    # maps, where a pool per map started 36
+    spec = sceneflowgen.generate_flyingthings_scene(
+        1, small_params(frames=3, width=64, height=48))
+    pipeline.generate_dataset(spec, tmp_path / "ds")
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(_parallel, "_pool", None)  # no pool made yet
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    pipeline.derive_dataset(tmp_path / "ds", tmp_path / "out")
+    assert 1 <= len(started) <= 2, started
 
 
 @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
@@ -105,14 +186,14 @@ class TestMapShares:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     @pytest.mark.parametrize("n_items", [1, 2, 5, 8])
     def test_round_robin_no_share_empty(self, monkeypatch, cpus, n_items):
-        sizes = record_pools(monkeypatch)
+        fn = at_once(list)
         set_cpus(monkeypatch, cpus)
         items = [f"item {i}" for i in range(n_items)]
-        shares = _parallel.map_shares(list, items)
+        shares = _parallel.map_shares(fn, items)
         n = min(cpus, n_items)
         assert shares == [items[k::n] for k in range(n)]
         assert all(shares)
-        assert sizes == [n]
+        assert 1 <= fn.most <= n
 
     def test_no_items_one_empty_share(self, monkeypatch):
         set_cpus(monkeypatch, 2)

@@ -100,14 +100,14 @@ def test_loaded_passes_are_the_decoded_files(tmp_path):
 
 
 def test_derive_holds_float32_passes(tmp_path, monkeypatch):
-    # 8-row bands at 240x135 are the share of a view that the default
-    # 32-row bands are at 960x540. Widening every depth and position pass
-    # to float64 on load peaked at 7.36 MB here; widened band by band, the
-    # peak is more than one (H, W, 3) float64 map lower.
+    # 16-row bands at 240x135 are the share of a view that the default
+    # 64-row ground-truth bands are at 960x540. Widening every depth and
+    # position pass to float64 on load peaked at 7.36 MB here; read in place
+    # band by band, the peak is more than one (H, W, 3) float64 map lower.
     spec = sf.generate_driving_preset(42, sf.DrivingParams(
         focal_mm=15, frames=3, width=240, height=135))
     pipeline.generate_dataset(spec, tmp_path / "ds")
-    monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
+    monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 16)
     bound = 7_360_000 - 135 * 240 * 3 * 8
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
