@@ -6,15 +6,21 @@ from the (flow, disparity, disparity change) components.
 `derive_frame` is the one place in the package that computes a
 ground-truth map: `generate` and `derive` both call it, and
 `tests/groundtruth_oracle.py` is the whole-frame reference it is tested
-against. It runs the per-pixel maps on the row bands of `_parallel`,
-through its thread map, with band-sized temporaries. A band projects each
-3D-position pass once, as two contiguous planes of u and v
-(`geometry.project` with `out=`), and shares the projection between the
-maps that read it. Its steps write into band-sized buffers with `out=`
-and in-place operations, set NaN (and the occlusion test's inf) with
-masked writes, and difference the planes one at a time; every float64
-operation on an element is the one the whole-frame expressions make, in
-the same order, so the bytes are those of `tests/groundtruth_oracle.py`.
+against. Its forward occlusion mask is its last step,
+`compute_occlusion_mask`, which reads only a small record of view t (an
+`OcclusionSource`: pos3d_next, object index, frame time and occlusion
+eps) and the whole of frame t + 1; `pipeline` calls that step on its own,
+once frame t + 1 exists, so that no two views are held at once. Both run
+the per-pixel maps on the row bands of `_parallel`, through its thread
+map, with band-sized temporaries. A band projects each 3D-position pass
+it reads once, as two contiguous planes of u and v (`geometry.project`
+with `out=`), and shares the projection between the maps that read it;
+the occlusion step projects pos3d_next a second time, in its own bands.
+The steps write into band-sized buffers with `out=` and in-place
+operations, set NaN (and the occlusion test's inf) with masked writes,
+and difference the planes one at a time; every float64 operation on an
+element is the one the whole-frame expressions make, in the same order,
+so the bytes are those of `tests/groundtruth_oracle.py`.
 Each band also marks the motion boundaries' pixel pairs within its rows
 from its float64 forward flow, and the pairs across band edges are marked
 from the bands' first and last rows; only the boundaries' small-component
@@ -32,7 +38,8 @@ since under NEP 50 `float * float32-array` runs in float32; so no
 float64 copy of a pass exists, and either input gives the same bytes.
 `reconstruct_scene_flow` widens the maps it is given. On the whole frame
 only the occlusion eps (a median depth, of which only the middle values
-are widened) and the next frame's z-buffer lookup widen what they read.
+are widened, taken by `OcclusionSource.of` while the view is whole) and
+the next frame's z-buffer lookup widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -50,8 +57,9 @@ from .geometry import CameraPose, StereoRig, project, unproject
 from .render import FramePasses
 
 __all__ = [
-    "GroundTruthFrame", "reconstruct_scene_flow", "derive_frame",
-    "pixel_centers", "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
+    "GroundTruthFrame", "OcclusionSource", "reconstruct_scene_flow",
+    "derive_frame", "compute_occlusion_mask", "pixel_centers",
+    "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
 ]
 
 MOTION_DIFF_THRESHOLD_PX = 1.5
@@ -317,6 +325,58 @@ def _occlusion_eps(depth):
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
+@dataclass(frozen=True)
+class OcclusionSource:
+    """What the forward occlusion test reads of view t, so that its other
+    passes need not be held until frame t + 1 exists: the view's
+    pos3d_next (H, W, 3), its object index (H, W), its frame time and the
+    test's depth tolerance eps, 1e-3 of its median Z_t (`_occlusion_eps`),
+    taken by `of` while the view is whole."""
+
+    pos3d_next: np.ndarray
+    object_index: np.ndarray
+    frame_time: int
+    eps: float
+
+    @classmethod
+    def of(cls, passes: FramePasses) -> OcclusionSource:
+        if passes.pos3d_next is None:
+            raise ContractError("forward occlusion needs pos3d_next")
+        return cls(passes.pos3d_next, passes.object_index, passes.frame_time,
+                   _occlusion_eps(passes.depth))
+
+
+def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
+                           passes_next: FramePasses) -> np.ndarray:
+    """The forward occlusion mask, (H, W) bool, of the view that source
+    was taken of (`OcclusionSource.of`), against passes_next, a later
+    frame of the same view: each point at t + 1 (pos3d_next, projected
+    through `rig.intrinsics`) is tested against the whole of passes_next
+    (see `_occluded`).
+
+    It runs on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`,
+    on the thread map: each band projects its rows of pos3d_next into a
+    (2, rows, W) buffer of u and v planes, which the test uses up, and
+    writes its rows of the mask. The mask does not depend on the band
+    height or the number of workers."""
+    if passes_next.frame_time <= source.frame_time:
+        raise ContractError("forward occlusion needs a later frame as "
+                            "passes_next")
+    h, w = source.object_index.shape
+    mask = np.empty((h, w), dtype=bool)
+
+    def band(rows):
+        obj = source.object_index[rows]
+        pos_next = source.pos3d_next[rows]
+        proj = project(pos_next, rig.intrinsics,
+                       out=np.empty((2,) + obj.shape))
+        _occluded(proj, pos_next[..., 2], obj, obj > 0, passes_next,
+                  source.eps, out=mask[rows])
+
+    _parallel.map_ordered(band, _parallel.bands(h, _parallel.GT_BAND_ROWS))
+    return mask
+
+
 def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
                            dispchange: np.ndarray, rig: StereoRig,
                            pose_t: CameraPose, pose_next: CameraPose):
@@ -364,8 +424,11 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
     b*f/Z_t the float64 disparity; both are NaN at void. passes_next, if
-    given, is the next frame of the same view, and `occlusion_fwd` marks
-    the points it hides (see `_occluded`).
+    given, is a later frame of the same view, and `occlusion_fwd` marks
+    the points it hides: the last step, `compute_occlusion_mask` of the
+    view's `OcclusionSource` (taken before the bands, so a view with no
+    pos3d_next raises ContractError at once), the one occlusion path that
+    `pipeline` also calls on its own. Without passes_next it is None.
     Motion boundaries mark both pixels of every 4-adjacent pair of
     different objects whose forward flows differ by at least
     MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
@@ -382,16 +445,15 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     float64 in place in those and a few other band-sized buffers, and
     writes its rows of the full maps, rounding flow, disparity and
     disparity change to float32 there. The forward flow is computed in
-    place of pos3d_t's projection, and the occlusion test, last, in place
-    of pos3d_next's. Each band also marks the motion
+    place of pos3d_t's projection. Each band also marks the motion
     boundaries' pixel pairs within its rows from its float64 forward flow
     and keeps that flow's first and last rows, from which the pairs across
     band edges are marked once the bands are done (`_mark_edge_pairs`); no
     whole-frame float64 map is held. What a band cannot see is taken over
-    the whole view: the occlusion eps comes from the median Z_t of the
-    frame, the occlusion test samples the whole next frame, and small
-    boundary components are dropped from the whole mask. The maps do not
-    depend on the band height or the number of workers.
+    the whole view: small boundary components are dropped from the whole
+    mask, and the occlusion step's eps is the median Z_t of the frame and
+    its test samples the whole next frame. The maps do not depend on the
+    band height or the number of workers.
     """
     h, w = passes.object_index.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
@@ -406,20 +468,14 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         dispchange_fwd=new() if fwd else None,
         dispchange_bwd=new() if bwd else None,
         motion_boundaries=new(dtype=bool) if fwd else None,
-        occlusion_fwd=new(dtype=bool) if passes_next is not None else None,
+        occlusion_fwd=None,  # the occlusion step's, after the bands
     )
-    eps = None
-    if passes_next is not None:
-        if not fwd or passes_next.frame_time <= passes.frame_time:
-            raise ContractError("forward occlusion needs pos3d_next and a "
-                                "later frame as passes_next")
-        eps = _occlusion_eps(passes.depth)
+    source = None if passes_next is None else OcclusionSource.of(passes)
     k, bf = rig.intrinsics, rig.bf
 
     def band(rows):
         obj = passes.object_index[rows]
-        valid = obj > 0
-        void = ~valid
+        void = obj <= 0
         # the band's rows of the position passes, read in place: every
         # float64 step names its loop, since NEP 50 runs `float * float32`
         # in float32
@@ -450,9 +506,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         # each position pass is projected once, as two planes: pos3d_t's
         # into one buffer, pos3d_prev's and then pos3d_next's into another.
         # The backward flow is computed in place of pos3d_prev's projection
-        # and the forward flow in place of pos3d_t's, the last to read it,
-        # so the occlusion test runs last, on pos3d_next's projection, with
-        # no other projection held, and uses that buffer up
+        # and the forward flow in place of pos3d_t's, the last to read it
         shape = (2,) + void.shape
         proj_t = project(pos_t, k, out=np.empty(shape))
         proj = np.empty(shape)
@@ -466,10 +520,6 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                          into=proj_t)
             frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
             edge_rows = flow[:, [0, -1]]
-            del flow, proj_t
-            if passes_next is not None:
-                _occluded(proj, pos_next[..., 2], obj, valid, passes_next,
-                          eps, out=frame.occlusion_fwd[rows])
         return edge_rows
 
     cuts = _parallel.bands(h, _parallel.GT_BAND_ROWS)
@@ -479,5 +529,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                          edges)
         del edges  # before the filter, which sets the peak
         _drop_small_components(frame.motion_boundaries, MIN_BOUNDARY_AREA_PX)
+    if source is not None:
+        frame.occlusion_fwd = compute_occlusion_mask(source, rig, passes_next)
     return frame
 

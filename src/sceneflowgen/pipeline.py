@@ -3,14 +3,21 @@ scene, derive the ground-truth maps, and write everything plus the manifest
 through the on-disk formats.
 
 `generate_dataset` and `derive_dataset` share one loop. It goes view by
-view and slides a window of frames t and t+1 over the frames, so at most
-two views are held at once, whatever the frame count. Within one (frame,
-view) the passes are decoded, the ground truth derived and the files
-written on the thread map of `_parallel`, one unit per file or row band;
-only two whole-frame steps of `groundtruth` (see there) run on one
-thread. Each file is written under a temporary name and renamed into
-place, so an interrupted run leaves whole files, none of a later (frame,
-view), and a manifest marked incomplete.
+view, frame by frame, and holds the passes of one view at a time,
+whatever the frame count: frame t's every file but its occlusion mask is
+written and its passes dropped before frame t + 1 is rendered or loaded,
+and only the forward occlusion test's record of frame t (its pos3d_next,
+object index, frame time and occlusion eps, a
+`groundtruth.OcclusionSource`) is kept until then. Once frame t + 1
+exists, the mask of frame t is computed from that record and written,
+so the files reach disk in `_FILES` order, view after view. Within one
+(frame, view) the passes are decoded, the ground truth derived and the
+files written on the thread map of `_parallel`, one unit per file or
+row band; only two whole-frame steps of `groundtruth` (see there) run on
+one thread. Each file is written under a temporary name and renamed
+into place, so an interrupted run leaves whole files, none of a later
+(frame, view), and a manifest marked incomplete that lists a view only
+once all its files, its occlusion mask included, are in place.
 
 A view's passes are its pixels and its camera is the rig's: `derive`
 reads the manifest once (`_derivable`), for the rig, the poses it checks
@@ -73,19 +80,36 @@ def _frame_name(t, view, ext):
 
 def _frames(passes_at, times, rig, out_root, scene, read_from=None):
     """Derive and write each (t, view), all left views first; calls
-    passes_at(t, view) once for each and yields (t, view, files).
-    read_from[t, view], if given, names the files the passes came from
-    (see `write_frame`)."""
+    passes_at(t, view) once for each and yields (t, view, files) once all
+    of the view's files are in place. read_from[t, view], if given, names
+    the files the passes came from (see `write_frame`).
+
+    A view whose next frame is listed has every file but its occlusion
+    mask written, and is dropped, before that frame is made: only its
+    `groundtruth.OcclusionSource` is held. Once frame t + 1 exists, the
+    mask of frame t is computed and written, and frame t is yielded."""
+    scene_dir = out_root / scene
     for view in _VIEW_SUFFIX:
-        fp_next = None
+        held = None  # (t, files, occlusion source) of the previous frame
         for t in times:
-            fp = fp_next if fp_next is not None else passes_at(t, view)
-            fp_next = passes_at(t + 1, view) if t + 1 in times else None
-            gt = groundtruth.derive_frame(fp, rig, fp_next)
-            files = write_frame(out_root / scene, scene, t, view, fp, gt,
+            fp = passes_at(t, view)
+            if held is not None:
+                t_prev, files, source = held
+                mask = groundtruth.compute_occlusion_mask(source, rig, fp)
+                held = source = None
+                files.update(write_frame(scene_dir, scene, t_prev, view,
+                                         {"occlusion_fwd": mask}))
+                del mask  # frame t is derived with nothing of frame t - 1
+                yield t_prev, view, files
+            gt = groundtruth.derive_frame(fp, rig)
+            files = write_frame(scene_dir, scene, t, view,
+                                {**vars(fp), "depth": fp.depth, **vars(gt)},
                                 read_from[t, view] if read_from else None)
-            del fp, gt  # only frame t+1 stays held while t+2 is produced
-            yield t, view, files
+            if t + 1 in times:
+                held = t, files, groundtruth.OcclusionSource.of(fp)
+            del fp, gt  # frame t + 1 is made with none of frame t held
+            if held is None:
+                yield t, view, files
 
 
 def generate_dataset(spec: SceneSpec, out_root) -> dict:
@@ -186,10 +210,13 @@ def _derivable(manifest, root):
     return times, rig, paths
 
 
-def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
-    """Write the `_FILES` of one (frame, view); returns pass -> relative path.
+def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
+    """Write the `_FILES` of one (frame, view) that arrays holds; returns
+    pass -> relative path.
 
-    read_from maps a render pass to the resolved path it was read from.
+    arrays maps a `FramePasses` or `GroundTruthFrame` field to its array;
+    a pass whose field is missing or None has no file. read_from maps a
+    render pass to the resolved path it was read from.
     Such a pass is never encoded: its output is that file's bytes, so it
     is not written when its output path resolves to that file, and copied
     there otherwise. The files are encoded or copied and written on the
@@ -200,9 +227,9 @@ def write_frame(scene_dir, scene_name, t, view, fp, gt, read_from=None):
     writes = []  # (paths, codec or None, array or source path)
     encodes = {}  # field -> its write: one encoding, however many files
     read_from = read_from or {}
-    for name, ext, codec, channels in _FILES:
+    for name, ext, codec, _ in _FILES:
         field = "object_index" if name == "material_index" else name
-        array = getattr(gt if channels is None else fp, field)
+        array = arrays.get(field)
         if array is None:
             continue
         rel = f"{name}/{_frame_name(t, view, ext)}"

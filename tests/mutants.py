@@ -57,6 +57,10 @@ MUTANTS = [
     Mutant("occlusion-eps", _GT,
            "return 1e-3 * (scale if", "return 2e-3 * (scale if",
            "the occlusion tolerance is 1e-3 of the median depth"),
+    Mutant("occlusion-eps-of-next", _GT,
+           "source.eps, out=mask[rows])",
+           "_occlusion_eps(passes_next.depth), out=mask[rows])",
+           "the occlusion tolerance is of frame t's median depth, not t + 1's"),
     Mutant("motion-threshold", _GT,
            "MOTION_DIFF_THRESHOLD_PX = 1.5", "MOTION_DIFF_THRESHOLD_PX = 1.6",
            "a motion boundary is a flow difference above 1.5 px"),

@@ -362,6 +362,21 @@ class TestOcclusion:
         occ = occlusion(p_t, p_next, intr)
         assert occ.ravel().tolist() == [True, True, False, False, False]
 
+    def test_eps_is_the_median_depth_of_frame_t(self):
+        # one object at depth 10 at t (eps 0.01); at t + 1 its middle is
+        # 0.015 nearer and the rest at 20, so frame t + 1's median depth is
+        # 20, whose eps (0.02) would hide nothing
+        depth_next = np.full((8, 8), 20.0)
+        depth_next[2:6, 2:6] = 10.0 - 0.015
+        p_t, p_next = self.static_pair(np.full((8, 8), 10.0), depth_next)
+        source = gt.OcclusionSource.of(p_t)
+        assert source.eps == 1e-3 * 10.0
+        assert np.shares_memory(source.pos3d_next, p_t.pos3d_next)
+        occ = occlusion(p_t, p_next)
+        assert occ[3:5, 3:5].all() and not occ[0].any()
+        mask = gt.compute_occlusion_mask(source, StereoRig(1.0, INTR), p_next)
+        assert mask.tobytes() == occ.tobytes()
+
     def test_missing_pass_rejected(self):
         p_t = make_passes(np.full((4, 4), 10.0), INTR, t=1)
         p_next = make_passes(np.full((4, 4), 10.0), INTR, t=2)

@@ -59,18 +59,18 @@ def small_spec(frames):
 
 
 @pytest.mark.parametrize("frames", [2, 6])
-def test_generate_holds_at_most_two_views(tmp_path, monkeypatch, frames):
+def test_generate_holds_one_view(tmp_path, monkeypatch, frames):
     counter = LiveViews(pipeline.rasterize_frame, lambda spec, t, view: (t, view))
     monkeypatch.setattr(pipeline, "rasterize_frame", counter)
     manifest = pipeline.generate_dataset(small_spec(frames), tmp_path / "ds")
     assert counter.calls == view_major(frames)
-    assert counter.peak <= 2
+    assert counter.peak == 1
     assert manifest["complete"] is True
     assert [f["time"] for f in manifest["frames"]] == list(range(1, frames + 1))
     assert all(f["files"].keys() == {"left", "right"} for f in manifest["frames"])
 
 
-def test_derive_loads_each_view_once(tmp_path, monkeypatch):
+def test_derive_loads_each_view_once_and_holds_one(tmp_path, monkeypatch):
     pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
     # a view's files are named {t:04d}_{L|R}
     counter = LiveViews(pipeline.load_frame_passes, lambda files, t, k: (
@@ -78,7 +78,7 @@ def test_derive_loads_each_view_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "load_frame_passes", counter)
     assert main(["derive", str(tmp_path / "ds"), "--out", str(tmp_path / "re")]) == 0
     assert counter.calls == view_major(3)
-    assert counter.peak <= 2
+    assert counter.peak == 1
     assert not (tmp_path / "re" / "manifest.json").exists()
 
 
@@ -353,6 +353,71 @@ def test_interrupted_copy_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     written = [rel for rel in left if rel != "config.derive.json"]
     assert not [rel for rel in written
                 if frame_view(rel) > frame_view(fail_name)]
+
+
+def fail_on(monkeypatch, rel):
+    """Make pipeline.write_atomic raise on the file at rel (a pass
+    directory and a file name), and write every other file."""
+    real = pipeline.write_atomic
+
+    def write_atomic(path, payload):
+        if Path(path).parts[-2:] == Path(rel).parts:
+            raise OSError("no space left on device")
+        real(path, payload)
+
+    monkeypatch.setattr(pipeline, "write_atomic", write_atomic)
+
+
+@pytest.mark.parametrize("fail_name", ["0001_L", "0001_R"])
+def test_interrupted_occlusion_write_lists_no_view_without_it(
+        tmp_path, monkeypatch, fail_name):
+    # frame 1's occlusion mask is written once frame 2 exists, after its
+    # other files: a failure there leaves frame 1 unlisted, and the views
+    # before it listed with every file
+    failing = f"occlusion_fwd/{fail_name}.pgm"
+    clean = tmp_path / "clean"
+    assert main(GEN_ARGS + ["--out", str(clean)]) == 0
+    fail_on(monkeypatch, failing)
+    out = tmp_path / "ds"
+    assert main(GEN_ARGS + ["--out", str(out)]) == 1
+    monkeypatch.undo()
+
+    left = tree_bytes(out)
+    assert not [rel for rel in left if rel.endswith(".tmp")]
+    clean_bytes = tree_bytes(clean)
+    for rel, payload in left.items():
+        if rel not in ("config.generate.json", "manifest.json"):
+            assert payload == clean_bytes[rel], rel
+    manifest = formats.read_manifest(left["manifest.json"].decode())
+    assert manifest["complete"] is False
+    listed = {frame_view(files["rgb"]): files for f in manifest["frames"]
+              for files in f["files"].values()}
+    assert sorted(listed) == [
+        (v, t) for v, t in ((0, 1), (0, 2), (1, 1), (1, 2))
+        if (v, t) < frame_view(fail_name)]
+    for files in listed.values():
+        assert ("occlusion_fwd" in files) == ("pos3d_next" in files), files
+        assert set(files.values()) <= set(left), files
+    scene = "flyingthings-5/"
+    assert f"{scene}flow_fwd/{fail_name}.flo" in left  # written before it
+    assert f"{scene}{failing}" not in left
+    assert not [rel for rel in left if rel.startswith(scene)
+                and frame_view(rel) > frame_view(fail_name)]
+
+    # derive --out: the same files of the views up to frame 1's, whole
+    assert main(["derive", str(clean), "--out", str(tmp_path / "re-clean")]) == 0
+    fail_on(monkeypatch, failing)
+    assert main(["derive", str(clean), "--out", str(tmp_path / "re")]) == 1
+    monkeypatch.undo()
+    clean_derived = tree_bytes(tmp_path / "re-clean")
+    left = tree_bytes(tmp_path / "re")
+    assert not [rel for rel in left if rel.endswith(".tmp")]
+    written = [rel for rel in left if rel != "config.derive.json"]
+    assert f"{scene}flow_fwd/{fail_name}.flo" in written
+    assert f"{scene}{failing}" not in written
+    for rel in written:
+        assert left[rel] == clean_derived[rel], rel
+        assert frame_view(rel) <= frame_view(fail_name), rel
 
 
 def test_a_view_holds_one_z(tmp_path):
