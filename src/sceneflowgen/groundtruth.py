@@ -3,19 +3,20 @@ bidirectional optical flow, disparity, disparity change, motion
 boundaries, the forward occlusion mask, and 3D scene-flow reconstruction
 from the (flow, disparity, disparity change) components.
 
-`derive_frame` is the one place in the package that computes a
-ground-truth map: `generate` and `derive` both call it, and
-`tests/groundtruth_oracle.py` is the whole-frame reference it is tested
-against. Its forward occlusion mask is its last step,
-`compute_occlusion_mask`, which reads only a small record of view t (an
-`OcclusionSource`: pos3d_next, object index, frame time and occlusion
-eps) and the whole of frame t + 1; `pipeline` calls that step on its own,
-once frame t + 1 exists, so that no two views are held at once. Both run
-the per-pixel maps on the row bands of `_parallel`, through its thread
-map, with band-sized temporaries. A band projects each 3D-position pass
-it reads once, as two contiguous planes of u and v (`geometry.project`
-with `out=`), and shares the projection between the maps that read it;
-the occlusion step projects pos3d_next a second time, in its own bands.
+Two steps compute every ground-truth map in the package, one code path
+per map; `generate` and `derive` both call them, and
+`tests/groundtruth_oracle.py` is the whole-frame reference they are
+tested against. `derive_frame` gives a view's per-view maps from its
+passes alone. `compute_occlusion_mask` gives its forward occlusion mask
+from a small record of the view (an `OcclusionSource`: pos3d_next, object
+index, frame time and occlusion eps, taken while the view is whole) and
+the whole of frame t + 1, so `pipeline` runs it once frame t + 1 exists
+and no two views are held at once. Both run the per-pixel maps on the
+row bands of `_parallel`, through its thread map, with band-sized
+temporaries. A band projects each 3D-position pass it reads once, as two
+contiguous planes of u and v (`geometry.project` with `out=`), and shares
+the projection between the maps that read it; the occlusion step
+projects pos3d_next again, in its own bands.
 The steps write into band-sized buffers with `out=` and in-place
 operations, set NaN (and the occlusion test's inf) with masked writes,
 and difference the planes one at a time; every float64 operation on an
@@ -28,8 +29,9 @@ filter and the occlusion eps run on the whole frame, on one thread.
 
 All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
-each band rounds its float64 values once, as it writes its rows. Passes
-may come in as float32 (as read from files) or float64 (from the
+each band rounds its float64 values once, as it writes its rows, and
+first refuses a covered Z_t whose b*f/Z_t is not a positive float32.
+Passes may come in as float32 (as read from files) or float64 (from the
 renderer). A view's depth is pos3d_t's Z (`FramePasses.depth`), so one Z
 gives the disparity, the disparity change and the projections. Each band
 reads its rows of the position passes in place, Z_t from pos3d_t's rows,
@@ -68,6 +70,7 @@ MIN_BOUNDARY_AREA_PX = 10
 
 @dataclass
 class GroundTruthFrame:
+    """`derive_frame`'s maps; the occlusion mask is the next step's."""
     # flow, disparity and disparity change: float32, computed in float64
     # and rounded once
     flow_fwd: np.ndarray | None  # (H, W, 2), NaN at void; None at t = frames
@@ -77,7 +80,6 @@ class GroundTruthFrame:
     dispchange_bwd: np.ndarray | None
     # marked from the float64 forward flow
     motion_boundaries: np.ndarray | None  # (H, W) bool
-    occlusion_fwd: np.ndarray | None  # (H, W) bool
 
 
 def pixel_centers(h, w):
@@ -350,15 +352,17 @@ def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
                            passes_next: FramePasses) -> np.ndarray:
     """The forward occlusion mask, (H, W) bool, of the view that source
     was taken of (`OcclusionSource.of`), against passes_next, a later
-    frame of the same view: each point at t + 1 (pos3d_next, projected
-    through `rig.intrinsics`) is tested against the whole of passes_next
-    (see `_occluded`).
+    frame of the same view (ContractError for the same or an earlier
+    one): each point at t + 1 (pos3d_next, projected through
+    `rig.intrinsics`) is tested against the whole of passes_next (see
+    `_occluded`). It is the one occlusion path, the step after
+    `derive_frame`, which the frame loop runs once frame t + 1 exists.
 
     It runs on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`,
     on the thread map: each band projects its rows of pos3d_next into a
     (2, rows, W) buffer of u and v planes, which the test uses up, and
-    writes its rows of the mask. The mask does not depend on the band
-    height or the number of workers."""
+    writes its rows of the mask. eps and the z-buffer are of whole frames,
+    so the mask does not depend on the band height or the workers."""
     if passes_next.frame_time <= source.frame_time:
         raise ContractError("forward occlusion needs a later frame as "
                             "passes_next")
@@ -413,33 +417,32 @@ def reconstruct_scene_flow(flow: np.ndarray, disparity: np.ndarray,
     return p_world, motion
 
 
-def derive_frame(passes: FramePasses, rig: StereoRig,
-                 passes_next: FramePasses | None = None) -> GroundTruthFrame:
+def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
     """All per-view ground-truth maps for one rendered frame, seen by
     the rig's one camera: positions project through `rig.intrinsics`, and
     b*f is `rig.bf`. The depth Z_t is pos3d_t's Z, the one Z every map
     reads. Disparity is b*f/Z_t at valid pixels and NaN at void; a covered
-    pixel of non-positive Z_t raises DataCorruptionError. Flow is the
+    pixel whose b*f/Z_t is not positive and at most the float32 maximum
+    (a Z_t that is non-positive, NaN, infinite or so small that the
+    disparity overflows float32) raises DataCorruptionError. Flow is the
     difference of the projected 3D positions, defined also where the
     point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
-    b*f/Z_t the float64 disparity; both are NaN at void. passes_next, if
-    given, is a later frame of the same view, and `occlusion_fwd` marks
-    the points it hides: the last step, `compute_occlusion_mask` of the
-    view's `OcclusionSource` (taken before the bands, so a view with no
-    pos3d_next raises ContractError at once), the one occlusion path that
-    `pipeline` also calls on its own. Without passes_next it is None.
-    Motion boundaries mark both pixels of every 4-adjacent pair of
-    different objects whose forward flows differ by at least
-    MOTION_DIFF_THRESHOLD_PX, less the 8-connected components of fewer
-    than MIN_BOUNDARY_AREA_PX pixels (`_drop_small_components`, which
-    gives the mask of `scipy.ndimage.label` with a 3x3 structure).
+    b*f/Z_t the float64 disparity; both are NaN at void. Motion boundaries
+    mark both pixels of every 4-adjacent pair of different objects whose
+    forward flows differ by at least MOTION_DIFF_THRESHOLD_PX, less the
+    8-connected components of fewer than MIN_BOUNDARY_AREA_PX pixels
+    (`_drop_small_components`, which gives the mask of
+    `scipy.ndimage.label` with a 3x3 structure). The forward occlusion
+    mask reads frame t + 1, so it is the next step's:
+    `compute_occlusion_mask` of the view's `OcclusionSource`.
 
     Every map but the boundaries' component filter is per pixel, so they
     run on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`;
     each band reads its rows of the position passes in place, divides b*f
-    by pos3d_t's Z once in float64 and writes its rows of the disparity
-    and of both disparity changes from that, projects each 3D-position
+    by pos3d_t's Z once in float64, checks the quotient at its covered
+    pixels and writes its rows of the disparity and of both disparity
+    changes from it, projects each 3D-position
     pass once into one of two (2, rows, W) buffers of u and v planes
     (pos3d_t's, and pos3d_prev's, then pos3d_next's in turn), computes in
     float64 in place in those and a few other band-sized buffers, and
@@ -449,11 +452,9 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
     boundaries' pixel pairs within its rows from its float64 forward flow
     and keeps that flow's first and last rows, from which the pairs across
     band edges are marked once the bands are done (`_mark_edge_pairs`); no
-    whole-frame float64 map is held. What a band cannot see is taken over
-    the whole view: small boundary components are dropped from the whole
-    mask, and the occlusion step's eps is the median Z_t of the frame and
-    its test samples the whole next frame. The maps do not depend on the
-    band height or the number of workers.
+    whole-frame float64 map is held. Small boundary components, which a
+    band cannot see, are dropped from the whole mask. The maps do not
+    depend on the band height or the number of workers.
     """
     h, w = passes.object_index.shape
     fwd, bwd = passes.pos3d_next is not None, passes.pos3d_prev is not None
@@ -468,9 +469,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         dispchange_fwd=new() if fwd else None,
         dispchange_bwd=new() if bwd else None,
         motion_boundaries=new(dtype=bool) if fwd else None,
-        occlusion_fwd=None,  # the occlusion step's, after the bands
     )
-    source = None if passes_next is None else OcclusionSource.of(passes)
     k, bf = rig.intrinsics, rig.bf
 
     def band(rows):
@@ -482,17 +481,18 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
         pos_t, pos_prev, pos_next = (
             None if a is None else a[rows]
             for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
-        z_t = pos_t[..., 2]
-        ok = z_t > 0
-        ok |= void
-        if not ok.all():
-            raise DataCorruptionError("non-positive depth at a covered pixel")
         # each point's disparity b*f/Z_t in float64, rounded as it is
         # written to the band's rows, and subtracted by both disparity
-        # changes before the projections' buffers are made. Widening a
-        # signalling NaN raises the invalid flag, so it is ignored here
-        with np.errstate(invalid="ignore"):
-            bf_over_z_t = np.divide(bf, z_t, dtype=np.float64)
+        # changes before the projections' buffers are made. A signalling
+        # NaN or a corrupt Z_t may raise a flag: the check refuses the latter
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            bf_over_z_t = np.divide(bf, pos_t[..., 2], dtype=np.float64)
+        ok = bf_over_z_t > 0
+        ok &= bf_over_z_t <= np.finfo(np.float32).max
+        ok |= void
+        if not ok.all():
+            raise DataCorruptionError(
+                "a covered pixel's depth gives no finite, positive disparity")
         del ok
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
@@ -529,7 +529,5 @@ def derive_frame(passes: FramePasses, rig: StereoRig,
                          edges)
         del edges  # before the filter, which sets the peak
         _drop_small_components(frame.motion_boundaries, MIN_BOUNDARY_AREA_PX)
-    if source is not None:
-        frame.occlusion_fwd = compute_occlusion_mask(source, rig, passes_next)
     return frame
 

@@ -4,13 +4,13 @@ through the on-disk formats.
 
 `generate_dataset` and `derive_dataset` share one loop. It goes view by
 view, frame by frame, and holds the passes of one view at a time,
-whatever the frame count: frame t's every file but its occlusion mask is
-written and its passes dropped before frame t + 1 is rendered or loaded,
-and only the forward occlusion test's record of frame t (its pos3d_next,
-object index, frame time and occlusion eps, a
-`groundtruth.OcclusionSource`) is kept until then. Once frame t + 1
-exists, the mask of frame t is computed from that record and written,
-so the files reach disk in `_FILES` order, view after view. Within one
+whatever the frame count: frame t's per-view maps
+(`groundtruth.derive_frame`) and every file but its occlusion mask are
+written, and its passes dropped, before frame t + 1 is made; only its
+`groundtruth.OcclusionSource` (pos3d_next, object index, frame time and
+occlusion eps) is kept. Once frame t + 1 exists,
+`groundtruth.compute_occlusion_mask` gives frame t's mask from that
+record, so the files reach disk in `_FILES` order, view after view. Within one
 (frame, view) the passes are decoded, the ground truth derived and the
 files written on the thread map of `_parallel`, one unit per file or
 row band; only two whole-frame steps of `groundtruth` (see there) run on
@@ -46,8 +46,8 @@ __all__ = ["generate_dataset", "derive_dataset", "load_frame_passes",
            "write_frame", "write_atomic"]
 
 _VIEW_SUFFIX = {"left": "L", "right": "R"}
-# Every file of a view, in write order: pass (its `FramePasses` or
-# `GroundTruthFrame` field; depth is `FramePasses.depth`, pos3d_t's Z),
+# Every file of a view, in write order: pass (a `FramePasses` or
+# `GroundTruthFrame` field, the occlusion mask or depth, pos3d_t's Z),
 # extension, `formats` codec (write_<codec>, and the one `formats.read`
 # decodes a render pass with) and, for a render pass, its channels.
 _FILES = (
@@ -214,9 +214,9 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
     """Write the `_FILES` of one (frame, view) that arrays holds; returns
     pass -> relative path.
 
-    arrays maps a `FramePasses` or `GroundTruthFrame` field to its array;
-    a pass whose field is missing or None has no file. read_from maps a
-    render pass to the resolved path it was read from.
+    arrays maps a pass (see `_FILES`) to its array; a pass whose field is
+    missing or None has no file. read_from maps a render pass to the
+    resolved path it was read from.
     Such a pass is never encoded: its output is that file's bytes, so it
     is not written when its output path resolves to that file, and copied
     there otherwise. The files are encoded or copied and written on the

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import sceneflowgen as sf
-from sceneflowgen import _parallel
+from sceneflowgen import _parallel, groundtruth as gt
 from sceneflowgen.groundtruth import pixel_centers
 from sceneflowgen.render import FramePasses
 from sceneflowgen.scene import FlyingThingsParams
@@ -99,6 +99,18 @@ def with_flow(passes, flow, intrinsics):
     px = pixel_centers(*passes.depth.shape)
     passes.pos3d_next = sf.unproject(px + flow, passes.depth, intrinsics)
     return passes
+
+
+def derive_maps(passes, rig, passes_next=None):
+    """Both ground-truth steps of a view, as the frame loop runs them, as
+    {field: array or None} in the oracle's field order: `derive_frame`'s
+    maps, then the forward occlusion mask of `compute_occlusion_mask`
+    against passes_next (None without)."""
+    maps = dict(vars(gt.derive_frame(passes, rig)))
+    maps["occlusion_fwd"] = None if passes_next is None else \
+        gt.compute_occlusion_mask(gt.OcclusionSource.of(passes), rig,
+                                  passes_next)
+    return maps
 
 
 def baseline_shift_scene(seed=3, params=None):

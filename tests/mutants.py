@@ -61,6 +61,13 @@ MUTANTS = [
            "source.eps, out=mask[rows])",
            "_occlusion_eps(passes_next.depth), out=mask[rows])",
            "the occlusion tolerance is of frame t's median depth, not t + 1's"),
+    Mutant("occlusion-later-frame", _GT,
+           "passes_next.frame_time <= source.frame_time",
+           "passes_next.frame_time < source.frame_time",
+           "the occlusion mask pairs a view with a later frame, not its own"),
+    Mutant("covered-z-finite", _GT,
+           "        ok &= bf_over_z_t <= np.finfo(np.float32).max\n", "",
+           "a covered pixel's disparity b*f/Z_t is at most the float32 maximum"),
     Mutant("motion-threshold", _GT,
            "MOTION_DIFF_THRESHOLD_PX = 1.5", "MOTION_DIFF_THRESHOLD_PX = 1.6",
            "a motion boundary is a flow difference above 1.5 px"),

@@ -87,8 +87,9 @@ def test_04_forward_backward_consistency():
                       for t in range(1, spec.frames + 1)}
             for t in range(1, spec.frames):
                 fp, fp_next = passes[t], passes[t + 1]
-                frame = gt.derive_frame(fp, spec.rig, fp_next)
-                flow_fwd, occ = frame.flow_fwd, frame.occlusion_fwd
+                flow_fwd = gt.derive_frame(fp, spec.rig).flow_fwd
+                occ = gt.compute_occlusion_mask(gt.OcclusionSource.of(fp),
+                                                spec.rig, fp_next)
                 flow_bwd = gt.derive_frame(fp_next, spec.rig).flow_bwd
                 target = gt.pixel_centers(*fp.depth.shape) + flow_fwd
                 back = bilinear_sample(np.nan_to_num(flow_bwd), target)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -236,6 +237,17 @@ def _path_outside(m, ds):
     m["frames"][0]["files"]["left"]["rgb"] = "../outside.ppm"
 
 
+def _covered_depth(z):
+    # one covered pixel of frame 2's left depth file, the Z_t of every map
+    # of that view, set to z
+    def mutate(m, ds):
+        path = ds / m["frames"][1]["files"]["left"]["depth"]
+        depth = formats.read_pfm(path.read_bytes())
+        depth.flat[np.flatnonzero(np.isfinite(depth))[0]] = z
+        path.write_bytes(formats.write_pfm(depth))
+    return mutate
+
+
 MALFORMED = {
     "no frames": _no_frames,
     "view missing from files": _drop("frames", 0, "files", "right"),
@@ -262,7 +274,13 @@ MALFORMED = {
                                         "pos3d_next"),
     "frame 2 without pos3d_prev": _drop("frames", 1, "files", "left",
                                         "pos3d_prev"),
+    # b*f/Z_t is 0 at a covered pixel, and past the float32 maximum
+    "covered depth +inf": _covered_depth(np.inf),
+    "covered depth 1e-40": _covered_depth(1e-40),
 }
+# the error a case must raise, where one type fits it alone
+MALFORMED_ERROR = {"covered depth +inf": "DataCorruptionError",
+                   "covered depth 1e-40": "DataCorruptionError"}
 
 
 class TestDeriveMalformed:
@@ -280,9 +298,12 @@ class TestDeriveMalformed:
         MALFORMED[case](manifest, ds)
         (ds / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert main(["derive", str(ds)]) == 1
+        with warnings.catch_warnings():  # a RuntimeWarning fails the case
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["derive", str(ds)]) == 1
         err = capsys.readouterr().err
-        assert re.match(r"error \[\w+Error\]: ", err), err
+        error = MALFORMED_ERROR.get(case, r"\w+Error")
+        assert re.match(rf"error \[{error}\]: ", err), err
 
     @pytest.mark.parametrize("frame, name", [(1, "pos3d_next"),
                                              (2, "pos3d_prev")])

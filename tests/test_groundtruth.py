@@ -17,7 +17,8 @@ from sceneflowgen.errors import ContractError, DataCorruptionError, GeometryErro
 from sceneflowgen.geometry import CameraIntrinsics, CameraPose, StereoRig
 
 import groundtruth_oracle as oracle
-from conftest import SMALL, bilinear_sample, make_passes, set_cpus, with_flow
+from conftest import (SMALL, bilinear_sample, derive_maps, make_passes,
+                      set_cpus, with_flow)
 from test_raster_parity import box, scene
 
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)  # focal_px = 140
@@ -54,10 +55,19 @@ class TestDisparity:
                     assert d[y, x] == expected
 
     def test_corrupt_depth_rejected(self):
-        passes = make_passes(np.full((3, 3), 5.0), INTR)
-        passes.depth[1, 1] = -1.0
-        with pytest.raises(DataCorruptionError):
-            gt.derive_frame(passes, RIG)
+        # a covered Z_t whose b*f/Z_t (bf = 140) is no positive float32:
+        # negative, 0 at +inf, and past the float32 maximum at 1e-40. A
+        # typed error, and no overflow warning from the cast (an error here)
+        for dtype in (np.float32, np.float64):
+            for z in (-1.0, np.inf, 1e-40):
+                passes = with_positions(
+                    make_passes(np.full((3, 3), 5.0), INTR), dtype)
+                passes.depth[1, 1] = z
+                assert passes.depth[1, 1] == dtype(z)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DataCorruptionError):
+                        gt.derive_frame(passes, RIG)
 
 
 class TestFlow:
@@ -306,9 +316,10 @@ class TestBilinearSample:
 
 
 def occlusion(p_t, p_next, k=INTR):
-    """The forward occlusion mask derive_frame gives frame p_t, seen by
-    the camera k that made the passes."""
-    return gt.derive_frame(p_t, StereoRig(1.0, k), p_next).occlusion_fwd
+    """The forward occlusion mask of frame p_t against p_next, seen by the
+    camera k that made the passes."""
+    return gt.compute_occlusion_mask(gt.OcclusionSource.of(p_t),
+                                     StereoRig(1.0, k), p_next)
 
 
 class TestOcclusion:
@@ -372,10 +383,8 @@ class TestOcclusion:
         source = gt.OcclusionSource.of(p_t)
         assert source.eps == 1e-3 * 10.0
         assert np.shares_memory(source.pos3d_next, p_t.pos3d_next)
-        occ = occlusion(p_t, p_next)
+        occ = gt.compute_occlusion_mask(source, StereoRig(1.0, INTR), p_next)
         assert occ[3:5, 3:5].all() and not occ[0].any()
-        mask = gt.compute_occlusion_mask(source, StereoRig(1.0, INTR), p_next)
-        assert mask.tobytes() == occ.tobytes()
 
     def test_missing_pass_rejected(self):
         p_t = make_passes(np.full((4, 4), 10.0), INTR, t=1)
@@ -453,8 +462,8 @@ class TestConsistency:
         spec, passes = rendered_scene
         fp = passes[(2, "left")]
         fp_next = passes[(3, "left")]
-        frame = gt.derive_frame(fp, spec.rig, fp_next)
-        flow_fwd, occ = frame.flow_fwd, frame.occlusion_fwd
+        flow_fwd = gt.derive_frame(fp, spec.rig).flow_fwd
+        occ = occlusion(fp, fp_next, spec.rig.intrinsics)
         flow_bwd = gt.derive_frame(fp_next, spec.rig).flow_bwd
         target = gt.pixel_centers(*fp.depth.shape) + flow_fwd
         back = bilinear_sample(np.nan_to_num(flow_bwd), target)
@@ -467,8 +476,8 @@ class TestConsistency:
         fp = passes[(2, "left")]
         fp_next = passes[(3, "left")]
         rig = spec.rig
-        frame = gt.derive_frame(fp, rig, fp_next)
-        dd, occ = frame.dispchange_fwd, frame.occlusion_fwd
+        frame = gt.derive_frame(fp, rig)
+        dd, occ = frame.dispchange_fwd, occlusion(fp, fp_next, rig.intrinsics)
         d_next_map = gt.derive_frame(fp_next, rig).disparity
         target = gt.pixel_centers(*fp.depth.shape) + frame.flow_fwd
         sampled = bilinear_sample(np.where(np.isnan(d_next_map), np.inf,
@@ -482,21 +491,26 @@ class TestConsistency:
 class TestDeriveFrame:
     def test_bundle_shapes(self, rendered_scene):
         spec, passes = rendered_scene
-        frame = gt.derive_frame(passes[(2, "left")], spec.rig,
-                                passes_next=passes[(3, "left")])
+        maps = derive_maps(passes[(2, "left")], spec.rig, passes[(3, "left")])
         h, w = passes[(2, "left")].depth.shape
-        assert frame.flow_fwd.shape == (h, w, 2)
-        assert frame.flow_bwd.shape == (h, w, 2)
-        assert frame.disparity.shape == (h, w)
-        assert frame.motion_boundaries.dtype == bool
-        assert frame.occlusion_fwd.dtype == bool
+        assert maps["flow_fwd"].shape == (h, w, 2)
+        assert maps["flow_bwd"].shape == (h, w, 2)
+        assert maps["disparity"].shape == (h, w)
+        assert maps["motion_boundaries"].dtype == bool
+        assert maps["occlusion_fwd"].dtype == bool
+        assert maps["occlusion_fwd"].shape == (h, w)
+        # the occlusion mask is the next step's, not a per-view map
+        assert [f.name for f in dataclasses.fields(gt.GroundTruthFrame)] \
+            == list(GT_FIELDS[:-1])
 
     def test_occlusion_needs_a_later_frame(self, rendered_scene):
         spec, passes = rendered_scene
         with pytest.raises(ContractError):  # no pos3d_next at the last frame
-            gt.derive_frame(passes[(3, "left")], spec.rig, passes[(2, "left")])
-        with pytest.raises(ContractError):
-            gt.derive_frame(passes[(2, "left")], spec.rig, passes[(1, "left")])
+            gt.OcclusionSource.of(passes[(3, "left")])
+        source = gt.OcclusionSource.of(passes[(2, "left")])
+        for t in (1, 2):  # an earlier frame, and the same frame
+            with pytest.raises(ContractError):
+                gt.compute_occlusion_mask(source, spec.rig, passes[(t, "left")])
 
     def test_sequence_boundaries(self, rendered_scene):
         spec, passes = rendered_scene
@@ -509,13 +523,13 @@ class TestDeriveFrame:
 GT_FIELDS = oracle.FIELDS
 
 
-def assert_same_maps(frame, ref, where):
-    """The GroundTruthFrame frame holds the maps ref, byte for byte: its
-    float maps are float32, ref's float maps (the float64 oracle's, or
-    another frame's) cast to float32."""
-    assert [f.name for f in dataclasses.fields(frame)] == list(GT_FIELDS)
+def assert_same_maps(maps, ref, where):
+    """maps, both steps' maps (`derive_maps`), are the maps ref, byte for
+    byte: its float maps are float32, ref's float maps (the float64
+    oracle's, or another run's) cast to float32."""
+    assert list(maps) == list(GT_FIELDS)
     for name in GT_FIELDS:
-        a, b = getattr(frame, name), ref[name]
+        a, b = maps[name], ref[name]
         if b is None:
             assert a is None, (name, where)
             continue
@@ -527,8 +541,9 @@ def assert_same_maps(frame, ref, where):
 
 
 def assert_bands_match_whole_frame(passes, rig, passes_next):
-    """derive_frame equals the whole-frame oracle byte for byte for band
-    heights of 1 row, 7 rows, H - 1, H and H + 5 rows, on 1 and 2 CPUs."""
+    """derive_frame and compute_occlusion_mask equal the whole-frame
+    oracle byte for byte for band heights of 1 row, 7 rows, H - 1, H and
+    H + 5 rows, on 1 and 2 CPUs."""
     ref = oracle.derive(passes, rig, passes_next)
     h = passes.depth.shape[0]
     for rows in sorted({1, 7, max(h - 1, 1), h, h + 5}):
@@ -536,8 +551,8 @@ def assert_bands_match_whole_frame(passes, rig, passes_next):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_parallel, "GT_BAND_ROWS", rows)
                 set_cpus(mp, cpus)
-                frame = gt.derive_frame(passes, rig, passes_next)
-            assert_same_maps(frame, ref, (rows, cpus))
+                maps = derive_maps(passes, rig, passes_next)
+            assert_same_maps(maps, ref, (rows, cpus))
 
 
 class TestBandedDeriveFrame:
@@ -597,7 +612,7 @@ class TestBandedDeriveFrame:
             return project(*args, **kwargs)
 
         monkeypatch.setattr(gt, "project", paired)
-        gt.derive_frame(passes[(2, "left")], spec.rig, passes[(3, "left")])
+        gt.derive_frame(passes[(2, "left")], spec.rig)
         assert len(threads) == 2 and len(set(threads)) == 2
         assert threading.get_ident() not in threads
 
@@ -614,7 +629,7 @@ class TestBandedDeriveFrame:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert_same_maps(gt.derive_frame(fp, spec.rig, fp_next), ref,
+                assert_same_maps(derive_maps(fp, spec.rig, fp_next), ref,
                                  "8 workers")
         finally:
             sys.setswitchinterval(interval)
@@ -623,24 +638,33 @@ class TestBandedDeriveFrame:
 class TestDeriveFrameMemory:
     def test_temporaries_are_band_sized(self, monkeypatch):
         # bands of 16 rows at 240x135: the share of the frame that the
-        # default 64-row bands are at 960x540. Temporaries held above the
-        # inputs and the maps returned stay below one (H, W, 3) float64
-        # map; over the whole frame at once they took some 3.6 MB.
+        # default 64-row bands are at 960x540. In each step, the per-view
+        # maps and the occlusion mask, temporaries held above the inputs
+        # and the maps returned stay below one (H, W, 3) float64 map; over
+        # the whole frame at once they took some 3.6 MB.
         spec = sf.generate_flyingthings_scene(
             42, sf.FlyingThingsParams(frames=3, width=240, height=135))
         fp, fp_next = (sf.rasterize_frame(spec, t, "left") for t in (2, 3))
         monkeypatch.setattr(_parallel, "GT_BAND_ROWS", 16)
         bound = 135 * 240 * 3 * 8
+        steps = {
+            "derive_frame": lambda: vars(gt.derive_frame(fp, spec.rig)),
+            "compute_occlusion_mask": lambda: {"occlusion_fwd": (
+                gt.compute_occlusion_mask(gt.OcclusionSource.of(fp),
+                                          spec.rig, fp_next))},
+        }
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            tracemalloc.start()  # numpy reports its buffers to tracemalloc
-            try:
-                frame = gt.derive_frame(fp, spec.rig, fp_next)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            outputs = sum(getattr(frame, name).nbytes for name in GT_FIELDS)
-            assert peak - outputs < bound, (cpus, peak - outputs, bound)
+            for name, step in steps.items():
+                tracemalloc.start()  # numpy reports its buffers to tracemalloc
+                try:
+                    maps = step()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                outputs = sum(a.nbytes for a in maps.values())
+                assert peak - outputs < bound, (name, cpus, peak - outputs,
+                                                bound)
 
 
 def with_positions(passes, dtype):
@@ -670,13 +694,13 @@ class TestFloat32Passes:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_public_maps(self, stored, t):
-        # derive_frame of the stored passes is the oracle's, which widens
-        # the whole frame up front
+        # both steps on the stored passes give the oracle's maps, which
+        # widens the whole frame up front
         rig, narrow, wide = stored
         for view in ("left", "right"):
             fp, fp_next = narrow[(t, view)], narrow.get((t + 1, view))
             assert fp.depth.dtype == np.float32
-            assert_same_maps(gt.derive_frame(fp, rig, fp_next),
+            assert_same_maps(derive_maps(fp, rig, fp_next),
                              oracle.derive(fp, rig, fp_next), view)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
@@ -684,15 +708,15 @@ class TestFloat32Passes:
         rig, narrow, wide = stored
         for view in ("left", "right"):
             key, nxt = (t, view), (t + 1, view)
-            ref = gt.derive_frame(wide[key], rig, wide.get(nxt))
+            ref = derive_maps(wide[key], rig, wide.get(nxt))
             for rows in (7, _parallel.GT_BAND_ROWS):
                 for cpus in (1, 2):
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(_parallel, "GT_BAND_ROWS", rows)
                         set_cpus(mp, cpus)
-                        frame = gt.derive_frame(narrow[key], rig,
-                                                narrow.get(nxt))
-                    assert_same_maps(frame, vars(ref), (view, rows, cpus))
+                        maps = derive_maps(narrow[key], rig,
+                                           narrow.get(nxt))
+                    assert_same_maps(maps, ref, (view, rows, cpus))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_signalling_nan_widens_quietly(self, cpus):
@@ -723,10 +747,10 @@ class TestFloat32Passes:
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             set_cpus(mp, cpus)
-            frame = gt.derive_frame(signalling[0], RIG, signalling[1])
-            ref = gt.derive_frame(quiet[0], RIG, quiet[1])
-        assert np.isnan(frame.flow_fwd[4, 7, 0])
-        assert_same_maps(frame, vars(ref), cpus)
+            maps = derive_maps(signalling[0], RIG, signalling[1])
+            ref = derive_maps(quiet[0], RIG, quiet[1])
+        assert np.isnan(maps["flow_fwd"][4, 7, 0])
+        assert_same_maps(maps, ref, cpus)
 
     def test_occlusion_eps_median_is_float64(self):
         # an even count: the float32 midpoint of 1 and 1 + 2^-23 rounds
@@ -823,6 +847,6 @@ class TestDeriveFrameEqualsOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_parallel, "GT_BAND_ROWS", rows)
             set_cpus(mp, cpus)
-            frame = gt.derive_frame(fp, rig, fp_next)
-        assert_same_maps(frame, oracle.derive(fp, rig, fp_next),
+            maps = derive_maps(fp, rig, fp_next)
+        assert_same_maps(maps, oracle.derive(fp, rig, fp_next),
                          (fp.depth.dtype, rows, cpus))

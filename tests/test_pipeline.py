@@ -20,7 +20,7 @@ from sceneflowgen import _parallel, formats, pipeline
 from sceneflowgen.cli import main
 from sceneflowgen.errors import ParseError
 
-from conftest import set_cpus, small_params
+from conftest import derive_maps, set_cpus, small_params
 from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
 
 
@@ -469,8 +469,9 @@ def test_derive_takes_z_from_the_depth_file_alone(tmp_path):
 
 def test_a_scaled_depth_file_is_the_z_of_every_map(tmp_path):
     # frame 1's left depth file scaled at covered pixels: disparity, flow and
-    # the rest come from that one Z, as derive_frame gives them on passes
-    # whose pos3d_t Z is the scaled depth
+    # the rest come from that one Z, as derive_frame and
+    # compute_occlusion_mask give them on passes whose pos3d_t Z is the
+    # scaled depth
     root, fresh = tmp_path / "ds", tmp_path / "fresh"
     assert main(GEN_ARGS + ["--out", str(root)]) == 0
     manifest = formats.read_manifest((root / "manifest.json").read_text())
@@ -495,15 +496,15 @@ def test_a_scaled_depth_file_is_the_z_of_every_map(tmp_path):
                               frame_time=t)
 
     rig = sf.StereoRig.from_dict(manifest["rig"])
-    frame = sf.derive_frame(passes(1), rig, passes(2))
-    clean = sf.derive_frame(passes(1, z_clean), rig, passes(2))
+    derived = derive_maps(passes(1), rig, passes(2))
+    clean = derive_maps(passes(1, z_clean), rig, passes(2))
     for name in ("disparity", "flow_fwd"):  # the scaled Z moves both
-        assert not np.array_equal(getattr(frame, name), getattr(clean, name),
+        assert not np.array_equal(derived[name], clean[name],
                                   equal_nan=True), name
     codecs = {name: codec for name, _, codec, channels in pipeline._FILES
               if channels is None}
     maps = {name: rel for name, rel in files.items() if name in codecs}
     assert {"disparity", "flow_fwd", "dispchange_fwd", "occlusion_fwd"} <= set(maps)
     for name, rel in maps.items():
-        want = getattr(formats, "write_" + codecs[name])(getattr(frame, name))
+        want = getattr(formats, "write_" + codecs[name])(derived[name])
         assert (fresh / rel).read_bytes() == want, name
