@@ -204,33 +204,35 @@ class StereoRig:
                    intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]))
 
 
-def project(p, k: CameraIntrinsics, out=None):
+def project(p, k: CameraIntrinsics, out=None, z=None):
     """Project camera-frame 3D points to continuous pixel coordinates.
 
     Accepts a single (3,) point or an (..., 3) array and returns (..., 2)
     coordinates. Points with Z <= 0, or a NaN Z, project to NaN.
 
     u and v are computed in float64 as two planes, each as f*X (or f*Y),
-    then divided by Z in place and shifted by the principal point in place.
-    A float32 p is read as it is, not copied: Z is widened once, into a
-    plane of its own, and f*X and f*Y widen what they read. With out, a
-    float64 array of shape (2,) + p.shape[:-1], the planes are written to
-    out[0] and out[1] and out is returned; without it, the (..., 2) result
-    is a view of new planes.
+    then divided by Z in place and shifted by the principal point in place;
+    a coordinate past the float64 range is inf, with no warning.
+    A float32 p is read as it is, not copied: f*X and f*Y widen what they
+    read, and both divides read Z as one contiguous float64 plane. That is
+    z, p's Z widened, if the caller holds it (it is only read), else a
+    widened copy made here. With out, a float64 array of shape
+    (2,) + p.shape[:-1], the planes are written to out[0] and out[1] and
+    out is returned; without it, the (..., 2) result is a view of new
+    planes.
     """
     p = np.asarray(p)
     planes = np.empty((2,) + p.shape[:-1]) if out is None else out
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # a contiguous float64 Z, so both divides run on float64 alone
-        safe_z = np.array(p[..., 2], dtype=np.float64)
-        behind = ~(safe_z > 0)
-        safe_z[behind] = 1.0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if z is None:
+            z = np.array(p[..., 2], dtype=np.float64)
+        behind = ~(z > 0)
         # [i, ...] keeps a plane of a single point a 0-d view
         for i, c in enumerate(k.principal_point):
             plane = planes[i, ...]
             # float64 named: NEP 50 runs `float * float32` in float32
             np.multiply(k.focal_px, p[..., i], out=plane, dtype=np.float64)
-            plane /= safe_z
+            plane /= z
             plane += c
             plane[behind] = np.nan
     return planes if out is not None else np.moveaxis(planes, 0, -1)

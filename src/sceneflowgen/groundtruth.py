@@ -13,10 +13,14 @@ index, frame time and occlusion eps, taken while the view is whole) and
 the whole of frame t + 1, so `pipeline` runs it once frame t + 1 exists
 and no two views are held at once. Both run the per-pixel maps on the
 row bands of `_parallel`, through its thread map, with band-sized
-temporaries. A band projects each 3D-position pass it reads once, as two
-contiguous planes of u and v (`geometry.project` with `out=`), and shares
-the projection between the maps that read it; the occlusion step
-projects pos3d_next again, in its own bands.
+temporaries. A band widens the Z of each 3D-position pass it reads once,
+into one contiguous float64 plane, which gives b*f/Z and the pass's
+projection, two contiguous planes of u and v (`geometry.project` with
+`out=` and `z=`); each projection is shared between the maps that read
+it. The occlusion step projects pos3d_next again, in its own bands, and
+reads frame t + 1 through two whole-frame tables it builds once
+(`_next_frame_tables`): Z widened to float64, and the object of each
+2x2 block.
 The steps write into band-sized buffers with `out=` and in-place
 operations, set NaN (and the occlusion test's inf) with masked writes,
 and difference the planes one at a time; every float64 operation on an
@@ -30,18 +34,21 @@ filter and the occlusion eps run on the whole frame, on one thread.
 All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
 each band rounds its float64 values once, as it writes its rows, and
-first refuses a covered Z_t whose b*f/Z_t is not a positive float32.
-Passes may come in as float32 (as read from files) or float64 (from the
-renderer). A view's depth is pos3d_t's Z (`FramePasses.depth`), so one Z
-gives the disparity, the disparity change and the projections. Each band
-reads its rows of the position passes in place, Z_t from pos3d_t's rows,
-and every float64 step on them names its loop (`dtype=np.float64`),
-since under NEP 50 `float * float32-array` runs in float32; so no
-float64 copy of a pass exists, and either input gives the same bytes.
-`reconstruct_scene_flow` widens the maps it is given. On the whole frame
-only the occlusion eps (a median depth, of which only the middle values
-are widened, taken by `OcclusionSource.of` while the view is whole) and
-the next frame's z-buffer lookup widen what they read.
+first refuses a covered Z_t whose b*f/Z_t is not a positive float32. A
+neighbour's point whose b*f/Z is past the float32 maximum, or whose flow
+rounds to +-inf in float32, is gone, as one with Z <= 0 is: its flow and
+disparity change are NaN. Passes may come in as float32 (as read from
+files) or float64 (from the renderer). A view's depth is pos3d_t's Z
+(`FramePasses.depth`), so one Z gives the disparity, the disparity
+change and the projections. Each band reads its rows of the position
+passes in place, and every float64 step on them names its loop
+(`dtype=np.float64`), since under NEP 50 `float * float32-array` runs in
+float32; so no float64 copy of a pass exists but the band's Z planes,
+and either input gives the same bytes. `reconstruct_scene_flow` widens
+the maps it is given. On the whole frame only the occlusion eps (a median
+depth, of which only the middle values are widened, taken by
+`OcclusionSource.of` while the view is whole) and the next frame's Z
+table widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -97,27 +104,59 @@ def _wide(a):
         return a.astype(np.float64, copy=False)
 
 
-def _flow(proj_other, proj_t, void, out, into):
+def _z_plane(pos, out=None):
+    """pos's Z as one contiguous float64 plane, in out if given: the one
+    widening of a position pass's Z that a band makes. A signalling NaN
+    widens to a quiet one without a warning (see `_wide`)."""
+    if out is None:
+        out = np.empty(pos.shape[:-1])
+    with np.errstate(invalid="ignore"):
+        np.copyto(out, pos[..., 2])
+    return out
+
+
+def _gone(bf, z, void):
+    """Where a neighbour's point has no flow or disparity change: at void,
+    where its Z is not positive (or NaN), and where its b*f/Z does not fit
+    a float32 (`_flow` adds where its flow does not). z, that pass's
+    float64 Z plane, becomes b*f/Z in place."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        kept = z > 0
+        bf_over_z = np.divide(bf, z, out=z)
+        kept &= bf_over_z <= np.finfo(np.float32).max
+    gone = np.logical_not(kept, out=kept)
+    gone |= void
+    return gone
+
+
+def _flow(proj_other, proj_t, gone, out, into):
     """The flow between two projections of the same points, given as
     (2, H, W) planes: computed in float64 in place of into (either of
-    them), NaN at void, and written to out (H, W, 2), rounded to out's
-    dtype. Returns the float64 planes."""
+    them), NaN where gone, and written to out (H, W, 2), rounded to out's
+    dtype. A point whose flow rounds to +-inf there does not fit a
+    float32: it is added to gone, and its flow is NaN in both. Returns the
+    float64 planes."""
     flow = np.subtract(proj_other, proj_t, out=into)
-    flow[:, void] = np.nan
-    for i, plane in enumerate(flow):
-        out[..., i] = plane
+    flow[:, gone] = np.nan
+    with np.errstate(over="ignore"):
+        for i, plane in enumerate(flow):
+            out[..., i] = plane
+    far = np.isinf(out)
+    if far.any():
+        far = far.any(axis=-1)
+        gone |= far
+        flow[:, far] = np.nan
+        out[far] = np.nan
     return flow
 
 
-def _disparity_change(bf, bf_over_z_t, z_other, void, out):
-    """b*f/z_other - bf_over_z_t, NaN where z_other <= 0 and at void,
-    written to out (computed in float64, rounded to out's dtype); positive
-    for approaching surfaces."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(np.divide(bf, z_other, dtype=np.float64), bf_over_z_t,
-                    out=out)
-        gone = ~(z_other > 0)
-    gone |= void
+def _disparity_change(bf_over_z_other, bf_over_z_t, gone, out):
+    """bf_over_z_other - bf_over_z_t, b*f/Z_other - b*f/Z_t, NaN where
+    gone, written to out (computed in float64, rounded to out's dtype);
+    positive for approaching surfaces. Where the difference is inf - inf
+    or past the float32 range, the point is gone."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(bf_over_z_other, bf_over_z_t, out=out)
     out[gone] = np.nan
 
 
@@ -134,25 +173,32 @@ def _mark_edge_pairs(marked, obj, cuts, edges):
 def _mark_motion_pairs(obj, flow):
     """Both pixels of every 4-adjacent pair of different objects whose
     flow vectors differ by at least MOTION_DIFF_THRESHOLD_PX, in a block
-    of rows obj (H, W) and flow (2, H, W), u and v as planes."""
+    of rows obj (H, W) and flow (2, H, W), u and v as planes. Pairs of
+    different objects are few, so only their flows are gathered and
+    compared, by the flat index i of a pair's first pixel and i + step of
+    its second."""
+    w = obj.shape[1]
     marked = np.zeros(obj.shape, dtype=bool)
-    u, v = flow
+    flat = marked.reshape(-1)
+    u, v = (plane.reshape(-1) for plane in flow)
     with np.errstate(invalid="ignore"):
         # vertical pairs, then horizontal ones
-        for a, b in (((slice(-1),), (slice(1, None),)),
-                     ((..., slice(-1)), (..., slice(1, None)))):
-            # |flow[a] - flow[b]| as np.linalg.norm sums it, one plane at
-            # a time and in place
-            dflow = u[a] - u[b]
-            dv = v[a] - v[b]
+        for a, b, step in (((slice(-1),), (slice(1, None),), w),
+                           ((..., slice(-1)), (..., slice(1, None)), 1)):
+            differ = np.zeros(obj.shape, dtype=bool)
+            np.not_equal(obj[a], obj[b], out=differ[a])
+            i = np.flatnonzero(differ)
+            j = i + step
+            # |flow[i] - flow[j]| as np.linalg.norm sums it, in place
+            dflow = u.take(i) - u.take(j)
+            dv = v.take(i) - v.take(j)
             dflow *= dflow
             dv *= dv
             dflow += dv
             np.sqrt(dflow, out=dflow)
-            hit = obj[a] != obj[b]
-            hit &= dflow >= MOTION_DIFF_THRESHOLD_PX
-            marked[a] |= hit
-            marked[b] |= hit
+            i = i[dflow >= MOTION_DIFF_THRESHOLD_PX]
+            flat[i] = True
+            flat[i + step] = True
     return marked
 
 
@@ -172,24 +218,24 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     leaves fewer roots. Boundaries are thin, so there are few rounds; a
     dense or serpentine mask takes more.
     """
-    h, w = mask.shape
+    w = mask.shape[1]
     pixels = np.flatnonzero(mask)  # sorted, so searchsorted maps pixel -> node
     if min_area <= 1 or not len(pixels):
         return mask
+    x = pixels % w
     src, dst = [], []
     for dy, dx in _FORWARD_NEIGHBOURS:
-        # edge from (y, x) to (y + dy, x + dx), both marked
-        ys = slice(0, h - dy)
-        xs = slice(max(0, -dx), w - max(0, dx))
-        ye = slice(dy, h)
-        xe = slice(max(0, dx), w + min(0, dx))
-        both = np.zeros_like(mask)
-        both[ys, xs] = mask[ys, xs] & mask[ye, xe]
-        start = np.flatnonzero(both)
-        src.append(start)
-        dst.append(start + (dy * w + dx))
-    a = np.searchsorted(pixels, np.concatenate(src))
-    b = np.searchsorted(pixels, np.concatenate(dst))
+        # edge from (y, x) to (y + dy, x + dx), both marked: the neighbour's
+        # node, where searchsorted finds it among the marked pixels
+        neighbour = pixels + (dy * w + dx)
+        node = np.searchsorted(pixels, neighbour)
+        node[node == len(pixels)] = 0
+        edge = pixels[node] == neighbour
+        edge &= (0 <= x + dx) & (x + dx < w)
+        src.append(np.flatnonzero(edge))
+        dst.append(node[edge])
+    a = np.concatenate(src)
+    b = np.concatenate(dst)
     parent = np.arange(len(pixels))
     while True:
         ra, rb = parent[a], parent[b]
@@ -208,22 +254,63 @@ def _drop_small_components(mask: np.ndarray, min_area) -> np.ndarray:
     return mask
 
 
-def _occluded(proj, z_point, own, valid, passes_next, eps, out):
-    """Forward occlusion of the points of a band of frame t that project
-    to proj, (2, H, W) planes of u and v, in passes_next (the whole frame
-    t + 1) at depth z_point, written to out; own and valid are the band's
-    object indices and valid mask. A valid pixel is occluded when its
-    projection leaves the image, its 2x2 footprint touches another object,
-    or the bilinear z-buffer there (pos3d_t's Z, inf at void) is nearer by
-    more than eps. The Z of a corner is read through a strided view of
-    pos3d_t, so no copy of the next frame's Z plane is made.
+def _corner_steps(h, w):
+    """(dx, dy): the flat offsets from a 2x2 footprint's top-left corner k
+    of an (h, w) image to its top-right and bottom-left corners. An image
+    one pixel wide (high) has one column (row), which the footprint reads
+    at both corners, so dx (dy) is 0 there."""
+    return min(w - 1, 1), min(h - 1, 1) * w
 
-    proj is used up: the footprint's fractions are computed in its planes.
-    Every other step writes into band-sized buffers: the floor of each
-    axis, the corner index k, the weight of the columns (in the first
-    floor's buffer), the two rows of the sample, one corner at a time and
-    two bools besides out."""
+
+def _next_frame_tables(passes_next):
+    """The two whole-frame tables that the occlusion test reads of frame
+    t + 1, flat: its z-buffer, pos3d_t's Z widened to float64 and +inf at
+    void, and its block object, a uint16 that at k is the object index if
+    the 2x2 block k, k + dx, k + dy, k + dy + dx (`_corner_steps`) is one
+    object, else 0. 0 marks a mixed block, since the test reads it only at
+    valid pixels, whose own index is above 0. The tables are filled in
+    the ground-truth bands of `_parallel.bands`, on the thread map."""
     h, w = passes_next.object_index.shape
+    index = passes_next.object_index.ravel()
+    dx, dy = _corner_steps(h, w)
+    zbuf = np.empty(index.size)
+    block = index.copy()
+
+    def fill(rows):
+        start, stop = rows.start * w, rows.stop * w
+        z = zbuf[start:stop]
+        _z_plane(passes_next.pos3d_t[rows], out=z.reshape(-1, w))
+        z[index[start:stop] == 0] = np.inf
+        # the blocks that start in these rows and lie in the image
+        stop = min(stop, index.size - dy - dx)
+        own = index[start:stop]
+        one = index[start + dx:stop + dx] == own
+        one &= index[start + dy:stop + dy] == own
+        one &= index[start + dy + dx:stop + dy + dx] == own
+        block[start:stop][~one] = 0
+
+    _parallel.map_ordered(fill, _parallel.bands(h, _parallel.GT_BAND_ROWS))
+    return zbuf, block
+
+
+def _occluded(proj, z_point, own, valid, shape, tables, eps, out):
+    """Forward occlusion of the points of a band of frame t that project
+    to proj, (2, H, W) planes of u and v, at depth z_point (float64) in
+    frame t + 1, of the given (h, w) shape, written to out; own and valid
+    are the band's object indices and valid mask, tables are
+    `_next_frame_tables` of frame t + 1. A valid pixel is occluded when
+    its projection leaves the image, its 2x2 footprint touches another
+    object (its block object is not own), or the bilinear z-buffer there
+    is nearer by more than eps. Each corner's Z is one contiguous `take`
+    from the z-buffer table, shifted by the corner's step.
+
+    proj and z_point are used up: the footprint's fractions are computed
+    in proj's planes and z_point - eps in z_point. Every other step writes
+    into band-sized buffers: the floor of each axis, the corner index k
+    and two bools besides out, and the sample, on half the rows at a
+    time, in three half-band buffers."""
+    h, w = shape
+    zbuf, block = tables
     u, v = proj
     with np.errstate(invalid="ignore"):
         # NaN compares False, and +-inf lies outside: neither is inside.
@@ -240,67 +327,61 @@ def _occluded(proj, z_point, own, valid, passes_next, eps, out):
             """The footprint's first pixel along one axis, clamped into the
             image so border projections still get a lookup, and the weight
             of the second, in place of plane: floor(plane - 0.5) in
-            [0, size - 2], the fraction in [0, 1]. fmax maps NaN to 0, so a
-            projection that is not inside still reads a pixel of the image."""
+            [0, size - 2], the fraction in [0, 1]. A NaN plane stays NaN:
+            that projection is not inside, and the takes clamp its index."""
             frac = np.subtract(plane, 0.5, out=plane)
             first = np.floor(frac)
-            np.fmax(first, 0, out=first)
-            np.fmin(first, size - 2, out=first)
+            np.clip(first, 0, size - 2, out=first)
             frac -= first
             np.clip(frac, 0.0, 1.0, out=frac)
             return first, frac
 
         x0, fx = footprint(u, w)
         y0, fy = footprint(v, h)
-        # the corners as flat indices: top-left k, then + dx and + dy. An
-        # image one pixel wide (high) clamps x0 (y0) to -1 and reads its
-        # one column (row) at both corners, so dx (dy) is 0 there. The
+        # the top-left corner as a flat index k. An image one pixel wide
+        # (high) clamps x0 (y0) to -1, and its step dx (dy) is 0. The
         # float64 sums are exact integers: an image holds under 2**53
-        # pixels
-        dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+        # pixels. A projection that is not inside may give any k: every
+        # take clamps it into the table ("clip" mode), and that pixel is
+        # occluded whatever is read
+        dx, dy = _corner_steps(h, w)
         y0 *= w
         y0 += x0
+        del x0
         y0 += (1 - dx) + (w - dy)
         k = y0.astype(np.intp)
         del y0
-        index = passes_next.object_index.ravel()
-        z = passes_next.pos3d_t.reshape(-1)[2::3]
-
-        def zbuf(step):
-            """The next frame's z-buffer at the corners k + step, read from
-            views shifted by step: pos3d_t's Z, inf at void, widened to
-            float64 here. A footprint that touches another object is
-            silhouette-adjacent: the point's surface is not cleanly visible
-            there, so it counts as occluded, in mixed."""
-            o = index[step:].take(k)
-            np.logical_or(mixed, np.not_equal(o, own, out=test), out=mixed)
-            corner = z[step:][k].astype(np.float64, copy=False)
-            corner[np.equal(o, 0, out=test)] = np.inf
-            return corner
-
-        # the bilinear sample a row at a time, one corner read at a time: a
-        # worker's heap keeps its band peak, so that peak counts once per
-        # worker in the RSS
-        weight = np.subtract(1, fx, out=x0)
-        top = zbuf(0)
-        top *= weight
-        right = zbuf(dx)
-        right *= fx
-        top += right
-        del right
-        bottom = zbuf(dy)
-        bottom *= weight
-        del weight, x0
-        right = zbuf(dy + dx)
-        right *= fx
-        bottom += right
-        del k, right
-        weight = np.subtract(1, fy)
-        top *= weight  # the sample, in top
-        bottom *= fy
-        top += bottom
-        np.subtract(z_point, eps, out=weight, dtype=np.float64)
-        mixed |= np.less(top, weight, out=test)  # hidden
+        # a footprint that touches another object is silhouette-adjacent:
+        # the point's surface is not cleanly visible there, so it counts
+        # as occluded, in mixed
+        mixed |= np.not_equal(block.take(k, mode="clip"), own, out=test)
+        z_point -= eps
+        # the bilinear sample and the depth test on half the band's rows at
+        # a time, one corner read at a time, in three half-band buffers:
+        # with k, z_point and both fractions held, a band peaks at 5.5 of
+        # its planes, and a worker's heap keeps that peak, so it counts
+        # once per worker in the RSS. A take into out= in "clip" mode
+        # writes in place (the default mode copies out first)
+        half = -(-len(k) // 2)
+        for part in (slice(None, half), slice(half, None)):
+            k_part, fx_part = k[part], fx[part]
+            weight = np.subtract(1, fx_part)
+            top = zbuf.take(k_part, mode="clip")
+            top *= weight
+            corner = zbuf[dx:].take(k_part, mode="clip")
+            corner *= fx_part
+            top += corner
+            bottom = zbuf[dy:].take(k_part, out=corner, mode="clip")
+            bottom *= weight
+            corner = zbuf[dy + dx:].take(k_part, out=weight, mode="clip")
+            corner *= fx_part
+            bottom += corner
+            weight = np.subtract(1, fy[part], out=corner)
+            top *= weight  # the sample, in top
+            bottom *= fy[part]
+            top += bottom
+            mixed[part] |= np.less(top, z_point[part], out=test[part])  # hidden
+            del weight, top, bottom, corner
     return np.logical_and(mixed, valid, out=out)
 
 
@@ -313,17 +394,26 @@ def _occlusion_eps(depth):
     takes it: the middle value, or the mean of the middle two. The
     values are partitioned in their own dtype, which orders them as
     their widened copies would be, and only the middle ones are widened:
-    a float32 mean of an even count rounds the midpoint."""
-    values = depth[~np.isnan(depth)]
+    a float32 mean of an even count rounds the midpoint. They are copied
+    once, contiguous, and compressed only where a NaN is among them; one
+    partition at n // 2 places the upper middle value, and the lower one
+    of an even count is the largest value before it."""
+    values = depth.flatten()
+    nan = np.isnan(values)
+    if nan.any():
+        values = values[~nan]
+    del nan
     n = values.size
     if not n:
         return 1e-3
-    middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
-    values.partition(middle)
+    values.partition(n // 2)
+    middle = values[n // 2:n // 2 + 1]
+    if not n % 2:
+        middle = np.append(values[:n // 2].max(), middle)
     # no warning for the mean of -inf and inf or of two values past half
     # the float64 maximum: either scale falls back to 1
     with np.errstate(invalid="ignore", over="ignore"):
-        scale = float(np.mean(_wide(values[middle])))
+        scale = float(np.mean(_wide(middle)))
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
@@ -358,23 +448,30 @@ def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
     `_occluded`). It is the one occlusion path, the step after
     `derive_frame`, which the frame loop runs once frame t + 1 exists.
 
-    It runs on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`,
-    on the thread map: each band projects its rows of pos3d_next into a
-    (2, rows, W) buffer of u and v planes, which the test uses up, and
-    writes its rows of the mask. eps and the z-buffer are of whole frames,
-    so the mask does not depend on the band height or the workers."""
+    It first builds the two whole-frame tables of passes_next that the
+    test reads (`_next_frame_tables`), then runs on the
+    `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`, on the thread
+    map, while the tables are held. Each band widens its rows of
+    pos3d_next's Z into one float64 plane, projects its rows of pos3d_next
+    with it into a (2, rows, W) buffer of u and v planes, which the test
+    uses up with the plane, and writes its rows of the mask. eps and the
+    tables are of whole frames, so the mask does not depend on the band
+    height or the workers."""
     if passes_next.frame_time <= source.frame_time:
         raise ContractError("forward occlusion needs a later frame as "
                             "passes_next")
     h, w = source.object_index.shape
     mask = np.empty((h, w), dtype=bool)
+    shape = passes_next.object_index.shape
+    tables = _next_frame_tables(passes_next)
 
     def band(rows):
         obj = source.object_index[rows]
         pos_next = source.pos3d_next[rows]
+        z = _z_plane(pos_next)
         proj = project(pos_next, rig.intrinsics,
-                       out=np.empty((2,) + obj.shape))
-        _occluded(proj, pos_next[..., 2], obj, obj > 0, passes_next,
+                       out=np.empty((2,) + obj.shape), z=z)
+        _occluded(proj, z, obj, obj > 0, shape, tables,
                   source.eps, out=mask[rows])
 
     _parallel.map_ordered(band, _parallel.bands(h, _parallel.GT_BAND_ROWS))
@@ -428,7 +525,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
     difference of the projected 3D positions, defined also where the
     point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
-    b*f/Z_t the float64 disparity; both are NaN at void. Motion boundaries
+    b*f/Z_t the float64 disparity; both are NaN at void and where the
+    other frame's point is gone (`_gone`, `_flow`): its Z is not
+    positive, its b*f/Z is past the float32 maximum or its flow rounds to
+    +-inf in float32. Motion boundaries
     mark both pixels of every 4-adjacent pair of different objects whose
     forward flows differ by at least MOTION_DIFF_THRESHOLD_PX, less the
     8-connected components of fewer than MIN_BOUNDARY_AREA_PX pixels
@@ -439,11 +539,13 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
 
     Every map but the boundaries' component filter is per pixel, so they
     run on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`;
-    each band reads its rows of the position passes in place, divides b*f
-    by pos3d_t's Z once in float64, checks the quotient at its covered
-    pixels and writes its rows of the disparity and of both disparity
-    changes from it, projects each 3D-position
-    pass once into one of two (2, rows, W) buffers of u and v planes
+    each band reads its rows of the position passes in place and widens
+    each pass's Z once into one contiguous float64 plane: pos3d_t's, from
+    which it divides b*f once, checks the quotient at its covered pixels
+    and writes its rows of the disparity, then pos3d_prev's and
+    pos3d_next's in turn, each of which becomes that pass's b*f/Z for its
+    disparity change. It projects each 3D-position pass once, with its Z
+    plane, into one of two (2, rows, W) buffers of u and v planes
     (pos3d_t's, and pos3d_prev's, then pos3d_next's in turn), computes in
     float64 in place in those and a few other band-sized buffers, and
     writes its rows of the full maps, rounding flow, disparity and
@@ -481,12 +583,14 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
         pos_t, pos_prev, pos_next = (
             None if a is None else a[rows]
             for a in (passes.pos3d_t, passes.pos3d_prev, passes.pos3d_next))
-        # each point's disparity b*f/Z_t in float64, rounded as it is
-        # written to the band's rows, and subtracted by both disparity
-        # changes before the projections' buffers are made. A signalling
-        # NaN or a corrupt Z_t may raise a flag: the check refuses the latter
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            bf_over_z_t = np.divide(bf, pos_t[..., 2], dtype=np.float64)
+        # pos3d_t's Z, widened once into a contiguous float64 plane, gives
+        # each point's disparity b*f/Z_t (rounded as it is written to the
+        # band's rows) and pos3d_t's projection; the plane then holds each
+        # neighbour's Z in turn. A corrupt Z_t may raise a flag: the check
+        # refuses it
+        z = _z_plane(pos_t)
+        with np.errstate(divide="ignore", over="ignore"):
+            bf_over_z_t = np.divide(bf, z)
         ok = bf_over_z_t > 0
         ok &= bf_over_z_t <= np.finfo(np.float32).max
         ok |= void
@@ -497,30 +601,28 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
         disparity[void] = np.nan
-        for other, dispchange in ((pos_next, frame.dispchange_fwd),
-                                  (pos_prev, frame.dispchange_bwd)):
-            if other is not None:
-                _disparity_change(bf, bf_over_z_t, other[..., 2], void,
-                                  out=dispchange[rows])
-        del bf_over_z_t
-        # each position pass is projected once, as two planes: pos3d_t's
-        # into one buffer, pos3d_prev's and then pos3d_next's into another.
-        # The backward flow is computed in place of pos3d_prev's projection
-        # and the forward flow in place of pos3d_t's, the last to read it
         shape = (2,) + void.shape
-        proj_t = project(pos_t, k, out=np.empty(shape))
+        proj_t = project(pos_t, k, out=np.empty(shape), z=z)
         proj = np.empty(shape)
-        if bwd:
-            project(pos_prev, k, out=proj)
-            _flow(proj, proj_t, void, out=frame.flow_bwd[rows], into=proj)
-        edge_rows = None
-        if fwd:
-            project(pos_next, k, out=proj)
-            flow = _flow(proj, proj_t, void, out=frame.flow_fwd[rows],
-                         into=proj_t)
-            frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
-            edge_rows = flow[:, [0, -1]]
-        return edge_rows
+        # each neighbour's Z is widened into z and projected into proj; z
+        # then becomes its b*f/Z. The backward flow is computed in place of
+        # pos3d_prev's projection and the forward flow in place of
+        # pos3d_t's, the last to read it
+        flow = None
+        for other, flows, dispchanges, into in (
+                (pos_prev, frame.flow_bwd, frame.dispchange_bwd, proj),
+                (pos_next, frame.flow_fwd, frame.dispchange_fwd, proj_t)):
+            if other is not None:
+                project(other, k, out=proj, z=_z_plane(other, out=z))
+                gone = _gone(bf, z, void)
+                flow = _flow(proj, proj_t, gone, out=flows[rows], into=into)
+                _disparity_change(z, bf_over_z_t, gone,
+                                  out=dispchanges[rows])
+        del z, bf_over_z_t, proj  # before the motion pairs' temporaries
+        if not fwd:
+            return None
+        frame.motion_boundaries[rows] = _mark_motion_pairs(obj, flow)
+        return flow[:, [0, -1]]
 
     cuts = _parallel.bands(h, _parallel.GT_BAND_ROWS)
     edges = _parallel.map_ordered(band, cuts)

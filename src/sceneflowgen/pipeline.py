@@ -37,7 +37,7 @@ import numpy as np
 
 from . import formats, groundtruth
 from ._parallel import map_ordered
-from .errors import ParseError
+from .errors import DataCorruptionError, ParseError
 from .geometry import CameraPose, StereoRig
 from .render import FramePasses, rasterize_frame
 from .scene import SceneSpec
@@ -87,7 +87,9 @@ def _frames(passes_at, times, rig, out_root, scene, read_from=None):
     A view whose next frame is listed has every file but its occlusion
     mask written, and is dropped, before that frame is made: only its
     `groundtruth.OcclusionSource` is held. Once frame t + 1 exists, the
-    mask of frame t is computed and written, and frame t is yielded."""
+    mask of frame t is computed and written, and frame t is yielded. A
+    DataCorruptionError of the ground truth is raised again naming the
+    frame, the view and, where read_from is given, the depth file."""
     scene_dir = out_root / scene
     for view in _VIEW_SUFFIX:
         held = None  # (t, files, occlusion source) of the previous frame
@@ -101,7 +103,14 @@ def _frames(passes_at, times, rig, out_root, scene, read_from=None):
                                          {"occlusion_fwd": mask}))
                 del mask  # frame t is derived with nothing of frame t - 1
                 yield t_prev, view, files
-            gt = groundtruth.derive_frame(fp, rig)
+            try:
+                gt = groundtruth.derive_frame(fp, rig)
+            except DataCorruptionError as e:
+                # a view's Z_t is its depth file's, where it was read
+                message = f"frame {t} {view}: {e}"
+                if read_from:
+                    message = f"{read_from[t, view]['depth']}: {message}"
+                raise DataCorruptionError(message) from None
             files = write_frame(scene_dir, scene, t, view,
                                 {**vars(fp), "depth": fp.depth, **vars(gt)},
                                 read_from[t, view] if read_from else None)

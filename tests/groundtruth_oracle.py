@@ -3,10 +3,10 @@
 It imports nothing from `sceneflowgen.groundtruth`. Every map is computed
 over the whole frame at once, from passes widened to float64 up front:
 the projection f*X/Z + c, flow as a difference of projections, disparity
-b*f/depth, disparity change b*f/Z_other - b*f/Z_t, motion boundaries with
-`scipy.ndimage.label` as the component filter, and forward occlusion as a
-clamped 2x2 bilinear lookup of the next frame's z-buffer, indexed by row
-and column.
+b*f/depth, disparity change b*f/Z_other - b*f/Z_t, both NaN where the
+neighbour's point is gone, motion boundaries with `scipy.ndimage.label` as
+the component filter, and forward occlusion as a clamped 2x2 bilinear
+lookup of the next frame's z-buffer, indexed by row and column.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from scipy import ndimage
 # 10 px are dropped
 MOTION_DIFF_PX = 1.5
 MIN_BOUNDARY_PX = 10
+F32_MAX = float(np.finfo(np.float32).max)
 
 FIELDS = ("flow_fwd", "flow_bwd", "disparity", "dispchange_fwd",
           "dispchange_bwd", "motion_boundaries", "occlusion_fwd")
@@ -38,27 +39,27 @@ def project(pos, k):
     return uv
 
 
-def flow(pos_other, pos_t, k, valid):
-    if pos_other is None:
-        return None
-    out = project(pos_other, k) - project(pos_t, k)
-    out[~valid] = np.nan
-    return out
-
-
 def disparity(depth, bf, valid):
     with np.errstate(invalid="ignore"):
         return np.where(valid, bf / depth, np.nan)
 
 
-def disparity_change(pos_other, z_t, bf, valid):
+def neighbour(pos_other, pos_t, z_t, k, bf, valid):
+    """(flow, disparity change) toward the frame of pos_other, or
+    (None, None) without it. Both are NaN at void and where the point is
+    gone: its Z is not positive (or NaN), its b*f/Z is past the float32
+    maximum, or its flow rounds to +-inf in float32."""
     if pos_other is None:
-        return None
-    z_other = pos_other[..., 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(z_other > 0, bf / z_other, np.nan) - bf / z_t
-    out[~valid] = np.nan
-    return out
+        return None, None
+    flow = project(pos_other, k) - project(pos_t, k)
+    z = pos_other[..., 2]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        dispchange = bf / z - bf / z_t
+        kept = (valid & (z > 0) & (bf / z <= F32_MAX)
+                & ~np.isinf(flow.astype(np.float32)).any(axis=-1))
+    flow[~kept] = np.nan
+    dispchange[~kept] = np.nan
+    return flow, dispchange
 
 
 def motion_boundaries(index, flow_fwd):
@@ -131,12 +132,14 @@ def derive(passes, rig, passes_next=None):
     pos_t, pos_prev, pos_next = (_f64(passes.pos3d_t), _f64(passes.pos3d_prev),
                                  _f64(passes.pos3d_next))
     z_t = pos_t[..., 2]
+    flow_fwd, dispchange_fwd = neighbour(pos_next, pos_t, z_t, k, bf, valid)
+    flow_bwd, dispchange_bwd = neighbour(pos_prev, pos_t, z_t, k, bf, valid)
     maps = {
-        "flow_fwd": flow(pos_next, pos_t, k, valid),
-        "flow_bwd": flow(pos_prev, pos_t, k, valid),
+        "flow_fwd": flow_fwd,
+        "flow_bwd": flow_bwd,
         "disparity": disparity(depth, bf, valid),
-        "dispchange_fwd": disparity_change(pos_next, z_t, bf, valid),
-        "dispchange_bwd": disparity_change(pos_prev, z_t, bf, valid),
+        "dispchange_fwd": dispchange_fwd,
+        "dispchange_bwd": dispchange_bwd,
         "occlusion_fwd": None,
     }
     maps["motion_boundaries"] = (

@@ -65,6 +65,12 @@ MUTANTS = [
            "passes_next.frame_time <= source.frame_time",
            "passes_next.frame_time < source.frame_time",
            "the occlusion mask pairs a view with a later frame, not its own"),
+    Mutant("occlusion-block-mixed", _GT,
+           "        block[start:stop][~one] = 0\n", "",
+           "a footprint whose 2x2 block mixes objects is occluded"),
+    Mutant("occlusion-void-inf", _GT,
+           "        z[index[start:stop] == 0] = np.inf\n", "",
+           "the next frame's z-buffer is +inf at void"),
     Mutant("covered-z-finite", _GT,
            "        ok &= bf_over_z_t <= np.finfo(np.float32).max\n", "",
            "a covered pixel's disparity b*f/Z_t is at most the float32 maximum"),

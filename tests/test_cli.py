@@ -281,6 +281,9 @@ MALFORMED = {
 # the error a case must raise, where one type fits it alone
 MALFORMED_ERROR = {"covered depth +inf": "DataCorruptionError",
                    "covered depth 1e-40": "DataCorruptionError"}
+# the (frame, view, pass) whose file and place a case's error must name
+MALFORMED_FILE = {"covered depth +inf": (2, "left", "depth"),
+                  "covered depth 1e-40": (2, "left", "depth")}
 
 
 class TestDeriveMalformed:
@@ -304,6 +307,44 @@ class TestDeriveMalformed:
         err = capsys.readouterr().err
         error = MALFORMED_ERROR.get(case, r"\w+Error")
         assert re.match(rf"error \[{error}\]: ", err), err
+        if case in MALFORMED_FILE:
+            t, view, name = MALFORMED_FILE[case]
+            path = (ds / manifest["frames"][t - 1]["files"][view][name]).resolve()
+            assert err.startswith(f"error [{error}]: {path}: frame {t} {view}: "), err
+
+    @pytest.mark.parametrize("frame, name, maps", [
+        (1, "pos3d_next", ("flow_fwd", "dispchange_fwd")),
+        (2, "pos3d_prev", ("flow_bwd", "dispchange_bwd"))])
+    def test_neighbour_z_past_float32_is_gone(self, dataset, tmp_path, capsys,
+                                              frame, name, maps):
+        # a covered neighbour Z of 1e-40 puts b*f/Z and the flow past the
+        # float32 range: that point's flow and disparity change are NaN,
+        # with no warning and no inf in either map
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        files = manifest["frames"][frame - 1]["files"]["left"]
+        index = formats.read_pgm16((ds / files["object_index"]).read_bytes())
+        y, x = np.argwhere(index > 0)[0]
+        path = ds / files[name]
+        pos = formats.read_pfm(path.read_bytes())
+        pos[y, x, 2] = 1e-40
+        path.write_bytes(formats.write_pfm(pos))
+        capsys.readouterr()
+        with warnings.catch_warnings():  # a RuntimeWarning fails the case
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["derive", str(ds)]) == 0
+        assert capsys.readouterr().err == ""
+        flow, dispchange = (
+            (formats.read_flo if rel.endswith(".flo") else formats.read_pfm)(
+                (ds / rel).read_bytes())
+            for rel in (files[m] for m in maps))
+        assert np.isnan(flow[y, x]).all() and np.isnan(dispchange[y, x])
+        assert not np.isinf(flow).any() and not np.isinf(dispchange).any()
+        # the other covered pixels keep finite maps
+        covered = index > 0
+        covered[y, x] = False
+        assert np.isfinite(dispchange[covered]).all()
 
     @pytest.mark.parametrize("frame, name", [(1, "pos3d_next"),
                                              (2, "pos3d_prev")])

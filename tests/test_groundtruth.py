@@ -126,6 +126,49 @@ class TestDisparityChange:
         assert np.allclose(dd, -5.0)
 
 
+class TestGoneNeighbour:
+    """A neighbour's point whose b*f/Z is past the float32 maximum, or
+    whose flow rounds to +-inf in float32, is gone: its flow and disparity
+    change are NaN, with no warning."""
+
+    def passes(self, dtype):
+        fp = make_passes(np.full((5, 6), 5.0), INTR)
+        fp.pos3d_prev = fp.pos3d_t.copy()
+        fp.pos3d_next = fp.pos3d_t.copy()
+        fp.pos3d_next[1, 1, 2] = 1e-40  # b*f/Z and the flow past the range
+        # b*f/Z alone: the point projects to the principal point
+        fp.pos3d_next[2, 2] = (0.0, 0.0, 1e-40)
+        fp.pos3d_next[3, 3, 0] = 1e38  # the flow alone: b*f/Z = 28
+        fp.pos3d_prev[1, 4, 2] = 1e-40
+        fp.pos3d_prev[3, 1, 1] = -1e38
+        gone = {"fwd": [(1, 1), (2, 2), (3, 3)], "bwd": [(1, 4), (3, 1)]}
+        return with_positions(fp, dtype), gone
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flow_and_disparity_change_are_nan(self, dtype):
+        fp, gone = self.passes(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = gt.derive_frame(fp, RIG)
+        for way, pixels in gone.items():
+            flow = getattr(frame, f"flow_{way}")
+            dispchange = getattr(frame, f"dispchange_{way}")
+            kept = np.ones(dispchange.shape, dtype=bool)
+            for pixel in pixels:
+                kept[pixel] = False
+            assert np.isnan(flow[~kept]).all(), way
+            assert np.isnan(dispchange[~kept]).all(), way
+            assert np.isfinite(flow[kept]).all(), way
+            assert np.isfinite(dispchange[kept]).all(), way
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bands_match_whole_frame(self, dtype):
+        fp, _ = self.passes(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bands_match_whole_frame(fp, RIG, None)
+
+
 class TestMotionBoundaries:
     def two_object_passes(self, obj2_mask, flow2=(2.0, 0.0), shape=(16, 16)):
         depth = np.full(shape, 10.0)
@@ -391,6 +434,110 @@ class TestOcclusion:
         p_next = make_passes(np.full((4, 4), 10.0), INTR, t=2)
         with pytest.raises(ContractError):
             occlusion(p_t, p_next)
+
+
+def moving_frame(index_next, depth_next, shift=0.25, depth=5.0):
+    """(frame t, frame t + 1) of one view: at t, object 1 at depth
+    everywhere, each point moving shift px along u and v by t + 1, so that
+    the top-left corner of its footprint is its own pixel; at t + 1, the
+    object indices index_next (0 is void, NaN depth) at depth_next."""
+    index_next = np.asarray(index_next)
+    h, w = index_next.shape
+    intr = CameraIntrinsics.from_sensor(35, 32, w, h)
+    p_t = with_flow(make_passes(np.full((h, w), depth), intr, t=1),
+                    np.full((h, w, 2), shift), intr)
+    p_next = make_passes(np.where(index_next > 0, depth_next, np.nan), intr,
+                         index=index_next, t=2)
+    return p_t, p_next, intr
+
+
+def assert_occlusion_matches_oracle(p_t, p_next, intr):
+    """compute_occlusion_mask equals the oracle's mask byte for byte for
+    several band heights, on 1 and 2 CPUs; returns the mask."""
+    rig = StereoRig(1.0, intr)
+    want = oracle.derive(p_t, rig, p_next)["occlusion_fwd"]
+    h = want.shape[0]
+    for rows in sorted({1, 2, 3, 5, h, h + 5}):
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_parallel, "GT_BAND_ROWS", rows)
+                set_cpus(mp, cpus)
+                got = occlusion(p_t, p_next, intr)
+            assert got.tobytes() == want.tobytes(), (rows, cpus)
+    return want
+
+
+class TestOcclusionTables:
+    """The next frame's z-buffer and block-object tables, and the masks
+    they give, against the whole-frame oracle."""
+
+    def test_tables_of_a_hand_built_frame(self):
+        index = np.array([[1, 1, 2, 2],
+                          [1, 1, 2, 2],
+                          [3, 1, 2, 0]], dtype=np.uint16)
+        depth = np.where(index > 0, np.arange(1.0, 13.0).reshape(3, 4), np.nan)
+        p_next = make_passes(depth, INTR, index=index, t=2)
+        zbuf, block = gt._next_frame_tables(p_next)
+        assert zbuf.dtype == np.float64 and block.dtype == np.uint16
+        assert zbuf.tolist() == np.where(index > 0, depth, np.inf).ravel().tolist()
+        # the block at k reads k, k + 1, k + 4 and k + 5; the last row and
+        # column start no block that a footprint reads
+        assert block.reshape(3, 4)[:2, :3].tolist() == [[1, 0, 2],
+                                                        [0, 0, 0]]
+
+    @pytest.mark.parametrize("corner", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                             ids=["top-left", "top-right", "bottom-left",
+                                  "bottom-right"])
+    def test_one_other_object_at_one_corner(self, corner):
+        # at t + 1 one pixel is another object at the same depth: pixel
+        # (2, 2) meets it at the given corner of its footprint, and every
+        # footprint that touches it, and no other, is occluded
+        index = np.ones((7, 8), dtype=np.uint16)
+        index[2 + corner[0], 2 + corner[1]] = 2
+        mask = assert_occlusion_matches_oracle(*moving_frame(index, 5.0))
+        assert mask[2, 2]
+        y, x = np.argwhere(index == 2)[0]
+        want = np.zeros(mask.shape, dtype=bool)
+        want[y - 1:y + 1, x - 1:x + 1] = True
+        assert mask.tolist() == want.tolist()
+
+    def test_footprint_touching_void(self):
+        index = np.ones((5, 6), dtype=np.uint16)
+        index[2, 3] = 0
+        mask = assert_occlusion_matches_oracle(*moving_frame(index, 5.0))
+        want = np.zeros(mask.shape, dtype=bool)
+        want[1:3, 2:4] = True
+        assert mask.tolist() == want.tolist()
+
+    def test_footprints_clamped_to_the_last_row_and_column(self):
+        # the points of the last row (column) land inside the image, past
+        # the last pixel centre: the footprint is clamped, and the last row
+        # (column) has all its weight. The row and column before it are
+        # nearer at t + 1, so every footprint that weighs them is occluded,
+        # and the clamped ones, which do not, are not
+        depth_next = np.full((6, 7), 5.0)
+        depth_next[-2] = depth_next[:, -2] = 2.0
+        p_t, p_next, intr = moving_frame(np.ones((6, 7), dtype=np.uint16),
+                                         depth_next)
+        mask = assert_occlusion_matches_oracle(p_t, p_next, intr)
+        assert mask[:, -3:-1].all() and mask[-3:-1].all()
+        assert not mask[:-3, :-3].any()
+        assert not mask[:-3, -1].any() and not mask[-1, :-3].any()
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1)], ids=["1xN", "Nx1"])
+    def test_one_pixel_high_or_wide_frame(self, shape):
+        # dy (dx) is 0: both rows (columns) of each footprint are the one
+        # there is. At t + 1 one pixel is another object and two are nearer
+        index = np.ones(shape, dtype=np.uint16)
+        index.flat[1] = 2
+        depth_next = np.full(shape, 5.0)
+        depth_next.flat[4:6] = 2.0
+        mask = assert_occlusion_matches_oracle(*moving_frame(index,
+                                                             depth_next))
+        # footprints k, k + 1: those touching pixel 1 are mixed, those
+        # weighing pixel 4 or 5 hidden
+        assert mask.ravel().tolist() == [True, True, False, True, True,
+                                         True, False]
 
 
 class TestReconstruct:
