@@ -17,12 +17,21 @@ half-written file. Every input is read by `formats.read`: a
 command takes any file it decodes, what uses the array refuses a shape
 it cannot take, and a decode error names the file. `estimate` writes
 only .pfm and `visualize` only .ppm, so `--out` must have that suffix.
+
+`main` sets the CLI's process policy before its command starts any
+thread: every thread allocates from one glibc heap
+(`_parallel._one_heap`), and, at the first call of a process that has
+frozen nothing yet, `gc.freeze` moves every object alive then (those made
+by the imports) out of the cyclic garbage collector's view, so no later
+collection, and no collection at interpreter exit, scans them again.
+Library callers keep their process's own policy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -312,7 +321,10 @@ def build_parser():
 
 
 def main(argv=None):
-    _parallel._one_heap()  # before the command starts any thread
+    # the process policy, before the command starts any thread
+    _parallel._one_heap()
+    if not gc.get_freeze_count():  # the first call of the process
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

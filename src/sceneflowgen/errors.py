@@ -22,4 +22,10 @@ class ParseError(SceneFlowError):
 
 
 class DataCorruptionError(SceneFlowError):
-    """Rendered or derived data violates an internal invariant."""
+    """Rendered or derived data violates an internal invariant; pass_name,
+    where given, names the pass (as `pipeline` names its file) that holds
+    the value at fault."""
+
+    def __init__(self, message, pass_name=None):
+        super().__init__(message)
+        self.pass_name = pass_name

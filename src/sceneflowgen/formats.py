@@ -7,12 +7,24 @@ round-trips losslessly, NaN payloads included. Readers and writers alike
 refuse images with no pixels or more than `geometry.MAX_PIXELS`, the
 largest camera a scene has, so every file a writer makes its reader reads.
 `read` picks a file's reader and names the file in a ParseError.
+
+A writer returns the whole file as one bytearray; `write_pfm(...,
+blocks=True)` returns the same bytes as an `Encoded`, which casts the map
+a fixed block of rows at a time as it is written (`pipeline.write_atomic`),
+so no whole-file buffer of a position pass is held.
+
+`read` reads a file once, into a writable buffer, and every reader given
+such a buffer (a bytearray) returns a view of it: a PFM's a flipped view,
+since its rows are stored bottom to top. A payload stored in the other
+byte order is swapped in place, in that buffer, first. Given immutable
+bytes, a reader decodes a copy of the payload, as writable as the views.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,7 +37,7 @@ MANIFEST_VERSION = "sceneflowgen-manifest-1"
 FLO_MAGIC = 202021.25
 
 __all__ = [
-    "read", "write_pfm", "read_pfm", "write_flo", "read_flo",
+    "read", "Encoded", "write_pfm", "read_pfm", "write_flo", "read_flo",
     "write_ppm", "read_ppm", "write_pgm16", "read_pgm16",
     "write_pgm8", "read_pgm8", "read_pgm", "write_mask",
     "write_manifest", "read_manifest", "MANIFEST_VERSION",
@@ -35,8 +47,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # PFM
 
-def write_pfm(data) -> bytearray:
-    """Serialize an H x W or H x W x 3 float32 map as PFM (little-endian).
+def write_pfm(data, blocks=False) -> bytearray | Encoded:
+    """Serialize an H x W or H x W x 3 float32 map as PFM (little-endian):
+    the file's bytes, or with blocks the same bytes as an `Encoded`.
 
     Rows are stored bottom-to-top per the format; internal rasters are
     top-to-bottom, so the writer flips.
@@ -47,18 +60,48 @@ def write_pfm(data) -> bytearray:
     h, w = a.shape[0], a.shape[1]
     _check_dimensions("PFM", w, h)
     header = (b"Pf" if a.ndim == 2 else b"PF") + f"\n{w} {h}\n-1.0\n".encode()
-    return _file(header, a[::-1], "<f4")
+    encoded = Encoded(header, a[::-1], "<f4")
+    return encoded if blocks else encoded.whole()
 
 
 def _file(header, a, dtype):
-    """header followed by a as dtype, cast straight into the one buffer
-    the file is written from: no copy of a is made on the way."""
-    dtype = np.dtype(dtype)
-    buf = bytearray(len(header) + dtype.itemsize * a.size)
-    buf[:len(header)] = header
-    payload = np.frombuffer(buf, dtype, offset=len(header)).reshape(a.shape)
-    np.copyto(payload, a, casting="unsafe")
-    return buf
+    """header followed by a as dtype, as one bytearray (`Encoded.whole`)."""
+    return Encoded(header, a, dtype).whole()
+
+
+class Encoded:
+    """A file's bytes: header, then the array a cast to dtype, row after
+    row. `whole` casts a straight into the one buffer the file is written
+    from; iterating gives the header and then the payload one block of
+    `BLOCK_ROWS` rows at a time, each cast into one reused buffer and
+    valid until the next is asked for, so no whole-file buffer is held.
+    len() is the file's size in bytes."""
+
+    BLOCK_ROWS = 64
+
+    def __init__(self, header, a, dtype):
+        self.header = header
+        self.a = a
+        self.dtype = np.dtype(dtype)
+
+    def __len__(self):
+        return len(self.header) + self.dtype.itemsize * self.a.size
+
+    def whole(self) -> bytearray:
+        buf = bytearray(len(self))
+        buf[:len(self.header)] = self.header
+        payload = np.frombuffer(buf, self.dtype, offset=len(self.header))
+        np.copyto(payload.reshape(self.a.shape), self.a, casting="unsafe")
+        return buf
+
+    def __iter__(self):
+        yield self.header
+        a, rows = self.a, self.BLOCK_ROWS
+        buf = np.empty((min(rows, len(a)),) + a.shape[1:], self.dtype)
+        for start in range(0, len(a), rows):
+            block = buf[:len(a) - start]
+            np.copyto(block, a[start:start + rows], casting="unsafe")
+            yield block
 
 
 def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -79,9 +122,13 @@ def _check_dimensions(kind, w, h):
         raise ParseError(f"bad {kind} dimensions {w}x{h}")
 
 
-def _payload(buf: bytes, pos: int, dtype, shape, kind) -> np.ndarray:
-    """Read-only view of the shape-sized payload of buf at byte pos, or
-    ParseError naming the byte where a short payload ends."""
+def _payload(buf: bytes, pos: int, dtype, shape, kind,
+             flip=False) -> np.ndarray:
+    """The shape-sized payload of buf at byte pos in native byte order,
+    its rows in reverse order with flip, or ParseError naming the byte
+    where a short payload ends: a view of buf where buf is writable (a
+    payload stored in the other byte order is swapped in place first),
+    else a contiguous copy."""
     dtype = np.dtype(dtype)
     n = math.prod(shape)
     have = max(len(buf) - pos, 0)
@@ -90,7 +137,14 @@ def _payload(buf: bytes, pos: int, dtype, shape, kind) -> np.ndarray:
             f"truncated {kind} payload at byte {pos + have}: "
             f"need {n * dtype.itemsize} bytes, have {have}"
         )
-    return np.frombuffer(buf, dtype, count=n, offset=pos).reshape(shape)
+    a = np.frombuffer(buf, dtype, count=n, offset=pos).reshape(shape)
+    if flip:
+        a = a[::-1]
+    if not a.flags.writeable:
+        a = a.copy()
+    if not dtype.isnative:
+        a = a.byteswap(inplace=True).view(dtype.newbyteorder("="))
+    return a
 
 
 def _read_pnm_header(buf: bytes, magic: bytes, maxvals) -> tuple[int, ...]:
@@ -135,8 +189,8 @@ def read_pfm(buf: bytes) -> np.ndarray:
     _check_dimensions("PFM", w, h)
     pos += 1  # single whitespace byte after the scale line
     shape = (h, w) if magic == b"Pf" else (h, w, 3)
-    a = _payload(buf, pos, "<f4" if scale < 0 else ">f4", shape, "PFM")
-    return a[::-1].astype(np.float32)
+    return _payload(buf, pos, "<f4" if scale < 0 else ">f4", shape, "PFM",
+                    flip=True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +212,7 @@ def read_flo(buf: bytes) -> np.ndarray:
     if magic != FLO_MAGIC:
         raise ParseError(f"bad .flo magic {magic!r}, expected {FLO_MAGIC}")
     _check_dimensions(".flo", w, h)
-    return _payload(buf, 12, "<f4", (h, w, 2), ".flo").astype(np.float32)
+    return _payload(buf, 12, "<f4", (h, w, 2), ".flo")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +229,7 @@ def write_ppm(rgb) -> bytearray:
 
 def read_ppm(buf: bytes) -> np.ndarray:
     w, h, _, pos = _read_pnm_header(buf, b"P6", (255,))
-    return _payload(buf, pos, np.uint8, (h, w, 3), "PPM").copy()
+    return _payload(buf, pos, np.uint8, (h, w, 3), "PPM")
 
 
 def write_pgm16(mask) -> bytearray:
@@ -233,9 +287,8 @@ def _read_pgm(buf, maxvals):
     public readers share it and call no other reader, so a wrapper on
     each (the benchmark's tracer) sees every file once."""
     w, h, maxval, pos = _read_pnm_header(buf, b"P5", maxvals)
-    wide = maxval == 65535
-    return _payload(buf, pos, ">u2" if wide else np.uint8, (h, w),
-                    "PGM").astype(np.uint16 if wide else np.uint8)
+    return _payload(buf, pos, ">u2" if maxval == 65535 else np.uint8, (h, w),
+                    "PGM")
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +299,16 @@ _CODECS = {".pfm": "pfm", ".flo": "flo", ".ppm": "ppm", ".pgm": "pgm"}
 
 def read(path, codec=None) -> np.ndarray:
     """The array in the file at path, decoded by read_<codec> (looked up
-    when called), by default its suffix's; a ParseError names the file."""
+    when called), by default its suffix's; a ParseError names the file.
+    The file is read once, into a bytearray of its size, of which the
+    array is a view."""
     path = Path(path)
     if codec is None and path.suffix not in _CODECS:
         raise ContractError(f"{path}: not a {'/'.join(_CODECS)} file")
-    buf = path.read_bytes()
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+        buf += f.read()  # what a file that is not regular or grew still holds
     try:
         return globals()["read_" + (codec or _CODECS[path.suffix])](buf)
     except ParseError as e:

@@ -10,8 +10,11 @@ tested against. `derive_frame` gives a view's per-view maps from its
 passes alone. `compute_occlusion_mask` gives its forward occlusion mask
 from a small record of the view (an `OcclusionSource`: pos3d_next, object
 index, frame time and occlusion eps, taken while the view is whole) and
-the whole of frame t + 1, so `pipeline` runs it once frame t + 1 exists
-and no two views are held at once. Both run the per-pixel maps on the
+a record of frame t + 1 that holds its frame time, object index and
+depth: its `FramePasses`, or the `render.ZBuffer` that `rasterize_frame`
+gives before it makes any position pass. So `pipeline` runs it once
+frame t + 1's z-buffer exists, and no two views are held at once. Both
+run the per-pixel maps on the
 row bands of `_parallel`, through its thread map, with band-sized
 temporaries. A band widens the Z of each 3D-position pass it reads once,
 into one contiguous float64 plane, which gives b*f/Z and the pass's
@@ -34,10 +37,13 @@ filter and the occlusion eps run on the whole frame, on one thread.
 All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
 each band rounds its float64 values once, as it writes its rows, and
-first refuses a covered Z_t whose b*f/Z_t is not a positive float32. A
-neighbour's point whose b*f/Z is past the float32 maximum, or whose flow
-rounds to +-inf in float32, is gone, as one with Z <= 0 is: its flow and
-disparity change are NaN. Passes may come in as float32 (as read from
+first refuses a covered Z_t whose b*f/Z_t is not a positive float32,
+and a covered neighbour's point (pos3d_prev or pos3d_next) whose X, Y or
+Z is not finite. A neighbour's point whose b*f/Z is past the float32
+maximum, or whose flow rounds to +-inf in float32, is gone, as one with
+Z <= 0 is: its flow and disparity change are NaN. Each refusal is a
+DataCorruptionError whose `pass_name` names the pass at fault ("depth"
+for Z_t). Passes may come in as float32 (as read from
 files) or float64 (from the renderer). A view's depth is pos3d_t's Z
 (`FramePasses.depth`), so one Z gives the disparity, the disparity
 change and the projections. Each band reads its rows of the position
@@ -104,15 +110,30 @@ def _wide(a):
         return a.astype(np.float64, copy=False)
 
 
-def _z_plane(pos, out=None):
-    """pos's Z as one contiguous float64 plane, in out if given: the one
-    widening of a position pass's Z that a band makes. A signalling NaN
-    widens to a quiet one without a warning (see `_wide`)."""
+def _z_plane(z, out=None):
+    """z, the rows of a Z plane (a position pass's `[..., 2]` or a depth),
+    as one contiguous float64 plane, in out if given: the one widening of
+    a Z that a band makes. A signalling NaN widens to a quiet one without
+    a warning (see `_wide`)."""
     if out is None:
-        out = np.empty(pos.shape[:-1])
+        out = np.empty(z.shape)
     with np.errstate(invalid="ignore"):
-        np.copyto(out, pos[..., 2])
+        np.copyto(out, z)
     return out
+
+
+def _refuse_non_finite(pos, void, name):
+    """DataCorruptionError naming the pass, name, unless every covered
+    point of pos, the rows of a neighbour's position pass, has a finite X,
+    Y and Z: a point at infinity or NaN has no flow or disparity change,
+    and is no gone point either (Z <= 0 or b*f/Z past float32 is)."""
+    finite = np.isfinite(pos[..., 0])
+    for c in (1, 2):
+        finite &= np.isfinite(pos[..., c])
+    finite |= void
+    if not finite.all():
+        raise DataCorruptionError(
+            f"a covered pixel's point in {name} is not finite", name)
 
 
 def _gone(bf, z, void):
@@ -262,16 +283,17 @@ def _corner_steps(h, w):
     return min(w - 1, 1), min(h - 1, 1) * w
 
 
-def _next_frame_tables(passes_next):
+def _next_frame_tables(next_frame):
     """The two whole-frame tables that the occlusion test reads of frame
-    t + 1, flat: its z-buffer, pos3d_t's Z widened to float64 and +inf at
-    void, and its block object, a uint16 that at k is the object index if
-    the 2x2 block k, k + dx, k + dy, k + dy + dx (`_corner_steps`) is one
-    object, else 0. 0 marks a mixed block, since the test reads it only at
-    valid pixels, whose own index is above 0. The tables are filled in
-    the ground-truth bands of `_parallel.bands`, on the thread map."""
-    h, w = passes_next.object_index.shape
-    index = passes_next.object_index.ravel()
+    t + 1, flat: its z-buffer, its depth (pos3d_t's Z) widened to float64
+    and +inf at void, and its block object, a uint16 that at k is the
+    object index if the 2x2 block k, k + dx, k + dy, k + dy + dx
+    (`_corner_steps`) is one object, else 0. 0 marks a mixed block, since
+    the test reads it only at valid pixels, whose own index is above 0.
+    The tables are filled in the ground-truth bands of `_parallel.bands`,
+    on the thread map."""
+    h, w = next_frame.object_index.shape
+    index = next_frame.object_index.ravel()
     dx, dy = _corner_steps(h, w)
     zbuf = np.empty(index.size)
     block = index.copy()
@@ -279,7 +301,7 @@ def _next_frame_tables(passes_next):
     def fill(rows):
         start, stop = rows.start * w, rows.stop * w
         z = zbuf[start:stop]
-        _z_plane(passes_next.pos3d_t[rows], out=z.reshape(-1, w))
+        _z_plane(next_frame.depth[rows], out=z.reshape(-1, w))
         z[index[start:stop] == 0] = np.inf
         # the blocks that start in these rows and lie in the image
         stop = min(stop, index.size - dy - dx)
@@ -439,16 +461,23 @@ class OcclusionSource:
 
 
 def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
-                           passes_next: FramePasses) -> np.ndarray:
+                           next_frame) -> np.ndarray:
     """The forward occlusion mask, (H, W) bool, of the view that source
-    was taken of (`OcclusionSource.of`), against passes_next, a later
+    was taken of (`OcclusionSource.of`), against next_frame, a later
     frame of the same view (ContractError for the same or an earlier
     one): each point at t + 1 (pos3d_next, projected through
-    `rig.intrinsics`) is tested against the whole of passes_next (see
+    `rig.intrinsics`) is tested against the whole of next_frame (see
     `_occluded`). It is the one occlusion path, the step after
-    `derive_frame`, which the frame loop runs once frame t + 1 exists.
+    `derive_frame`, which the frame loop runs once frame t + 1's z-buffer
+    exists.
 
-    It first builds the two whole-frame tables of passes_next that the
+    next_frame is any record of that frame with its `frame_time`,
+    `object_index` and `depth`, (H, W) float32 or float64 and NaN or +inf
+    at void: its `FramePasses` (as `derive` loads them), or the
+    `render.ZBuffer` that `rasterize_frame` gives before it makes its
+    position passes. Both give the same mask.
+
+    It first builds the two whole-frame tables of next_frame that the
     test reads (`_next_frame_tables`), then runs on the
     `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`, on the thread
     map, while the tables are held. Each band widens its rows of
@@ -457,18 +486,18 @@ def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
     uses up with the plane, and writes its rows of the mask. eps and the
     tables are of whole frames, so the mask does not depend on the band
     height or the workers."""
-    if passes_next.frame_time <= source.frame_time:
+    if next_frame.frame_time <= source.frame_time:
         raise ContractError("forward occlusion needs a later frame as "
-                            "passes_next")
+                            "next_frame")
     h, w = source.object_index.shape
     mask = np.empty((h, w), dtype=bool)
-    shape = passes_next.object_index.shape
-    tables = _next_frame_tables(passes_next)
+    shape = next_frame.object_index.shape
+    tables = _next_frame_tables(next_frame)
 
     def band(rows):
         obj = source.object_index[rows]
         pos_next = source.pos3d_next[rows]
-        z = _z_plane(pos_next)
+        z = _z_plane(pos_next[..., 2])
         proj = project(pos_next, rig.intrinsics,
                        out=np.empty((2,) + obj.shape), z=z)
         _occluded(proj, z, obj, obj > 0, shape, tables,
@@ -521,7 +550,10 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
     reads. Disparity is b*f/Z_t at valid pixels and NaN at void; a covered
     pixel whose b*f/Z_t is not positive and at most the float32 maximum
     (a Z_t that is non-positive, NaN, infinite or so small that the
-    disparity overflows float32) raises DataCorruptionError. Flow is the
+    disparity overflows float32) raises DataCorruptionError, as does a
+    covered pixel whose point in pos3d_prev or pos3d_next has a NaN or
+    infinite X, Y or Z (`_refuse_non_finite`); the error's `pass_name`
+    is "depth" or that pass. Flow is the
     difference of the projected 3D positions, defined also where the
     point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
@@ -588,7 +620,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
         # band's rows) and pos3d_t's projection; the plane then holds each
         # neighbour's Z in turn. A corrupt Z_t may raise a flag: the check
         # refuses it
-        z = _z_plane(pos_t)
+        z = _z_plane(pos_t[..., 2])
         with np.errstate(divide="ignore", over="ignore"):
             bf_over_z_t = np.divide(bf, z)
         ok = bf_over_z_t > 0
@@ -596,7 +628,8 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
         ok |= void
         if not ok.all():
             raise DataCorruptionError(
-                "a covered pixel's depth gives no finite, positive disparity")
+                "a covered pixel's depth gives no finite, positive disparity",
+                "depth")
         del ok
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
@@ -609,11 +642,14 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
         # pos3d_prev's projection and the forward flow in place of
         # pos3d_t's, the last to read it
         flow = None
-        for other, flows, dispchanges, into in (
-                (pos_prev, frame.flow_bwd, frame.dispchange_bwd, proj),
-                (pos_next, frame.flow_fwd, frame.dispchange_fwd, proj_t)):
+        for name, other, flows, dispchanges, into in (
+                ("pos3d_prev", pos_prev, frame.flow_bwd, frame.dispchange_bwd,
+                 proj),
+                ("pos3d_next", pos_next, frame.flow_fwd, frame.dispchange_fwd,
+                 proj_t)):
             if other is not None:
-                project(other, k, out=proj, z=_z_plane(other, out=z))
+                _refuse_non_finite(other, void, name)
+                project(other, k, out=proj, z=_z_plane(other[..., 2], out=z))
                 gone = _gone(bf, z, void)
                 flow = _flow(proj, proj_t, gone, out=flows[rows], into=into)
                 _disparity_change(z, bf_over_z_t, gone,

@@ -8,9 +8,15 @@ whatever the frame count: frame t's per-view maps
 (`groundtruth.derive_frame`) and every file but its occlusion mask are
 written, and its passes dropped, before frame t + 1 is made; only its
 `groundtruth.OcclusionSource` (pos3d_next, object index, frame time and
-occlusion eps) is kept. Once frame t + 1 exists,
-`groundtruth.compute_occlusion_mask` gives frame t's mask from that
-record, so the files reach disk in `_FILES` order, view after view. Within one
+occlusion eps) is kept. `groundtruth.compute_occlusion_mask` gives frame
+t's mask from that record and frame t + 1's depth and object index, and
+the source is dropped then: `generate` runs it on frame t + 1's z-buffer,
+which `rasterize_frame` hands over before it allocates any rgb or
+position pass, so no source is held beside a later view's position
+passes; `derive` runs it once frame t + 1 is loaded. The files reach
+disk in `_FILES` order, view after view. A float64 map (a rendered
+position pass or depth) is cast to float32 and written one block of rows
+at a time (`formats.Encoded`), with no whole-file buffer. Within one
 (frame, view) the passes are decoded, the ground truth derived and the
 files written on the thread map of `_parallel`, one unit per file or
 row band; only two whole-frame steps of `groundtruth` (see there) run on
@@ -80,44 +86,53 @@ def _frame_name(t, view, ext):
 
 def _frames(passes_at, times, rig, out_root, scene, read_from=None):
     """Derive and write each (t, view), all left views first; calls
-    passes_at(t, view) once for each and yields (t, view, files) once all
-    of the view's files are in place. read_from[t, view], if given, names
-    the files the passes came from (see `write_frame`).
+    passes_at(t, view, on_depth) once for each and yields (t, view, files)
+    once all of the view's files are in place. read_from[t, view], if
+    given, names the files the passes came from (see `write_frame`).
 
     A view whose next frame is listed has every file but its occlusion
     mask written, and is dropped, before that frame is made: only its
-    `groundtruth.OcclusionSource` is held. Once frame t + 1 exists, the
-    mask of frame t is computed and written, and frame t is yielded. A
+    `groundtruth.OcclusionSource` is held. on_depth, which is None at the
+    first frame, computes and writes that mask from a record of frame
+    t + 1 (`groundtruth.compute_occlusion_mask`) and drops the source.
+    passes_at may call it before it makes frame t + 1's position passes
+    (`rasterize_frame` calls it with its `render.ZBuffer`); where it has
+    not, the loop calls it with the passes. Frame t is then yielded. A
     DataCorruptionError of the ground truth is raised again naming the
-    frame, the view and, where read_from is given, the depth file."""
+    frame, the view and, where read_from is given, the file of the pass
+    at fault."""
     scene_dir = out_root / scene
     for view in _VIEW_SUFFIX:
-        held = None  # (t, files, occlusion source) of the previous frame
+        held = {}  # the previous frame's t, files and occlusion source
+
+        def occlude(next_frame):
+            mask = groundtruth.compute_occlusion_mask(held.pop("source"), rig,
+                                                      next_frame)
+            held["files"].update(write_frame(scene_dir, scene, held["t"],
+                                             view, {"occlusion_fwd": mask}))
+
         for t in times:
-            fp = passes_at(t, view)
-            if held is not None:
-                t_prev, files, source = held
-                mask = groundtruth.compute_occlusion_mask(source, rig, fp)
-                held = source = None
-                files.update(write_frame(scene_dir, scene, t_prev, view,
-                                         {"occlusion_fwd": mask}))
-                del mask  # frame t is derived with nothing of frame t - 1
-                yield t_prev, view, files
+            fp = passes_at(t, view, occlude if held else None)
+            if held:
+                if "source" in held:
+                    occlude(fp)
+                yield held["t"], view, held["files"]
+                held.clear()  # frame t is derived with nothing of frame t - 1
             try:
                 gt = groundtruth.derive_frame(fp, rig)
             except DataCorruptionError as e:
-                # a view's Z_t is its depth file's, where it was read
                 message = f"frame {t} {view}: {e}"
-                if read_from:
-                    message = f"{read_from[t, view]['depth']}: {message}"
-                raise DataCorruptionError(message) from None
+                if read_from and e.pass_name:
+                    message = f"{read_from[t, view][e.pass_name]}: {message}"
+                raise DataCorruptionError(message, e.pass_name) from None
             files = write_frame(scene_dir, scene, t, view,
                                 {**vars(fp), "depth": fp.depth, **vars(gt)},
                                 read_from[t, view] if read_from else None)
             if t + 1 in times:
-                held = t, files, groundtruth.OcclusionSource.of(fp)
+                held.update(t=t, files=files,
+                            source=groundtruth.OcclusionSource.of(fp))
             del fp, gt  # frame t + 1 is made with none of frame t held
-            if held is None:
+            if not held:
                 yield t, view, files
 
 
@@ -173,7 +188,8 @@ def derive_dataset(dataset_root, out_root) -> int:
     manifest = formats.read_manifest((root / "manifest.json").read_bytes())
     times, rig, paths = _derivable(manifest, root)
     for _ in _frames(
-            lambda t, view: load_frame_passes(paths[t, view], t, rig.intrinsics),
+            lambda t, view, _: load_frame_passes(paths[t, view], t,
+                                                 rig.intrinsics),
             times, rig, Path(out_root), manifest["dataset"], paths):
         pass
     return len(times)
@@ -255,7 +271,11 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
 
     def write(job):
         paths, codec, payload = job
-        if codec is not None:
+        if codec == "pfm" and payload.dtype == np.float64:
+            # a position pass or depth, cast to float32 a block of rows at
+            # a time as it is written: no whole-file buffer of it is made
+            payload = formats.write_pfm(payload, blocks=True)
+        elif codec is not None:
             payload = getattr(formats, "write_" + codec)(payload)
         for path in paths:
             write_atomic(path, payload)
@@ -264,17 +284,24 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
     return files
 
 
-def write_atomic(path, payload: bytes | Path):
+def write_atomic(path, payload: bytes | formats.Encoded | Path):
     """path holds either its old content or all of payload, never part:
-    payload, bytes or the file at a Path (copied, not linked, so path
-    shares no inode with it), goes to a hidden temporary name beside path,
-    then is renamed over it. path's directory is made if it is missing."""
+    payload, bytes, a `formats.Encoded` (its header written first, then
+    each block of rows appended as it is cast) or the file at a Path
+    (copied, not linked, so path shares no inode with it), goes to a
+    hidden temporary name beside path, then is renamed over it. path's
+    directory is made if it is missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         if isinstance(payload, Path):
             shutil.copyfile(payload, tmp)
+        elif isinstance(payload, formats.Encoded):
+            blocks = iter(payload)
+            tmp.write_bytes(next(blocks))
+            with tmp.open("ab") as f:
+                f.writelines(blocks)
         else:
             tmp.write_bytes(payload)
         os.replace(tmp, path)

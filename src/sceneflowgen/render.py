@@ -29,8 +29,12 @@ Rasterization is batched array work rather than a loop over triangles:
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
    wins, and of two at equal depth the earlier draw wins.
-5. Write the object index pass from the winners, group the covered
-   pixels by object with one stable sort of it, and interpolate
+5. Write the object index pass from the winners. The z-buffer (+inf at
+   void) and that pass are all that a later view's occlusion test reads
+   of this one, so `rasterize_frame` hands them to its caller
+   (`ZBuffer`) here, before any rgb or position pass exists.
+6. Group the covered pixels by object with one stable sort of the object
+   index, and interpolate
    attributes and sample textures once per covered pixel, for its winner
    only, in fixed-size batches of that order which run across object
    boundaries. A batch holds its barycentric weights as one contiguous
@@ -42,7 +46,7 @@ Rasterization is batched array work rather than a loop over triangles:
    run's rows of one colour buffer, then shades, rounds and scatters
    all of its pixels at once.
 
-Steps 4 and 5 run on the thread map of `_parallel`: the fragment batches
+Steps 4 and 6 run on the thread map of `_parallel`: the fragment batches
 are dealt to one z-buffer per worker and the z-buffers fold by the same
 minimum, and each shading batch writes its own pixels.
 
@@ -63,7 +67,7 @@ from .errors import ContractError
 from .geometry import CameraIntrinsics, project
 from .scene import SceneSpec
 
-__all__ = ["FramePasses", "rasterize_frame"]
+__all__ = ["FramePasses", "ZBuffer", "rasterize_frame"]
 
 NEAR_PLANE = 0.1
 _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
@@ -107,6 +111,18 @@ class FramePasses:
     @property
     def valid(self):
         return self.object_index > 0
+
+
+@dataclass(frozen=True)
+class ZBuffer:
+    """A view's z-buffer and object index pass as the fold leaves them,
+    before shading: what the occlusion test of the view before it reads
+    (`groundtruth.compute_occlusion_mask`), which a `FramePasses` of the
+    same view gives too."""
+
+    depth: np.ndarray  # (H, W) float64: pos3d_t's Z where covered, +inf at void
+    object_index: np.ndarray  # (H, W) uint16, the view's object index pass
+    frame_time: int
 
 
 def _clip_near(attrs, near=NEAR_PLANE):
@@ -423,6 +439,14 @@ def _fold_fragments(scr: _Screen, jobs, w, h):
     return zbuf, owner
 
 
+def _object_index(scr: _Screen, owner, obj_idx):
+    """Write each covered pixel's winner's object into obj_idx, (P,) and
+    0 (void) where no fragment won."""
+    if len(scr.area):
+        np.copyto(obj_idx, scr.index.take(owner, mode="clip"),
+                  where=owner != _NO_OWNER)
+
+
 def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
     in batches of _SHADE_BATCH covered pixels that run through
@@ -430,35 +454,35 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     the object index picks.
 
     `passes` holds the flattened rgb (P, 3), object index (P,) and
-    position (P, 3) outputs, the positions of the passes the view has in
-    the order of the attribute columns. They are written in place; it
+    position (P, 3) passes, the positions of the passes the view has in
+    the order of the attribute columns. The object index must already be
+    written (`_object_index`); the others are written in place. It
     returns nothing.
 
-    The object index output is written first, from the winners; one
-    stable sort of it groups the covered pixels by object, each in pixel
-    order. The batches cut that order into fixed-size pieces across
-    object boundaries. Above its inputs and outputs, shading then holds
-    the sorted pixels and their winners' screen rows (16 bytes per
-    covered pixel) and each worker's batch: a batch gathers from the
-    column-major tables with 1-D takes, holds its barycentric weights as
-    (3, B) rows and interpolates one attribute column at a time into one
-    reused buffer. Its objects' runs start where the object index of its
-    pixels changes; it samples each run's texture into that run's rows of
-    one colour buffer, then shades, rounds and scatters all its pixels at
-    once, so its temporaries are a few pixel-sized vectors and the
-    colour buffer, the textures' sampling aside.
+    One stable sort of the object index groups the covered pixels by
+    object, each in pixel order. The batches cut that order into
+    fixed-size pieces across object boundaries. Above its inputs and
+    outputs, shading then holds the sorted pixels and their winners'
+    screen rows as int32 (8 bytes per covered pixel) and each worker's
+    batch: a batch gathers from the column-major tables with 1-D takes,
+    holds its barycentric weights as (3, B) rows and interpolates one
+    attribute column at a time into one reused buffer. Its objects' runs
+    start where the object index of its pixels changes; it samples each
+    run's texture into that run's rows of one colour buffer, then shades,
+    rounds and scatters all its pixels at once, so its temporaries are a
+    few pixel-sized vectors and the colour buffer, the textures' sampling
+    aside.
     """
     rgb, obj_idx, *positions = passes
     if not len(scr.area):
         return
-    # the object index pass first: each covered pixel's winner's object
-    np.copyto(obj_idx, scr.index.take(owner, mode="clip"),
-              where=owner != _NO_OWNER)
     counts = np.bincount(obj_idx)
     # uint16 keys: a stable radix sort groups the pixels by object, void
-    # (index 0) first, and each object's in pixel order
-    pix = np.argsort(obj_idx, kind="stable")[counts[0]:]
-    row = owner[pix]
+    # (index 0) first, and each object's in pixel order. Pixels and screen
+    # rows fit an int32: an image holds at most 2**28 pixels, and a view's
+    # screen tables far fewer than 2**31 triangles
+    pix = np.argsort(obj_idx, kind="stable")[counts[0]:].astype(np.int32)
+    row = owner.take(pix).astype(np.int32)
     aoz = scr.attr_over_z
     for i in np.flatnonzero(counts[1:]):
         # on no points: a noise texture builds its lattice here, once,
@@ -467,7 +491,8 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
 
     def shade(start):
         sel = slice(start, start + _SHADE_BATCH)
-        p, r = pix[sel], row[sel]
+        # int64 before anything is indexed: int32 indices are slower
+        p, r = pix[sel].astype(np.int64), row[sel].astype(np.int64)
         y, x = np.divmod(p, w)
         px = x + 0.5
         py = y + 0.5
@@ -522,8 +547,13 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     map_ordered(shade, range(0, len(pix), _SHADE_BATCH))
 
 
-def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
-    """Render one view at integer frame time t (1-based, inclusive)."""
+def rasterize_frame(spec: SceneSpec, t: int, view: str,
+                    on_depth=None) -> FramePasses:
+    """Render one view at integer frame time t (1-based, inclusive).
+
+    on_depth, if given, is called with the view's `ZBuffer` once the
+    z-buffer is folded and the object index pass written, before any rgb
+    or position pass is allocated; it must not write to the arrays."""
     if not 1 <= t <= spec.frames:
         raise ContractError(f"frame time {t} outside [1, {spec.frames}]")
     intr = spec.rig.intrinsics
@@ -535,15 +565,18 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
     pose_prev = spec.camera_pose(t - 1, view) if has_prev else None
     pose_next = spec.camera_pose(t + 1, view) if has_next else None
 
-    rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    obj_idx = np.zeros((h, w), dtype=np.uint16)
-    pos_t = np.full((h, w, 3), np.nan, dtype=np.float64)
-    pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
-    pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
-
     objects = spec.all_objects()
     scr = _screen_setup(*_collect(objects, t, pose_t, pose_prev, pose_next), intr, w, h)
     zbuf, owner = _resolve_depth(scr, w, h)
+    obj_idx = np.zeros((h, w), dtype=np.uint16)
+    _object_index(scr, owner, obj_idx.reshape(-1))
+    if on_depth is not None:
+        on_depth(ZBuffer(zbuf.reshape(h, w), obj_idx, t))
+
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    pos_t = np.full((h, w, 3), np.nan, dtype=np.float64)
+    pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
+    pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
     _shade(scr, objects, zbuf, owner, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1),
         *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),

@@ -1,14 +1,16 @@
 """One-line mutations of the rules the datasets and scores rest on, and
 whether the tier-1 tests catch each.
 
-    python tests/mutants.py           # run every mutation
-    python tests/mutants.py --check   # each old text occurs exactly once
+    python tests/mutants.py               # run every mutation
+    python tests/mutants.py --only A B    # run the mutations named A and B
+    python tests/mutants.py --check       # each old text occurs exactly once
 
 A run copies the repository (without .git and caches) into a temporary
 directory per mutation, replaces the entry's old text with its new text
 there, and runs the tier-1 tests with -x and a fixed Hypothesis seed. It
 prints `killed` with the first failing test, or `survived`, and exits 1
-if any mutation was not killed. It changes no file of the repository.
+if any mutation it ran was not killed. It changes no file of the
+repository.
 pytest does not collect this file: its name does not start with `test_`.
 
 `--check` reads the sources only, so an entry whose line has moved or
@@ -42,6 +44,7 @@ class Mutant(NamedTuple):
     rule: str  # what the mutation breaks
 
 
+_FORMATS = "src/sceneflowgen/formats.py"
 _GT = "src/sceneflowgen/groundtruth.py"
 _MATCH = "src/sceneflowgen/match.py"
 _PARALLEL = "src/sceneflowgen/_parallel.py"
@@ -59,11 +62,11 @@ MUTANTS = [
            "the occlusion tolerance is 1e-3 of the median depth"),
     Mutant("occlusion-eps-of-next", _GT,
            "source.eps, out=mask[rows])",
-           "_occlusion_eps(passes_next.depth), out=mask[rows])",
+           "_occlusion_eps(next_frame.depth), out=mask[rows])",
            "the occlusion tolerance is of frame t's median depth, not t + 1's"),
     Mutant("occlusion-later-frame", _GT,
-           "passes_next.frame_time <= source.frame_time",
-           "passes_next.frame_time < source.frame_time",
+           "next_frame.frame_time <= source.frame_time",
+           "next_frame.frame_time < source.frame_time",
            "the occlusion mask pairs a view with a later frame, not its own"),
     Mutant("occlusion-block-mixed", _GT,
            "        block[start:stop][~one] = 0\n", "",
@@ -71,6 +74,17 @@ MUTANTS = [
     Mutant("occlusion-void-inf", _GT,
            "        z[index[start:stop] == 0] = np.inf\n", "",
            "the next frame's z-buffer is +inf at void"),
+    Mutant("zbuffer-void-inf", _RENDER,
+           "    zbuf = np.full(h * w, np.inf)\n",
+           "    zbuf = np.full(h * w, np.finfo(np.float64).max)\n",
+           "a view's z-buffer is +inf at void, the occlusion test's Z table"),
+    Mutant("neighbour-finite", _GT,
+           "                _refuse_non_finite(other, void, name)\n", "",
+           "a covered point of pos3d_prev or pos3d_next is finite"),
+    Mutant("pfm-block-order", _FORMATS,
+           "for start in range(0, len(a), rows):",
+           "for start in range(0, len(a), rows)[::-1]:",
+           "a PFM written in blocks holds its rows in the whole file's order"),
     Mutant("covered-z-finite", _GT,
            "        ok &= bf_over_z_t <= np.finfo(np.float32).max\n", "",
            "a covered pixel's disparity b*f/Z_t is at most the float32 maximum"),
@@ -165,9 +179,14 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true",
                    help="only check that every old text occurs exactly once")
+    p.add_argument("--only", nargs="+", metavar="NAME",
+                   help="run only the mutations of these names")
     args = p.parse_args(argv)
 
     problems = check()
+    names = {m.name for m in MUTANTS}
+    problems += [f"{name}: no such mutation" for name in args.only or ()
+                 if name not in names]
     for line in problems:
         print(line)
     if problems or args.check:
@@ -177,6 +196,8 @@ def main(argv=None):
 
     missed = 0
     for m in MUTANTS:
+        if args.only and m.name not in args.only:
+            continue
         start = time.monotonic()
         result, detail = run(m)
         missed += result != "killed"

@@ -248,6 +248,27 @@ def _covered_depth(z):
     return mutate
 
 
+def _covered_point(name, frame, channel, value):
+    # one covered pixel of a neighbour's position pass in frame's left
+    # view (frame 1 holds pos3d_next, frame 2 pos3d_prev), its X, Y or Z
+    # (channel) set to value
+    def mutate(m, ds):
+        files = m["frames"][frame - 1]["files"]["left"]
+        index = formats.read_pgm16((ds / files["object_index"]).read_bytes())
+        path = ds / files[name]
+        pos = formats.read_pfm(path.read_bytes())
+        pos[(*np.argwhere(index > 0)[0], channel)] = value
+        path.write_bytes(formats.write_pfm(pos))
+    return mutate
+
+
+# a covered neighbour point that is not finite is no gone point
+_NON_FINITE_POINTS = {
+    f"covered {name} {axis} {label}": (name, frame, "XYZ".index(axis), value)
+    for name, frame in (("pos3d_next", 1), ("pos3d_prev", 2))
+    for axis, label, value in (("Z", "+inf", np.inf), ("Z", "-inf", -np.inf),
+                               ("Z", "NaN", np.nan), ("X", "NaN", np.nan))}
+
 MALFORMED = {
     "no frames": _no_frames,
     "view missing from files": _drop("frames", 0, "files", "right"),
@@ -277,13 +298,18 @@ MALFORMED = {
     # b*f/Z_t is 0 at a covered pixel, and past the float32 maximum
     "covered depth +inf": _covered_depth(np.inf),
     "covered depth 1e-40": _covered_depth(1e-40),
+    **{case: _covered_point(*point)
+       for case, point in _NON_FINITE_POINTS.items()},
 }
 # the error a case must raise, where one type fits it alone
 MALFORMED_ERROR = {"covered depth +inf": "DataCorruptionError",
-                   "covered depth 1e-40": "DataCorruptionError"}
+                   "covered depth 1e-40": "DataCorruptionError",
+                   **dict.fromkeys(_NON_FINITE_POINTS, "DataCorruptionError")}
 # the (frame, view, pass) whose file and place a case's error must name
 MALFORMED_FILE = {"covered depth +inf": (2, "left", "depth"),
-                  "covered depth 1e-40": (2, "left", "depth")}
+                  "covered depth 1e-40": (2, "left", "depth"),
+                  **{case: (frame, "left", name) for case, (name, frame, *_)
+                     in _NON_FINITE_POINTS.items()}}
 
 
 class TestDeriveMalformed:
@@ -1335,6 +1361,30 @@ def test_no_command_imports_scipy(tmp_path):
     assert loaded == dict.fromkeys(
         ["import sceneflowgen", "generate", "estimate", "evaluate", "derive",
          "inspect", "visualize"], [])
+
+
+_FREEZE_COUNTS = """
+import gc, sys
+from sceneflowgen.cli import main
+before = gc.get_freeze_count()
+main(sys.argv[1:])
+first = gc.get_freeze_count()
+main(sys.argv[1:])
+print(before, first, gc.get_freeze_count())
+"""
+
+
+def test_cli_freezes_the_import_time_objects_once(tmp_path):
+    # a fresh interpreter: the first command freezes what the imports made,
+    # and a second command of the same process freezes nothing more
+    src = str(Path(sceneflowgen.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FREEZE_COUNTS, "inspect", str(tmp_path / "d.pfm")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    before, first, second = map(int, run.stdout.split())
+    assert before == 0 and first > 1000 and second == first
 
 
 def test_generate_without_scipy_writes_the_same_bytes(tmp_path):

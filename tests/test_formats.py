@@ -73,6 +73,26 @@ class TestPfm:
         data = b"Pf\n1 1\n1.0\n" + struct.pack(">f", 2.5)
         assert formats.read_pfm(data)[0, 0] == 2.5
 
+    @pytest.mark.parametrize("h", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["Pf", "PF"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocks_are_the_bytes_of_the_whole_file(self, h, channels, dtype):
+        # around one and several blocks of rows, NaNs with payloads and
+        # infinities included: the same cast, row for row
+        rng = np.random.default_rng(h)
+        m = rng.normal(scale=1e3, size=(h, 5) + channels).astype(dtype)
+        bits = m.reshape(-1).view(f"u{m.itemsize}")
+        bits[::7] = 0x7FF8000000000123 if m.itemsize == 8 else 0x7FC00123
+        m.reshape(-1)[::11] = -np.inf
+        whole = formats.write_pfm(m)
+        blocks = formats.write_pfm(m, blocks=True)
+        parts = [bytes(b) for b in blocks]
+        assert isinstance(whole, bytearray) and len(blocks) == len(whole)
+        assert parts[0] == whole[:len(parts[0])]
+        assert len(parts) == 1 + -(-h // formats.Encoded.BLOCK_ROWS)
+        assert b"".join(parts) == whole
+        assert b"".join(bytes(b) for b in blocks) == whole  # again
+
     @pytest.mark.parametrize("scale", ["0.0", "-0.0", "0", "nan", "-nan",
                                        "inf", "-inf"])
     def test_scale_without_byte_order_is_parse_error(self, scale):
@@ -315,6 +335,21 @@ def test_readers_return_new_arrays_equal_to_reference(encoded, trailing):
     assert out.flags.writeable and out.flags.c_contiguous
 
 
+@settings(max_examples=200, deadline=None)
+@given(encoded_files(), st.binary(max_size=8))
+def test_readers_decode_a_writable_buffer_in_place(encoded, trailing):
+    # given a bytearray, as `read` gives them one, each reader returns a
+    # writable view of it, in native byte order (a big-endian payload is
+    # swapped in place), bit-equal to the decode of the same bytes
+    reader, header, payload, expected = encoded
+    buf = bytearray(header + payload + trailing)
+    out = reader(buf)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.writeable and out.dtype.isnative
+    assert np.shares_memory(out, np.frombuffer(buf, np.uint8))
+
+
 @settings(max_examples=50, deadline=None)
 @given(encoded_files())
 def test_every_truncation_is_parse_error(encoded):
@@ -376,6 +411,30 @@ class TestRead:
             formats.read(path, "pgm16")
         index = formats.read(tmp_path / "m.pgm", "pgm8")
         assert np.array_equal(index, READ_FILES["m8.pgm"][1])
+
+    def test_a_position_pass_is_read_into_one_buffer(self, tmp_path):
+        # a 960x540 position pass: the file's bytes once, and the array a
+        # view of them, where the bytes and a decoded copy held twice that
+        path = tmp_path / "p.pfm"
+        m = np.arange(540 * 960 * 3, dtype=np.float32).reshape(540, 960, 3)
+        path.write_bytes(formats.write_pfm(m))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            out = formats.read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == m.tobytes()
+        assert size < peak < 1.05 * size, (peak, size)
+
+    @pytest.mark.parametrize("name", sorted(READ_FILES))
+    def test_read_gives_a_writable_array(self, tmp_path, name):
+        payload, expected = READ_FILES[name]
+        (tmp_path / name).write_bytes(payload)
+        out = formats.read(tmp_path / name)
+        assert out.flags.writeable and out.dtype.isnative
+        out[...] = 0  # the caller's to change
 
     def test_reader_is_looked_up_when_called(self, tmp_path, monkeypatch):
         # so a wrapper set on the module (the benchmark's tracer) sees it

@@ -540,6 +540,64 @@ class TestOcclusionTables:
                                          True, False]
 
 
+def zbuffer_and_passes(spec, t, view="left"):
+    """Frame t's `render.ZBuffer`, as rasterize_frame hands it on, and its
+    finished passes."""
+    records = []
+    passes = sf.rasterize_frame(spec, t, view, records.append)
+    (record,) = records
+    return record, passes
+
+
+def moving_boxes():
+    """Three moving boxes before a moving camera, on void, over 3 frames."""
+    return scene([box((0, 0, 10), (3, 3, 0.5), 0, frames=3, end=(1, 0.5, 9)),
+                  box((-2, 1, 8), (1.5, 1.5, 1.5), 1, frames=3,
+                      end=(-0.5, 1, 7)),
+                  box((2.5, -1, 12), (2, 1, 1), 2, frames=3,
+                      end=(1.5, -1.5, 11))],
+                 frames=3, camera_end=[0.3, 0.0, 0.0])
+
+
+class TestZBufferRecord:
+    """The occlusion test reads of frame t + 1 its depth, object index and
+    time: the z-buffer record rasterize_frame gives before it makes any
+    position pass serves as well as the finished passes."""
+
+    SPEC = moving_boxes()
+
+    def test_scene_has_void_at_footprints(self):
+        for t in (2, 3):
+            valid = sf.rasterize_frame(self.SPEC, t, "left").valid
+            # void pixels beside covered ones: footprints with void corners
+            assert (valid[:, 1:] != valid[:, :-1]).sum() > 10, t
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("band_rows", [7, 64])
+    def test_tables_and_mask_equal_those_of_the_passes(self, monkeypatch,
+                                                       cpus, band_rows):
+        # 7-row bands: footprints of every band read rows of the next one
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(_parallel, "GT_BAND_ROWS", band_rows)
+        for t in (2, 3):
+            record, passes = zbuffer_and_passes(self.SPEC, t)
+            for a, b in zip(gt._next_frame_tables(record),
+                            gt._next_frame_tables(passes)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
+            source = gt.OcclusionSource.of(
+                sf.rasterize_frame(self.SPEC, t - 1, "left"))
+            mask = gt.compute_occlusion_mask(source, self.SPEC.rig, record)
+            want = gt.compute_occlusion_mask(source, self.SPEC.rig, passes)
+            assert mask.dtype == bool and mask.tobytes() == want.tobytes(), t
+            assert 0 < mask.sum() < mask.size
+
+    def test_later_frame_needed(self):
+        record, passes = zbuffer_and_passes(self.SPEC, 2)
+        with pytest.raises(ContractError):
+            gt.compute_occlusion_mask(gt.OcclusionSource.of(passes),
+                                      self.SPEC.rig, record)
+
+
 class TestReconstruct:
     def test_head_on_motion_example(self):
         # on-axis point at Z=20 moving to Z=15: flow 0, motion (0, 0, -5)
