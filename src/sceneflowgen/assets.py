@@ -152,7 +152,13 @@ def _lattice_cell(u, freq):
 # ---------------------------------------------------------------------------
 # Primitive meshes (unit-scale, centered at the origin)
 
-def make_cuboid(asset_id="primitive:cuboid"):
+_CYLINDER_SEGMENTS = 16
+_SPHERE_RINGS, _SPHERE_SEGMENTS = 8, 12
+_TORUS_MAJOR, _TORUS_MINOR = 0.35, 0.15  # ring and tube radii
+_TORUS_SEGMENTS, _TORUS_SIDES = 12, 8
+
+
+def make_cuboid():
     """Axis-aligned unit cube; 4 vertices per face so each face maps the
     full [0,1]^2 uv square."""
     verts, uvs, tris = [], [], []
@@ -170,11 +176,13 @@ def make_cuboid(asset_id="primitive:cuboid"):
                 uvs.append((cu, cv))
             tris.append((base, base + 1, base + 2))
             tris.append((base, base + 2, base + 3))
-    return Mesh(np.array(verts), np.array(tris), np.array(uvs), asset_id)
+    return Mesh(np.array(verts), np.array(tris), np.array(uvs),
+                "primitive:cuboid")
 
 
-def make_cylinder(segments=16, asset_id="primitive:cylinder"):
+def make_cylinder():
     """Unit-height, unit-diameter cylinder along Y with caps."""
+    segments = _CYLINDER_SEGMENTS
     verts, uvs, tris = [], [], []
     # side wall, duplicated seam vertex for clean uv wrap
     for i in range(segments + 1):
@@ -204,11 +212,13 @@ def make_cylinder(segments=16, asset_id="primitive:cylinder"):
                 tris.append((center, j, k))
             else:
                 tris.append((center, k, j))
-    return Mesh(np.array(verts), np.array(tris), np.array(uvs), asset_id)
+    return Mesh(np.array(verts), np.array(tris), np.array(uvs),
+                "primitive:cylinder")
 
 
-def make_sphere(rings=8, segments=12, asset_id="primitive:sphere"):
+def make_sphere():
     """Unit-diameter lat/long sphere."""
+    rings, segments = _SPHERE_RINGS, _SPHERE_SEGMENTS
     verts, uvs, tris = [], [], []
     for r in range(rings + 1):
         theta = np.pi * r / rings
@@ -229,11 +239,13 @@ def make_sphere(rings=8, segments=12, asset_id="primitive:sphere"):
                 tris.append((a, b, a + 1))
             if r < rings - 1:
                 tris.append((a + 1, b, b + 1))
-    return Mesh(np.array(verts), np.array(tris), np.array(uvs), asset_id)
+    return Mesh(np.array(verts), np.array(tris), np.array(uvs),
+                "primitive:sphere")
 
 
-def make_torus(major=0.35, minor=0.15, segments=12, sides=8,
-               asset_id="primitive:torus"):
+def make_torus():
+    major, minor = _TORUS_MAJOR, _TORUS_MINOR
+    segments, sides = _TORUS_SEGMENTS, _TORUS_SIDES
     verts, uvs, tris = [], [], []
     for i in range(segments + 1):
         a = 2 * np.pi * i / segments
@@ -249,7 +261,8 @@ def make_torus(major=0.35, minor=0.15, segments=12, sides=8,
             b = a + stride
             tris.append((a, b, a + 1))
             tris.append((a + 1, b, b + 1))
-    return Mesh(np.array(verts), np.array(tris), np.array(uvs), asset_id)
+    return Mesh(np.array(verts), np.array(tris), np.array(uvs),
+                "primitive:torus")
 
 
 PRIMITIVES = {

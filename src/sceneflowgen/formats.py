@@ -8,10 +8,10 @@ refuse images with no pixels or more than `geometry.MAX_PIXELS`, the
 largest camera a scene has, so every file a writer makes its reader reads.
 `read` picks a file's reader and names the file in a ParseError.
 
-A writer returns the whole file as one bytearray; `write_pfm(...,
-blocks=True)` returns the same bytes as an `Encoded`, which casts the map
-a fixed block of rows at a time as it is written (`pipeline.write_atomic`),
-so no whole-file buffer of a position pass is held.
+Every writer checks its array and returns an `Encoded`: the file's
+header and that array, cast to the file's sample type a fixed block of
+rows at a time as the file is written (`pipeline.write_atomic`), so no
+whole-file buffer is held; `bytes()` of it is the whole file.
 
 `read` reads a file once, into a writable buffer, and every reader given
 such a buffer (a bytearray) returns a view of it: a PFM's a flipped view,
@@ -47,9 +47,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # PFM
 
-def write_pfm(data, blocks=False) -> bytearray | Encoded:
-    """Serialize an H x W or H x W x 3 float32 map as PFM (little-endian):
-    the file's bytes, or with blocks the same bytes as an `Encoded`.
+def write_pfm(data) -> Encoded:
+    """Serialize an H x W or H x W x 3 float map as float32 PFM
+    (little-endian).
 
     Rows are stored bottom-to-top per the format; internal rasters are
     top-to-bottom, so the writer flips.
@@ -60,22 +60,17 @@ def write_pfm(data, blocks=False) -> bytearray | Encoded:
     h, w = a.shape[0], a.shape[1]
     _check_dimensions("PFM", w, h)
     header = (b"Pf" if a.ndim == 2 else b"PF") + f"\n{w} {h}\n-1.0\n".encode()
-    encoded = Encoded(header, a[::-1], "<f4")
-    return encoded if blocks else encoded.whole()
-
-
-def _file(header, a, dtype):
-    """header followed by a as dtype, as one bytearray (`Encoded.whole`)."""
-    return Encoded(header, a, dtype).whole()
+    return Encoded(header, a[::-1], "<f4")
 
 
 class Encoded:
     """A file's bytes: header, then the array a cast to dtype, row after
-    row. `whole` casts a straight into the one buffer the file is written
-    from; iterating gives the header and then the payload one block of
+    row. Iterating gives the header and then the payload one block of
     `BLOCK_ROWS` rows at a time, each cast into one reused buffer and
     valid until the next is asked for, so no whole-file buffer is held.
-    len() is the file's size in bytes."""
+    bytes() joins the same blocks into the whole file; len() is its size
+    in bytes. a is read only as it is iterated, each time: nothing may
+    write to a before the file is written."""
 
     BLOCK_ROWS = 64
 
@@ -87,12 +82,8 @@ class Encoded:
     def __len__(self):
         return len(self.header) + self.dtype.itemsize * self.a.size
 
-    def whole(self) -> bytearray:
-        buf = bytearray(len(self))
-        buf[:len(self.header)] = self.header
-        payload = np.frombuffer(buf, self.dtype, offset=len(self.header))
-        np.copyto(payload.reshape(self.a.shape), self.a, casting="unsafe")
-        return buf
+    def __bytes__(self):
+        return b"".join(map(bytes, self))  # a copy of each block as it comes
 
     def __iter__(self):
         yield self.header
@@ -196,13 +187,13 @@ def read_pfm(buf: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # .flo
 
-def write_flo(flow) -> bytearray:
+def write_flo(flow) -> Encoded:
     a = np.asarray(flow)
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f".flo needs HxWx2 data, got shape {a.shape}")
     h, w = a.shape[:2]
     _check_dimensions(".flo", w, h)
-    return _file(struct.pack("<fii", FLO_MAGIC, w, h), a, "<f4")
+    return Encoded(struct.pack("<fii", FLO_MAGIC, w, h), a, "<f4")
 
 
 def read_flo(buf: bytes) -> np.ndarray:
@@ -218,13 +209,13 @@ def read_flo(buf: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PPM / PGM16
 
-def write_ppm(rgb) -> bytearray:
+def write_ppm(rgb) -> Encoded:
     a = np.asarray(rgb, dtype=np.uint8)
     if a.ndim != 3 or a.shape[2] != 3:
         raise ParseError(f"PPM needs HxWx3 uint8, got shape {a.shape}")
     h, w = a.shape[:2]
     _check_dimensions("P6", w, h)
-    return _file(f"P6\n{w} {h}\n255\n".encode(), a, np.uint8)
+    return Encoded(f"P6\n{w} {h}\n255\n".encode(), a, np.uint8)
 
 
 def read_ppm(buf: bytes) -> np.ndarray:
@@ -232,7 +223,7 @@ def read_ppm(buf: bytes) -> np.ndarray:
     return _payload(buf, pos, np.uint8, (h, w, 3), "PPM")
 
 
-def write_pgm16(mask) -> bytearray:
+def write_pgm16(mask) -> Encoded:
     """16-bit single-channel P5; samples are big-endian per the PGM spec."""
     a = np.asarray(mask)
     if a.ndim != 2:
@@ -241,35 +232,33 @@ def write_pgm16(mask) -> bytearray:
     _check_dimensions("P5", w, h)
     if a.min() < 0 or a.max() > 65535:
         raise ParseError("PGM16 values must be in [0, 65535]")
-    return _file(f"P5\n{w} {h}\n65535\n".encode(), a, ">u2")
+    return Encoded(f"P5\n{w} {h}\n65535\n".encode(), a, ">u2")
 
 
 def read_pgm16(buf: bytes) -> np.ndarray:
     return _read_pgm(buf, (65535,))
 
 
-def write_pgm8(mask) -> bytearray:
+def write_pgm8(mask) -> Encoded:
     """8-bit single-channel P5; the samples are a cast to uint8, so a bool
     mask gives 0/1 (`write_mask` gives 0/255)."""
-    return _pgm8(np.asarray(mask))
+    a = np.asarray(mask)
+    return Encoded(_pgm8_header(a), a, np.uint8)
 
 
-def write_mask(mask) -> bytearray:
+def write_mask(mask) -> Encoded:
     """A mask as 8-bit P5: 255 where it is set (nonzero), 0 elsewhere."""
     a = np.asarray(mask, dtype=bool)
-    buf = _pgm8(a)
-    # its 0/1 samples, the file's last a.size bytes, scaled in the one buffer
-    payload = np.frombuffer(buf, np.uint8, offset=len(buf) - a.size)
-    payload *= 255
-    return buf
+    return Encoded(_pgm8_header(a), a.view(np.uint8) * np.uint8(255),
+                   np.uint8)
 
 
-def _pgm8(a):
+def _pgm8_header(a):
     if a.ndim != 2:
         raise ParseError(f"PGM needs HxW data, got shape {a.shape}")
     h, w = a.shape
     _check_dimensions("P5", w, h)
-    return _file(f"P5\n{w} {h}\n255\n".encode(), a, np.uint8)
+    return f"P5\n{w} {h}\n255\n".encode()
 
 
 def read_pgm8(buf: bytes) -> np.ndarray:

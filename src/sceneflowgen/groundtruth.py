@@ -38,10 +38,11 @@ All arithmetic is float64, and `derive_frame` holds its flow, disparity
 and disparity-change maps as float32, the precision the files store:
 each band rounds its float64 values once, as it writes its rows, and
 first refuses a covered Z_t whose b*f/Z_t is not a positive float32,
-and a covered neighbour's point (pos3d_prev or pos3d_next) whose X, Y or
-Z is not finite. A neighbour's point whose b*f/Z is past the float32
-maximum, or whose flow rounds to +-inf in float32, is gone, as one with
-Z <= 0 is: its flow and disparity change are NaN. Each refusal is a
+a covered pos3d_t X or Y that is not finite, and a covered neighbour's
+point (pos3d_prev or pos3d_next) whose X, Y or Z is not finite. A
+neighbour's point whose b*f/Z is past the float32 maximum, or whose flow
+rounds to +-inf in float32, is gone, as one with Z <= 0 is: its flow
+and disparity change are NaN. Each refusal is a
 DataCorruptionError whose `pass_name` names the pass at fault ("depth"
 for Z_t). Passes may come in as float32 (as read from
 files) or float64 (from the renderer). A view's depth is pos3d_t's Z
@@ -124,11 +125,12 @@ def _z_plane(z, out=None):
 
 def _refuse_non_finite(pos, void, name):
     """DataCorruptionError naming the pass, name, unless every covered
-    point of pos, the rows of a neighbour's position pass, has a finite X,
-    Y and Z: a point at infinity or NaN has no flow or disparity change,
-    and is no gone point either (Z <= 0 or b*f/Z past float32 is)."""
+    point of pos, the rows of a position pass (or of its X and Y), has
+    finite coordinates: a point at infinity or NaN has no flow or
+    disparity change, and is no gone point either (Z <= 0 or b*f/Z past
+    float32 is)."""
     finite = np.isfinite(pos[..., 0])
-    for c in (1, 2):
+    for c in range(1, pos.shape[-1]):
         finite &= np.isfinite(pos[..., c])
     finite |= void
     if not finite.all():
@@ -551,9 +553,9 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
     pixel whose b*f/Z_t is not positive and at most the float32 maximum
     (a Z_t that is non-positive, NaN, infinite or so small that the
     disparity overflows float32) raises DataCorruptionError, as does a
-    covered pixel whose point in pos3d_prev or pos3d_next has a NaN or
-    infinite X, Y or Z (`_refuse_non_finite`); the error's `pass_name`
-    is "depth" or that pass. Flow is the
+    covered pixel whose pos3d_t X or Y, or whose point in pos3d_prev or
+    pos3d_next, is NaN or infinite (`_refuse_non_finite`); the error's
+    `pass_name` is "depth" or that pass. Flow is the
     difference of the projected 3D positions, defined also where the
     point is occluded in the other frame; disparity change is
     b*f/Z_other - b*f/Z_t, positive for approaching surfaces, with
@@ -631,6 +633,7 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
                 "a covered pixel's depth gives no finite, positive disparity",
                 "depth")
         del ok
+        _refuse_non_finite(pos_t[..., :2], void, "pos3d_t")  # Z is checked
         disparity = frame.disparity[rows]
         disparity[...] = bf_over_z_t
         disparity[void] = np.nan

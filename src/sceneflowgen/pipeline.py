@@ -14,9 +14,9 @@ the source is dropped then: `generate` runs it on frame t + 1's z-buffer,
 which `rasterize_frame` hands over before it allocates any rgb or
 position pass, so no source is held beside a later view's position
 passes; `derive` runs it once frame t + 1 is loaded. The files reach
-disk in `_FILES` order, view after view. A float64 map (a rendered
-position pass or depth) is cast to float32 and written one block of rows
-at a time (`formats.Encoded`), with no whole-file buffer. Within one
+disk in `_FILES` order, view after view. A file that is encoded is cast
+by its `formats` writer's `Encoded` as it is written, one block of rows
+at a time, so no whole-file buffer is made. Within one
 (frame, view) the passes are decoded, the ground truth derived and the
 files written on the thread map of `_parallel`, one unit per file or
 row band; only two whole-frame steps of `groundtruth` (see there) run on
@@ -128,10 +128,11 @@ def _frames(passes_at, times, rig, out_root, scene, read_from=None):
             files = write_frame(scene_dir, scene, t, view,
                                 {**vars(fp), "depth": fp.depth, **vars(gt)},
                                 read_from[t, view] if read_from else None)
+            del gt  # its maps are written: not held through the eps median
             if t + 1 in times:
                 held.update(t=t, files=files,
                             source=groundtruth.OcclusionSource.of(fp))
-            del fp, gt  # frame t + 1 is made with none of frame t held
+            del fp  # frame t + 1 is made with none of frame t held
             if not held:
                 yield t, view, files
 
@@ -250,7 +251,7 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
     """
     files = {}
     writes = []  # (paths, codec or None, array or source path)
-    encodes = {}  # field -> its write: one encoding, however many files
+    encodes = {}  # field -> its write: one `Encoded`, however many files
     read_from = read_from or {}
     for name, ext, codec, _ in _FILES:
         field = "object_index" if name == "material_index" else name
@@ -271,11 +272,7 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
 
     def write(job):
         paths, codec, payload = job
-        if codec == "pfm" and payload.dtype == np.float64:
-            # a position pass or depth, cast to float32 a block of rows at
-            # a time as it is written: no whole-file buffer of it is made
-            payload = formats.write_pfm(payload, blocks=True)
-        elif codec is not None:
+        if codec is not None:
             payload = getattr(formats, "write_" + codec)(payload)
         for path in paths:
             write_atomic(path, payload)
@@ -286,24 +283,20 @@ def write_frame(scene_dir, scene_name, t, view, arrays, read_from=None):
 
 def write_atomic(path, payload: bytes | formats.Encoded | Path):
     """path holds either its old content or all of payload, never part:
-    payload, bytes, a `formats.Encoded` (its header written first, then
-    each block of rows appended as it is cast) or the file at a Path
-    (copied, not linked, so path shares no inode with it), goes to a
-    hidden temporary name beside path, then is renamed over it. path's
-    directory is made if it is missing."""
+    payload, bytes, a `formats.Encoded` (its blocks written as they are
+    cast) or the file at a Path (copied, not linked, so path shares no
+    inode with it), goes to a hidden temporary name beside path, then is
+    renamed over it. path's directory is made if it is missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         if isinstance(payload, Path):
             shutil.copyfile(payload, tmp)
-        elif isinstance(payload, formats.Encoded):
-            blocks = iter(payload)
-            tmp.write_bytes(next(blocks))
-            with tmp.open("ab") as f:
-                f.writelines(blocks)
         else:
-            tmp.write_bytes(payload)
+            with tmp.open("wb") as f:
+                f.writelines(payload if isinstance(payload, formats.Encoded)
+                             else [payload])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -81,10 +81,14 @@ MUTANTS = [
     Mutant("neighbour-finite", _GT,
            "                _refuse_non_finite(other, void, name)\n", "",
            "a covered point of pos3d_prev or pos3d_next is finite"),
+    Mutant("pos3d-t-finite", _GT,
+           '_refuse_non_finite(pos_t[..., :2], void, "pos3d_t")', "None",
+           "a covered pixel's pos3d_t X and Y are finite"),
     Mutant("pfm-block-order", _FORMATS,
            "for start in range(0, len(a), rows):",
            "for start in range(0, len(a), rows)[::-1]:",
-           "a PFM written in blocks holds its rows in the whole file's order"),
+           "an encoded file's blocks hold its rows in order (a PFM's bottom "
+           "to top)"),
     Mutant("covered-z-finite", _GT,
            "        ok &= bf_over_z_t <= np.finfo(np.float32).max\n", "",
            "a covered pixel's disparity b*f/Z_t is at most the float32 maximum"),

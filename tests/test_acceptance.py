@@ -253,16 +253,16 @@ def test_10_format_bijections():
         h, w = rng.integers(1, 12, 2)
         m1 = rng.normal(size=(h, w)).astype(np.float32)
         m1[rng.random((h, w)) < 0.15] = np.nan
-        ok &= formats.read_pfm(formats.write_pfm(m1)).tobytes() == m1.tobytes()
+        ok &= formats.read_pfm(bytes(formats.write_pfm(m1))).tobytes() == m1.tobytes()
         m3 = rng.normal(size=(h, w, 3)).astype(np.float32)
-        ok &= formats.read_pfm(formats.write_pfm(m3)).tobytes() == m3.tobytes()
+        ok &= formats.read_pfm(bytes(formats.write_pfm(m3))).tobytes() == m3.tobytes()
         fl = rng.normal(size=(h, w, 2)).astype(np.float32)
         fl[rng.random((h, w)) < 0.15] = np.nan
-        ok &= formats.read_flo(formats.write_flo(fl)).tobytes() == fl.tobytes()
+        ok &= formats.read_flo(bytes(formats.write_flo(fl))).tobytes() == fl.tobytes()
         img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        ok &= np.array_equal(formats.read_ppm(formats.write_ppm(img)), img)
+        ok &= np.array_equal(formats.read_ppm(bytes(formats.write_ppm(img))), img)
         mask = rng.integers(0, 65536, (h, w), dtype=np.uint16)
-        ok &= np.array_equal(formats.read_pgm16(formats.write_pgm16(mask)), mask)
+        ok &= np.array_equal(formats.read_pgm16(bytes(formats.write_pgm16(mask))), mask)
     manifest = {
         "dataset": "x", "seed": 4, "params": {"nested": [1, 2.5, "s"]},
         "rig": {"baseline": 1.0, "intrinsics": {}},

@@ -197,7 +197,7 @@ def _duplicate_time(m, ds):
 def _resized(name, encode, dtype):
     def mutate(m, ds):
         rel = m["frames"][1]["files"]["left"][name]
-        (ds / rel).write_bytes(encode(np.ones((24, 32), dtype=dtype)))
+        (ds / rel).write_bytes(bytes(encode(np.ones((24, 32), dtype=dtype))))
     return mutate
 
 
@@ -206,14 +206,15 @@ def _material_differs(m, ds):
     path = ds / m["frames"][0]["files"]["left"]["material_index"]
     index = formats.read_pgm16(path.read_bytes())
     index[0, 0] += 1
-    path.write_bytes(formats.write_pgm16(index))
+    path.write_bytes(bytes(formats.write_pgm16(index)))
 
 
 def _channels(name, shape):
     # right size, wrong channel count, in frame 1, which has every pass
     def mutate(m, ds):
         rel = m["frames"][0]["files"]["left"][name]
-        (ds / rel).write_bytes(formats.write_pfm(np.ones(shape, dtype=np.float32)))
+        (ds / rel).write_bytes(
+            bytes(formats.write_pfm(np.ones(shape, dtype=np.float32))))
     return mutate
 
 
@@ -244,13 +245,13 @@ def _covered_depth(z):
         path = ds / m["frames"][1]["files"]["left"]["depth"]
         depth = formats.read_pfm(path.read_bytes())
         depth.flat[np.flatnonzero(np.isfinite(depth))[0]] = z
-        path.write_bytes(formats.write_pfm(depth))
+        path.write_bytes(bytes(formats.write_pfm(depth)))
     return mutate
 
 
 def _covered_point(name, frame, channel, value):
-    # one covered pixel of a neighbour's position pass in frame's left
-    # view (frame 1 holds pos3d_next, frame 2 pos3d_prev), its X, Y or Z
+    # one covered pixel of a position pass in frame's left view (frame 1
+    # holds pos3d_next, frame 2 pos3d_prev and pos3d_t), its X, Y or Z
     # (channel) set to value
     def mutate(m, ds):
         files = m["frames"][frame - 1]["files"]["left"]
@@ -258,16 +259,20 @@ def _covered_point(name, frame, channel, value):
         path = ds / files[name]
         pos = formats.read_pfm(path.read_bytes())
         pos[(*np.argwhere(index > 0)[0], channel)] = value
-        path.write_bytes(formats.write_pfm(pos))
+        path.write_bytes(bytes(formats.write_pfm(pos)))
     return mutate
 
 
-# a covered neighbour point that is not finite is no gone point
+# a covered neighbour point that is not finite is no gone point; pos3d_t's
+# Z is the depth file's (the covered depth cases), its X and Y its own
+_NEIGHBOUR_FAULTS = (("Z", "+inf", np.inf), ("Z", "-inf", -np.inf),
+                     ("Z", "NaN", np.nan), ("X", "NaN", np.nan))
 _NON_FINITE_POINTS = {
     f"covered {name} {axis} {label}": (name, frame, "XYZ".index(axis), value)
-    for name, frame in (("pos3d_next", 1), ("pos3d_prev", 2))
-    for axis, label, value in (("Z", "+inf", np.inf), ("Z", "-inf", -np.inf),
-                               ("Z", "NaN", np.nan), ("X", "NaN", np.nan))}
+    for name, frame, faults in (
+        ("pos3d_next", 1, _NEIGHBOUR_FAULTS), ("pos3d_prev", 2, _NEIGHBOUR_FAULTS),
+        ("pos3d_t", 2, (("X", "NaN", np.nan), ("Y", "+inf", np.inf))))
+    for axis, label, value in faults}
 
 MALFORMED = {
     "no frames": _no_frames,
@@ -355,7 +360,7 @@ class TestDeriveMalformed:
         path = ds / files[name]
         pos = formats.read_pfm(path.read_bytes())
         pos[y, x, 2] = 1e-40
-        path.write_bytes(formats.write_pfm(pos))
+        path.write_bytes(bytes(formats.write_pfm(pos)))
         capsys.readouterr()
         with warnings.catch_warnings():  # a RuntimeWarning fails the case
             warnings.simplefilter("error", RuntimeWarning)
@@ -452,7 +457,7 @@ class TestDeriveMalformed:
         manifest = json.loads((ds / "manifest.json").read_text())
         path = ds / manifest["frames"][0]["files"]["left"]["object_index"]
         index = formats.read_pgm16(path.read_bytes())
-        path.write_bytes(formats.write_pgm8(index))
+        path.write_bytes(bytes(formats.write_pgm8(index)))
         capsys.readouterr()
         assert main(["derive", str(ds)]) == 1
         assert capsys.readouterr().err == (
@@ -478,8 +483,8 @@ class TestEstimate:
         left = rng.integers(0, 256, (32, 96, 3), dtype=np.uint8)
         right = np.roll(left, -7, axis=1)
         lp, rp = tmp_path / "l.ppm", tmp_path / "r.ppm"
-        lp.write_bytes(formats.write_ppm(left))
-        rp.write_bytes(formats.write_ppm(right))
+        lp.write_bytes(bytes(formats.write_ppm(left)))
+        rp.write_bytes(bytes(formats.write_ppm(right)))
         out = tmp_path / "disp.pfm"
         code = main(["estimate", str(lp), str(rp), "--max-disp", "16",
                      "--out", str(out)])
@@ -493,8 +498,8 @@ class TestEstimate:
         rng = np.random.default_rng(1)
         left = rng.integers(0, 256, (12, 40, 3), dtype=np.uint8)
         lp, rp = tmp_path / "l.ppm", tmp_path / "r.ppm"
-        lp.write_bytes(formats.write_ppm(left))
-        rp.write_bytes(formats.write_ppm(np.roll(left, -3, axis=1)))
+        lp.write_bytes(bytes(formats.write_ppm(left)))
+        rp.write_bytes(bytes(formats.write_ppm(np.roll(left, -3, axis=1))))
         out = tmp_path / "est" / "disp.pfm"
         conf = tmp_path / "newdir" / "sub" / "c.pfm"
         code = main(["estimate", str(lp), str(rp), "--max-disp", "8",
@@ -502,14 +507,14 @@ class TestEstimate:
         assert code == 0
         _, expected = estimate_disparity(formats.read_ppm(lp.read_bytes()),
                                          formats.read_ppm(rp.read_bytes()), 8)
-        assert conf.read_bytes() == formats.write_pfm(expected)
+        assert conf.read_bytes() == bytes(formats.write_pfm(expected))
         assert out.is_file() and (out.parent / "config.estimate.json").is_file()
 
     def test_size_mismatch_exit_code(self, tmp_path, capsys):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"
-        a.write_bytes(formats.write_ppm(np.zeros((4, 4, 3), dtype=np.uint8)))
-        b.write_bytes(formats.write_ppm(np.zeros((4, 5, 3), dtype=np.uint8)))
+        a.write_bytes(bytes(formats.write_ppm(np.zeros((4, 4, 3), dtype=np.uint8))))
+        b.write_bytes(bytes(formats.write_ppm(np.zeros((4, 5, 3), dtype=np.uint8))))
         code = main(["estimate", str(a), str(b), "--out", str(tmp_path / "o.pfm")])
         assert code == 1
         assert "error [ContractError]" in capsys.readouterr().err
@@ -518,7 +523,7 @@ class TestEstimate:
     @pytest.mark.parametrize("max_disp", ["0", "7"])  # outside [1, W]
     def test_max_disp_out_of_range_exit_code(self, tmp_path, capsys, max_disp):
         img = tmp_path / "a.ppm"
-        img.write_bytes(formats.write_ppm(np.zeros((4, 6, 3), dtype=np.uint8)))
+        img.write_bytes(bytes(formats.write_ppm(np.zeros((4, 6, 3), dtype=np.uint8))))
         code = main(["estimate", str(img), str(img), "--max-disp", max_disp,
                      "--out", str(tmp_path / "o.pfm")])
         assert code == 1
@@ -540,8 +545,8 @@ class TestEvaluate:
         gt = np.random.default_rng(1).uniform(5.0, 40.0, (8, 8)).astype(np.float32)
         gt_path = tmp_path / "gt.pfm"
         pred_path = tmp_path / "pred.pfm"
-        gt_path.write_bytes(formats.write_pfm(gt))
-        pred_path.write_bytes(formats.write_pfm(gt))
+        gt_path.write_bytes(bytes(formats.write_pfm(gt)))
+        pred_path.write_bytes(bytes(formats.write_pfm(gt)))
         report = tmp_path / "report.json"
         code = main(["evaluate", "--pred", str(pred_path), "--gt", str(gt_path),
                      "--out", str(report)])
@@ -559,8 +564,8 @@ class TestEvaluate:
         gt[:, 0] = np.nan
         pred = gt + 1.0
         g, p, out = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "r.json"
-        g.write_bytes(formats.write_pfm(gt))
-        p.write_bytes(formats.write_pfm(pred))
+        g.write_bytes(bytes(formats.write_pfm(gt)))
+        p.write_bytes(bytes(formats.write_pfm(pred)))
         assert main(["evaluate", "--pred", str(p), "--gt", str(g),
                      "--out", str(out)]) == 0
 
@@ -577,8 +582,8 @@ class TestEvaluate:
         pred[..., 0] = 3.0
         pred[..., 1] = 4.0
         g, p = tmp_path / "g.flo", tmp_path / "p.flo"
-        g.write_bytes(formats.write_flo(flow))
-        p.write_bytes(formats.write_flo(pred))
+        g.write_bytes(bytes(formats.write_flo(flow)))
+        p.write_bytes(bytes(formats.write_flo(pred)))
         assert main(["evaluate", "--pred", str(p), "--gt", str(g),
                      "--metric", "epe"]) == 0
         assert "5.00" in capsys.readouterr().out
@@ -590,9 +595,9 @@ class TestEvaluate:
         occ = np.zeros((4, 6), dtype=np.uint8)
         occ[:, :2] = 255
         g, p, o = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "o.pgm"
-        g.write_bytes(formats.write_pfm(gt))
-        p.write_bytes(formats.write_pfm(pred))
-        o.write_bytes(formats.write_pgm8(occ))
+        g.write_bytes(bytes(formats.write_pfm(gt)))
+        p.write_bytes(bytes(formats.write_pfm(pred)))
+        o.write_bytes(bytes(formats.write_pgm8(occ)))
         report = tmp_path / "report.json"
         assert main(["evaluate", "--pred", str(p), str(p), "--gt", str(g),
                      str(g), "--occlusion", str(o), str(o),
@@ -621,7 +626,7 @@ class TestEvaluate:
         paths = []
         for name, data in (("g0", gt0), ("p0", gt0), ("g1", gt1), ("p1", pred1)):
             paths.append(tmp_path / f"{name}.pfm")
-            paths[-1].write_bytes(formats.write_pfm(data))
+            paths[-1].write_bytes(bytes(formats.write_pfm(data)))
         g0, p0, g1, p1 = map(str, paths)
         report = tmp_path / "report.json"
         assert main(["evaluate", "--pred", p0, p1, "--gt", g0, g1,
@@ -654,7 +659,7 @@ class TestEvaluate:
 
     def test_single_measure_reports_have_no_d1_counts(self, tmp_path):
         g = tmp_path / "g.pfm"
-        g.write_bytes(formats.write_pfm(np.full((2, 2), 4.0, dtype=np.float32)))
+        g.write_bytes(bytes(formats.write_pfm(np.full((2, 2), 4.0, dtype=np.float32))))
         for metric in ("epe", "d1all"):
             report = tmp_path / f"{metric}.json"
             assert main(["evaluate", "--pred", str(g), "--gt", str(g),
@@ -683,7 +688,7 @@ class TestEvaluate:
                 ("p.pfm", pred, formats.write_pfm),
                 ("o.pgm", occ, formats.write_pgm8)):
             files[name] = tmp_path / name
-            files[name].write_bytes(write(data))
+            files[name].write_bytes(bytes(write(data)))
         report = tmp_path / "report.json"
         assert main(["evaluate", "--pred", str(files["p.flo"]),
                      str(files["p.pfm"]), "--gt", str(files["g.flo"]),
@@ -717,7 +722,7 @@ class TestEvaluate:
         for i in range(12):
             paths.append(tmp_path / f"{i}.pfm")
             paths[-1].write_bytes(
-                formats.write_pfm(np.full((2, 2), i + 1.0, dtype=np.float32)))
+                bytes(formats.write_pfm(np.full((2, 2), i + 1.0, dtype=np.float32))))
         assert main(["evaluate", "--pred", *map(str, paths),
                      "--gt", *map(str, paths)]) == 0
         rows = [line.split()[0]
@@ -727,9 +732,9 @@ class TestEvaluate:
 
     def test_empty_occlusion_entry_refused(self, tmp_path, capsys):
         g = tmp_path / "g.pfm"
-        g.write_bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32)))
+        g.write_bytes(bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32))))
         o = tmp_path / "o.pgm"
-        o.write_bytes(formats.write_pgm8(np.zeros((2, 2), dtype=np.uint8)))
+        o.write_bytes(bytes(formats.write_pgm8(np.zeros((2, 2), dtype=np.uint8))))
         report = tmp_path / "report.json"
         code = main(["evaluate", "--pred", str(g), str(g), "--gt", str(g),
                      str(g), "--occlusion", str(o), "", "--out", str(report)])
@@ -740,7 +745,7 @@ class TestEvaluate:
 
     def test_count_mismatch(self, tmp_path, capsys):
         g = tmp_path / "g.pfm"
-        g.write_bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32)))
+        g.write_bytes(bytes(formats.write_pfm(np.ones((2, 2), dtype=np.float32))))
         code = main(["evaluate", "--pred", str(g), str(g), "--gt", str(g)])
         assert code == 1
 
@@ -750,7 +755,7 @@ class TestVisualize:
         flow = np.zeros((6, 6, 2), dtype=np.float32)
         flow[:3] = (2.0, 1.0)
         src = tmp_path / "f.flo"
-        src.write_bytes(formats.write_flo(flow))
+        src.write_bytes(bytes(formats.write_flo(flow)))
         out = tmp_path / "f.ppm"
         assert main(["visualize", str(src), "--out", str(out)]) == 0
         img = formats.read_ppm(out.read_bytes())
@@ -759,7 +764,7 @@ class TestVisualize:
     def test_disparity_to_ppm(self, tmp_path):
         disp = np.linspace(1, 30, 24).reshape(4, 6).astype(np.float32)
         src = tmp_path / "d.pfm"
-        src.write_bytes(formats.write_pfm(disp))
+        src.write_bytes(bytes(formats.write_pfm(disp)))
         out = tmp_path / "d.ppm"
         assert main(["visualize", str(src), "--out", str(out)]) == 0
         assert formats.read_ppm(out.read_bytes()).shape == (4, 6, 3)
@@ -798,7 +803,8 @@ class TestInspect:
 
     def test_single_map(self, tmp_path, capsys):
         src = tmp_path / "d.pfm"
-        src.write_bytes(formats.write_pfm(np.full((3, 3), 2.5, dtype=np.float32)))
+        src.write_bytes(
+            bytes(formats.write_pfm(np.full((3, 3), 2.5, dtype=np.float32))))
         assert main(["inspect", str(src)]) == 0
         text = capsys.readouterr().out
         assert "shape (3, 3)" in text
@@ -808,7 +814,7 @@ class TestInspect:
         # raises the invalid flag, which numpy would report as a warning
         src = tmp_path / "d.pfm"
         a = np.array([[0x7F810000, 0x3F800000]], dtype="<u4").view("<f4")
-        src.write_bytes(formats.write_pfm(a))
+        src.write_bytes(bytes(formats.write_pfm(a)))
         assert main(["inspect", str(src)]) == 0
         assert "shape (1, 2)" in capsys.readouterr().out
 
@@ -818,12 +824,12 @@ class TestInspect:
 
 
 def _pfm_file(path, shape=(4, 6)):
-    path.write_bytes(formats.write_pfm(np.full(shape, 9.0, dtype=np.float32)))
+    path.write_bytes(bytes(formats.write_pfm(np.full(shape, 9.0, dtype=np.float32))))
     return str(path)
 
 
 def _truncated_pfm(path):
-    path.write_bytes(formats.write_pfm(np.ones((4, 6), dtype=np.float32))[:-5])
+    path.write_bytes(bytes(formats.write_pfm(np.ones((4, 6), dtype=np.float32)))[:-5])
     return str(path)
 
 
@@ -834,7 +840,7 @@ def _evaluate_truncated_pfm(tmp):
 
 def _evaluate_mask_of_other_size(tmp):
     mask = tmp / "occ.pgm"
-    mask.write_bytes(formats.write_pgm8(np.zeros((3, 3), dtype=np.uint8)))
+    mask.write_bytes(bytes(formats.write_pgm8(np.zeros((3, 3), dtype=np.uint8))))
     gt = _pfm_file(tmp / "g.pfm")
     return ["evaluate", "--pred", gt, "--gt", gt, "--occlusion", str(mask)]
 
@@ -848,14 +854,15 @@ def _evaluate_unknown_suffix(tmp):
 
 def _evaluate_d1all_on_flow(tmp):
     flo = tmp / "f.flo"
-    flo.write_bytes(formats.write_flo(np.zeros((4, 6, 2), dtype=np.float32)))
+    flo.write_bytes(bytes(formats.write_flo(np.zeros((4, 6, 2), dtype=np.float32))))
     return ["evaluate", "--pred", str(flo), "--gt", str(flo),
             "--metric", "d1all"]
 
 
 def _evaluate_nan_prediction(tmp):
     pred = tmp / "p.pfm"
-    pred.write_bytes(formats.write_pfm(np.full((4, 6), np.nan, dtype=np.float32)))
+    pred.write_bytes(
+        bytes(formats.write_pfm(np.full((4, 6), np.nan, dtype=np.float32))))
     return ["evaluate", "--pred", str(pred), "--gt", _pfm_file(tmp / "g.pfm"),
             "--out", str(tmp / "r.json")]
 
@@ -935,7 +942,7 @@ def _estimate_signalling_nan_pfm(tmp):
     img = np.full((4, 6), 9.0, dtype=np.float32)
     img.view("<u4")[0, 0] = 0x7F810000
     pfm = tmp / "a.pfm"
-    pfm.write_bytes(formats.write_pfm(img))
+    pfm.write_bytes(bytes(formats.write_pfm(img)))
     return ["estimate", str(pfm), str(pfm), "--max-disp", "1",
             "--out", str(tmp / "d.pfm")]
 
@@ -1097,7 +1104,7 @@ def test_decode_error_names_the_file(tmp_path, capsys, build):
 
 def test_inspect_truncated_16_bit_pgm_reports_the_truncation(tmp_path, capsys):
     pgm = tmp_path / "m.pgm"
-    pgm.write_bytes(formats.write_pgm16(np.ones((4, 6), np.uint16))[:-1])
+    pgm.write_bytes(bytes(formats.write_pgm16(np.ones((4, 6), np.uint16)))[:-1])
     assert main(["inspect", str(pgm)]) == 1
     assert capsys.readouterr().err == (
         f"error [ParseError]: {pgm}: truncated PGM payload at byte 60: "
@@ -1107,14 +1114,14 @@ def test_inspect_truncated_16_bit_pgm_reports_the_truncation(tmp_path, capsys):
 def _valid_input(suffix):
     """A small well-formed file of each kind the commands read."""
     if suffix == ".ppm":
-        return formats.write_ppm(np.arange(72, dtype=np.uint8).reshape(4, 6, 3))
+        return bytes(formats.write_ppm(np.arange(72, dtype=np.uint8).reshape(4, 6, 3)))
     if suffix == ".pgm":
-        return formats.write_pgm8(np.arange(24, dtype=np.uint8).reshape(4, 6))
+        return bytes(formats.write_pgm8(np.arange(24, dtype=np.uint8).reshape(4, 6)))
     if suffix == ".pfm":
-        return formats.write_pfm(np.linspace(1, 9, 24, dtype=np.float32)
-                                 .reshape(4, 6))
+        return bytes(formats.write_pfm(np.linspace(1, 9, 24, dtype=np.float32)
+                                       .reshape(4, 6)))
     if suffix == ".flo":
-        return formats.write_flo(np.ones((4, 6, 2), dtype=np.float32))
+        return bytes(formats.write_flo(np.ones((4, 6, 2), dtype=np.float32)))
     m = minimal_manifest()
     m["rig"]["intrinsics"] = {"width": 6, "height": 4}
     return formats.write_manifest(m).encode()

@@ -27,39 +27,64 @@ def float_maps(channels):
     )
 
 
+def assert_blocks(encoded, header, payload, h):
+    """encoded, iterated twice, is header and then payload, the payload in
+    one part per `Encoded.BLOCK_ROWS` of its h rows; bytes() and len() of
+    it are those of the whole file."""
+    for _ in range(2):
+        parts = [bytes(b) for b in encoded]
+        assert parts[0] == header
+        assert len(parts) == 1 + -(-h // formats.Encoded.BLOCK_ROWS)
+        assert b"".join(parts[1:]) == payload
+    assert bytes(encoded) == header + payload
+    assert len(encoded) == len(header + payload)
+
+
+def with_nans_and_infs(m):
+    """m with NaNs of nonzero payloads and -inf at a few places."""
+    bits = m.reshape(-1).view(f"u{m.itemsize}")
+    bits[::7] = 0x7FF8000000000123 if m.itemsize == 8 else 0x7FC00123
+    m.reshape(-1)[::11] = -np.inf
+    return m
+
+
+# around one and several blocks of rows
+BLOCK_HEIGHTS = [1, 63, 64, 65, 200]
+
+
 class TestPfm:
     def test_exact_bytes_1x1(self):
-        data = formats.write_pfm(np.array([[30.0]], dtype=np.float32))
+        data = bytes(formats.write_pfm(np.array([[30.0]], dtype=np.float32)))
         assert data == b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 30.0)
 
     def test_round_trip_with_nans(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(48, 64)).astype(np.float32)
         m[rng.random(m.shape) < 0.1] = np.nan
-        out = formats.read_pfm(formats.write_pfm(m))
+        out = formats.read_pfm(bytes(formats.write_pfm(m)))
         assert m.tobytes() == out.tobytes()
 
     def test_three_channel_round_trip(self):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(5, 7, 3)).astype(np.float32)
-        assert np.array_equal(formats.read_pfm(formats.write_pfm(m)), m)
+        assert np.array_equal(formats.read_pfm(bytes(formats.write_pfm(m))), m)
 
     @settings(max_examples=50, deadline=None)
     @given(float_maps(1))
     def test_round_trip_property_1ch(self, m):
-        assert formats.read_pfm(formats.write_pfm(m)).tobytes() == m.tobytes()
+        assert formats.read_pfm(bytes(formats.write_pfm(m))).tobytes() == m.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(float_maps(3))
     def test_round_trip_property_3ch(self, m):
-        assert formats.read_pfm(formats.write_pfm(m)).tobytes() == m.tobytes()
+        assert formats.read_pfm(bytes(formats.write_pfm(m))).tobytes() == m.tobytes()
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             formats.read_pfm(b"Qf\n1 1\n-1.0\n" + b"\0" * 4)
 
     def test_truncated_payload_names_offset(self):
-        good = formats.write_pfm(np.zeros((2, 2), dtype=np.float32))
+        good = bytes(formats.write_pfm(np.zeros((2, 2), dtype=np.float32)))
         with pytest.raises(ParseError, match="byte"):
             formats.read_pfm(good[:-3])
 
@@ -73,25 +98,18 @@ class TestPfm:
         data = b"Pf\n1 1\n1.0\n" + struct.pack(">f", 2.5)
         assert formats.read_pfm(data)[0, 0] == 2.5
 
-    @pytest.mark.parametrize("h", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("h", BLOCK_HEIGHTS)
     @pytest.mark.parametrize("channels", [(), (3,)], ids=["Pf", "PF"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocks_are_the_bytes_of_the_whole_file(self, h, channels, dtype):
-        # around one and several blocks of rows, NaNs with payloads and
-        # infinities included: the same cast, row for row
+        # NaNs with payloads and infinities included: the rows bottom to
+        # top, each value cast to little-endian float32
         rng = np.random.default_rng(h)
-        m = rng.normal(scale=1e3, size=(h, 5) + channels).astype(dtype)
-        bits = m.reshape(-1).view(f"u{m.itemsize}")
-        bits[::7] = 0x7FF8000000000123 if m.itemsize == 8 else 0x7FC00123
-        m.reshape(-1)[::11] = -np.inf
-        whole = formats.write_pfm(m)
-        blocks = formats.write_pfm(m, blocks=True)
-        parts = [bytes(b) for b in blocks]
-        assert isinstance(whole, bytearray) and len(blocks) == len(whole)
-        assert parts[0] == whole[:len(parts[0])]
-        assert len(parts) == 1 + -(-h // formats.Encoded.BLOCK_ROWS)
-        assert b"".join(parts) == whole
-        assert b"".join(bytes(b) for b in blocks) == whole  # again
+        m = with_nans_and_infs(
+            rng.normal(scale=1e3, size=(h, 5) + channels).astype(dtype))
+        header = f"{'PF' if channels else 'Pf'}\n5 {h}\n-1.0\n".encode()
+        assert_blocks(formats.write_pfm(m), header,
+                      m[::-1].astype("<f4").tobytes(), h)
 
     @pytest.mark.parametrize("scale", ["0.0", "-0.0", "0", "nan", "-nan",
                                        "inf", "-inf"])
@@ -106,22 +124,30 @@ class TestPfm:
 
 class TestFlo:
     def test_magic_constant(self):
-        data = formats.write_flo(np.zeros((1, 1, 2), dtype=np.float32))
+        data = bytes(formats.write_flo(np.zeros((1, 1, 2), dtype=np.float32)))
         assert struct.unpack("<f", data[:4])[0] == 202021.25
 
     def test_1x1_layout(self):
-        data = formats.write_flo(np.array([[[3.0, 4.0]]], dtype=np.float32))
+        data = bytes(formats.write_flo(np.array([[[3.0, 4.0]]], dtype=np.float32)))
         assert len(data) == 20
         assert struct.unpack("<ff", data[12:]) == (3.0, 4.0)
 
     def test_zero_flow_round_trip(self):
         m = np.zeros((4, 6, 2), dtype=np.float32)
-        assert np.array_equal(formats.read_flo(formats.write_flo(m)), m)
+        assert np.array_equal(formats.read_flo(bytes(formats.write_flo(m))), m)
 
     @settings(max_examples=50, deadline=None)
     @given(float_maps(2))
     def test_round_trip_property(self, m):
-        assert formats.read_flo(formats.write_flo(m)).tobytes() == m.tobytes()
+        assert formats.read_flo(bytes(formats.write_flo(m))).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("h", BLOCK_HEIGHTS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocks_are_the_bytes_of_the_whole_file(self, h, dtype):
+        rng = np.random.default_rng(h)
+        m = with_nans_and_infs(rng.normal(scale=1e3, size=(h, 5, 2)).astype(dtype))
+        assert_blocks(formats.write_flo(m), struct.pack("<fii", 202021.25, 5, h),
+                      m.astype("<f4").tobytes(), h)
 
     def test_wrong_magic(self):
         data = struct.pack("<fii", 1234.0, 1, 1) + b"\0" * 8
@@ -131,41 +157,55 @@ class TestFlo:
 
 class TestPpmPgm:
     def test_p6_1x1_white(self):
-        data = formats.write_ppm(np.full((1, 1, 3), 255, dtype=np.uint8))
+        data = bytes(formats.write_ppm(np.full((1, 1, 3), 255, dtype=np.uint8)))
         assert data == b"P6\n1 1\n255\n\xff\xff\xff"
 
     def test_ppm_round_trip(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, (9, 5, 3), dtype=np.uint8)
-        assert np.array_equal(formats.read_ppm(formats.write_ppm(img)), img)
+        assert np.array_equal(formats.read_ppm(bytes(formats.write_ppm(img))), img)
 
     def test_pgm16_big_endian(self):
-        data = formats.write_pgm16(np.array([[258]], dtype=np.uint16))
+        data = bytes(formats.write_pgm16(np.array([[258]], dtype=np.uint16)))
         assert data.endswith(b"\x01\x02")
 
     def test_pgm16_round_trip_preserves_indices(self):
         rng = np.random.default_rng(3)
         mask = rng.integers(0, 65536, (7, 11), dtype=np.uint16)
-        assert np.array_equal(formats.read_pgm16(formats.write_pgm16(mask)), mask)
+        data = bytes(formats.write_pgm16(mask))
+        assert np.array_equal(formats.read_pgm16(data), mask)
+
+    @pytest.mark.parametrize("h", BLOCK_HEIGHTS)
+    def test_pgm16_blocks_are_the_bytes_of_the_whole_file(self, h):
+        m = np.random.default_rng(h).integers(0, 65536, (h, 5), dtype=np.uint16)
+        assert_blocks(formats.write_pgm16(m), f"P5\n5 {h}\n65535\n".encode(),
+                      m.astype(">u2").tobytes(), h)
+
+    @pytest.mark.parametrize("h", BLOCK_HEIGHTS)
+    def test_mask_blocks_are_the_bytes_of_the_whole_file(self, h):
+        # any nonzero value is set, and a set sample is 255
+        m = np.random.default_rng(h).integers(-2, 3, (h, 5))
+        assert_blocks(formats.write_mask(m), f"P5\n5 {h}\n255\n".encode(),
+                      np.where(m != 0, 255, 0).astype(np.uint8).tobytes(), h)
 
     def test_pgm8_round_trip(self):
         mask = np.array([[0, 255], [255, 0]], dtype=np.uint8)
-        assert np.array_equal(formats.read_pgm8(formats.write_pgm8(mask)), mask)
+        assert np.array_equal(formats.read_pgm8(bytes(formats.write_pgm8(mask))), mask)
 
     def test_mask_is_0_and_255_pgm8(self):
         mask = np.random.default_rng(4).random((6, 9)) < 0.5
-        data = formats.write_mask(mask)
-        assert data == formats.write_pgm8(mask.astype(np.uint8) * 255)
+        data = bytes(formats.write_mask(mask))
+        assert data == bytes(formats.write_pgm8(mask.astype(np.uint8) * 255))
         assert np.array_equal(formats.read_pgm8(data) > 0, mask)
-        assert formats.write_mask(mask * np.uint8(7)) == data  # nonzero is set
+        assert bytes(formats.write_mask(mask * np.uint8(7))) == data  # nonzero is set
 
     def test_maxval_mismatch(self):
-        data = formats.write_pgm8(np.zeros((1, 1), dtype=np.uint8))
+        data = bytes(formats.write_pgm8(np.zeros((1, 1), dtype=np.uint8)))
         with pytest.raises(ParseError):
             formats.read_pgm16(data)
 
     def test_truncation(self):
-        good = formats.write_ppm(np.zeros((2, 2, 3), dtype=np.uint8))
+        good = bytes(formats.write_ppm(np.zeros((2, 2, 3), dtype=np.uint8)))
         with pytest.raises(ParseError):
             formats.read_ppm(good[:-1])
 
@@ -363,14 +403,15 @@ def test_every_truncation_is_parse_error(encoded):
 # a file of each kind `formats.read` takes: name -> (file bytes, array)
 _INDEX = np.arange(24, dtype=np.uint16).reshape(4, 6) * 2731
 READ_FILES = {
-    "d.pfm": (formats.write_pfm(np.full((4, 6, 3), 2.5, np.float32)),
+    "d.pfm": (bytes(formats.write_pfm(np.full((4, 6, 3), 2.5, np.float32))),
               np.full((4, 6, 3), 2.5, np.float32)),
-    "f.flo": (formats.write_flo(np.ones((4, 6, 2), np.float32)),
+    "f.flo": (bytes(formats.write_flo(np.ones((4, 6, 2), np.float32))),
               np.ones((4, 6, 2), np.float32)),
-    "i.ppm": (formats.write_ppm(np.full((4, 6, 3), 7, np.uint8)),
+    "i.ppm": (bytes(formats.write_ppm(np.full((4, 6, 3), 7, np.uint8))),
               np.full((4, 6, 3), 7, np.uint8)),
-    "m8.pgm": (formats.write_pgm8(_INDEX // 257), (_INDEX // 257).astype(np.uint8)),
-    "m16.pgm": (formats.write_pgm16(_INDEX), _INDEX),
+    "m8.pgm": (bytes(formats.write_pgm8(_INDEX // 257)),
+               (_INDEX // 257).astype(np.uint8)),
+    "m16.pgm": (bytes(formats.write_pgm16(_INDEX)), _INDEX),
 }
 
 
@@ -417,7 +458,7 @@ class TestRead:
         # view of them, where the bytes and a decoded copy held twice that
         path = tmp_path / "p.pfm"
         m = np.arange(540 * 960 * 3, dtype=np.float32).reshape(540, 960, 3)
-        path.write_bytes(formats.write_pfm(m))
+        path.write_bytes(bytes(formats.write_pfm(m)))
         size = path.stat().st_size
         tracemalloc.start()
         try:

@@ -925,17 +925,17 @@ class TestFloat32Passes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_signalling_nan_widens_quietly(self, cpus):
-        # every NaN of both frames' float32 passes, and one position at a
-        # covered pixel, as a signalling NaN (0x7f810000) and as the same
-        # NaN quieted (0x7fc10000): the same maps, and no "invalid value
-        # encountered in cast" warning from a worker (an error here)
+        # every NaN of both frames' float32 passes as a signalling NaN
+        # (0x7f810000) and as the same NaN quieted (0x7fc10000): the same
+        # maps, and no "invalid value encountered in cast" warning from a
+        # worker (an error here). As a covered pixel's X it is refused,
+        # with no warning either
         depth = np.full((9, 10), 10.0)
         depth[:, :3] = np.nan
         index = np.where(np.isnan(depth), 0, 1 + (np.arange(10) >= 6))
         fp = make_passes(depth, INTR, index=index, t=1)
         fp.pos3d_next = fp.pos3d_t + np.where(index == 2, 0.2, 0.0)[..., None]
         fp_next = make_passes(depth, INTR, index=index, t=2)
-        fp.pos3d_t[4, 7, 0] = np.nan
 
         def with_nan(bits):
             nan = np.array([bits], dtype=np.uint32).view(np.float32)[0]
@@ -948,13 +948,17 @@ class TestFloat32Passes:
             return narrow
 
         signalling, quiet = with_nan(0x7f810000), with_nan(0x7fc10000)
-        assert signalling[0].pos3d_t.view(np.uint32)[4, 7, 0] == 0x7f810000
+        pos_t = signalling[0].pos3d_t
+        assert pos_t.view(np.uint32)[4, 0, 0] == 0x7f810000
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             set_cpus(mp, cpus)
             maps = derive_maps(signalling[0], RIG, signalling[1])
             ref = derive_maps(quiet[0], RIG, quiet[1])
-        assert np.isnan(maps["flow_fwd"][4, 7, 0])
+            pos_t[4, 7, 0] = pos_t[4, 0, 0]
+            with pytest.raises(DataCorruptionError, match="pos3d_t"):
+                derive_maps(signalling[0], RIG, signalling[1])
+        assert np.isnan(maps["flow_fwd"][4, 0, 0])
         assert_same_maps(maps, ref, cpus)
 
     def test_occlusion_eps_median_is_float64(self):

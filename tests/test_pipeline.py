@@ -113,6 +113,34 @@ def test_generate_peak_holds_no_source_beside_the_passes(tmp_path, monkeypatch):
         assert peak < bound, (cpus, peak, bound)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_view_is_written_with_no_whole_file_buffer(tmp_path, monkeypatch,
+                                                     cpus):
+    # one 960x540 view's ground-truth maps, each cast as its file is
+    # written: the traced peak above the maps stays below the size of the
+    # largest file, a .flo, where a whole-file buffer of it alone reached it
+    rng = np.random.default_rng(0)
+    maps = {name: rng.random((540, 960) + channels, dtype=np.float32)
+            for name, channels in (("disparity", ()), ("flow_fwd", (2,)),
+                                   ("dispchange_fwd", ()), ("flow_bwd", (2,)),
+                                   ("dispchange_bwd", ()))}
+    maps["motion_boundaries"] = maps["disparity"] < 0.1
+    maps["occlusion_fwd"] = maps["disparity"] > 0.9
+    largest = 12 + 540 * 960 * 2 * 4
+    set_cpus(monkeypatch, cpus)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        files = pipeline.write_frame(tmp_path / "scene", "scene", 1, "left",
+                                     maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest, (cpus, peak, largest)
+    flow = tmp_path / files["flow_fwd"]
+    assert flow.stat().st_size == largest
+    assert formats.read(flow).tobytes() == maps["flow_fwd"].tobytes()
+
+
 def test_derive_loads_each_view_once_and_holds_one(tmp_path, monkeypatch):
     pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
     # a view's files are named {t:04d}_{L|R}
@@ -188,20 +216,35 @@ def test_interrupted_write_leaves_whole_files(tmp_path, monkeypatch, fail_at):
     clean = tmp_path / "clean"
     assert main(GEN_ARGS + ["--out", str(clean)]) == 0
 
-    real_write_bytes = Path.write_bytes
+    real_open = Path.open
     calls = []
 
-    def half_then_raise(self, data):
-        if self.name == ".manifest.json.tmp":
-            return real_write_bytes(self, data)
-        calls.append(self)
-        if len(calls) == fail_at:
-            with open(self, "wb") as f:
-                f.write(data[:len(data) // 2])
-            raise OSError("no space left on device")
-        return real_write_bytes(self, data)
+    class HalfThenRaise:
+        """A file that takes the first half of what it is given, then
+        fails."""
 
-    monkeypatch.setattr(Path, "write_bytes", half_then_raise)
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def writelines(self, parts):
+            data = b"".join(map(bytes, parts))
+            self.f.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    def half_then_raise(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        if mode != "wb" or self.name == ".manifest.json.tmp":
+            return f
+        calls.append(self)
+        return HalfThenRaise(f) if len(calls) == fail_at else f
+
+    monkeypatch.setattr(Path, "open", half_then_raise)
     out = tmp_path / "ds"
     assert main(GEN_ARGS + ["--out", str(out)]) == 1
     monkeypatch.undo()
@@ -278,7 +321,7 @@ def test_derive_out_copies_render_passes(tmp_path, monkeypatch):
 
         def encode(a):
             payload = real(a)
-            encoded.setdefault(name, []).append(payload)
+            encoded.setdefault(name, []).append(bytes(payload))
             return payload
         monkeypatch.setattr(formats, name, encode)
 
@@ -330,7 +373,7 @@ def test_first_bad_pass_in_pass_order_is_raised(tmp_path, monkeypatch, cpus):
     manifest = formats.read_manifest((root / "manifest.json").read_text())
     files = manifest["frames"][0]["files"]["left"]
     (root / files["depth"]).write_bytes(
-        formats.write_pfm(np.ones((24, 32), dtype=np.float32)))
+        bytes(formats.write_pfm(np.ones((24, 32), dtype=np.float32))))
     (root / files["object_index"]).write_bytes(b"P5\nnot a pgm")
     read_pfm = formats.read_pfm
 
@@ -480,7 +523,7 @@ def _rewrite_pfm(path, change):
     """Decode the PFM at path, let change edit the array, encode it back."""
     a = formats.read_pfm(path.read_bytes())
     change(a)
-    path.write_bytes(formats.write_pfm(a))
+    path.write_bytes(bytes(formats.write_pfm(a)))
 
 
 def _scale_covered(z, factor=np.float32(1.01), count=50):
@@ -549,5 +592,5 @@ def test_a_scaled_depth_file_is_the_z_of_every_map(tmp_path):
     maps = {name: rel for name, rel in files.items() if name in codecs}
     assert {"disparity", "flow_fwd", "dispchange_fwd", "occlusion_fwd"} <= set(maps)
     for name, rel in maps.items():
-        want = getattr(formats, "write_" + codecs[name])(derived[name])
+        want = bytes(getattr(formats, "write_" + codecs[name])(derived[name]))
         assert (fresh / rel).read_bytes() == want, name
