@@ -8,22 +8,17 @@ per map; `generate` and `derive` both call them, and
 `tests/groundtruth_oracle.py` is the whole-frame reference they are
 tested against. `derive_frame` gives a view's per-view maps from its
 passes alone. `compute_occlusion_mask` gives its forward occlusion mask
-from a small record of the view (an `OcclusionSource`: pos3d_next, object
-index, frame time and occlusion eps, taken while the view is whole) and
-a record of frame t + 1 that holds its frame time, object index and
-depth: its `FramePasses`, or the `render.ZBuffer` that `rasterize_frame`
-gives before it makes any position pass. So `pipeline` runs it once
-frame t + 1's z-buffer exists, and no two views are held at once. Both
-run the per-pixel maps on the
-row bands of `_parallel`, through its thread map, with band-sized
+from its passes and a small record of frame t + 1, its
+`NextFrameTables` (`next_frame_tables`): its Z widened to float64, the
+object of each 2x2 block, its shape and its frame time. So `pipeline`
+makes frame t + 1 first and keeps only its tables until frame t is
+made, and no two views are held at once. Both run the per-pixel maps on
+the row bands of `_parallel`, through its thread map, with band-sized
 temporaries. A band widens the Z of each 3D-position pass it reads once,
 into one contiguous float64 plane, which gives b*f/Z and the pass's
 projection, two contiguous planes of u and v (`geometry.project` with
 `out=` and `z=`); each projection is shared between the maps that read
-it. The occlusion step projects pos3d_next again, in its own bands, and
-reads frame t + 1 through two whole-frame tables it builds once
-(`_next_frame_tables`): Z widened to float64, and the object of each
-2x2 block.
+it. The occlusion step projects pos3d_next again, in its own bands.
 The steps write into band-sized buffers with `out=` and in-place
 operations, set NaN (and the occlusion test's inf) with masked writes,
 and difference the planes one at a time; every float64 operation on an
@@ -53,9 +48,8 @@ passes in place, and every float64 step on them names its loop
 float32; so no float64 copy of a pass exists but the band's Z planes,
 and either input gives the same bytes. `reconstruct_scene_flow` widens
 the maps it is given. On the whole frame only the occlusion eps (a median
-depth, of which only the middle values are widened, taken by
-`OcclusionSource.of` while the view is whole) and the next frame's Z
-table widen what they read.
+depth, of which only the middle values are widened) and the next frame's
+Z table widen what they read.
 
 Everything here is numpy alone; the small-component filter of the
 motion boundaries is a union-find over the marked pixels, not an image
@@ -73,9 +67,9 @@ from .geometry import CameraPose, StereoRig, project, unproject
 from .render import FramePasses
 
 __all__ = [
-    "GroundTruthFrame", "OcclusionSource", "reconstruct_scene_flow",
-    "derive_frame", "compute_occlusion_mask", "pixel_centers",
-    "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
+    "GroundTruthFrame", "NextFrameTables", "reconstruct_scene_flow",
+    "derive_frame", "next_frame_tables", "compute_occlusion_mask",
+    "pixel_centers", "MOTION_DIFF_THRESHOLD_PX", "MIN_BOUNDARY_AREA_PX",
 ]
 
 MOTION_DIFF_THRESHOLD_PX = 1.5
@@ -285,17 +279,29 @@ def _corner_steps(h, w):
     return min(w - 1, 1), min(h - 1, 1) * w
 
 
-def _next_frame_tables(next_frame):
-    """The two whole-frame tables that the occlusion test reads of frame
-    t + 1, flat: its z-buffer, its depth (pos3d_t's Z) widened to float64
-    and +inf at void, and its block object, a uint16 that at k is the
-    object index if the 2x2 block k, k + dx, k + dy, k + dy + dx
-    (`_corner_steps`) is one object, else 0. 0 marks a mixed block, since
-    the test reads it only at valid pixels, whose own index is above 0.
-    The tables are filled in the ground-truth bands of `_parallel.bands`,
-    on the thread map."""
-    h, w = next_frame.object_index.shape
-    index = next_frame.object_index.ravel()
+@dataclass(frozen=True)
+class NextFrameTables:
+    """What the forward occlusion test of frame t reads of frame t + 1,
+    so that frame t + 1's passes need not be held until frame t exists:
+    its frame time, its (h, w) shape and two flat whole-frame tables, 10
+    bytes a pixel. depth is its z-buffer, its depth (pos3d_t's Z) widened
+    to float64 and +inf at void; block is its block object, a uint16 that
+    at k is the object index if the 2x2 block k, k + dx, k + dy,
+    k + dy + dx (`_corner_steps`) is one object, else 0. 0 marks a mixed
+    block, since the test reads it only at valid pixels, whose own index
+    is above 0. `next_frame_tables` builds it."""
+
+    frame_time: int
+    shape: tuple
+    depth: np.ndarray
+    block: np.ndarray
+
+
+def next_frame_tables(passes: FramePasses) -> NextFrameTables:
+    """The `NextFrameTables` of a view's passes, filled in the
+    ground-truth bands of `_parallel.bands`, on the thread map."""
+    h, w = passes.object_index.shape
+    index = passes.object_index.ravel()
     dx, dy = _corner_steps(h, w)
     zbuf = np.empty(index.size)
     block = index.copy()
@@ -303,7 +309,7 @@ def _next_frame_tables(next_frame):
     def fill(rows):
         start, stop = rows.start * w, rows.stop * w
         z = zbuf[start:stop]
-        _z_plane(next_frame.depth[rows], out=z.reshape(-1, w))
+        _z_plane(passes.depth[rows], out=z.reshape(-1, w))
         z[index[start:stop] == 0] = np.inf
         # the blocks that start in these rows and lie in the image
         stop = min(stop, index.size - dy - dx)
@@ -314,18 +320,17 @@ def _next_frame_tables(next_frame):
         block[start:stop][~one] = 0
 
     _parallel.map_ordered(fill, _parallel.bands(h, _parallel.GT_BAND_ROWS))
-    return zbuf, block
+    return NextFrameTables(passes.frame_time, (h, w), zbuf, block)
 
 
-def _occluded(proj, z_point, own, valid, shape, tables, eps, out):
+def _occluded(proj, z_point, own, valid, tables, eps, out):
     """Forward occlusion of the points of a band of frame t that project
     to proj, (2, H, W) planes of u and v, at depth z_point (float64) in
-    frame t + 1, of the given (h, w) shape, written to out; own and valid
-    are the band's object indices and valid mask, tables are
-    `_next_frame_tables` of frame t + 1. A valid pixel is occluded when
-    its projection leaves the image, its 2x2 footprint touches another
-    object (its block object is not own), or the bilinear z-buffer there
-    is nearer by more than eps. Each corner's Z is one contiguous `take`
+    frame t + 1, written to out; own and valid are the band's object
+    indices and valid mask, tables are the `NextFrameTables` of frame
+    t + 1. A valid pixel is occluded when its projection leaves the
+    image, its 2x2 footprint touches another object (its block object is
+    not own), or the bilinear z-buffer there is nearer by more than eps. Each corner's Z is one contiguous `take`
     from the z-buffer table, shifted by the corner's step.
 
     proj and z_point are used up: the footprint's fractions are computed
@@ -333,8 +338,8 @@ def _occluded(proj, z_point, own, valid, shape, tables, eps, out):
     into band-sized buffers: the floor of each axis, the corner index k
     and two bools besides out, and the sample, on half the rows at a
     time, in three half-band buffers."""
-    h, w = shape
-    zbuf, block = tables
+    h, w = tables.shape
+    zbuf, block = tables.depth, tables.block
     u, v = proj
     with np.errstate(invalid="ignore"):
         # NaN compares False, and +-inf lies outside: neither is inside.
@@ -441,69 +446,41 @@ def _occlusion_eps(depth):
     return 1e-3 * (scale if np.isfinite(scale) and scale > 0 else 1.0)
 
 
-@dataclass(frozen=True)
-class OcclusionSource:
-    """What the forward occlusion test reads of view t, so that its other
-    passes need not be held until frame t + 1 exists: the view's
-    pos3d_next (H, W, 3), its object index (H, W), its frame time and the
-    test's depth tolerance eps, 1e-3 of its median Z_t (`_occlusion_eps`),
-    taken by `of` while the view is whole."""
-
-    pos3d_next: np.ndarray
-    object_index: np.ndarray
-    frame_time: int
-    eps: float
-
-    @classmethod
-    def of(cls, passes: FramePasses) -> OcclusionSource:
-        if passes.pos3d_next is None:
-            raise ContractError("forward occlusion needs pos3d_next")
-        return cls(passes.pos3d_next, passes.object_index, passes.frame_time,
-                   _occlusion_eps(passes.depth))
-
-
-def compute_occlusion_mask(source: OcclusionSource, rig: StereoRig,
-                           next_frame) -> np.ndarray:
-    """The forward occlusion mask, (H, W) bool, of the view that source
-    was taken of (`OcclusionSource.of`), against next_frame, a later
-    frame of the same view (ContractError for the same or an earlier
-    one): each point at t + 1 (pos3d_next, projected through
+def compute_occlusion_mask(passes: FramePasses, rig: StereoRig,
+                           next_frame: NextFrameTables) -> np.ndarray:
+    """The forward occlusion mask, (H, W) bool, of a view's passes against
+    next_frame, the `NextFrameTables` of a later frame of the same view
+    (ContractError for the same or an earlier one, or for passes with no
+    pos3d_next): each point at t + 1 (pos3d_next, projected through
     `rig.intrinsics`) is tested against the whole of next_frame (see
-    `_occluded`). It is the one occlusion path, the step after
-    `derive_frame`, which the frame loop runs once frame t + 1's z-buffer
-    exists.
+    `_occluded`), with a depth tolerance eps of 1e-3 of the view's own
+    median Z_t (`_occlusion_eps`). It is the one occlusion path: the
+    frame loop makes frame t + 1 first, keeps only its tables, and runs
+    this on frame t's passes before `derive_frame`.
 
-    next_frame is any record of that frame with its `frame_time`,
-    `object_index` and `depth`, (H, W) float32 or float64 and NaN or +inf
-    at void: its `FramePasses` (as `derive` loads them), or the
-    `render.ZBuffer` that `rasterize_frame` gives before it makes its
-    position passes. Both give the same mask.
-
-    It first builds the two whole-frame tables of next_frame that the
-    test reads (`_next_frame_tables`), then runs on the
-    `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`, on the thread
-    map, while the tables are held. Each band widens its rows of
+    It takes eps, then runs on the `_parallel.GT_BAND_ROWS`-row bands of
+    `_parallel.bands`, on the thread map. Each band widens its rows of
     pos3d_next's Z into one float64 plane, projects its rows of pos3d_next
     with it into a (2, rows, W) buffer of u and v planes, which the test
     uses up with the plane, and writes its rows of the mask. eps and the
     tables are of whole frames, so the mask does not depend on the band
     height or the workers."""
-    if next_frame.frame_time <= source.frame_time:
+    if passes.pos3d_next is None:
+        raise ContractError("forward occlusion needs pos3d_next")
+    if next_frame.frame_time <= passes.frame_time:
         raise ContractError("forward occlusion needs a later frame as "
                             "next_frame")
-    h, w = source.object_index.shape
+    eps = _occlusion_eps(passes.depth)
+    h, w = passes.object_index.shape
     mask = np.empty((h, w), dtype=bool)
-    shape = next_frame.object_index.shape
-    tables = _next_frame_tables(next_frame)
 
     def band(rows):
-        obj = source.object_index[rows]
-        pos_next = source.pos3d_next[rows]
+        obj = passes.object_index[rows]
+        pos_next = passes.pos3d_next[rows]
         z = _z_plane(pos_next[..., 2])
         proj = project(pos_next, rig.intrinsics,
                        out=np.empty((2,) + obj.shape), z=z)
-        _occluded(proj, z, obj, obj > 0, shape, tables,
-                  source.eps, out=mask[rows])
+        _occluded(proj, z, obj, obj > 0, next_frame, eps, out=mask[rows])
 
     _parallel.map_ordered(band, _parallel.bands(h, _parallel.GT_BAND_ROWS))
     return mask
@@ -568,8 +545,9 @@ def derive_frame(passes: FramePasses, rig: StereoRig) -> GroundTruthFrame:
     8-connected components of fewer than MIN_BOUNDARY_AREA_PX pixels
     (`_drop_small_components`, which gives the mask of
     `scipy.ndimage.label` with a 3x3 structure). The forward occlusion
-    mask reads frame t + 1, so it is the next step's:
-    `compute_occlusion_mask` of the view's `OcclusionSource`.
+    mask reads frame t + 1, so it is the other step's:
+    `compute_occlusion_mask` of the view's passes and frame t + 1's
+    `NextFrameTables`.
 
     Every map but the boundaries' component filter is per pixel, so they
     run on the `_parallel.GT_BAND_ROWS`-row bands of `_parallel.bands`;

@@ -3,27 +3,27 @@ scene, derive the ground-truth maps, and write everything plus the manifest
 through the on-disk formats.
 
 `generate_dataset` and `derive_dataset` share one loop. It goes view by
-view, frame by frame, and holds the passes of one view at a time,
-whatever the frame count: frame t's per-view maps
-(`groundtruth.derive_frame`) and every file but its occlusion mask are
-written, and its passes dropped, before frame t + 1 is made; only its
-`groundtruth.OcclusionSource` (pos3d_next, object index, frame time and
-occlusion eps) is kept. `groundtruth.compute_occlusion_mask` gives frame
-t's mask from that record and frame t + 1's depth and object index, and
-the source is dropped then: `generate` runs it on frame t + 1's z-buffer,
-which `rasterize_frame` hands over before it allocates any rgb or
-position pass, so no source is held beside a later view's position
-passes; `derive` runs it once frame t + 1 is loaded. The files reach
-disk in `_FILES` order, view after view. A file that is encoded is cast
-by its `formats` writer's `Encoded` as it is written, one block of rows
-at a time, so no whole-file buffer is made. Within one
-(frame, view) the passes are decoded, the ground truth derived and the
-files written on the thread map of `_parallel`, one unit per file or
-row band; only two whole-frame steps of `groundtruth` (see there) run on
-one thread. Each file is written under a temporary name and renamed
-into place, so an interrupted run leaves whole files, none of a later
-(frame, view), and a manifest marked incomplete that lists a view only
-once all its files, its occlusion mask included, are in place.
+view, and walks each view's frames from last to first, holding the
+passes of one view at a time, whatever the frame count. Frame t's
+forward occlusion mask reads frame t + 1, which is made first: once
+frame t + 1's files are written, its two next-frame tables
+(`groundtruth.next_frame_tables`, 10 bytes a pixel) are built and its
+passes dropped, before frame t is rendered or loaded. Frame t's mask
+(`groundtruth.compute_occlusion_mask`) is then computed from its passes
+and those tables, the tables dropped, its per-view maps derived
+(`groundtruth.derive_frame`), and all of its files, the mask included,
+written at once. The files reach disk in `_FILES` order, view after
+view. A file that is encoded is cast by its `formats` writer's `Encoded`
+as it is written, one block of rows at a time, so no whole-file buffer
+is made. Within one (frame, view) the passes are decoded, the ground
+truth derived and the files written on the thread map of `_parallel`,
+one unit per file or row band; only two whole-frame steps of
+`groundtruth` (see there) run on one thread. Each file is written under
+a temporary name and renamed into place, so an interrupted run leaves
+whole files, of the (frame, view) it was writing and of those before it
+in walk order alone: whole later frames of that view and whole views
+before it, none of its earlier frames. Its manifest is marked incomplete
+and lists a (frame, view) only once all of its files are in place.
 
 A view's passes are its pixels and its camera is the rig's: `derive`
 reads the manifest once (`_derivable`), for the rig, the poses it checks
@@ -85,39 +85,28 @@ def _frame_name(t, view, ext):
 
 
 def _frames(passes_at, times, rig, out_root, scene, read_from=None):
-    """Derive and write each (t, view), all left views first; calls
-    passes_at(t, view, on_depth) once for each and yields (t, view, files)
-    once all of the view's files are in place. read_from[t, view], if
-    given, names the files the passes came from (see `write_frame`).
+    """Derive and write each (t, view), all left views first and each
+    view's frames last to first; calls passes_at(t, view) once for each
+    and yields (t, view, files) once all of the view's files are in
+    place. read_from[t, view], if given, names the files the passes came
+    from (see `write_frame`).
 
-    A view whose next frame is listed has every file but its occlusion
-    mask written, and is dropped, before that frame is made: only its
-    `groundtruth.OcclusionSource` is held. on_depth, which is None at the
-    first frame, computes and writes that mask from a record of frame
-    t + 1 (`groundtruth.compute_occlusion_mask`) and drops the source.
-    passes_at may call it before it makes frame t + 1's position passes
-    (`rasterize_frame` calls it with its `render.ZBuffer`); where it has
-    not, the loop calls it with the passes. Frame t is then yielded. A
-    DataCorruptionError of the ground truth is raised again naming the
-    frame, the view and, where read_from is given, the file of the pass
-    at fault."""
+    Frame t's occlusion mask reads frame t + 1, which is made first: once
+    its files are written, and only if frame t is listed, its
+    `groundtruth.NextFrameTables` are built and its passes dropped. Frame
+    t's mask is computed from its passes and those tables
+    (`groundtruth.compute_occlusion_mask`), the tables are dropped, and
+    all of frame t's files are written at once. A DataCorruptionError of
+    the ground truth is raised again naming the frame, the view and,
+    where read_from is given, the file of the pass at fault."""
     scene_dir = out_root / scene
     for view in _VIEW_SUFFIX:
-        held = {}  # the previous frame's t, files and occlusion source
-
-        def occlude(next_frame):
-            mask = groundtruth.compute_occlusion_mask(held.pop("source"), rig,
-                                                      next_frame)
-            held["files"].update(write_frame(scene_dir, scene, held["t"],
-                                             view, {"occlusion_fwd": mask}))
-
-        for t in times:
-            fp = passes_at(t, view, occlude if held else None)
-            if held:
-                if "source" in held:
-                    occlude(fp)
-                yield held["t"], view, held["files"]
-                held.clear()  # frame t is derived with nothing of frame t - 1
+        tables = None  # of frame t + 1, while frame t is made
+        for t in reversed(times):
+            fp = passes_at(t, view)
+            mask = (None if tables is None
+                    else groundtruth.compute_occlusion_mask(fp, rig, tables))
+            del tables  # not held through derive_frame
             try:
                 gt = groundtruth.derive_frame(fp, rig)
             except DataCorruptionError as e:
@@ -126,15 +115,14 @@ def _frames(passes_at, times, rig, out_root, scene, read_from=None):
                     message = f"{read_from[t, view][e.pass_name]}: {message}"
                 raise DataCorruptionError(message, e.pass_name) from None
             files = write_frame(scene_dir, scene, t, view,
-                                {**vars(fp), "depth": fp.depth, **vars(gt)},
+                                {**vars(fp), "depth": fp.depth, **vars(gt),
+                                 "occlusion_fwd": mask},
                                 read_from[t, view] if read_from else None)
-            del gt  # its maps are written: not held through the eps median
-            if t + 1 in times:
-                held.update(t=t, files=files,
-                            source=groundtruth.OcclusionSource.of(fp))
-            del fp  # frame t + 1 is made with none of frame t held
-            if not held:
-                yield t, view, files
+            del gt, mask  # written: not held while frame t - 1 is made
+            tables = (groundtruth.next_frame_tables(fp) if t - 1 in times
+                      else None)
+            del fp  # frame t - 1 is made with none of frame t's passes held
+            yield t, view, files
 
 
 def generate_dataset(spec: SceneSpec, out_root) -> dict:
@@ -189,8 +177,8 @@ def derive_dataset(dataset_root, out_root) -> int:
     manifest = formats.read_manifest((root / "manifest.json").read_bytes())
     times, rig, paths = _derivable(manifest, root)
     for _ in _frames(
-            lambda t, view, _: load_frame_passes(paths[t, view], t,
-                                                 rig.intrinsics),
+            lambda t, view: load_frame_passes(paths[t, view], t,
+                                              rig.intrinsics),
             times, rig, Path(out_root), manifest["dataset"], paths):
         pass
     return len(times)

@@ -29,15 +29,13 @@ Rasterization is batched array work rather than a loop over triangles:
    batches. A pixel goes to the lexicographic minimum of (depth, draw
    order) over fragments with finite depth: a strictly nearer fragment
    wins, and of two at equal depth the earlier draw wins.
-5. Write the object index pass from the winners. The z-buffer (+inf at
-   void) and that pass are all that a later view's occlusion test reads
-   of this one, so `rasterize_frame` hands them to its caller
-   (`ZBuffer`) here, before any rgb or position pass exists.
-6. Group the covered pixels by object with one stable sort of the object
-   index, and interpolate
-   attributes and sample textures once per covered pixel, for its winner
-   only, in fixed-size batches of that order which run across object
-   boundaries. A batch holds its barycentric weights as one contiguous
+5. Write the object index pass from the winners, and group the covered
+   pixels by object with one stable sort of it. Their winners' screen
+   rows are taken then, and the per-pixel winner table is dropped before
+   any rgb or position pass is allocated.
+6. Interpolate attributes and sample textures once per covered pixel,
+   for its winner only, in fixed-size batches of that order which run
+   across object boundaries. A batch holds its barycentric weights as one contiguous
    row per edge and interpolates one attribute column at a time into one
    reused buffer, which it scatters into the pass; pos3d_t's Z is
    written from the z-buffer, and is the view's one depth pass
@@ -67,7 +65,7 @@ from .errors import ContractError
 from .geometry import CameraIntrinsics, project
 from .scene import SceneSpec
 
-__all__ = ["FramePasses", "ZBuffer", "rasterize_frame"]
+__all__ = ["FramePasses", "rasterize_frame"]
 
 NEAR_PLANE = 0.1
 _LIGHT_DIR = np.array([0.35, -0.5, 0.6]) / np.linalg.norm([0.35, -0.5, 0.6])
@@ -111,18 +109,6 @@ class FramePasses:
     @property
     def valid(self):
         return self.object_index > 0
-
-
-@dataclass(frozen=True)
-class ZBuffer:
-    """A view's z-buffer and object index pass as the fold leaves them,
-    before shading: what the occlusion test of the view before it reads
-    (`groundtruth.compute_occlusion_mask`), which a `FramePasses` of the
-    same view gives too."""
-
-    depth: np.ndarray  # (H, W) float64: pos3d_t's Z where covered, +inf at void
-    object_index: np.ndarray  # (H, W) uint16, the view's object index pass
-    frame_time: int
 
 
 def _clip_near(attrs, near=NEAR_PLANE):
@@ -447,11 +433,30 @@ def _object_index(scr: _Screen, owner, obj_idx):
                   where=owner != _NO_OWNER)
 
 
-def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
+def _shading_order(objects, obj_idx, owner):
+    """The covered pixels grouped by object, each object's in pixel
+    order, and their winners' screen rows: two int32 arrays (8 bytes per
+    covered pixel), which `_shade` takes in place of owner, the int64
+    winner table. obj_idx is the flat object index pass, already written
+    (`_object_index`); `objects` is `SceneSpec.all_objects()`, and the
+    texture of each object shown builds its caches here, once, not in two
+    shading workers at the same time."""
+    counts = np.bincount(obj_idx)
+    # uint16 keys: a stable radix sort groups the pixels by object, void
+    # (index 0) first, and each object's in pixel order. Pixels and screen
+    # rows fit an int32: an image holds at most 2**28 pixels, and a view's
+    # screen tables far fewer than 2**31 triangles
+    pix = np.argsort(obj_idx, kind="stable")[counts[0]:].astype(np.int32)
+    for i in np.flatnonzero(counts[1:]):
+        objects[i].texture.sample(np.zeros((0, 2)))  # on no points
+    return pix, owner.take(pix).astype(np.int32)
+
+
+def _shade(scr: _Screen, objects, zbuf, pix, row, w, passes):
     """Interpolate attributes and sample textures for each pixel's winner,
     in batches of _SHADE_BATCH covered pixels that run through
     `map_ordered`; `objects` is `SceneSpec.all_objects()`, whose textures
-    the object index picks.
+    the object index picks, and pix and row are `_shading_order`'s.
 
     `passes` holds the flattened rgb (P, 3), object index (P,) and
     position (P, 3) passes, the positions of the passes the view has in
@@ -459,14 +464,12 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     written (`_object_index`); the others are written in place. It
     returns nothing.
 
-    One stable sort of the object index groups the covered pixels by
-    object, each in pixel order. The batches cut that order into
+    The batches cut pix, the covered pixels grouped by object, into
     fixed-size pieces across object boundaries. Above its inputs and
-    outputs, shading then holds the sorted pixels and their winners'
-    screen rows as int32 (8 bytes per covered pixel) and each worker's
-    batch: a batch gathers from the column-major tables with 1-D takes,
-    holds its barycentric weights as (3, B) rows and interpolates one
-    attribute column at a time into one reused buffer. Its objects' runs
+    outputs, shading holds each worker's batch: a batch gathers from the
+    column-major tables with 1-D takes, holds its barycentric weights as
+    (3, B) rows and interpolates one attribute column at a time into one
+    reused buffer. Its objects' runs
     start where the object index of its pixels changes; it samples each
     run's texture into that run's rows of one colour buffer, then shades,
     rounds and scatters all its pixels at once, so its temporaries are a
@@ -474,20 +477,7 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     aside.
     """
     rgb, obj_idx, *positions = passes
-    if not len(scr.area):
-        return
-    counts = np.bincount(obj_idx)
-    # uint16 keys: a stable radix sort groups the pixels by object, void
-    # (index 0) first, and each object's in pixel order. Pixels and screen
-    # rows fit an int32: an image holds at most 2**28 pixels, and a view's
-    # screen tables far fewer than 2**31 triangles
-    pix = np.argsort(obj_idx, kind="stable")[counts[0]:].astype(np.int32)
-    row = owner.take(pix).astype(np.int32)
     aoz = scr.attr_over_z
-    for i in np.flatnonzero(counts[1:]):
-        # on no points: a noise texture builds its lattice here, once,
-        # not in two workers at the same time
-        objects[i].texture.sample(np.zeros((0, 2)))
 
     def shade(start):
         sel = slice(start, start + _SHADE_BATCH)
@@ -547,13 +537,8 @@ def _shade(scr: _Screen, objects, zbuf, owner, w, passes):
     map_ordered(shade, range(0, len(pix), _SHADE_BATCH))
 
 
-def rasterize_frame(spec: SceneSpec, t: int, view: str,
-                    on_depth=None) -> FramePasses:
-    """Render one view at integer frame time t (1-based, inclusive).
-
-    on_depth, if given, is called with the view's `ZBuffer` once the
-    z-buffer is folded and the object index pass written, before any rgb
-    or position pass is allocated; it must not write to the arrays."""
+def rasterize_frame(spec: SceneSpec, t: int, view: str) -> FramePasses:
+    """Render one view at integer frame time t (1-based, inclusive)."""
     if not 1 <= t <= spec.frames:
         raise ContractError(f"frame time {t} outside [1, {spec.frames}]")
     intr = spec.rig.intrinsics
@@ -570,14 +555,14 @@ def rasterize_frame(spec: SceneSpec, t: int, view: str,
     zbuf, owner = _resolve_depth(scr, w, h)
     obj_idx = np.zeros((h, w), dtype=np.uint16)
     _object_index(scr, owner, obj_idx.reshape(-1))
-    if on_depth is not None:
-        on_depth(ZBuffer(zbuf.reshape(h, w), obj_idx, t))
+    pix, row = _shading_order(objects, obj_idx.reshape(-1), owner)
+    del owner  # freed before the rgb and position passes are allocated
 
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
     pos_t = np.full((h, w, 3), np.nan, dtype=np.float64)
     pos_prev = np.full((h, w, 3), np.nan, dtype=np.float64) if has_prev else None
     pos_next = np.full((h, w, 3), np.nan, dtype=np.float64) if has_next else None
-    _shade(scr, objects, zbuf, owner, w, [
+    _shade(scr, objects, zbuf, pix, row, w, [
         rgb.reshape(-1, 3), obj_idx.reshape(-1),
         *(p.reshape(-1, 3) for p in (pos_t, pos_prev, pos_next) if p is not None),
     ])

@@ -103,14 +103,14 @@ def with_flow(passes, flow, intrinsics):
 
 def derive_maps(passes, rig, passes_next=None):
     """Both ground-truth steps of a view, as the frame loop runs them, as
-    {field: array or None} in the oracle's field order: `derive_frame`'s
-    maps, then the forward occlusion mask of `compute_occlusion_mask`
-    against passes_next (None without)."""
-    maps = dict(vars(gt.derive_frame(passes, rig)))
-    maps["occlusion_fwd"] = None if passes_next is None else \
-        gt.compute_occlusion_mask(gt.OcclusionSource.of(passes), rig,
-                                  passes_next)
-    return maps
+    {field: array or None} in the oracle's field order: the forward
+    occlusion mask of `compute_occlusion_mask` against the
+    `next_frame_tables` of passes_next (None without), then
+    `derive_frame`'s maps, the mask placed last."""
+    mask = None if passes_next is None else \
+        gt.compute_occlusion_mask(passes, rig,
+                                  gt.next_frame_tables(passes_next))
+    return {**vars(gt.derive_frame(passes, rig)), "occlusion_fwd": mask}
 
 
 def baseline_shift_scene(seed=3, params=None):

@@ -61,23 +61,25 @@ MUTANTS = [
            "return 1e-3 * (scale if", "return 2e-3 * (scale if",
            "the occlusion tolerance is 1e-3 of the median depth"),
     Mutant("occlusion-eps-of-next", _GT,
-           "source.eps, out=mask[rows])",
-           "_occlusion_eps(next_frame.depth), out=mask[rows])",
+           "eps = _occlusion_eps(passes.depth)",
+           "eps = _occlusion_eps(np.where(next_frame.depth < np.inf, "
+           "next_frame.depth, np.nan))",
            "the occlusion tolerance is of frame t's median depth, not t + 1's"),
     Mutant("occlusion-later-frame", _GT,
-           "next_frame.frame_time <= source.frame_time",
-           "next_frame.frame_time < source.frame_time",
+           "next_frame.frame_time <= passes.frame_time",
+           "next_frame.frame_time < passes.frame_time",
            "the occlusion mask pairs a view with a later frame, not its own"),
+    Mutant("occlusion-own-tables", _PIPELINE,
+           "groundtruth.compute_occlusion_mask(fp, rig, tables))",
+           "groundtruth.compute_occlusion_mask(fp, rig, "
+           "groundtruth.next_frame_tables(fp)))",
+           "frame t's occlusion mask reads frame t + 1's tables, not its own"),
     Mutant("occlusion-block-mixed", _GT,
            "        block[start:stop][~one] = 0\n", "",
            "a footprint whose 2x2 block mixes objects is occluded"),
     Mutant("occlusion-void-inf", _GT,
            "        z[index[start:stop] == 0] = np.inf\n", "",
            "the next frame's z-buffer is +inf at void"),
-    Mutant("zbuffer-void-inf", _RENDER,
-           "    zbuf = np.full(h * w, np.inf)\n",
-           "    zbuf = np.full(h * w, np.finfo(np.float64).max)\n",
-           "a view's z-buffer is +inf at void, the occlusion test's Z table"),
     Mutant("neighbour-finite", _GT,
            "                _refuse_non_finite(other, void, name)\n", "",
            "a covered point of pos3d_prev or pos3d_next is finite"),
@@ -173,10 +175,19 @@ def run(m):
             return "error", f"no result in {TIMEOUT} s"
     if proc.returncode == 0:
         return "survived", ""
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    first = first_failure(proc.stdout)
     if proc.returncode == 1 and first:
-        return "killed", first.group(1)
+        return "killed", first
     return "error", f"pytest exit {proc.returncode}"
+
+
+def first_failure(stdout):
+    """The id of the first test that pytest's short summary in stdout
+    lists as FAILED or ERROR, whole: a parametrized id may hold spaces,
+    and ` - ` after it starts the reason. None if there is no such line."""
+    first = re.search(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)(?: - |$)",
+                      stdout, re.MULTILINE)
+    return first and first.group(1)
 
 
 def main(argv=None):

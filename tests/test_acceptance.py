@@ -88,8 +88,8 @@ def test_04_forward_backward_consistency():
             for t in range(1, spec.frames):
                 fp, fp_next = passes[t], passes[t + 1]
                 flow_fwd = gt.derive_frame(fp, spec.rig).flow_fwd
-                occ = gt.compute_occlusion_mask(gt.OcclusionSource.of(fp),
-                                                spec.rig, fp_next)
+                occ = gt.compute_occlusion_mask(
+                    fp, spec.rig, gt.next_frame_tables(fp_next))
                 flow_bwd = gt.derive_frame(fp_next, spec.rig).flow_bwd
                 target = gt.pixel_centers(*fp.depth.shape) + flow_fwd
                 back = bilinear_sample(np.nan_to_num(flow_bwd), target)

@@ -361,8 +361,8 @@ class TestBilinearSample:
 def occlusion(p_t, p_next, k=INTR):
     """The forward occlusion mask of frame p_t against p_next, seen by the
     camera k that made the passes."""
-    return gt.compute_occlusion_mask(gt.OcclusionSource.of(p_t),
-                                     StereoRig(1.0, k), p_next)
+    return gt.compute_occlusion_mask(p_t, StereoRig(1.0, k),
+                                     gt.next_frame_tables(p_next))
 
 
 class TestOcclusion:
@@ -423,10 +423,8 @@ class TestOcclusion:
         depth_next = np.full((8, 8), 20.0)
         depth_next[2:6, 2:6] = 10.0 - 0.015
         p_t, p_next = self.static_pair(np.full((8, 8), 10.0), depth_next)
-        source = gt.OcclusionSource.of(p_t)
-        assert source.eps == 1e-3 * 10.0
-        assert np.shares_memory(source.pos3d_next, p_t.pos3d_next)
-        occ = gt.compute_occlusion_mask(source, StereoRig(1.0, INTR), p_next)
+        assert gt._occlusion_eps(p_t.depth) == 1e-3 * 10.0
+        occ = occlusion(p_t, p_next)
         assert occ[3:5, 3:5].all() and not occ[0].any()
 
     def test_missing_pass_rejected(self):
@@ -477,7 +475,9 @@ class TestOcclusionTables:
                           [3, 1, 2, 0]], dtype=np.uint16)
         depth = np.where(index > 0, np.arange(1.0, 13.0).reshape(3, 4), np.nan)
         p_next = make_passes(depth, INTR, index=index, t=2)
-        zbuf, block = gt._next_frame_tables(p_next)
+        tables = gt.next_frame_tables(p_next)
+        assert tables.frame_time == 2 and tables.shape == (3, 4)
+        zbuf, block = tables.depth, tables.block
         assert zbuf.dtype == np.float64 and block.dtype == np.uint16
         assert zbuf.tolist() == np.where(index > 0, depth, np.inf).ravel().tolist()
         # the block at k reads k, k + 1, k + 4 and k + 5; the last row and
@@ -540,15 +540,6 @@ class TestOcclusionTables:
                                          True, False]
 
 
-def zbuffer_and_passes(spec, t, view="left"):
-    """Frame t's `render.ZBuffer`, as rasterize_frame hands it on, and its
-    finished passes."""
-    records = []
-    passes = sf.rasterize_frame(spec, t, view, records.append)
-    (record,) = records
-    return record, passes
-
-
 def moving_boxes():
     """Three moving boxes before a moving camera, on void, over 3 frames."""
     return scene([box((0, 0, 10), (3, 3, 0.5), 0, frames=3, end=(1, 0.5, 9)),
@@ -559,12 +550,39 @@ def moving_boxes():
                  frames=3, camera_end=[0.3, 0.0, 0.0])
 
 
+def assert_tables_of(tables, passes):
+    """tables are the `NextFrameTables` of passes: its frame time and
+    shape, its depth where covered and +inf at void, and at k the object
+    index where the 2x2 block at k is one object, else 0 (the last row and
+    column, which start no block that a footprint reads, aside)."""
+    index = passes.object_index
+    h, w = index.shape
+    assert tables.frame_time == passes.frame_time
+    assert tables.shape == (h, w)
+    want = np.where(passes.valid, passes.depth, np.inf)
+    assert tables.depth.dtype == np.float64
+    assert tables.depth.tobytes() == want.ravel().tobytes()
+    own = index[:-1, :-1]
+    one = (index[:-1, 1:] == own) & (index[1:, :-1] == own) \
+        & (index[1:, 1:] == own)
+    assert tables.block.dtype == np.uint16
+    assert np.array_equal(tables.block.reshape(h, w)[:-1, :-1],
+                          np.where(one, own, 0))
+
+
 class TestZBufferRecord:
-    """The occlusion test reads of frame t + 1 its depth, object index and
-    time: the z-buffer record rasterize_frame gives before it makes any
-    position pass serves as well as the finished passes."""
+    """The occlusion test reads of frame t + 1 only its record of
+    `next_frame_tables`, built from its passes before they are dropped:
+    its z-buffer (depth widened to float64, +inf at void), block objects,
+    shape and frame time."""
 
     SPEC = moving_boxes()
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_is_the_depth_and_index_of_the_passes(self, t):
+        fp = sf.rasterize_frame(self.SPEC, t, "left")
+        assert_tables_of(gt.next_frame_tables(fp), fp)
+        assert 0 < fp.valid.mean() < 1
 
     def test_scene_has_void_at_footprints(self):
         for t in (2, 3):
@@ -579,23 +597,22 @@ class TestZBufferRecord:
         # 7-row bands: footprints of every band read rows of the next one
         set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(_parallel, "GT_BAND_ROWS", band_rows)
+        # the tables' mask is the whole-frame oracle's mask of the passes
         for t in (2, 3):
-            record, passes = zbuffer_and_passes(self.SPEC, t)
-            for a, b in zip(gt._next_frame_tables(record),
-                            gt._next_frame_tables(passes)):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
-            source = gt.OcclusionSource.of(
-                sf.rasterize_frame(self.SPEC, t - 1, "left"))
-            mask = gt.compute_occlusion_mask(source, self.SPEC.rig, record)
-            want = gt.compute_occlusion_mask(source, self.SPEC.rig, passes)
+            passes = sf.rasterize_frame(self.SPEC, t, "left")
+            tables = gt.next_frame_tables(passes)
+            assert_tables_of(tables, passes)
+            prev = sf.rasterize_frame(self.SPEC, t - 1, "left")
+            mask = gt.compute_occlusion_mask(prev, self.SPEC.rig, tables)
+            want = oracle.derive(prev, self.SPEC.rig, passes)["occlusion_fwd"]
             assert mask.dtype == bool and mask.tobytes() == want.tobytes(), t
             assert 0 < mask.sum() < mask.size
 
     def test_later_frame_needed(self):
-        record, passes = zbuffer_and_passes(self.SPEC, 2)
-        with pytest.raises(ContractError):
-            gt.compute_occlusion_mask(gt.OcclusionSource.of(passes),
-                                      self.SPEC.rig, record)
+        passes = sf.rasterize_frame(self.SPEC, 2, "left")
+        with pytest.raises(ContractError, match="later frame"):
+            gt.compute_occlusion_mask(passes, self.SPEC.rig,
+                                      gt.next_frame_tables(passes))
 
 
 class TestReconstruct:
@@ -710,12 +727,15 @@ class TestDeriveFrame:
 
     def test_occlusion_needs_a_later_frame(self, rendered_scene):
         spec, passes = rendered_scene
-        with pytest.raises(ContractError):  # no pos3d_next at the last frame
-            gt.OcclusionSource.of(passes[(3, "left")])
-        source = gt.OcclusionSource.of(passes[(2, "left")])
+        last = passes[(3, "left")]
+        later = dataclasses.replace(gt.next_frame_tables(last), frame_time=4)
+        with pytest.raises(ContractError, match="pos3d_next"):
+            # no pos3d_next at the last frame
+            gt.compute_occlusion_mask(last, spec.rig, later)
         for t in (1, 2):  # an earlier frame, and the same frame
-            with pytest.raises(ContractError):
-                gt.compute_occlusion_mask(source, spec.rig, passes[(t, "left")])
+            with pytest.raises(ContractError, match="later frame"):
+                gt.compute_occlusion_mask(passes[(2, "left")], spec.rig,
+                                          gt.next_frame_tables(passes[(t, "left")]))
 
     def test_sequence_boundaries(self, rendered_scene):
         spec, passes = rendered_scene
@@ -855,8 +875,8 @@ class TestDeriveFrameMemory:
         steps = {
             "derive_frame": lambda: vars(gt.derive_frame(fp, spec.rig)),
             "compute_occlusion_mask": lambda: {"occlusion_fwd": (
-                gt.compute_occlusion_mask(gt.OcclusionSource.of(fp),
-                                          spec.rig, fp_next))},
+                gt.compute_occlusion_mask(fp, spec.rig,
+                                          gt.next_frame_tables(fp_next)))},
         }
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)

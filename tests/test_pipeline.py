@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sceneflowgen as sf
-from sceneflowgen import _parallel, formats, groundtruth, pipeline, render
+from sceneflowgen import _parallel, formats, groundtruth, pipeline
 from sceneflowgen.cli import main
 from sceneflowgen.errors import ParseError
 
@@ -49,7 +49,9 @@ class LiveViews:
 
 
 def view_major(frames):
-    return [(t, view) for view in ("left", "right") for t in range(1, frames + 1)]
+    """(t, view) in the order the frame loop makes them: all left views
+    first, each view's frames last to first."""
+    return [(t, view) for view in ("left", "right") for t in range(frames, 0, -1)]
 
 
 def small_spec(frames):
@@ -61,7 +63,7 @@ def small_spec(frames):
 @pytest.mark.parametrize("frames", [2, 6])
 def test_generate_holds_one_view(tmp_path, monkeypatch, frames):
     counter = LiveViews(pipeline.rasterize_frame,
-                        lambda spec, t, view, on_depth: (t, view))
+                        lambda spec, t, view: (t, view))
     monkeypatch.setattr(pipeline, "rasterize_frame", counter)
     manifest = pipeline.generate_dataset(small_spec(frames), tmp_path / "ds")
     assert counter.calls == view_major(frames)
@@ -71,25 +73,55 @@ def test_generate_holds_one_view(tmp_path, monkeypatch, frames):
     assert all(f["files"].keys() == {"left", "right"} for f in manifest["frames"])
 
 
-def test_no_occlusion_source_outlives_the_next_z_buffer(tmp_path, monkeypatch):
-    # frame t's OcclusionSource gives its mask from frame t + 1's z-buffer
-    # and is dropped before frame t + 1's rgb and position passes are made
-    # and shaded (`render._shade` writes them)
-    sources = LiveViews(groundtruth.OcclusionSource.of,
-                        lambda passes: passes.frame_time)
-    monkeypatch.setattr(groundtruth.OcclusionSource, "of", sources)
-    shaded = []
-    real_shade = render._shade
+def test_no_next_frame_table_is_held_through_derive_frame(tmp_path,
+                                                          monkeypatch):
+    # frame t + 1's tables give frame t's mask and are dropped before
+    # frame t's per-view maps are derived
+    tables = LiveViews(groundtruth.next_frame_tables,
+                       lambda passes: passes.frame_time)
+    monkeypatch.setattr(groundtruth, "next_frame_tables", tables)
+    derived = []
+    real_derive = groundtruth.derive_frame
 
-    def shade(*args):
-        shaded.append(sources.live)
-        return real_shade(*args)
+    def derive(*args):
+        derived.append(tables.live)
+        return real_derive(*args)
 
-    monkeypatch.setattr(render, "_shade", shade)
+    monkeypatch.setattr(groundtruth, "derive_frame", derive)
     pipeline.generate_dataset(small_spec(4), tmp_path / "ds")
-    assert sources.calls == [1, 2, 3] * 2
-    assert shaded == [0] * 8
-    assert sources.live == 0
+    assert tables.calls == [4, 3, 2] * 2
+    assert derived == [0] * 8
+    assert tables.live == 0
+
+
+def test_rendering_runs_no_ground_truth_or_write(tmp_path, monkeypatch):
+    # the render layer makes passes only: no occlusion mask is computed and
+    # no file written while a view is being rasterized
+    rendering = []
+    inside = []
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            inside.append((fn.__name__, bool(rendering)))
+            return fn(*args, **kwargs)
+        return call
+
+    def rasterize(*args, **kwargs):
+        rendering.append(args[1:3])
+        try:
+            return real_rasterize(*args, **kwargs)
+        finally:
+            rendering.pop()
+
+    real_rasterize = pipeline.rasterize_frame
+    monkeypatch.setattr(pipeline, "rasterize_frame", rasterize)
+    monkeypatch.setattr(groundtruth, "compute_occlusion_mask",
+                        spy(groundtruth.compute_occlusion_mask))
+    monkeypatch.setattr(pipeline, "write_frame", spy(pipeline.write_frame))
+    pipeline.generate_dataset(small_spec(3), tmp_path / "ds")
+    assert sorted(set(inside)) == [("compute_occlusion_mask", False),
+                                   ("write_frame", False)]
+    assert inside.count(("compute_occlusion_mask", False)) == 4
 
 
 def test_generate_peak_holds_no_source_beside_the_passes(tmp_path, monkeypatch):
@@ -390,18 +422,20 @@ def test_first_bad_pass_in_pass_order_is_raised(tmp_path, monkeypatch, cpus):
         pipeline.load_frame_passes(paths[1, "left"], 1, rig.intrinsics)
 
 
-# A 2-frame derive copies 6 render passes per (frame, view), in the order
-# write_frame lists them: fail on the first copy, and on the right view's
-# one that this order reaches 17th. The copies of one (frame, view) run
-# on the thread map, so the fake fails on a destination, not a count.
-FAIL_ON = {1: ("rgb", "0001_L.ppm"), 17: ("object_index", "0001_R.pgm")}
+# A 2-frame derive copies 6 render passes per (frame, view), frame 2
+# before frame 1, in the order write_frame lists them: fail on the first
+# copy, and on the right view's one that this order reaches 17th. The
+# copies of one (frame, view) run on the thread map, so the fake fails on
+# a destination, not a count.
+FAIL_ON = {1: ("rgb", "0002_L.ppm"), 17: ("object_index", "0002_R.pgm")}
 
 
 def frame_view(rel):
-    """(view, frame) of a dataset file's path, in the order derive writes
-    them: all left views first."""
+    """A key of a dataset file's path, (view, -frame), that sorts the
+    files in the order derive writes them: all left views first, each
+    view's frames last to first."""
     stem = Path(rel).stem  # e.g. 0001_L
-    return "LR".index(stem[-1]), int(stem[:4])
+    return "LR".index(stem[-1]), -int(stem[:4])
 
 
 @pytest.mark.parametrize("fail_at", sorted(FAIL_ON))
@@ -457,9 +491,9 @@ def fail_on(monkeypatch, rel):
 @pytest.mark.parametrize("fail_name", ["0001_L", "0001_R"])
 def test_interrupted_occlusion_write_lists_no_view_without_it(
         tmp_path, monkeypatch, fail_name):
-    # frame 1's occlusion mask is written once frame 2 exists, after its
-    # other files: a failure there leaves frame 1 unlisted, and the views
-    # before it listed with every file
+    # frame 1's occlusion mask is written with its other files, after
+    # frame 2's: a failure there leaves frame 1 unlisted, and the views
+    # written before it listed with every file
     failing = f"occlusion_fwd/{fail_name}.pgm"
     clean = tmp_path / "clean"
     assert main(GEN_ARGS + ["--out", str(clean)]) == 0
@@ -479,8 +513,8 @@ def test_interrupted_occlusion_write_lists_no_view_without_it(
     listed = {frame_view(files["rgb"]): files for f in manifest["frames"]
               for files in f["files"].values()}
     assert sorted(listed) == [
-        (v, t) for v, t in ((0, 1), (0, 2), (1, 1), (1, 2))
-        if (v, t) < frame_view(fail_name)]
+        (v, -t) for v, t in ((0, 2), (0, 1), (1, 2), (1, 1))
+        if (v, -t) < frame_view(fail_name)]
     for files in listed.values():
         assert ("occlusion_fwd" in files) == ("pos3d_next" in files), files
         assert set(files.values()) <= set(left), files

@@ -15,7 +15,6 @@ from sceneflowgen.scene import ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import Trajectory
 
 from conftest import set_cpus, small_params
-from test_groundtruth import moving_boxes
 
 # 128 px / 32 mm sensor: focal_px = 4 * focal_mm, so 35 mm -> 140 px
 INTR = CameraIntrinsics.from_sensor(35, 32, 128, 96)
@@ -159,47 +158,12 @@ class TestContracts:
             rasterize_frame(spec, 3, "left")
 
 
-class TestZBuffer:
-    SPEC = moving_boxes()
-
-    @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_is_the_depth_and_index_of_the_passes(self, t):
-        # pos3d_t's Z where covered, +inf at void, and the object index pass
-        records = []
-        fp = rasterize_frame(self.SPEC, t, "left", records.append)
-        (record,) = records
-        assert record.frame_time == t
-        assert record.depth.dtype == np.float64
-        assert record.depth.shape == record.object_index.shape == fp.valid.shape
-        assert np.array_equal(record.object_index, fp.object_index)
-        want = np.where(fp.valid, fp.depth, np.inf)
-        assert record.depth.tobytes() == want.tobytes()
-        assert 0 < fp.valid.mean() < 1
-
-    def test_is_given_before_shading(self, monkeypatch):
-        events = []
-        real_shade = render._shade
-
-        def shade(*args):
-            events.append("shade")
-            return real_shade(*args)
-
-        monkeypatch.setattr(render, "_shade", shade)
-        rasterize_frame(self.SPEC, 2, "left", lambda record: events.append("z"))
-        assert events == ["z", "shade"]
-
-    def test_no_callback_renders_the_same_passes(self):
-        a = rasterize_frame(self.SPEC, 2, "left")
-        b = rasterize_frame(self.SPEC, 2, "left", lambda record: None)
-        for name in ("rgb", "pos3d_t", "pos3d_prev", "pos3d_next", "object_index"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-
-
 def test_shading_memory_is_bounded(monkeypatch):
-    # On one worker, what _shade holds above its inputs and outputs is the
-    # covered pixels in object order and their winners' rows (8 bytes per
-    # covered pixel, under 32), plus one batch's working set: under 256
-    # bytes per pixel of a batch, a noise texture's sampling included.
+    # On one worker, what _shading_order and _shade hold above their
+    # inputs and outputs is the covered pixels in object order and their
+    # winners' rows (8 bytes per covered pixel, under 32), plus one batch's
+    # working set: under 256 bytes per pixel of a batch, a noise texture's
+    # sampling included.
     # Holding the unsorted and the sorted pixels, rows and object indices
     # and the sort order at once read 4,186,624 bytes here, against a
     # bound of 3,506,176.
@@ -220,7 +184,8 @@ def test_shading_memory_is_bounded(monkeypatch):
     render._object_index(scr, owner, passes[1])  # as rasterize_frame does
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        render._shade(scr, objects, zbuf, owner, w, passes)
+        pix, row = render._shading_order(objects, passes[1], owner)
+        render._shade(scr, objects, zbuf, pix, row, w, passes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
