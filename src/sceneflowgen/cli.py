@@ -167,7 +167,8 @@ def cmd_evaluate(args):
     scored = {mask_name: {"epe": [], "d1": []} for mask_name in masks}
     for i, (pred_path, gt_path, occ_path) in enumerate(
             zip(args.pred, args.gt, occlusions)):
-        pred, gt = (_float64(formats.read(p)) for p in (pred_path, gt_path))
+        # scored as read: the metrics widen float32 maps inside their ufuncs
+        pred, gt = formats.read(pred_path), formats.read(gt_path)
         mask_of = {"all": None}
         if occ_path:
             mask_of["non_occluded"] = ~(formats.read(occ_path) > 0)

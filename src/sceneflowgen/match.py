@@ -5,8 +5,10 @@ winner-take-all with parabola sub-pixel refinement.
 `estimate_disparity` streams over disparities and keeps only per-pixel
 state, so its memory does not grow with the disparity range. It runs the
 stream on the row bands of `_parallel`, through its thread map. Each
-band builds the features of its own rows of both images (`_features`),
-so the features of a whole image never exist, and matches them as one
+band converts to gray only the rows its features read (`_gray_band`)
+and builds the features of its own rows of both images (`_features`),
+so neither a whole gray image nor the features of one ever exist, and
+matches them as one
 flat run of rows * W pixels: every step for a disparity d is a numpy
 ufunc on contiguous 1-D slices, with the costs that wrap into the row
 above masked before they are read. The disparities go in blocks of
@@ -42,36 +44,44 @@ _BLOCK = 4
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-def _to_gray(image):
-    """float64 (H, W) luminance, a signalling NaN widened to a quiet one.
-    RGB converts one band of rows at a time, so no float64 copy of the
-    whole (H, W, 3) image exists: each row is the whole image's product."""
-    a = np.asarray(image)
-    if a.ndim != 2 and a.shape[2:] != (3,):
-        raise ContractError(f"expected HxW or HxWx3 image, got shape {a.shape}")
+def _gray_band(image, y, rows, patch, name):
+    """The gray values the features of rows y .. y + rows - 1 read:
+    float64 (rows + 2r, W + 2r), r = patch // 2, rows y - r .. y + rows +
+    r - 1 and columns -r .. W + r - 1 of image's luminance, edge-clamped.
+    A signalling NaN widens to a quiet one. Every image row is one
+    (W, 3) @ (3,) product, as in the whole image's product, so the values
+    do not depend on the band.
+
+    Raises ContractError naming the image unless every value is finite
+    and at most sqrt(float64 max) / (2 * patch + 1) in magnitude: within
+    that range a patch's sum of squares cannot overflow.
+    """
+    r = patch // 2
+    h, w = image.shape[:2]
+    ys = np.arange(y - r, y + rows + r).clip(0, h - 1)
     with np.errstate(invalid="ignore"):
-        if a.ndim == 2:
-            return a.astype(np.float64, copy=False)
-        gray = np.empty(a.shape[:2])
-        for rows in bands(len(a)):
-            np.matmul(a[rows].astype(np.float64), _LUMA, out=gray[rows])
-    return gray
+        gray = image[ys].astype(np.float64, copy=False)
+        if gray.ndim == 3:
+            gray = np.matmul(gray, _LUMA)
+    limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
+    # NaN fails every comparison
+    if not -limit <= gray.min() <= gray.max() <= limit:
+        raise ContractError(
+            f"{name} image holds a non-finite value or one beyond "
+            f"{limit:.3g} in magnitude")
+    return gray[:, np.arange(-r, w + r).clip(0, w - 1)]
 
 
-def _features(gray, y, rows, patch):
-    """Features of rows y .. y + rows - 1 of a gray image, channels first
-    and flat: (patch**2, rows * W), channel dy * patch + dx holding the
-    pixel at (+dy - patch // 2, +dx - patch // 2), edge-clamped.
+def _features(padded, rows, patch):
+    """Features of a band of rows from its gray values (`_gray_band`),
+    channels first and flat: (patch**2, rows * W), channel dy * patch + dx
+    holding the pixel at (+dy - patch // 2, +dx - patch // 2).
 
     The mean and the norm over the channels add them in numpy's pairwise
     order (`_channel_sum`), so the values are those of ``feats.mean(-1)``
     and ``np.linalg.norm(feats, axis=-1)`` on the channels-last stack.
     """
-    r = patch // 2
-    h, w = gray.shape
-    ys = np.arange(y - r, y + rows + r).clip(0, h - 1)
-    xs = np.arange(-r, w + r).clip(0, w - 1)
-    padded = gray[np.ix_(ys, xs)]
+    w = padded.shape[1] - 2 * (patch // 2)
     n_c = patch * patch
     feats = np.empty((n_c, rows, w), dtype=np.float64)
     for c in range(n_c):
@@ -151,29 +161,28 @@ def estimate_disparity(left_image, right_image,
     neighbours follow once the loop is done. Rows never mix and every
     step is element-wise, so the bands are independent and the result
     does not depend on the band height or on how many bands run at once
-    (see `_parallel`). Memory is the two gray images, the two output maps
-    and, per running band, its features and state.
+    (see `_parallel`). Memory is the two output maps and, per running
+    band, its rows of the two gray images, its features and its state.
 
     Raises ContractError unless every gray value is finite and at most
-    sqrt(float64 max) / (2 * patch + 1) in magnitude. Within that range a
-    patch's sum of squares cannot overflow, so every feature and every
-    cost is finite and no step warns.
+    sqrt(float64 max) / (2 * patch + 1) in magnitude (`_gray_band`, which
+    checks each band's rows). Within that range a patch's sum of squares
+    cannot overflow, so every feature and every cost is finite and no
+    step warns.
     """
-    left, right = _to_gray(left_image), _to_gray(right_image)
-    if left.shape != right.shape:
-        raise ContractError(f"image sizes differ: {left.shape} vs {right.shape}")
-    h, w = left.shape
+    left, right = np.asarray(left_image), np.asarray(right_image)
+    for image in (left, right):
+        if image.ndim != 2 and image.shape[2:] != (3,):
+            raise ContractError(
+                f"expected HxW or HxWx3 image, got shape {image.shape}")
+    if left.shape[:2] != right.shape[:2]:
+        raise ContractError(
+            f"image sizes differ: {left.shape[:2]} vs {right.shape[:2]}")
+    h, w = left.shape[:2]
     if not 1 <= max_disp <= w:
         raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
     if patch < 1:
         raise ContractError(f"patch {patch} is not a positive size")
-    limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
-    for name, gray in (("left", left), ("right", right)):
-        # NaN fails every comparison
-        if gray.size and not -limit <= gray.min() <= gray.max() <= limit:
-            raise ContractError(
-                f"{name} image holds a non-finite value or one beyond "
-                f"{limit:.3g} in magnitude")
 
     disparity = np.empty((h, w))
     confidence = np.empty((h, w))
@@ -188,7 +197,7 @@ def estimate_disparity(left_image, right_image,
 
 def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     """Fold all max_disp hypotheses into one band of rows: left and right
-    are the gray images, the band starts at row y, and disparity and
+    are the images, the band starts at row y, and disparity and
     confidence are its rows of the output maps, written once the loop is
     done.
 
@@ -215,8 +224,8 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     """
     rows, w = disparity.shape
     n = rows * w
-    a = _features(left, y, rows, patch)
-    b = _features(right, y, rows, patch)
+    a = _features(_gray_band(left, y, rows, patch, "left"), rows, patch)
+    b = _features(_gray_band(right, y, rows, patch, "right"), rows, patch)
     best = np.zeros(n, dtype=np.int32)  # winning d, below W
     top = np.full(n, -np.inf)       # cost at best
     second = np.full(n, -np.inf)    # best cost at any other d

@@ -74,13 +74,17 @@ def epe_map(pred: np.ndarray, gt: np.ndarray, mask=None):
         raise ContractError(f"expected HxW or HxWx2 maps, got shape {pred.shape}")
     valid, evaluated = _eval_mask(pred, gt, mask)
     _require_finite(pred, evaluated)
-    diff = pred - gt
-    if diff.ndim == 3:
-        with np.errstate(invalid="ignore"):
-            per_pixel = np.sqrt((diff ** 2).sum(axis=-1))
-    else:
-        per_pixel = np.abs(diff)
-    per_pixel = np.where(valid, per_pixel, np.nan)
+    # float32 maps widen inside the ufuncs, to the bytes of their float64
+    # copies; excluded pixels may hold inf - inf or a signalling NaN
+    with np.errstate(invalid="ignore"):
+        per_pixel = np.subtract(pred, gt, dtype=np.float64)
+        if per_pixel.ndim == 3:
+            np.square(per_pixel, out=per_pixel)
+            per_pixel = per_pixel.sum(axis=-1)
+            np.sqrt(per_pixel, out=per_pixel)
+        else:
+            np.abs(per_pixel, out=per_pixel)
+    np.copyto(per_pixel, np.nan, where=~valid)
     report = MetricReport(
         mean_epe=float(per_pixel[evaluated].mean()),
         valid_pixels=int(valid.sum()),
@@ -103,9 +107,14 @@ def d1_all(pred_disp: np.ndarray, gt_disp: np.ndarray, mask=None):
     if not evaluated.any():
         raise ContractError("no pixels to evaluate under the given mask")
     _require_finite(pred_disp, evaluated)
-    err = np.abs(pred_disp - gt_disp)
+    # widened and guarded as in epe_map
     with np.errstate(invalid="ignore"):
-        bad = (err > D1_ABS_THRESHOLD_PX) & (err > D1_REL_THRESHOLD * np.abs(gt_disp))
+        err = np.subtract(pred_disp, gt_disp, dtype=np.float64)
+        np.abs(err, out=err)
+        bad = err > D1_ABS_THRESHOLD_PX
+        relative = np.abs(gt_disp, dtype=np.float64)
+        relative *= D1_REL_THRESHOLD
+        bad &= err > relative
     fraction = float(bad[evaluated].sum() / evaluated.sum())
     report = MetricReport(
         d1_all=fraction,

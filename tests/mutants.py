@@ -57,6 +57,13 @@ MUTANTS = [
     Mutant("d1-threshold", _METRICS,
            "D1_ABS_THRESHOLD_PX = 3.0", "D1_ABS_THRESHOLD_PX = 3.5",
            "D1-all counts a pixel bad above 3 px (KITTI 2015)"),
+    Mutant("d1-relative-dropped", _METRICS,
+           "        bad &= err > relative\n", "",
+           "D1-all counts a pixel bad only above 5% of its disparity too"),
+    Mutant("epe-over-valid", _METRICS,
+           "mean_epe=float(per_pixel[evaluated].mean()),",
+           "mean_epe=float(per_pixel[valid].mean()),",
+           "mean EPE averages the evaluated pixels, not every valid one"),
     Mutant("occlusion-eps", _GT,
            "return 1e-3 * (scale if", "return 2e-3 * (scale if",
            "the occlusion tolerance is 1e-3 of the median depth"),
@@ -103,6 +110,9 @@ MUTANTS = [
     Mutant("parabola-clip", _MATCH,
            "np.clip(offset, -0.4999999, 0.4999999)", "np.clip(offset, -0.49, 0.49)",
            "the sub-pixel offset is clipped just inside half a pixel"),
+    Mutant("gray-limit-dropped", _MATCH,
+           "if not -limit <= gray.min() <= gray.max() <= limit:", "if False:",
+           "every gray value a band reads is finite and within the limit"),
     Mutant("matcher-tie", _MATCH,
            "np.greater(c, top_d, out=won_d)", "np.greater_equal(c, top_d, out=won_d)",
            "of two equal costs the smaller disparity wins"),

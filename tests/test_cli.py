@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -575,6 +576,57 @@ class TestEvaluate:
         data = json.loads(out.read_text(), parse_constant=refuse)
         assert data["aggregate"]["per_pixel"]["mean_epe"] == 1.0
         assert data["aggregate"]["per_pixel"]["evaluated_pixels"] == 20
+
+    @pytest.mark.parametrize("pred_value, gt_value", [
+        (np.inf, np.inf), (-np.inf, -np.inf),
+        # float32 0x7f810000, a signalling NaN: widening it raises the
+        # invalid flag
+        (np.array([0x7F810000], dtype="<u4").view("<f4")[0], np.nan),
+    ], ids=["+inf", "-inf", "signalling NaN"])
+    def test_excluded_pixel_scored_silently(self, tmp_path, capsys,
+                                            pred_value, gt_value):
+        # the ground truth is no number at [0, 0], so that pixel is
+        # excluded, and the prediction there is none either: inf - inf
+        # warned, which the test configuration makes an error
+        gt = np.full((4, 5), 10.0, dtype=np.float32)
+        pred = np.full((4, 5), 11.0, dtype=np.float32)
+        pred[0, 0], gt[0, 0] = pred_value, gt_value
+        g, p, out = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "r.json"
+        g.write_bytes(bytes(formats.write_pfm(gt)))
+        p.write_bytes(bytes(formats.write_pfm(pred)))
+        assert main(["evaluate", "--pred", str(p), "--gt", str(g),
+                     "--out", str(out)]) == 0
+        agg = json.loads(out.read_text())["aggregate"]["per_pixel"]
+        assert agg["mean_epe"] == 1.0 and agg["d1_all"] == 0.0
+        assert agg["evaluated_pixels"] == agg["d1_evaluated_pixels"] == 19
+
+    def test_traced_peak(self, tmp_path, capsys):
+        # the maps are scored as read, in float32, and the measures write
+        # their float64 errors in place: below the two maps' bytes and
+        # three and a half float64 maps besides. Widening both maps to
+        # float64 first, with the measures' full-size temporaries, went
+        # past it
+        h, w = 192, 256
+        rng = np.random.default_rng(0)
+        gt = rng.uniform(1.0, 100.0, (h, w)).astype(np.float32)
+        gt[:, :5] = np.nan
+        pred = (gt + rng.normal(0.0, 4.0, (h, w))).astype(np.float32)
+        pred[:, :5] = 3.0
+        occ = (rng.random((h, w)) < 0.1).astype(np.uint8) * 255
+        g, p, o = tmp_path / "g.pfm", tmp_path / "p.pfm", tmp_path / "o.pgm"
+        g.write_bytes(bytes(formats.write_pfm(gt)))
+        p.write_bytes(bytes(formats.write_pfm(pred)))
+        o.write_bytes(bytes(formats.write_pgm8(occ)))
+        argv = ["evaluate", "--pred", str(p), "--gt", str(g),
+                "--occlusion", str(o), "--metric", "both"]
+        assert main(argv) == 0  # imports and first-call caches before tracing
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h * w * (2 * 4 + 3.5 * 8)
 
     def test_flow_maps_epe_only(self, tmp_path, capsys):
         flow = np.zeros((4, 4, 2), dtype=np.float32)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneflowgen import _parallel, match
+from sceneflowgen import _parallel, formats, match
 from sceneflowgen.assets import Texture, make_cuboid
 from sceneflowgen.errors import ContractError
 from sceneflowgen.render import rasterize_frame
@@ -29,11 +29,19 @@ def textured_image(h, w, seed=0):
 def features(image, patch=3, y=0, rows=None):
     """The matcher's features of rows y .. y + rows - 1 (all rows by
     default), channels last as the oracle lays them out."""
-    gray = match._to_gray(image)
-    h, w = gray.shape
+    image = np.asarray(image)
+    h, w = image.shape[:2]
     rows = h - y if rows is None else rows
-    flat = match._features(gray, y, rows, patch)
+    gray = match._gray_band(image, y, rows, patch, "left")
+    flat = match._features(gray, rows, patch)
     return np.ascontiguousarray(np.moveaxis(flat.reshape(-1, rows, w), 0, -1))
+
+
+def pgm16_image(h, w, seed=0):
+    """A 16-bit gray image as formats reads a PGM: big-endian uint16."""
+    rng = np.random.default_rng(seed)
+    mask = rng.integers(0, 65536, (h, w), dtype=np.uint16)
+    return formats.read_pgm16(bytes(formats.write_pgm16(mask)))
 
 
 class TestExtractFeatures:
@@ -60,26 +68,51 @@ class TestExtractFeatures:
         assert np.allclose(feats, 0.0)  # constant luminance
 
     def test_bad_shape(self):
-        with pytest.raises(ContractError):
-            match._to_gray(np.zeros((2, 2, 2, 2)))
-        with pytest.raises(ContractError):
-            match._to_gray(np.zeros((4, 4, 4), dtype=np.uint8))
+        for bad in (np.zeros((2, 2, 2, 2)), np.zeros((4, 4, 4), dtype=np.uint8),
+                    np.zeros(4)):
+            for pair in ((bad, bad), (np.zeros((4, 4)), bad)):
+                with pytest.raises(ContractError, match="HxW or HxWx3"):
+                    match.estimate_disparity(*pair, 1)
 
     def test_rgb_gray_bytes_and_peak(self):
-        # luminance band by band: the bytes of the whole-image product, and
-        # a peak below one float64 copy of the RGB image
+        # each band's luminance: the bytes of the whole-image product, and
+        # a peak below one float64 gray plane of the whole image
         h, w = 540, 96
         rgb = np.random.default_rng(3).integers(0, 256, (h, w, 3), dtype=np.uint8)
         ref = rgb.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-        tracemalloc.start()
-        try:
-            gray = match._to_gray(rgb)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gray.tobytes() == ref.tobytes()
-        assert gray.tobytes() == match_oracle.to_gray(rgb).tobytes()
-        assert peak < h * w * 3 * 8
+        assert ref.tobytes() == match_oracle.to_gray(rgb).tobytes()
+        padded = np.pad(ref, 1, mode="edge")
+        for band in _parallel.bands(h):
+            y, rows = band.start, band.stop - band.start
+            tracemalloc.start()
+            try:
+                gray = match._gray_band(rgb, y, rows, 3, "left")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert gray.tobytes() == padded[y:y + rows + 2].tobytes(), y
+            assert peak < h * w * 8, y
+
+    @pytest.mark.parametrize("kind", ["rgb uint8", "pgm16", "float64"])
+    @pytest.mark.parametrize("patch", [1, 2, 3, 5])
+    def test_band_gray_is_the_whole_image_product(self, kind, patch):
+        # at every band offset, the first and last rows included, a band's
+        # gray rows and columns are those of the whole image's luminance,
+        # edge-clamped by patch // 2, byte for byte
+        h, w = 11, 13
+        rng = np.random.default_rng(patch)
+        image = {
+            "rgb uint8": lambda: rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
+            "pgm16": lambda: pgm16_image(h, w, seed=patch),
+            "float64": lambda: rng.normal(0.0, 1e3, (h, w)),
+        }[kind]()
+        r = patch // 2
+        padded = np.pad(match_oracle.to_gray(image), r, mode="edge")
+        for rows in (1, 4, h):
+            for y in range(h - rows + 1):
+                gray = match._gray_band(image, y, rows, patch, "left")
+                want = padded[y:y + rows + 2 * r]
+                assert gray.tobytes() == want.tobytes(), (rows, y)
 
     @pytest.mark.parametrize("patch", [1, 2, 3, 4, 5, 9, 13])
     def test_equals_channels_last_reductions(self, patch):
@@ -504,9 +537,14 @@ class TestBandThreads:
 class TestMatcherMemory:
     H, W = 64, 256
 
-    def traced_peak(self, max_disp):
-        left = textured_image(self.H, self.W, seed=1)
-        right = textured_image(self.H, self.W, seed=2)
+    def traced_peak(self, max_disp, rgb=False):
+        if rgb:
+            rng = np.random.default_rng(1)
+            left, right = rng.integers(0, 256, (2, self.H, self.W, 3),
+                                       dtype=np.uint8)
+        else:
+            left = textured_image(self.H, self.W, seed=1)
+            right = textured_image(self.H, self.W, seed=2)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             match.estimate_disparity(left, right, max_disp=max_disp)
@@ -521,6 +559,19 @@ class TestMatcherMemory:
         monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
         set_cpus(monkeypatch, cpus)
         assert self.traced_peak(16) < self.H * self.W * 9 * 8
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rgb_peak_holds_no_gray_plane(self, monkeypatch, cpus):
+        # each band converts only its own rows of an RGB pair to gray, so
+        # no whole-image gray plane exists: the RGB pair peaks below one
+        # feature map, as the gray pair does, and on one worker within
+        # one gray plane of the gray pair's peak
+        monkeypatch.setattr(_parallel, "BAND_ROWS", 8)
+        set_cpus(monkeypatch, cpus)
+        rgb = self.traced_peak(16, rgb=True)
+        assert rgb < self.H * self.W * 9 * 8
+        if cpus == 1:
+            assert rgb < self.traced_peak(16) + self.H * self.W * 8
 
     def test_peak_independent_of_disparity_range(self, monkeypatch):
         # one worker: on two, the peak depends on how the threads' bands

@@ -172,6 +172,29 @@ class TestNonFinitePrediction:
         assert epe_map(pred, gt, mask)[1].mean_epe == 2.0
 
 
+class TestFloat32Maps:
+    @pytest.mark.parametrize("shape", [(12, 16), (12, 16, 2)])
+    def test_same_report_as_widened_maps(self, shape):
+        # float32 maps widen inside the measures' ufuncs: the per-pixel
+        # errors and the reports of their float64 copies, to the bit
+        rng = np.random.default_rng(len(shape))
+        gt = rng.uniform(0.5, 120.0, shape).astype(np.float32)
+        pred = (gt + rng.normal(0.0, 6.0, shape)).astype(np.float32)
+        for x, value in enumerate([np.nan, np.inf, -np.inf]):
+            gt[0, x] = pred[0, x] = value  # excluded
+        gt[1, :2] = [0.0, -4.0]  # no D1-all verdict
+        mask = rng.random(shape[:2]) < 0.8
+        wide = pred.astype(np.float64), gt.astype(np.float64)
+        for m in (None, mask):
+            per_pixel, report = epe_map(pred, gt, m)
+            want_map, want = epe_map(*wide, m)
+            assert per_pixel.dtype == np.float64
+            assert per_pixel.tobytes() == want_map.tobytes()
+            assert report == want
+            if len(shape) == 2:
+                assert d1_all(pred, gt, m) == d1_all(*wide, m)
+
+
 class TestAggregate:
     def test_single_report_identity(self):
         r = MetricReport(mean_epe=1.25, evaluated_pixels=10, valid_pixels=10)
