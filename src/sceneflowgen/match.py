@@ -44,31 +44,19 @@ _BLOCK = 4
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-def _gray_band(image, y, rows, patch, name):
+def _gray_band(image, y, rows, patch):
     """The gray values the features of rows y .. y + rows - 1 read:
     float64 (rows + 2r, W + 2r), r = patch // 2, rows y - r .. y + rows +
     r - 1 and columns -r .. W + r - 1 of image's luminance, edge-clamped.
-    A signalling NaN widens to a quiet one. Every image row is one
-    (W, 3) @ (3,) product, as in the whole image's product, so the values
-    do not depend on the band.
-
-    Raises ContractError naming the image unless every value is finite
-    and at most sqrt(float64 max) / (2 * patch + 1) in magnitude: within
-    that range a patch's sum of squares cannot overflow.
+    Every image row is one (W, 3) @ (3,) product, as in the whole image's
+    product, so the values do not depend on the band.
     """
     r = patch // 2
     h, w = image.shape[:2]
     ys = np.arange(y - r, y + rows + r).clip(0, h - 1)
-    with np.errstate(invalid="ignore"):
-        gray = image[ys].astype(np.float64, copy=False)
-        if gray.ndim == 3:
-            gray = np.matmul(gray, _LUMA)
-    limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
-    # NaN fails every comparison
-    if not -limit <= gray.min() <= gray.max() <= limit:
-        raise ContractError(
-            f"{name} image holds a non-finite value or one beyond "
-            f"{limit:.3g} in magnitude")
+    gray = image[ys].astype(np.float64, copy=False)
+    if gray.ndim == 3:
+        gray = np.matmul(gray, _LUMA)
     return gray[:, np.arange(-r, w + r).clip(0, w - 1)]
 
 
@@ -164,11 +152,14 @@ def estimate_disparity(left_image, right_image,
     (see `_parallel`). Memory is the two output maps and, per running
     band, its rows of the two gray images, its features and its state.
 
-    Raises ContractError unless every gray value is finite and at most
-    sqrt(float64 max) / (2 * patch + 1) in magnitude (`_gray_band`, which
-    checks each band's rows). Within that range a patch's sum of squares
-    cannot overflow, so every feature and every cost is finite and no
-    step warns.
+    Raises ContractError naming the image unless every value of a float
+    image, every channel of an RGB one, is finite and at most
+    sqrt(float64 max) / (2 * patch + 1) in magnitude; each is checked
+    once, left then right, before any band starts. Integer images are
+    always within the limit and are not checked. Within it a patch's sum
+    of squares cannot overflow, so every feature and every cost is
+    finite and no step warns. A channel beyond the limit is refused even
+    where its gray value would be within it.
     """
     left, right = np.asarray(left_image), np.asarray(right_image)
     for image in (left, right):
@@ -183,6 +174,17 @@ def estimate_disparity(left_image, right_image,
         raise ContractError(f"max_disp {max_disp} outside [1, {w}]")
     if patch < 1:
         raise ContractError(f"patch {patch} is not a positive size")
+    limit = np.sqrt(np.finfo(np.float64).max) / (2 * patch + 1)
+    for name, image in (("left", left), ("right", right)):
+        if image.dtype.kind in "biu" or not image.size:
+            continue
+        # NaN fails every comparison; a signalling one does so silently
+        with np.errstate(invalid="ignore"):
+            within = -limit <= image.min() <= image.max() <= limit
+        if not within:
+            raise ContractError(
+                f"{name} image holds a non-finite value or one beyond "
+                f"{limit:.3g} in magnitude")
 
     disparity = np.empty((h, w))
     confidence = np.empty((h, w))
@@ -224,8 +226,8 @@ def _match_band(left, right, y, patch, max_disp, disparity, confidence):
     """
     rows, w = disparity.shape
     n = rows * w
-    a = _features(_gray_band(left, y, rows, patch, "left"), rows, patch)
-    b = _features(_gray_band(right, y, rows, patch, "right"), rows, patch)
+    a = _features(_gray_band(left, y, rows, patch), rows, patch)
+    b = _features(_gray_band(right, y, rows, patch), rows, patch)
     best = np.zeros(n, dtype=np.int32)  # winning d, below W
     top = np.full(n, -np.inf)       # cost at best
     second = np.full(n, -np.inf)    # best cost at any other d

@@ -111,8 +111,8 @@ MUTANTS = [
            "np.clip(offset, -0.4999999, 0.4999999)", "np.clip(offset, -0.49, 0.49)",
            "the sub-pixel offset is clipped just inside half a pixel"),
     Mutant("gray-limit-dropped", _MATCH,
-           "if not -limit <= gray.min() <= gray.max() <= limit:", "if False:",
-           "every gray value a band reads is finite and within the limit"),
+           "        if not within:\n", "        if False:\n",
+           "every value of a float image is finite and within the limit"),
     Mutant("matcher-tie", _MATCH,
            "np.greater(c, top_d, out=won_d)", "np.greater_equal(c, top_d, out=won_d)",
            "of two equal costs the smaller disparity wins"),

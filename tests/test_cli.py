@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import os
@@ -22,6 +21,7 @@ from sceneflowgen import formats
 from sceneflowgen.cli import build_parser, main
 from sceneflowgen.match import estimate_disparity
 
+import pins
 from conftest import set_cpus
 from test_formats import minimal_manifest
 
@@ -1447,29 +1447,14 @@ def test_cli_freezes_the_import_time_objects_once(tmp_path):
 
 
 def test_generate_without_scipy_writes_the_same_bytes(tmp_path):
-    from test_pipeline import GENERATE_64X48_DIGEST  # imports this module
-
     # sys.modules['scipy'] = None makes any scipy import fail
     code = ("import sys; sys.modules['scipy'] = None; "
             "from sceneflowgen.cli import main; sys.exit(main(sys.argv[1:]))")
-    argv = ["generate", "--seed", "1", "--frames", "3", "--size", "64x48"]
     src = str(Path(sceneflowgen.__file__).parents[1])
+    out = tmp_path / "noscipy"
     run = subprocess.run(
-        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "noscipy")],
+        [sys.executable, "-c", code, *pins.RUNS["64x48"], "--out", str(out)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert main(argv + ["--out", str(tmp_path / "ds")]) == 0
-    files = {p.relative_to(tmp_path / "ds") for p in (tmp_path / "ds").rglob("*")
-             if p.is_file() and p.name != "config.generate.json"}
-    assert files == {p.relative_to(tmp_path / "noscipy")
-                     for p in (tmp_path / "noscipy").rglob("*")
-                     if p.is_file() and p.name != "config.generate.json"}
-    assert len(files) == 69  # 68 maps of 3 frames and 2 views, the manifest
-    for rel in sorted(files):
-        assert (tmp_path / "noscipy" / rel).read_bytes() == \
-            (tmp_path / "ds" / rel).read_bytes(), rel
-    digest = hashlib.sha256()
-    for rel in sorted(files):
-        digest.update(str(rel).encode() + b"\0" + (tmp_path / "noscipy" / rel).read_bytes())
-    assert digest.hexdigest() == GENERATE_64X48_DIGEST
+    pins.assert_pinned(out, "64x48")

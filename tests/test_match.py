@@ -32,7 +32,7 @@ def features(image, patch=3, y=0, rows=None):
     image = np.asarray(image)
     h, w = image.shape[:2]
     rows = h - y if rows is None else rows
-    gray = match._gray_band(image, y, rows, patch, "left")
+    gray = match._gray_band(image, y, rows, patch)
     flat = match._features(gray, rows, patch)
     return np.ascontiguousarray(np.moveaxis(flat.reshape(-1, rows, w), 0, -1))
 
@@ -86,7 +86,7 @@ class TestExtractFeatures:
             y, rows = band.start, band.stop - band.start
             tracemalloc.start()
             try:
-                gray = match._gray_band(rgb, y, rows, 3, "left")
+                gray = match._gray_band(rgb, y, rows, 3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -110,7 +110,7 @@ class TestExtractFeatures:
         padded = np.pad(match_oracle.to_gray(image), r, mode="edge")
         for rows in (1, 4, h):
             for y in range(h - rows + 1):
-                gray = match._gray_band(image, y, rows, patch, "left")
+                gray = match._gray_band(image, y, rows, patch)
                 want = padded[y:y + rows + 2 * r]
                 assert gray.tobytes() == want.tobytes(), (rows, y)
 
@@ -466,6 +466,28 @@ class TestImageValues:
         rgb = np.zeros((6, 12, 3))
         rgb[2, 3, 1] = np.nan
         with pytest.raises(ContractError):
+            match.estimate_disparity(rgb, np.zeros((6, 12, 3)), 4)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_refused_before_any_band(self, monkeypatch, side):
+        # a NaN in the last row of three bands is found before the first
+        # band is matched
+        bands = []
+        monkeypatch.setattr(match, "_match_band", lambda *a: bands.append(a[3]))
+        pair = {"left": textured_image(70, 30, seed=1),
+                "right": textured_image(70, 30, seed=2)}
+        pair[side][-1, 3] = np.nan
+        with pytest.raises(ContractError, match=side):
+            match.estimate_disparity(pair["left"], pair["right"], 8)
+        assert bands == []
+
+    def test_rgb_channel_beyond_limit_refused(self):
+        # each channel is held to the limit, not only the gray value:
+        # this blue gives a gray of 0.228 of the limit
+        limit = np.sqrt(np.finfo(np.float64).max) / 7
+        rgb = np.zeros((6, 12, 3))
+        rgb[2, 3, 2] = 2 * limit
+        with pytest.raises(ContractError, match="left"):
             match.estimate_disparity(rgb, np.zeros((6, 12, 3)), 4)
 
     @pytest.mark.parametrize("patch", [1, 3, 5])

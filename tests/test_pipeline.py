@@ -1,5 +1,5 @@
 import dataclasses
-import hashlib
+import json
 import os
 import re
 import shutil
@@ -20,6 +20,7 @@ from sceneflowgen import _parallel, formats, groundtruth, pipeline
 from sceneflowgen.cli import main
 from sceneflowgen.errors import ParseError
 
+import pins
 from conftest import derive_maps, set_cpus, small_params
 from test_cli import GEN_ARGS, RENDER_PASSES, tree_bytes
 
@@ -223,21 +224,39 @@ def test_derive_holds_float32_passes(tmp_path, monkeypatch):
         assert peak < bound, (cpus, peak, bound)
 
 
-# SHA-256 over (relative path, bytes) of every file but
-# config.generate.json, in sorted path order, recorded before generation
-# streamed view by view.
-GENERATE_64X48_DIGEST = "fb615d7b454698f8324bf827142a5354eddc9c2e17a7d36fa067497933509ae1"
-
-
 def test_small_generate_bytes_unchanged(tmp_path):
     out = tmp_path / "ds"
-    assert main(["generate", "--seed", "1", "--frames", "3", "--size", "64x48",
-                 "--out", str(out)]) == 0
-    digest = hashlib.sha256()
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "config.generate.json":
-            digest.update(str(p.relative_to(out)).encode() + b"\0" + p.read_bytes())
-    assert digest.hexdigest() == GENERATE_64X48_DIGEST
+    assert main([*pins.RUNS["64x48"], "--out", str(out)]) == 0
+    pins.assert_pinned(out, "64x48")
+
+
+@pytest.mark.parametrize("edit", ["moved", "missing", "extra"])
+def test_pin_check_names_each_file_that_differs(tmp_path, edit):
+    # a tree of three files pinned as written, then one byte flipped, one
+    # file deleted or one file added: the check fails naming that file
+    tree = tmp_path / "tree"
+    for rel in ("a/0001_L.pfm", "a/0001_R.pfm", "manifest.json"):
+        (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tree / rel).write_bytes(rel.encode() * 3)
+    (tree / "config.generate.json").write_text("{}")
+    table = tmp_path / "pins.json"
+    table.write_text(json.dumps({"tree": pins.digests(tree)}))
+    pins.assert_pinned(tree, "tree", table)
+    (tree / "config.generate.json").write_text('{"out": "elsewhere"}')
+    pins.assert_pinned(tree, "tree", table)  # the record is not pinned
+    target = tree / "a" / "0001_R.pfm"
+    if edit == "moved":
+        data = bytearray(target.read_bytes())
+        data[5] ^= 1
+        target.write_bytes(bytes(data))
+    elif edit == "missing":
+        target.unlink()
+    else:
+        target = tree / "a" / "0002_L.pfm"
+        target.write_bytes(b"new")
+    with pytest.raises(AssertionError) as failed:
+        pins.assert_pinned(tree, "tree", table)
+    assert str(failed.value).splitlines()[1:] == [f"  {edit}: a/{target.name}"]
 
 
 # A 2-frame run writes the manifest marked partial, 20 files per view, then

@@ -1,8 +1,6 @@
 """The batched rasterizer against the per-triangle oracle, byte for byte,
-plus pinned dataset digests and a memory bound."""
+plus the pinned datasets (`pins`) and a memory bound."""
 
-import hashlib
-import json
 import sys
 import threading
 import tracemalloc
@@ -22,6 +20,7 @@ from sceneflowgen.render import NEAR_PLANE, _clip_near, rasterize_frame
 from sceneflowgen.scene import DrivingParams, FlyingThingsParams, ObjectInstance, SceneSpec
 from sceneflowgen.trajectory import IDENTITY_QUAT, Trajectory
 
+import pins
 from conftest import set_cpus, small_params
 from raster_oracle import oracle_rasterize_frame
 
@@ -441,28 +440,11 @@ def test_box_with_a_zero_depth_sum_matches_oracle(size):
     assert_matches_oracle(scene([box((0, 0.75, 0), (2.15, 3, 3.25), 1)], intr))
 
 
-# SHA-256 over manifest.json and every file it lists, in manifest order,
-# of `sfgen generate --frames 2 --size 96x64`, recorded with the
-# per-triangle rasterizer.
-GENERATE_DIGESTS = {
-    ("flyingthings", 42): "554e0dde307429bb526e901633f4d0151ebe255c0aea841b3ab834fe52459fbf",
-    ("flyingthings", 7): "5cc237d18370eb89e72c308f45ef6646f5bda0ccef92b1a1c6eadc753e278b54",
-    ("driving", 3): "ddf21a85213c6e2678c6e81b5b9c3ffe87e18af32c1183b31bf5dd032afaba6b",
-}
-
-
-@pytest.mark.parametrize("preset,seed", sorted(GENERATE_DIGESTS))
-def test_small_generate_digest_is_pinned(tmp_path, preset, seed):
+@pytest.mark.parametrize("run", ["driving-3", "flyingthings-42", "flyingthings-7"])
+def test_small_generate_digest_is_pinned(tmp_path, run):
     out = tmp_path / "ds"
-    assert main(["generate", "--preset", preset, "--seed", str(seed),
-                 "--frames", "2", "--size", "96x64", "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "manifest.json").read_bytes())
-    manifest = json.loads((out / "manifest.json").read_text())
-    for frame in manifest["frames"]:
-        for view in ("left", "right"):
-            for rel in frame["files"][view].values():
-                digest.update((out / rel).read_bytes())
-    assert digest.hexdigest() == GENERATE_DIGESTS[(preset, seed)]
+    assert main([*pins.RUNS[run], "--out", str(out)]) == 0
+    pins.assert_pinned(out, run)
 
 
 def _peak_bytes(n_small):
